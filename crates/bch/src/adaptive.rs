@@ -89,11 +89,11 @@ impl AdaptiveBch {
     /// * [`BchError::MessageNotByteAligned`] / [`BchError::CodeTooLong`]
     ///   when the worst-case code does not fit the field.
     pub fn new(m: u32, k_bits: usize, tmin: u32, tmax: u32) -> Result<Self, BchError> {
-        Self::new_with_kernel(m, k_bits, tmin, tmax, CodecKernel::Auto)
+        Self::new_with_kernel(m, k_bits, tmin, tmax, CodecKernel::default())
     }
 
-    /// Like [`AdaptiveBch::new`] with an explicit codec kernel rung applied
-    /// to every per-`t` code instance.
+    /// Like [`AdaptiveBch::new`] with an explicit codec kernel applied to
+    /// every per-`t` code instance.
     ///
     /// # Errors
     ///
@@ -132,7 +132,7 @@ impl AdaptiveBch {
             k_bits,
             tmin,
             tmax,
-            kernel: kernel.resolve(),
+            kernel,
             rom,
             codes: vec![None; tmax as usize],
             current_t: tmin,
@@ -169,7 +169,7 @@ impl AdaptiveBch {
         self.current_t
     }
 
-    /// The codec kernel rung every code instance runs (`Auto` resolved).
+    /// The codec kernel every code instance runs.
     pub fn kernel(&self) -> CodecKernel {
         self.kernel
     }
@@ -414,8 +414,9 @@ mod tests {
         let mut auto = AdaptiveBch::new(10, 32 * 8, 1, 4).unwrap();
         assert_eq!(auto.kernel(), CodecKernel::Fused);
         assert_eq!(auto.code_for(2).unwrap().kernel(), CodecKernel::Fused);
-        let mut refc = AdaptiveBch::new_with_kernel(10, 32 * 8, 1, 4, CodecKernel::Byte).unwrap();
-        assert_eq!(refc.kernel(), CodecKernel::Byte);
-        assert_eq!(refc.code_for(2).unwrap().kernel(), CodecKernel::Byte);
+        let mut refc =
+            AdaptiveBch::new_with_kernel(10, 32 * 8, 1, 4, CodecKernel::Reference).unwrap();
+        assert_eq!(refc.kernel(), CodecKernel::Reference);
+        assert_eq!(refc.code_for(2).unwrap().kernel(), CodecKernel::Reference);
     }
 }

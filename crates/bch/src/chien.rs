@@ -75,7 +75,7 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
     None
 }
 
-/// Log-stride variant of [`find_error_positions`] (codec kernel rung 2+).
+/// Log-stride variant of [`find_error_positions`] (the production path).
 ///
 /// Each nonzero term of the locator is tracked as a *log-domain* exponent:
 /// term `d` at step `s` is `alpha^(log lambda_d + d*(start+s) mod N)`, so
@@ -136,7 +136,7 @@ pub fn find_error_positions_stride(
     None
 }
 
-/// Direct solve for a degree-1 locator (codec kernel rung 3).
+/// Direct solve for a degree-1 locator (the production path).
 ///
 /// `lambda(x) = lambda_0 + lambda_1 x` vanishes at `alpha^j` exactly when
 /// `j = log(lambda_0) - log(lambda_1) (mod N)`; the Chien step index `s`

@@ -7,7 +7,7 @@ use mlcx_gf2::{minpoly, Gf2Poly, GfField};
 
 use crate::berlekamp;
 use crate::chien;
-use crate::encoder::{EncodeLane, LfsrEncoder};
+use crate::encoder::LfsrEncoder;
 use crate::error::BchError;
 use crate::kernel::CodecKernel;
 use crate::syndrome::{SyndromeCalculator, SyndromeLane};
@@ -99,10 +99,10 @@ impl BchCode {
     /// * [`BchError::CodeTooLong`] if `k + r > 2^m - 1`;
     /// * [`BchError::CorrectionOutOfRange`] if `t == 0`.
     pub fn new(field: Arc<GfField>, k_bits: usize, t: u32) -> Result<Self, BchError> {
-        Self::new_with_kernel(field, k_bits, t, CodecKernel::Auto)
+        Self::new_with_kernel(field, k_bits, t, CodecKernel::default())
     }
 
-    /// Like [`BchCode::new`] with an explicit codec kernel rung.
+    /// Like [`BchCode::new`] with an explicit codec kernel.
     ///
     /// # Errors
     ///
@@ -136,12 +136,11 @@ impl BchCode {
         t: u32,
         generator: Gf2Poly,
     ) -> Result<Self, BchError> {
-        Self::with_generator_kernel(field, k_bits, t, generator, CodecKernel::Auto)
+        Self::with_generator_kernel(field, k_bits, t, generator, CodecKernel::default())
     }
 
     /// Builds the code from a pre-computed generator polynomial on an
-    /// explicit codec kernel rung. Every rung decodes bit-identically; the
-    /// knob trades table footprint against throughput.
+    /// explicit codec kernel. Both kernels decode bit-identically.
     ///
     /// # Errors
     ///
@@ -165,17 +164,12 @@ impl BchCode {
                 n_full,
             });
         }
-        let kernel = kernel.resolve();
-        let (enc_lane, syn_lane) = match kernel {
-            CodecKernel::Reference => (EncodeLane::Bit, SyndromeLane::Bit),
-            CodecKernel::Byte => (EncodeLane::Byte, SyndromeLane::Byte),
-            CodecKernel::Word => (EncodeLane::Slice4, SyndromeLane::Dual),
-            // The fused rung evaluates syndromes over the short LFSR
-            // remainder, so the plain byte tables suffice there.
-            CodecKernel::Fused => (EncodeLane::Slice8, SyndromeLane::Byte),
-            CodecKernel::Auto => unreachable!("resolve() removes Auto"),
+        let (encoder, syn_lane) = match kernel {
+            CodecKernel::Reference => (LfsrEncoder::bit_serial(&generator), SyndromeLane::Bit),
+            // Fused evaluates syndromes over the short LFSR remainder, so
+            // the plain byte tables suffice there.
+            CodecKernel::Fused => (LfsrEncoder::new(&generator), SyndromeLane::Byte),
         };
-        let encoder = LfsrEncoder::with_lane(&generator, enc_lane);
         let syndromes = SyndromeCalculator::with_lane(field.clone(), t, syn_lane);
         let syn_unshift = if kernel == CodecKernel::Fused {
             syndromes.unshift_factors(r_bits)
@@ -200,7 +194,7 @@ impl BchCode {
         self.t
     }
 
-    /// The codec kernel rung this instance runs (`Auto` already resolved).
+    /// The codec kernel this instance runs.
     pub fn kernel(&self) -> CodecKernel {
         self.kernel
     }
@@ -280,7 +274,7 @@ impl BchCode {
         }
         // Stages 0+1: validity shortcut (paper: "if all remainders are null
         // the codeword is error-free and the decoding process ends") and
-        // syndrome computation. The fused rung does both in one LFSR pass:
+        // syndrome computation. The fused kernel does both in one LFSR pass:
         // the remainder state is zero iff the codeword is valid, and
         // otherwise S_i = state(beta_i) * beta_i^(-r).
         let syn = if self.kernel == CodecKernel::Fused {
@@ -309,13 +303,11 @@ impl BchCode {
         // Stage 3: Chien search over the shortened range.
         let n_bits = self.codeword_bits();
         let positions = match self.kernel {
-            CodecKernel::Reference | CodecKernel::Byte => {
-                chien::find_error_positions(&self.field, &lambda, n_bits)
-            }
+            CodecKernel::Reference => chien::find_error_positions(&self.field, &lambda, n_bits),
             CodecKernel::Fused if deg == 1 => {
                 chien::solve_single_error(&self.field, &lambda, n_bits)
             }
-            _ => chien::find_error_positions_stride(&self.field, &lambda, n_bits),
+            CodecKernel::Fused => chien::find_error_positions_stride(&self.field, &lambda, n_bits),
         };
         let Some(positions) = positions else {
             return Ok(DecodeOutcome::Uncorrectable);
@@ -549,10 +541,8 @@ mod tests {
     #[test]
     fn every_kernel_decodes_identically() {
         let field = Arc::new(GfField::new(12).unwrap());
-        let codes: Vec<BchCode> = CodecKernel::RUNGS
-            .iter()
-            .map(|&k| BchCode::new_with_kernel(field.clone(), 96 * 8, 5, k).unwrap())
-            .collect();
+        let codes = [CodecKernel::Reference, CodecKernel::Fused]
+            .map(|k| BchCode::new_with_kernel(field.clone(), 96 * 8, 5, k).unwrap());
         let mut rng = StdRng::seed_from_u64(77);
         for trial in 0..6 {
             let msg: Vec<u8> = (0..96).map(|_| rng.random()).collect();
@@ -568,7 +558,7 @@ mod tests {
                 assert_eq!(
                     c.encode(&msg).unwrap(),
                     parity0,
-                    "encode rung {}",
+                    "encode kernel {}",
                     c.kernel()
                 );
                 let mut recv = msg.clone();

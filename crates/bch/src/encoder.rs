@@ -5,30 +5,32 @@
 //! feedback taps are selected by multiplexers from a generator-polynomial
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
 //! latency is `k/p` cycles **independent of the selected `t`** — the
-//! software model mirrors that with a table-driven parallel step whose
-//! width is one rung of the codec kernel ladder:
+//! software model mirrors that with a table-driven parallel step.
 //!
-//! * [`EncodeLane::Bit`] — 1 bit/step (the rung-0 reference);
-//! * [`EncodeLane::Byte`] — 8 bits/step via one 256-entry table;
-//! * [`EncodeLane::Slice4`] — 32 bits/step via four position tables
-//!   (slicing-by-4, after the CRC slicing technique);
-//! * [`EncodeLane::Slice8`] — 64 bits/step via eight position tables.
+//! How many message bits one step folds is derived from the register
+//! width `r = deg g`, not chosen: a step of `8*lanes` bits reads that many
+//! bits off the top of the register, so it needs `r >= 8*lanes`.
 //!
-//! All lanes compute the identical remainder polynomial; a lane wider than
-//! the register (`8*lanes > r`) is silently clamped down so narrow codes
-//! stay correct.
+//! * `r >= 64` — 64 bits/step via eight position tables (slicing-by-8,
+//!   after the CRC slicing technique);
+//! * `32 <= r < 64` — 32 bits/step via four position tables;
+//! * `8 <= r < 32` — 8 bits/step via one 256-entry table;
+//! * `r < 8` — 1 bit/step.
+//!
+//! The bit-serial step is also what [`crate::CodecKernel::Reference`] runs
+//! at every width, as the oracle. All widths compute the identical
+//! remainder polynomial.
 
 use mlcx_gf2::Gf2Poly;
 
 use crate::bitreg::BitReg;
 
 /// Datapath width of the [`LfsrEncoder`] (bits folded per step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum EncodeLane {
-    /// Bit-serial stepping (reference rung).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EncodeLane {
+    /// Bit-serial stepping (the oracle, and registers narrower than a byte).
     Bit,
     /// One byte per step through a 256-entry table.
-    #[default]
     Byte,
     /// Four bytes per step (slicing-by-4); requires `r >= 32`.
     Slice4,
@@ -88,28 +90,37 @@ pub struct LfsrEncoder {
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits) with the default byte-parallel lane.
+    /// bits), stepping as wide as the register allows.
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
-        Self::with_lane(generator, EncodeLane::Byte)
+        Self::with_lane(
+            generator,
+            EncodeLane::widest_for(Self::degree_of(generator)),
+        )
     }
 
-    /// Builds the engine with an explicit datapath lane. Lanes wider than
-    /// the register allows are clamped down (the result is bit-identical
-    /// either way).
+    /// Builds the bit-serial engine [`crate::CodecKernel::Reference`] runs.
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
-    pub fn with_lane(generator: &Gf2Poly, lane: EncodeLane) -> Self {
-        let r_bits = generator
+    pub(crate) fn bit_serial(generator: &Gf2Poly) -> Self {
+        Self::with_lane(generator, EncodeLane::Bit)
+    }
+
+    fn degree_of(generator: &Gf2Poly) -> usize {
+        generator
             .degree()
             .filter(|&d| d >= 1)
-            .expect("generator polynomial must have degree >= 1");
-        let lane = lane.min(EncodeLane::widest_for(r_bits));
+            .expect("generator polynomial must have degree >= 1")
+    }
+
+    /// `lane` must not be wider than [`EncodeLane::widest_for`] allows.
+    fn with_lane(generator: &Gf2Poly, lane: EncodeLane) -> Self {
+        let r_bits = Self::degree_of(generator);
         let words_per_entry = r_bits.div_ceil(64).max(1);
         let fill = |table: &mut [u64], v: u64, idx: usize, shift: usize| {
             let rem = Gf2Poly::from_int(v).shl(shift).rem(generator);
@@ -152,11 +163,6 @@ impl LfsrEncoder {
         }
     }
 
-    /// The effective datapath lane (after clamping to the register width).
-    pub fn lane(&self) -> EncodeLane {
-        self.lane
-    }
-
     /// Number of parity bits `r` (the generator degree).
     pub fn parity_bits(&self) -> usize {
         self.r_bits
@@ -190,7 +196,7 @@ impl LfsrEncoder {
 
     /// The LFSR state after folding the whole received codeword:
     /// `received(x) * x^r mod g(x)`. Zero iff the codeword is valid; the
-    /// fused decode rung derives all `2t` syndromes from this one state
+    /// fused decode derives all `2t` syndromes from this one state
     /// (`S_i = state(beta_i) * beta_i^(-r)`).
     pub(crate) fn codeword_state(&self, message: &[u8], parity: &[u8]) -> BitReg {
         let mut state = BitReg::zero(self.r_bits);
@@ -306,7 +312,7 @@ mod tests {
         let f = GfField::new(4).unwrap();
         let g = generator_poly(&f, 1); // x^4 + x + 1, r = 4 < 8: bit-serial
         let enc = LfsrEncoder::new(&g);
-        assert_eq!(enc.lane(), EncodeLane::Bit);
+        assert_eq!(enc.lane, EncodeLane::Bit);
         let msg = [0b1011_0010u8];
         assert_eq!(enc.remainder(&msg), reference_remainder(&msg, &g));
     }
@@ -339,7 +345,6 @@ mod tests {
             EncodeLane::Slice8,
         ] {
             let enc = LfsrEncoder::with_lane(&g, lane);
-            assert_eq!(enc.lane(), lane);
             for len in [1usize, 3, 4, 7, 8, 9, 16, 33, 64] {
                 let msg: Vec<u8> = (0..len).map(|i| (i * 151 + 29) as u8).collect();
                 assert_eq!(
@@ -352,14 +357,18 @@ mod tests {
     }
 
     #[test]
-    fn wide_lanes_clamp_to_register_width() {
+    fn lane_follows_the_register_width() {
         let f = GfField::new(10).unwrap();
-        let g = generator_poly(&f, 3); // r = 30 < 32
-        let enc = LfsrEncoder::with_lane(&g, EncodeLane::Slice8);
-        assert_eq!(enc.lane(), EncodeLane::Byte);
-        let g2 = generator_poly(&f, 5); // r = 50: Slice4 fits, Slice8 not
-        let enc2 = LfsrEncoder::with_lane(&g2, EncodeLane::Slice8);
-        assert_eq!(enc2.lane(), EncodeLane::Slice4);
+        for (t, r, lane) in [
+            (3, 30, EncodeLane::Byte),   // r < 32
+            (5, 50, EncodeLane::Slice4), // Slice4 fits, Slice8 not
+            (7, 70, EncodeLane::Slice8),
+        ] {
+            let g = generator_poly(&f, t);
+            assert_eq!(g.degree(), Some(r));
+            assert_eq!(LfsrEncoder::new(&g).lane, lane, "r = {r}");
+            assert_eq!(LfsrEncoder::bit_serial(&g).lane, EncodeLane::Bit);
+        }
     }
 
     #[test]
@@ -412,7 +421,7 @@ mod tests {
         let f = GfField::new(13).unwrap();
         let g = generator_poly(&f, 8);
         let msg: Vec<u8> = (0..64).map(|i| (i * 73 + 5) as u8).collect();
-        let reference = LfsrEncoder::with_lane(&g, EncodeLane::Bit);
+        let reference = LfsrEncoder::bit_serial(&g);
         let mut parity = reference.remainder(&msg);
         parity[2] ^= 0x10; // corrupt so the state is nonzero
         let expect = reference.state_bytes(&reference.codeword_state(&msg, &parity));

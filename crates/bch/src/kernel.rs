@@ -1,105 +1,50 @@
-//! Codec kernel ladder: progressively wider datapaths for the BCH codec.
+//! Codec kernels: one bit-serial oracle, one production path.
 //!
-//! Every rung computes the *same* function — systematic encode and
-//! bounded-distance decode are defined by field arithmetic, and each rung
-//! only reorganizes that arithmetic into wider word-parallel steps. The
-//! differential harness in `tests/codec_kernels.rs` pins every rung
-//! bit-identical to [`CodecKernel::Reference`].
+//! Both compute the *same* function — systematic encode and
+//! bounded-distance decode are defined by field arithmetic, and the
+//! production path only reorganizes that arithmetic into wider
+//! word-parallel steps. The differential harness in
+//! `tests/codec_kernels.rs` pins it bit-identical to
+//! [`CodecKernel::Reference`].
 //!
-//! | rung | kernel      | encoder            | syndromes              | Chien search       |
-//! |------|-------------|--------------------|------------------------|--------------------|
-//! | 0    | `Reference` | bit-serial LFSR    | bit-serial Horner      | linear stepping    |
-//! | 1    | `Byte`      | 256-entry table    | byte-table Horner      | linear stepping    |
-//! | 2    | `Word`      | slicing-by-4       | dual-byte (16-bit) fold| log-stride         |
-//! | 3    | `Fused`     | slicing-by-8       | single-pass remainder  | log-stride + deg-1 |
+//! | kernel      | role       | encoder                    | syndromes              | Chien search       |
+//! |-------------|------------|----------------------------|------------------------|--------------------|
+//! | `Reference` | oracle     | bit-serial LFSR            | bit-serial Horner      | linear stepping    |
+//! | `Fused`     | production | widest slicing `r` permits | single-pass remainder  | log-stride + deg-1 |
 //!
-//! Rung 3 fuses the validity shortcut and syndrome computation into one
+//! The production encoder's step width is not a setting: it follows from
+//! the register width `r = deg g` (slicing-by-8 needs `r >= 64`,
+//! slicing-by-4 `r >= 32`, the byte table `r >= 8`), so a narrow code gets
+//! the narrower step it needs and nothing else ever selects one.
+//!
+//! `Fused` fuses the validity shortcut and syndrome computation into one
 //! LFSR pass over the codeword: the `r`-bit remainder `state` satisfies
 //! `S_i = state(beta_i) * beta_i^(-r)` for every designed root `beta_i`,
 //! so the `2t` full-codeword Horner passes collapse into `2t` evaluations
 //! of an `r`-bit polynomial.
 
-/// Selects which rung of the codec kernel ladder a [`crate::BchCode`]
-/// instance uses.
+/// Selects the datapath a [`crate::BchCode`] instance runs.
 ///
-/// The default is [`CodecKernel::Auto`], which resolves to the top rung.
-/// All rungs produce bit-identical parity, corrections, outcomes and
-/// statistics — the knob only trades construction-time table footprint
-/// against per-page throughput.
+/// Both kernels produce bit-identical parity, corrections, outcomes and
+/// statistics; [`CodecKernel::Reference`] exists so tests and benches can
+/// hold the production path against the definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecKernel {
-    /// Rung 0: bit-serial everything. The differential-testing oracle.
+    /// Bit-serial everything. The differential-testing oracle.
     Reference,
-    /// Rung 1: byte-parallel tables (the original seed datapath).
-    Byte,
-    /// Rung 2: word-sliced encoder, dual-byte syndrome folds, log-stride
-    /// Chien stepping.
-    Word,
-    /// Rung 3: slicing-by-8 encoder, fused single-pass syndrome-via-
-    /// remainder decode, direct solve for single-error locators.
-    Fused,
-    /// Resolves to the fastest rung ([`CodecKernel::Fused`]).
+    /// The production path: sliced encoder, fused single-pass
+    /// syndrome-via-remainder decode, log-stride Chien stepping with a
+    /// direct solve for single-error locators.
     #[default]
-    Auto,
+    Fused,
 }
 
 impl CodecKernel {
-    /// Every selectable variant, including [`CodecKernel::Auto`].
-    pub const ALL: [CodecKernel; 5] = [
-        CodecKernel::Reference,
-        CodecKernel::Byte,
-        CodecKernel::Word,
-        CodecKernel::Fused,
-        CodecKernel::Auto,
-    ];
-
-    /// The concrete rungs of the ladder, slowest first.
-    pub const RUNGS: [CodecKernel; 4] = [
-        CodecKernel::Reference,
-        CodecKernel::Byte,
-        CodecKernel::Word,
-        CodecKernel::Fused,
-    ];
-
-    /// Resolves [`CodecKernel::Auto`] to its concrete rung.
-    pub fn resolve(self) -> CodecKernel {
-        match self {
-            CodecKernel::Auto => CodecKernel::Fused,
-            concrete => concrete,
-        }
-    }
-
-    /// Position on the ladder (0 = reference), after resolving `Auto`.
-    pub fn rung(self) -> usize {
-        match self.resolve() {
-            CodecKernel::Reference => 0,
-            CodecKernel::Byte => 1,
-            CodecKernel::Word => 2,
-            CodecKernel::Fused => 3,
-            CodecKernel::Auto => unreachable!("resolve() removes Auto"),
-        }
-    }
-
     /// Short stable name for bench records and logs.
     pub fn name(self) -> &'static str {
         match self {
             CodecKernel::Reference => "reference",
-            CodecKernel::Byte => "byte",
-            CodecKernel::Word => "word",
             CodecKernel::Fused => "fused",
-            CodecKernel::Auto => "auto",
-        }
-    }
-
-    /// The matching [`mlcx_gf2::MulKernel`] rung for GF(2)\[x\] products at
-    /// the same optimization level (used when benching the substrate
-    /// ladder next to the codec ladder).
-    pub fn mul_kernel(self) -> mlcx_gf2::MulKernel {
-        match self.resolve() {
-            CodecKernel::Reference => mlcx_gf2::MulKernel::Reference,
-            CodecKernel::Byte => mlcx_gf2::MulKernel::Word,
-            CodecKernel::Word => mlcx_gf2::MulKernel::Windowed,
-            CodecKernel::Fused | CodecKernel::Auto => mlcx_gf2::MulKernel::best(),
         }
     }
 }
@@ -110,54 +55,15 @@ impl std::fmt::Display for CodecKernel {
     }
 }
 
-impl std::str::FromStr for CodecKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(CodecKernel::Reference),
-            "byte" => Ok(CodecKernel::Byte),
-            "word" => Ok(CodecKernel::Word),
-            "fused" => Ok(CodecKernel::Fused),
-            "auto" => Ok(CodecKernel::Auto),
-            other => Err(format!(
-                "unknown codec kernel {other:?} (expected reference|byte|word|fused|auto)"
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ladder_is_ordered_and_auto_resolves_to_top() {
-        for (i, k) in CodecKernel::RUNGS.iter().enumerate() {
-            assert_eq!(k.rung(), i);
-            assert_eq!(k.resolve(), *k);
-        }
-        assert_eq!(CodecKernel::Auto.resolve(), CodecKernel::Fused);
-        assert_eq!(CodecKernel::Auto.rung(), CodecKernel::Fused.rung());
-        assert_eq!(CodecKernel::default(), CodecKernel::Auto);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for k in CodecKernel::ALL {
-            assert_eq!(k.name().parse::<CodecKernel>().unwrap(), k);
+    fn production_path_is_the_default_and_names_display() {
+        assert_eq!(CodecKernel::default(), CodecKernel::Fused);
+        for k in [CodecKernel::Reference, CodecKernel::Fused] {
             assert_eq!(format!("{k}"), k.name());
-        }
-        assert!("simd".parse::<CodecKernel>().is_err());
-    }
-
-    #[test]
-    fn mul_kernel_mapping_is_monotone() {
-        let mut last = 0usize;
-        for k in CodecKernel::RUNGS {
-            let r = k.mul_kernel().rung();
-            assert!(r >= last, "{k:?} maps below the previous rung");
-            last = r;
         }
     }
 }

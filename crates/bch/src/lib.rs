@@ -17,10 +17,9 @@
 //! 4. **Chien search** ([`chien`]) — root search over the *shortened*
 //!    position range, starting from the ROM-stored first element.
 //!
-//! Every pipeline stage exists at several datapath widths — the codec
-//! kernel ladder ([`kernel`]): a bit-serial reference rung, the byte-table
-//! rung, a word-sliced rung and a fused single-pass rung. All rungs are
-//! bit-identical (differentially tested); [`CodecKernel`] selects one.
+//! Every pipeline stage exists twice ([`kernel`]): a bit-serial oracle
+//! and the word-parallel production path, differentially tested
+//! bit-identical. [`CodecKernel`] names the two.
 //!
 //! On top of the functional codec, [`hardware`] provides the latency and
 //! power model used to reproduce the paper's Fig. 8 (encode/decode latency

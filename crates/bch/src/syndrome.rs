@@ -5,18 +5,16 @@
 //! the remainders in GF(2^m). The software model evaluates the received
 //! polynomial directly at `alpha^1 .. alpha^2t` — numerically identical,
 //! and it preserves the defining property the decoder relies on: *all
-//! syndromes are zero iff the codeword is valid*. The Horner step width is
-//! one rung of the codec kernel ladder:
+//! syndromes are zero iff the codeword is valid*. Two Horner step widths:
 //!
-//! * [`SyndromeLane::Bit`] — definition-level bit-serial Horner
-//!   (the rung-0 reference);
-//! * [`SyndromeLane::Byte`] — one byte per fold via 256-entry tables;
-//! * [`SyndromeLane::Dual`] — two bytes per fold (one field multiply per
-//!   16 message bits, halving the multiply count).
+//! * [`SyndromeLane::Bit`] — definition-level bit-serial Horner (what
+//!   [`crate::CodecKernel::Reference`] runs over the whole codeword);
+//! * [`SyndromeLane::Byte`] — one byte per fold via 256-entry tables.
 //!
-//! The top (fused) decode rung does not walk the codeword here at all: it
-//! evaluates the `r`-bit LFSR remainder instead (see
-//! [`SyndromeCalculator::unshift_factors`]).
+//! The production decode ([`crate::CodecKernel::Fused`]) does not walk the
+//! codeword here at all: it evaluates the `r`-bit LFSR remainder with the
+//! byte lane instead (see [`SyndromeCalculator::unshift_factors`]), so a
+//! wider fold would have nothing to speed up.
 
 use std::sync::Arc;
 
@@ -30,8 +28,6 @@ pub enum SyndromeLane {
     /// Byte-parallel table fold.
     #[default]
     Byte,
-    /// Dual-byte (16-bit) table fold.
-    Dual,
 }
 
 /// Parallel syndrome evaluator for syndromes `S_1 .. S_2t`.
@@ -42,14 +38,9 @@ pub struct SyndromeCalculator {
     lane: SyndromeLane,
     /// `pow8[i]` = `alpha^(8*(i+1))`: the per-syndrome byte fold factor.
     pow8: Vec<u32>,
-    /// `pow16[i]` = `alpha^(16*(i+1))`: the dual-byte fold factor.
-    pow16: Vec<u32>,
     /// Flattened `two_t x 256` table: entry `[i][b]` is the contribution of
     /// message byte `b` to syndrome `i+1` before folding.
     tables: Vec<u32>,
-    /// Dual lane only: `hi_tables[i][b] = beta_i^8 * tables[i][b]` — the
-    /// contribution of the more significant byte of a 16-bit chunk.
-    hi_tables: Vec<u32>,
 }
 
 impl SyndromeCalculator {
@@ -63,20 +54,13 @@ impl SyndromeCalculator {
     pub fn with_lane(field: Arc<GfField>, t: u32, lane: SyndromeLane) -> Self {
         let two_t = (2 * t) as usize;
         let mut pow8 = Vec::with_capacity(two_t);
-        let mut pow16 = Vec::with_capacity(two_t);
         let mut tables = Vec::new();
-        let mut hi_tables = Vec::new();
-        if lane != SyndromeLane::Bit {
+        if lane == SyndromeLane::Byte {
             tables = vec![0u32; two_t * 256];
-        }
-        if lane == SyndromeLane::Dual {
-            hi_tables = vec![0u32; two_t * 256];
         }
         for i in 0..two_t {
             let beta = field.alpha_pow((i + 1) as i64);
-            let beta8 = field.pow(beta, 8);
-            pow8.push(beta8);
-            pow16.push(field.pow(beta, 16));
+            pow8.push(field.pow(beta, 8));
             if lane == SyndromeLane::Bit {
                 continue;
             }
@@ -90,20 +74,13 @@ impl SyndromeCalculator {
                 let low = b.trailing_zeros() as usize;
                 tables[base + b] = tables[base + (b & (b - 1))] ^ pows[low];
             }
-            if lane == SyndromeLane::Dual {
-                for b in 0usize..256 {
-                    hi_tables[base + b] = field.mul(beta8, tables[base + b]);
-                }
-            }
         }
         SyndromeCalculator {
             field,
             two_t,
             lane,
             pow8,
-            pow16,
             tables,
-            hi_tables,
         }
     }
 
@@ -143,19 +120,6 @@ impl SyndromeCalculator {
                         s = f.mul(s, fold) ^ tbl[byte as usize];
                     }
                 }
-                SyndromeLane::Dual => {
-                    let fold8 = self.pow8[i];
-                    let fold16 = self.pow16[i];
-                    let lo = &self.tables[i * 256..(i + 1) * 256];
-                    let hi = &self.hi_tables[i * 256..(i + 1) * 256];
-                    let mut chunks = message.chunks_exact(2);
-                    for pair in &mut chunks {
-                        s = f.mul(s, fold16) ^ hi[pair[0] as usize] ^ lo[pair[1] as usize];
-                    }
-                    for &byte in chunks.remainder() {
-                        s = f.mul(s, fold8) ^ lo[byte as usize];
-                    }
-                }
             }
             // Parity: full bytes then the trailing partial byte bit-serially.
             let full = parity_bits / 8;
@@ -180,7 +144,7 @@ impl SyndromeCalculator {
     /// The `beta_i^(-r)` constants that convert an evaluated LFSR remainder
     /// into syndromes: since `received(x) * x^r = q(x) g(x) + state(x)` and
     /// `g(beta_i) = 0`, we get `S_i = state(beta_i) * beta_i^(-r)`. The
-    /// fused decode rung evaluates the `r`-bit `state` with [`Self::compute`]
+    /// fused decode evaluates the `r`-bit `state` with [`Self::compute`]
     /// and multiplies by these factors.
     pub fn unshift_factors(&self, parity_bits: usize) -> Vec<u32> {
         (0..self.two_t)
@@ -247,11 +211,10 @@ mod tests {
         let g = generator_poly(&field, t);
         let r = g.degree().unwrap();
         let parity: Vec<u8> = (0..r.div_ceil(8)).map(|i| (i * 91 + 17) as u8).collect();
-        // Odd and even message lengths exercise the dual-lane tail.
         for len in [1usize, 2, 7, 8, 31, 32] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 201 + 3) as u8).collect();
             let expect = reference_syndromes(&field, t, &msg, &parity, r);
-            for lane in [SyndromeLane::Bit, SyndromeLane::Byte, SyndromeLane::Dual] {
+            for lane in [SyndromeLane::Bit, SyndromeLane::Byte] {
                 let calc = SyndromeCalculator::with_lane(field.clone(), t, lane);
                 assert_eq!(calc.lane(), lane);
                 assert_eq!(

@@ -1,7 +1,8 @@
-//! Differential tests for the codec-kernel ladder: every rung must be
-//! bit-identical to rung 0 ([`CodecKernel::Reference`]) — same parity on
-//! encode, same outcome classification and same corrected buffers on
-//! decode, same error classification on malformed inputs.
+//! Differential tests for the codec kernels: the production path
+//! ([`CodecKernel::Fused`]) must be bit-identical to the oracle
+//! ([`CodecKernel::Reference`]) — same parity on encode, same outcome
+//! classification and same corrected buffers on decode, same error
+//! classification on malformed inputs.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -24,16 +25,16 @@ fn inject(message: &mut [u8], parity: &mut [u8], k_bits: usize, positions: &BTre
     }
 }
 
-/// Builds the same (m, k, t) code once per ladder rung.
+/// Builds the same (m, k, t) code once per kernel, oracle first.
 fn ladder(m: u32, k_bits: usize, t: u32) -> Vec<BchCode> {
     let field = Arc::new(GfField::new(m).unwrap());
-    CodecKernel::RUNGS
+    [CodecKernel::Reference, CodecKernel::Fused]
         .iter()
         .map(|&k| BchCode::new_with_kernel(Arc::clone(&field), k_bits, t, k).unwrap())
         .collect()
 }
 
-/// Decodes one corrupted copy per rung and returns (outcome, message, parity).
+/// Decodes one corrupted copy per kernel and returns (outcome, message, parity).
 fn decode_all(
     codes: &[BchCode],
     msg: &[u8],
@@ -56,7 +57,7 @@ fn decode_all(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every rung produces the exact parity bytes of the bit-serial rung 0
+    /// Both kernels produce the exact parity bytes of the bit-serial oracle
     /// on random payloads across field sizes and capabilities.
     #[test]
     fn every_rung_encodes_identically(
@@ -81,8 +82,8 @@ proptest! {
         }
     }
 
-    /// For every error weight 0..=t the full ladder corrects to the same
-    /// buffers with the same outcome (positions included) as rung 0.
+    /// For every error weight 0..=t both kernels correct to the same
+    /// buffers with the same outcome (positions included).
     #[test]
     fn every_rung_corrects_identically(
         m in 10u32..=13,
@@ -108,8 +109,8 @@ proptest! {
             }
             let results = decode_all(&codes, &msg, &parity, k_bits, &positions);
             let (ref_out, ref_msg, ref_par) = &results[0];
-            // Rung 0 must actually correct the pattern; the rest must match
-            // it bit for bit.
+            // The oracle must actually correct the pattern; the production
+            // path must match it bit for bit.
             prop_assert_eq!(ref_msg, &msg);
             match ref_out {
                 DecodeOutcome::Clean => prop_assert_eq!(weight, 0),
@@ -126,8 +127,8 @@ proptest! {
         }
     }
 
-    /// Beyond-capability patterns classify identically on every rung:
-    /// either all detect (buffers untouched, identical) or all miscorrect
+    /// Beyond-capability patterns classify identically on both kernels:
+    /// either both detect (buffers untouched, identical) or both miscorrect
     /// into the same valid codeword.
     #[test]
     fn every_rung_classifies_uncorrectable_identically(
@@ -157,37 +158,58 @@ proptest! {
             prop_assert_eq!(got_par, ref_par);
         }
     }
-}
 
-/// `Auto` resolves to the top rung and decodes identically to it.
-#[test]
-fn auto_matches_the_top_rung() {
-    let field = Arc::new(GfField::new(12).unwrap());
-    let auto = BchCode::new(Arc::clone(&field), 96 * 8, 5).unwrap();
-    let top = BchCode::new_with_kernel(
-        Arc::clone(&field),
-        96 * 8,
-        5,
-        *CodecKernel::RUNGS.last().unwrap(),
-    )
-    .unwrap();
-    assert_eq!(auto.kernel(), top.kernel());
+    /// The production encoder's step width follows the register width
+    /// `r = deg g`: bit-serial below 8, the byte table below 32,
+    /// slicing-by-4 below 64, slicing-by-8 from there. Narrow registers are
+    /// the only way to reach the first three, so each class is held against
+    /// the oracle here: parity, outcome (positions included) and corrected
+    /// buffers, for error weights up to `t + 2`.
+    #[test]
+    fn fused_matches_reference_in_every_register_width_class(
+        class in 0usize..4,
+        pick in 0usize..6,
+        k_draw in 0usize..64,
+        extra in 0usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let (r_range, codes_mt): (_, &[(u32, u32)]) = match class {
+            0 => (1..8, &[(4, 1), (5, 1), (6, 1), (7, 1)]),
+            1 => (8..32, &[(8, 1), (9, 2), (8, 3), (13, 2), (10, 3)]),
+            2 => (32..64, &[(8, 4), (10, 4), (9, 5), (13, 4), (11, 5), (10, 6)]),
+            _ => (64..usize::MAX, &[(13, 5), (11, 6), (10, 7), (12, 8), (13, 8)]),
+        };
+        let (m, t) = codes_mt[pick % codes_mt.len()];
+        let field = GfField::new(m).unwrap();
+        let r = mlcx_gf2::minpoly::generator_poly(&field, t).degree().unwrap();
+        prop_assert!(r_range.contains(&r), "GF(2^{m}), t = {t}: r = {r}");
+        let k_bytes = 1 + k_draw % ((field.order() as usize - r) / 8);
+        let k_bits = k_bytes * 8;
+        let codes = ladder(m, k_bits, t);
 
-    let msg: Vec<u8> = (0..96).map(|i| (i * 37 + 11) as u8).collect();
-    let parity = auto.encode(&msg).unwrap();
-    assert_eq!(parity, top.encode(&msg).unwrap());
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let msg: Vec<u8> = (0..k_bytes).map(|_| rng.random()).collect();
+        let parity = codes[0].encode(&msg).unwrap();
+        prop_assert_eq!(&codes[1].encode(&msg).unwrap(), &parity);
 
-    let mut recv = msg.clone();
-    let mut par = parity.clone();
-    for p in [0usize, 511, 512, 767] {
-        flip(&mut recv, p);
+        let n = codes[0].codeword_bits();
+        for weight in 0..=(t as usize + extra).min(n) {
+            let mut positions = BTreeSet::new();
+            while positions.len() < weight {
+                positions.insert(rng.random_range(0..n));
+            }
+            let results = decode_all(&codes, &msg, &parity, k_bits, &positions);
+            if weight <= t as usize {
+                prop_assert_eq!(&results[0].1, &msg);
+                prop_assert_eq!(results[0].0.corrected_bits(), weight);
+            }
+            prop_assert_eq!(&results[1], &results[0]);
+        }
     }
-    let out = auto.decode(&mut recv, &mut par).unwrap();
-    assert_eq!(out.corrected_bits(), 4);
-    assert_eq!(recv, msg);
 }
 
-/// Malformed inputs raise the identical `BchError` on every rung.
+/// Malformed inputs raise the identical `BchError` on both kernels.
 #[test]
 fn every_rung_classifies_errors_identically() {
     let codes = ladder(11, 64 * 8, 3);

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{median, smoke, BenchResult};
 use mlcx_controller::{ControllerConfig, MemoryController};
 use mlcx_core::engine::{
     Command, CommandOutput, EngineBuilder, ServiceHandle, StorageEngine, WearBucketing,
@@ -166,11 +166,6 @@ fn run_sequential(
         done += 1;
     }
     done
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
 }
 
 /// One measurement round: `samples` strictly alternating (paired)

@@ -14,7 +14,7 @@
 //! container noise. `MLCX_SMOKE=1` skips only the Criterion timing pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{median, smoke, BenchResult};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{BatchReport, Command, EngineBuilder, StorageEngine};
 use mlcx_core::Objective;
@@ -90,11 +90,6 @@ fn run_workload(engine: &mut StorageEngine) -> Vec<BatchReport> {
         reports.push(*engine.last_batch());
     }
     reports
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
 }
 
 fn bench(c: &mut Criterion) {

@@ -20,7 +20,7 @@
 //! `MLCX_SMOKE=1` skips only the Criterion pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{percentile, smoke, BenchResult};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, ServiceHandle, StorageEngine};
 use mlcx_core::{Objective, QosSpec, SchedPolicy};
@@ -112,15 +112,7 @@ fn run_arm(policy: SchedPolicy) -> ([Vec<f64>; 3], usize) {
             completed += 1;
         }
     }
-    for class in &mut flows {
-        class.sort_by(|a, b| a.total_cmp(b));
-    }
     (flows, completed)
-}
-
-/// Nearest-rank percentile of an already-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    sorted[(((q * sorted.len() as f64).ceil() as usize).max(1) - 1).min(sorted.len() - 1)]
 }
 
 fn bench(c: &mut Criterion) {

@@ -23,7 +23,7 @@
 //! container noise. `MLCX_SMOKE=1` skips only the Criterion pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{percentile, smoke, BenchResult};
 use mlcx_controller::retry::RetryPolicy;
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
@@ -149,12 +149,6 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
         .map(|b| ctrl.block_effective_disturb_rber(b).unwrap())
         .fold(0.0, f64::max);
     out
-}
-
-fn percentile(values: &[f64], q: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    sorted[(((q * sorted.len() as f64).ceil() as usize).max(1) - 1).min(sorted.len() - 1)]
 }
 
 fn bench(c: &mut Criterion) {

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{percentile, smoke, BenchResult};
 use mlcx_controller::scrub::{ScrubPolicy, Scrubber};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
@@ -173,12 +173,6 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
         .map(|b| device.block_disturb_rber(b).unwrap())
         .fold(0.0, f64::max);
     out
-}
-
-fn percentile(values: &[f64], q: f64) -> f64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    sorted[(((q * sorted.len() as f64).ceil() as usize).max(1) - 1).min(sorted.len() - 1)]
 }
 
 fn bench(c: &mut Criterion) {

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::{median, smoke, BenchResult};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{EngineBuilder, WearBucketing};
 use mlcx_core::sim::{Scenario, ScenarioReport, TraceKind};
@@ -67,11 +67,6 @@ fn run(bucketing: WearBucketing, ops: usize) -> ScenarioReport {
     assert_eq!(report.integrity_violations, 0, "workload corrupted data");
     assert_eq!(report.read_failures, 0, "ECC failed under the workload");
     report
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
 }
 
 /// One round of strictly alternating paired timings. Returns

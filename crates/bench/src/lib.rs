@@ -51,6 +51,28 @@ pub fn baselines_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines")
 }
 
+/// Upper median (element `len / 2` after sorting) — the statistic every
+/// paired-timing bench reports.
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    values[values.len() / 2]
+}
+
+/// Nearest-rank percentile: the `ceil(q * len)`-th smallest value.
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+pub fn percentile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    sorted[(((q * sorted.len() as f64).ceil() as usize).max(1) - 1).min(sorted.len() - 1)]
+}
+
 /// One bench's machine-readable outcome, mirrored by the baseline files.
 ///
 /// Three metric classes with different comparison rules:
@@ -204,6 +226,17 @@ mod tests {
     fn model_constructs() {
         let m = super::model();
         assert_eq!(m.tmax, 65);
+    }
+
+    #[test]
+    fn median_and_percentile_use_the_benches_rank_conventions() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0, "upper median");
+        let v = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(percentile(&v, 0.50), 3.0);
+        assert_eq!(percentile(&v, 0.95), 5.0);
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 1.0), 5.0);
     }
 
     #[test]

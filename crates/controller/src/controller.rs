@@ -28,10 +28,10 @@ pub struct ControllerConfig {
     pub ecc_tmin: u32,
     /// Maximum correction capability.
     pub ecc_tmax: u32,
-    /// Codec kernel rung of the BCH datapath. The preset is
-    /// [`CodecKernel::Auto`] (the fastest rung); every rung is
-    /// bit-identical, so this knob only trades table footprint against
-    /// throughput — see `mlcx_bch::kernel` for the ladder.
+    /// Codec kernel of the BCH datapath — the one place the stack selects
+    /// it. The preset is [`CodecKernel::Fused`] (the production path);
+    /// [`CodecKernel::Reference`] is the bit-identical bit-serial oracle
+    /// that differential tests and benches run against it.
     pub ecc_kernel: CodecKernel,
     /// Socket interface parameters.
     pub ocp: OcpSocket,
@@ -67,7 +67,7 @@ impl ControllerConfig {
             ecc_m: 16,
             ecc_tmin: 3,
             ecc_tmax: 65,
-            ecc_kernel: CodecKernel::Auto,
+            ecc_kernel: CodecKernel::Fused,
             ocp: OcpSocket::date2012(),
             flash_if: FlashInterface::date2012(),
             ecc_hw: EccHardware::date2012(),
@@ -124,7 +124,8 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Codec kernel rung of the BCH datapath (bit-identical across rungs).
+    /// Codec kernel of the BCH datapath (oracle and production path are
+    /// bit-identical).
     pub fn ecc_kernel(mut self, kernel: CodecKernel) -> Self {
         self.config.ecc_kernel = kernel;
         self
@@ -979,7 +980,7 @@ mod tests {
             .unwrap();
         assert_eq!((config.ecc_tmin, config.ecc_tmax), (5, 30));
         assert_eq!(config.ecc_m, 16, "preset fields survive");
-        assert_eq!(config.ecc_kernel, CodecKernel::Auto, "preset kernel");
+        assert_eq!(config.ecc_kernel, CodecKernel::Fused, "preset kernel");
         assert!(MemoryController::new(config, 1).is_ok());
 
         assert!(matches!(
@@ -999,11 +1000,11 @@ mod tests {
     #[test]
     fn ecc_kernel_knob_reaches_the_codec() {
         let config = ControllerConfig::builder()
-            .ecc_kernel(CodecKernel::Byte)
+            .ecc_kernel(CodecKernel::Reference)
             .build()
             .unwrap();
         let ctrl = MemoryController::new(config, 1).unwrap();
-        assert_eq!(ctrl.codec().kernel(), CodecKernel::Byte);
+        assert_eq!(ctrl.codec().kernel(), CodecKernel::Reference);
     }
 
     #[test]

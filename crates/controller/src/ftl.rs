@@ -1,4 +1,4 @@
-//! A minimal flash translation layer (FTL) over the memory controller.
+//! A minimal flash translation layer (FTL) for the memory controller.
 //!
 //! NAND forbids in-place update: rewriting a logical page means writing a
 //! new physical page and invalidating the old one, with garbage
@@ -8,17 +8,13 @@
 //! layer) run realistic overwrite traffic on top of the cross-layer
 //! machinery.
 //!
-//! The layer is split in two so it can serve two kinds of caller:
-//!
-//! * [`LogicalMap`] — the pure mapping/allocation/garbage-collection
-//!   state machine. It owns **no controller**: a logical write is
-//!   *planned* into an ordered sequence of physical operations
-//!   ([`FtlOp`]) that the caller executes however it likes. This is what
-//!   the workload simulator (`mlcx_core::sim`) drives, compiling plans
-//!   into batched `StorageEngine` commands so every relocation write
-//!   goes through the service's cross-layer operating point.
-//! * [`Ftl`] — the synchronous convenience wrapper that owns a
-//!   [`MemoryController`] and executes each plan immediately.
+//! [`LogicalMap`] is the pure mapping/allocation/garbage-collection
+//! state machine. It owns **no controller**: a logical write is *planned*
+//! into an ordered sequence of physical operations ([`FtlOp`]) that the
+//! caller executes however it likes. The workload simulator
+//! (`mlcx_core::sim`) drives it, compiling plans into batched
+//! `StorageEngine` commands so every relocation write goes through the
+//! service's cross-layer operating point.
 //!
 //! Design points (kept deliberately simple and fully tested):
 //!
@@ -37,7 +33,6 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::controller::MemoryController;
 use crate::error::CtrlError;
 
 /// Errors raised by the FTL layer.
@@ -51,11 +46,6 @@ pub enum FtlError {
         /// Exported logical pages.
         capacity: usize,
     },
-    /// Reading a logical page that was never written.
-    NotWritten {
-        /// The offending logical page number.
-        lpn: usize,
-    },
     /// No space left even after garbage collection (over-committed).
     OutOfSpace,
     /// Propagated controller error.
@@ -68,7 +58,6 @@ impl std::fmt::Display for FtlError {
             FtlError::LpnOutOfRange { lpn, capacity } => {
                 write!(f, "logical page {lpn} out of range ({capacity} exported)")
             }
-            FtlError::NotWritten { lpn } => write!(f, "logical page {lpn} was never written"),
             FtlError::OutOfSpace => write!(f, "no reclaimable space left"),
             FtlError::Ctrl(e) => write!(f, "controller: {e}"),
         }
@@ -596,220 +585,120 @@ impl LogicalMap {
     }
 }
 
-/// A wear-leveling flash translation layer over a [`MemoryController`]:
-/// a [`LogicalMap`] whose plans are executed synchronously against the
-/// owned controller.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_controller::ftl::Ftl;
-/// use mlcx_controller::{ControllerConfig, MemoryController};
-///
-/// let ctrl = MemoryController::new(ControllerConfig::date2012(), 5)?;
-/// let mut ftl = Ftl::new(ctrl)?;
-/// let page = vec![0xAAu8; 4096];
-/// ftl.write(0, &page)?;
-/// ftl.write(0, &page)?; // overwrite: no erase needed from the host side
-/// assert_eq!(ftl.read(0)?, page);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct Ftl {
-    ctrl: MemoryController,
-    map: LogicalMap,
-}
-
-impl Ftl {
-    /// Builds the FTL, erasing every block to a known state.
-    ///
-    /// # Errors
-    ///
-    /// Controller errors from the initial format pass.
-    pub fn new(mut ctrl: MemoryController) -> Result<Self, FtlError> {
-        let geometry = *ctrl.device().geometry();
-        for block in 0..geometry.blocks {
-            ctrl.erase_block(block)?;
-        }
-        Ok(Ftl {
-            ctrl,
-            map: LogicalMap::striped(
-                0..geometry.blocks,
-                geometry.pages_per_block,
-                geometry.blocks_per_die(),
-            ),
-        })
-    }
-
-    /// Exported logical capacity in pages.
-    pub fn capacity_pages(&self) -> usize {
-        self.map.capacity_pages()
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> FtlStats {
-        self.map.stats()
-    }
-
-    /// The wrapped controller.
-    pub fn controller(&self) -> &MemoryController {
-        &self.ctrl
-    }
-
-    /// The mapping core (read-only view).
-    pub fn logical_map(&self) -> &LogicalMap {
-        &self.map
-    }
-
-    /// The physical location of a logical page, if it was ever written.
-    ///
-    /// This is the shared-reference complement of [`Ftl::read`]: the
-    /// datapath read itself must stay `&mut self` because decoding runs
-    /// the device's error-injection stream (and bumps the block's
-    /// read-disturb counter), but pure address translation does not.
-    pub fn translate(&self, lpn: usize) -> Option<(usize, usize)> {
-        self.map.translate(lpn)
-    }
-
-    /// Spread between the most- and least-worn block (wear-leveler
-    /// quality metric).
-    ///
-    /// # Errors
-    ///
-    /// Controller errors propagate.
-    pub fn wear_spread(&self) -> Result<u64, FtlError> {
-        let blocks = self.ctrl.device().geometry().blocks;
-        let mut lo = u64::MAX;
-        let mut hi = 0;
-        for b in 0..blocks {
-            let c = self.ctrl.device().block_cycles(b)?;
-            lo = lo.min(c);
-            hi = hi.max(c);
-        }
-        Ok(hi - lo)
-    }
-
-    /// Writes (or overwrites) a logical page.
-    ///
-    /// # Errors
-    ///
-    /// Range/space errors, or controller errors. A controller error in
-    /// the middle of a garbage-collection plan leaves the executed
-    /// prefix in place (the map already reflects the full plan).
-    pub fn write(&mut self, lpn: usize, data: &[u8]) -> Result<(), FtlError> {
-        let ctrl = &self.ctrl;
-        let ops = self
-            .map
-            .plan_write(lpn, &mut |b| ctrl.device().block_cycles(b).unwrap_or(0))?;
-        for op in ops {
-            match op {
-                FtlOp::Relocate { from, to, .. } => {
-                    let data = self.ctrl.read_page(from.0, from.1)?.data;
-                    self.ctrl.write_page(to.0, to.1, &data)?;
-                }
-                FtlOp::Erase { block } => {
-                    self.ctrl.erase_block(block)?;
-                }
-                FtlOp::Write { to, .. } => {
-                    self.ctrl.write_page(to.0, to.1, data)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads a logical page back through the ECC datapath.
-    ///
-    /// Takes `&mut self` because the read is a *physical* event: the
-    /// device injects raw bit errors from its seeded stream and advances
-    /// the block's read-disturb counter. Use [`Ftl::translate`] for
-    /// side-effect-free address lookups.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::NotWritten`] for unmapped pages; controller errors.
-    pub fn read(&mut self, lpn: usize) -> Result<Vec<u8>, FtlError> {
-        let (block, page) = self
-            .map
-            .translate(lpn)
-            .ok_or(FtlError::NotWritten { lpn })?;
-        let report = self.ctrl.read_page(block, page)?;
-        Ok(report.data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerConfig;
 
-    fn small_ftl() -> Ftl {
-        // A small device keeps GC tests fast: 6 blocks x 8 pages.
-        let mut config = ControllerConfig::date2012();
-        config.geometry.blocks = 6;
-        config.geometry.pages_per_block = 8;
-        let ctrl = MemoryController::new(config, 42).unwrap();
-        Ftl::new(ctrl).unwrap()
+    /// What a device remembers, without the device: the tag (standing in
+    /// for a payload) each programmed physical page holds, and how often
+    /// each block was erased. Plans execute in order, as every
+    /// [`LogicalMap`] caller must, and programming a page that is not
+    /// erased is a test failure.
+    struct Media {
+        map: LogicalMap,
+        pages: BTreeMap<(usize, usize), u8>,
+        erases: BTreeMap<usize, u64>,
     }
 
-    fn page(tag: u8) -> Vec<u8> {
-        (0..4096)
-            .map(|i| (i as u8).wrapping_mul(tag).wrapping_add(tag))
-            .collect()
+    impl Media {
+        /// 6 blocks x 8 pages: small enough that GC runs early and often.
+        fn small() -> Self {
+            Media {
+                map: LogicalMap::new(0..6, 8),
+                pages: BTreeMap::new(),
+                erases: BTreeMap::new(),
+            }
+        }
+
+        fn program(&mut self, to: (usize, usize), tag: u8) {
+            assert!(
+                self.pages.insert(to, tag).is_none(),
+                "programmed {to:?} without an erase"
+            );
+        }
+
+        fn write(&mut self, lpn: usize, tag: u8) -> Result<(), FtlError> {
+            let erases = &self.erases;
+            let plan = self
+                .map
+                .plan_write(lpn, &mut |b| erases.get(&b).copied().unwrap_or(0))?;
+            for op in plan {
+                match op {
+                    FtlOp::Relocate { from, to, .. } => {
+                        let moved = self.pages[&from];
+                        self.program(to, moved);
+                    }
+                    FtlOp::Erase { block } => {
+                        self.pages.retain(|&(b, _), _| b != block);
+                        *self.erases.entry(block).or_default() += 1;
+                    }
+                    FtlOp::Write { to, .. } => self.program(to, tag),
+                }
+            }
+            Ok(())
+        }
+
+        fn read(&self, lpn: usize) -> Option<u8> {
+            self.map.translate(lpn).map(|at| self.pages[&at])
+        }
+
+        /// Spread between the most- and least-erased block.
+        fn wear_spread(&self) -> u64 {
+            let cycles = |b| self.erases.get(&b).copied().unwrap_or(0);
+            let blocks = self.map.blocks();
+            let hi = blocks.clone().map(cycles).max().unwrap_or(0);
+            hi - blocks.map(cycles).min().unwrap_or(0)
+        }
     }
 
     #[test]
     fn write_read_round_trip() {
-        let mut ftl = small_ftl();
+        let mut media = Media::small();
         for lpn in 0..10 {
-            ftl.write(lpn, &page(lpn as u8 + 1)).unwrap();
+            media.write(lpn, lpn as u8 + 1).unwrap();
         }
         for lpn in 0..10 {
-            assert_eq!(ftl.read(lpn).unwrap(), page(lpn as u8 + 1), "lpn {lpn}");
-            assert!(ftl.translate(lpn).is_some());
+            assert_eq!(media.read(lpn), Some(lpn as u8 + 1), "lpn {lpn}");
         }
     }
 
     #[test]
     fn overwrite_returns_latest_version() {
-        let mut ftl = small_ftl();
-        ftl.write(3, &page(1)).unwrap();
-        ftl.write(3, &page(2)).unwrap();
-        ftl.write(3, &page(3)).unwrap();
-        assert_eq!(ftl.read(3).unwrap(), page(3));
-        assert_eq!(ftl.stats().host_writes, 3);
+        let mut media = Media::small();
+        media.write(3, 1).unwrap();
+        media.write(3, 2).unwrap();
+        media.write(3, 3).unwrap();
+        assert_eq!(media.read(3), Some(3));
+        assert_eq!(media.map.stats().host_writes, 3);
     }
 
     #[test]
     fn unwritten_and_out_of_range_rejected() {
-        let mut ftl = small_ftl();
-        assert!(matches!(ftl.read(0), Err(FtlError::NotWritten { .. })));
-        assert!(ftl.translate(0).is_none());
-        let cap = ftl.capacity_pages();
+        let mut media = Media::small();
+        assert!(media.map.translate(0).is_none());
+        let cap = media.map.capacity_pages();
         assert!(matches!(
-            ftl.write(cap, &page(1)),
+            media.write(cap, 1),
             Err(FtlError::LpnOutOfRange { .. })
         ));
     }
 
     #[test]
     fn garbage_collection_reclaims_stale_space() {
-        let mut ftl = small_ftl();
+        let mut media = Media::small();
         // Hammer a small working set far beyond raw capacity: GC must
         // reclaim stale versions indefinitely.
         for round in 0..30u32 {
             for lpn in 0..4 {
-                ftl.write(lpn, &page((round % 7 + lpn as u32 + 1) as u8))
+                media
+                    .write(lpn, (round % 7 + lpn as u32 + 1) as u8)
                     .unwrap();
             }
         }
         for lpn in 0..4 {
-            assert_eq!(
-                ftl.read(lpn).unwrap(),
-                page((29 % 7 + lpn as u32 + 1) as u8)
-            );
+            assert_eq!(media.read(lpn), Some((29 % 7 + lpn as u32 + 1) as u8));
         }
-        let stats = ftl.stats();
+        let stats = media.map.stats();
         assert!(stats.gc_runs > 0, "GC must have run");
         assert_eq!(stats.host_writes, 120);
         assert!(stats.write_amplification() >= 1.0);
@@ -817,32 +706,32 @@ mod tests {
 
     #[test]
     fn wear_stays_leveled_under_hot_traffic() {
-        let mut ftl = small_ftl();
+        let mut media = Media::small();
         for round in 0..60u32 {
-            ftl.write(0, &page((round % 251) as u8)).unwrap();
-            ftl.write(1, &page((round % 13) as u8)).unwrap();
+            media.write(0, (round % 251) as u8).unwrap();
+            media.write(1, (round % 13) as u8).unwrap();
         }
         // The greedy wear-aware allocator must keep the spread tight
         // relative to the total erase work.
-        let spread = ftl.wear_spread().unwrap();
+        let spread = media.wear_spread();
         assert!(spread <= 6, "wear spread = {spread}");
-        assert!(ftl.stats().gc_runs > 0);
+        assert!(media.map.stats().gc_runs > 0);
     }
 
     #[test]
     fn full_logical_capacity_is_usable() {
-        let mut ftl = small_ftl();
-        let cap = ftl.capacity_pages();
+        let mut media = Media::small();
+        let cap = media.map.capacity_pages();
         for lpn in 0..cap {
-            ftl.write(lpn, &page((lpn % 200) as u8 + 1)).unwrap();
+            media.write(lpn, (lpn % 200) as u8 + 1).unwrap();
         }
         // Every page readable; then overwrite a few to force GC at full
         // utilization (the spare block provides the headroom).
         for lpn in (0..cap).step_by(7) {
-            ftl.write(lpn, &page(9)).unwrap();
+            media.write(lpn, 9).unwrap();
         }
-        assert_eq!(ftl.read(0).unwrap(), page(9));
-        assert_eq!(ftl.read(1).unwrap(), page(2));
+        assert_eq!(media.read(0), Some(9));
+        assert_eq!(media.read(1), Some(2));
     }
 
     #[test]
@@ -851,23 +740,26 @@ mod tests {
         // pages over *every* block so no victim is ever fully stale,
         // then keep overwriting at full utilization. The reserve
         // invariant must keep relocations serviceable throughout.
-        let mut ftl = small_ftl();
-        let cap = ftl.capacity_pages();
+        let mut media = Media::small();
+        let cap = media.map.capacity_pages();
         for lpn in 0..cap {
-            ftl.write(lpn, &page((lpn % 199) as u8 + 1)).unwrap();
+            media.write(lpn, (lpn % 199) as u8 + 1).unwrap();
         }
         // Overwrite lpns striding across all blocks, many rounds.
         for round in 0..8u32 {
             for lpn in (0..cap).step_by(3) {
-                ftl.write(lpn, &page((round + 1) as u8)).unwrap();
+                media.write(lpn, (round + 1) as u8).unwrap();
             }
         }
         for lpn in (0..cap).step_by(3) {
-            assert_eq!(ftl.read(lpn).unwrap(), page(8));
+            assert_eq!(media.read(lpn), Some(8));
         }
         // Untouched lpns survived every relocation.
-        assert_eq!(ftl.read(1).unwrap(), page(2));
-        assert!(ftl.stats().relocated_pages > 0, "GC must have relocated");
+        assert_eq!(media.read(1), Some(2));
+        assert!(
+            media.map.stats().relocated_pages > 0,
+            "GC must have relocated"
+        );
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * [`channel`] — the multi-channel/multi-die busy-time scheduler: the
 //!   datapath feeds it each operation's bus/cell occupancy, and batches
 //!   read their modeled parallel makespan and channel utilization back;
-//! * [`ftl`] — a wear-leveling flash translation layer (extension) so
-//!   overwrite workloads can run on top of the cross-layer machinery;
+//! * [`ftl`] — a wear-leveling flash translation layer (extension):
+//!   the controller-free [`LogicalMap`] plans overwrite traffic into
+//!   physical operations the engine executes;
 //! * [`scrub`] — background scrub / read-reclaim: a policy engine that
 //!   scans per-block disturb state (reads since erase, data age) and
 //!   plans relocate+erase maintenance through the FTL machinery;
@@ -73,7 +74,7 @@ pub use controller::{
     ControllerConfig, ControllerConfigBuilder, MemoryController, ReadReport, WriteReport,
 };
 pub use error::CtrlError;
-pub use ftl::{Ftl, FtlError, FtlOp, FtlStats, LogicalMap};
+pub use ftl::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_bch::CodecKernel;
 pub use regs::{ConfigCommand, RegisterFile, ServiceLevel, StatusFlags};
 pub use reliability::{ReliabilityManager, ReliabilityPolicy};

@@ -24,10 +24,6 @@
 //! ([`WearBucketing`]), and the controller knobs are only rewritten when
 //! the point actually changes ([`MemoryController::apply_point`]).
 //!
-//! The pre-event entry points ([`StorageEngine::submit`],
-//! [`StorageEngine::poll`]) survive as deprecated thin wrappers over
-//! the queue pair; see `EXPERIMENTS.md` for the migration table.
-//!
 //! # Example
 //!
 //! ```
@@ -60,7 +56,7 @@ use std::ops::Range;
 use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, ScrubPolicy, WriteReport};
 
 use crate::error::MlcxError;
-use crate::event::{CompletionEvent, EventQueue, PolicyBundle, QosSpec, SchedPolicy};
+use crate::event::{CompletionEvent, EventQueue, QosSpec, SchedPolicy};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::model::{OperatingPoint, SubsystemModel};
 use crate::policy::Objective;
@@ -330,7 +326,7 @@ impl Completion {
     }
 }
 
-/// Aggregate accounting of one [`StorageEngine::poll`] drain.
+/// Aggregate accounting of one [`CompletionQueue::drain`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Commands executed.
@@ -568,21 +564,6 @@ impl EngineBuilder {
         }
     }
 
-    /// Installs a whole [`PolicyBundle`] at once — retry, scrub,
-    /// disturb model, codec kernel and dispatch policy in one call,
-    /// the same surface [`ScenarioBuilder::policies`](crate::sim::scenario::ScenarioBuilder::policies)
-    /// (`crate::sim::scenario::ScenarioBuilder::policies`) accepts.
-    /// Call after [`EngineBuilder::controller_config`], which replaces
-    /// the configuration the retry/disturb/kernel knobs live in.
-    pub fn policies(mut self, bundle: PolicyBundle) -> Self {
-        self.config.retry = bundle.retry;
-        self.config.disturb = bundle.disturb;
-        self.config.ecc_kernel = bundle.codec_kernel;
-        self.scrub = bundle.scrub;
-        self.sched = bundle.sched;
-        self
-    }
-
     /// Selects how dispatch is ordered across services (default
     /// [`SchedPolicy::ServiceMajor`] — the historical drain order,
     /// bit-identical to the pre-event engine).
@@ -630,17 +611,6 @@ impl EngineBuilder {
     /// schedules against.
     pub fn retry_policy(mut self, retry: mlcx_controller::retry::RetryPolicy) -> Self {
         self.config.retry = retry;
-        self
-    }
-
-    /// Selects the codec kernel rung of the BCH datapath (default
-    /// [`CodecKernel::Auto`](mlcx_controller::CodecKernel::Auto) — the
-    /// fastest rung). Every rung is bit-identical, so simulation results
-    /// do not depend on this knob; it only changes wall-clock throughput.
-    /// Call after [`EngineBuilder::controller_config`], which replaces
-    /// the whole configuration including this knob.
-    pub fn codec_kernel(mut self, kernel: mlcx_controller::CodecKernel) -> Self {
-        self.config.ecc_kernel = kernel;
         self
     }
 
@@ -1087,43 +1057,6 @@ impl StorageEngine {
         CompletionQueue { engine: self }
     }
 
-    /// Enqueues a batch of commands onto their services' submission
-    /// queues, returning one ticket per command (in order).
-    ///
-    /// # Errors
-    ///
-    /// As for [`SubmissionQueue::submit`].
-    #[deprecated(
-        note = "use `engine.sq().submit(..)` — the typed SubmissionQueue/CompletionQueue \
-                pair is the primary host surface (see the migration table in EXPERIMENTS.md)"
-    )]
-    pub fn submit(&mut self, commands: &[Command]) -> Result<Vec<CmdId>, MlcxError> {
-        self.submit_at_impl(commands.to_vec(), self.clock_s)
-    }
-
-    /// [`StorageEngine::submit`], taking ownership of the commands.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SubmissionQueue::submit_owned`].
-    #[deprecated(
-        note = "use `engine.sq().submit_owned(..)` — the typed SubmissionQueue/CompletionQueue \
-                pair is the primary host surface (see the migration table in EXPERIMENTS.md)"
-    )]
-    pub fn submit_owned(&mut self, commands: Vec<Command>) -> Result<Vec<CmdId>, MlcxError> {
-        self.submit_at_impl(commands, self.clock_s)
-    }
-
-    /// Dispatches all queued work and returns every completion, in
-    /// completion-event order.
-    #[deprecated(
-        note = "use `engine.cq().drain()` (or `try_complete()` for event-at-a-time delivery) — \
-                see the migration table in EXPERIMENTS.md"
-    )]
-    pub fn poll(&mut self) -> Vec<Completion> {
-        self.drain_impl()
-    }
-
     /// Shared submission path: validate everything, enforce queue
     /// depths, then stamp arrivals and enqueue.
     fn submit_at_impl(
@@ -1321,7 +1254,7 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// Validation and datapath errors, as for submit + poll.
+    /// Validation and datapath errors, as for `sq().submit` + `cq().drain`.
     pub fn execute(&mut self, cmd: Command) -> Result<CommandOutput, MlcxError> {
         self.validate(&cmd)?;
         let idx = cmd.service().index as usize;
@@ -2442,22 +2375,6 @@ mod tests {
         // Erases take ~ms; a 100 us deadline is missed, the 10 s one is
         // not — and the misses are counted.
         assert_eq!(e.last_batch().deadline_misses, 2);
-    }
-
-    #[test]
-    fn policy_bundle_configures_engine_and_scenario_knobs_alike() {
-        let bundle = PolicyBundle::new()
-            .retry(mlcx_controller::retry::RetryPolicy::date2012())
-            .scrub(mlcx_controller::ScrubPolicy::date2012())
-            .disturb(mlcx_nand::disturb::DisturbModel::date2012())
-            .sched(SchedPolicy::WeightedFair);
-        let e = EngineBuilder::date2012()
-            .policies(bundle.clone())
-            .build()
-            .unwrap();
-        assert!(e.retry_policy().is_enabled());
-        assert!(e.scrub_policy().is_enabled());
-        assert_eq!(e.sched_policy(), SchedPolicy::WeightedFair);
     }
 
     #[test]

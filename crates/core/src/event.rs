@@ -13,17 +13,10 @@
 //! order — out of order with respect to dispatch whenever dies overlap.
 //!
 //! This module also owns the QoS vocabulary: [`QosSpec`] (per-service
-//! weight, deadline and bounded queue depth) and [`PolicyBundle`], the
-//! shared policy surface [`EngineBuilder`](crate::engine::EngineBuilder)
-//! and [`ScenarioBuilder`](crate::sim::scenario::ScenarioBuilder) both
-//! accept so new knobs are added in one place.
+//! weight, deadline and bounded queue depth).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-use mlcx_controller::retry::RetryPolicy;
-use mlcx_controller::{CodecKernel, ScrubPolicy};
-use mlcx_nand::disturb::DisturbModel;
 
 use crate::engine::Completion;
 
@@ -103,65 +96,6 @@ impl QosSpec {
     /// Returns the spec with a bounded queue depth.
     pub fn depth(mut self, depth: usize) -> Self {
         self.depth = depth;
-        self
-    }
-}
-
-/// The shared policy surface of the stack: every cross-cutting knob a
-/// builder accepts, in one struct, so
-/// [`EngineBuilder::policies`](crate::engine::EngineBuilder::policies)
-/// and
-/// [`ScenarioBuilder::policies`](crate::sim::scenario::ScenarioBuilder::policies)
-/// stay in lockstep when knobs are added.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyBundle {
-    /// Read-retry ladder on uncorrectable reads (default disabled).
-    pub retry: RetryPolicy,
-    /// Background scrub / read-reclaim policy (default disabled).
-    pub scrub: ScrubPolicy,
-    /// Read-disturb / retention model (default disabled).
-    pub disturb: DisturbModel,
-    /// BCH codec kernel rung (default [`CodecKernel::Auto`]).
-    pub codec_kernel: CodecKernel,
-    /// Cross-service dispatch order (default
-    /// [`SchedPolicy::ServiceMajor`]).
-    pub sched: SchedPolicy,
-}
-
-impl PolicyBundle {
-    /// A bundle with every policy at its default (retry/scrub/disturb
-    /// disabled, auto codec kernel, service-major dispatch).
-    pub fn new() -> Self {
-        PolicyBundle::default()
-    }
-
-    /// Returns the bundle with a read-retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Returns the bundle with a scrub policy.
-    pub fn scrub(mut self, scrub: ScrubPolicy) -> Self {
-        self.scrub = scrub;
-        self
-    }
-
-    /// Returns the bundle with a disturb/retention model.
-    pub fn disturb(mut self, disturb: DisturbModel) -> Self {
-        self.disturb = disturb;
-        self
-    }
-
-    /// Returns the bundle with a codec kernel rung.
-    pub fn codec_kernel(mut self, kernel: CodecKernel) -> Self {
-        self.codec_kernel = kernel;
-        self
-    }
-
-    /// Returns the bundle with a dispatch policy.
-    pub fn sched(mut self, sched: SchedPolicy) -> Self {
-        self.sched = sched;
         self
     }
 }
@@ -274,20 +208,5 @@ mod tests {
         let q = QosSpec::weighted(8.0).depth(4);
         assert_eq!((q.weight, q.depth), (8.0, 4));
         assert_eq!(QosSpec::with_deadline(1e-3).deadline_s, 1e-3);
-    }
-
-    #[test]
-    fn policy_bundle_builds_fluently() {
-        let b = PolicyBundle::new()
-            .retry(RetryPolicy::date2012())
-            .scrub(ScrubPolicy::date2012())
-            .disturb(DisturbModel::date2012())
-            .codec_kernel(CodecKernel::Reference)
-            .sched(SchedPolicy::WeightedFair);
-        assert!(b.retry.is_enabled());
-        assert!(b.scrub.is_enabled());
-        assert!(b.disturb.is_enabled());
-        assert_eq!(b.codec_kernel, CodecKernel::Reference);
-        assert_eq!(b.sched, SchedPolicy::WeightedFair);
     }
 }

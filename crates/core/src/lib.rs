@@ -11,9 +11,8 @@
 //!   QoS (weights, deadlines, bounded depth), per-batch latency/energy
 //!   and tail-latency accounting, and memoized cross-layer
 //!   configuration (see [`engine::WearBucketing`]).
-//! * [`event`] — the discrete-event vocabulary: [`SchedPolicy`],
-//!   [`QosSpec`] and the shared [`PolicyBundle`] both the engine and
-//!   scenario builders accept.
+//! * [`event`] — the discrete-event vocabulary: [`SchedPolicy`] and
+//!   [`QosSpec`].
 //! * [`fault`] — deterministic fault injection: [`FaultPlan`] schedules
 //!   partial-program (power-loss) interruptions over the engine's
 //!   program stream from its own seeded RNG.
@@ -74,10 +73,9 @@ pub use engine::{
     ServiceHandle, StorageEngine, SubmissionQueue, WearBucketing,
 };
 pub use error::MlcxError;
-pub use event::{PolicyBundle, QosSpec, SchedPolicy};
+pub use event::{QosSpec, SchedPolicy};
 pub use fault::{FaultInjector, FaultPlan};
 pub use frontend::{HostFrontend, Submitter};
-pub use mlcx_controller::CodecKernel;
 pub use model::{Metrics, OperatingPoint, SubsystemModel, SubsystemModelBuilder};
 pub use policy::Objective;
 pub use services::{ServiceError, ServiceRegion, ServiceStats};

@@ -10,7 +10,7 @@ use crate::engine::{
     Command, CommandOutput, Completion, EngineBuilder, ServiceHandle, StorageEngine, WearBucketing,
 };
 use crate::error::MlcxError;
-use crate::event::{PolicyBundle, QosSpec, SchedPolicy};
+use crate::event::{QosSpec, SchedPolicy};
 use crate::policy::Objective;
 use crate::report::{fixed2, sci, Table};
 use crate::sim::trace::{TraceGenerator, TraceKind, TraceOp};
@@ -662,17 +662,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the codec kernel rung of the BCH datapath (default
-    /// `Auto`, the fastest rung). Every rung decodes bit-identically, so
-    /// scenario reports do not depend on this knob — only wall-clock
-    /// speed does. As with [`ScenarioBuilder::disturb_model`], call this
-    /// *after* [`ScenarioBuilder::engine`]: replacing the engine builder
-    /// replaces this knob too.
-    pub fn codec_kernel(mut self, kernel: mlcx_controller::CodecKernel) -> Self {
-        self.engine = self.engine.codec_kernel(kernel);
-        self
-    }
-
     /// Selects the engine's cross-service dispatch policy (default
     /// [`SchedPolicy::ServiceMajor`], the bit-identical historical
     /// order). As with [`ScenarioBuilder::disturb_model`], call this
@@ -680,18 +669,6 @@ impl ScenarioBuilder {
     /// replaces this knob too.
     pub fn sched_policy(mut self, sched: SchedPolicy) -> Self {
         self.engine = self.engine.sched_policy(sched);
-        self
-    }
-
-    /// Installs a whole [`PolicyBundle`] (retry, scrub, disturb, codec
-    /// kernel, dispatch policy) in one call — the same bundle
-    /// [`EngineBuilder::policies`] accepts, so an experiment configures
-    /// its engine and its scenario from one value. As with
-    /// [`ScenarioBuilder::disturb_model`], call this *after*
-    /// [`ScenarioBuilder::engine`]: replacing the engine builder
-    /// replaces these knobs too.
-    pub fn policies(mut self, bundle: PolicyBundle) -> Self {
-        self.engine = self.engine.policies(bundle);
         self
     }
 

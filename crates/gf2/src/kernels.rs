@@ -1,20 +1,18 @@
-//! Word-parallel carry-less multiplication kernel ladder.
+//! Carry-less multiplication kernels: one oracle, one production path.
 //!
-//! Dense GF(2)\[x\] multiplication over bit-packed [`Block`] words, as a
-//! ladder of progressively optimized kernels (the `mul_raw_0..3` idiom):
+//! Dense GF(2)\[x\] multiplication over bit-packed [`Block`] words:
 //!
-//! | rung | kernel | technique |
-//! |------|--------|-----------|
-//! | 0 | [`mul_raw_0`] | bit-serial schoolbook — the definition, and the reference every other rung is differential-tested against |
-//! | 1 | [`mul_raw_1`] | word-sliced schoolbook: per set bit of `a`, XOR-accumulate a whole word-shifted copy of `b` |
-//! | 2 | [`mul_raw_2`] | 4-bit windowed: 16 precomputed shifted multiples of `b`, two table XORs per byte of `a` |
-//! | 3 | [`mul_raw_3`] | `x86_64` CLMUL (`pclmulqdq`): one 64x64 carry-less multiply per word pair, behind a `cfg` + runtime-detect gate |
+//! | kernel | role | technique |
+//! |--------|------|-----------|
+//! | [`mul_raw_reference`] | oracle | bit-serial schoolbook — the definition, and the reference the production path is differential-tested against |
+//! | [`mul_raw_clmul`] | production (`x86_64`) | `pclmulqdq`: one 64x64 carry-less multiply per word pair, behind a `cfg` + runtime-detect gate |
+//! | [`mul_raw_windowed`] | production (everywhere else) | 4-bit windowed: 16 precomputed shifted multiples of `b`, two table XORs per byte of `a` |
 //!
-//! Every rung computes the *same* product; [`MulKernel`] is the selection
-//! knob, and [`MulKernel::best`] resolves to the fastest rung available on
-//! the running CPU (the CLMUL rung falls back to the windowed kernel when
-//! the `clmul` cargo feature is off, the target is not `x86_64`, or the
-//! CPU does not advertise `pclmulqdq`).
+//! All three compute the *same* product. [`MulKernel::best`] picks the
+//! production kernel from what the build and the running CPU support:
+//! CLMUL when the `clmul` cargo feature is on, the target is `x86_64` and
+//! the CPU advertises `pclmulqdq`; the windowed kernel otherwise. That is
+//! what [`crate::Gf2Poly::mul`] runs.
 //!
 //! All kernels accept *raw* word slices (trailing zero words allowed) and
 //! return a raw word vector that may carry trailing zero words — callers
@@ -32,12 +30,12 @@ fn product_len(a: &[Block], b: &[Block]) -> usize {
     a.len() + b.len()
 }
 
-/// Rung 0 — bit-serial schoolbook multiplication (the definition).
+/// Bit-serial schoolbook multiplication (the definition).
 ///
 /// For every set coefficient bit of `a`, XORs `b` shifted by that single
 /// bit position into the accumulator, one *bit* at a time. Quadratic in
-/// bits; exists purely as the differential-testing reference.
-pub fn mul_raw_0(a: &[Block], b: &[Block]) -> Vec<Block> {
+/// bits; exists purely as the differential-testing oracle.
+pub fn mul_raw_reference(a: &[Block], b: &[Block]) -> Vec<Block> {
     let mut acc = vec![0u64; product_len(a, b)];
     for (wi, &aw) in a.iter().enumerate() {
         for bit in 0..64 {
@@ -59,35 +57,13 @@ pub fn mul_raw_0(a: &[Block], b: &[Block]) -> Vec<Block> {
     acc
 }
 
-/// Rung 1 — word-sliced schoolbook: skips zero words of `a` wholesale and
-/// XOR-accumulates word-shifted copies of `b` (one shift per set bit of
-/// `a`, whole words at a time).
-pub fn mul_raw_1(a: &[Block], b: &[Block]) -> Vec<Block> {
-    let mut acc = vec![0u64; product_len(a, b)];
-    for (wi, &aw) in a.iter().enumerate() {
-        if aw == 0 {
-            continue;
-        }
-        for bit in 0..64 {
-            if aw >> bit & 1 == 1 {
-                for (bj, &bw) in b.iter().enumerate() {
-                    acc[wi + bj] ^= bw << bit;
-                    if bit != 0 {
-                        acc[wi + bj + 1] ^= bw >> (64 - bit);
-                    }
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Rung 2 — 4-bit windowed multiplication.
+/// 4-bit windowed multiplication — the production path wherever CLMUL
+/// is unavailable.
 ///
 /// Precomputes the 16 products `w * b` for every 4-bit window value `w`,
 /// then folds `a` one nibble at a time: two table XOR-accumulates per byte
 /// of `a` instead of up to eight single-bit passes.
-pub fn mul_raw_2(a: &[Block], b: &[Block]) -> Vec<Block> {
+pub fn mul_raw_windowed(a: &[Block], b: &[Block]) -> Vec<Block> {
     let out_len = product_len(a, b);
     let mut acc = vec![0u64; out_len];
     if out_len == 0 {
@@ -137,22 +113,22 @@ pub fn mul_raw_2(a: &[Block], b: &[Block]) -> Vec<Block> {
     acc
 }
 
-/// `true` when the CLMUL rung will actually execute `pclmulqdq` on this
+/// `true` when [`mul_raw_clmul`] will actually execute `pclmulqdq` on this
 /// build/CPU (cargo feature on, `x86_64` target, CPU flag present).
 pub fn clmul_available() -> bool {
     clmul::available()
 }
 
-/// Rung 3 — carry-less multiply via `pclmulqdq`, one 64x64 product per
-/// word pair, XOR-accumulated into the 128-bit lanes.
+/// Carry-less multiply via `pclmulqdq`, one 64x64 product per word pair,
+/// XOR-accumulated into the 128-bit lanes.
 ///
-/// Falls back to [`mul_raw_2`] (bit-identical result) when
+/// Falls back to [`mul_raw_windowed`] (bit-identical result) when
 /// [`clmul_available`] is `false`, so it is always safe to call.
-pub fn mul_raw_3(a: &[Block], b: &[Block]) -> Vec<Block> {
+pub fn mul_raw_clmul(a: &[Block], b: &[Block]) -> Vec<Block> {
     if clmul::available() {
         clmul::mul(a, b)
     } else {
-        mul_raw_2(a, b)
+        mul_raw_windowed(a, b)
     }
 }
 
@@ -204,8 +180,8 @@ mod clmul {
 
 #[cfg(not(all(feature = "clmul", target_arch = "x86_64")))]
 mod clmul {
-    //! Portable stand-in: the CLMUL rung is unavailable and
-    //! [`super::mul_raw_3`] falls back to the windowed kernel.
+    //! Portable stand-in: CLMUL is unavailable and
+    //! [`super::mul_raw_clmul`] falls back to the windowed kernel.
     use super::Block;
 
     pub(super) fn available() -> bool {
@@ -217,51 +193,26 @@ mod clmul {
     }
 }
 
-/// Selection knob over the [`mul_raw_0..3`](self) ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The carry-less multiply kernels by name: the oracle and the two
+/// production paths [`MulKernel::best`] chooses between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MulKernel {
-    /// Rung 0: bit-serial reference ([`mul_raw_0`]).
+    /// Bit-serial oracle ([`mul_raw_reference`]).
     Reference,
-    /// Rung 1: word-sliced schoolbook ([`mul_raw_1`]) — the historical
-    /// `Gf2Poly::mul` path, and the default.
-    #[default]
-    Word,
-    /// Rung 2: 4-bit windowed ([`mul_raw_2`]).
+    /// 4-bit windowed ([`mul_raw_windowed`]): the production path on
+    /// builds and CPUs without CLMUL.
     Windowed,
-    /// Rung 3: `pclmulqdq` carry-less multiply ([`mul_raw_3`]); falls
-    /// back to the windowed kernel where CLMUL is unavailable.
+    /// `pclmulqdq` carry-less multiply ([`mul_raw_clmul`]); falls back to
+    /// the windowed kernel where CLMUL is unavailable.
     Clmul,
 }
 
 impl MulKernel {
-    /// Every rung, in ladder order.
-    pub const ALL: [MulKernel; 4] = [
-        MulKernel::Reference,
-        MulKernel::Word,
-        MulKernel::Windowed,
-        MulKernel::Clmul,
-    ];
+    /// Every kernel, oracle first.
+    pub const ALL: [MulKernel; 3] = [MulKernel::Reference, MulKernel::Windowed, MulKernel::Clmul];
 
-    /// The ladder rung index (0 = reference).
-    pub fn rung(self) -> usize {
-        match self {
-            MulKernel::Reference => 0,
-            MulKernel::Word => 1,
-            MulKernel::Windowed => 2,
-            MulKernel::Clmul => 3,
-        }
-    }
-
-    /// `true` when this rung runs its own code path on this build/CPU
-    /// (the CLMUL rung reports `false` where it would fall back).
-    pub fn is_native(self) -> bool {
-        match self {
-            MulKernel::Clmul => clmul_available(),
-            _ => true,
-        }
-    }
-
-    /// The fastest rung that is native on this build/CPU.
+    /// The production kernel for this build/CPU: CLMUL where it is
+    /// native, the windowed kernel otherwise.
     pub fn best() -> MulKernel {
         if clmul_available() {
             MulKernel::Clmul
@@ -274,10 +225,9 @@ impl MulKernel {
     /// trailing zero words; see the module docs).
     pub fn mul_raw(self, a: &[Block], b: &[Block]) -> Vec<Block> {
         match self {
-            MulKernel::Reference => mul_raw_0(a, b),
-            MulKernel::Word => mul_raw_1(a, b),
-            MulKernel::Windowed => mul_raw_2(a, b),
-            MulKernel::Clmul => mul_raw_3(a, b),
+            MulKernel::Reference => mul_raw_reference(a, b),
+            MulKernel::Windowed => mul_raw_windowed(a, b),
+            MulKernel::Clmul => mul_raw_clmul(a, b),
         }
     }
 }
@@ -303,13 +253,12 @@ mod tests {
         for (la, lb) in [(1, 1), (1, 3), (2, 2), (3, 5), (7, 4), (16, 16)] {
             let a = random_words(la, &mut state);
             let b = random_words(lb, &mut state);
-            let reference = mul_raw_0(&a, &b);
+            let reference = mul_raw_reference(&a, &b);
             for k in MulKernel::ALL {
                 assert_eq!(
                     k.mul_raw(&a, &b),
                     reference,
-                    "rung {} diverged on {la}x{lb} words",
-                    k.rung()
+                    "{k:?} diverged on {la}x{lb} words"
                 );
             }
         }
@@ -327,7 +276,7 @@ mod tests {
             let len = ab.len().max(ba.len());
             ab.resize(len, 0);
             ba.resize(len, 0);
-            assert_eq!(ab, ba, "rung {}", k.rung());
+            assert_eq!(ab, ba, "{k:?}");
         }
     }
 
@@ -345,8 +294,8 @@ mod tests {
         // x^63 * x^1 = x^64: crosses the word boundary in every kernel.
         for k in MulKernel::ALL {
             let got = k.mul_raw(&[1u64 << 63], &[1u64 << 1]);
-            assert_eq!(got[0], 0, "rung {}", k.rung());
-            assert_eq!(got[1], 1, "rung {}", k.rung());
+            assert_eq!(got[0], 0, "{k:?}");
+            assert_eq!(got[1], 1, "{k:?}");
         }
     }
 
@@ -354,26 +303,22 @@ mod tests {
     fn trailing_zero_words_in_inputs_are_harmless() {
         let a = [0xDEAD_BEEFu64, 0, 0];
         let b = [0x1234_5678u64, 0];
-        let reference = mul_raw_0(&[0xDEAD_BEEF], &[0x1234_5678]);
+        let reference = mul_raw_reference(&[0xDEAD_BEEF], &[0x1234_5678]);
         for k in MulKernel::ALL {
             let got = k.mul_raw(&a, &b);
             // Same product, possibly longer tail of zeros.
-            assert_eq!(&got[..reference.len()], &reference[..], "rung {}", k.rung());
+            assert_eq!(&got[..reference.len()], &reference[..], "{k:?}");
             assert!(got[reference.len()..].iter().all(|&w| w == 0));
         }
     }
 
     #[test]
-    fn ladder_metadata_consistent() {
-        assert_eq!(MulKernel::default(), MulKernel::Word);
-        for (i, k) in MulKernel::ALL.iter().enumerate() {
-            assert_eq!(k.rung(), i);
-        }
+    fn best_is_clmul_exactly_where_it_is_native() {
         let best = MulKernel::best();
-        assert!(best.is_native());
-        assert!(best.rung() >= 2);
-        if clmul_available() {
-            assert_eq!(best, MulKernel::Clmul);
+        assert_ne!(best, MulKernel::Reference);
+        assert_eq!(best == MulKernel::Clmul, clmul_available());
+        if !cfg!(all(feature = "clmul", target_arch = "x86_64")) {
+            assert_eq!(best, MulKernel::Windowed);
         }
     }
 }

@@ -13,11 +13,11 @@
 //! * [`minpoly`] — cyclotomic cosets, minimal polynomials and BCH generator
 //!   polynomial construction (the contents of the small "polynomial ROM" the
 //!   paper's adaptable encoder multiplexes over).
-//! * [`kernels`] — the word-parallel carry-less multiplication ladder
-//!   (`mul_raw_0..3`): bit-serial reference, word-sliced schoolbook, 4-bit
-//!   windowed, and an `x86_64` CLMUL (`pclmulqdq`) rung behind a runtime
-//!   detect + `cfg`/feature gate with a portable fallback. [`MulKernel`]
-//!   selects a rung; every rung is differential-tested bit-identical.
+//! * [`kernels`] — word-parallel carry-less multiplication: a bit-serial
+//!   oracle and one production path, which is the `x86_64` CLMUL
+//!   (`pclmulqdq`) kernel behind a runtime detect + `cfg`/feature gate, or
+//!   the portable 4-bit windowed kernel everywhere else. [`Gf2Poly::mul`]
+//!   runs [`MulKernel::best`]; the oracle exists for differential tests.
 //!
 //! # Example
 //!
@@ -34,7 +34,7 @@
 //! # Ok::<(), mlcx_gf2::GfError>(())
 //! ```
 
-// `deny` rather than `forbid`: the CLMUL rung of `kernels` carries the
+// `deny` rather than `forbid`: the CLMUL kernel of `kernels` carries the
 // crate's only `#[allow(unsafe_code)]`, scoped to the intrinsics module
 // and guarded by a runtime CPU-feature check.
 #![deny(unsafe_code)]

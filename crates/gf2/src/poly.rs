@@ -140,17 +140,17 @@ impl Gf2Poly {
         Gf2Poly::from_words(words)
     }
 
-    /// Carry-less (GF(2)) product `self * rhs`, through the word-sliced
-    /// schoolbook kernel (ladder rung 1 — operand degrees in this crate
-    /// stay in the low thousands, so O(n*m/64) is ample; pick a higher
-    /// rung explicitly with [`Gf2Poly::mul_with`]).
+    /// Carry-less (GF(2)) product `self * rhs`, through the production
+    /// kernel for this build/CPU ([`crate::MulKernel::best`]: CLMUL, else
+    /// 4-bit windowed).
     pub fn mul(&self, rhs: &Gf2Poly) -> Self {
-        self.mul_with(rhs, crate::MulKernel::Word)
+        self.mul_with(rhs, crate::MulKernel::best())
     }
 
-    /// Carry-less product through an explicit [`crate::MulKernel`] rung.
+    /// Carry-less product through an explicit [`crate::MulKernel`] — how
+    /// tests hold the production kernel against the bit-serial oracle.
     ///
-    /// Every rung returns the same polynomial (the raw kernel output is
+    /// Every kernel returns the same polynomial (the raw kernel output is
     /// normalized here, so trailing zero words never leak into the
     /// canonical representation).
     pub fn mul_with(&self, rhs: &Gf2Poly, kernel: crate::MulKernel) -> Self {
@@ -311,7 +311,7 @@ impl Gf2Poly {
     /// maintains this invariant — it is what makes the derived
     /// `PartialEq`/`Hash` and the O(1) [`Gf2Poly::degree`] correct for
     /// degrees that are not a multiple of 64. Exposed so differential
-    /// tests over the [`crate::kernels`] ladder can pin it.
+    /// tests over the [`crate::kernels`] can pin it.
     pub fn is_normalized(&self) -> bool {
         self.words.last() != Some(&0)
     }
@@ -530,8 +530,8 @@ mod tests {
         let expect = Gf2Poly::from_exponents(&[64, 63, 1, 0]);
         for k in MulKernel::ALL {
             let got = a.mul_with(&b, k);
-            assert_eq!(got, expect, "kernel rung {}", k.rung());
-            assert!(got.is_normalized(), "kernel rung {}", k.rung());
+            assert_eq!(got, expect, "{k:?}");
+            assert!(got.is_normalized(), "{k:?}");
         }
         // x^64 * x^64 = x^128 and (x^64 + x^63)^2 = x^128 + x^126:
         // raw kernel outputs carry trailing zero words that must be
@@ -539,8 +539,8 @@ mod tests {
         let m = Gf2Poly::monomial(64);
         for k in MulKernel::ALL {
             let got = m.mul_with(&m, k);
-            assert_eq!(got.degree(), Some(128), "kernel rung {}", k.rung());
-            assert_eq!(got.as_words().len(), 3, "kernel rung {}", k.rung());
+            assert_eq!(got.degree(), Some(128), "{k:?}");
+            assert_eq!(got.as_words().len(), 3, "{k:?}");
         }
     }
 

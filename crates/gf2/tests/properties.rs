@@ -107,9 +107,9 @@ proptest! {
 
     #[test]
     fn every_mul_kernel_matches_reference(a in arb_poly(300), b in arb_poly(300)) {
-        // Differential harness for the mul_raw ladder: each rung must be
-        // bit-identical to the rung-0 bit-serial reference, including the
-        // CLMUL rung (which silently falls back when unsupported).
+        // Differential harness for the multiply kernels: each must be
+        // bit-identical to the bit-serial oracle, including the CLMUL
+        // kernel (which silently falls back when unsupported).
         let reference = a.mul_with(&b, MulKernel::Reference);
         for kernel in MulKernel::ALL {
             let out = kernel.mul_raw(a.as_words(), b.as_words());
@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn mul_kernels_canonicalize_word_boundaries(shift_a in 0usize..200, shift_b in 0usize..200) {
         // Single-bit operands land products exactly on/around word seams;
-        // every rung must produce the same canonical (normalized) words.
+        // every kernel must produce the same canonical (normalized) words.
         let mut a = Gf2Poly::zero();
         a.set_coeff(shift_a, true);
         let mut b = Gf2Poly::zero();
@@ -129,6 +129,21 @@ proptest! {
             let p = a.mul_with(&b, kernel);
             prop_assert!(p.is_normalized());
             prop_assert_eq!(p.degree(), Some(shift_a + shift_b));
+        }
+    }
+
+    #[test]
+    fn production_mul_matches_oracle_on_generator_sized_operands(
+        acc in proptest::collection::vec(any::<u64>(), 17),
+        wide in proptest::collection::vec(any::<u64>(), 17),
+        narrow in any::<u64>(),
+    ) {
+        // `GeneratorTable` multiplies a running g(x) of up to 17 words
+        // (deg 1040 at t = 65 over GF(2^16)) by one-word minimal
+        // polynomials; 17 x 17 bounds any product of two generators.
+        let acc = Gf2Poly::from_words(acc);
+        for rhs in [Gf2Poly::from_words(vec![narrow]), Gf2Poly::from_words(wide)] {
+            prop_assert_eq!(acc.mul(&rhs), acc.mul_with(&rhs, MulKernel::Reference));
         }
     }
 
@@ -143,5 +158,30 @@ proptest! {
         for i in 1..=(2 * t) as i64 {
             prop_assert_eq!(g.eval_in_field(&f, f.alpha_pow(i)), 0);
         }
+    }
+}
+
+/// `generator_poly` runs on `Gf2Poly::mul`; these are FNV-1a hashes of
+/// g(x)'s little-endian words from before `mul` moved from the
+/// word-sliced schoolbook kernel to `MulKernel::best()`.
+#[test]
+fn generator_polys_are_unchanged_by_the_multiply_kernel() {
+    let f = GfField::new(16).unwrap();
+    for (t, degree, fnv) in [
+        (3u32, 48usize, 0x6017_b2bd_d2e9_6486u64),
+        (14, 224, 0x99c4_445f_26a9_4683),
+        (30, 480, 0x7a3b_91b6_541c_4063),
+        (65, 1040, 0xe3c5_bbee_d98f_6d15),
+    ] {
+        let g = minpoly::generator_poly(&f, t);
+        assert_eq!(g.degree(), Some(degree), "t = {t}");
+        let hash = g
+            .as_words()
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, fnv, "t = {t}");
     }
 }

@@ -70,9 +70,8 @@
 //!
 //! Run `cargo run --example reproduce_figures` to regenerate every table
 //! and figure of the paper's evaluation; see `EXPERIMENTS.md` for the
-//! paper-vs-measured record and the legacy-API (`ServicedStore`,
-//! `submit`/`poll`) → [`StorageEngine::sq`]/[`StorageEngine::cq`]
-//! migration table.
+//! paper-vs-measured record and the legacy-API (`ServicedStore`) →
+//! [`StorageEngine::sq`]/[`StorageEngine::cq`] migration table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,15 +89,15 @@ pub use mlcx_controller::{
     ConfigCommand, ControllerConfig, ControllerConfigBuilder, CtrlError, MemoryController,
     ReadReport, ReliabilityManager, ReliabilityPolicy, ServiceLevel, WriteReport,
 };
-pub use mlcx_controller::{Ftl, FtlError, FtlOp, FtlStats, LogicalMap};
+pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_controller::{ReadOffsetTable, RetryPolicy, RetryStats};
 pub use mlcx_controller::{ScrubPolicy, ScrubStats, Scrubber};
 pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, EngineBuilder,
-    FaultInjector, FaultPlan, HostFrontend, Metrics, MlcxError, Objective, OperatingPoint,
-    PolicyBundle, QosSpec, Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle,
-    ServiceRegion, ServiceStats, StorageEngine, SubmissionQueue, Submitter, SubsystemModel,
-    SubsystemModelBuilder, TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
+    FaultInjector, FaultPlan, HostFrontend, Metrics, MlcxError, Objective, OperatingPoint, QosSpec,
+    Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion,
+    ServiceStats, StorageEngine, SubmissionQueue, Submitter, SubsystemModel, SubsystemModelBuilder,
+    TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
 };
 pub use mlcx_gf2::MulKernel;
 pub use mlcx_nand::{AgingModel, DeviceGeometry, MlcLevel, NandDevice, ProgramAlgorithm, Topology};

@@ -1,14 +1,15 @@
-//! End-to-end bit-identity pins for the codec-kernel ladder.
+//! End-to-end bit-identity pins for the codec kernels.
 //!
 //! Two guarantees, enforced at the scenario level so kernel selection
 //! can never silently change modeled results:
 //!
 //! 1. `scrub_vs_retry(seed 7)` reproduces bit-for-bit under the default
-//!    rung — every integer column pinned, every float column stable
+//!    kernel — every integer column pinned, every float column stable
 //!    across a re-run (the committed bench baselines pin the same runs'
 //!    exact metrics in CI through `bench_gate`).
-//! 2. The *same* scenario run under every concrete rung yields the
-//!    *same* [`ScenarioReport`], field for field.
+//! 2. The *same* scenario run under the bit-serial oracle and under the
+//!    production kernel yields the *same* [`ScenarioReport`], field for
+//!    field.
 
 use mlcx::nand::disturb::DisturbModel;
 use mlcx::xlayer::sim::presets::{scrub_vs_retry, MitigationMode};
@@ -111,19 +112,21 @@ fn scrub_vs_retry_seed7_reproduces_bit_for_bit() {
     }
 }
 
-/// The scrub-vs-retry physics re-run under every concrete kernel rung:
-/// the full [`ScenarioReport`] must be identical across the ladder.
+/// The scrub-vs-retry physics re-run under the oracle and the production
+/// kernel: the full [`ScenarioReport`] must be identical.
 fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
-    let mut config = ControllerConfig::date2012();
-    config.geometry = DeviceGeometry {
-        blocks: 16,
-        pages_per_block: 8,
-        topology: Topology::single(),
-        ..config.geometry
-    };
+    let config = ControllerConfig::builder()
+        .ecc_kernel(kernel)
+        .geometry(DeviceGeometry {
+            blocks: 16,
+            pages_per_block: 8,
+            topology: Topology::single(),
+            ..ControllerConfig::date2012().geometry
+        })
+        .build()
+        .unwrap();
     Scenario::builder()
         .engine(EngineBuilder::date2012().controller_config(config))
-        .codec_kernel(kernel)
         .disturb_model(DisturbModel {
             retention_scale: 3.5e-4,
             retention_wear_exponent: 0.0,
@@ -156,11 +159,7 @@ fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
 
 #[test]
 fn every_kernel_rung_yields_the_same_scenario_report() {
-    let reports: Vec<(CodecKernel, ScenarioReport)> = CodecKernel::RUNGS
-        .iter()
-        .map(|&k| (k, scenario_with_kernel(k).run().unwrap()))
-        .collect();
-    let (_, reference) = &reports[0];
+    let reference = scenario_with_kernel(CodecKernel::Reference).run().unwrap();
     // The run must actually exercise the correction and retry paths —
     // identical-but-trivial reports would prove nothing.
     assert!(reference.total_retry_senses > 0, "retry path not exercised");
@@ -168,15 +167,7 @@ fn every_kernel_rung_yields_the_same_scenario_report() {
         reference.total_scrub_relocations > 0,
         "scrub path not exercised"
     );
-    for (kernel, report) in &reports[1..] {
-        assert_eq!(
-            report,
-            reference,
-            "kernel {kernel} diverged from {}",
-            CodecKernel::RUNGS[0]
-        );
-    }
-    // And the default rung (what `scrub_vs_retry` itself runs) matches.
-    let auto = scenario_with_kernel(CodecKernel::Auto).run().unwrap();
-    assert_eq!(&auto, reference, "Auto diverged from the ladder");
+    // `Fused` is the default, i.e. what `scrub_vs_retry` itself runs.
+    let fused: ScenarioReport = scenario_with_kernel(CodecKernel::Fused).run().unwrap();
+    assert_eq!(fused, reference, "fused diverged from the oracle");
 }

@@ -223,7 +223,6 @@ fn facade_reexports_are_the_same_types() {
     let _report: &mlcx::BatchReport = e.last_batch();
     // The QoS/event vocabulary is re-exported too.
     let _q: mlcx::QosSpec = mlcx::QosSpec::weighted(2.0).depth(16);
-    let _p: mlcx::PolicyBundle = mlcx::PolicyBundle::new().sched(mlcx::SchedPolicy::FifoArrival);
     let mut sq: mlcx::SubmissionQueue<'_> = e.sq();
     assert_eq!(sq.depth(), 0);
     sq.submit(&[mlcx::Command::erase(h, 1)]).unwrap();
