@@ -11,15 +11,13 @@
 //! per-batch makespan ratios (batch `i` on 1 channel vs batch `i` on 4
 //! channels), so the committed baseline under
 //! `crates/bench/baselines/parallel_scale.json` gates CI regardless of
-//! container noise. `MLCX_SMOKE=1` skips only the Criterion timing pass.
+//! container noise.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{median, smoke, BenchResult};
+use mlcx_bench::{median, BenchResult};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{BatchReport, Command, EngineBuilder, StorageEngine};
 use mlcx_core::Objective;
 use mlcx_nand::{DeviceGeometry, Topology};
-use std::hint::black_box;
 
 const BLOCKS: usize = 32;
 const PAGES_PER_BLOCK: usize = 16;
@@ -92,7 +90,7 @@ fn run_workload(engine: &mut StorageEngine) -> Vec<BatchReport> {
     reports
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut by_channels = Vec::new();
     for channels in [1usize, 2, 4] {
         let mut e = engine(channels);
@@ -174,14 +172,10 @@ fn bench(c: &mut Criterion) {
         assert!(m4[b] < m2[b] && m2[b] < m1[b], "batch {b} must scale");
     }
 
-    // The gate record (modeled metrics are identical in smoke and full
-    // mode — the workload does not scale down, only the Criterion pass
-    // is skipped — so the record is mode-independent).
     let mut record = BenchResult::new(
         "parallel_scale",
         "paired per-batch medians over the seeded workload",
     );
-    record.mode = "any".into();
     record.exact = vec![
         ("batches".into(), BATCHES as f64),
         ("commands_per_batch".into(), CMDS_PER_BATCH as f64),
@@ -195,24 +189,4 @@ fn bench(c: &mut Criterion) {
         ("parallelism_4ch".into(), parallelism4),
     ];
     record.write();
-
-    if smoke() {
-        println!("smoke mode: skipping the Criterion pass");
-        return;
-    }
-    let mut group = c.benchmark_group("parallel_scale");
-    for channels in [1usize, 4] {
-        let mut e = engine(channels);
-        group.bench_function(&format!("workload_{channels}ch"), |b| {
-            b.iter(|| black_box(run_workload(&mut e).len()))
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -23,14 +23,11 @@
 //! bit-for-bit on the counters and within tolerance on the modeled
 //! UBERs. The headline assertions: the unmitigated victim loses more
 //! than a decade of model UBER, and scrub or retry alone each recover
-//! at least one decade of it — the PR's acceptance bar. `MLCX_SMOKE=1`
-//! skips only the Criterion pass.
+//! at least one decade of it — the PR's acceptance bar.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{smoke, BenchResult};
+use mlcx_bench::BenchResult;
 use mlcx_core::sim::presets::{program_interference, write_hammer, MitigationMode};
 use mlcx_core::sim::{PhaseReport, ScenarioReport, ServicePhaseReport};
-use std::hint::black_box;
 
 /// The preset seed the recovery guarantees were calibrated at.
 const SEED: u64 = 7;
@@ -51,7 +48,7 @@ fn victim<'a>(report: &'a ScenarioReport, ph: &str) -> &'a ServicePhaseReport {
         .expect("victim service must exist")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let arms = [
         ("none", MitigationMode::None),
         ("scrub", MitigationMode::ScrubOnly),
@@ -153,13 +150,10 @@ fn bench(c: &mut Criterion) {
         inj.total_injected_partial_programs, interference_reclaims, inj.read_failures
     );
 
-    // The gate record (modeled metrics are identical in smoke and full
-    // mode — only the Criterion pass is skipped).
     let mut record = BenchResult::new(
         "program_interference",
         "write-hammer victim UBER per mitigation arm + power-loss injection counters",
     );
-    record.mode = "any".into();
     record.exact = vec![
         ("read_failures_none".into(), none.read_failures as f64),
         ("read_failures_scrub".into(), scrub.read_failures as f64),
@@ -206,30 +200,4 @@ fn bench(c: &mut Criterion) {
         ("decades_recovered_retry".into(), recovered_retry),
     ];
     record.write();
-
-    if smoke() {
-        println!("smoke mode: skipping the Criterion pass");
-        return;
-    }
-    let mut group = c.benchmark_group("program_interference");
-    for (name, mode) in arms {
-        group.bench_function(&format!("hammer_{name}"), |b| {
-            b.iter(|| {
-                black_box(
-                    write_hammer(SEED, mode)
-                        .run()
-                        .expect("preset must run")
-                        .total_commands,
-                )
-            })
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

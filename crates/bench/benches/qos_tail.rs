@@ -17,15 +17,12 @@
 //! exact counters and within the tolerance band on the modeled tails.
 //! The headline assertion: weighted-fair must measurably shrink gold's
 //! p99.9 vs FIFO while completing the identical command set.
-//! `MLCX_SMOKE=1` skips only the Criterion pass.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{percentile, smoke, BenchResult};
+use mlcx_bench::{percentile, BenchResult};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, ServiceHandle, StorageEngine};
 use mlcx_core::{Objective, QosSpec, SchedPolicy};
 use mlcx_nand::DeviceGeometry;
-use std::hint::black_box;
 
 const CLASSES: [(&str, f64, usize); 3] =
     [("bronze", 1.0, 12), ("silver", 2.0, 8), ("gold", 8.0, 4)];
@@ -115,7 +112,7 @@ fn run_arm(policy: SchedPolicy) -> ([Vec<f64>; 3], usize) {
     (flows, completed)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (fifo, fifo_n) = run_arm(SchedPolicy::FifoArrival);
     let (wf, wf_n) = run_arm(SchedPolicy::WeightedFair);
 
@@ -189,7 +186,6 @@ fn bench(c: &mut Criterion) {
         "qos_tail",
         "24 tenants in 3 classes, per-class flow tails, weighted-fair vs FIFO",
     );
-    record.mode = "any".into();
     record.exact = vec![
         ("tenants".into(), tenant_count() as f64),
         ("rounds".into(), ROUNDS as f64),
@@ -199,24 +195,4 @@ fn bench(c: &mut Criterion) {
     modeled.push(("gold_p999_improvement_pct".into(), improvement_pct));
     record.modeled = modeled;
     record.write();
-
-    if smoke() {
-        println!("smoke mode: skipping the Criterion pass");
-        return;
-    }
-    let mut group = c.benchmark_group("qos_tail");
-    for (name, policy) in [
-        ("fifo", SchedPolicy::FifoArrival),
-        ("weighted_fair", SchedPolicy::WeightedFair),
-    ] {
-        group.bench_function(name, |b| b.iter(|| black_box(run_arm(policy).1)));
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

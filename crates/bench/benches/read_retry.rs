@@ -20,17 +20,15 @@
 //! Everything asserted is deterministic (seeded injection, modeled
 //! time), so the committed baseline under
 //! `crates/bench/baselines/read_retry.json` gates CI regardless of
-//! container noise. `MLCX_SMOKE=1` skips only the Criterion pass.
+//! container noise.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{percentile, smoke, BenchResult};
+use mlcx_bench::{percentile, BenchResult};
 use mlcx_controller::retry::RetryPolicy;
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
 use mlcx_core::Objective;
 use mlcx_nand::disturb::DisturbModel;
 use mlcx_nand::DeviceGeometry;
-use std::hint::black_box;
 
 const BLOCKS: usize = 16;
 const PAGES_PER_BLOCK: usize = 16;
@@ -151,7 +149,7 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
     out
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut e_off = engine(false);
     let off = run_workload(&mut e_off);
     let mut e_on = engine(true);
@@ -235,13 +233,10 @@ fn bench(c: &mut Criterion) {
     );
     assert!(on.retry_latency_s > 0.0);
 
-    // The gate record (modeled metrics are identical in smoke and full
-    // mode — only the Criterion pass is skipped).
     let mut record = BenchResult::new(
         "read_retry",
         "parked working set, retry off vs on, p95 host read latency",
     );
-    record.mode = "any".into();
     record.exact = vec![
         ("batches".into(), BATCHES as f64),
         ("reads_per_batch".into(), READS_PER_BATCH as f64),
@@ -262,26 +257,4 @@ fn bench(c: &mut Criterion) {
         ("uber_recovery_decades".into(), recovery),
     ];
     record.write();
-
-    if smoke() {
-        println!("smoke mode: skipping the Criterion pass");
-        return;
-    }
-    let mut group = c.benchmark_group("read_retry");
-    for (name, retry) in [("off", false), ("on", true)] {
-        group.bench_function(&format!("serve_{name}"), |b| {
-            b.iter(|| {
-                let mut e = engine(retry);
-                black_box(run_workload(&mut e).read_latencies_s.len())
-            })
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

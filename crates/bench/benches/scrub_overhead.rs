@@ -19,19 +19,17 @@
 //! Everything asserted is deterministic (seeded injection, modeled
 //! time), so the committed baseline under
 //! `crates/bench/baselines/scrub_overhead.json` gates CI regardless of
-//! container noise. `MLCX_SMOKE=1` skips only the Criterion pass.
+//! container noise.
 
 use std::collections::VecDeque;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mlcx_bench::{percentile, smoke, BenchResult};
+use mlcx_bench::{percentile, BenchResult};
 use mlcx_controller::scrub::{ScrubPolicy, Scrubber};
 use mlcx_controller::ControllerConfig;
 use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
 use mlcx_core::Objective;
 use mlcx_nand::disturb::DisturbModel;
 use mlcx_nand::DeviceGeometry;
-use std::hint::black_box;
 
 const BLOCKS: usize = 16;
 const PAGES_PER_BLOCK: usize = 16;
@@ -175,7 +173,7 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
     out
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut e_off = engine();
     let off = run_workload(&mut e_off, false);
     let mut e_on = engine();
@@ -241,13 +239,10 @@ fn bench(c: &mut Criterion) {
         "scrubbing must not create decode failures"
     );
 
-    // The gate record (modeled metrics are identical in smoke and full
-    // mode — only the Criterion pass is skipped).
     let mut record = BenchResult::new(
         "scrub_overhead",
         "read-hot hammer, scrubber off vs on, p95 batch completion",
     );
-    record.mode = "any".into();
     record.exact = vec![
         ("batches".into(), BATCHES as f64),
         ("reads_per_batch".into(), READS_PER_BATCH as f64),
@@ -267,26 +262,4 @@ fn bench(c: &mut Criterion) {
         ("uber_recovery_decades".into(), recovery),
     ];
     record.write();
-
-    if smoke() {
-        println!("smoke mode: skipping the Criterion pass");
-        return;
-    }
-    let mut group = c.benchmark_group("scrub_overhead");
-    for (name, scrub) in [("off", false), ("on", true)] {
-        group.bench_function(&format!("hammer_{name}"), |b| {
-            b.iter(|| {
-                let mut e = engine();
-                black_box(run_workload(&mut e, scrub).batch_latencies_s.len())
-            })
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

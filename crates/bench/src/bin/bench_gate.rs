@@ -1,36 +1,29 @@
 //! The bench-regression gate.
 //!
-//! Compares the records the performance benches wrote under
-//! `target/bench-results/` against the committed baselines under
-//! `crates/bench/baselines/`, and exits non-zero on a regression:
+//! Compares the records the benches wrote under `target/bench-results/`
+//! against the committed baselines under `crates/bench/baselines/`, and
+//! exits non-zero on a regression:
 //!
-//! * `exact` metrics (structural counters) must match bit-for-bit;
+//! * `exact` metrics (structural counters, checksums) must match
+//!   bit-for-bit;
 //! * `modeled` metrics (deterministic modeled time/energy/speedup) must
 //!   stay within the baseline's `modeled_tolerance_pct` band — a
 //!   deliberate model change fails loudly until the baselines are
-//!   refreshed;
-//! * `wall` metrics (paired-median wall-clock) are flagged when
-//!   *slower* than the baseline by more than `wall_tolerance_pct` —
-//!   but as a **warning** by default: absolute wall-clock baselines
-//!   are calibrated to the machine that recorded them and do not
-//!   transfer to a differently-provisioned runner. Pass `--strict-wall`
-//!   (e.g. on a runner whose baselines were recorded on that same
-//!   hardware class) to make wall overruns fail the gate too. Noise
-//!   within the band and improvements always pass.
+//!   refreshed.
 //!
 //! Usage (see EXPERIMENTS.md):
 //!
 //! ```text
-//! MLCX_SMOKE=1 cargo bench -p mlcx-bench --bench workload_mix \
-//!     --bench engine_batch --bench parallel_scale
-//! cargo run -p mlcx-bench --bin bench_gate            # compare
+//! cargo bench -p mlcx-bench                             # write the records
+//! cargo run -p mlcx-bench --bin bench_gate              # compare
 //! cargo run -p mlcx-bench --bin bench_gate -- --update  # refresh baselines
 //! ```
 //!
-//! `--update` also *creates* baselines for result records that have no
-//! committed counterpart yet, so a newly added bench is gated from its
-//! first refresh; a plain run warns about such ungated results.
+//! A baseline without a result record and a result record without a
+//! baseline both fail a plain run, so the gate is never silently
+//! disarmed; `--update` adopts the latter as a fresh baseline.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use mlcx_bench::{baselines_dir, results_dir, BenchResult};
@@ -51,7 +44,6 @@ fn ungated_metrics(baseline: &BenchResult, result: &BenchResult) -> Vec<String> 
     let sections = [
         ("exact", &baseline.exact, &result.exact),
         ("modeled", &baseline.modeled, &result.modeled),
-        ("wall", &baseline.wall, &result.wall),
     ];
     let mut extra = Vec::new();
     for (rule, base, res) in sections {
@@ -65,13 +57,6 @@ fn ungated_metrics(baseline: &BenchResult, result: &BenchResult) -> Vec<String> 
 }
 
 fn compare(baseline: &BenchResult, result: &BenchResult) -> Result<Vec<Check>, String> {
-    if baseline.mode != result.mode {
-        return Err(format!(
-            "baseline recorded in {:?} mode but the bench ran in {:?} mode \
-             (set MLCX_SMOKE=1 to match the committed baselines)",
-            baseline.mode, result.mode
-        ));
-    }
     let lookup = |set: &[(String, f64)], key: &str| -> Option<f64> {
         set.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     };
@@ -83,7 +68,7 @@ fn compare(baseline: &BenchResult, result: &BenchResult) -> Result<Vec<Check>, S
             metric: key.clone(),
             baseline: expect,
             actual,
-            ok: (actual - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+            ok: actual.to_bits() == expect.to_bits(),
             rule: "exact",
         });
     }
@@ -103,19 +88,6 @@ fn compare(baseline: &BenchResult, result: &BenchResult) -> Result<Vec<Check>, S
             actual,
             ok,
             rule: "modeled",
-        });
-    }
-    for &(ref key, expect) in &baseline.wall {
-        let actual = lookup(&result.wall, key)
-            .ok_or_else(|| format!("result is missing wall metric {key:?}"))?;
-        // Lower is better; only a slowdown beyond the band fails.
-        let ok = actual <= expect * (1.0 + baseline.wall_tolerance_pct / 100.0);
-        checks.push(Check {
-            metric: key.clone(),
-            baseline: expect,
-            actual,
-            ok,
-            rule: "wall",
         });
     }
     Ok(checks)
@@ -151,14 +123,14 @@ fn render_diff_table(bench: &str, failed: &[&Check]) -> String {
     out
 }
 
-fn load(path: &std::path::Path) -> Result<BenchResult, String> {
+fn load(path: &Path) -> Result<BenchResult, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     BenchResult::from_json(&text).map_err(|e| format!("parse {}: {e}", path.display()))
 }
 
 /// JSON files of a directory, sorted (empty when the dir is absent).
-fn json_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+fn json_files(dir: &Path) -> Vec<std::path::PathBuf> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .into_iter()
         .flatten()
@@ -170,10 +142,8 @@ fn json_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     entries
 }
 
-fn run(update: bool, strict_wall: bool) -> Result<bool, String> {
-    let baselines = baselines_dir();
-    let results = results_dir();
-    let entries = json_files(&baselines);
+fn run(baselines: &Path, results: &Path, update: bool) -> Result<bool, String> {
+    let entries = json_files(baselines);
     if entries.is_empty() && !update {
         return Err(format!("no baselines under {}", baselines.display()));
     }
@@ -203,28 +173,21 @@ fn run(update: bool, strict_wall: bool) -> Result<bool, String> {
             );
             continue;
         }
-        println!("\n== {} (mode: {}) ==", baseline.bench, baseline.mode);
+        println!("\n== {} ==", baseline.bench);
         let checks = compare(&baseline, &result).map_err(|e| format!("{}: {e}", baseline.bench))?;
-        let mut failed = Vec::new();
         for c in &checks {
-            // Wall overruns are advisory unless --strict-wall: absolute
-            // wall baselines are calibrated to the recording machine.
-            let fatal = c.rule != "wall" || strict_wall;
-            let tag = match (c.ok, fatal) {
-                (true, _) => "ok",
-                (false, true) => "FAIL",
-                (false, false) => "warn",
-            };
             println!(
                 "  [{}] {:7} {:40} baseline {:>14.6}  actual {:>14.6}",
-                tag, c.rule, c.metric, c.baseline, c.actual
+                if c.ok { "ok" } else { "FAIL" },
+                c.rule,
+                c.metric,
+                c.baseline,
+                c.actual
             );
-            if !c.ok && fatal {
-                failed.push(c);
-            }
-            all_ok &= c.ok || !fatal;
         }
+        let failed: Vec<&Check> = checks.iter().filter(|c| !c.ok).collect();
         if !failed.is_empty() {
+            all_ok = false;
             print!("{}", render_diff_table(&baseline.bench, &failed));
         }
         for metric in ungated_metrics(&baseline, &result) {
@@ -237,19 +200,18 @@ fn run(update: bool, strict_wall: bool) -> Result<bool, String> {
     if !missing.is_empty() {
         return Err(format!(
             "no bench results for {:?} under {} — run the benches first \
-             (MLCX_SMOKE=1 cargo bench -p mlcx-bench)",
+             (cargo bench -p mlcx-bench)",
             missing,
             results.display()
         ));
     }
 
     // Result records with no committed baseline: a newly added bench.
-    // `--update` adopts them as fresh baselines; a plain run warns so
+    // `--update` adopts them as fresh baselines; a plain run fails so
     // the gate is never silently disarmed for a gated-looking bench.
-    for result_path in json_files(&results) {
+    let mut unbaselined = Vec::new();
+    for result_path in json_files(results) {
         let result = load(&result_path)?;
-        // (`missing` is provably empty here — a baseline without a
-        // result already returned Err above.)
         if covered.contains(&result.bench) {
             continue;
         }
@@ -263,20 +225,23 @@ fn run(update: bool, strict_wall: bool) -> Result<bool, String> {
                 result_path.display()
             );
         } else {
-            println!(
-                "warning: {} has a result record but no committed baseline — \
-                 it is NOT gated; adopt it with `bench_gate -- --update`",
-                result.bench
-            );
+            unbaselined.push(result.bench);
         }
+    }
+    if !unbaselined.is_empty() {
+        return Err(format!(
+            "result records {:?} have no committed baseline under {} — \
+             adopt them with `bench_gate -- --update`",
+            unbaselined,
+            baselines.display()
+        ));
     }
     Ok(all_ok)
 }
 
 fn main() -> ExitCode {
     let update = std::env::args().any(|a| a == "--update");
-    let strict_wall = std::env::args().any(|a| a == "--strict-wall");
-    match run(update, strict_wall) {
+    match run(&baselines_dir(), &results_dir(), update) {
         Ok(true) => {
             println!("\nbench gate: all baselines hold");
             ExitCode::SUCCESS
@@ -293,5 +258,72 @@ fn main() -> ExitCode {
             eprintln!("bench gate: error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(exact: f64, modeled: f64) -> BenchResult {
+        let mut r = BenchResult::new("demo", "unit test");
+        r.exact.push(("checksum".into(), exact));
+        r.modeled.push(("device_time_s".into(), modeled));
+        r
+    }
+
+    #[test]
+    fn exact_is_bit_exact_and_modeled_has_a_band() {
+        // A checksum-sized value: 1 ulp is 2048, far inside any relative
+        // tolerance, and must still fail.
+        let big = 13503135767590940000.0_f64;
+        let baseline = record(big, 1.0);
+        let verdict = |r: &BenchResult| -> Vec<bool> {
+            let checks = compare(&baseline, r).unwrap();
+            checks.iter().map(|c| c.ok).collect()
+        };
+        assert_eq!(verdict(&record(big, 1.0)), [true, true]);
+        let one_ulp_up = f64::from_bits(big.to_bits() + 1);
+        assert_eq!(verdict(&record(one_ulp_up, 1.0)), [false, true]);
+        assert_eq!(verdict(&record(big, 1.009)), [true, true], "inside 1 %");
+        assert_eq!(verdict(&record(big, 1.011)), [true, false], "outside 1 %");
+    }
+
+    #[test]
+    fn gate_fails_on_missing_result_and_on_unbaselined_result() {
+        let root = std::env::temp_dir().join(format!("mlcx-bench-gate-{}", std::process::id()));
+        let (baselines, results) = (root.join("baselines"), root.join("results"));
+        for dir in [&baselines, &results] {
+            std::fs::create_dir_all(dir).unwrap();
+        }
+        let demo = record(7.0, 1.0);
+        std::fs::write(baselines.join("demo.json"), demo.to_json()).unwrap();
+
+        // A baseline whose bench never ran.
+        let err = run(&baselines, &results, false).unwrap_err();
+        assert!(
+            err.contains("no bench results") && err.contains("demo"),
+            "{err}"
+        );
+
+        std::fs::write(results.join("demo.json"), demo.to_json()).unwrap();
+        assert_eq!(run(&baselines, &results, false), Ok(true));
+
+        // A record nobody committed a baseline for fails a plain run ...
+        let mut extra = demo.clone();
+        extra.bench = "extra".into();
+        std::fs::write(results.join("extra.json"), extra.to_json()).unwrap();
+        let err = run(&baselines, &results, false).unwrap_err();
+        assert!(
+            err.contains("no committed baseline") && err.contains("extra"),
+            "{err}"
+        );
+
+        // ... and `--update` adopts it.
+        assert_eq!(run(&baselines, &results, true), Ok(true));
+        assert!(baselines.join("extra.json").exists());
+        assert_eq!(run(&baselines, &results, false), Ok(true));
+
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -1,42 +1,19 @@
-//! Shared helpers for the figure benches and the bench-regression gate.
+//! Deterministic regression records and the gate that compares them.
 //!
-//! The benches themselves live in `benches/`; each regenerates one table
-//! or figure of the paper's evaluation (printing the series once) and
-//! then lets Criterion time the generator. The performance benches
-//! (`engine_batch`, `workload_mix`, `parallel_scale`) additionally write
-//! a machine-readable result record ([`BenchResult`]) that the
-//! `bench_gate` binary compares against the committed baselines under
-//! `crates/bench/baselines/` — the CI regression gate (see
-//! EXPERIMENTS.md for the refresh procedure).
+//! The targets in `benches/` each run one seeded workload at the
+//! size its committed baseline was recorded at, assert the functional and
+//! structural properties in-process, and write a machine-readable record
+//! ([`BenchResult`]) that the `bench_gate` binary compares against
+//! `crates/bench/baselines/` — the CI regression gate (see EXPERIMENTS.md
+//! for the refresh procedure). Every recorded number is a model output:
+//! how fast the simulator itself runs (wall clock, RSS, per-layer
+//! attribution) is measured by the repo benchmark under `benchmark/`.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
-use mlcx_core::SubsystemModel;
-
 pub mod json;
-
-/// The model every figure bench runs against.
-pub fn model() -> SubsystemModel {
-    SubsystemModel::date2012()
-}
-
-/// Prints a bench banner with the figure id and its rendered table, once
-/// per bench invocation, so `cargo bench` output doubles as the
-/// reproduction record.
-pub fn banner(figure: &str, table: &str) {
-    println!("\n===== {figure} =====");
-    println!("{table}");
-}
-
-/// Whether the bench runs in CI smoke mode (`MLCX_SMOKE=1`): tiny
-/// workloads, trimmed wall-clock sampling, no Criterion pass — every
-/// functional assertion still runs, and the result record is written
-/// at the scale the committed baselines were recorded at.
-pub fn smoke() -> bool {
-    std::env::var("MLCX_SMOKE").is_ok_and(|v| v == "1")
-}
 
 /// Where bench result records land (`target/bench-results/`). The gate
 /// reads them from here; `--update` copies them over the baselines.
@@ -51,8 +28,8 @@ pub fn baselines_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines")
 }
 
-/// Upper median (element `len / 2` after sorting) — the statistic every
-/// paired-timing bench reports.
+/// Upper median (element `len / 2` after sorting) — the statistic the
+/// paired-sample benches report.
 ///
 /// # Panics
 ///
@@ -75,23 +52,18 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 
 /// One bench's machine-readable outcome, mirrored by the baseline files.
 ///
-/// Three metric classes with different comparison rules:
+/// Two metric classes with different comparison rules:
 ///
 /// * `exact` — bit-deterministic structural counters (command counts,
-///   derivation counts): the gate requires equality.
+///   derivation counts, checksums): the gate requires bit equality.
 /// * `modeled` — deterministic modeled quantities (device time, energy,
 ///   makespans, modeled speedups): compared within
 ///   `modeled_tolerance_pct` so a deliberate model change fails loudly
 ///   until the baselines are refreshed.
-/// * `wall` — paired-median wall-clock seconds: lower is better, and
-///   only a slowdown beyond `wall_tolerance_pct` fails (containers are
-///   noisy; improvements always pass).
 #[derive(Debug, Clone, Default)]
 pub struct BenchResult {
     /// Bench name (= result/baseline file stem).
     pub bench: String,
-    /// "smoke" or "full" — the gate refuses to compare across modes.
-    pub mode: String,
     /// Free-form provenance note.
     pub recorded: String,
     /// Bit-deterministic counters (equality).
@@ -100,21 +72,24 @@ pub struct BenchResult {
     pub modeled: Vec<(String, f64)>,
     /// Allowed relative drift for `modeled`, percent.
     pub modeled_tolerance_pct: f64,
-    /// Paired-median wall-clock seconds (regression-only check).
-    pub wall: Vec<(String, f64)>,
-    /// Allowed slowdown for `wall`, percent.
-    pub wall_tolerance_pct: f64,
 }
 
+/// Every key of the record schema.
+const KEYS: [&str; 5] = [
+    "bench",
+    "recorded",
+    "modeled_tolerance_pct",
+    "exact",
+    "modeled",
+];
+
 impl BenchResult {
-    /// A result skeleton for `bench` in the current smoke/full mode.
+    /// A result skeleton for `bench`.
     pub fn new(bench: &str, recorded: &str) -> Self {
         BenchResult {
             bench: bench.to_string(),
-            mode: if smoke() { "smoke" } else { "full" }.to_string(),
             recorded: recorded.to_string(),
             modeled_tolerance_pct: 1.0,
-            wall_tolerance_pct: 100.0,
             ..BenchResult::default()
         }
     }
@@ -134,19 +109,13 @@ impl BenchResult {
         };
         let obj = Json::Object(vec![
             ("bench".into(), Json::String(self.bench.clone())),
-            ("mode".into(), Json::String(self.mode.clone())),
             ("recorded".into(), Json::String(self.recorded.clone())),
             (
                 "modeled_tolerance_pct".into(),
                 Json::Number(self.modeled_tolerance_pct),
             ),
-            (
-                "wall_tolerance_pct".into(),
-                Json::Number(self.wall_tolerance_pct),
-            ),
             ("exact".into(), section(&self.exact)),
             ("modeled".into(), section(&self.modeled)),
-            ("wall".into(), section(&self.wall)),
         ]);
         let mut text = obj.render_pretty();
         text.push('\n');
@@ -172,10 +141,15 @@ impl BenchResult {
     ///
     /// # Errors
     ///
-    /// A human-readable parse/schema error.
+    /// A human-readable parse/schema error. A key outside the schema is
+    /// an error naming it, so a stale record from an older schema (one
+    /// still carrying `mode` or `wall`) is refused rather than half-read.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
         let obj = value.as_object().ok_or("top level must be an object")?;
+        if let Some((key, _)) = obj.iter().find(|(k, _)| !KEYS.contains(&k.as_str())) {
+            return Err(format!("unknown key {key:?} (schema: {KEYS:?})"));
+        }
         let field = |key: &str| -> Result<&json::Json, String> {
             obj.iter()
                 .find(|(k, _)| k == key)
@@ -207,13 +181,10 @@ impl BenchResult {
         };
         Ok(BenchResult {
             bench: text_field("bench")?,
-            mode: text_field("mode")?,
             recorded: text_field("recorded")?,
             modeled_tolerance_pct: num_field("modeled_tolerance_pct")?,
-            wall_tolerance_pct: num_field("wall_tolerance_pct")?,
             exact: map_field("exact")?,
             modeled: map_field("modeled")?,
-            wall: map_field("wall")?,
         })
     }
 }
@@ -221,12 +192,6 @@ impl BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_constructs() {
-        let m = super::model();
-        assert_eq!(m.tmax, 65);
-    }
 
     #[test]
     fn median_and_percentile_use_the_benches_rank_conventions() {
@@ -244,13 +209,18 @@ mod tests {
         let mut r = BenchResult::new("demo", "unit test");
         r.exact.push(("commands".into(), 1217.0));
         r.modeled.push(("device_time_s".into(), 1.21409));
-        r.wall.push(("batch_s".into(), 0.003654));
         let text = r.to_json();
         let back = BenchResult::from_json(&text).unwrap();
         assert_eq!(back.bench, "demo");
         assert_eq!(back.exact, r.exact);
         assert_eq!(back.modeled, r.modeled);
-        assert_eq!(back.wall, r.wall);
         assert_eq!(back.modeled_tolerance_pct, 1.0);
+
+        // A record of the older schema is refused by the key it carries.
+        for (key, value) in [("mode", "\"smoke\""), ("wall", "{\"batch_s\": 0.003654}")] {
+            let legacy = text.replacen('{', &format!("{{\n  \"{key}\": {value},"), 1);
+            let err = BenchResult::from_json(&legacy).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{err}");
+        }
     }
 }

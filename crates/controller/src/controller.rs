@@ -526,45 +526,6 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Batch write entry point: programs `(page, data)` pairs into
-    /// `block` under the current configuration, stopping at the first
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// The first per-page error aborts the remainder of the batch; pages
-    /// programmed before the failure stay programmed (their reports are
-    /// not returned — use per-page [`MemoryController::write_page`] or
-    /// the engine's completion-per-command model when partial-failure
-    /// accounting matters).
-    pub fn write_pages(
-        &mut self,
-        block: usize,
-        pages: &[(usize, &[u8])],
-    ) -> Result<Vec<WriteReport>, CtrlError> {
-        pages
-            .iter()
-            .map(|&(page, data)| self.write_page(block, page, data))
-            .collect()
-    }
-
-    /// Batch read entry point: reads the listed pages of `block`,
-    /// stopping at the first error.
-    ///
-    /// # Errors
-    ///
-    /// The first per-page error aborts the remainder of the batch.
-    pub fn read_pages(
-        &mut self,
-        block: usize,
-        pages: &[usize],
-    ) -> Result<Vec<ReadReport>, CtrlError> {
-        pages
-            .iter()
-            .map(|&page| self.read_page(block, page))
-            .collect()
-    }
-
     /// Ages a block to a wear point (lifetime experiments).
     ///
     /// # Errors
@@ -952,23 +913,6 @@ mod tests {
         assert_eq!(ctrl.regs().commands_applied() - base, 3);
         assert_eq!(ctrl.correction(), 20);
         assert_eq!(ctrl.algorithm(), ProgramAlgorithm::IsppDv);
-    }
-
-    #[test]
-    fn batch_entry_points_round_trip() {
-        let mut ctrl = controller();
-        ctrl.erase_block(0).unwrap();
-        let pages: Vec<Vec<u8>> = (0..4).map(|p| vec![p as u8; 4096]).collect();
-        let writes: Vec<(usize, &[u8])> =
-            pages.iter().enumerate().map(|(p, d)| (p, &d[..])).collect();
-        let wrote = ctrl.write_pages(0, &writes).unwrap();
-        assert_eq!(wrote.len(), 4);
-        let reads = ctrl.read_pages(0, &[0, 1, 2, 3]).unwrap();
-        for (p, r) in reads.iter().enumerate() {
-            assert_eq!(r.data, pages[p]);
-        }
-        // First error aborts the remainder.
-        assert!(ctrl.read_pages(0, &[0, 60, 1]).is_err());
     }
 
     #[test]

@@ -33,8 +33,6 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::error::CtrlError;
-
 /// Errors raised by the FTL layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -48,8 +46,6 @@ pub enum FtlError {
     },
     /// No space left even after garbage collection (over-committed).
     OutOfSpace,
-    /// Propagated controller error.
-    Ctrl(CtrlError),
 }
 
 impl std::fmt::Display for FtlError {
@@ -59,31 +55,11 @@ impl std::fmt::Display for FtlError {
                 write!(f, "logical page {lpn} out of range ({capacity} exported)")
             }
             FtlError::OutOfSpace => write!(f, "no reclaimable space left"),
-            FtlError::Ctrl(e) => write!(f, "controller: {e}"),
         }
     }
 }
 
-impl std::error::Error for FtlError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FtlError::Ctrl(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CtrlError> for FtlError {
-    fn from(e: CtrlError) -> Self {
-        FtlError::Ctrl(e)
-    }
-}
-
-impl From<mlcx_nand::NandError> for FtlError {
-    fn from(e: mlcx_nand::NandError) -> Self {
-        FtlError::Ctrl(CtrlError::Nand(e))
-    }
-}
+impl std::error::Error for FtlError {}
 
 /// FTL traffic and maintenance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

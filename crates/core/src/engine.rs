@@ -738,15 +738,9 @@ impl StorageEngine {
         EngineBuilder::date2012()
     }
 
-    /// Wraps an existing controller/model pair with the default
-    /// ([`WearBucketing::Exact`]) memoization policy.
-    pub fn new(ctrl: MemoryController, model: SubsystemModel) -> Self {
-        Self::with_bucketing(ctrl, model, WearBucketing::default())
-    }
-
-    /// Wraps an existing controller/model pair with an explicit
-    /// memoization policy.
-    pub fn with_bucketing(
+    /// Wraps a controller/model pair with a memoization policy — the
+    /// constructor behind [`EngineBuilder::build`].
+    fn with_bucketing(
         ctrl: MemoryController,
         model: SubsystemModel,
         bucketing: WearBucketing,

@@ -149,12 +149,7 @@ impl From<BchError> for MlcxError {
 
 impl From<FtlError> for MlcxError {
     fn from(e: FtlError) -> Self {
-        // A propagated controller error is a datapath fact, not a
-        // translation-layer fact: surface it under its own variant.
-        match e {
-            FtlError::Ctrl(c) => MlcxError::Ctrl(c),
-            other => MlcxError::Ftl(other),
-        }
+        MlcxError::Ftl(e)
     }
 }
 

@@ -1,9 +1,9 @@
 //! One generator per figure of the paper's evaluation (Section 6).
 //!
 //! Each module produces the same series its figure plots, as typed rows
-//! plus a rendered [`crate::report::Table`]. The Criterion benches in
-//! `mlcx-bench` time the generators; the `reproduce_figures` example
-//! prints every table; `EXPERIMENTS.md` records paper-vs-measured.
+//! plus a rendered [`crate::report::Table`]. The `reproduce_figures`
+//! example prints every table; `EXPERIMENTS.md` records
+//! paper-vs-measured.
 //!
 //! | Module | Paper figure | Content |
 //! |--------|--------------|---------|
@@ -32,57 +32,91 @@ pub mod fig11;
 pub mod power_budget;
 
 use crate::model::SubsystemModel;
+use crate::report::Table;
+
+/// Every experiment table, in paper order (the ablations last), as
+/// `(file stem, section title, table)`.
+pub fn tables(model: &SubsystemModel) -> Vec<(&'static str, &'static str, Table)> {
+    vec![
+        (
+            "fig04",
+            "Fig. 4 — compact model fit (VTH vs VCG, 7us pulses, 1V steps)",
+            fig04::table(&fig04::generate()),
+        ),
+        (
+            "fig05",
+            "Fig. 5 — RBER vs P/E cycles",
+            fig05::table(&fig05::generate(model)),
+        ),
+        (
+            "fig06",
+            "Fig. 6 — program power vs P/E cycles [W]",
+            fig06::table(&fig06::generate(model)),
+        ),
+        (
+            "fig07",
+            "Fig. 7 — UBER vs RBER (ISPP-SV), log10(UBER)",
+            fig07::table(&fig07::generate(model)),
+        ),
+        (
+            "fig07dv",
+            "Fig. ?? — UBER vs RBER (ISPP-DV), log10(UBER)",
+            fig07dv::table(&fig07dv::generate(model)),
+        ),
+        (
+            "fig08",
+            "Fig. 8 — ECC latency vs P/E cycles (80 MHz) [us]",
+            fig08::table(&fig08::generate(model)),
+        ),
+        (
+            "fig09",
+            "Fig. 9 — write throughput loss [%]",
+            fig09::table(&fig09::generate(model)),
+        ),
+        (
+            "fig10",
+            "Fig. 10 — UBER improvement (nominal vs physical-layer mod)",
+            fig10::table(&fig10::generate(model)),
+        ),
+        (
+            "fig11",
+            "Fig. 11 — read throughput gain [%]",
+            fig11::table(&fig11::generate(model)),
+        ),
+        (
+            "power_budget",
+            "Section 6.3.2 — power budget compensation [mW]",
+            power_budget::table(&power_budget::generate(model)),
+        ),
+        (
+            "ablation_chien",
+            "Ablation — Chien multiplier pool",
+            ablation::chien_table(&ablation::chien_parallelism(model, &[1, 2, 4, 8, 16])),
+        ),
+        (
+            "ablation_bus",
+            "Ablation — flash bus rate",
+            ablation::bus_table(&ablation::bus_rate(
+                model,
+                &[16.0, 32.0, 66.0, 133.0, 200.0],
+            )),
+        ),
+        (
+            "ablation_load",
+            "Ablation — buffer load strategy",
+            ablation::load_table(&ablation::load_strategy(model)),
+        ),
+    ]
+}
 
 /// Renders every experiment table, in paper order, with headers.
 pub fn render_all(model: &SubsystemModel) -> String {
-    let sections: Vec<(&str, String)> = vec![
-        (
-            "Fig. 4 — compact model fit (VTH vs VCG, 7us pulses, 1V steps)",
-            fig04::table(&fig04::generate()).render(),
-        ),
-        (
-            "Fig. 5 — RBER vs P/E cycles",
-            fig05::table(&fig05::generate(model)).render(),
-        ),
-        (
-            "Fig. 6 — program power vs P/E cycles [W]",
-            fig06::table(&fig06::generate(model)).render(),
-        ),
-        (
-            "Fig. 7 — UBER vs RBER (ISPP-SV), log10(UBER)",
-            fig07::table(&fig07::generate(model)).render(),
-        ),
-        (
-            "Fig. ?? — UBER vs RBER (ISPP-DV), log10(UBER)",
-            fig07dv::table(&fig07dv::generate(model)).render(),
-        ),
-        (
-            "Fig. 8 — ECC latency vs P/E cycles (80 MHz) [us]",
-            fig08::table(&fig08::generate(model)).render(),
-        ),
-        (
-            "Fig. 9 — write throughput loss [%]",
-            fig09::table(&fig09::generate(model)).render(),
-        ),
-        (
-            "Fig. 10 — UBER improvement (nominal vs physical-layer mod)",
-            fig10::table(&fig10::generate(model)).render(),
-        ),
-        (
-            "Fig. 11 — read throughput gain [%]",
-            fig11::table(&fig11::generate(model)).render(),
-        ),
-        (
-            "Section 6.3.2 — power budget compensation [mW]",
-            power_budget::table(&power_budget::generate(model)).render(),
-        ),
-    ];
     let mut out = String::new();
-    for (title, body) in sections {
+    for (_, title, table) in tables(model) {
         out.push_str("== ");
         out.push_str(title);
         out.push_str(" ==\n");
-        out.push_str(&body);
+        out.push_str(&table.render());
         out.push('\n');
     }
     out
@@ -107,6 +141,9 @@ mod tests {
             "Fig. 10",
             "Fig. 11",
             "power budget",
+            "Chien multiplier pool",
+            "flash bus rate",
+            "buffer load strategy",
         ] {
             assert!(all.contains(needle), "missing section {needle}");
         }

@@ -396,8 +396,8 @@ fn pin_counted_zeros(counts: &mut RatchetCounts, crates: &[String]) {
 /// Source roots of the workspace, as `(dir, crate_name)` pairs.
 ///
 /// `crates/compat/*` is excluded by design: the stubs *stand in for
-/// external crates* (rand, criterion) and legitimately own ambient
-/// clocks and RNG plumbing. `crates/lint/tests/fixtures/` is excluded
+/// external crates* (rand, proptest) and legitimately own ambient
+/// RNG plumbing. `crates/lint/tests/fixtures/` is excluded
 /// because the fixtures deliberately violate every rule.
 fn source_roots(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     let mut roots = vec![

@@ -54,18 +54,21 @@ fn hash_order_fires_on_non_test_mentions_only() {
 }
 
 #[test]
-fn wall_clock_fires_outside_bench_and_honors_allows() {
+fn wall_clock_fires_in_every_crate_and_honors_allows() {
+    let expected = vec![("wall-clock", 3), ("wall-clock", 5), ("wall-clock", 6)];
     let report = lint_fixture("wall_clock.rs", "crates/core/src/fx.rs", "mlcx-core");
-    let diags = hard(&report);
-    assert_eq!(
-        diags,
-        vec![("wall-clock", 3), ("wall-clock", 5), ("wall-clock", 6)]
-    );
+    assert_eq!(hard(&report), expected);
 
-    // The same file inside mlcx-bench is entirely legal (the allow is
-    // then unused — also a finding, proving the rule was scoped off).
-    let bench = lint_fixture("wall_clock.rs", "crates/bench/src/fx.rs", "mlcx-bench");
-    assert_eq!(hard(&bench), vec![("unused-allow", 10)]);
+    // No crate is exempt: the same file under mlcx-bench's `src/` fires
+    // identically.
+    let bench_src = lint_fixture("wall_clock.rs", "crates/bench/src/fx.rs", "mlcx-bench");
+    assert_eq!(hard(&bench_src), expected);
+
+    // Only test-classified code may read the host clock: under
+    // `benches/` the file is legal (the allow is then unused — also a
+    // finding, proving the rule did not fire).
+    let bench_target = lint_fixture("wall_clock.rs", "crates/bench/benches/fx.rs", "mlcx-bench");
+    assert_eq!(hard(&bench_target), vec![("unused-allow", 10)]);
 }
 
 #[test]

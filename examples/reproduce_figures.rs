@@ -1,6 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation section
 //! (Fig. 4 through Fig. 11, the lost ISPP-DV twin of Fig. 7, and the
-//! Section 6.3.2 power ledger) as ASCII tables.
+//! Section 6.3.2 power ledger) plus the three architecture ablations, as
+//! ASCII tables.
 //!
 //! Run with: `cargo run --release --example reproduce_figures`
 //!
@@ -9,9 +10,7 @@
 use std::env;
 use std::fs;
 
-use mlcx::xlayer::experiments::{
-    self, fig04, fig05, fig06, fig07, fig07dv, fig08, fig09, fig10, fig11, power_budget,
-};
+use mlcx::xlayer::experiments::{self, fig04, fig07, fig07dv};
 use mlcx::SubsystemModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,25 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(pos) = args.iter().position(|a| a == "--csv") {
         let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
         fs::create_dir_all(&dir)?;
-        let dump = |name: &str, csv: String| -> std::io::Result<()> {
-            fs::write(format!("{dir}/{name}.csv"), csv)
-        };
-        dump("fig04", fig04::table(&fig04::generate()).to_csv())?;
-        dump("fig05", fig05::table(&fig05::generate(&model)).to_csv())?;
-        dump("fig06", fig06::table(&fig06::generate(&model)).to_csv())?;
-        dump("fig07", fig07::table(&fig07::generate(&model)).to_csv())?;
-        dump(
-            "fig07dv",
-            fig07dv::table(&fig07dv::generate(&model)).to_csv(),
-        )?;
-        dump("fig08", fig08::table(&fig08::generate(&model)).to_csv())?;
-        dump("fig09", fig09::table(&fig09::generate(&model)).to_csv())?;
-        dump("fig10", fig10::table(&fig10::generate(&model)).to_csv())?;
-        dump("fig11", fig11::table(&fig11::generate(&model)).to_csv())?;
-        dump(
-            "power_budget",
-            power_budget::table(&power_budget::generate(&model)).to_csv(),
-        )?;
+        for (stem, _, table) in experiments::tables(&model) {
+            fs::write(format!("{dir}/{stem}.csv"), table.to_csv())?;
+        }
         println!("CSV series written to {dir}/");
     }
     Ok(())
