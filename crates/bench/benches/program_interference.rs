@@ -102,8 +102,8 @@ fn main() {
             "{name} must recover >= 1 decade of victim UBER, got {decades:.2}"
         );
     }
-    assert!(scrub.total_scrub_relocations > 0, "scrub pays in moves");
-    assert!(retry.total_retried_reads > 0, "retry pays in senses");
+    assert!(scrub.counters.scrub_relocations > 0, "scrub pays in moves");
+    assert!(retry.counters.retry_reads > 0, "retry pays in senses");
     assert!(
         retry.read_failures < none.read_failures,
         "retry must recover failing victim reads: {} vs {}",
@@ -111,13 +111,13 @@ fn main() {
         none.read_failures
     );
     // No fault plan on this preset: interference only, zero injections.
-    assert_eq!(none.total_injected_partial_programs, 0);
+    assert_eq!(none.counters.injected_partial_programs, 0);
 
     // The power-loss schedule, pinned by its own preset: programs
     // interrupted, damaged blocks reclaimed under explicit attribution,
     // and the corrupted pages counted as the data loss they are.
     let inj = program_interference(SEED).run().expect("preset must run");
-    assert!(inj.total_injected_partial_programs > 0);
+    assert!(inj.counters.injected_partial_programs > 0);
     let interference_reclaims: u64 = inj
         .service_reports()
         .map(|s| s.ftl.interference_reclaims)
@@ -137,9 +137,9 @@ fn main() {
             victim(report, "hammer").model_interference_rber,
             vv.model_log10_uber_disturbed,
             report.read_failures,
-            report.total_scrub_relocations,
-            report.total_retried_reads,
-            report.total_retry_senses,
+            report.counters.scrub_relocations,
+            report.counters.retry_reads,
+            report.counters.retry_senses,
             vv_none.model_log10_uber_disturbed - vv.model_log10_uber_disturbed,
         );
     }
@@ -147,7 +147,7 @@ fn main() {
         "unmitigated victim lost {decades_lost:.2} decades; scrub recovered \
          {recovered_scrub:.2}, retry {recovered_retry:.2}; power-loss preset injected {} \
          partial programs, {} interference reclaims, {} read failures",
-        inj.total_injected_partial_programs, interference_reclaims, inj.read_failures
+        inj.counters.injected_partial_programs, interference_reclaims, inj.read_failures
     );
 
     let mut record = BenchResult::new(
@@ -160,20 +160,23 @@ fn main() {
         ("read_failures_retry".into(), retry.read_failures as f64),
         (
             "interference_reads_none".into(),
-            none.total_interference_reads as f64,
+            none.counters.interference_reads as f64,
         ),
         (
             "scrub_relocations_scrub".into(),
-            scrub.total_scrub_relocations as f64,
+            scrub.counters.scrub_relocations as f64,
         ),
         (
             "retried_reads_retry".into(),
-            retry.total_retried_reads as f64,
+            retry.counters.retry_reads as f64,
         ),
-        ("retry_senses_retry".into(), retry.total_retry_senses as f64),
+        (
+            "retry_senses_retry".into(),
+            retry.counters.retry_senses as f64,
+        ),
         (
             "injected_partial_programs".into(),
-            inj.total_injected_partial_programs as f64,
+            inj.counters.injected_partial_programs as f64,
         ),
         ("interference_reclaims".into(), interference_reclaims as f64),
         ("read_failures_inj".into(), inj.read_failures as f64),

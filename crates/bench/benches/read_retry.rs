@@ -138,9 +138,9 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
             }
         }
         let batch = engine.last_batch();
-        out.retry_reads += batch.retry_reads;
-        out.retry_senses += batch.retry_senses;
-        out.retry_latency_s += batch.retry_latency_s;
+        out.retry_reads += batch.counters.retry_reads;
+        out.retry_senses += batch.counters.retry_senses;
+        out.retry_latency_s += batch.counters.retry_latency_s;
     }
     let ctrl = engine.controller();
     out.worst_effective_rber = (0..BLOCKS)

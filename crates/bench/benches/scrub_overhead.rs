@@ -163,8 +163,8 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
         }
         let batch = engine.last_batch();
         out.batch_latencies_s.push(batch.parallel_latency_s);
-        out.scrub_relocations += batch.scrub_relocations;
-        out.scrub_erases += batch.scrub_erases;
+        out.scrub_relocations += batch.counters.scrub_relocations;
+        out.scrub_erases += batch.counters.scrub_erases;
     }
     let device = engine.controller().device();
     out.worst_disturb_rber = (0..BLOCKS)

@@ -31,8 +31,11 @@ fn scenario(bucketing: WearBucketing) -> Scenario {
         ..config.geometry
     };
     Scenario::builder()
-        .engine(EngineBuilder::date2012().controller_config(config))
-        .wear_bucketing(bucketing)
+        .engine(
+            EngineBuilder::date2012()
+                .controller_config(config)
+                .wear_bucketing(bucketing),
+        )
         .seed(4096)
         .batch_size(64)
         .prefill(true)

@@ -55,6 +55,7 @@ use std::ops::Range;
 
 use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, ScrubPolicy, WriteReport};
 
+use crate::counters::Counters;
 use crate::error::MlcxError;
 use crate::event::{CompletionEvent, EventQueue, QosSpec, SchedPolicy};
 use crate::fault::{FaultInjector, FaultPlan};
@@ -168,7 +169,7 @@ pub enum Command {
     /// (read + ECC correct at the source's write-time capability, then
     /// re-encode and program at the service's current operating point) —
     /// the relocation primitive of scrub/read-reclaim maintenance.
-    /// Counted under [`BatchReport::scrub_relocations`], not the host
+    /// Counted under [`Counters::scrub_relocations`], not the host
     /// byte counters.
     Relocate {
         /// Issuing service.
@@ -181,8 +182,8 @@ pub enum Command {
     /// Erase a block as scrub maintenance: identical device effect to
     /// [`Command::Erase`] (and it equally resets the block's
     /// read-disturb accumulator), but accounted under
-    /// [`BatchReport::scrub_erases`] so maintenance traffic is
-    /// separable from host traffic.
+    /// [`Counters::scrub_erases`] so maintenance traffic is separable
+    /// from host traffic.
     ScrubErase {
         /// Issuing service.
         service: ServiceHandle,
@@ -267,6 +268,9 @@ pub enum CommandOutput {
         duration_s: f64,
         /// Erase energy, joules.
         energy_j: f64,
+        /// Whether the erase ran as scrub maintenance
+        /// ([`Command::ScrubErase`]) rather than host or GC traffic.
+        scrub: bool,
     },
     /// Trim result.
     Trim {
@@ -288,6 +292,9 @@ pub enum CommandOutput {
         /// Extra read-retry senses the source read needed beyond its
         /// first (0 with retry disabled or a clean first sense).
         retry_senses: u32,
+        /// Latency of those retry senses alone, seconds (already
+        /// included in `latency_s`).
+        retry_latency_s: f64,
         /// Read + write device latency, seconds.
         latency_s: f64,
         /// Read + write energy, joules.
@@ -364,25 +371,9 @@ pub struct BatchReport {
     pub channel_busy_s: f64,
     /// Channels in the topology the batch ran on.
     pub channels: usize,
-    /// Scrub relocations ([`Command::Relocate`]) executed in the batch.
-    pub scrub_relocations: u64,
-    /// Scrub erases ([`Command::ScrubErase`]) executed in the batch.
-    pub scrub_erases: u64,
-    /// Portion of [`BatchReport::device_latency_s`] spent on scrub
-    /// maintenance (relocations + scrub erases) — the device time the
-    /// batch paid for reliability instead of host traffic.
-    pub scrub_latency_s: f64,
-    /// Reads whose first sense was uncorrectable and entered the
-    /// read-retry ladder (0 with retry disabled).
-    pub retry_reads: u64,
-    /// Extra senses the retry ladder issued beyond each read's first.
-    pub retry_senses: u64,
-    /// Retried reads still uncorrectable after the sense budget.
-    pub retry_exhausted: u64,
-    /// Portion of [`BatchReport::device_latency_s`] spent on retry
-    /// senses — the read-latency price of the voltage-domain
-    /// mitigation (already included in `read_latency_s`).
-    pub retry_latency_s: f64,
+    /// Scrub, read-retry, interference and fault-injection counters of
+    /// the batch's successful commands.
+    pub counters: Counters,
     /// Median end-to-end flow latency (completion minus arrival)
     /// across the drain's completions, seconds.
     pub flow_p50_s: f64,
@@ -395,13 +386,6 @@ pub struct BatchReport {
     /// [`QosSpec::deadline_s`] (0 with every deadline at the default
     /// infinity).
     pub deadline_misses: u64,
-    /// Programs the [`crate::FaultPlan`] interrupted mid-staircase this
-    /// batch (0 with injection disabled).
-    pub injected_partial_programs: u64,
-    /// Reads whose page carried a nonzero program-interference RBER
-    /// term (neighbor coupling, die-level program disturb, or a
-    /// partially programmed page) at sense time.
-    pub interference_reads: u64,
 }
 
 impl BatchReport {
@@ -605,10 +589,10 @@ impl EngineBuilder {
     /// [`EngineBuilder::controller_config`], which replaces the whole
     /// configuration including this knob. Retry senses are charged to
     /// the channel scheduler like any read, surface in
-    /// [`BatchReport::retry_senses`]/[`BatchReport::retry_latency_s`],
-    /// and — through the block's learned offset — lower the effective
-    /// disturb RBER the `(wear-bucket, disturb-epoch)` memo derives ECC
-    /// schedules against.
+    /// [`Counters::retry_senses`]/[`Counters::retry_latency_s`], and —
+    /// through the block's learned offset — lower the effective disturb
+    /// RBER the `(wear-bucket, disturb-epoch)` memo derives ECC schedules
+    /// against.
     pub fn retry_policy(mut self, retry: mlcx_controller::retry::RetryPolicy) -> Self {
         self.config.retry = retry;
         self
@@ -895,7 +879,7 @@ impl StorageEngine {
 
     /// Lifetime count of programs the [`FaultPlan`] has interrupted
     /// (across every batch, unlike the per-drain
-    /// [`BatchReport::injected_partial_programs`]).
+    /// [`Counters::injected_partial_programs`]).
     pub fn injected_faults(&self) -> u64 {
         self.fault.injected()
     }
@@ -1172,7 +1156,10 @@ impl StorageEngine {
             let result = self.execute_validated(idx, queued.cmd);
             self.last_batch.commands += 1;
             match &result {
-                Ok(_) => self.last_batch.succeeded += 1,
+                Ok(output) => {
+                    self.last_batch.succeeded += 1;
+                    self.last_batch.counters.record(output);
+                }
                 Err(_) => self.last_batch.failed += 1,
             }
             let (start_s, end_s) = match self.ctrl.scheduler().command_window() {
@@ -1238,24 +1225,6 @@ impl StorageEngine {
             out.push(c);
         }
         out
-    }
-
-    /// Validates and executes one command immediately, bypassing the
-    /// queues — the synchronous convenience path (and, with
-    /// [`WearBucketing::PerPage`], the substrate the retired
-    /// `ServicedStore` shim ran on). Does not touch
-    /// [`StorageEngine::last_batch`] accounting.
-    ///
-    /// # Errors
-    ///
-    /// Validation and datapath errors, as for `sq().submit` + `cq().drain`.
-    pub fn execute(&mut self, cmd: Command) -> Result<CommandOutput, MlcxError> {
-        self.validate(&cmd)?;
-        let idx = cmd.service().index as usize;
-        let mut saved = std::mem::take(&mut self.last_batch);
-        let result = self.execute_validated(idx, cmd);
-        std::mem::swap(&mut self.last_batch, &mut saved);
-        result
     }
 
     /// The worst additive disturb RBER across the slice of a service's
@@ -1325,9 +1294,6 @@ impl StorageEngine {
                     self.ctrl.device_mut().arm_partial_program(fraction);
                 }
                 let report = self.ctrl.write_page(block, page, &data)?;
-                if report.injected_partial {
-                    self.last_batch.injected_partial_programs += 1;
-                }
                 self.last_batch.absorb(report.latency_s, report.energy_j);
                 self.last_batch.write_latency_s += report.latency_s;
                 self.last_batch.bytes_written += data.len();
@@ -1339,17 +1305,6 @@ impl StorageEngine {
                 self.last_batch.absorb(report.latency_s, report.energy_j);
                 self.last_batch.read_latency_s += report.latency_s;
                 self.last_batch.bytes_read += report.data.len();
-                if report.senses > 1 {
-                    self.last_batch.retry_reads += 1;
-                    self.last_batch.retry_senses += u64::from(report.senses - 1);
-                    self.last_batch.retry_latency_s += report.retry_latency_s;
-                    if !report.outcome.is_success() {
-                        self.last_batch.retry_exhausted += 1;
-                    }
-                }
-                if report.interference_rber > 0.0 {
-                    self.last_batch.interference_reads += 1;
-                }
                 let corrected = report.outcome.corrected_bits() as u64;
                 self.last_batch.corrected_bits += corrected;
                 let stats = &mut self.services[idx].stats;
@@ -1357,14 +1312,8 @@ impl StorageEngine {
                 stats.corrected_bits += corrected;
                 Ok(CommandOutput::Read(report))
             }
-            Command::Erase { block, .. } => {
-                let report = self.ctrl.erase_block(block)?;
-                self.last_batch.absorb(report.duration_s, report.energy_j);
-                Ok(CommandOutput::Erase {
-                    duration_s: report.duration_s,
-                    energy_j: report.energy_j,
-                })
-            }
+            Command::Erase { block, .. } => self.erase(block, false),
+            Command::ScrubErase { block, .. } => self.erase(block, true),
             Command::Trim { block, page, .. } => {
                 let was_mapped = self.ctrl.trim_page(block, page);
                 Ok(CommandOutput::Trim { was_mapped })
@@ -1381,14 +1330,6 @@ impl StorageEngine {
             Command::Relocate { from, to, .. } => {
                 let read = self.ctrl.read_page(from.0, from.1)?;
                 self.last_batch.absorb(read.latency_s, read.energy_j);
-                if read.senses > 1 {
-                    self.last_batch.retry_reads += 1;
-                    self.last_batch.retry_senses += u64::from(read.senses - 1);
-                    self.last_batch.retry_latency_s += read.retry_latency_s;
-                    if !read.outcome.is_success() {
-                        self.last_batch.retry_exhausted += 1;
-                    }
-                }
                 let corrected = read.outcome.corrected_bits();
                 self.last_batch.corrected_bits += corrected as u64;
                 let wear = self.ctrl.device().block_cycles(to.0)?.max(1);
@@ -1399,28 +1340,27 @@ impl StorageEngine {
                 self.last_batch.knob_writes += self.ctrl.regs().commands_applied() - before;
                 let write = self.ctrl.write_page(to.0, to.1, &read.data)?;
                 self.last_batch.absorb(write.latency_s, write.energy_j);
-                self.last_batch.scrub_relocations += 1;
-                self.last_batch.scrub_latency_s += read.latency_s + write.latency_s;
                 Ok(CommandOutput::Relocate {
                     corrected_bits: corrected,
                     read_ok: read.outcome.is_success(),
                     retry_senses: read.senses.saturating_sub(1),
+                    retry_latency_s: read.retry_latency_s,
                     latency_s: read.latency_s + write.latency_s,
                     energy_j: read.energy_j + write.energy_j,
                     t_used: write.t_used,
                 })
             }
-            Command::ScrubErase { block, .. } => {
-                let report = self.ctrl.erase_block(block)?;
-                self.last_batch.absorb(report.duration_s, report.energy_j);
-                self.last_batch.scrub_erases += 1;
-                self.last_batch.scrub_latency_s += report.duration_s;
-                Ok(CommandOutput::Erase {
-                    duration_s: report.duration_s,
-                    energy_j: report.energy_j,
-                })
-            }
         }
+    }
+
+    fn erase(&mut self, block: usize, scrub: bool) -> Result<CommandOutput, MlcxError> {
+        let report = self.ctrl.erase_block(block)?;
+        self.last_batch.absorb(report.duration_s, report.energy_j);
+        Ok(CommandOutput::Erase {
+            duration_s: report.duration_s,
+            energy_j: report.energy_j,
+            scrub,
+        })
     }
 }
 
@@ -1563,6 +1503,12 @@ mod tests {
 
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; 4096]
+    }
+
+    /// Submits one command and drains its completion.
+    fn run_one(e: &mut StorageEngine, cmd: Command) -> Result<CommandOutput, MlcxError> {
+        e.sq().submit(&[cmd]).unwrap();
+        e.cq().drain().remove(0).result
     }
 
     #[test]
@@ -1772,7 +1718,7 @@ mod tests {
             .submit(&[Command::erase(a, 0), Command::write(a, 0, 0, page(0))])
             .unwrap();
         e.cq().drain();
-        let relaxed = match e.execute(Command::read(a, 0, 0)).unwrap() {
+        let relaxed = match run_one(&mut e, Command::read(a, 0, 0)).unwrap() {
             CommandOutput::Read(r) => r.t_used,
             _ => unreachable!(),
         };
@@ -1878,9 +1824,9 @@ mod tests {
             ])
             .unwrap();
         e.cq().drain();
-        assert_eq!(e.last_batch().scrub_relocations, 0);
-        assert_eq!(e.last_batch().scrub_erases, 0);
-        assert_eq!(e.last_batch().scrub_latency_s, 0.0);
+        assert_eq!(e.last_batch().counters.scrub_relocations, 0);
+        assert_eq!(e.last_batch().counters.scrub_erases, 0);
+        assert_eq!(e.last_batch().counters.scrub_latency_s, 0.0);
 
         // Relocate the EOL page to block 1, then scrub-erase block 0.
         e.sq()
@@ -1906,14 +1852,14 @@ mod tests {
         }
         assert!(matches!(
             completions[1].result.as_ref().unwrap(),
-            CommandOutput::Erase { .. }
+            CommandOutput::Erase { scrub: true, .. }
         ));
         let batch = *e.last_batch();
-        assert_eq!(batch.scrub_relocations, 1);
-        assert_eq!(batch.scrub_erases, 1);
-        assert!(batch.scrub_latency_s > 0.0);
+        assert_eq!(batch.counters.scrub_relocations, 1);
+        assert_eq!(batch.counters.scrub_erases, 1);
+        assert!(batch.counters.scrub_latency_s > 0.0);
         assert!(
-            (batch.scrub_latency_s - batch.device_latency_s).abs() < 1e-12,
+            (batch.counters.scrub_latency_s - batch.device_latency_s).abs() < 1e-12,
             "an all-maintenance batch is pure scrub time"
         );
         // Maintenance does not count as host payload.
@@ -1925,7 +1871,7 @@ mod tests {
             0
         );
         // The relocated data reads back from the destination.
-        match e.execute(Command::read(a, 1, 0)).unwrap() {
+        match run_one(&mut e, Command::read(a, 1, 0)).unwrap() {
             CommandOutput::Read(r) => {
                 assert!(r.outcome.is_success());
                 assert_eq!(r.data, page(0x5A));
@@ -1933,7 +1879,7 @@ mod tests {
             other => panic!("expected read output, got {other:?}"),
         }
         // The old slot's metadata is gone.
-        assert!(e.execute(Command::read(a, 0, 0)).is_err());
+        assert!(run_one(&mut e, Command::read(a, 0, 0)).is_err());
     }
 
     #[test]
@@ -2090,11 +2036,11 @@ mod tests {
         assert!(r.outcome.is_success() && r.data == data);
         assert!(r.senses > 1);
         let batch = e.last_batch();
-        assert_eq!(batch.retry_reads, 1);
-        assert_eq!(batch.retry_senses, u64::from(r.senses - 1));
-        assert_eq!(batch.retry_exhausted, 0);
-        assert!(batch.retry_latency_s > 0.0);
-        assert!(batch.read_latency_s >= batch.retry_latency_s);
+        assert_eq!(batch.counters.retry_reads, 1);
+        assert_eq!(batch.counters.retry_senses, u64::from(r.senses - 1));
+        assert_eq!(batch.counters.retry_exhausted, 0);
+        assert!(batch.counters.retry_latency_s > 0.0);
+        assert!(batch.read_latency_s >= batch.counters.retry_latency_s);
 
         // The learned offset flows into derivation: the effective
         // region disturb RBER is now the recovered figure, so a point
@@ -2109,8 +2055,11 @@ mod tests {
         e.sq().submit(&[Command::read(svc, 0, 0)]).unwrap();
         assert!(e.cq().drain().iter().all(|c| c.result.is_ok()));
         let batch = e.last_batch();
-        assert_eq!((batch.retry_reads, batch.retry_senses), (0, 0));
-        assert_eq!(batch.retry_latency_s, 0.0);
+        assert_eq!(
+            (batch.counters.retry_reads, batch.counters.retry_senses),
+            (0, 0)
+        );
+        assert_eq!(batch.counters.retry_latency_s, 0.0);
     }
 
     #[test]
@@ -2408,18 +2357,18 @@ mod tests {
         // so the last-written page alone reads interference-free).
         let mut quiet = build(0.0);
         let (w, r) = run(&mut quiet);
-        assert_eq!(w.injected_partial_programs, 0);
+        assert_eq!(w.counters.injected_partial_programs, 0);
         assert_eq!(quiet.injected_faults(), 0);
         assert!(!quiet.fault_plan().is_enabled());
-        assert_eq!(r.interference_reads, 3);
+        assert_eq!(r.counters.interference_reads, 3);
 
         // Unit-rate plan: every host program is interrupted halfway, so
         // every page reads back with a partial-program RBER term.
         let mut noisy = build(1.0);
         let (w, r) = run(&mut noisy);
-        assert_eq!(w.injected_partial_programs, 4);
+        assert_eq!(w.counters.injected_partial_programs, 4);
         assert_eq!(noisy.injected_faults(), 4);
-        assert_eq!(r.interference_reads, 4);
+        assert_eq!(r.counters.interference_reads, 4);
 
         // The schedule is a pure function of the plan's seed.
         let mut again = build(1.0);

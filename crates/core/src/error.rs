@@ -22,8 +22,7 @@ use crate::services::ServiceError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MlcxError {
-    /// Service-directory violation (overlap, unknown service, region
-    /// bounds).
+    /// Service-directory violation (overlap, region bounds).
     Service(ServiceError),
     /// Memory-controller datapath or configuration failure.
     Ctrl(CtrlError),
@@ -62,8 +61,8 @@ pub enum MlcxError {
         /// The configured queue depth.
         depth: usize,
     },
-    /// An internal invariant failed (a scheduler bookkeeping mismatch,
-    /// a poisoned frontend lock). Formerly a `panic!`/`expect` on the
+    /// An internal invariant failed (a scheduler or workload-runner
+    /// bookkeeping mismatch). Formerly a `panic!`/`expect` on the
     /// datapath; surfaced as a typed error so hosts can fail one run
     /// instead of the whole process.
     Internal {
@@ -120,12 +119,7 @@ impl Error for MlcxError {
 
 impl From<ServiceError> for MlcxError {
     fn from(e: ServiceError) -> Self {
-        // A propagated controller error is a datapath fact, not a
-        // directory fact: surface it under its own variant.
-        match e {
-            ServiceError::Ctrl(c) => MlcxError::Ctrl(c),
-            other => MlcxError::Service(other),
-        }
+        MlcxError::Service(e)
     }
 }
 
@@ -171,16 +165,5 @@ mod tests {
         let handle = MlcxError::UnknownHandle { handle: 9 };
         assert!(handle.source().is_none());
         assert!(handle.to_string().contains("#9"));
-    }
-
-    #[test]
-    fn service_ctrl_errors_normalize_to_ctrl() {
-        let e = MlcxError::from(ServiceError::Ctrl(CtrlError::UnknownPageConfig {
-            block: 1,
-            page: 2,
-        }));
-        assert!(matches!(e, MlcxError::Ctrl(_)));
-        let e = MlcxError::from(ServiceError::UnknownService { name: "x".into() });
-        assert!(matches!(e, MlcxError::Service(_)));
     }
 }

@@ -16,9 +16,9 @@
 //! * [`fault`] — deterministic fault injection: [`FaultPlan`] schedules
 //!   partial-program (power-loss) interruptions over the engine's
 //!   program stream from its own seeded RNG.
-//! * [`frontend`] — [`HostFrontend`]: N concurrent host submitters
-//!   (plain threads) over one engine, with backpressure-aware
-//!   submission.
+//! * [`counters`] — [`Counters`]: the scrub / retry / interference /
+//!   fault event counters every report carries, declared once, derived
+//!   from a command's output in one place and summed by one `absorb`.
 //! * [`uber`] — eq. (1) of the paper: the uncorrectable bit error rate of
 //!   a `t`-error-correcting page code at a given RBER, in log domain, and
 //!   the required-`t` solver that drives every ECC schedule.
@@ -57,17 +57,18 @@
 mod error;
 mod model;
 
+pub mod counters;
 pub mod engine;
 pub mod event;
 pub mod experiments;
 pub mod fault;
-pub mod frontend;
 pub mod policy;
 pub mod report;
 pub mod services;
 pub mod sim;
 pub mod uber;
 
+pub use counters::Counters;
 pub use engine::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, EngineBuilder,
     ServiceHandle, StorageEngine, SubmissionQueue, WearBucketing,
@@ -75,7 +76,6 @@ pub use engine::{
 pub use error::MlcxError;
 pub use event::{QosSpec, SchedPolicy};
 pub use fault::{FaultInjector, FaultPlan};
-pub use frontend::{HostFrontend, Submitter};
 pub use model::{Metrics, OperatingPoint, SubsystemModel, SubsystemModelBuilder};
 pub use policy::Objective;
 pub use services::{ServiceError, ServiceRegion, ServiceStats};

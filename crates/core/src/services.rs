@@ -12,14 +12,12 @@
 //! The original synchronous per-page facade (`ServicedStore`) has been
 //! retired: drive the engine's typed submission/completion queues
 //! ([`StorageEngine::sq`](crate::engine::StorageEngine::sq) /
-//! [`StorageEngine::cq`](crate::engine::StorageEngine::cq)), or its
-//! synchronous [`execute`](crate::engine::StorageEngine::execute) for
-//! one-off per-page calls. The migration table in `EXPERIMENTS.md` maps
-//! each retired call to its replacement.
+//! [`StorageEngine::cq`](crate::engine::StorageEngine::cq)) — a one-off
+//! per-page call is a one-command submit followed by a drain. The
+//! migration table in `EXPERIMENTS.md` maps each retired call to its
+//! replacement.
 
 use std::ops::Range;
-
-use mlcx_controller::CtrlError;
 
 use crate::policy::Objective;
 
@@ -45,11 +43,6 @@ pub enum ServiceError {
         /// The new region that collides with it.
         incoming: String,
     },
-    /// No region has the requested name.
-    UnknownService {
-        /// The name that failed to resolve.
-        name: String,
-    },
     /// A page address fell outside the region.
     OutOfRegion {
         /// The service name.
@@ -57,8 +50,6 @@ pub enum ServiceError {
         /// The offending block.
         block: usize,
     },
-    /// Propagated controller error.
-    Ctrl(CtrlError),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -67,35 +58,14 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Overlap { existing, incoming } => {
                 write!(f, "region {incoming} overlaps existing region {existing}")
             }
-            ServiceError::UnknownService { name } => write!(f, "unknown service {name}"),
             ServiceError::OutOfRegion { name, block } => {
                 write!(f, "block {block} outside region {name}")
             }
-            ServiceError::Ctrl(e) => write!(f, "controller: {e}"),
         }
     }
 }
 
-impl std::error::Error for ServiceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServiceError::Ctrl(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CtrlError> for ServiceError {
-    fn from(e: CtrlError) -> Self {
-        ServiceError::Ctrl(e)
-    }
-}
-
-impl From<mlcx_nand::NandError> for ServiceError {
-    fn from(e: mlcx_nand::NandError) -> Self {
-        ServiceError::Ctrl(CtrlError::Nand(e))
-    }
-}
+impl std::error::Error for ServiceError {}
 
 /// Per-service traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -124,16 +94,5 @@ mod tests {
             block: 9,
         };
         assert_eq!(e.to_string(), "block 9 outside region media");
-    }
-
-    #[test]
-    fn nand_errors_wrap_through_ctrl() {
-        use std::error::Error;
-        let e = ServiceError::from(mlcx_nand::NandError::BlockOutOfRange {
-            block: 3,
-            blocks: 2,
-        });
-        assert!(matches!(e, ServiceError::Ctrl(CtrlError::Nand(_))));
-        assert!(e.source().is_some());
     }
 }

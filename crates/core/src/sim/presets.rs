@@ -101,9 +101,17 @@ pub fn channel_contention(seed: u64) -> Scenario {
 /// recovers that margin at a measured relocation/erase/device-time
 /// cost. Run both arms with the same seed to quantify the trade-off.
 pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
-    let mut builder = Scenario::builder()
-        .engine(engine_with(16, Topology::single()))
-        .disturb_model(DisturbModel::date2012())
+    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel::date2012());
+    if scrub {
+        engine = engine.scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: 5_000.0,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        });
+    }
+    Scenario::builder()
+        .engine(engine)
         .seed(seed)
         .batch_size(24)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
@@ -115,16 +123,7 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
         // Write the working set at EOL wear, then park it.
         .phase_with_elapsed("write", 120, 0, 20_000.0)
         // Serve read-hot traffic against the parked data.
-        .phase("serve", 280, 0);
-    if scrub {
-        builder = builder.scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: 5_000.0,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    builder
+        .phase("serve", 280, 0)
         .build()
         .expect("retention-stress preset must validate")
 }
@@ -140,15 +139,23 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
 /// exactly as arXiv:1706.08642's read-reclaim describes — before the
 /// disturb RBER can stack onto the end-of-life endurance floor.
 pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
-    let mut builder = Scenario::builder()
-        .engine(engine_with(16, Topology::single()))
-        .disturb_model(DisturbModel {
-            // Demo-scaled: the date2012 per-read constant needs ~100k
-            // reads to matter; 3e-6 reaches the same disturb RBER in
-            // the ~100 reads a preset-sized trace can issue.
-            read_disturb_per_read: 3e-6,
-            ..DisturbModel::disabled()
-        })
+    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
+        // Demo-scaled: the date2012 per-read constant needs ~100k
+        // reads to matter; 3e-6 reaches the same disturb RBER in
+        // the ~100 reads a preset-sized trace can issue.
+        read_disturb_per_read: 3e-6,
+        ..DisturbModel::disabled()
+    });
+    if scrub {
+        engine = engine.scrub_policy(ScrubPolicy {
+            read_threshold: 40,
+            retention_age_hours: f64::INFINITY,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        });
+    }
+    Scenario::builder()
+        .engine(engine)
         .seed(seed)
         .batch_size(24)
         // A small working set concentrates the reads on few blocks.
@@ -160,16 +167,9 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
             TraceKind::ReadMostly { read_ratio: 0.95 },
         )
         .phase("burn", 0, 1_000_000)
-        .phase("hammer", 500, 0);
-    if scrub {
-        builder = builder.scrub_policy(ScrubPolicy {
-            read_threshold: 40,
-            retention_age_hours: f64::INFINITY,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    builder.build().expect("read-reclaim preset must validate")
+        .phase("hammer", 500, 0)
+        .build()
+        .expect("read-reclaim preset must validate")
 }
 
 /// Multi-tenant QoS storm: `n_tenants` read-mostly tenants (at least
@@ -195,11 +195,10 @@ pub fn tenant_storm(seed: u64, n_tenants: usize) -> Scenario {
     let n_tenants = n_tenants.max(1);
     let blocks_per_tenant = 2;
     let mut builder = Scenario::builder()
-        .engine(engine_with(
-            n_tenants * blocks_per_tenant,
-            Topology::single(),
-        ))
-        .sched_policy(SchedPolicy::WeightedFair)
+        .engine(
+            engine_with(n_tenants * blocks_per_tenant, Topology::single())
+                .sched_policy(SchedPolicy::WeightedFair),
+        )
         .seed(seed)
         .batch_size(64)
         // A tiny per-tenant working set keeps the prefill proportional
@@ -278,22 +277,33 @@ impl MitigationMode {
 /// * [`MitigationMode::Both`] — retry absorbs errors between scrub
 ///   passes; scrub bounds how far the ladder must reach.
 pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
-    let mut builder = Scenario::builder()
-        .engine(engine_with(16, Topology::single()))
-        .disturb_model(DisturbModel {
-            // Demo-scaled retention, independent of program-time wear
-            // (exponent 0) so the prefilled data ages at full rate:
-            // ~1.5e-3 additive RBER after the park (~50 raw errors per
-            // codeword — uncorrectable at the fresh-wear schedule),
-            // with a step size that puts the Vth shift almost exactly
-            // two reference steps out, squarely on a date2012 ladder
-            // rung.
-            retention_scale: 3.5e-4,
-            retention_wear_exponent: 0.0,
-            rber_per_step: 7.5e-4,
-            offset_residual_fraction: 0.01,
-            ..DisturbModel::disabled()
-        })
+    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
+        // Demo-scaled retention, independent of program-time wear
+        // (exponent 0) so the prefilled data ages at full rate:
+        // ~1.5e-3 additive RBER after the park (~50 raw errors per
+        // codeword — uncorrectable at the fresh-wear schedule),
+        // with a step size that puts the Vth shift almost exactly
+        // two reference steps out, squarely on a date2012 ladder
+        // rung.
+        retention_scale: 3.5e-4,
+        retention_wear_exponent: 0.0,
+        rber_per_step: 7.5e-4,
+        offset_residual_fraction: 0.01,
+        ..DisturbModel::disabled()
+    });
+    if mode.scrub() {
+        engine = engine.scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: 5_000.0,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        });
+    }
+    if mode.retry() {
+        engine = engine.retry_policy(RetryPolicy::date2012());
+    }
+    Scenario::builder()
+        .engine(engine)
         .seed(seed)
         .batch_size(24)
         // A small working set: the prefill packs it into a few blocks
@@ -309,19 +319,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
         // Park the prefilled working set ~2.3 years.
         .phase_with_elapsed("park", 0, 0, 20_000.0)
         // Serve pure read traffic against the parked data.
-        .phase("serve", 280, 0);
-    if mode.scrub() {
-        builder = builder.scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: 5_000.0,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    if mode.retry() {
-        builder = builder.retry_policy(RetryPolicy::date2012());
-    }
-    builder
+        .phase("serve", 280, 0)
         .build()
         .expect("scrub-vs-retry preset must validate")
 }
@@ -343,8 +341,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
 /// corruption — so unlike the other presets, a run is *expected* to
 /// report failures. The preset exists to count them deterministically.
 pub fn program_interference(seed: u64) -> Scenario {
-    Scenario::builder()
-        .engine(engine_with(16, Topology::single()))
+    let engine = engine_with(16, Topology::single())
         .disturb_model(DisturbModel {
             // Demo-scaled: the date2012 coupling constant needs ~200
             // neighbour events per page to matter; 1e-4 per event shows
@@ -364,7 +361,9 @@ pub fn program_interference(seed: u64) -> Scenario {
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: 2e-3,
             max_blocks_per_pass: 2,
-        })
+        });
+    Scenario::builder()
+        .engine(engine)
         .seed(seed)
         .batch_size(24)
         .utilization(0.5)
@@ -400,22 +399,33 @@ pub fn program_interference(seed: u64) -> Scenario {
 /// * [`MitigationMode::Both`] — retry absorbs the shift between scrub
 ///   passes.
 pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
-    let mut builder = Scenario::builder()
-        .engine(engine_with(16, Topology::single()))
-        .disturb_model(DisturbModel {
-            // Demo-scaled: the date2012 per-program constant needs ~100k
-            // programs on the die to matter; 4e-6 reaches a schedule-
-            // breaking victim RBER within the few hundred programs a
-            // preset-sized burst trace issues. The step size puts the
-            // end-of-run shift almost exactly two reference rungs out —
-            // squarely on the date2012 ladder — and the residual keeps
-            // the tracked optimum clean.
-            program_disturb_per_program: 4e-6,
-            program_coupling_rber: 1e-5,
-            rber_per_step: 5e-4,
-            offset_residual_fraction: 0.01,
-            ..DisturbModel::disabled()
-        })
+    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
+        // Demo-scaled: the date2012 per-program constant needs ~100k
+        // programs on the die to matter; 4e-6 reaches a schedule-
+        // breaking victim RBER within the few hundred programs a
+        // preset-sized burst trace issues. The step size puts the
+        // end-of-run shift almost exactly two reference rungs out —
+        // squarely on the date2012 ladder — and the residual keeps
+        // the tracked optimum clean.
+        program_disturb_per_program: 4e-6,
+        program_coupling_rber: 1e-5,
+        rber_per_step: 5e-4,
+        offset_residual_fraction: 0.01,
+        ..DisturbModel::disabled()
+    });
+    if mode.scrub() {
+        engine = engine.scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: f64::INFINITY,
+            interference_rber_threshold: 7.5e-4,
+            max_blocks_per_pass: 2,
+        });
+    }
+    if mode.retry() {
+        engine = engine.retry_policy(RetryPolicy::date2012());
+    }
+    Scenario::builder()
+        .engine(engine)
         .seed(seed)
         .batch_size(24)
         // Small working sets: the victim's parked data packs into a few
@@ -434,19 +444,7 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
             8..16,
             TraceKind::ReadMostly { read_ratio: 1.0 },
         )
-        .phase("hammer", 280, 0);
-    if mode.scrub() {
-        builder = builder.scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: f64::INFINITY,
-            interference_rber_threshold: 7.5e-4,
-            max_blocks_per_pass: 2,
-        });
-    }
-    if mode.retry() {
-        builder = builder.retry_policy(RetryPolicy::date2012());
-    }
-    builder
+        .phase("hammer", 280, 0)
         .build()
         // mlcx-lint: allow(datapath-unwrap, reason = "preset constructor; invalid preset is a programming error")
         .expect("write-hammer preset must validate")
@@ -517,9 +515,9 @@ mod tests {
             assert_eq!(report.integrity_violations, 0);
             assert_eq!(report.read_failures, 0);
         }
-        assert_eq!(off.total_scrub_relocations, 0);
-        assert!(on.total_scrub_relocations > 0, "scrubber must have run");
-        assert!(on.total_scrub_erases > 0);
+        assert_eq!(off.counters.scrub_relocations, 0);
+        assert!(on.counters.scrub_relocations > 0, "scrubber must have run");
+        assert!(on.counters.scrub_erases > 0);
 
         let s_off = &phase(&off, "serve").services[0];
         let s_on = &phase(&on, "serve").services[0];
@@ -543,7 +541,7 @@ mod tests {
         // reads/writes + erases competing with host traffic).
         let cost = phase(&on, "serve").device_time_s - phase(&off, "serve").device_time_s;
         assert!(cost > 0.0, "scrub traffic must cost device time");
-        assert!(s_on.scrub_relocations > 0 && s_on.scrub_erases > 0);
+        assert!(s_on.counters.scrub_relocations > 0 && s_on.counters.scrub_erases > 0);
 
         // Determinism: both arms are fixed functions of the seed.
         assert_eq!(off, retention_stress(7, false).run().unwrap());
@@ -567,7 +565,7 @@ mod tests {
             "hot blocks must accumulate read disturb: {:e}",
             s_off.model_disturb_rber
         );
-        assert!(on.total_scrub_relocations + on.total_scrub_erases > 0);
+        assert!(on.counters.scrub_relocations + on.counters.scrub_erases > 0);
         // Read-reclaim keeps the worst block's disturb bounded near the
         // threshold instead of growing with the hammer.
         assert!(
@@ -619,14 +617,20 @@ mod tests {
         // Unmitigated, the parked data genuinely fails: this preset is
         // harsher than retention_stress on purpose.
         assert!(none.read_failures > 0, "none arm must see failed reads");
-        assert_eq!(none.total_retried_reads, 0);
-        assert_eq!(none.total_scrub_relocations + none.total_scrub_erases, 0);
+        assert_eq!(none.counters.retry_reads, 0);
+        assert_eq!(
+            none.counters.scrub_relocations + none.counters.scrub_erases,
+            0
+        );
 
         // Retry-only moves no data at all...
-        assert_eq!(retry.total_scrub_relocations, 0);
-        assert_eq!(retry.total_scrub_erases, 0);
-        assert!(retry.total_retried_reads > 0, "the ladder must have walked");
-        assert!(retry.total_retry_senses >= retry.total_retried_reads);
+        assert_eq!(retry.counters.scrub_relocations, 0);
+        assert_eq!(retry.counters.scrub_erases, 0);
+        assert!(
+            retry.counters.retry_reads > 0,
+            "the ladder must have walked"
+        );
+        assert!(retry.counters.retry_senses >= retry.counters.retry_reads);
         // ...and recovers the reads the none arm lost.
         assert!(
             retry.read_failures < none.read_failures / 4,
@@ -652,15 +656,18 @@ mod tests {
         );
         // The price is read latency: extra senses, accounted per read.
         let s_retry = &phase(&retry, "serve").services[0];
-        assert!(s_retry.retry_latency_s > 0.0);
-        assert!(s_retry.retried_reads > 0);
+        assert!(s_retry.counters.retry_latency_s > 0.0);
+        assert!(s_retry.counters.retry_reads > 0);
 
         // Scrub-only pays in data movement: relocation writes and
         // erases against a workload that itself writes nothing — pure
         // write amplification, where retry moved no data at all.
-        assert!(scrub.total_scrub_relocations > 0, "scrubber must have run");
-        assert!(scrub.total_scrub_erases > 0);
-        assert_eq!(scrub.total_retried_reads, 0);
+        assert!(
+            scrub.counters.scrub_relocations > 0,
+            "scrubber must have run"
+        );
+        assert!(scrub.counters.scrub_erases > 0);
+        assert_eq!(scrub.counters.retry_reads, 0);
         assert!(
             scrub.read_failures < none.read_failures,
             "scrub must stem the failures once it has swept: {} vs {}",
@@ -669,7 +676,7 @@ mod tests {
         );
 
         // Both together: retry absorbs what scrub hasn't reached yet.
-        assert!(both.total_scrub_relocations > 0);
+        assert!(both.counters.scrub_relocations > 0);
         assert!(both.read_failures <= retry.read_failures);
 
         // Determinism: every arm is a fixed function of the seed.
@@ -687,10 +694,10 @@ mod tests {
         // at read time, and the interference-pressure scrubber reclaimed
         // the damaged blocks with explicit attribution.
         assert!(
-            report.total_injected_partial_programs > 0,
+            report.counters.injected_partial_programs > 0,
             "the 2% schedule must interrupt some of the preset's programs"
         );
-        assert!(report.total_interference_reads > 0);
+        assert!(report.counters.interference_reads > 0);
         let interference_reclaims: u64 = report
             .service_reports()
             .map(|s| s.ftl.interference_reclaims)
@@ -699,13 +706,13 @@ mod tests {
             interference_reclaims > 0,
             "partially-programmed pages must press blocks past the scrub threshold"
         );
-        assert!(report.total_scrub_relocations + report.total_scrub_erases > 0);
+        assert!(report.counters.scrub_relocations + report.counters.scrub_erases > 0);
         // Power loss without end-to-end protection is data loss: the
         // interrupted pages fail ECC deterministically.
         assert!(report.read_failures > 0);
         let churn = &phase(&report, "churn").services[0];
         assert!(churn.model_interference_rber > 0.0);
-        assert!(churn.injected_partial_programs > 0);
+        assert!(churn.counters.injected_partial_programs > 0);
         // Determinism: the preset is a fixed function of its seed.
         assert_eq!(report, program_interference(7).run().unwrap());
     }
@@ -733,10 +740,10 @@ mod tests {
             "attacker must press the victim: {:e}",
             v_none.model_interference_rber
         );
-        assert!(v_none.interference_reads > 0);
+        assert!(v_none.counters.interference_reads > 0);
         assert!(v_none.read_failures > 0, "victim reads must start failing");
         assert_eq!(v_none.writes, 0, "the victim is read-only by design");
-        assert!(none.total_injected_partial_programs == 0);
+        assert!(none.counters.injected_partial_programs == 0);
 
         // The damage in UBER terms, measured at the closing sweep: the
         // victim loses more than a decade, and either mitigation alone
@@ -756,10 +763,19 @@ mod tests {
         }
 
         // Each mitigation pays in its own currency.
-        assert!(scrub.total_scrub_relocations > 0, "scrubber must have run");
-        assert_eq!(scrub.total_retried_reads, 0);
-        assert!(retry.total_retried_reads > 0, "the ladder must have walked");
-        assert_eq!(retry.total_scrub_relocations + retry.total_scrub_erases, 0);
+        assert!(
+            scrub.counters.scrub_relocations > 0,
+            "scrubber must have run"
+        );
+        assert_eq!(scrub.counters.retry_reads, 0);
+        assert!(
+            retry.counters.retry_reads > 0,
+            "the ladder must have walked"
+        );
+        assert_eq!(
+            retry.counters.scrub_relocations + retry.counters.scrub_erases,
+            0
+        );
         assert!(
             retry.read_failures < none.read_failures,
             "retry must recover failing victim reads: {} vs {}",

@@ -4,13 +4,14 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mlcx_controller::ftl::{FtlOp, FtlStats, LogicalMap};
-use mlcx_controller::scrub::{ScrubPolicy, Scrubber};
+use mlcx_controller::scrub::Scrubber;
 
+use crate::counters::Counters;
 use crate::engine::{
-    Command, CommandOutput, Completion, EngineBuilder, ServiceHandle, StorageEngine, WearBucketing,
+    Command, CommandOutput, Completion, EngineBuilder, ServiceHandle, StorageEngine,
 };
 use crate::error::MlcxError;
-use crate::event::{QosSpec, SchedPolicy};
+use crate::event::QosSpec;
 use crate::policy::Objective;
 use crate::report::{fixed2, sci, Table};
 use crate::sim::trace::{TraceGenerator, TraceKind, TraceOp};
@@ -159,26 +160,9 @@ pub struct ServicePhaseReport {
     /// equals [`ServicePhaseReport::model_log10_uber`] when disturb is
     /// disabled or fully scrubbed away.
     pub model_log10_uber_disturbed: f64,
-    /// Scrub relocations executed for this service this phase.
-    pub scrub_relocations: u64,
-    /// Scrub erases executed for this service this phase.
-    pub scrub_erases: u64,
-    /// Reads (host, GC, or scrub-relocate source) whose first sense was
-    /// uncorrectable and entered the retry ladder this phase.
-    pub retried_reads: u64,
-    /// Extra read-retry senses beyond each read's first this phase.
-    pub retry_senses: u64,
-    /// Extra device time the retry senses cost this phase, seconds
-    /// (already included in the read latencies).
-    pub retry_latency_s: f64,
-    /// Reads (host or GC) whose page carried a nonzero
-    /// program-interference RBER term — neighbor coupling, die-level
-    /// program disturb, or a partially programmed page — at sense time.
-    /// 0 under the default disabled interference model.
-    pub interference_reads: u64,
-    /// Programs of this service the engine's fault-injection schedule
-    /// interrupted mid-staircase this phase (0 with injection disabled).
-    pub injected_partial_programs: u64,
+    /// Scrub, read-retry, interference and fault-injection counters of
+    /// this service's commands (host, GC and scrub) this phase.
+    pub counters: Counters,
     /// Worst program-interference RBER across the service's blocks at
     /// phase end — the pressure the scrub candidate scan sees; 0 under
     /// the default disabled interference model.
@@ -221,27 +205,8 @@ pub struct PhaseReport {
     pub op_cache_misses: u64,
     /// Configuration register writes actually issued.
     pub knob_writes: u64,
-    /// Scrub relocations executed across every service this phase.
-    pub scrub_relocations: u64,
-    /// Scrub erases executed across every service this phase.
-    pub scrub_erases: u64,
-    /// Reads that entered the retry ladder across every service this
-    /// phase.
-    pub retried_reads: u64,
-    /// Extra read-retry senses across every service this phase.
-    pub retry_senses: u64,
-    /// Reads that carried a nonzero interference RBER term across every
-    /// service this phase.
-    pub interference_reads: u64,
-    /// Programs the fault-injection schedule interrupted across every
-    /// service this phase.
-    pub injected_partial_programs: u64,
-}
-
-impl PhaseReport {
-    fn totals(services: &[ServicePhaseReport]) -> f64 {
-        services.iter().map(|s| s.energy_j).sum()
-    }
+    /// The [`Counters::absorb`] fold of every service's counters.
+    pub counters: Counters,
 }
 
 /// The full record of one scenario run.
@@ -259,7 +224,8 @@ pub struct ScenarioReport {
     /// Total modeled energy, joules.
     pub total_energy_j: f64,
     /// Operating points derived from the model across the whole run
-    /// (the memoization pressure a [`WearBucketing`] policy absorbs).
+    /// (the memoization pressure a
+    /// [`WearBucketing`](crate::engine::WearBucketing) policy absorbs).
     pub op_cache_misses: u64,
     /// Operating points served from the engine's memo cache.
     pub op_cache_hits: u64,
@@ -269,22 +235,10 @@ pub struct ScenarioReport {
     pub integrity_violations: u64,
     /// ECC decode failures across all phases.
     pub read_failures: usize,
-    /// Scrub relocations executed across the whole run.
-    pub total_scrub_relocations: u64,
-    /// Scrub erases executed across the whole run.
-    pub total_scrub_erases: u64,
-    /// Reads that entered the retry ladder across the whole run.
-    pub total_retried_reads: u64,
-    /// Extra read-retry senses across the whole run (the latency-domain
-    /// price of recovery, where scrub's is
-    /// [`ScenarioReport::total_scrub_relocations`]).
-    pub total_retry_senses: u64,
-    /// Reads that carried a nonzero interference RBER term across the
-    /// whole run (0 under the default disabled interference model).
-    pub total_interference_reads: u64,
-    /// Programs the fault-injection schedule interrupted across the
-    /// whole run (0 with injection disabled).
-    pub total_injected_partial_programs: u64,
+    /// The [`Counters::absorb`] fold of every phase's counters: retry
+    /// senses are the latency-domain price of recovery, scrub
+    /// relocations and erases the data-movement one.
+    pub counters: Counters,
 }
 
 impl ScenarioReport {
@@ -330,6 +284,7 @@ impl ScenarioReport {
         ]);
         for phase in &self.phases {
             for s in &phase.services {
+                let c = &s.counters;
                 t.row(vec![
                     phase.name.clone(),
                     s.service.clone(),
@@ -347,15 +302,16 @@ impl ScenarioReport {
                     sci(s.model_disturb_rber),
                     fixed2(s.model_log10_uber),
                     fixed2(s.model_log10_uber_disturbed),
-                    format!("{}r/{}e", s.scrub_relocations, s.scrub_erases),
-                    format!("{}r/{}s", s.retried_reads, s.retry_senses),
+                    format!("{}r/{}e", c.scrub_relocations, c.scrub_erases),
+                    format!("{}r/{}s", c.retry_reads, c.retry_senses),
                     sci(s.model_interference_rber),
-                    format!("{}r/{}i", s.interference_reads, s.injected_partial_programs),
+                    format!("{}r/{}i", c.interference_reads, c.injected_partial_programs),
                     s.max_wear.to_string(),
                 ]);
             }
         }
         let mut out = t.render();
+        let c = &self.counters;
         out.push_str(&format!(
             "total: {} commands, {:.3} ms device time ({:.3} ms overlapped, {:.2}x parallel), {:.3} mJ, {} pages verified, {} integrity violations, {} scrub relocations, {} scrub erases, {} retried reads, {} retry senses, {} interference reads, {} injected partial programs\n",
             self.total_commands,
@@ -365,12 +321,12 @@ impl ScenarioReport {
             self.total_energy_j * 1e3,
             self.verified_pages,
             self.integrity_violations,
-            self.total_scrub_relocations,
-            self.total_scrub_erases,
-            self.total_retried_reads,
-            self.total_retry_senses,
-            self.total_interference_reads,
-            self.total_injected_partial_programs,
+            c.scrub_relocations,
+            c.scrub_erases,
+            c.retry_reads,
+            c.retry_senses,
+            c.interference_reads,
+            c.injected_partial_programs,
         ));
         out
     }
@@ -477,17 +433,15 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Overrides the engine configuration (geometry, model, wear
-    /// bucketing). The scenario's [`ScenarioBuilder::seed`] is applied
-    /// on top at run time.
+    /// Overrides the engine configuration: geometry, model, wear
+    /// bucketing, dispatch policy, and the disturb, fault, scrub and
+    /// retry knobs all live on the [`EngineBuilder`]. An enabled scrub
+    /// policy gives every service its own `Scrubber`, whose
+    /// relocate+erase maintenance is compiled into the same command
+    /// batches as host traffic. The scenario's [`ScenarioBuilder::seed`]
+    /// is applied on top at run time.
     pub fn engine(mut self, engine: EngineBuilder) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the engine's operating-point memoization policy.
-    pub fn wear_bucketing(mut self, bucketing: WearBucketing) -> Self {
-        self.engine = self.engine.wear_bucketing(bucketing);
         self
     }
 
@@ -538,8 +492,8 @@ impl ScenarioBuilder {
     }
 
     /// Adds a service with an explicit QoS contract — weighted-fair
-    /// share, deadline and bounded queue depth under the scenario's
-    /// dispatch policy (see [`ScenarioBuilder::sched_policy`]).
+    /// share, deadline and bounded queue depth under the engine's
+    /// dispatch policy (see [`EngineBuilder::sched_policy`]).
     pub fn service_with_qos(
         mut self,
         name: &str,
@@ -613,62 +567,6 @@ impl ScenarioBuilder {
             die_skew: die_skew.to_vec(),
             elapsed_hours: 0.0,
         });
-        self
-    }
-
-    /// Installs a read-disturb / retention model on the device (default
-    /// disabled — the paper's evaluation conditions). The knob lives on
-    /// the inner engine builder, so call this *after*
-    /// [`ScenarioBuilder::engine`], which replaces that builder — and
-    /// this knob with it.
-    pub fn disturb_model(mut self, disturb: mlcx_nand::disturb::DisturbModel) -> Self {
-        self.engine = self.engine.disturb_model(disturb);
-        self
-    }
-
-    /// Installs a program-fault injection schedule (default
-    /// [`crate::FaultPlan::disabled`] — zero injections, zero RNG draws,
-    /// bit-identical reports). The knob lives on the inner engine
-    /// builder, so call this *after* [`ScenarioBuilder::engine`], which
-    /// replaces that builder — and this knob with it.
-    pub fn fault_plan(mut self, fault: crate::FaultPlan) -> Self {
-        self.engine = self.engine.fault_plan(fault);
-        self
-    }
-
-    /// Enables background scrub / read-reclaim: every service gets its
-    /// own `Scrubber` enforcing `policy` against its block region, and
-    /// the resulting relocate+erase maintenance is compiled into the
-    /// same command batches as host traffic — competing with it for
-    /// bus/cell time on the channel scheduler. As with
-    /// [`ScenarioBuilder::disturb_model`], call this *after*
-    /// [`ScenarioBuilder::engine`]: replacing the engine builder
-    /// replaces this knob too.
-    pub fn scrub_policy(mut self, policy: ScrubPolicy) -> Self {
-        self.engine = self.engine.scrub_policy(policy);
-        self
-    }
-
-    /// Enables stepped read-reference retry on uncorrectable reads: the
-    /// controller walks `policy`'s ladder and remembers the winning
-    /// offset per block, trading read latency for recovered reads where
-    /// [`ScenarioBuilder::scrub_policy`] trades write amplification
-    /// (see `RetryPolicy` for the precedence between the two). As with
-    /// [`ScenarioBuilder::disturb_model`], call this *after*
-    /// [`ScenarioBuilder::engine`]: replacing the engine builder
-    /// replaces this knob too.
-    pub fn retry_policy(mut self, policy: mlcx_controller::retry::RetryPolicy) -> Self {
-        self.engine = self.engine.retry_policy(policy);
-        self
-    }
-
-    /// Selects the engine's cross-service dispatch policy (default
-    /// [`SchedPolicy::ServiceMajor`], the bit-identical historical
-    /// order). As with [`ScenarioBuilder::disturb_model`], call this
-    /// *after* [`ScenarioBuilder::engine`]: replacing the engine builder
-    /// replaces this knob too.
-    pub fn sched_policy(mut self, sched: SchedPolicy) -> Self {
-        self.engine = self.engine.sched_policy(sched);
         self
     }
 
@@ -755,13 +653,7 @@ struct Acc {
     energy_j: f64,
     corrected_bits: u64,
     codeword_bits_read: u64,
-    scrub_relocations: u64,
-    scrub_erases: u64,
-    retried_reads: u64,
-    retry_senses: u64,
-    retry_latency_s: f64,
-    interference_reads: u64,
-    injected_partial_programs: u64,
+    counters: Counters,
 }
 
 struct SimService {
@@ -788,7 +680,8 @@ pub struct WorkloadRunner {
     engine: StorageEngine,
     services: Vec<SimService>,
     /// Per-service scrubbers (present only under an enabled
-    /// [`ScrubPolicy`]); each scans its own service's region/map.
+    /// [`ScrubPolicy`](mlcx_controller::scrub::ScrubPolicy)); each scans
+    /// its own service's region/map.
     scrubbers: Vec<Option<Scrubber>>,
     phases: Vec<PhaseSpec>,
     batch_size: usize,
@@ -954,13 +847,10 @@ impl WorkloadRunner {
             .flat_map(|p| &p.services)
             .map(|s| s.read_failures)
             .sum();
-        let total_scrub_relocations = phases.iter().map(|p| p.scrub_relocations).sum();
-        let total_scrub_erases = phases.iter().map(|p| p.scrub_erases).sum();
-        let total_retried_reads = phases.iter().map(|p| p.retried_reads).sum();
-        let total_retry_senses = phases.iter().map(|p| p.retry_senses).sum();
-        let total_interference_reads = phases.iter().map(|p| p.interference_reads).sum();
-        let total_injected_partial_programs =
-            phases.iter().map(|p| p.injected_partial_programs).sum();
+        let mut counters = Counters::default();
+        for phase in &phases {
+            counters.absorb(&phase.counters);
+        }
         Ok(ScenarioReport {
             phases,
             total_commands,
@@ -972,12 +862,7 @@ impl WorkloadRunner {
             verified_pages,
             integrity_violations,
             read_failures,
-            total_scrub_relocations,
-            total_scrub_erases,
-            total_retried_reads,
-            total_retry_senses,
-            total_interference_reads,
-            total_injected_partial_programs,
+            counters,
         })
     }
 
@@ -1275,6 +1160,12 @@ impl WorkloadRunner {
                         c.id.raw()
                     ),
                 })?;
+            if let Ok(output) = &c.result {
+                // Services register in scenario order: the engine's
+                // service index is the runner's.
+                let svc = c.service.index() as usize;
+                self.services[svc].acc.counters.record(output);
+            }
             match meta {
                 CmdMeta::HostRead { svc, lpn, version } => {
                     let codeword_extra = self.ecc_m as usize;
@@ -1288,14 +1179,6 @@ impl WorkloadRunner {
                             acc.corrected_bits += r.outcome.corrected_bits() as u64;
                             acc.codeword_bits_read +=
                                 (k_bits + codeword_extra * r.t_used as usize) as u64;
-                            if r.senses > 1 {
-                                acc.retried_reads += 1;
-                                acc.retry_senses += u64::from(r.senses - 1);
-                                acc.retry_latency_s += r.retry_latency_s;
-                            }
-                            if r.interference_rber > 0.0 {
-                                acc.interference_reads += 1;
-                            }
                             if !r.outcome.is_success() {
                                 acc.read_failures += 1;
                             } else if r.data != payload(page_bytes, svc, lpn, version) {
@@ -1313,9 +1196,6 @@ impl WorkloadRunner {
                             acc.writes += 1;
                             acc.write_lat.push(w.latency_s);
                             acc.energy_j += w.energy_j;
-                            if w.injected_partial {
-                                acc.injected_partial_programs += 1;
-                            }
                         }
                         Ok(other) => unreachable!("write command produced {other:?}"),
                         Err(e) => return Err(e),
@@ -1331,14 +1211,6 @@ impl WorkloadRunner {
                             acc.corrected_bits += r.outcome.corrected_bits() as u64;
                             acc.codeword_bits_read +=
                                 (k_bits + codeword_extra * r.t_used as usize) as u64;
-                            if r.senses > 1 {
-                                acc.retried_reads += 1;
-                                acc.retry_senses += u64::from(r.senses - 1);
-                                acc.retry_latency_s += r.retry_latency_s;
-                            }
-                            if r.interference_rber > 0.0 {
-                                acc.interference_reads += 1;
-                            }
                             if !r.outcome.is_success() {
                                 // The relocation copies the (corrupted)
                                 // best-effort data; any damage surfaces
@@ -1353,16 +1225,12 @@ impl WorkloadRunner {
                 }
                 CmdMeta::GcWrite { svc } => match c.result {
                     Ok(CommandOutput::Write(w)) => {
-                        let acc = &mut self.services[svc].acc;
-                        acc.energy_j += w.energy_j;
-                        if w.injected_partial {
-                            acc.injected_partial_programs += 1;
-                        }
+                        self.services[svc].acc.energy_j += w.energy_j;
                     }
                     Ok(other) => unreachable!("write command produced {other:?}"),
                     Err(e) => return Err(e),
                 },
-                CmdMeta::GcErase { svc } => match c.result {
+                CmdMeta::GcErase { svc } | CmdMeta::ScrubErase { svc } => match c.result {
                     Ok(CommandOutput::Erase { energy_j, .. }) => {
                         self.services[svc].acc.energy_j += energy_j;
                     }
@@ -1371,18 +1239,10 @@ impl WorkloadRunner {
                 },
                 CmdMeta::ScrubRelocate { svc } => match c.result {
                     Ok(CommandOutput::Relocate {
-                        energy_j,
-                        read_ok,
-                        retry_senses,
-                        ..
+                        energy_j, read_ok, ..
                     }) => {
                         let acc = &mut self.services[svc].acc;
                         acc.energy_j += energy_j;
-                        acc.scrub_relocations += 1;
-                        if retry_senses > 0 {
-                            acc.retried_reads += 1;
-                            acc.retry_senses += u64::from(retry_senses);
-                        }
                         if !read_ok {
                             // Best-effort data was relocated anyway; the
                             // damage surfaces at the next host read.
@@ -1390,15 +1250,6 @@ impl WorkloadRunner {
                         }
                     }
                     Ok(other) => unreachable!("relocate command produced {other:?}"),
-                    Err(e) => return Err(e),
-                },
-                CmdMeta::ScrubErase { svc } => match c.result {
-                    Ok(CommandOutput::Erase { energy_j, .. }) => {
-                        let acc = &mut self.services[svc].acc;
-                        acc.energy_j += energy_j;
-                        acc.scrub_erases += 1;
-                    }
-                    Ok(other) => unreachable!("scrub erase produced {other:?}"),
                     Err(e) => return Err(e),
                 },
             }
@@ -1413,6 +1264,7 @@ impl WorkloadRunner {
         elapsed_hours: f64,
     ) -> PhaseReport {
         let mut services = Vec::with_capacity(self.services.len());
+        let mut counters = Counters::default();
         for i in 0..self.services.len() {
             let blocks = self.services[i].map.blocks();
             let device = self.engine.controller().device();
@@ -1453,6 +1305,7 @@ impl WorkloadRunner {
             } else {
                 acc.corrected_bits as f64 / acc.codeword_bits_read as f64
             };
+            counters.absorb(&acc.counters);
             services.push(ServicePhaseReport {
                 service: s.name.clone(),
                 objective,
@@ -1472,26 +1325,14 @@ impl WorkloadRunner {
                 model_log10_uber,
                 model_disturb_rber,
                 model_log10_uber_disturbed,
-                scrub_relocations: acc.scrub_relocations,
-                scrub_erases: acc.scrub_erases,
-                retried_reads: acc.retried_reads,
-                retry_senses: acc.retry_senses,
-                retry_latency_s: acc.retry_latency_s,
-                interference_reads: acc.interference_reads,
-                injected_partial_programs: acc.injected_partial_programs,
+                counters: acc.counters,
                 model_interference_rber,
                 max_wear,
                 write_amplification: ftl.write_amplification(),
                 ftl,
             });
         }
-        let energy_j = PhaseReport::totals(&services);
-        let scrub_relocations = services.iter().map(|s| s.scrub_relocations).sum();
-        let scrub_erases = services.iter().map(|s| s.scrub_erases).sum();
-        let retried_reads = services.iter().map(|s| s.retried_reads).sum();
-        let retry_senses = services.iter().map(|s| s.retry_senses).sum();
-        let interference_reads = services.iter().map(|s| s.interference_reads).sum();
-        let injected_partial_programs = services.iter().map(|s| s.injected_partial_programs).sum();
+        let energy_j = services.iter().map(|s| s.energy_j).sum();
         PhaseReport {
             name: name.to_string(),
             fast_forward_cycles,
@@ -1505,12 +1346,7 @@ impl WorkloadRunner {
             op_cache_hits: self.phase_op_cache_hits,
             op_cache_misses: self.phase_op_cache_misses,
             knob_writes: self.phase_knob_writes,
-            scrub_relocations,
-            scrub_erases,
-            retried_reads,
-            retry_senses,
-            interference_reads,
-            injected_partial_programs,
+            counters,
         }
     }
 }

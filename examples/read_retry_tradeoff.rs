@@ -68,10 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.read_failures,
             v.model_disturb_rber,
             v.model_log10_uber_disturbed,
-            r.total_scrub_relocations,
-            r.total_scrub_erases,
-            r.total_retried_reads,
-            r.total_retry_senses,
+            r.counters.scrub_relocations,
+            r.counters.scrub_erases,
+            r.counters.retry_reads,
+            r.counters.retry_senses,
             serve.services[0].read_latency.p95_s * 1e6,
         );
     }
@@ -87,9 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          relocations + {} erase cycles of pure write amplification",
         none.read_failures - retry.read_failures,
         none.read_failures,
-        retry.total_retry_senses,
-        reports[1].1.total_scrub_relocations,
-        reports[1].1.total_scrub_erases,
+        retry.counters.retry_senses,
+        reports[1].1.counters.scrub_relocations,
+        reports[1].1.counters.scrub_erases,
     );
 
     // The acceptance pins, kept live so the example doubles as a check.
@@ -97,12 +97,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovered >= 1.0,
         "retry must recover >= 1 decade of model UBER, got {recovered:.2}"
     );
-    assert_eq!(retry.total_scrub_relocations, 0, "retry must move no data");
-    assert_eq!(retry.total_scrub_erases, 0, "retry must erase nothing");
+    assert_eq!(
+        retry.counters.scrub_relocations, 0,
+        "retry must move no data"
+    );
+    assert_eq!(retry.counters.scrub_erases, 0, "retry must erase nothing");
     assert!(
         retry.read_failures < none.read_failures / 4,
         "retry must recover most failed reads"
     );
-    assert!(reports[1].1.total_scrub_relocations > 0);
+    assert!(reports[1].1.counters.scrub_relocations > 0);
     Ok(())
 }

@@ -49,8 +49,8 @@ fn run_pair(
             arm,
             s.model_disturb_rber,
             s.model_log10_uber_disturbed,
-            s.scrub_relocations,
-            s.scrub_erases,
+            s.counters.scrub_relocations,
+            s.counters.scrub_erases,
             p.device_time_s * 1e3,
             s.read_latency.p95_s * 1e6,
         );
@@ -60,7 +60,7 @@ fn run_pair(
     println!(
         "-> recovered {recovered:.1} decades of model UBER for {cost_ms:+.2} ms of \
          modeled device time ({} relocations, {} erase cycles)\n",
-        on.total_scrub_relocations, on.total_scrub_erases
+        on.counters.scrub_relocations, on.counters.scrub_erases
     );
     assert!(
         recovered >= 1.0,

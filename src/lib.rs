@@ -93,10 +93,10 @@ pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_controller::{ReadOffsetTable, RetryPolicy, RetryStats};
 pub use mlcx_controller::{ScrubPolicy, ScrubStats, Scrubber};
 pub use mlcx_core::{
-    BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, EngineBuilder,
-    FaultInjector, FaultPlan, HostFrontend, Metrics, MlcxError, Objective, OperatingPoint, QosSpec,
-    Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion,
-    ServiceStats, StorageEngine, SubmissionQueue, Submitter, SubsystemModel, SubsystemModelBuilder,
+    BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
+    EngineBuilder, FaultInjector, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint,
+    QosSpec, Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion,
+    ServiceStats, StorageEngine, SubmissionQueue, SubsystemModel, SubsystemModelBuilder,
     TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
 };
 pub use mlcx_gf2::MulKernel;

@@ -90,19 +90,19 @@ fn scrub_vs_retry_seed7_reproduces_bit_for_bit() {
             "{mode:?}: read failures"
         );
         assert_eq!(
-            report.total_scrub_relocations, pin.scrub_relocations,
+            report.counters.scrub_relocations, pin.scrub_relocations,
             "{mode:?}: relocations"
         );
         assert_eq!(
-            report.total_scrub_erases, pin.scrub_erases,
+            report.counters.scrub_erases, pin.scrub_erases,
             "{mode:?}: erases"
         );
         assert_eq!(
-            report.total_retried_reads, pin.retried_reads,
+            report.counters.retry_reads, pin.retried_reads,
             "{mode:?}: retried reads"
         );
         assert_eq!(
-            report.total_retry_senses, pin.retry_senses,
+            report.counters.retry_senses, pin.retry_senses,
             "{mode:?}: retry senses"
         );
         // Float columns: a second run must reproduce every field of the
@@ -125,8 +125,8 @@ fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
         })
         .build()
         .unwrap();
-    Scenario::builder()
-        .engine(EngineBuilder::date2012().controller_config(config))
+    let engine = EngineBuilder::date2012()
+        .controller_config(config)
         .disturb_model(DisturbModel {
             retention_scale: 3.5e-4,
             retention_wear_exponent: 0.0,
@@ -134,6 +134,15 @@ fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
             offset_residual_fraction: 0.01,
             ..DisturbModel::disabled()
         })
+        .scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: 5_000.0,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        })
+        .retry_policy(RetryPolicy::date2012());
+    Scenario::builder()
+        .engine(engine)
         .seed(7)
         .batch_size(24)
         .utilization(0.25)
@@ -146,13 +155,6 @@ fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
         )
         .phase_with_elapsed("park", 0, 0, 20_000.0)
         .phase("serve", 280, 0)
-        .scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: 5_000.0,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        })
-        .retry_policy(RetryPolicy::date2012())
         .build()
         .unwrap()
 }
@@ -162,9 +164,12 @@ fn every_kernel_rung_yields_the_same_scenario_report() {
     let reference = scenario_with_kernel(CodecKernel::Reference).run().unwrap();
     // The run must actually exercise the correction and retry paths —
     // identical-but-trivial reports would prove nothing.
-    assert!(reference.total_retry_senses > 0, "retry path not exercised");
     assert!(
-        reference.total_scrub_relocations > 0,
+        reference.counters.retry_senses > 0,
+        "retry path not exercised"
+    );
+    assert!(
+        reference.counters.scrub_relocations > 0,
         "scrub path not exercised"
     );
     // `Fused` is the default, i.e. what `scrub_vs_retry` itself runs.

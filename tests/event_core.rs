@@ -8,9 +8,10 @@
 //!    senses, memo hits — is asserted against hardcoded values.
 //!
 //! 2. **Multi-submitter stress** — the same multi-tenant workload
-//!    driven through a [`HostFrontend`] by 1, 2, and 8 host threads
+//!    driven as 1, 2, and 8 round-robin submitter streams (each
+//!    absorbing `QueueFull` backpressure by drain-and-resubmit)
 //!    produces the identical *set* of functional completions
-//!    (order-independent): thread interleaving may permute dispatch and
+//!    (order-independent): stream interleaving permutes dispatch and
 //!    therefore per-die RNG draws, but never what each service
 //!    observes.
 //!
@@ -18,10 +19,12 @@
 //! multi-die topology, impossible under the old drain-in-submission-
 //! order `poll()`.
 
+use std::collections::{HashMap, VecDeque};
+
 use mlcx::xlayer::sim::presets::{scrub_vs_retry, MitigationMode};
 use mlcx::{
-    Command, CommandOutput, ControllerConfig, EngineBuilder, Objective, QosSpec, ServiceHandle,
-    StorageEngine, Topology,
+    Command, CommandOutput, ControllerConfig, EngineBuilder, MlcxError, Objective, QosSpec,
+    ServiceHandle, StorageEngine, Topology,
 };
 
 /// One mode's pinned integer columns: the values the committed PR 7
@@ -119,12 +122,12 @@ fn event_core_reproduces_the_committed_scrub_vs_retry_integers() {
             "{m:?}"
         );
         assert_eq!(
-            report.total_scrub_relocations, pin.scrub_relocations,
+            report.counters.scrub_relocations, pin.scrub_relocations,
             "{m:?}"
         );
-        assert_eq!(report.total_scrub_erases, pin.scrub_erases, "{m:?}");
-        assert_eq!(report.total_retried_reads, pin.retried_reads, "{m:?}");
-        assert_eq!(report.total_retry_senses, pin.retry_senses, "{m:?}");
+        assert_eq!(report.counters.scrub_erases, pin.scrub_erases, "{m:?}");
+        assert_eq!(report.counters.retry_reads, pin.retried_reads, "{m:?}");
+        assert_eq!(report.counters.retry_senses, pin.retry_senses, "{m:?}");
         assert_eq!(report.op_cache_hits, pin.op_cache_hits, "{m:?}");
         assert_eq!(report.op_cache_misses, pin.op_cache_misses, "{m:?}");
         assert_eq!(report.verified_pages, 30, "{m:?}");
@@ -145,7 +148,7 @@ fn event_core_reproduces_the_committed_scrub_vs_retry_integers() {
             "{m:?} serve"
         );
         assert_eq!(
-            report.phases[2].scrub_relocations, pin.scrub_relocations,
+            report.phases[2].counters.scrub_relocations, pin.scrub_relocations,
             "{m:?} serve"
         );
     }
@@ -174,7 +177,7 @@ fn stress_engine() -> (StorageEngine, Vec<ServiceHandle>) {
     for t in 0..TENANTS {
         let start = t * BLOCKS_PER_TENANT;
         // Bounded depth well below a tenant's total command count, so
-        // every run exercises the QueueFull drain-and-retry loop.
+        // every run exercises the QueueFull drain-and-resubmit loop.
         let h = engine
             .register_service_with_qos(
                 &format!("tenant-{t}"),
@@ -192,64 +195,62 @@ fn stress_engine() -> (StorageEngine, Vec<ServiceHandle>) {
 /// (service index, descriptor, success, read payload).
 type Fingerprint = (u32, String, bool, Vec<u8>);
 
-/// Runs the full multi-tenant workload with `threads` host threads and
-/// returns the sorted multiset of completion fingerprints.
-fn run_stress(threads: usize) -> Vec<Fingerprint> {
-    let (engine, handles) = stress_engine();
-    let frontend = mlcx::HostFrontend::new(engine);
+/// Runs the full multi-tenant workload as `streams` round-robin
+/// submitter streams and returns the sorted multiset of completion
+/// fingerprints.
+fn run_stress(streams: usize) -> Vec<Fingerprint> {
+    let (mut engine, handles) = stress_engine();
 
-    let mut joins = Vec::new();
-    for w in 0..threads {
-        let submitter = frontend.submitter();
-        let mine: Vec<(usize, ServiceHandle)> = handles
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(t, _)| t % threads == w)
-            .collect();
-        joins.push(std::thread::spawn(move || {
-            // Each thread owns a disjoint set of tenants; per tenant:
-            // erase + PAGES writes, then two read sweeps, as separate
-            // batches so the bounded depth genuinely pushes back.
-            let mut descs = Vec::new();
-            for (t, h) in mine {
-                let block = t * BLOCKS_PER_TENANT;
-                let mut batch = vec![Command::erase(h, block)];
-                for p in 0..PAGES {
-                    batch.push(Command::write(h, block, p, tenant_payload(t, p)));
-                }
-                let ids = submitter.submit(batch).unwrap();
-                descs.push((ids[0], format!("erase b{block}")));
-                for (p, id) in ids[1..].iter().enumerate() {
-                    descs.push((*id, format!("write b{block} p{p}")));
-                }
-                for sweep in 0..2 {
-                    let reads: Vec<Command> =
-                        (0..PAGES).map(|p| Command::read(h, block, p)).collect();
-                    let ids = submitter.submit(reads).unwrap();
-                    for (p, id) in ids.iter().enumerate() {
-                        descs.push((*id, format!("read{sweep} b{block} p{p}")));
-                    }
-                }
-            }
-            descs
-        }));
-    }
-    let mut id_to_desc = std::collections::HashMap::new();
-    for join in joins {
-        for (id, desc) in join.join().expect("host thread must not panic") {
-            assert!(
-                id_to_desc.insert(id, desc).is_none(),
-                "CmdIds must be unique"
-            );
+    // Each stream owns a disjoint set of tenants; per tenant: erase +
+    // PAGES writes, then two read sweeps, as separate batches so the
+    // bounded depth genuinely pushes back.
+    let mut queues: Vec<VecDeque<(Vec<Command>, Vec<String>)>> = vec![VecDeque::new(); streams];
+    for (t, &h) in handles.iter().enumerate() {
+        let queue = &mut queues[t % streams];
+        let block = t * BLOCKS_PER_TENANT;
+        let mut batch = vec![Command::erase(h, block)];
+        let mut descs = vec![format!("erase b{block}")];
+        for p in 0..PAGES {
+            batch.push(Command::write(h, block, p, tenant_payload(t, p)));
+            descs.push(format!("write b{block} p{p}"));
+        }
+        queue.push_back((batch, descs));
+        for sweep in 0..2 {
+            queue.push_back((
+                (0..PAGES).map(|p| Command::read(h, block, p)).collect(),
+                (0..PAGES)
+                    .map(|p| format!("read{sweep} b{block} p{p}"))
+                    .collect(),
+            ));
         }
     }
 
-    let mut completions = frontend.drain().expect("no submitter panicked");
-    let (engine, leftover) = frontend
-        .into_engine()
-        .expect("all submitters joined; teardown must succeed");
-    completions.extend(leftover);
+    // One batch per stream per turn. On `QueueFull` the stream makes
+    // room the way a host driver does: reap completions, then resubmit
+    // (submission is atomic — nothing of a rejected batch was enqueued).
+    let mut id_to_desc = HashMap::new();
+    let mut completions = Vec::new();
+    while queues.iter().any(|q| !q.is_empty()) {
+        for queue in &mut queues {
+            let Some((batch, descs)) = queue.pop_front() else {
+                continue;
+            };
+            let ids = loop {
+                match engine.sq().submit_owned(batch.clone()) {
+                    Ok(ids) => break ids,
+                    Err(MlcxError::QueueFull { .. }) => completions.extend(engine.cq().drain()),
+                    Err(e) => panic!("submission must validate: {e}"),
+                }
+            };
+            for (id, desc) in ids.into_iter().zip(descs) {
+                assert!(
+                    id_to_desc.insert(id, desc).is_none(),
+                    "CmdIds must be unique"
+                );
+            }
+        }
+    }
+    completions.extend(engine.cq().drain());
     assert_eq!(engine.pending(), 0);
     assert_eq!(engine.completions_pending(), 0);
     assert!(engine.now_s() > 0.0, "the virtual clock must have advanced");
@@ -289,8 +290,8 @@ fn multi_submitter_completion_sets_are_identical_across_thread_counts() {
     // The functional completion set is interleaving-independent.
     let dual = run_stress(2);
     let octo = run_stress(8);
-    assert_eq!(single, dual, "2 threads must complete the same set");
-    assert_eq!(single, octo, "8 threads must complete the same set");
+    assert_eq!(single, dual, "2 streams must complete the same set");
+    assert_eq!(single, octo, "8 streams must complete the same set");
 }
 
 #[test]

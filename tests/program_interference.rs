@@ -62,16 +62,20 @@ fn scrub_vs_retry_pins_hold_and_interference_counters_stay_zero() {
             "{mode:?}: read failures"
         );
         assert_eq!(
-            report.total_interference_reads, 0,
+            report.counters.interference_reads, 0,
             "{mode:?}: interference reads must be zero with coupling disabled"
         );
         assert_eq!(
-            report.total_injected_partial_programs, 0,
+            report.counters.injected_partial_programs, 0,
             "{mode:?}: no fault plan, no injections"
         );
         for s in report.service_reports() {
-            assert_eq!(s.interference_reads, 0, "{mode:?}/{}", s.service);
-            assert_eq!(s.injected_partial_programs, 0, "{mode:?}/{}", s.service);
+            assert_eq!(s.counters.interference_reads, 0, "{mode:?}/{}", s.service);
+            assert_eq!(
+                s.counters.injected_partial_programs, 0,
+                "{mode:?}/{}",
+                s.service
+            );
             assert!(
                 s.model_interference_rber == 0.0,
                 "{mode:?}/{}: disabled coupling must model exactly 0, got {}",
@@ -100,8 +104,15 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         offset_residual_fraction: 0.01,
         ..DisturbModel::disabled()
     };
-    let mut builder =
-        Scenario::builder().engine(EngineBuilder::date2012().controller_config(config));
+    let mut engine = EngineBuilder::date2012()
+        .controller_config(config)
+        .scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: 5_000.0,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        })
+        .retry_policy(RetryPolicy::date2012());
     if let Some((fraction, plan_seed, partial_rber)) = zero_knobs {
         // Zero coupling, zero injection rate: the knobs are installed
         // but must be inert — including the per-page partial-program
@@ -109,14 +120,14 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         disturb.program_coupling_rber = 0.0;
         disturb.program_disturb_per_program = 0.0;
         disturb.partial_program_rber = partial_rber;
-        builder = builder.fault_plan(FaultPlan {
+        engine = engine.fault_plan(FaultPlan {
             partial_program_rate: 0.0,
             partial_program_fraction: fraction,
             seed: plan_seed,
         });
     }
-    builder
-        .disturb_model(disturb)
+    Scenario::builder()
+        .engine(engine.disturb_model(disturb))
         .seed(seed)
         .batch_size(24)
         .utilization(0.25)
@@ -129,13 +140,6 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         )
         .phase_with_elapsed("park", 0, 0, 20_000.0)
         .phase("serve", 160, 0)
-        .scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: 5_000.0,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        })
-        .retry_policy(RetryPolicy::date2012())
         .build()
         .unwrap()
 }
@@ -161,8 +165,8 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(&plain, &knobbed);
-        prop_assert_eq!(plain.total_interference_reads, 0);
-        prop_assert_eq!(plain.total_injected_partial_programs, 0);
+        prop_assert_eq!(plain.counters.interference_reads, 0);
+        prop_assert_eq!(plain.counters.injected_partial_programs, 0);
     }
 }
 
@@ -272,7 +276,7 @@ fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
     assert!(engine.cq().drain().iter().all(|c| c.result.is_ok()));
 
     assert_eq!(engine.injected_faults(), 2, "unit rate interrupts both");
-    assert_eq!(engine.last_batch().injected_partial_programs, 2);
+    assert_eq!(engine.last_batch().counters.injected_partial_programs, 2);
     let device = engine.controller().device();
     assert!(device.page_partially_programmed(0, 0).unwrap());
     assert!(device.page_partially_programmed(0, 1).unwrap());
@@ -288,7 +292,7 @@ fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
         Ok(CommandOutput::Read(r)) => r.outcome.is_success(),
         other => panic!("read produced {other:?}"),
     };
-    assert_eq!(engine.last_batch().interference_reads, 1);
+    assert_eq!(engine.last_batch().counters.interference_reads, 1);
 
     // Erase wipes the damage: the block starts over, fully blank.
     engine

@@ -110,9 +110,9 @@ proptest! {
         };
         prop_assert_eq!(strip(plain), strip(retried));
         prop_assert_eq!(plain_batch, retry_batch);
-        prop_assert_eq!(retry_batch.retry_reads, 0);
-        prop_assert_eq!(retry_batch.retry_senses, 0);
-        prop_assert!(retry_batch.retry_latency_s == 0.0);
+        prop_assert_eq!(retry_batch.counters.retry_reads, 0);
+        prop_assert_eq!(retry_batch.counters.retry_senses, 0);
+        prop_assert!(retry_batch.counters.retry_latency_s == 0.0);
         prop_assert!(engine.controller().read_offsets().is_empty());
     }
 
@@ -210,11 +210,14 @@ fn learned_offsets_cut_mean_senses_per_read_after_warm_up() {
     let warm = pass(&mut engine);
 
     let reads = (HOT * PAGES) as f64;
-    let cold_mean = 1.0 + cold.retry_senses as f64 / reads;
-    let warm_mean = 1.0 + warm.retry_senses as f64 / reads;
+    let cold_mean = 1.0 + cold.counters.retry_senses as f64 / reads;
+    let warm_mean = 1.0 + warm.counters.retry_senses as f64 / reads;
 
-    assert!(cold.retry_reads > 0, "cold pass must enter the ladder");
-    assert_eq!(cold.retry_exhausted, 0, "the ladder must converge");
+    assert!(
+        cold.counters.retry_reads > 0,
+        "cold pass must enter the ladder"
+    );
+    assert_eq!(cold.counters.retry_exhausted, 0, "the ladder must converge");
     assert!(
         warm_mean < cold_mean,
         "warm pass must be cheaper: {warm_mean:.3} vs {cold_mean:.3} senses/read"
@@ -223,10 +226,10 @@ fn learned_offsets_cut_mean_senses_per_read_after_warm_up() {
     // can still lose the occasional binomial draw and re-walk, but the
     // table must cut the ladder traffic by a wide margin.
     assert!(
-        warm.retry_senses * 4 <= cold.retry_senses,
+        warm.counters.retry_senses * 4 <= cold.counters.retry_senses,
         "a warm table must cut retry senses >= 4x: warm {} vs cold {}",
-        warm.retry_senses,
-        cold.retry_senses
+        warm.counters.retry_senses,
+        cold.counters.retry_senses
     );
     assert_eq!(
         engine.controller().read_offsets().len(),

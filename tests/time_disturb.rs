@@ -129,8 +129,8 @@ fn assert_reports_equal(a: &mlcx::ScenarioReport, b: &mlcx::ScenarioReport) {
         assert_eq!(pa.op_cache_hits, pb.op_cache_hits, "phase {}", pa.name);
         assert_eq!(pa.op_cache_misses, pb.op_cache_misses);
         assert_eq!(pa.knob_writes, pb.knob_writes);
-        assert_eq!(pa.scrub_relocations, 0);
-        assert_eq!(pb.scrub_relocations, 0);
+        assert_eq!(pa.counters.scrub_relocations, 0);
+        assert_eq!(pb.counters.scrub_relocations, 0);
     }
     assert_eq!(a.total_commands, b.total_commands);
     assert_eq!(a.total_device_time_s, b.total_device_time_s);
@@ -187,8 +187,8 @@ fn scrub_presets_run_clean_end_to_end() {
     assert_eq!(report.integrity_violations, 0);
     assert_eq!(report.read_failures, 0);
     assert!(report.verified_pages > 0);
-    assert!(report.total_scrub_relocations > 0);
-    assert!(report.total_scrub_erases > 0);
+    assert!(report.counters.scrub_relocations > 0);
+    assert!(report.counters.scrub_erases > 0);
     let rendered = report.render();
     assert!(rendered.contains("scrub relocations"));
 }
