@@ -26,6 +26,8 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
     let mut b = vec![0u32; two_t + 2];
     c[0] = 1;
     b[0] = 1;
+    // Every coefficient at or above these indices is zero.
+    let (mut c_len, mut b_len) = (1usize, 1usize);
     let mut l = 0usize; // current LFSR length
     let mut shift = 1usize; // x^shift multiplier on b
     let mut last_d = 1u32; // discrepancy at the last length change
@@ -40,31 +42,34 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
         }
         if d == 0 {
             shift += 1;
-        } else if 2 * l <= n {
-            let prev_c = c.clone();
-            let coef = field
-                .div(d, last_d)
-                .expect("last discrepancy is nonzero by construction");
-            for i in 0..two_t + 2 - shift {
-                if b[i] != 0 {
-                    c[i + shift] ^= field.mul(coef, b[i]);
-                }
+            continue;
+        }
+        let coef = field
+            .div(d, last_d)
+            .expect("last discrepancy is nonzero by construction");
+        // c + coef * x^shift * b, clipped to the buffer like every update.
+        let live = b_len.min(two_t + 2 - shift);
+        let new_len = c_len.max(live + shift);
+        if 2 * l <= n {
+            // Length change: the old c becomes b. Build the new c in b's
+            // buffer, top down so b[i - shift] is read before it is
+            // overwritten, then trade the two.
+            for i in (0..new_len).rev() {
+                let moved = if i >= shift { b[i - shift] } else { 0 };
+                b[i] = c[i] ^ field.mul(coef, moved);
             }
+            std::mem::swap(&mut c, &mut b);
+            b_len = c_len;
             l = n + 1 - l;
-            b = prev_c;
             last_d = d;
             shift = 1;
         } else {
-            let coef = field
-                .div(d, last_d)
-                .expect("last discrepancy is nonzero by construction");
-            for i in 0..two_t + 2 - shift {
-                if b[i] != 0 {
-                    c[i + shift] ^= field.mul(coef, b[i]);
-                }
+            for i in 0..live {
+                c[i + shift] ^= field.mul(coef, b[i]);
             }
             shift += 1;
         }
+        c_len = new_len;
     }
 
     while c.len() > 1 && *c.last().unwrap() == 0 {
@@ -81,6 +86,61 @@ pub fn locator_degree(lambda: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The implementation this module shipped before its buffers were
+    /// reused: clones `c` on every length change, walks all `2t + 2` slots.
+    fn error_locator_reference(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
+        let two_t = syndromes.len();
+        let mut c = vec![0u32; two_t + 2];
+        let mut b = vec![0u32; two_t + 2];
+        c[0] = 1;
+        b[0] = 1;
+        let mut l = 0usize; // current LFSR length
+        let mut shift = 1usize; // x^shift multiplier on b
+        let mut last_d = 1u32; // discrepancy at the last length change
+
+        for n in 0..two_t {
+            // Discrepancy d = S_{n+1} + sum_{i=1..=l} c_i * S_{n+1-i}.
+            let mut d = syndromes[n];
+            for i in 1..=l.min(n) {
+                if c[i] != 0 {
+                    d ^= field.mul(c[i], syndromes[n - i]);
+                }
+            }
+            if d == 0 {
+                shift += 1;
+            } else if 2 * l <= n {
+                let prev_c = c.clone();
+                let coef = field
+                    .div(d, last_d)
+                    .expect("last discrepancy is nonzero by construction");
+                for i in 0..two_t + 2 - shift {
+                    if b[i] != 0 {
+                        c[i + shift] ^= field.mul(coef, b[i]);
+                    }
+                }
+                l = n + 1 - l;
+                b = prev_c;
+                last_d = d;
+                shift = 1;
+            } else {
+                let coef = field
+                    .div(d, last_d)
+                    .expect("last discrepancy is nonzero by construction");
+                for i in 0..two_t + 2 - shift {
+                    if b[i] != 0 {
+                        c[i + shift] ^= field.mul(coef, b[i]);
+                    }
+                }
+                shift += 1;
+            }
+        }
+
+        while c.len() > 1 && *c.last().unwrap() == 0 {
+            c.pop();
+        }
+        c
+    }
 
     /// Builds syndromes for a known error-position set:
     /// `S_i = sum_j alpha^(i * e_j)`.
@@ -104,6 +164,40 @@ mod tests {
                 acc ^= field.mul(coef, field.pow(x, d as i64));
             }
             assert_eq!(acc, 0, "lambda must vanish at alpha^-{e}");
+        }
+    }
+
+    #[test]
+    fn buffer_reuse_is_bit_identical_to_the_cloning_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Weights 0..=t+3 (the last three beyond the design distance,
+        // where the LFSR runs to its longest) at the four capabilities
+        // the controller's ROM spans; 8 draws each = 1168 vectors.
+        let f = GfField::new(16).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xB1E5);
+        let mut vectors = 0;
+        for t in [3u32, 14, 48, 65] {
+            for weight in 0..=t + 3 {
+                for _ in 0..8 {
+                    let exps: Vec<u32> = (0..weight)
+                        .map(|_| rng.random_range(0..f.order()))
+                        .collect();
+                    let syn = syndromes_for_errors(&f, t, &exps);
+                    assert_eq!(
+                        error_locator(&f, &syn),
+                        error_locator_reference(&f, &syn),
+                        "t {t}, weight {weight}, exponents {exps:?}"
+                    );
+                    vectors += 1;
+                }
+            }
+        }
+        assert!(vectors >= 1000);
+        // Not syndromes of any error pattern: arbitrary field elements.
+        for two_t in [1usize, 2, 7, 28, 130] {
+            let syn: Vec<u32> = (0..two_t).map(|_| rng.random_range(0..f.size())).collect();
+            assert_eq!(error_locator(&f, &syn), error_locator_reference(&f, &syn));
         }
     }
 

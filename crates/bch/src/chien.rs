@@ -1,12 +1,33 @@
-//! Chien search over the shortened position range (third decoding stage).
+//! Root search for the error locator (third decoding stage).
 //!
 //! The hardware evaluates the error-locator polynomial at successive field
 //! elements with `t x h` constant Galois multipliers. For a *shortened*
 //! code only `n` of the `2^m - 1` positions exist; the paper's decoder
 //! stores, per correction capability, the first field element to search in
-//! a small ROM. This module mirrors that: the search starts at
-//! `alpha^(N - (n-1))` and walks exactly `n` steps, so step index `s`
-//! corresponds one-to-one to codeword stream position `s`.
+//! a small ROM: the search starts at `alpha^(N - (n-1))` and walks exactly
+//! `n` steps, so step index `s` corresponds one-to-one to codeword stream
+//! position `s`.
+//!
+//! Three functions, one contract — `Some(sorted stream positions)` when
+//! the locator has `deg(lambda)` distinct roots inside the shortened
+//! window, `None` otherwise:
+//!
+//! * [`find_error_positions`] — the oracle: the sweep itself, one
+//!   evaluation per position, `deg * n` field multiplies. It is what
+//!   [`crate::CodecKernel::Reference`] runs and what the other two are
+//!   tested against.
+//! * [`find_error_positions_stride`] — the production search: it *solves*
+//!   the locator (Berlekamp trace splitting, as Linux `lib/bch.c` does)
+//!   in `16..25 * deg^2` antilog lookups, independent of `n`.
+//! * [`solve_single_error`] — the degree-1 case in closed form.
+//!
+//! The sweep answers `Some` exactly when `deg` of the exponents
+//! `start ..= N` are roots, i.e. when lambda has `deg` distinct nonzero
+//! roots in the field and each maps to a step `s < n`. The production
+//! search tests the same three facts algebraically (`lambda_0 != 0`,
+//! `x^(2^m) = x mod lambda`, every `s < n`) and returns the same sorted
+//! steps, so its `None` is the sweep's `None`. The modeled latency
+//! ([`crate::hardware`]) is the hardware sweep's either way.
 
 use mlcx_gf2::GfField;
 
@@ -75,65 +96,278 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
     None
 }
 
-/// Log-stride variant of [`find_error_positions`] (the production path).
+/// Solves the locator for its roots (the production path).
 ///
-/// Each nonzero term of the locator is tracked as a *log-domain* exponent:
-/// term `d` at step `s` is `alpha^(log lambda_d + d*(start+s) mod N)`, so
-/// stepping is one add and one conditional subtract instead of a full
-/// Galois multiply (two log lookups, zero checks). Bit-identical to the
-/// linear search: the evaluated field elements are the same, so the root
-/// set, early exit and ordering all match.
+/// Same contract as [`find_error_positions`], by algebra instead of by
+/// sweep — the `_stride` in the name is historical (`benchmark/` calls
+/// this function by name):
+///
+/// 1. make lambda monic, `f = lambda / lambda_deg`. A zero constant term
+///    is a root at `x = 0`, which is no `alpha^j`: `None`;
+/// 2. `z_i = x^(2^i) mod f` for `i = 0..=m` by repeated squaring. A
+///    square is `sum_j c_j^2 x^(2j)`, so only the `deg/2` reductions
+///    `x^(2j) mod f` with `2j >= deg` are tabulated;
+/// 3. `f` divides `x^(2^m) - x`, the product of `x - a` over every field
+///    element `a`, iff it has `deg` distinct roots in the field: unless
+///    `z_m == x`, `None`;
+/// 4. round `k = 0, 1, ..`: `Tr(alpha^k x) mod f = sum_i alpha^(k 2^i) z_i`
+///    is 0 at half of the field and 1 at the other half, so
+///    `gcd(g, Tr(alpha^k x) mod g)` splits every factor `g` found so far
+///    whose roots disagree in that trace bit. Two distinct roots differ
+///    in some bit `k < m`, so at most `m` rounds leave only linear
+///    factors;
+/// 5. the root `alpha^j` is step `s = (j - start) mod N`; a step
+///    `s >= n_bits` lies outside the shortened window: `None`. Sort.
+///
+/// The working set is one scratch allocation sized from `deg` and `m`.
+/// Divisors are kept in log form, so updating a polynomial costs one
+/// antilog lookup per coefficient.
 pub fn find_error_positions_stride(
     field: &GfField,
     lambda: &[u32],
     n_bits: usize,
 ) -> Option<Vec<usize>> {
     let deg = crate::berlekamp::locator_degree(lambda);
-    if deg == 0 {
+    match deg {
+        0 => return None,
+        1 => return solve_single_error(field, lambda, n_bits),
+        _ => {}
+    }
+    let n = field.order();
+    debug_assert!(n_bits <= n as usize);
+    let m = field.degree() as usize;
+    // x^(2j) mod f needs a table row only where 2j >= deg.
+    let first_row = deg.div_ceil(2);
+    let rows_len = (deg - first_row) * deg;
+
+    let mut arena = vec![0u32; rows_len + m * deg + 7 * (deg + 1)];
+    let (rows, rest) = arena.split_at_mut(rows_len);
+    let (z_logs, rest) = rest.split_at_mut(m * deg);
+    let mut bufs = rest.chunks_exact_mut(deg + 1);
+    let [f_logs, acc, factors, seg, a, b, div_logs]: [&mut [u32]; 7] =
+        std::array::from_fn(|_| bufs.next().expect("the arena holds seven buffers"));
+    let (f_logs, acc, factors) = (&mut f_logs[..deg], &mut acc[..deg], &mut factors[..deg]);
+
+    // 1. Monic f, low coefficients only (the leading 1 is implicit).
+    let lead = field.log(lambda[deg]).expect("leading coefficient");
+    for (l, &c) in f_logs.iter_mut().zip(lambda) {
+        *l = field.log(c).map_or(n, |lc| sub_mod(lc, lead, n));
+    }
+    if f_logs[0] == n {
         return None;
     }
-    let n_full = field.order() as usize;
-    debug_assert!(n_bits <= n_full);
-    let n = field.order();
-    let start = (n_full - (n_bits - 1)) as i64;
+    antilogs_into(field, factors, f_logs);
 
-    // (stride d, log-domain index) for every nonzero coefficient; zero
-    // coefficients contribute nothing at every step, exactly as in the
-    // linear search where their term stays 0 forever.
-    let terms: Vec<(u32, u32)> = lambda[..=deg]
-        .iter()
-        .enumerate()
-        .filter(|&(_, &coef)| coef != 0)
-        .map(|(d, &coef)| {
-            let log = field.log(coef).expect("nonzero coefficient has a log");
-            let idx = (log as i64 + d as i64 * start).rem_euclid(n as i64) as u32;
-            (d as u32, idx)
-        })
-        .collect();
-    let mut logs: Vec<u32> = terms.iter().map(|&(_, idx)| idx).collect();
-
-    let mut positions = Vec::with_capacity(deg);
-    for s in 0..n_bits {
-        let mut acc = 0u32;
-        for &log in &logs {
-            acc ^= field.alpha_pow_reduced(log);
+    // 2. Rows x^(2j) mod f, each two multiplications by x after the last,
+    //    starting from x^deg mod f = f's own low coefficients.
+    acc.copy_from_slice(factors);
+    if deg % 2 == 1 {
+        mul_x_mod(field, acc, f_logs);
+    }
+    for (r, row) in rows.chunks_exact_mut(deg).enumerate() {
+        if r > 0 {
+            mul_x_mod(field, acc, f_logs);
+            mul_x_mod(field, acc, f_logs);
         }
-        if acc == 0 {
-            positions.push(s);
-            if positions.len() == deg {
-                return Some(positions);
+        logs_into(field, row, acc);
+    }
+    // z_0 = x, then m squarings; z_m stays in `acc`.
+    z_logs[..deg].fill(n);
+    z_logs[1] = 0;
+    for i in 0..m {
+        let (z, next) = z_logs[i * deg..].split_at_mut(deg);
+        acc.fill(0);
+        for (j, &l) in z.iter().enumerate() {
+            if l == n {
+                continue;
+            }
+            let sq = double_mod(l, n);
+            if j < first_row {
+                acc[2 * j] ^= field.alpha_pow_reduced(sq);
+            } else {
+                add_scaled(field, acc, sq, &rows[(j - first_row) * deg..][..deg]);
             }
         }
-        if s + 1 < n_bits {
-            for (log, &(d, _)) in logs.iter_mut().zip(&terms) {
-                *log += d;
-                if *log >= n {
-                    *log -= n;
+        if let Some(next) = next.get_mut(..deg) {
+            logs_into(field, next, acc);
+        }
+    }
+    // 3. f | x^(2^m) - x ?
+    if acc.iter().enumerate().any(|(c, &v)| v != (c == 1) as u32) {
+        return None;
+    }
+
+    // 4. `factors` is a concatenation of monic factors (low coefficients);
+    //    `seg[off]` is the degree of the one that starts at `off`.
+    seg[0] = deg as u32;
+    let mut linear = 0;
+    for k in 0..m {
+        if linear == deg {
+            break;
+        }
+        acc.fill(0);
+        let mut shift = k as u32 % n;
+        for z in z_logs.chunks_exact(deg) {
+            add_scaled(field, acc, shift, z);
+            shift = double_mod(shift, n);
+        }
+        let Some(trace_deg) = degree(acc) else {
+            continue;
+        };
+        let trace = &acc[..=trace_deg];
+        let mut off = 0;
+        while off < deg {
+            let e = seg[off] as usize;
+            if e >= 2 {
+                let f = &mut factors[off..off + e];
+                if let Some(g) = split(field, f, trace, a, b, div_logs) {
+                    seg[off] = g as u32;
+                    seg[off + g] = (e - g) as u32;
+                    linear += usize::from(g == 1) + usize::from(e - g == 1);
                 }
+            }
+            off += e;
+        }
+    }
+    debug_assert_eq!(linear, deg, "distinct roots differ in a trace bit");
+
+    // 5. x + c has the root c = alpha^j; start = N - (n_bits - 1).
+    let mut positions = Vec::with_capacity(deg);
+    for &root in factors.iter() {
+        let s = (field.log(root)? as usize + n_bits - 1) % n as usize;
+        if s >= n_bits {
+            return None;
+        }
+        positions.push(s);
+    }
+    positions.sort_unstable();
+    Some(positions)
+}
+
+/// Splits the monic factor `f` (low coefficients, degree `f.len()`) by
+/// `g = gcd(f, trace mod f)`. When `g` is a proper factor, rewrites `f`
+/// as `g` followed by `f / g` and returns `deg g`.
+fn split<'s>(
+    field: &GfField,
+    f: &mut [u32],
+    trace: &[u32],
+    mut a: &'s mut [u32],
+    mut b: &'s mut [u32],
+    div_logs: &mut [u32],
+) -> Option<usize> {
+    let e = f.len();
+    // b = trace mod f.
+    b[..trace.len()].copy_from_slice(trace);
+    logs_into(field, &mut div_logs[..e], f);
+    rem_in_place(field, &mut b[..trace.len()], &div_logs[..e]);
+    // A zero remainder means every root has trace 0: nothing to split.
+    let mut db = degree(&b[..e.min(trace.len())])?;
+    // a = f; Euclid until the remainder vanishes, the gcd is then `b`.
+    a[..e].copy_from_slice(f);
+    a[e] = 1;
+    let mut da = e;
+    loop {
+        // Divisor in log form, scaled to be monic.
+        let lead = field.log(b[db]).expect("db is the degree of b");
+        let n = field.order();
+        for (l, &c) in div_logs.iter_mut().zip(&b[..db]) {
+            *l = field.log(c).map_or(n, |lc| sub_mod(lc, lead, n));
+        }
+        rem_in_place(field, &mut a[..=da], &div_logs[..db]);
+        match degree(&a[..db]) {
+            None => break,
+            Some(d) => {
+                da = db;
+                db = d;
+                std::mem::swap(&mut a, &mut b);
             }
         }
     }
-    None
+    // A constant gcd means every root has trace 1.
+    if db == 0 {
+        return None;
+    }
+    // `div_logs[..db]` is the monic gcd; long division leaves the (monic)
+    // quotient in the high coefficients of the dividend.
+    a[..e].copy_from_slice(f);
+    a[e] = 1;
+    rem_in_place(field, &mut a[..=e], &div_logs[..db]);
+    antilogs_into(field, &mut f[..db], &div_logs[..db]);
+    f[db..].copy_from_slice(&a[db..e]);
+    Some(db)
+}
+
+/// `acc[c] += alpha^(shift + logs[c])`; a log of `N` stands for zero.
+#[inline]
+fn add_scaled(field: &GfField, acc: &mut [u32], shift: u32, logs: &[u32]) {
+    let n = field.order();
+    for (a, &l) in acc.iter_mut().zip(logs) {
+        if l != n {
+            let e = shift + l;
+            *a ^= field.alpha_pow_reduced(if e >= n { e - n } else { e });
+        }
+    }
+}
+
+/// Reduces `a` modulo the monic divisor whose low coefficients are
+/// `div_logs` (log form). The quotient is left in `a[div_logs.len()..]`.
+fn rem_in_place(field: &GfField, a: &mut [u32], div_logs: &[u32]) {
+    let db = div_logs.len();
+    for j in (db..a.len()).rev() {
+        if let Some(l) = field.log(a[j]) {
+            add_scaled(field, &mut a[j - db..j], l, div_logs);
+        }
+    }
+}
+
+/// `p <- x * p mod f`, `f` monic with low coefficients `f_logs`.
+fn mul_x_mod(field: &GfField, p: &mut [u32], f_logs: &[u32]) {
+    let top = p[p.len() - 1];
+    p.copy_within(..p.len() - 1, 1);
+    p[0] = 0;
+    if let Some(l) = field.log(top) {
+        add_scaled(field, p, l, f_logs);
+    }
+}
+
+fn logs_into(field: &GfField, logs: &mut [u32], values: &[u32]) {
+    for (l, &v) in logs.iter_mut().zip(values) {
+        *l = field.log(v).unwrap_or(field.order());
+    }
+}
+
+fn antilogs_into(field: &GfField, values: &mut [u32], logs: &[u32]) {
+    for (v, &l) in values.iter_mut().zip(logs) {
+        *v = if l == field.order() {
+            0
+        } else {
+            field.alpha_pow_reduced(l)
+        };
+    }
+}
+
+/// `2l mod N` for a log `l < N`.
+#[inline]
+fn double_mod(l: u32, n: u32) -> u32 {
+    if 2 * l >= n {
+        2 * l - n
+    } else {
+        2 * l
+    }
+}
+
+/// `a - b mod N` for logs `a, b < N`.
+#[inline]
+fn sub_mod(a: u32, b: u32, n: u32) -> u32 {
+    if a >= b {
+        a - b
+    } else {
+        a + n - b
+    }
+}
+
+fn degree(p: &[u32]) -> Option<usize> {
+    p.iter().rposition(|&c| c != 0)
 }
 
 /// Direct solve for a degree-1 locator (the production path).
@@ -229,8 +463,9 @@ mod tests {
         assert_eq!(find_error_positions(&f, &lambda, 255), None);
     }
 
+    // The differential suite proper is `tests/root_search.rs`.
     #[test]
-    fn stride_search_matches_linear_search() {
+    fn root_search_matches_the_sweep() {
         let f = GfField::new(10).unwrap();
         let n = 400usize;
         let cases: [&[usize]; 5] = [

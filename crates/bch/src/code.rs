@@ -300,13 +300,10 @@ impl BchCode {
         if deg == 0 || deg > self.t as usize {
             return Ok(DecodeOutcome::Uncorrectable);
         }
-        // Stage 3: Chien search over the shortened range.
+        // Stage 3: the locator's roots inside the shortened range.
         let n_bits = self.codeword_bits();
         let positions = match self.kernel {
             CodecKernel::Reference => chien::find_error_positions(&self.field, &lambda, n_bits),
-            CodecKernel::Fused if deg == 1 => {
-                chien::solve_single_error(&self.field, &lambda, n_bits)
-            }
             CodecKernel::Fused => chien::find_error_positions_stride(&self.field, &lambda, n_bits),
         };
         let Some(positions) = positions else {

@@ -7,10 +7,10 @@
 //! `tests/codec_kernels.rs` pins it bit-identical to
 //! [`CodecKernel::Reference`].
 //!
-//! | kernel      | role       | encoder                    | syndromes              | Chien search       |
-//! |-------------|------------|----------------------------|------------------------|--------------------|
-//! | `Reference` | oracle     | bit-serial LFSR            | bit-serial Horner      | linear stepping    |
-//! | `Fused`     | production | widest slicing `r` permits | single-pass remainder  | log-stride + deg-1 |
+//! | kernel      | role       | encoder                    | syndromes              | root search           |
+//! |-------------|------------|----------------------------|------------------------|-----------------------|
+//! | `Reference` | oracle     | bit-serial LFSR            | bit-serial Horner      | Chien sweep           |
+//! | `Fused`     | production | widest slicing `r` permits | single-pass remainder  | trace-split solve     |
 //!
 //! The production encoder's step width is not a setting: it follows from
 //! the register width `r = deg g` (slicing-by-8 needs `r >= 64`,
@@ -20,8 +20,12 @@
 //! `Fused` fuses the validity shortcut and syndrome computation into one
 //! LFSR pass over the codeword: the `r`-bit remainder `state` satisfies
 //! `S_i = state(beta_i) * beta_i^(-r)` for every designed root `beta_i`,
-//! so the `2t` full-codeword Horner passes collapse into `2t` evaluations
-//! of an `r`-bit polynomial.
+//! so the `2t` full-codeword Horner passes collapse into `t` evaluations
+//! of an `r`-bit polynomial at the odd roots and `t` squarings
+//! (`S_2k = S_k^2`). Its root search does not sweep the `n` positions: it
+//! factors the locator into linear terms (see [`crate::chien`]), which
+//! costs `O(deg^2)` whatever the codeword length and answers `None` on
+//! exactly the locators the sweep comes up short on.
 
 /// Selects the datapath a [`crate::BchCode`] instance runs.
 ///
@@ -33,8 +37,8 @@ pub enum CodecKernel {
     /// Bit-serial everything. The differential-testing oracle.
     Reference,
     /// The production path: sliced encoder, fused single-pass
-    /// syndrome-via-remainder decode, log-stride Chien stepping with a
-    /// direct solve for single-error locators.
+    /// syndrome-via-remainder decode, locator roots solved for instead of
+    /// searched.
     #[default]
     Fused,
 }

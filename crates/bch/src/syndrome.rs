@@ -5,11 +5,16 @@
 //! the remainders in GF(2^m). The software model evaluates the received
 //! polynomial directly at `alpha^1 .. alpha^2t` — numerically identical,
 //! and it preserves the defining property the decoder relies on: *all
-//! syndromes are zero iff the codeword is valid*. Two Horner step widths:
+//! syndromes are zero iff the codeword is valid*. Two lanes:
 //!
-//! * [`SyndromeLane::Bit`] — definition-level bit-serial Horner (what
-//!   [`crate::CodecKernel::Reference`] runs over the whole codeword);
-//! * [`SyndromeLane::Byte`] — one byte per fold via 256-entry tables.
+//! * [`SyndromeLane::Bit`] — definition-level bit-serial Horner at every
+//!   one of the `2t` roots (what [`crate::CodecKernel::Reference`] runs
+//!   over the whole codeword);
+//! * [`SyndromeLane::Byte`] — Horner one byte per fold via 256-entry
+//!   tables, at the `t` odd roots only, four roots in flight at a time;
+//!   the even syndromes are squares, `S_2k = S_k^2`, because squaring is
+//!   additive in characteristic 2 and fixes the binary coefficients:
+//!   `r(x)^2 = r(x^2)` for every received polynomial `r` over GF(2).
 //!
 //! The production decode ([`crate::CodecKernel::Fused`]) does not walk the
 //! codeword here at all: it evaluates the `r`-bit LFSR remainder with the
@@ -25,10 +30,15 @@ use mlcx_gf2::GfField;
 pub enum SyndromeLane {
     /// Bit-serial evaluation straight from the definition.
     Bit,
-    /// Byte-parallel table fold.
+    /// Byte-parallel table fold at the odd roots, squares for the even.
     #[default]
     Byte,
 }
+
+/// Odd-root Horner chains the byte lane keeps in flight: each fold is a
+/// log lookup, an add and an antilog lookup in sequence, and independent
+/// chains overlap that latency.
+const CHAINS: usize = 4;
 
 /// Parallel syndrome evaluator for syndromes `S_1 .. S_2t`.
 #[derive(Debug, Clone)]
@@ -36,10 +46,11 @@ pub struct SyndromeCalculator {
     field: Arc<GfField>,
     two_t: usize,
     lane: SyndromeLane,
-    /// `pow8[i]` = `alpha^(8*(i+1))`: the per-syndrome byte fold factor.
+    /// Byte lane: `pow8[k]` = `alpha^(8*(2k+1))`, the byte fold factor of
+    /// the odd syndrome `S_(2k+1)`.
     pow8: Vec<u32>,
-    /// Flattened `two_t x 256` table: entry `[i][b]` is the contribution of
-    /// message byte `b` to syndrome `i+1` before folding.
+    /// Byte lane, flattened `t x 256`: entry `[k][b]` is the contribution
+    /// of message byte `b` to `S_(2k+1)` before folding.
     tables: Vec<u32>,
 }
 
@@ -53,26 +64,24 @@ impl SyndromeCalculator {
     /// Builds the evaluator with an explicit Horner lane.
     pub fn with_lane(field: Arc<GfField>, t: u32, lane: SyndromeLane) -> Self {
         let two_t = (2 * t) as usize;
-        let mut pow8 = Vec::with_capacity(two_t);
-        let mut tables = Vec::new();
-        if lane == SyndromeLane::Byte {
-            tables = vec![0u32; two_t * 256];
-        }
-        for i in 0..two_t {
-            let beta = field.alpha_pow((i + 1) as i64);
+        // One fold factor and one table per odd root, byte lane only.
+        let rows = match lane {
+            SyndromeLane::Bit => 0,
+            SyndromeLane::Byte => t as usize,
+        };
+        let mut pow8 = Vec::with_capacity(rows);
+        let mut tables = vec![0u32; rows * 256];
+        for (k, table) in tables.chunks_exact_mut(256).enumerate() {
+            let beta = field.alpha_pow((2 * k + 1) as i64);
             pow8.push(field.pow(beta, 8));
-            if lane == SyndromeLane::Bit {
-                continue;
-            }
             // Powers beta^0..beta^7 index the bit positions within a byte.
             let mut pows = [0u32; 8];
             for (bitpos, p) in pows.iter_mut().enumerate() {
                 *p = field.pow(beta, bitpos as i64);
             }
-            let base = i * 256;
             for b in 1usize..256 {
                 let low = b.trailing_zeros() as usize;
-                tables[base + b] = tables[base + (b & (b - 1))] ^ pows[low];
+                table[b] = table[b & (b - 1)] ^ pows[low];
             }
         }
         SyndromeCalculator {
@@ -101,42 +110,48 @@ impl SyndromeCalculator {
     /// Returns `S_1 .. S_2t`.
     pub fn compute(&self, message: &[u8], parity: &[u8], parity_bits: usize) -> Vec<u32> {
         let f = &self.field;
+        // Parity: full bytes, then the trailing partial byte bit-serially.
+        let (parity, tail) = parity.split_at(parity_bits / 8);
+        let tail_bits = || (0..parity_bits % 8).map(|j| (tail[0] >> (7 - j) & 1) as u32);
         let mut syn = vec![0u32; self.two_t];
-        for (i, syn_i) in syn.iter_mut().enumerate() {
-            let beta = f.alpha_pow((i + 1) as i64);
-            let mut s = 0u32;
-            match self.lane {
-                SyndromeLane::Bit => {
-                    for &byte in message {
-                        for j in (0..8).rev() {
-                            s = f.mul(s, beta) ^ (byte >> j & 1) as u32;
+        match self.lane {
+            SyndromeLane::Bit => {
+                for (i, syn_i) in syn.iter_mut().enumerate() {
+                    let beta = f.alpha_pow((i + 1) as i64);
+                    let bits = message
+                        .iter()
+                        .chain(parity)
+                        .flat_map(|&byte| (0..8).rev().map(move |j| (byte >> j & 1) as u32));
+                    *syn_i = bits
+                        .chain(tail_bits())
+                        .fold(0, |s, bit| f.mul(s, beta) ^ bit);
+                }
+            }
+            SyndromeLane::Byte => {
+                let t = self.two_t / 2;
+                for first in (0..t).step_by(CHAINS) {
+                    // A short last group re-runs root t-1 in its spare chains.
+                    let ks: [usize; CHAINS] = std::array::from_fn(|c| (first + c).min(t - 1));
+                    let fold = ks.map(|k| self.pow8[k]);
+                    let table = ks.map(|k| &self.tables[k * 256..][..256]);
+                    let mut s = [0u32; CHAINS];
+                    for bytes in [message, parity] {
+                        for &byte in bytes {
+                            for c in 0..CHAINS {
+                                s[c] = f.mul(s[c], fold[c]) ^ table[c][byte as usize];
+                            }
                         }
                     }
-                }
-                SyndromeLane::Byte => {
-                    let fold = self.pow8[i];
-                    let tbl = &self.tables[i * 256..(i + 1) * 256];
-                    for &byte in message {
-                        s = f.mul(s, fold) ^ tbl[byte as usize];
+                    for (c, &k) in ks.iter().enumerate() {
+                        let beta = f.alpha_pow((2 * k + 1) as i64);
+                        syn[2 * k] = tail_bits().fold(s[c], |s, bit| f.mul(s, beta) ^ bit);
                     }
                 }
-            }
-            // Parity: full bytes then the trailing partial byte bit-serially.
-            let full = parity_bits / 8;
-            for &byte in &parity[..full] {
-                if self.lane == SyndromeLane::Bit {
-                    for j in (0..8).rev() {
-                        s = f.mul(s, beta) ^ (byte >> j & 1) as u32;
-                    }
-                } else {
-                    s = f.mul(s, self.pow8[i]) ^ self.tables[i * 256 + byte as usize];
+                // S_2k = S_k^2, ascending so S_k is final when it is read.
+                for k in 1..=t {
+                    syn[2 * k - 1] = f.mul(syn[k - 1], syn[k - 1]);
                 }
             }
-            for j in 0..parity_bits % 8 {
-                let bit = parity[full] >> (7 - j) & 1;
-                s = f.mul(s, beta) ^ bit as u32;
-            }
-            *syn_i = s;
         }
         syn
     }
@@ -223,6 +238,51 @@ mod tests {
                     "lane {lane:?}, len {len}"
                 );
             }
+        }
+    }
+
+    /// Message + parity with a partial tail byte, and the fused call shape
+    /// (no message, the remainder register as "parity"), at odd and even
+    /// `t` and with `t` on, below and above a multiple of the byte lane's
+    /// chain count — every one of the `2t` values, the squared ones too.
+    #[test]
+    fn byte_lane_matches_bit_lane_on_every_syndrome() {
+        let field = Arc::new(GfField::new(13).unwrap());
+        for t in [1u32, 2, 3, 4, 5, 7, 8, 9, 14, 15] {
+            let bit = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Bit);
+            let byte = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Byte);
+            assert_eq!(byte.count(), 2 * t as usize);
+            let r = 13 * t as usize; // a multiple of 8 only at t = 8
+            let parity: Vec<u8> = (0..r.div_ceil(8)).map(|i| (i * 91 + 17) as u8).collect();
+            let msg: Vec<u8> = (0..37).map(|i| (i * 201 + 3) as u8).collect();
+            for message in [&msg[..], &[]] {
+                assert_eq!(
+                    byte.compute(message, &parity, r),
+                    bit.compute(message, &parity, r),
+                    "t {t}, message bytes {}",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    /// The premise of the byte lane's shortcut, on the lane that does not
+    /// use it: a polynomial over GF(2) satisfies `r(x)^2 = r(x^2)`.
+    #[test]
+    fn even_syndromes_are_squares_on_the_bit_lane() {
+        let field = Arc::new(GfField::new(11).unwrap());
+        let t = 6;
+        let calc = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Bit);
+        let msg: Vec<u8> = (0..50).map(|i| (i * 7 + 111) as u8).collect();
+        let parity: Vec<u8> = (0..9).map(|i| (i * 59 + 5) as u8).collect();
+        let syn = calc.compute(&msg, &parity, 11 * t as usize);
+        for k in 1..=t as usize {
+            assert_eq!(
+                syn[2 * k - 1],
+                field.mul(syn[k - 1], syn[k - 1]),
+                "S_{}",
+                2 * k
+            );
         }
     }
 

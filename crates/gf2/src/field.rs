@@ -221,7 +221,8 @@ impl GfField {
     }
 
     /// `alpha^e` for an exponent already reduced to `0 <= e < 2^m - 1` —
-    /// the division-free hot path of the log-stride Chien search.
+    /// the division-free antilog the decoder's log-domain polynomial
+    /// arithmetic runs on.
     #[inline]
     pub fn alpha_pow_reduced(&self, e: u32) -> u32 {
         debug_assert!(e < self.order());
