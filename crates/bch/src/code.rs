@@ -6,6 +6,7 @@ use std::sync::Arc;
 use mlcx_gf2::{minpoly, Gf2Poly, GfField};
 
 use crate::berlekamp;
+use crate::bitreg::BitSerialLfsr;
 use crate::chien;
 use crate::encoder::LfsrEncoder;
 use crate::error::BchError;
@@ -81,12 +82,16 @@ pub struct BchCode {
     t: u32,
     k_bits: usize,
     r_bits: usize,
-    kernel: CodecKernel,
     generator: Gf2Poly,
-    encoder: LfsrEncoder,
+    lfsr: Lfsr,
     syndromes: SyndromeCalculator,
-    /// `beta_i^(-r)` constants for the fused syndrome-via-remainder path.
-    syn_unshift: Vec<u32>,
+}
+
+/// The remainder pass of the kernel a [`BchCode`] runs.
+#[derive(Clone)]
+enum Lfsr {
+    Reference(BitSerialLfsr),
+    Fused(LfsrEncoder),
 }
 
 impl BchCode {
@@ -164,28 +169,27 @@ impl BchCode {
                 n_full,
             });
         }
-        let (encoder, syn_lane) = match kernel {
-            CodecKernel::Reference => (LfsrEncoder::bit_serial(&generator), SyndromeLane::Bit),
+        let (lfsr, syn_lane) = match kernel {
+            CodecKernel::Reference => (
+                Lfsr::Reference(BitSerialLfsr::new(&generator)),
+                SyndromeLane::Bit,
+            ),
             // Fused evaluates syndromes over the short LFSR remainder, so
             // the plain byte tables suffice there.
-            CodecKernel::Fused => (LfsrEncoder::new(&generator), SyndromeLane::Byte),
+            CodecKernel::Fused => (
+                Lfsr::Fused(LfsrEncoder::new(&generator)),
+                SyndromeLane::Byte,
+            ),
         };
         let syndromes = SyndromeCalculator::with_lane(field.clone(), t, syn_lane);
-        let syn_unshift = if kernel == CodecKernel::Fused {
-            syndromes.unshift_factors(r_bits)
-        } else {
-            Vec::new()
-        };
         Ok(BchCode {
             field,
             t,
             k_bits,
             r_bits,
-            kernel,
             generator,
-            encoder,
+            lfsr,
             syndromes,
-            syn_unshift,
         })
     }
 
@@ -196,7 +200,10 @@ impl BchCode {
 
     /// The codec kernel this instance runs.
     pub fn kernel(&self) -> CodecKernel {
-        self.kernel
+        match self.lfsr {
+            Lfsr::Reference(_) => CodecKernel::Reference,
+            Lfsr::Fused(_) => CodecKernel::Fused,
+        }
     }
 
     /// Message length `k` in bits.
@@ -251,7 +258,10 @@ impl BchCode {
     /// [`BchError::BufferSize`] if `message` is not exactly `k/8` bytes.
     pub fn encode(&self, message: &[u8]) -> Result<Vec<u8>, BchError> {
         self.check_message(message)?;
-        Ok(self.encoder.remainder(message))
+        Ok(match &self.lfsr {
+            Lfsr::Reference(lfsr) => lfsr.remainder(message),
+            Lfsr::Fused(encoder) => encoder.remainder(message),
+        })
     }
 
     /// Decodes in place: locates up to `t` bit errors across `message` and
@@ -274,25 +284,22 @@ impl BchCode {
         }
         // Stages 0+1: validity shortcut (paper: "if all remainders are null
         // the codeword is error-free and the decoding process ends") and
-        // syndrome computation. The fused kernel does both in one LFSR pass:
-        // the remainder state is zero iff the codeword is valid, and
-        // otherwise S_i = state(beta_i) * beta_i^(-r).
-        let syn = if self.kernel == CodecKernel::Fused {
-            let state = self.encoder.codeword_state(message, parity);
-            if state.is_zero() {
-                return Ok(DecodeOutcome::Clean);
+        // syndrome computation. The fused kernel does both in one LFSR pass
+        // over the message: received mod g is zero iff the codeword is
+        // valid, and otherwise S_i is that remainder evaluated at beta_i.
+        let syn = match &self.lfsr {
+            Lfsr::Fused(encoder) => {
+                let Some(rem) = encoder.received_remainder(message, parity) else {
+                    return Ok(DecodeOutcome::Clean);
+                };
+                self.syndromes.compute(&[], &rem, self.r_bits)
             }
-            let state_bytes = self.encoder.state_bytes(&state);
-            let mut syn = self.syndromes.compute(&[], &state_bytes, self.r_bits);
-            for (s, &unshift) in syn.iter_mut().zip(&self.syn_unshift) {
-                *s = self.field.mul(*s, unshift);
+            Lfsr::Reference(lfsr) => {
+                if lfsr.codeword_is_valid(message, parity) {
+                    return Ok(DecodeOutcome::Clean);
+                }
+                self.syndromes.compute(message, parity, self.r_bits)
             }
-            syn
-        } else {
-            if self.encoder.codeword_is_valid(message, parity) {
-                return Ok(DecodeOutcome::Clean);
-            }
-            self.syndromes.compute(message, parity, self.r_bits)
         };
         // Stage 2: Berlekamp-Massey.
         let lambda = berlekamp::error_locator(&self.field, &syn);
@@ -302,7 +309,7 @@ impl BchCode {
         }
         // Stage 3: the locator's roots inside the shortened range.
         let n_bits = self.codeword_bits();
-        let positions = match self.kernel {
+        let positions = match self.kernel() {
             CodecKernel::Reference => chien::find_error_positions(&self.field, &lambda, n_bits),
             CodecKernel::Fused => chien::find_error_positions_stride(&self.field, &lambda, n_bits),
         };
@@ -345,7 +352,7 @@ impl fmt::Debug for BchCode {
             .field("t", &self.t)
             .field("k_bits", &self.k_bits)
             .field("r_bits", &self.r_bits)
-            .field("kernel", &self.kernel)
+            .field("kernel", &self.kernel())
             .finish()
     }
 }

@@ -5,161 +5,100 @@
 //! feedback taps are selected by multiplexers from a generator-polynomial
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
 //! latency is `k/p` cycles **independent of the selected `t`** — the
-//! software model mirrors that with a table-driven parallel step.
+//! software model mirrors that with one table-driven step that folds 64
+//! message bits at every register width `r = deg g`.
 //!
-//! How many message bits one step folds is derived from the register
-//! width `r = deg g`, not chosen: a step of `8*lanes` bits reads that many
-//! bits off the top of the register, so it needs `r >= 8*lanes`.
+//! What lets one step serve every `r` is the register's alignment. The
+//! running remainder `s(x)` lives in `W = ceil(r/64)` words, most
+//! significant first, **left-aligned**: the words hold `s(x) * x^pad` with
+//! `pad = 64*W - r`, i.e. the pass works modulo `G = g * x^pad`, whose
+//! degree is a whole number of words whatever `r` is. Folding the next
+//! 8 message bytes `c` is then
 //!
-//! * `r >= 64` — 64 bits/step via eight position tables (slicing-by-8,
-//!   after the CRC slicing technique);
-//! * `32 <= r < 64` — 32 bits/step via four position tables;
-//! * `8 <= r < 32` — 8 bits/step via one 256-entry table;
-//! * `r < 8` — 1 bit/step.
+//! ```text
+//! idx   = state[0] ^ be64(c)    // the 64 coefficients leaving the top
+//! state = state << 64           // a word move: no bit shift, no mask
+//! state ^= T_0[idx byte 0] ^ T_1[idx byte 1] ^ .. ^ T_7[idx byte 7]
+//! ```
 //!
-//! The bit-serial step is also what [`crate::CodecKernel::Reference`] runs
-//! at every width, as the oracle. All widths compute the identical
-//! remainder polynomial.
+//! with `T_j[v] = ((v(x) * x^(r + 8*(7-j))) mod g) * x^pad` (slicing-by-8,
+//! after the CRC technique). A right-aligned register would have to pull
+//! those 64 coefficients off the top of an `r`-bit field — impossible
+//! below `r = 64`, a cross-word extract, a bit shift and a mask above —
+//! which is why no width here needs a narrower step. A tail of fewer than
+//! 8 bytes steps bytewise through `T_7` alone, and the finished register
+//! read out big-endian, cut to `ceil(r/8)` bytes, *is* the parity layout.
+//!
+//! Registers of up to four words (`t <= 16` over GF(2^16)) run the step on
+//! the stack from a `[u64; W]` monomorph of the one body; wider ones run
+//! the same body over a slice, where the table traffic (8 rows of `W`
+//! words per step) is what the time is.
+//!
+//! [`crate::CodecKernel::Reference`] does not come through here: its
+//! bit-serial LFSR is `bitreg.rs`, which shares nothing with this module.
 
 use mlcx_gf2::Gf2Poly;
 
-use crate::bitreg::BitReg;
-
-/// Datapath width of the [`LfsrEncoder`] (bits folded per step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EncodeLane {
-    /// Bit-serial stepping (the oracle, and registers narrower than a byte).
-    Bit,
-    /// One byte per step through a 256-entry table.
-    Byte,
-    /// Four bytes per step (slicing-by-4); requires `r >= 32`.
-    Slice4,
-    /// Eight bytes per step (slicing-by-8); requires `r >= 64`.
-    Slice8,
-}
-
-impl EncodeLane {
-    /// Bytes consumed per sliced step (0 for the serial lanes).
-    fn slice_bytes(self) -> usize {
-        match self {
-            EncodeLane::Bit | EncodeLane::Byte => 0,
-            EncodeLane::Slice4 => 4,
-            EncodeLane::Slice8 => 8,
-        }
-    }
-
-    /// The widest lane the register width `r` supports.
-    fn widest_for(r_bits: usize) -> EncodeLane {
-        if r_bits >= 64 {
-            EncodeLane::Slice8
-        } else if r_bits >= 32 {
-            EncodeLane::Slice4
-        } else if r_bits >= 8 {
-            EncodeLane::Byte
-        } else {
-            EncodeLane::Bit
-        }
-    }
-}
-
 /// Parallel LFSR engine for one fixed generator polynomial.
-///
-/// `step_table[v]` holds `(v(x) * x^r) mod g(x)`: folding one message byte
-/// into the remainder costs one table lookup plus one 8-bit shift — the
-/// software analogue of the hardware's 8-bit-parallel LFSR network. The
-/// sliced lanes extend this with per-byte-position tables
-/// `slice_table[j][v] = (v(x) * x^(r + 8*(lanes-1-j))) mod g(x)` so one
-/// step folds 4 or 8 message bytes with independent lookups.
 #[derive(Debug, Clone)]
 pub struct LfsrEncoder {
     r_bits: usize,
-    words_per_entry: usize,
-    lane: EncodeLane,
-    /// Flattened 256-entry table; entry `v` occupies
-    /// `step_table[v*words_per_entry .. (v+1)*words_per_entry]`. Built
-    /// whenever `r >= 8` (the sliced lanes fall back to it for tail bytes).
-    step_table: Vec<u64>,
-    /// Flattened `slice_bytes x 256` position tables for the sliced lanes
-    /// (empty otherwise); byte position `j`, entry `v` occupies
-    /// `slice_table[(j*256 + v)*words_per_entry ..][..words_per_entry]`.
-    slice_table: Vec<u64>,
-    /// Low `r` bits of the generator (g without the x^r term), for the
-    /// bit-serial lane.
-    feedback: Vec<u64>,
+    /// Register width `W = ceil(r/64)` in words.
+    words: usize,
+    /// Flattened `8 x 256 x W` position tables: byte position `j`, value
+    /// `v` occupies `tables[(j*256 + v)*W..][..W]`, most significant word
+    /// first.
+    tables: Vec<u64>,
 }
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits), stepping as wide as the register allows.
+    /// bits).
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
-        Self::with_lane(
-            generator,
-            EncodeLane::widest_for(Self::degree_of(generator)),
-        )
-    }
-
-    /// Builds the bit-serial engine [`crate::CodecKernel::Reference`] runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is constant (degree < 1).
-    pub(crate) fn bit_serial(generator: &Gf2Poly) -> Self {
-        Self::with_lane(generator, EncodeLane::Bit)
-    }
-
-    fn degree_of(generator: &Gf2Poly) -> usize {
-        generator
+        let r_bits = generator
             .degree()
             .filter(|&d| d >= 1)
-            .expect("generator polynomial must have degree >= 1")
-    }
-
-    /// `lane` must not be wider than [`EncodeLane::widest_for`] allows.
-    fn with_lane(generator: &Gf2Poly, lane: EncodeLane) -> Self {
-        let r_bits = Self::degree_of(generator);
-        let words_per_entry = r_bits.div_ceil(64).max(1);
-        let fill = |table: &mut [u64], v: u64, idx: usize, shift: usize| {
-            let rem = Gf2Poly::from_int(v).shl(shift).rem(generator);
-            let dst = &mut table[idx * words_per_entry..(idx + 1) * words_per_entry];
-            for (i, w) in rem.as_words().iter().enumerate() {
-                dst[i] = *w;
-            }
-        };
-        let mut step_table = Vec::new();
-        if r_bits >= 8 {
-            step_table = vec![0u64; 256 * words_per_entry];
-            for v in 0u64..256 {
-                fill(&mut step_table, v, v as usize, r_bits);
+            .expect("generator polynomial must have degree >= 1");
+        let words = r_bits.div_ceil(64);
+        // G = g * x^pad has degree 64*W; its lower terms, most significant
+        // word first, are x^(64*W) mod G = (x^r mod g) * x^pad = T_7[1].
+        let scaled = generator.shl(64 * words - r_bits);
+        let feedback: Vec<u64> = scaled.as_words()[..words].iter().rev().copied().collect();
+        let at = |j: usize, v: usize| (j * 256 + v) * words;
+        let mut tables = vec![0u64; 8 * 256 * words];
+        // T_7[2^i] = (x^(r+i) mod g) * x^pad: i multiplications by x mod G.
+        let mut reg = feedback.clone();
+        for i in 0..8 {
+            tables[at(7, 1 << i)..][..words].copy_from_slice(&reg);
+            let carry = reg[0] >> 63 == 1;
+            shl(&mut reg, 1);
+            if carry {
+                xor(&mut reg, &feedback);
             }
         }
-        let lanes = lane.slice_bytes();
-        let mut slice_table = Vec::new();
-        if lanes > 0 {
-            slice_table = vec![0u64; lanes * 256 * words_per_entry];
-            for j in 0..lanes {
-                let shift = r_bits + 8 * (lanes - 1 - j);
-                for v in 0u64..256 {
-                    fill(&mut slice_table, v, j * 256 + v as usize, shift);
-                }
+        // Every table is linear in v.
+        for v in 1..256usize {
+            let (rest, low) = (v & (v - 1), v & v.wrapping_neg());
+            for i in 0..words {
+                tables[at(7, v) + i] = tables[at(7, rest) + i] ^ tables[at(7, low) + i];
             }
         }
-        let mut fb = generator.clone();
-        fb.set_coeff(r_bits, false);
-        let mut feedback = vec![0u64; words_per_entry];
-        for (i, w) in fb.as_words().iter().enumerate() {
-            feedback[i] = *w;
+        // T_j[v] = T_(j+1)[v] * x^8 mod G: one byte step with a zero byte.
+        for j in (0..7).rev() {
+            for v in 0..256 {
+                reg.copy_from_slice(&tables[at(j + 1, v)..][..words]);
+                step_byte(&tables[at(7, 0)..], &mut reg, 0);
+                tables[at(j, v)..][..words].copy_from_slice(&reg);
+            }
         }
         LfsrEncoder {
             r_bits,
-            words_per_entry,
-            lane,
-            step_table,
-            slice_table,
-            feedback,
+            words,
+            tables,
         }
     }
 
@@ -180,194 +119,313 @@ impl LfsrEncoder {
     /// is the coefficient of `x^(r-1)`); when `r` is not a multiple of 8 the
     /// low bits of the last byte are zero padding.
     pub fn remainder(&self, message: &[u8]) -> Vec<u8> {
-        let mut state = BitReg::zero(self.r_bits);
-        self.fold_bytes(&mut state, message);
-        self.emit(&state)
+        self.with_remainder(message, |reg| self.parity_image(reg))
     }
 
-    /// Folds additional parity bytes into a running remainder — used by the
-    /// decoder's zero-syndrome shortcut, where the full received codeword
-    /// (message then parity) must reduce to zero mod `g`.
+    /// Returns `true` when the received codeword (message, then the top
+    /// `r` bits of `parity`) is a multiple of `g` — the decoder's
+    /// zero-syndrome shortcut.
     ///
-    /// Returns `true` when the received codeword is a valid codeword.
+    /// # Panics
+    ///
+    /// Panics if `parity` is shorter than [`Self::parity_bytes`].
     pub fn codeword_is_valid(&self, message: &[u8], parity: &[u8]) -> bool {
-        self.codeword_state(message, parity).is_zero()
+        self.received_remainder(message, parity).is_none()
     }
 
-    /// The LFSR state after folding the whole received codeword:
-    /// `received(x) * x^r mod g(x)`. Zero iff the codeword is valid; the
-    /// fused decode derives all `2t` syndromes from this one state
-    /// (`S_i = state(beta_i) * beta_i^(-r)`).
-    pub(crate) fn codeword_state(&self, message: &[u8], parity: &[u8]) -> BitReg {
-        let mut state = BitReg::zero(self.r_bits);
-        self.fold_bytes(&mut state, message);
-        let full = self.r_bits / 8;
-        self.fold_bytes(&mut state, &parity[..full]);
-        for j in 0..self.r_bits % 8 {
-            self.step_bit(&mut state, parity[full] >> (7 - j) & 1 == 1);
-        }
-        state
-    }
-
-    /// Serializes an LFSR state in the parity-byte layout (MSB-first).
-    pub(crate) fn state_bytes(&self, state: &BitReg) -> Vec<u8> {
-        self.emit(state)
-    }
-
-    fn fold_bytes(&self, state: &mut BitReg, bytes: &[u8]) {
-        let lanes = self.lane.slice_bytes();
-        let tail = match self.lane {
-            EncodeLane::Bit => bytes,
-            EncodeLane::Byte => {
-                for &byte in bytes {
-                    self.step_byte(state, byte);
-                }
-                return;
+    /// `received(x) mod g(x)` in the parity-byte layout, `None` when it is
+    /// zero (a valid codeword — no allocation on that path for `W <= 4`).
+    /// The received word is `m'(x) * x^r + p'(x)` with `deg p' < r`, so its
+    /// remainder is the message's plus the received parity, and the
+    /// syndromes are this one `r`-bit polynomial evaluated at the roots.
+    pub(crate) fn received_remainder(&self, message: &[u8], parity: &[u8]) -> Option<Vec<u8>> {
+        let parity = &parity[..self.parity_bytes()];
+        self.with_remainder(message, |reg| {
+            for (word, bytes) in reg.iter_mut().zip(parity.chunks(8)) {
+                let mut be = [0u8; 8];
+                be[..bytes.len()].copy_from_slice(bytes);
+                *word ^= u64::from_be_bytes(be);
             }
-            EncodeLane::Slice4 | EncodeLane::Slice8 => {
-                let mut chunks = bytes.chunks_exact(lanes);
-                for chunk in &mut chunks {
-                    self.step_slice(state, chunk);
-                }
-                for &byte in chunks.remainder() {
-                    self.step_byte(state, byte);
-                }
-                return;
-            }
-        };
-        for &byte in tail {
-            for j in (0..8).rev() {
-                self.step_bit(state, byte >> j & 1 == 1);
+            // When r % 8 != 0 the low bits of the last parity byte are not
+            // codeword bits: whatever was read there must not make a valid
+            // codeword look dirty.
+            reg[self.words - 1] &= !0 << (64 * self.words - self.r_bits);
+            reg.iter().any(|&w| w != 0).then(|| self.parity_image(reg))
+        })
+    }
+
+    /// Runs the pass over `message` and hands `then` the finished register,
+    /// which lives on the stack up to four words.
+    fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
+        match self.words {
+            1 => then(&mut self.narrow::<1>(message)),
+            2 => then(&mut self.narrow::<2>(message)),
+            3 => then(&mut self.narrow::<3>(message)),
+            4 => then(&mut self.narrow::<4>(message)),
+            wide => {
+                let mut reg = vec![0u64; wide];
+                self.wide(&mut reg, message);
+                then(&mut reg)
             }
         }
     }
 
-    fn step_byte(&self, state: &mut BitReg, byte: u8) {
-        let v = (state.top8() ^ byte) as usize;
-        state.shl8();
-        state.xor(&self.step_table[v * self.words_per_entry..(v + 1) * self.words_per_entry]);
+    fn narrow<const W: usize>(&self, message: &[u8]) -> [u64; W] {
+        let mut reg = [0u64; W];
+        fold(&self.tables, &mut reg, message);
+        reg
     }
 
-    fn step_slice(&self, state: &mut BitReg, chunk: &[u8]) {
-        let lanes = chunk.len();
-        let top = state.top_bits(8 * lanes);
-        state.shln(8 * lanes);
-        for (j, &byte) in chunk.iter().enumerate() {
-            let v = ((top >> (8 * (lanes - 1 - j))) as u8 ^ byte) as usize;
-            let base = (j * 256 + v) * self.words_per_entry;
-            state.xor(&self.slice_table[base..base + self.words_per_entry]);
-        }
+    /// The slice loop, compiled on its own: inlined beside the four stack
+    /// bodies it came out a quarter slower at `W = 8`.
+    #[inline(never)]
+    fn wide(&self, reg: &mut [u64], message: &[u8]) {
+        fold(&self.tables, reg, message);
     }
 
-    fn step_bit(&self, state: &mut BitReg, bit: bool) {
-        let fb = state.bit(self.r_bits - 1) ^ bit;
-        state.shl1();
-        if fb {
-            state.xor(&self.feedback);
-            // x^r term of g folds back as the low taps; bit 0 toggles too
-            // because g always has a nonzero constant term for BCH codes.
-        }
-    }
-
-    fn emit(&self, state: &BitReg) -> Vec<u8> {
+    /// The register's top `r` bits as parity bytes.
+    fn parity_image(&self, reg: &[u64]) -> Vec<u8> {
         let mut out = vec![0u8; self.parity_bytes()];
-        for v in 0..self.r_bits {
-            if state.bit(self.r_bits - 1 - v) {
-                out[v / 8] |= 1 << (7 - v % 8);
-            }
+        for (bytes, word) in out.chunks_mut(8).zip(reg) {
+            bytes.copy_from_slice(&word.to_be_bytes()[..bytes.len()]);
         }
         out
+    }
+}
+
+/// The pass: folds `message` into the left-aligned register `reg`, 8 bytes
+/// per step, then the tail bytewise. Inlined into each caller so that a
+/// `[u64; W]` register unrolls into scalars — and written with loops and
+/// `#[inline(always)]` helpers only: a closure in the step (`array::map`,
+/// `from_fn`, `Iterator::fold`) is inlined at the optimiser's discretion,
+/// and each one tried was outlined, at up to 2.5x the pass time.
+#[inline(always)]
+fn fold(tables: &[u64], reg: &mut [u64], message: &[u8]) {
+    let w = reg.len();
+    // One length check here lets every row lookup below go unchecked.
+    let tables = &tables[..8 * 256 * w];
+    let (chunks, tail) = message.as_chunks::<8>();
+    for chunk in chunks {
+        let idx = reg[0] ^ u64::from_be_bytes(*chunk);
+        let mut rows = [&tables[..w]; 8];
+        for (j, row) in rows.iter_mut().enumerate() {
+            let v = (idx >> (56 - 8 * j)) as u8 as usize;
+            *row = &tables[(j * 256 + v) * w..][..w];
+        }
+        // The word move and the XOR in one sweep: word i takes word i + 1.
+        for i in 0..w - 1 {
+            reg[i] = reg[i + 1] ^ sum(&rows, i);
+        }
+        reg[w - 1] = sum(&rows, w - 1);
+    }
+    for &byte in tail {
+        step_byte(&tables[7 * 256 * w..], reg, byte);
+    }
+}
+
+/// Word `i` of the eight selected rows, summed.
+#[inline(always)]
+fn sum(rows: &[&[u64]; 8], i: usize) -> u64 {
+    let mut acc = 0;
+    for row in rows {
+        acc ^= row[i];
+    }
+    acc
+}
+
+/// One byte through `T_7`: the 8 coefficients leaving the top select the
+/// row, the register moves up 8 bits.
+#[inline(always)]
+fn step_byte(t7: &[u64], reg: &mut [u64], byte: u8) {
+    let v = ((reg[0] >> 56) as u8 ^ byte) as usize;
+    shl(reg, 8);
+    xor(reg, &t7[v * reg.len()..][..reg.len()]);
+}
+
+/// Shifts the register left by `k` bits (`0 < k < 64`), dropping what
+/// leaves the top.
+#[inline(always)]
+fn shl(reg: &mut [u64], k: u32) {
+    for i in 0..reg.len() {
+        let below = reg.get(i + 1).map_or(0, |&next| next >> (64 - k));
+        reg[i] = reg[i] << k | below;
+    }
+}
+
+#[inline(always)]
+fn xor(reg: &mut [u64], row: &[u64]) {
+    for (w, &t) in reg.iter_mut().zip(row) {
+        *w ^= t;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitreg::{long_division_remainder, BitSerialLfsr};
     use mlcx_gf2::{minpoly::generator_poly, GfField};
+    use proptest::prelude::*;
 
-    /// Reference remainder via polynomial arithmetic.
-    fn reference_remainder(message: &[u8], g: &Gf2Poly) -> Vec<u8> {
-        let r = g.degree().unwrap();
-        let k = message.len() * 8;
-        let mut m = Gf2Poly::zero();
-        for (u, &byte) in message.iter().enumerate() {
+    /// One generator per register class: `(m, t, r, W)`. r < 8; one word
+    /// with and without pad bits in the last parity byte; r = 64 exactly;
+    /// r = 65; r = 128; multi-word with `r % 64 != 0` at W = 2, 3, 4; the
+    /// slice loop at W = 5 and at the paper's t = 65 (W = 17).
+    const CLASSES: [(u32, u32, usize, usize); 13] = [
+        (4, 1, 4, 1),
+        (5, 1, 5, 1),
+        (13, 3, 39, 1),
+        (16, 3, 48, 1),
+        (16, 4, 64, 1),
+        (13, 5, 65, 2),
+        (13, 6, 78, 2),
+        (16, 8, 128, 2),
+        (13, 11, 143, 3),
+        (16, 12, 192, 3),
+        (16, 14, 224, 4),
+        (16, 17, 272, 5),
+        (16, 65, 1040, 17),
+    ];
+
+    fn class_generator(m: u32, t: u32, r: usize, words: usize) -> Gf2Poly {
+        let g = generator_poly(&GfField::new(m).unwrap(), t);
+        assert_eq!(g.degree(), Some(r), "GF(2^{m}), t = {t}");
+        assert_eq!(r.div_ceil(64), words);
+        g
+    }
+
+    fn payload(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 151 + salt * 29 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn tables_match_the_polynomial_definition() {
+        // T_j[v] == ((v * x^(r + 8*(7-j))) mod g) << pad, every entry.
+        for (m, t, r, words) in CLASSES {
+            let g = class_generator(m, t, r, words);
+            let enc = LfsrEncoder::new(&g);
+            assert_eq!(enc.tables.len(), 8 * 256 * words);
             for j in 0..8 {
-                if byte >> (7 - j) & 1 == 1 {
-                    m.set_coeff(k - 1 - (u * 8 + j), true);
+                for v in 0..256usize {
+                    let rem = Gf2Poly::from_int(v as u64)
+                        .shl(r + 8 * (7 - j))
+                        .rem(&g)
+                        .shl(64 * words - r);
+                    let mut expect = vec![0u64; words];
+                    for (i, &w) in rem.as_words().iter().enumerate() {
+                        expect[words - 1 - i] = w;
+                    }
+                    let got = &enc.tables[(j * 256 + v) * words..][..words];
+                    assert_eq!(got, &expect[..], "r = {r}, T_{j}[{v}]");
                 }
             }
         }
-        let rem = m.shl(r).rem(g);
-        let mut out = vec![0u8; r.div_ceil(8)];
-        for v in 0..r {
-            if rem.coeff(r - 1 - v) {
-                out[v / 8] |= 1 << (7 - v % 8);
-            }
-        }
-        out
     }
 
     #[test]
-    fn matches_polynomial_reference_gf16() {
-        let f = GfField::new(4).unwrap();
-        let g = generator_poly(&f, 1); // x^4 + x + 1, r = 4 < 8: bit-serial
-        let enc = LfsrEncoder::new(&g);
-        assert_eq!(enc.lane, EncodeLane::Bit);
-        let msg = [0b1011_0010u8];
-        assert_eq!(enc.remainder(&msg), reference_remainder(&msg, &g));
-    }
-
-    #[test]
-    fn matches_polynomial_reference_gf256() {
-        let f = GfField::new(8).unwrap();
-        for t in [1u32, 2, 3, 5] {
-            let g = generator_poly(&f, t);
+    fn every_register_class_matches_the_oracle_and_long_division() {
+        // Lengths cover len < 8 and every len % 8, so both the 8-byte step
+        // and each tail length run in the stack bodies and the slice loop;
+        // the last is the paper's page.
+        for (m, t, r, words) in CLASSES {
+            let g = class_generator(m, t, r, words);
             let enc = LfsrEncoder::new(&g);
-            let msg: Vec<u8> = (0..24).map(|i| (i * 37 + 11) as u8).collect();
-            assert_eq!(
-                enc.remainder(&msg),
-                reference_remainder(&msg, &g),
-                "t = {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_lane_matches_the_polynomial_reference() {
-        // r = 13*6 = 78 supports Slice8; message lengths exercise the
-        // chunk remainders of both sliced lanes.
-        let f = GfField::new(13).unwrap();
-        let g = generator_poly(&f, 6);
-        for lane in [
-            EncodeLane::Bit,
-            EncodeLane::Byte,
-            EncodeLane::Slice4,
-            EncodeLane::Slice8,
-        ] {
-            let enc = LfsrEncoder::with_lane(&g, lane);
-            for len in [1usize, 3, 4, 7, 8, 9, 16, 33, 64] {
-                let msg: Vec<u8> = (0..len).map(|i| (i * 151 + 29) as u8).collect();
+            let oracle = BitSerialLfsr::new(&g);
+            assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
+            for len in [
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 20, 33, 64, 70, 127, 4096,
+            ] {
+                let msg = payload(len, r);
+                let parity = enc.remainder(&msg);
+                assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
                 assert_eq!(
-                    enc.remainder(&msg),
-                    reference_remainder(&msg, &g),
-                    "lane {lane:?}, len {len}"
+                    parity,
+                    long_division_remainder(&msg, &g),
+                    "r = {r}, len {len}"
                 );
+                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
+                assert_eq!(enc.received_remainder(&msg, &parity), None);
             }
         }
     }
 
     #[test]
-    fn lane_follows_the_register_width() {
-        let f = GfField::new(10).unwrap();
-        for (t, r, lane) in [
-            (3, 30, EncodeLane::Byte),   // r < 32
-            (5, 50, EncodeLane::Slice4), // Slice4 fits, Slice8 not
-            (7, 70, EncodeLane::Slice8),
-        ] {
-            let g = generator_poly(&f, t);
-            assert_eq!(g.degree(), Some(r));
-            assert_eq!(LfsrEncoder::new(&g).lane, lane, "r = {r}");
-            assert_eq!(LfsrEncoder::bit_serial(&g).lane, EncodeLane::Bit);
+    fn any_single_flip_invalidates_the_codeword() {
+        for (m, t, r, words) in CLASSES {
+            let g = class_generator(m, t, r, words);
+            let enc = LfsrEncoder::new(&g);
+            let oracle = BitSerialLfsr::new(&g);
+            // Short enough that no flip lands on another codeword: n stays
+            // inside the code length 2^m - 1.
+            let len = ((1usize << m) - 1 - r) / 8;
+            let len = len.min(if r == 1040 { 3 } else { 21 });
+            let msg = payload(len, words);
+            let parity = enc.remainder(&msg);
+            for u in 0..8 * len + r {
+                let (mut bad_msg, mut bad_parity) = (msg.clone(), parity.clone());
+                if u < 8 * len {
+                    bad_msg[u / 8] ^= 1 << (7 - u % 8);
+                } else {
+                    let v = u - 8 * len;
+                    bad_parity[v / 8] ^= 1 << (7 - v % 8);
+                }
+                assert!(
+                    !enc.codeword_is_valid(&bad_msg, &bad_parity),
+                    "r = {r}, flip {u}"
+                );
+                assert!(!oracle.codeword_is_valid(&bad_msg, &bad_parity));
+            }
+        }
+    }
+
+    #[test]
+    fn pad_bits_of_the_last_parity_byte_are_not_codeword_bits() {
+        for (m, t, r, words) in CLASSES {
+            let pad_bits = 8 * r.div_ceil(8) - r;
+            let g = class_generator(m, t, r, words);
+            let enc = LfsrEncoder::new(&g);
+            let msg = payload(1, r);
+            let clean = enc.remainder(&msg);
+            let last = clean.len() - 1;
+            assert_eq!(clean[last] & ((1 << pad_bits) - 1), 0, "zero padding");
+            for pattern in 0..1u8 << pad_bits {
+                let mut parity = clean.clone();
+                parity[last] |= pattern;
+                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}");
+                // A real error beside them: the remainder comes back with
+                // the pad bits masked off, whatever they were.
+                parity[0] ^= 0x80;
+                let mut expect = vec![0u8; clean.len()];
+                expect[0] = 0x80;
+                assert_eq!(enc.received_remainder(&msg, &parity), Some(expect));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The pass is polynomial division, BCH or not: any generator of
+        /// any degree — so every `r % 64` and every `r % 8`, not only the
+        /// multiples of `m` the BCH classes reach — and any message length.
+        #[test]
+        fn random_generators_match_the_oracle_and_long_division(
+            r in 1usize..=330,
+            len in 0usize..=41,
+            seed in any::<u64>(),
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = Gf2Poly::from_words((0..r.div_ceil(64)).map(|_| rng.random()).collect());
+            for high in r..64 * r.div_ceil(64) {
+                g.set_coeff(high, false);
+            }
+            g.set_coeff(r, true);
+            let msg: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            let enc = LfsrEncoder::new(&g);
+            let parity = enc.remainder(&msg);
+            prop_assert_eq!(&parity, &long_division_remainder(&msg, &g));
+            prop_assert_eq!(&parity, &BitSerialLfsr::new(&g).remainder(&msg));
+            prop_assert!(enc.codeword_is_valid(&msg, &parity));
         }
     }
 
@@ -396,48 +454,8 @@ mod tests {
     }
 
     #[test]
-    fn systematic_codeword_validates_in_every_lane() {
-        let f = GfField::new(11).unwrap();
-        let g = generator_poly(&f, 6);
-        let msg: Vec<u8> = (0..100).map(|i| (i * 101 + 55) as u8).collect();
-        for lane in [
-            EncodeLane::Bit,
-            EncodeLane::Byte,
-            EncodeLane::Slice4,
-            EncodeLane::Slice8,
-        ] {
-            let enc = LfsrEncoder::with_lane(&g, lane);
-            let parity = enc.remainder(&msg);
-            assert!(enc.codeword_is_valid(&msg, &parity), "lane {lane:?}");
-            // Any single flipped bit must invalidate it.
-            let mut bad = msg.clone();
-            bad[50] ^= 0x08;
-            assert!(!enc.codeword_is_valid(&bad, &parity), "lane {lane:?}");
-        }
-    }
-
-    #[test]
-    fn codeword_state_is_lane_invariant() {
-        let f = GfField::new(13).unwrap();
-        let g = generator_poly(&f, 8);
-        let msg: Vec<u8> = (0..64).map(|i| (i * 73 + 5) as u8).collect();
-        let reference = LfsrEncoder::bit_serial(&g);
-        let mut parity = reference.remainder(&msg);
-        parity[2] ^= 0x10; // corrupt so the state is nonzero
-        let expect = reference.state_bytes(&reference.codeword_state(&msg, &parity));
-        for lane in [EncodeLane::Byte, EncodeLane::Slice4, EncodeLane::Slice8] {
-            let enc = LfsrEncoder::with_lane(&g, lane);
-            let got = enc.state_bytes(&enc.codeword_state(&msg, &parity));
-            assert_eq!(got, expect, "lane {lane:?}");
-        }
-    }
-
-    #[test]
-    fn parity_sizes() {
-        let f = GfField::new(13).unwrap();
-        let g = generator_poly(&f, 2);
-        let enc = LfsrEncoder::new(&g);
-        assert_eq!(enc.parity_bits(), 26);
-        assert_eq!(enc.parity_bytes(), 4);
+    #[should_panic(expected = "degree >= 1")]
+    fn constant_generator_is_rejected() {
+        LfsrEncoder::new(&Gf2Poly::one());
     }
 }

@@ -7,25 +7,28 @@
 //! `tests/codec_kernels.rs` pins it bit-identical to
 //! [`CodecKernel::Reference`].
 //!
-//! | kernel      | role       | encoder                    | syndromes              | root search           |
-//! |-------------|------------|----------------------------|------------------------|-----------------------|
-//! | `Reference` | oracle     | bit-serial LFSR            | bit-serial Horner      | Chien sweep           |
-//! | `Fused`     | production | widest slicing `r` permits | single-pass remainder  | trace-split solve     |
+//! | kernel      | role       | encoder                       | syndromes              | root search           |
+//! |-------------|------------|-------------------------------|------------------------|-----------------------|
+//! | `Reference` | oracle     | bit-serial LFSR               | bit-serial Horner      | Chien sweep           |
+//! | `Fused`     | production | slicing-by-8, left-aligned    | single-pass remainder  | trace-split solve     |
 //!
-//! The production encoder's step width is not a setting: it follows from
-//! the register width `r = deg g` (slicing-by-8 needs `r >= 64`,
-//! slicing-by-4 `r >= 32`, the byte table `r >= 8`), so a narrow code gets
-//! the narrower step it needs and nothing else ever selects one.
+//! The production encoder has one step at every register width
+//! `r = deg g`: 64 message bits through eight position tables. Its
+//! register is left-aligned in whole words (it works modulo
+//! `g * x^pad`), so the 64 coefficients a step retires are always exactly
+//! the top word and no `r` — not even `r < 8` — needs a narrower step;
+//! nothing selects a width. See [`crate::encoder`].
 //!
 //! `Fused` fuses the validity shortcut and syndrome computation into one
-//! LFSR pass over the codeword: the `r`-bit remainder `state` satisfies
-//! `S_i = state(beta_i) * beta_i^(-r)` for every designed root `beta_i`,
-//! so the `2t` full-codeword Horner passes collapse into `t` evaluations
-//! of an `r`-bit polynomial at the odd roots and `t` squarings
-//! (`S_2k = S_k^2`). Its root search does not sweep the `n` positions: it
-//! factors the locator into linear terms (see [`crate::chien`]), which
-//! costs `O(deg^2)` whatever the codeword length and answers `None` on
-//! exactly the locators the sweep comes up short on.
+//! LFSR pass over the message: `received mod g` is the message's
+//! remainder plus the received parity, zero iff the codeword is valid,
+//! and since `g(beta_i) = 0` it satisfies `S_i = (received mod g)(beta_i)`
+//! for every designed root `beta_i`, so the `2t` full-codeword Horner
+//! passes collapse into `t` evaluations of an `r`-bit polynomial at the
+//! odd roots and `t` squarings (`S_2k = S_k^2`). Its root search does not
+//! sweep the `n` positions: it factors the locator into linear terms (see
+//! [`crate::chien`]), which costs `O(deg^2)` whatever the codeword length
+//! and answers `None` on exactly the locators the sweep comes up short on.
 
 /// Selects the datapath a [`crate::BchCode`] instance runs.
 ///
@@ -36,7 +39,7 @@
 pub enum CodecKernel {
     /// Bit-serial everything. The differential-testing oracle.
     Reference,
-    /// The production path: sliced encoder, fused single-pass
+    /// The production path: slicing-by-8 encoder, fused single-pass
     /// syndrome-via-remainder decode, locator roots solved for instead of
     /// searched.
     #[default]

@@ -17,9 +17,11 @@
 //!   `r(x)^2 = r(x^2)` for every received polynomial `r` over GF(2).
 //!
 //! The production decode ([`crate::CodecKernel::Fused`]) does not walk the
-//! codeword here at all: it evaluates the `r`-bit LFSR remainder with the
-//! byte lane instead (see [`SyndromeCalculator::unshift_factors`]), so a
-//! wider fold would have nothing to speed up.
+//! codeword here at all. Since `received(x) = q(x) g(x) + rem(x)` and
+//! `g(beta_i) = 0`, `S_i = rem(beta_i)`: it hands the byte lane the
+//! `r`-bit remainder `received mod g` (the LFSR pass over the message plus
+//! the received parity) with an empty message, so a wider fold would have
+//! nothing to speed up.
 
 use std::sync::Arc;
 
@@ -156,17 +158,6 @@ impl SyndromeCalculator {
         syn
     }
 
-    /// The `beta_i^(-r)` constants that convert an evaluated LFSR remainder
-    /// into syndromes: since `received(x) * x^r = q(x) g(x) + state(x)` and
-    /// `g(beta_i) = 0`, we get `S_i = state(beta_i) * beta_i^(-r)`. The
-    /// fused decode evaluates the `r`-bit `state` with [`Self::compute`]
-    /// and multiplies by these factors.
-    pub fn unshift_factors(&self, parity_bits: usize) -> Vec<u32> {
-        (0..self.two_t)
-            .map(|i| self.field.alpha_pow(-((i as i64 + 1) * parity_bits as i64)))
-            .collect()
-    }
-
     /// `true` when every syndrome is zero (valid codeword).
     pub fn all_zero(syndromes: &[u32]) -> bool {
         syndromes.iter().all(|&s| s == 0)
@@ -287,9 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn unshift_factors_recover_syndromes_from_remainder() {
-        // S_i = state(beta_i) * beta_i^(-r) must equal the directly
-        // computed syndromes for a corrupted codeword.
+    fn received_remainder_evaluates_to_the_syndromes() {
+        // S_i = (received mod g)(beta_i) must equal the syndromes computed
+        // over the whole corrupted codeword, pad bits of the last parity
+        // byte (r = 33: seven of them) set or not.
         let field = Arc::new(GfField::new(11).unwrap());
         let t = 3;
         let g = generator_poly(&field, t);
@@ -297,19 +289,36 @@ mod tests {
         let enc = crate::encoder::LfsrEncoder::new(&g);
         let calc = SyndromeCalculator::new(field.clone(), t);
         let mut msg: Vec<u8> = (0..50).map(|i| (i * 7 + 111) as u8).collect();
-        let parity = enc.remainder(&msg);
+        let mut parity = enc.remainder(&msg);
         msg[10] ^= 0x42; // corrupt
-        let direct = calc.compute(&msg, &parity, r);
-        let state = enc.codeword_state(&msg, &parity);
-        let state_bytes = enc.state_bytes(&state);
-        let evaluated = calc.compute(&[], &state_bytes, r);
-        let unshift = calc.unshift_factors(r);
-        let via_state: Vec<u32> = evaluated
-            .iter()
-            .zip(&unshift)
-            .map(|(&s, &u)| field.mul(s, u))
-            .collect();
-        assert_eq!(via_state, direct);
+        parity[1] ^= 0x08;
+        for pad in [0x00, 0x7F] {
+            parity[4] |= pad;
+            let direct = calc.compute(&msg, &parity, r);
+            let rem = enc.received_remainder(&msg, &parity).unwrap();
+            assert_eq!(calc.compute(&[], &rem, r), direct);
+        }
+    }
+
+    /// Only the top `parity_bits` bits of `parity` are codeword bits: what
+    /// sits in the pad bits of its last byte reaches no syndrome, on either
+    /// lane (the benchmark's staged replay XORs raw spare bytes, padding
+    /// included, into the remainder it evaluates here).
+    #[test]
+    fn pad_bits_of_the_last_parity_byte_reach_no_syndrome() {
+        let field = Arc::new(GfField::new(13).unwrap());
+        let (t, r) = (3, 39);
+        let msg: Vec<u8> = (0..20).map(|i| (i * 57 + 13) as u8).collect();
+        let parity = [0x5D, 0xFB, 0xD1, 0x8F, 0x76];
+        for lane in [SyndromeLane::Bit, SyndromeLane::Byte] {
+            let calc = SyndromeCalculator::with_lane(field.clone(), t, lane);
+            let expect = calc.compute(&msg, &parity, r);
+            let mut padded = parity;
+            padded[4] |= 0x01;
+            assert_eq!(calc.compute(&msg, &padded, r), expect, "lane {lane:?}");
+            padded[4] ^= 0x02; // the last real bit does
+            assert_ne!(calc.compute(&msg, &padded, r), expect, "lane {lane:?}");
+        }
     }
 
     #[test]

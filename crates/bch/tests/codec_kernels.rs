@@ -158,54 +158,191 @@ proptest! {
             prop_assert_eq!(got_par, ref_par);
         }
     }
+}
 
-    /// The production encoder's step width follows the register width
-    /// `r = deg g`: bit-serial below 8, the byte table below 32,
-    /// slicing-by-4 below 64, slicing-by-8 from there. Narrow registers are
-    /// the only way to reach the first three, so each class is held against
-    /// the oracle here: parity, outcome (positions included) and corrected
-    /// buffers, for error weights up to `t + 2`.
+/// `(m, t, W)`: every compiled shape of the production pass — a `[u64; W]`
+/// body for each of `W = ceil(r/64)` in 1..=4, the slice loop from 5 words
+/// up — over registers that fill their last word and last parity byte and
+/// ones that do not (r < 8, r = 64, 65, 128 and 1040 among them).
+const WIDTH_CLASSES: [(u32, u32, usize); 26] = [
+    (4, 1, 1),
+    (5, 1, 1),
+    (7, 1, 1),
+    (9, 2, 1),
+    (13, 3, 1),
+    (16, 3, 1),
+    (11, 5, 1),
+    (16, 4, 1),
+    (13, 5, 2),
+    (13, 6, 2),
+    (11, 7, 2),
+    (12, 8, 2),
+    (16, 8, 2),
+    (13, 11, 3),
+    (16, 9, 3),
+    (14, 12, 3),
+    (16, 12, 3),
+    (13, 15, 4),
+    (16, 14, 4),
+    (13, 19, 4),
+    (16, 16, 4),
+    (13, 20, 5),
+    (16, 17, 5),
+    (14, 24, 6),
+    (16, 30, 8),
+    (16, 65, 17),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The production pass is one step formula; each shape it is compiled
+    /// in is held against the oracle here: parity, outcome (positions
+    /// included) and corrected buffers, for error weights up to `t + 2`.
+    /// Message lengths walk every `len % 8`, `len < 8` included, so the
+    /// 8-byte step and each bytewise tail run in every shape.
     #[test]
     fn fused_matches_reference_in_every_register_width_class(
-        class in 0usize..4,
-        pick in 0usize..6,
         k_draw in 0usize..64,
-        extra in 0usize..=2,
+        extra in 1usize..=2,
         seed in any::<u64>(),
     ) {
-        let (r_range, codes_mt): (_, &[(u32, u32)]) = match class {
-            0 => (1..8, &[(4, 1), (5, 1), (6, 1), (7, 1)]),
-            1 => (8..32, &[(8, 1), (9, 2), (8, 3), (13, 2), (10, 3)]),
-            2 => (32..64, &[(8, 4), (10, 4), (9, 5), (13, 4), (11, 5), (10, 6)]),
-            _ => (64..usize::MAX, &[(13, 5), (11, 6), (10, 7), (12, 8), (13, 8)]),
-        };
-        let (m, t) = codes_mt[pick % codes_mt.len()];
-        let field = GfField::new(m).unwrap();
-        let r = mlcx_gf2::minpoly::generator_poly(&field, t).degree().unwrap();
-        prop_assert!(r_range.contains(&r), "GF(2^{m}), t = {t}: r = {r}");
-        let k_bytes = 1 + k_draw % ((field.order() as usize - r) / 8);
-        let k_bits = k_bytes * 8;
-        let codes = ladder(m, k_bits, t);
-
         use rand::{RngExt, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let msg: Vec<u8> = (0..k_bytes).map(|_| rng.random()).collect();
-        let parity = codes[0].encode(&msg).unwrap();
-        prop_assert_eq!(&codes[1].encode(&msg).unwrap(), &parity);
+        for (i, (m, t, words)) in WIDTH_CLASSES.into_iter().enumerate() {
+            let field = GfField::new(m).unwrap();
+            let r = mlcx_gf2::minpoly::generator_poly(&field, t).degree().unwrap();
+            prop_assert!(r.div_ceil(64) == words, "GF(2^{m}), t = {t}: r = {r}");
+            let k_bytes = 1 + (k_draw + 3 * i) % ((field.order() as usize - r) / 8).min(72);
+            let k_bits = k_bytes * 8;
+            let codes = ladder(m, k_bits, t);
 
-        let n = codes[0].codeword_bits();
-        for weight in 0..=(t as usize + extra).min(n) {
-            let mut positions = BTreeSet::new();
-            while positions.len() < weight {
-                positions.insert(rng.random_range(0..n));
+            let msg: Vec<u8> = (0..k_bytes).map(|_| rng.random()).collect();
+            let parity = codes[0].encode(&msg).unwrap();
+            prop_assert_eq!(&codes[1].encode(&msg).unwrap(), &parity);
+
+            let n = codes[0].codeword_bits();
+            let t = t as usize;
+            let weights: BTreeSet<usize> = [0, 1, 2, t / 2, t - 1, t, t + extra].into();
+            for weight in weights.into_iter().filter(|&w| w <= n) {
+                let mut positions = BTreeSet::new();
+                while positions.len() < weight {
+                    positions.insert(rng.random_range(0..n));
+                }
+                let results = decode_all(&codes, &msg, &parity, k_bits, &positions);
+                if weight <= t {
+                    prop_assert_eq!(&results[0].1, &msg);
+                    prop_assert_eq!(results[0].0.corrected_bits(), weight);
+                }
+                prop_assert_eq!(&results[1], &results[0]);
             }
-            let results = decode_all(&codes, &msg, &parity, k_bits, &positions);
-            if weight <= t as usize {
-                prop_assert_eq!(&results[0].1, &msg);
-                prop_assert_eq!(results[0].0.corrected_bits(), weight);
-            }
-            prop_assert_eq!(&results[1], &results[0]);
         }
+    }
+
+    /// When `r % 8 != 0` the low bits of the last parity byte are storage
+    /// padding, not codeword bits. Whatever is read there, both kernels
+    /// give the outcome they give with the padding zero — a clean codeword
+    /// stays `Clean`, real errors are located at the same positions — and
+    /// neither touches the padding. (`remainder(message) ^ parity` carries
+    /// the padding into the register; unmasked, one flipped pad bit turns a
+    /// clean page into `Uncorrectable`: zero syndromes, non-zero remainder.)
+    #[test]
+    fn pad_bits_of_the_last_parity_byte_change_nothing(
+        k_draw in 0usize..64,
+        weight_draw in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // r = 39 (where the trap was found), 5, 30, 55, 78, 143.
+        for (m, t) in [(13u32, 3u32), (5, 1), (10, 3), (11, 5), (13, 6), (13, 11)] {
+            let field = GfField::new(m).unwrap();
+            let r = mlcx_gf2::minpoly::generator_poly(&field, t).degree().unwrap();
+            let pad_bits = 8 * r.div_ceil(8) - r;
+            prop_assert!(pad_bits > 0, "GF(2^{m}), t = {t}: r = {r}");
+            let k_bytes = 1 + k_draw % ((field.order() as usize - r) / 8).min(64);
+            let k_bits = k_bytes * 8;
+            let codes = ladder(m, k_bits, t);
+
+            let msg: Vec<u8> = (0..k_bytes).map(|_| rng.random()).collect();
+            let parity = codes[0].encode(&msg).unwrap();
+            let last = parity.len() - 1;
+            let mut positions = BTreeSet::new();
+            while positions.len() < weight_draw % (t as usize + 1) {
+                positions.insert(rng.random_range(0..k_bits + r));
+            }
+            let zero_padded = decode_all(&codes, &msg, &parity, k_bits, &positions);
+            prop_assert_eq!(&zero_padded[1], &zero_padded[0]);
+            prop_assert_eq!(zero_padded[0].0.corrected_bits(), positions.len());
+            for pattern in 1..1u8 << pad_bits {
+                let mut padded = parity.clone();
+                padded[last] |= pattern;
+                for (got, expect) in decode_all(&codes, &msg, &padded, k_bits, &positions)
+                    .iter()
+                    .zip(&zero_padded)
+                {
+                    prop_assert_eq!(&got.0, &expect.0);
+                    prop_assert_eq!(&got.1, &msg);
+                    // The padding is left as received.
+                    prop_assert_eq!(got.2[last], expect.2[last] | pattern);
+                    prop_assert_eq!(&got.2[..last], &expect.2[..last]);
+                }
+            }
+        }
+    }
+}
+
+/// The paper's codec, every capability it can be set to: GF(2^16), a 4 KiB
+/// page, `t = 1..=65`, so every register width from 1 to 17 words — each
+/// stack body and every trip count of the slice loop — on the real page.
+/// Production parity must be the oracle's, and the oracle must accept it.
+#[test]
+fn every_capability_of_the_paper_codec_encodes_identically() {
+    let msg: Vec<u8> = (0..4096usize).map(|i| (i * 131 + 17) as u8).collect();
+    for t in 1..=65 {
+        let codes = ladder(16, 4096 * 8, t);
+        assert_eq!(codes[1].parity_bits(), 16 * t as usize);
+        let mut parity = codes[1].encode(&msg).unwrap();
+        assert_eq!(parity, codes[0].encode(&msg).unwrap(), "t = {t}");
+        let mut recv = msg.clone();
+        for code in &codes {
+            assert_eq!(
+                code.decode(&mut recv, &mut parity).unwrap(),
+                DecodeOutcome::Clean,
+                "t = {t}, kernel {}",
+                code.kernel()
+            );
+        }
+    }
+}
+
+/// The parity bytes are what is stored in the spare area: both kernels
+/// changing together would pass every differential test and still orphan
+/// written media. FNV-1a of the parity of one fixed message, computed at
+/// the commit before the register was left-aligned (PR 16).
+#[test]
+fn parity_layout_is_pinned_to_the_previous_format() {
+    let msg: Vec<u8> = (0..4096usize).map(|i| (i * 131 + 17) as u8).collect();
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    };
+    for (t, pinned) in [
+        (1u32, 0x09bc_ac07_b63a_3c85u64),
+        (3, 0x6219_9d4e_ea4e_0f95),
+        (14, 0xb5bb_8e50_68c7_20cb),
+        (65, 0x33d8_0a0a_47d9_75f2),
+    ] {
+        for code in ladder(16, 4096 * 8, t) {
+            let parity = code.encode(&msg).unwrap();
+            assert_eq!(fnv(&parity), pinned, "t = {t}, kernel {}", code.kernel());
+        }
+    }
+    // r = 39: the last byte carries 7 parity bits and one zero pad bit.
+    for code in ladder(13, 64 * 8, 3) {
+        let parity = code.encode(&msg[..64]).unwrap();
+        assert_eq!(parity, [0x5d, 0xfb, 0xd1, 0x8f, 0x76], "{}", code.kernel());
     }
 }
 

@@ -32,10 +32,10 @@ fn assert_corrects(code: &BchCode, msg: &[u8], parity: &[u8], positions: &BTreeS
     let mut recv = msg.to_vec();
     let mut par = parity.to_vec();
     for &p in positions {
-        if p < K_BITS {
+        if p < code.message_bits() {
             flip(&mut recv, p);
         } else {
-            flip(&mut par, p - K_BITS);
+            flip(&mut par, p - code.message_bits());
         }
     }
     let out = code.decode(&mut recv, &mut par).unwrap();
@@ -142,6 +142,42 @@ fn clustered_and_word_boundary_spread_errors() {
             BTreeSet::from([62, 64, 126, 128, 190, 192, K_BITS - 1, K_BITS]);
         assert_eq!(spread.len(), T as usize);
         assert_corrects(&code, &msg, &parity, &spread);
+    }
+}
+
+/// The production register holds the parity left-aligned in 64-bit words,
+/// so parity bit `v` is bit `63 - v % 64` of word `v / 64`: errors on both
+/// sides of every word seam of that register, on its first and last bit
+/// and on the message bit just before it, one at a time and `t` at once,
+/// at register widths of 1 to 5 and 17 words with full and partial last
+/// words. The message is 21 bytes: two 8-byte steps and a 5-byte tail.
+#[test]
+fn errors_on_the_word_seams_of_the_parity_register() {
+    for (m, t) in [
+        (13u32, 3u32),
+        (16, 4),
+        (13, 5),
+        (13, 11),
+        (16, 14),
+        (16, 17),
+        (16, 65),
+    ] {
+        let field = Arc::new(GfField::new(m).unwrap());
+        let msg: Vec<u8> = (0..21).map(|i| (i * 89 + 3) as u8).collect();
+        for kernel in [CodecKernel::Reference, CodecKernel::Fused] {
+            let code = BchCode::new_with_kernel(Arc::clone(&field), 21 * 8, t, kernel).unwrap();
+            let (k, r) = (code.message_bits(), code.parity_bits());
+            let parity = code.encode(&msg).unwrap();
+            let mut edges = BTreeSet::from([k - 1, k, k + r - 1]);
+            for seam in (64..r).step_by(64) {
+                edges.extend([k + seam - 1, k + seam]);
+            }
+            for &edge in &edges {
+                assert_corrects(&code, &msg, &parity, &BTreeSet::from([edge]));
+            }
+            let together: BTreeSet<usize> = edges.into_iter().rev().take(t as usize).collect();
+            assert_corrects(&code, &msg, &parity, &together);
+        }
     }
 }
 
