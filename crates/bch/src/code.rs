@@ -174,12 +174,9 @@ impl BchCode {
                 Lfsr::Reference(BitSerialLfsr::new(&generator)),
                 SyndromeLane::Bit,
             ),
-            // Fused evaluates syndromes over the short LFSR remainder, so
-            // the plain byte tables suffice there.
-            CodecKernel::Fused => (
-                Lfsr::Fused(LfsrEncoder::new(&generator)),
-                SyndromeLane::Byte,
-            ),
+            // Fused evaluates syndromes over the LFSR remainder, which the
+            // row table covers whole.
+            CodecKernel::Fused => (Lfsr::Fused(LfsrEncoder::new(&generator)), SyndromeLane::Row),
         };
         let syndromes = SyndromeCalculator::with_lane(field.clone(), t, syn_lane);
         Ok(BchCode {
@@ -531,6 +528,23 @@ mod tests {
             c.decode(&mut recv, &mut parity).unwrap(),
             DecodeOutcome::Clean
         );
+    }
+
+    /// Table bytes per production code over GF(2^16), pinned so that a
+    /// footprint change is a deliberate one: the LFSR's `8P x 256 x W`
+    /// words (two-word steps up to `W = 4`, one-word above) and the
+    /// syndrome rows' `m*t x ceil(t/2)` packed pairs.
+    #[test]
+    fn table_footprint_per_code_is_pinned() {
+        let field = Arc::new(GfField::new(16).unwrap());
+        for (t, lfsr_kib, row_bytes) in [(3, 32, 384), (14, 128, 6_272), (65, 272, 137_280)] {
+            let code = BchCode::new(field.clone(), 4096 * 8, t).unwrap();
+            let Lfsr::Fused(encoder) = &code.lfsr else {
+                panic!("the default kernel is the production one");
+            };
+            assert_eq!(encoder.table_bytes(), lfsr_kib << 10, "t = {t}");
+            assert_eq!(code.syndromes.table_bytes(), row_bytes, "t = {t}");
+        }
     }
 
     #[test]

@@ -5,39 +5,78 @@
 //! feedback taps are selected by multiplexers from a generator-polynomial
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
 //! latency is `k/p` cycles **independent of the selected `t`** — the
-//! software model mirrors that with one table-driven step that folds 64
-//! message bits at every register width `r = deg g`.
+//! software model mirrors that with one table-driven step formula that
+//! folds `P` 64-bit words of message at every register width `r = deg g`,
+//! and widens `p` the way the hardware would: by stepping deeper.
 //!
 //! What lets one step serve every `r` is the register's alignment. The
 //! running remainder `s(x)` lives in `W = ceil(r/64)` words, most
 //! significant first, **left-aligned**: the words hold `s(x) * x^pad` with
 //! `pad = 64*W - r`, i.e. the pass works modulo `G = g * x^pad`, whose
 //! degree is a whole number of words whatever `r` is. Folding the next
-//! 8 message bytes `c` is then
+//! `P` message words `c[0..P]` is then
 //!
 //! ```text
-//! idx   = state[0] ^ be64(c)    // the 64 coefficients leaving the top
-//! state = state << 64           // a word move: no bit shift, no mask
-//! state ^= T_0[idx byte 0] ^ T_1[idx byte 1] ^ .. ^ T_7[idx byte 7]
+//! idx[p] = reg[p] ^ be64(c[p])   // p < P; reg[p] = 0 for p >= W
+//! reg[i] = reg[i+P] ^ XOR over p, j of T_(8p+j)[byte j of idx[p]][i]
 //! ```
 //!
-//! with `T_j[v] = ((v(x) * x^(r + 8*(7-j))) mod g) * x^pad` (slicing-by-8,
+//! — the `64P` coefficients leaving the top, a move by `P` whole words (no
+//! bit shift, no mask), and `8P` table rows — with
+//! `T_j[v] = ((v(x) * x^(r + 8*(8P-1-j))) mod g) * x^pad` (slicing-by-8P,
 //! after the CRC technique). A right-aligned register would have to pull
-//! those 64 coefficients off the top of an `r`-bit field — impossible
-//! below `r = 64`, a cross-word extract, a bit shift and a mask above —
-//! which is why no width here needs a narrower step. A tail of fewer than
-//! 8 bytes steps bytewise through `T_7` alone, and the finished register
-//! read out big-endian, cut to `ceil(r/8)` bytes, *is* the parity layout.
+//! those coefficients off the top of an `r`-bit field — impossible below
+//! `r = 64`, a cross-word extract, a bit shift and a mask above — which is
+//! why no width here needs a narrower step. The last eight positions of
+//! any depth *are* the one-word step's tables, so what a `P`-word loop
+//! leaves takes one-word steps and then single bytes through the tail of
+//! the same table, and the finished register read out big-endian, cut to
+//! `ceil(r/8)` bytes, *is* the parity layout.
 //!
-//! Registers of up to four words (`t <= 16` over GF(2^16)) run the step on
-//! the stack from a `[u64; W]` monomorph of the one body; wider ones run
-//! the same body over a slice, where the table traffic (8 rows of `W`
-//! words per step) is what the time is.
+//! Why step deeper: only `reg[0..P]` of one step feed the next step's
+//! indices, each through one XOR, one byte extract and one table load, so
+//! a two-word step has the dependency chain of a one-word step and its
+//! sixteen row loads overlap where the one-word step's eight left the load
+//! ports idle. What would lengthen the chain is the XOR of the rows: the
+//! compiler makes one serial chain of all `8P`. So the pass keeps the
+//! register as the XOR of `P` **lanes**, lane `p` taking the eight rows
+//! step word `p` selected and moving like the register does
+//! (`lane_p[i] = lane_p[i+P] ^ ..`); the lanes meet where the next index
+//! is formed (`reg[p]` above is the XOR of the lanes' word `p`) and are
+//! summed once after the last step. A step is then `P` independent chains
+//! of eight XORs, and at `W = 1`, where the second word meets no register
+//! (`reg[1] = 0`) and the message alone selects its rows, that lane is off
+//! the critical path altogether.
+//!
+//! `P` follows the stack/slice seam. Registers of up to four words
+//! (`t <= 16` over GF(2^16): every code a fresh or mid-life page is written
+//! with) run the step on the stack from a `[u64; W]` monomorph of the one
+//! body, where that chain is what the time is: `P = 2`. Wider ones run the
+//! same body over a slice, where the time is the table traffic (8 rows of
+//! `W` words per word of message, out of tables that already miss L1) and
+//! a doubled table only adds misses: `P = 1`.
 //!
 //! [`crate::CodecKernel::Reference`] does not come through here: its
 //! bit-serial LFSR is `bitreg.rs`, which shares nothing with this module.
 
 use mlcx_gf2::Gf2Poly;
+
+/// Registers of up to this many words (`t <= 16` over GF(2^16)) live on
+/// the stack, in a `[u64; W]` monomorph of the pass.
+const STACK_WORDS: usize = 4;
+/// Words per step `P` where the register lives on the stack...
+const STACK_STEP: usize = 2;
+/// ...and where the pass runs over a slice.
+const SLICE_STEP: usize = 1;
+
+/// The step depth `P` a `words`-word register runs at, and its tables are
+/// built for.
+const fn step_words(words: usize) -> usize {
+    match words {
+        1..=STACK_WORDS => STACK_STEP,
+        _ => SLICE_STEP,
+    }
+}
 
 /// Parallel LFSR engine for one fixed generator polynomial.
 #[derive(Debug, Clone)]
@@ -45,9 +84,9 @@ pub struct LfsrEncoder {
     r_bits: usize,
     /// Register width `W = ceil(r/64)` in words.
     words: usize,
-    /// Flattened `8 x 256 x W` position tables: byte position `j`, value
-    /// `v` occupies `tables[(j*256 + v)*W..][..W]`, most significant word
-    /// first.
+    /// Flattened `8P x 256 x W` position tables, `P = step_words(W)`: byte
+    /// position `j` of the step, value `v` occupies
+    /// `tables[(j*256 + v)*W..][..W]`, most significant word first.
     tables: Vec<u64>,
 }
 
@@ -65,15 +104,18 @@ impl LfsrEncoder {
             .expect("generator polynomial must have degree >= 1");
         let words = r_bits.div_ceil(64);
         // G = g * x^pad has degree 64*W; its lower terms, most significant
-        // word first, are x^(64*W) mod G = (x^r mod g) * x^pad = T_7[1].
+        // word first, are x^(64*W) mod G = (x^r mod g) * x^pad: entry 1 of
+        // the last position table.
         let scaled = generator.shl(64 * words - r_bits);
         let feedback: Vec<u64> = scaled.as_words()[..words].iter().rev().copied().collect();
         let at = |j: usize, v: usize| (j * 256 + v) * words;
-        let mut tables = vec![0u64; 8 * 256 * words];
-        // T_7[2^i] = (x^(r+i) mod g) * x^pad: i multiplications by x mod G.
+        let last = 8 * step_words(words) - 1;
+        let mut tables = vec![0u64; at(last + 1, 0)];
+        // T_last[2^i] = (x^(r+i) mod g) * x^pad: i multiplications by x
+        // mod G.
         let mut reg = feedback.clone();
         for i in 0..8 {
-            tables[at(7, 1 << i)..][..words].copy_from_slice(&reg);
+            tables[at(last, 1 << i)..][..words].copy_from_slice(&reg);
             let carry = reg[0] >> 63 == 1;
             shl(&mut reg, 1);
             if carry {
@@ -84,14 +126,14 @@ impl LfsrEncoder {
         for v in 1..256usize {
             let (rest, low) = (v & (v - 1), v & v.wrapping_neg());
             for i in 0..words {
-                tables[at(7, v) + i] = tables[at(7, rest) + i] ^ tables[at(7, low) + i];
+                tables[at(last, v) + i] = tables[at(last, rest) + i] ^ tables[at(last, low) + i];
             }
         }
         // T_j[v] = T_(j+1)[v] * x^8 mod G: one byte step with a zero byte.
-        for j in (0..7).rev() {
+        for j in (0..last).rev() {
             for v in 0..256 {
                 reg.copy_from_slice(&tables[at(j + 1, v)..][..words]);
-                step_byte(&tables[at(7, 0)..], &mut reg, 0);
+                step_byte(&tables[at(last, 0)..], &mut reg, 0);
                 tables[at(j, v)..][..words].copy_from_slice(&reg);
             }
         }
@@ -154,8 +196,14 @@ impl LfsrEncoder {
         })
     }
 
+    /// Bytes of position tables this engine holds.
+    #[cfg(test)]
+    pub(crate) fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.tables[..])
+    }
+
     /// Runs the pass over `message` and hands `then` the finished register,
-    /// which lives on the stack up to four words.
+    /// which lives on the stack up to [`STACK_WORDS`] words.
     fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
         match self.words {
             1 => then(&mut self.narrow::<1>(message)),
@@ -171,16 +219,20 @@ impl LfsrEncoder {
     }
 
     fn narrow<const W: usize>(&self, message: &[u8]) -> [u64; W] {
-        let mut reg = [0u64; W];
-        fold(&self.tables, &mut reg, message);
-        reg
+        let mut lanes = [[0u64; W]; STACK_STEP];
+        fold(
+            &self.tables,
+            lanes.each_mut().map(|lane| &mut lane[..]),
+            message,
+        );
+        lanes[0]
     }
 
     /// The slice loop, compiled on its own: inlined beside the four stack
     /// bodies it came out a quarter slower at `W = 8`.
     #[inline(never)]
     fn wide(&self, reg: &mut [u64], message: &[u8]) {
-        fold(&self.tables, reg, message);
+        fold::<SLICE_STEP>(&self.tables, [reg], message);
     }
 
     /// The register's top `r` bits as parity bytes.
@@ -193,33 +245,70 @@ impl LfsrEncoder {
     }
 }
 
-/// The pass: folds `message` into the left-aligned register `reg`, 8 bytes
-/// per step, then the tail bytewise. Inlined into each caller so that a
-/// `[u64; W]` register unrolls into scalars — and written with loops and
-/// `#[inline(always)]` helpers only: a closure in the step (`array::map`,
-/// `from_fn`, `Iterator::fold`) is inlined at the optimiser's discretion,
-/// and each one tried was outlined, at up to 2.5x the pass time.
+/// The pass: folds `message` into the left-aligned register, `P` words per
+/// step, then what that leaves one word at a time through the last eight
+/// position tables, then bytewise through the last one. The `P` lanes come
+/// in zeroed; their XOR is the register while the `P`-word steps run (see
+/// the module doc), and `lanes[0]` is the register from there on. Inlined
+/// into each caller so that a `[u64; W]` register unrolls into scalars —
+/// and written with loops and `#[inline(always)]` helpers only: a closure
+/// in the step (`array::map`, `from_fn`, `Iterator::fold`) is inlined at
+/// the optimiser's discretion, and each one tried was outlined, at up to
+/// 2.5x the pass time.
 #[inline(always)]
-fn fold(tables: &[u64], reg: &mut [u64], message: &[u8]) {
-    let w = reg.len();
-    // One length check here lets every row lookup below go unchecked.
-    let tables = &tables[..8 * 256 * w];
-    let (chunks, tail) = message.as_chunks::<8>();
-    for chunk in chunks {
-        let idx = reg[0] ^ u64::from_be_bytes(*chunk);
-        let mut rows = [&tables[..w]; 8];
-        for (j, row) in rows.iter_mut().enumerate() {
-            let v = (idx >> (56 - 8 * j)) as u8 as usize;
-            *row = &tables[(j * 256 + v) * w..][..w];
-        }
-        // The word move and the XOR in one sweep: word i takes word i + 1.
-        for i in 0..w - 1 {
-            reg[i] = reg[i + 1] ^ sum(&rows, i);
-        }
-        reg[w - 1] = sum(&rows, w - 1);
+fn fold<const P: usize>(tables: &[u64], mut lanes: [&mut [u64]; P], message: &[u8]) {
+    let w = lanes[0].len();
+    // One length check here lets every row lookup below go unchecked; it
+    // is also what holds `P` to the depth the tables were built at.
+    assert_eq!(tables.len(), 8 * P * 256 * w);
+    let (words, tail) = message.as_chunks::<8>();
+    let (steps, rest) = words.as_chunks::<P>();
+    for chunk in steps {
+        step(tables, &mut lanes, chunk);
+    }
+    let (reg, side) = lanes.split_first_mut().expect("P >= 1");
+    for lane in side {
+        xor(reg, lane);
+    }
+    // Positions 8(P-1).. are the one-word step's own tables.
+    let tables = &tables[8 * (P - 1) * 256 * w..];
+    for chunk in rest {
+        step(tables, &mut [&mut **reg], &[*chunk]);
     }
     for &byte in tail {
         step_byte(&tables[7 * 256 * w..], reg, byte);
+    }
+}
+
+/// One `P`-word step over the `8P` position tables in `tables`: step word
+/// `p` selects eight rows by the register's word `p` (the lanes' XOR) and
+/// its message word, and lane `p` takes them.
+#[inline(always)]
+fn step<const P: usize>(tables: &[u64], lanes: &mut [&mut [u64]; P], chunk: &[[u8; 8]; P]) {
+    let w = lanes[0].len();
+    let mut rows = [[&tables[..w]; 8]; P];
+    for p in 0..P {
+        // The 64 coefficients leaving the top in word p of the step.
+        let mut idx = u64::from_be_bytes(chunk[p]);
+        if p < w {
+            for lane in lanes.iter() {
+                idx ^= lane[p];
+            }
+        }
+        for j in 0..8 {
+            let v = (idx >> (56 - 8 * j)) as u8 as usize;
+            rows[p][j] = &tables[((8 * p + j) * 256 + v) * w..][..w];
+        }
+    }
+    // The word move and the XOR in one sweep: word i takes word i + P.
+    let moved = w.saturating_sub(P);
+    for (lane, rows) in lanes.iter_mut().zip(&rows) {
+        for i in 0..moved {
+            lane[i] = lane[i + P] ^ sum(rows, i);
+        }
+        for i in moved..w {
+            lane[i] = sum(rows, i);
+        }
     }
 }
 
@@ -233,13 +322,13 @@ fn sum(rows: &[&[u64]; 8], i: usize) -> u64 {
     acc
 }
 
-/// One byte through `T_7`: the 8 coefficients leaving the top select the
-/// row, the register moves up 8 bits.
+/// One byte through the last position table `t_last`: the 8 coefficients
+/// leaving the top select the row, the register moves up 8 bits.
 #[inline(always)]
-fn step_byte(t7: &[u64], reg: &mut [u64], byte: u8) {
+fn step_byte(t_last: &[u64], reg: &mut [u64], byte: u8) {
     let v = ((reg[0] >> 56) as u8 ^ byte) as usize;
     shl(reg, 8);
-    xor(reg, &t7[v * reg.len()..][..reg.len()]);
+    xor(reg, &t_last[v * reg.len()..][..reg.len()]);
 }
 
 /// Shifts the register left by `k` bits (`0 < k < 64`), dropping what
@@ -299,15 +388,17 @@ mod tests {
 
     #[test]
     fn tables_match_the_polynomial_definition() {
-        // T_j[v] == ((v * x^(r + 8*(7-j))) mod g) << pad, every entry.
+        // T_j[v] == ((v * x^(r + 8*(8P-1-j))) mod g) << pad, every entry of
+        // every position, at the depth the class steps at.
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
             let enc = LfsrEncoder::new(&g);
-            assert_eq!(enc.tables.len(), 8 * 256 * words);
-            for j in 0..8 {
+            let positions = if words <= 4 { 16 } else { 8 };
+            assert_eq!(enc.tables.len(), positions * 256 * words, "r = {r}");
+            for j in 0..positions {
                 for v in 0..256usize {
                     let rem = Gf2Poly::from_int(v as u64)
-                        .shl(r + 8 * (7 - j))
+                        .shl(r + 8 * (positions - 1 - j))
                         .rem(&g)
                         .shl(64 * words - r);
                     let mut expect = vec![0u64; words];
@@ -323,17 +414,16 @@ mod tests {
 
     #[test]
     fn every_register_class_matches_the_oracle_and_long_division() {
-        // Lengths cover len < 8 and every len % 8, so both the 8-byte step
-        // and each tail length run in the stack bodies and the slice loop;
-        // the last is the paper's page.
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
             let enc = LfsrEncoder::new(&g);
             let oracle = BitSerialLfsr::new(&g);
             assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
-            for len in [
-                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 20, 33, 64, 70, 127, 4096,
-            ] {
+            // Every `len % 16` below 16 and above, so the `P`-word loop, the
+            // one-word step it can leave and each byte-tail length all run
+            // in every stack body and in the slice loop; the last is the
+            // paper's page.
+            for len in (0..=33).chain([47, 70, 4096]) {
                 let msg = payload(len, r);
                 let parity = enc.remainder(&msg);
                 assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
@@ -406,11 +496,12 @@ mod tests {
 
         /// The pass is polynomial division, BCH or not: any generator of
         /// any degree — so every `r % 64` and every `r % 8`, not only the
-        /// multiples of `m` the BCH classes reach — and any message length.
+        /// multiples of `m` the BCH classes reach — and any message length
+        /// (every `len % 16` several times over).
         #[test]
         fn random_generators_match_the_oracle_and_long_division(
             r in 1usize..=330,
-            len in 0usize..=41,
+            len in 0usize..=70,
             seed in any::<u64>(),
         ) {
             use rand::{RngExt, SeedableRng};

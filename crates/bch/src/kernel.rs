@@ -10,25 +10,31 @@
 //! | kernel      | role       | encoder                       | syndromes              | root search           |
 //! |-------------|------------|-------------------------------|------------------------|-----------------------|
 //! | `Reference` | oracle     | bit-serial LFSR               | bit-serial Horner      | Chien sweep           |
-//! | `Fused`     | production | slicing-by-8, left-aligned    | single-pass remainder  | trace-split solve     |
+//! | `Fused`     | production | slicing-by-8P, left-aligned   | rows of the remainder  | trace-split solve     |
 //!
-//! The production encoder has one step at every register width
-//! `r = deg g`: 64 message bits through eight position tables. Its
-//! register is left-aligned in whole words (it works modulo
-//! `g * x^pad`), so the 64 coefficients a step retires are always exactly
-//! the top word and no `r` — not even `r < 8` — needs a narrower step;
-//! nothing selects a width. See [`crate::encoder`].
+//! The production encoder has one step formula at every register width
+//! `r = deg g`: `P` message words (64 bits each) through `8P` position
+//! tables. Its register is left-aligned in whole words (it works modulo
+//! `g * x^pad`), so the coefficients a step retires are always exactly
+//! the top words and no `r` — not even `r < 8` — needs a narrower step.
+//! The depth follows the register width and nothing sets it: `P = 2`
+//! where the register lives on the stack (up to four words, `t <= 16`
+//! over GF(2^16)) and the pass is bound by the step's dependency chain,
+//! `P = 1` above, where it is bound by table traffic. See
+//! [`crate::encoder`].
 //!
 //! `Fused` fuses the validity shortcut and syndrome computation into one
 //! LFSR pass over the message: `received mod g` is the message's
 //! remainder plus the received parity, zero iff the codeword is valid,
 //! and since `g(beta_i) = 0` it satisfies `S_i = (received mod g)(beta_i)`
 //! for every designed root `beta_i`, so the `2t` full-codeword Horner
-//! passes collapse into `t` evaluations of an `r`-bit polynomial at the
-//! odd roots and `t` squarings (`S_2k = S_k^2`). Its root search does not
-//! sweep the `n` positions: it factors the locator into linear terms (see
-//! [`crate::chien`]), which costs `O(deg^2)` whatever the codeword length
-//! and answers `None` on exactly the locators the sweep comes up short on.
+//! passes collapse into the XOR of one precomputed row per set bit of an
+//! `r`-bit polynomial — the odd syndromes, the map being GF(2)-linear;
+//! see [`crate::syndrome`] — and `t` squarings (`S_2k = S_k^2`). Its root
+//! search does not sweep the `n` positions: it factors the locator into
+//! linear terms (see [`crate::chien`]), which costs `O(deg^2)` whatever
+//! the codeword length and answers `None` on exactly the locators the
+//! sweep comes up short on.
 
 /// Selects the datapath a [`crate::BchCode`] instance runs.
 ///
@@ -39,7 +45,7 @@
 pub enum CodecKernel {
     /// Bit-serial everything. The differential-testing oracle.
     Reference,
-    /// The production path: slicing-by-8 encoder, fused single-pass
+    /// The production path: sliced-table LFSR encoder, fused single-pass
     /// syndrome-via-remainder decode, locator roots solved for instead of
     /// searched.
     #[default]

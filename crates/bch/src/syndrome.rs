@@ -10,37 +10,39 @@
 //! * [`SyndromeLane::Bit`] — definition-level bit-serial Horner at every
 //!   one of the `2t` roots (what [`crate::CodecKernel::Reference`] runs
 //!   over the whole codeword);
-//! * [`SyndromeLane::Byte`] — Horner one byte per fold via 256-entry
-//!   tables, at the `t` odd roots only, four roots in flight at a time;
-//!   the even syndromes are squares, `S_2k = S_k^2`, because squaring is
-//!   additive in characteristic 2 and fixes the binary coefficients:
+//! * [`SyndromeLane::Row`] — the map from the codeword's bits to its
+//!   syndromes is GF(2)-linear, so the odd syndromes of the last `m*t`
+//!   bits are an XOR of precomputed rows: bit `x^d` contributes
+//!   `row_d = [alpha^(d*(2k+1))]` for `k < t` — 16-bit values, packed two
+//!   to a `u32` so that a row XORs into the result vector at full width —
+//!   and `S_(2k+1)` is entry `k` of the XOR of the rows of the set bits.
+//!   Any codeword bits ahead of those go through the bit lane's Horner
+//!   fold at the `t` odd roots and are advanced by `beta^(m*t)`. The even
+//!   syndromes are squares, `S_2k = S_k^2`, because squaring is additive
+//!   in characteristic 2 and fixes the binary coefficients:
 //!   `r(x)^2 = r(x^2)` for every received polynomial `r` over GF(2).
 //!
 //! The production decode ([`crate::CodecKernel::Fused`]) does not walk the
 //! codeword here at all. Since `received(x) = q(x) g(x) + rem(x)` and
-//! `g(beta_i) = 0`, `S_i = rem(beta_i)`: it hands the byte lane the
-//! `r`-bit remainder `received mod g` (the LFSR pass over the message plus
-//! the received parity) with an empty message, so a wider fold would have
-//! nothing to speed up.
+//! `g(beta_i) = 0`, `S_i = rem(beta_i)`: it hands the row lane the `r`-bit
+//! remainder `received mod g` (the LFSR pass over the message plus the
+//! received parity) with an empty message, and `r = deg g <= m*t` for every
+//! BCH code, so the rows cover all of it — about `r/2` row XORs and no
+//! field multiplication before the squarings.
 
 use std::sync::Arc;
 
 use mlcx_gf2::GfField;
 
-/// Horner step width of the [`SyndromeCalculator`].
+/// How the [`SyndromeCalculator`] evaluates the received polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyndromeLane {
     /// Bit-serial evaluation straight from the definition.
     Bit,
-    /// Byte-parallel table fold at the odd roots, squares for the even.
+    /// XOR of per-bit rows at the odd roots, squares for the even.
     #[default]
-    Byte,
+    Row,
 }
-
-/// Odd-root Horner chains the byte lane keeps in flight: each fold is a
-/// log lookup, an add and an antilog lookup in sequence, and independent
-/// chains overlap that latency.
-const CHAINS: usize = 4;
 
 /// Parallel syndrome evaluator for syndromes `S_1 .. S_2t`.
 #[derive(Debug, Clone)]
@@ -48,50 +50,44 @@ pub struct SyndromeCalculator {
     field: Arc<GfField>,
     two_t: usize,
     lane: SyndromeLane,
-    /// Byte lane: `pow8[k]` = `alpha^(8*(2k+1))`, the byte fold factor of
-    /// the odd syndrome `S_(2k+1)`.
-    pow8: Vec<u32>,
-    /// Byte lane, flattened `t x 256`: entry `[k][b]` is the contribution
-    /// of message byte `b` to `S_(2k+1)` before folding.
-    tables: Vec<u32>,
+    /// Row lane, flattened `m*t x ceil(t/2)`: what the coefficient of `x^d`
+    /// contributes to the odd syndromes, `alpha^(d*(2k+1))` for `k < t`,
+    /// two to an entry (`k` even in the low half, `k + 1` in the high).
+    rows: Vec<u32>,
 }
 
 impl SyndromeCalculator {
     /// Builds the evaluator for correction capability `t` with the default
-    /// byte lane.
+    /// row lane.
     pub fn new(field: Arc<GfField>, t: u32) -> Self {
-        Self::with_lane(field, t, SyndromeLane::Byte)
+        Self::with_lane(field, t, SyndromeLane::Row)
     }
 
-    /// Builds the evaluator with an explicit Horner lane.
+    /// Builds the evaluator with an explicit lane.
     pub fn with_lane(field: Arc<GfField>, t: u32, lane: SyndromeLane) -> Self {
-        let two_t = (2 * t) as usize;
-        // One fold factor and one table per odd root, byte lane only.
-        let rows = match lane {
+        let t = t as usize;
+        let covered = match lane {
             SyndromeLane::Bit => 0,
-            SyndromeLane::Byte => t as usize,
+            SyndromeLane::Row => field.degree() as usize * t,
         };
-        let mut pow8 = Vec::with_capacity(rows);
-        let mut tables = vec![0u32; rows * 256];
-        for (k, table) in tables.chunks_exact_mut(256).enumerate() {
-            let beta = field.alpha_pow((2 * k + 1) as i64);
-            pow8.push(field.pow(beta, 8));
-            // Powers beta^0..beta^7 index the bit positions within a byte.
-            let mut pows = [0u32; 8];
-            for (bitpos, p) in pows.iter_mut().enumerate() {
-                *p = field.pow(beta, bitpos as i64);
-            }
-            for b in 1usize..256 {
-                let low = b.trailing_zeros() as usize;
-                table[b] = table[b & (b - 1)] ^ pows[low];
+        let (pairs, order) = (t.div_ceil(2), field.order() as usize);
+        let mut rows = vec![0u32; covered * pairs];
+        for (d, row) in rows.chunks_exact_mut(pairs.max(1)).enumerate() {
+            // Along row d the logarithm d*(2k+1) grows by 2d per syndrome.
+            let (mut log, stride) = (d % order, 2 * d % order);
+            for k in 0..t {
+                row[k / 2] |= field.alpha_pow_reduced(log as u32) << (16 * (k % 2));
+                log += stride;
+                if log >= order {
+                    log -= order;
+                }
             }
         }
         SyndromeCalculator {
             field,
-            two_t,
+            two_t: 2 * t,
             lane,
-            pow8,
-            tables,
+            rows,
         }
     }
 
@@ -100,53 +96,85 @@ impl SyndromeCalculator {
         self.two_t
     }
 
-    /// The Horner lane this evaluator runs.
+    /// The lane this evaluator runs.
     pub fn lane(&self) -> SyndromeLane {
         self.lane
+    }
+
+    /// Bytes of row table this evaluator holds.
+    #[cfg(test)]
+    pub(crate) fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.rows[..])
     }
 
     /// Evaluates all syndromes of the received codeword.
     ///
     /// The codeword is the concatenation of `message` (fully used) and the
-    /// top `parity_bits` bits of `parity` (MSB-first within each byte).
-    /// Returns `S_1 .. S_2t`.
+    /// top `parity_bits` bits of `parity` (MSB-first within each byte;
+    /// whatever follows them in `parity` is ignored). Returns
+    /// `S_1 .. S_2t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parity` holds fewer than `ceil(parity_bits / 8)` bytes.
     pub fn compute(&self, message: &[u8], parity: &[u8], parity_bits: usize) -> Vec<u32> {
+        assert!(
+            parity.len() >= parity_bits.div_ceil(8),
+            "parity holds {} of the {} parity bytes {parity_bits} parity bits need",
+            parity.len(),
+            parity_bits.div_ceil(8)
+        );
         let f = &self.field;
-        // Parity: full bytes, then the trailing partial byte bit-serially.
-        let (parity, tail) = parity.split_at(parity_bits / 8);
-        let tail_bits = || (0..parity_bits % 8).map(|j| (tail[0] >> (7 - j) & 1) as u32);
+        let t = self.two_t / 2;
+        // The rows take the codeword's last `covered` bits, as many as the
+        // table has rows for; what is ahead of them — everything, on the
+        // bit lane — goes through Horner.
+        let pairs = t.div_ceil(2);
+        let covered = parity_bits.min(self.rows.len() / pairs.max(1));
+        let lead_parity = parity_bits - covered;
+        let lead = message
+            .iter()
+            .flat_map(|&byte| (0..8).rev().map(move |j| u32::from(byte >> j & 1)))
+            .chain((0..lead_parity).map(|v| u32::from(parity[v / 8] >> (7 - v % 8) & 1)));
+        let horner = |beta: u32| lead.clone().fold(0, |s, bit| f.mul(s, beta) ^ bit);
         let mut syn = vec![0u32; self.two_t];
         match self.lane {
             SyndromeLane::Bit => {
                 for (i, syn_i) in syn.iter_mut().enumerate() {
-                    let beta = f.alpha_pow((i + 1) as i64);
-                    let bits = message
-                        .iter()
-                        .chain(parity)
-                        .flat_map(|&byte| (0..8).rev().map(move |j| (byte >> j & 1) as u32));
-                    *syn_i = bits
-                        .chain(tail_bits())
-                        .fold(0, |s, bit| f.mul(s, beta) ^ bit);
+                    *syn_i = horner(f.alpha_pow((i + 1) as i64));
                 }
             }
-            SyndromeLane::Byte => {
-                let t = self.two_t / 2;
-                for first in (0..t).step_by(CHAINS) {
-                    // A short last group re-runs root t-1 in its spare chains.
-                    let ks: [usize; CHAINS] = std::array::from_fn(|c| (first + c).min(t - 1));
-                    let fold = ks.map(|k| self.pow8[k]);
-                    let table = ks.map(|k| &self.tables[k * 256..][..256]);
-                    let mut s = [0u32; CHAINS];
-                    for bytes in [message, parity] {
-                        for &byte in bytes {
-                            for c in 0..CHAINS {
-                                s[c] = f.mul(s[c], fold[c]) ^ table[c][byte as usize];
+            SyndromeLane::Row => {
+                // The rows of the set bits accumulate in syn[..pairs], two
+                // syndromes to a slot as in the table.
+                let (packed, _) = syn.split_at_mut(pairs);
+                for (c, bytes) in parity[..parity_bits.div_ceil(8)].chunks(8).enumerate() {
+                    let mut be = [0u8; 8];
+                    be[..bytes.len()].copy_from_slice(bytes);
+                    let mut word = u64::from_be_bytes(be);
+                    while word != 0 {
+                        let bit = word.leading_zeros();
+                        word ^= 1 << (63 - bit);
+                        // Neither the bits Horner takes nor the pad bits of
+                        // the last byte select a row.
+                        let v = 64 * c + bit as usize;
+                        if (lead_parity..parity_bits).contains(&v) {
+                            let row = &self.rows[(parity_bits - 1 - v) * pairs..][..pairs];
+                            for (s, &x) in packed.iter_mut().zip(row) {
+                                *s ^= x;
                             }
                         }
                     }
-                    for (c, &k) in ks.iter().enumerate() {
+                }
+                // Unpack S_(2k+1) into its slot top-down: slot 2k is at or
+                // above every slot still to be read.
+                for k in (0..t).rev() {
+                    syn[2 * k] = syn[k / 2] >> (16 * (k % 2)) & 0xFFFF;
+                }
+                if message.len() + lead_parity > 0 {
+                    for k in 0..t {
                         let beta = f.alpha_pow((2 * k + 1) as i64);
-                        syn[2 * k] = tail_bits().fold(s[c], |s, bit| f.mul(s, beta) ^ bit);
+                        syn[2 * k] ^= f.mul(horner(beta), f.pow(beta, covered as i64));
                     }
                 }
                 // S_2k = S_k^2, ascending so S_k is final when it is read.
@@ -168,6 +196,7 @@ impl SyndromeCalculator {
 mod tests {
     use super::*;
     use mlcx_gf2::minpoly::generator_poly;
+    use proptest::prelude::*;
 
     /// Direct (bit-serial, definition-level) syndrome evaluation.
     fn reference_syndromes(
@@ -220,7 +249,7 @@ mod tests {
         for len in [1usize, 2, 7, 8, 31, 32] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 201 + 3) as u8).collect();
             let expect = reference_syndromes(&field, t, &msg, &parity, r);
-            for lane in [SyndromeLane::Bit, SyndromeLane::Byte] {
+            for lane in [SyndromeLane::Bit, SyndromeLane::Row] {
                 let calc = SyndromeCalculator::with_lane(field.clone(), t, lane);
                 assert_eq!(calc.lane(), lane);
                 assert_eq!(
@@ -232,32 +261,69 @@ mod tests {
         }
     }
 
-    /// Message + parity with a partial tail byte, and the fused call shape
-    /// (no message, the remainder register as "parity"), at odd and even
-    /// `t` and with `t` on, below and above a multiple of the byte lane's
-    /// chain count — every one of the `2t` values, the squared ones too.
+    /// Every one of the `2t` values, the squared ones too, at odd and even
+    /// `t` (a half-filled last table entry or none), `parity_bits % 8 != 0`
+    /// except at t = 8, in every shape `compute` is called in: message +
+    /// parity; the fused shape (no message, the remainder register as
+    /// "parity"); more parity bits than the `m*t` the rows cover (the
+    /// leading ones join the message in the Horner fold); all-zero and
+    /// all-ones remainders; pad bits of the last byte set.
     #[test]
-    fn byte_lane_matches_bit_lane_on_every_syndrome() {
+    fn row_lane_matches_bit_lane_on_every_syndrome() {
         let field = Arc::new(GfField::new(13).unwrap());
-        for t in [1u32, 2, 3, 4, 5, 7, 8, 9, 14, 15] {
+        for t in [1u32, 2, 3, 4, 5, 7, 8, 9, 14, 15, 65] {
             let bit = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Bit);
-            let byte = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Byte);
-            assert_eq!(byte.count(), 2 * t as usize);
-            let r = 13 * t as usize; // a multiple of 8 only at t = 8
-            let parity: Vec<u8> = (0..r.div_ceil(8)).map(|i| (i * 91 + 17) as u8).collect();
+            let row = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Row);
+            assert_eq!(row.count(), 2 * t as usize);
+            let r = 13 * t as usize;
             let msg: Vec<u8> = (0..37).map(|i| (i * 201 + 3) as u8).collect();
-            for message in [&msg[..], &[]] {
-                assert_eq!(
-                    byte.compute(message, &parity, r),
-                    bit.compute(message, &parity, r),
-                    "t {t}, message bytes {}",
-                    message.len()
-                );
+            for (fill, bits) in [(None, r), (None, r + 21), (Some(0x00), r), (Some(0xFF), r)] {
+                let parity: Vec<u8> = (0..bits.div_ceil(8))
+                    .map(|i| fill.unwrap_or((i * 91 + 17) as u8))
+                    .collect();
+                for message in [&msg[..], &[]] {
+                    assert_eq!(
+                        row.compute(message, &parity, bits),
+                        bit.compute(message, &parity, bits),
+                        "t {t}, message bytes {}, parity bits {bits}, fill {fill:?}",
+                        message.len()
+                    );
+                }
             }
         }
     }
 
-    /// The premise of the byte lane's shortcut, on the lane that does not
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused shape on random remainders: the row lane is the bit
+        /// lane over the field the small codes use and the paper's.
+        #[test]
+        fn row_lane_matches_bit_lane_on_random_remainders(
+            wide_field in any::<bool>(),
+            t in 1u32..=20,
+            seed in any::<u64>(),
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = if wide_field { 16 } else { 13 };
+            let field = Arc::new(GfField::new(m).unwrap());
+            let r = (m * t) as usize;
+            let rem: Vec<u8> = (0..r.div_ceil(8)).map(|_| rng.random()).collect();
+            let bit = SyndromeCalculator::with_lane(field.clone(), t, SyndromeLane::Bit);
+            let row = SyndromeCalculator::new(field, t);
+            prop_assert_eq!(row.compute(&[], &rem, r), bit.compute(&[], &rem, r));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parity holds 4 of the 5 parity bytes 39 parity bits need")]
+    fn short_parity_is_rejected_by_name() {
+        let field = Arc::new(GfField::new(13).unwrap());
+        SyndromeCalculator::new(field, 3).compute(&[], &[0u8; 4], 39);
+    }
+
+    /// The premise of the row lane's shortcut, on the lane that does not
     /// use it: a polynomial over GF(2) satisfies `r(x)^2 = r(x^2)`.
     #[test]
     fn even_syndromes_are_squares_on_the_bit_lane() {
@@ -310,7 +376,7 @@ mod tests {
         let (t, r) = (3, 39);
         let msg: Vec<u8> = (0..20).map(|i| (i * 57 + 13) as u8).collect();
         let parity = [0x5D, 0xFB, 0xD1, 0x8F, 0x76];
-        for lane in [SyndromeLane::Bit, SyndromeLane::Byte] {
+        for lane in [SyndromeLane::Bit, SyndromeLane::Row] {
             let calc = SyndromeCalculator::with_lane(field.clone(), t, lane);
             let expect = calc.compute(&msg, &parity, r);
             let mut padded = parity;

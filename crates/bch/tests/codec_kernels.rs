@@ -193,37 +193,43 @@ const WIDTH_CLASSES: [(u32, u32, usize); 26] = [
     (16, 65, 17),
 ];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The production pass is one step formula; each shape it is compiled
-    /// in is held against the oracle here: parity, outcome (positions
-    /// included) and corrected buffers, for error weights up to `t + 2`.
-    /// Message lengths walk every `len % 8`, `len < 8` included, so the
-    /// 8-byte step and each bytewise tail run in every shape.
-    #[test]
-    fn fused_matches_reference_in_every_register_width_class(
-        k_draw in 0usize..64,
-        extra in 1usize..=2,
-        seed in any::<u64>(),
-    ) {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for (i, (m, t, words)) in WIDTH_CLASSES.into_iter().enumerate() {
-            let field = GfField::new(m).unwrap();
-            let r = mlcx_gf2::minpoly::generator_poly(&field, t).degree().unwrap();
-            prop_assert!(r.div_ceil(64) == words, "GF(2^{m}), t = {t}: r = {r}");
-            let k_bytes = 1 + (k_draw + 3 * i) % ((field.order() as usize - r) / 8).min(72);
+/// The production pass is one step formula; each shape it is compiled in is
+/// held against the oracle here: parity, outcome (positions included) and
+/// corrected buffers, for error weights up to `t + 2`. Message lengths walk
+/// every `len % 16`, `len < 16` included, so the two-word loop of the stack
+/// bodies, the one-word step after it and each bytewise tail run in every
+/// shape; the classes over GF(2^16) also take the paper's 4 KiB page.
+#[test]
+fn fused_matches_reference_in_every_register_width_class() {
+    use rand::{RngExt, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x16_B17E5);
+    let lengths = (1..=33).chain([72, 4096]);
+    for (m, t, words) in WIDTH_CLASSES {
+        let field = GfField::new(m).unwrap();
+        let r = mlcx_gf2::minpoly::generator_poly(&field, t)
+            .degree()
+            .unwrap();
+        assert_eq!(r.div_ceil(64), words, "GF(2^{m}), t = {t}: r = {r}");
+        for k_bytes in lengths.clone() {
             let k_bits = k_bytes * 8;
+            if k_bits + r > field.order() as usize {
+                continue;
+            }
             let codes = ladder(m, k_bits, t);
-
             let msg: Vec<u8> = (0..k_bytes).map(|_| rng.random()).collect();
             let parity = codes[0].encode(&msg).unwrap();
-            prop_assert_eq!(&codes[1].encode(&msg).unwrap(), &parity);
+            assert_eq!(
+                codes[1].encode(&msg).unwrap(),
+                parity,
+                "r = {r}, {k_bytes} B"
+            );
 
-            let n = codes[0].codeword_bits();
-            let t = t as usize;
-            let weights: BTreeSet<usize> = [0, 1, 2, t / 2, t - 1, t, t + extra].into();
+            let (n, t) = (codes[0].codeword_bits(), t as usize);
+            let weights: BTreeSet<usize> = if k_bytes == 4096 {
+                [0, 1, t].into()
+            } else {
+                [0, 1, 2, t / 2, t - 1, t, t + 1, t + 2].into()
+            };
             for weight in weights.into_iter().filter(|&w| w <= n) {
                 let mut positions = BTreeSet::new();
                 while positions.len() < weight {
@@ -231,13 +237,20 @@ proptest! {
                 }
                 let results = decode_all(&codes, &msg, &parity, k_bits, &positions);
                 if weight <= t {
-                    prop_assert_eq!(&results[0].1, &msg);
-                    prop_assert_eq!(results[0].0.corrected_bits(), weight);
+                    assert_eq!(results[0].1, msg);
+                    assert_eq!(results[0].0.corrected_bits(), weight);
                 }
-                prop_assert_eq!(&results[1], &results[0]);
+                assert_eq!(
+                    results[1], results[0],
+                    "r = {r}, {k_bytes} B, weight {weight}"
+                );
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// When `r % 8 != 0` the low bits of the last parity byte are storage
     /// padding, not codeword bits. Whatever is read there, both kernels
