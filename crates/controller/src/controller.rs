@@ -1,7 +1,7 @@
 //! The core controller FSM: full write and read datapaths.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 
 use mlcx_bch::hardware::{EccHardware, EccPowerModel};
 use mlcx_bch::{AdaptiveBch, CodecKernel, CodecStats, DecodeOutcome};
@@ -293,8 +293,10 @@ pub struct MemoryController {
     regs: RegisterFile,
     load_strategy: LoadStrategy,
     /// ECC capability each written page used (the controller's page
-    /// metadata table).
-    page_ecc: BTreeMap<(usize, usize), u32>,
+    /// metadata table), indexed `block * pages_per_block + page`;
+    /// 0 = unmapped (a capability is at least `ecc_tmin`, and the codec
+    /// rejects `ecc_tmin` = 0 at construction).
+    page_ecc: Vec<u32>,
     /// Multi-channel/multi-die busy-time model: every datapath
     /// operation registers its bus/cell occupancy here, so batch layers
     /// can read the modeled parallel makespan.
@@ -347,6 +349,7 @@ impl MemoryController {
         let buffer = PageBuffer::new(config.geometry.page_bytes);
         let scheduler = ChannelScheduler::new(config.geometry.topology);
         let retry = config.retry.clone();
+        let page_ecc = vec![0; config.geometry.total_pages()];
         Ok(MemoryController {
             config,
             codec,
@@ -354,7 +357,7 @@ impl MemoryController {
             buffer,
             regs: RegisterFile::default(),
             load_strategy: LoadStrategy::OneRound,
-            page_ecc: BTreeMap::new(),
+            page_ecc,
             scheduler,
             retry,
             offsets: ReadOffsetTable::new(),
@@ -493,7 +496,8 @@ impl MemoryController {
         // Page metadata of the erased block is void, and the fresh
         // block's Vth distributions are back at nominal — forget its
         // learned read offset.
-        self.page_ecc.retain(|&(b, _), _| b != block);
+        let pages = self.config.geometry.pages_per_block;
+        self.page_ecc[block * pages..(block + 1) * pages].fill(0);
         self.offsets.forget(block);
         Ok(report)
     }
@@ -502,7 +506,17 @@ impl MemoryController {
     /// whether the page was mapped. Subsequent reads of the page fail
     /// with [`CtrlError::UnknownPageConfig`] until it is rewritten.
     pub fn trim_page(&mut self, block: usize, page: usize) -> bool {
-        self.page_ecc.remove(&(block, page)).is_some()
+        self.page_ecc_index(block, page)
+            .is_some_and(|i| mem::replace(&mut self.page_ecc[i], 0) != 0)
+    }
+
+    /// Where a page's entry sits in the metadata table; `None` outside
+    /// the geometry (a page index past its block must not alias the
+    /// next block's entries).
+    fn page_ecc_index(&self, block: usize, page: usize) -> Option<usize> {
+        let geometry = &self.config.geometry;
+        (block < geometry.blocks && page < geometry.pages_per_block)
+            .then(|| block * geometry.pages_per_block + page)
     }
 
     /// Applies a full cross-layer operating point in one command round,
@@ -592,7 +606,9 @@ impl MemoryController {
         // this program; report it so batch layers can count injections.
         let injected_partial = self.device.partial_program_armed();
         let dev_report = self.device.program_page(block, page, data, &parity)?;
-        self.page_ecc.insert((block, page), t);
+        if let Some(i) = self.page_ecc_index(block, page) {
+            self.page_ecc[i] = t;
+        }
         // Channel model: buffer load + encode + data-in occupy the
         // channel (per-channel ECC engine), the ISPP program the die.
         let die = self.config.geometry.die_of_block(block);
@@ -647,10 +663,10 @@ impl MemoryController {
         let mut report = self.read_page_at_offset(block, page, start)?;
         if enabled && report.outcome == DecodeOutcome::Uncorrectable {
             self.retry_stats.retried_reads += 1;
-            let ladder = self.retry.ladder.clone();
             let budget = self.retry.max_senses;
             let mut recovered = false;
-            for off in ladder {
+            for rung in 0..self.retry.ladder.len() {
+                let off = self.retry.ladder[rung];
                 if off == start || report.senses >= budget {
                     continue;
                 }
@@ -695,13 +711,16 @@ impl MemoryController {
         page: usize,
         offset: i32,
     ) -> Result<ReadReport, CtrlError> {
-        let t = *self
-            .page_ecc
-            .get(&(block, page))
-            .ok_or(CtrlError::UnknownPageConfig { block, page })?;
+        let t = self
+            .page_ecc_index(block, page)
+            .map_or(0, |i| self.page_ecc[i]);
+        if t == 0 {
+            return Err(CtrlError::UnknownPageConfig { block, page });
+        }
 
         let interference_rber = self.device.page_interference_rber(block, page)?;
-        let (mut data, mut spare, dev_report) = self.device.read_page_at(block, page, offset)?;
+        // The parity occupies the spare prefix.
+        let (mut data, mut parity, dev_report) = self.device.read_page_at(block, page, offset)?;
 
         // Decode at the page's write-time capability, restoring the host
         // configuration afterwards; going through the adaptive codec keeps
@@ -709,7 +728,6 @@ impl MemoryController {
         let host_t = self.codec.correction();
         self.codec.set_correction(t)?;
         let code = self.codec.code()?;
-        let mut parity = spare.split_off(0); // parity occupies the spare prefix
         parity.truncate(code.parity_bytes());
         let outcome = self.codec.decode(&mut data, &mut parity);
         self.codec.set_correction(host_t)?;

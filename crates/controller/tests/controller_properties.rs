@@ -79,4 +79,75 @@ proptest! {
             prop_assert_eq!(ctrl.correction(), expected);
         }
     }
+
+    /// The page metadata table is total: `trim_page` and `read_page` on
+    /// any `(block, page)` — outside the geometry, never written, erased
+    /// or trimmed — answer `false` / `UnknownPageConfig`, never an index
+    /// panic, and an erase unmaps exactly its own block.
+    #[test]
+    fn page_metadata_is_total_and_erase_unmaps_one_block(
+        written in proptest::collection::vec((0usize..4, 1usize..=6), 1..4),
+        erased in 0usize..4,
+        probes in proptest::collection::vec((0usize..200, 0usize..400), 8),
+    ) {
+        let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 3).unwrap();
+        let geometry = ctrl.config().geometry;
+        let data = vec![0x5Au8; geometry.page_bytes];
+        // Pages mapped per block (blocks of a fresh device are blank).
+        let mut mapped = [0usize; 4];
+        for (block, pages) in written {
+            for page in mapped[block]..pages.max(mapped[block]) {
+                ctrl.write_page(block, page, &data).unwrap();
+            }
+            mapped[block] = pages.max(mapped[block]);
+        }
+        ctrl.erase_block(erased).unwrap();
+        mapped[erased] = 0;
+
+        let unknown = |ctrl: &mut MemoryController, block, page| {
+            matches!(
+                ctrl.read_page(block, page),
+                Err(mlcx_controller::CtrlError::UnknownPageConfig { block: b, page: p })
+                    if (b, p) == (block, page)
+            )
+        };
+        for (block, &pages) in mapped.iter().enumerate() {
+            for page in 0..8 {
+                if page < pages {
+                    prop_assert!(ctrl.read_page(block, page).unwrap().outcome.is_success());
+                } else {
+                    prop_assert!(unknown(&mut ctrl, block, page), "({block}, {page})");
+                    prop_assert!(!ctrl.trim_page(block, page));
+                }
+            }
+        }
+        // Anywhere else, in or out of the geometry.
+        for (block, page) in probes {
+            let in_range = block < geometry.blocks && page < geometry.pages_per_block;
+            if in_range && block < 4 && page < mapped[block] {
+                continue;
+            }
+            prop_assert!(unknown(&mut ctrl, block, page), "({block}, {page})");
+            prop_assert!(!ctrl.trim_page(block, page));
+        }
+        // A page index past its block must not alias the next block's
+        // first pages in the flat table.
+        for (below, &pages) in mapped.iter().skip(1).enumerate() {
+            for page in 0..pages {
+                let past = geometry.pages_per_block + page;
+                prop_assert!(!ctrl.trim_page(below, past));
+                prop_assert!(unknown(&mut ctrl, below, past));
+            }
+        }
+        let donor = (erased + 1) % 4;
+        if mapped[donor] > 0 {
+            // A trim unmaps its page alone, once.
+            prop_assert!(ctrl.trim_page(donor, 0));
+            prop_assert!(!ctrl.trim_page(donor, 0));
+            prop_assert!(unknown(&mut ctrl, donor, 0));
+            if mapped[donor] > 1 {
+                prop_assert!(ctrl.read_page(donor, 1).unwrap().outcome.is_success());
+            }
+        }
+    }
 }

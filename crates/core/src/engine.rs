@@ -711,6 +711,10 @@ pub struct StorageEngine {
     /// stream once per *host* write (never for maintenance relocations,
     /// and never at all when the plan is disabled).
     fault: FaultInjector,
+    /// Scratch of the submission path: commands per service in the
+    /// submission being checked (kept so a submission — one per command
+    /// for an open-loop host — does not allocate to count them).
+    incoming: Vec<usize>,
 }
 
 /// Source of per-instance engine ids (handle provenance checks).
@@ -745,6 +749,7 @@ impl StorageEngine {
             events: EventQueue::default(),
             last_flows: Vec::new(),
             fault: FaultInjector::new(FaultPlan::disabled()),
+            incoming: Vec::new(),
         }
     }
 
@@ -1047,13 +1052,13 @@ impl StorageEngine {
         }
         // Backpressure, checked atomically with validation: nothing is
         // enqueued when any service's depth bound would be crossed.
-        let mut incoming = vec![0usize; self.services.len()];
+        self.incoming.clear();
+        self.incoming.resize(self.services.len(), 0);
         for cmd in &commands {
-            incoming[cmd.service().index as usize] += 1;
+            self.incoming[cmd.service().index as usize] += 1;
         }
-        for (idx, extra) in incoming.iter().enumerate() {
-            let state = &self.services[idx];
-            if *extra > 0 && state.queue.len() + extra > state.qos.depth {
+        for (state, &extra) in self.services.iter().zip(&self.incoming) {
+            if extra > 0 && state.queue.len() + extra > state.qos.depth {
                 return Err(MlcxError::QueueFull {
                     service: state.region.name.clone(),
                     depth: state.qos.depth,

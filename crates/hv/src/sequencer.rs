@@ -121,16 +121,14 @@ impl Sequencer {
 
     /// Runs a phase program and returns the energy breakdown.
     pub fn execute(&self, phases: &[Phase]) -> OperationEnergy {
-        let mut op = OperationEnergy::default();
-        for phase in phases {
-            let power = self.phase_power_w(phase.kind);
-            op.push(PhaseEnergy {
-                label: Self::label(phase.kind),
-                duration_s: phase.duration_s,
-                energy_j: power * phase.duration_s,
-            });
-        }
-        op
+        // Collected from an exact-size iterator: one allocation of
+        // `phases.len()` records, however long the program.
+        let records = phases.iter().map(|phase| PhaseEnergy {
+            label: Self::label(phase.kind),
+            duration_s: phase.duration_s,
+            energy_j: self.phase_power_w(phase.kind) * phase.duration_s,
+        });
+        OperationEnergy::from_phases(records.collect())
     }
 
     fn label(kind: PhaseKind) -> &'static str {

@@ -9,6 +9,7 @@
 //! whole-workload simulations stay fast.
 
 use std::fmt;
+use std::mem;
 
 use mlcx_hv::{EnergyMeter, HvSubsystem, Phase, PhaseKind, Sequencer};
 use rand::rngs::StdRng;
@@ -102,13 +103,89 @@ struct StoredPage {
     block_programs_at_program: u64,
 }
 
+/// In-order programming plus whole-block erase mean a block's programmed
+/// pages are always a prefix: `pages[..programmed]` is the block's
+/// content, and the slots beyond it are erased — their `data`/`spare`
+/// buffers are kept for the next program of that page to refill, their
+/// fields are never read.
 struct Block {
     pe_cycles: u64,
     reads_since_erase: u64,
     /// Lifetime program count (never reset: snapshots in [`StoredPage`]
-    /// are deltas against it, and an erase drops every snapshot anyway).
+    /// are deltas against it, and an erase voids every snapshot anyway).
     programs: u64,
-    pages: Vec<Option<StoredPage>>,
+    /// One slot per page this block has ever held, in page order.
+    pages: Vec<StoredPage>,
+    /// Pages programmed since the last erase; also the page the block
+    /// expects next.
+    programmed: usize,
+}
+
+impl Block {
+    /// The block's content: the programmed prefix of its slots.
+    fn stored(&self) -> &[StoredPage] {
+        &self.pages[..self.programmed]
+    }
+}
+
+/// Phase totals of one operation, before the command overhead: what
+/// [`mlcx_hv::OperationEnergy::duration_s`] and `total_energy_j` return
+/// for its enable-signal program.
+#[derive(Clone, Copy)]
+struct OpCost {
+    duration_s: f64,
+    energy_j: f64,
+}
+
+/// The pulse/verify program of one algorithm is fixed microcode: pulse
+/// `i` is always held `pulse_s` at `pulse_voltage(i)`, every verify slot
+/// `verify_s`, and wear only decides how many pairs run. So the totals of
+/// the first `k` pairs are a prefix table, extended when a worn block
+/// first needs more pairs than any program before it.
+///
+/// `prefix[k]` is built in exactly the left-fold order `OperationEnergy`
+/// sums `[p0, v0, p1, v1, …]` in, from the same per-phase products
+/// [`Sequencer::execute`] forms, so a lookup is bit-equal to executing
+/// the list. Its inputs ([`IsppConfig`], the [`HvSubsystem`] inside the
+/// sequencer, [`NandTiming`]) have no setter after
+/// [`NandDevice::with_config`]; adding one means rebuilding the tables
+/// there.
+struct ProgramCosts {
+    /// The verify slot after each pulse: [`program_profile`]'s
+    /// per-algorithm verify mix × `verify_s`, and its energy.
+    verify: OpCost,
+    prefix: Vec<OpCost>,
+}
+
+impl ProgramCosts {
+    fn new(ispp: &IsppConfig, sequencer: &Sequencer, algorithm: ProgramAlgorithm) -> Self {
+        let verify_s = program_profile(ispp, algorithm, 1).verifies_per_pulse * ispp.verify_s;
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        ProgramCosts {
+            verify: OpCost {
+                duration_s: verify_s,
+                energy_j: sequencer.phase_power_w(PhaseKind::Verify { level: 1 }) * verify_s,
+            },
+            prefix: vec![OpCost {
+                duration_s: empty,
+                energy_j: empty,
+            }],
+        }
+    }
+
+    /// Totals of the first `pairs` pulse + verify pairs.
+    fn first(&mut self, pairs: usize, ispp: &IsppConfig, sequencer: &Sequencer) -> OpCost {
+        for i in self.prefix.len() - 1..pairs {
+            let target_v = ispp.pulse_voltage(i as u32);
+            let pulse_w = sequencer.phase_power_w(PhaseKind::ProgramPulse { target_v });
+            let so_far = self.prefix[i];
+            self.prefix.push(OpCost {
+                duration_s: so_far.duration_s + ispp.pulse_s + self.verify.duration_s,
+                energy_j: so_far.energy_j + pulse_w * ispp.pulse_s + self.verify.energy_j,
+            });
+        }
+        self.prefix[pairs]
+    }
 }
 
 /// Per-die simulation state: each die ages independently, injects
@@ -168,6 +245,13 @@ pub struct NandDevice {
     /// fraction of its ISPP staircase (power-loss injection).
     partial_arm: Option<f64>,
     meter: EnergyMeter,
+    /// Phase totals of a page read and a block erase (constants of the
+    /// timing set and the HV subsystem).
+    read_cost: OpCost,
+    erase_cost: OpCost,
+    /// Phase totals of a program, per algorithm: indexed
+    /// `algorithm as usize`, which is [`ProgramAlgorithm::ALL`] order.
+    program_costs: [ProgramCosts; 2],
 }
 
 impl NandDevice {
@@ -209,7 +293,8 @@ impl NandDevice {
                 pe_cycles: 0,
                 reads_since_erase: 0,
                 programs: 0,
-                pages: (0..geometry.pages_per_block).map(|_| None).collect(),
+                pages: Vec::new(),
+                programmed: 0,
             })
             .collect();
         let dies: Vec<DieState> = (0..geometry.topology.total_dies())
@@ -219,12 +304,23 @@ impl NandDevice {
             })
             .collect();
         let die_programs = vec![0u64; dies.len()];
+        let sequencer = Sequencer::new(hv);
+        let single_phase = |kind, duration_s| {
+            let op = sequencer.execute(&[Phase { kind, duration_s }]);
+            OpCost {
+                duration_s: op.duration_s(),
+                energy_j: op.total_energy_j(),
+            }
+        };
+        let read_cost = single_phase(PhaseKind::Read, timing.read_page_s);
+        let erase_cost = single_phase(PhaseKind::ErasePulse, timing.erase_block_s);
+        let program_costs = ProgramAlgorithm::ALL.map(|a| ProgramCosts::new(&ispp, &sequencer, a));
         NandDevice {
             geometry,
             timing,
             ispp,
             aging,
-            sequencer: Sequencer::new(hv),
+            sequencer,
             code_store,
             algorithm: ProgramAlgorithm::IsppSv,
             disturb: DisturbModel::disabled(),
@@ -234,6 +330,9 @@ impl NandDevice {
             die_programs,
             partial_arm: None,
             meter: EnergyMeter::new(),
+            read_cost,
+            erase_cost,
+            program_costs,
         }
     }
 
@@ -335,9 +434,8 @@ impl NandDevice {
     pub fn block_data_age_hours(&self, block: usize) -> Result<f64, NandError> {
         self.check_block(block)?;
         Ok(self.blocks[block]
-            .pages
+            .stored()
             .iter()
-            .flatten()
             .map(|p| self.clock_hours - p.programmed_at_hours)
             .fold(0.0, f64::max))
     }
@@ -355,13 +453,12 @@ impl NandDevice {
     pub fn block_disturb_rber(&self, block: usize) -> Result<f64, NandError> {
         self.check_block(block)?;
         let b = &self.blocks[block];
-        if b.pages.iter().all(Option::is_none) {
+        if b.programmed == 0 {
             return Ok(0.0);
         }
         let retention = b
-            .pages
+            .stored()
             .iter()
-            .flatten()
             .map(|p| {
                 self.disturb.retention_rber(
                     self.clock_hours - p.programmed_at_hours,
@@ -397,8 +494,9 @@ impl NandDevice {
     /// Geometry errors for bad indices.
     pub fn page_interference_rber(&self, block: usize, page: usize) -> Result<f64, NandError> {
         self.check_page(block, page)?;
-        Ok(self.blocks[block].pages[page]
-            .as_ref()
+        Ok(self.blocks[block]
+            .stored()
+            .get(page)
             .map(|p| self.page_interference(block, p))
             .unwrap_or(0.0))
     }
@@ -411,10 +509,10 @@ impl NandDevice {
     /// Geometry errors for bad indices.
     pub fn page_partially_programmed(&self, block: usize, page: usize) -> Result<bool, NandError> {
         self.check_page(block, page)?;
-        Ok(self.blocks[block].pages[page]
-            .as_ref()
-            .map(|p| p.partial_missing > 0.0)
-            .unwrap_or(false))
+        Ok(self.blocks[block]
+            .stored()
+            .get(page)
+            .is_some_and(|p| p.partial_missing > 0.0))
     }
 
     /// The worst per-page program-interference RBER across a block —
@@ -428,9 +526,8 @@ impl NandDevice {
     pub fn block_interference_rber(&self, block: usize) -> Result<f64, NandError> {
         self.check_block(block)?;
         Ok(self.blocks[block]
-            .pages
+            .stored()
             .iter()
-            .flatten()
             .map(|p| self.page_interference(block, p))
             .fold(0.0, f64::max))
     }
@@ -452,12 +549,11 @@ impl NandDevice {
         }
         self.check_block(block)?;
         let b = &self.blocks[block];
-        if b.pages.iter().all(Option::is_none) {
+        if b.programmed == 0 {
             return Ok(0.0);
         }
-        Ok(b.pages
+        Ok(b.stored()
             .iter()
-            .flatten()
             .map(|p| {
                 self.disturb.rber_at_offset_with_interference(
                     b.reads_since_erase,
@@ -590,19 +686,11 @@ impl NandDevice {
     pub fn erase_block(&mut self, block: usize) -> Result<OpReport, NandError> {
         self.check_block(block)?;
         let b = &mut self.blocks[block];
-        for page in &mut b.pages {
-            *page = None;
-        }
+        b.programmed = 0;
         b.pe_cycles += 1;
         b.reads_since_erase = 0;
-        let phases = [Phase {
-            kind: PhaseKind::ErasePulse,
-            duration_s: self.timing.erase_block_s,
-        }];
-        let op = self.sequencer.execute(&phases);
         let die = self.geometry.die_of_block(block);
-        let report = self.finish(die, OpKind::Erase, op.duration_s(), op.total_energy_j());
-        Ok(report)
+        Ok(self.finish(die, OpKind::Erase, self.erase_cost))
     }
 
     /// Arms a one-shot partial-program injection: the *next*
@@ -664,13 +752,11 @@ impl NandDevice {
         if matches!(self.code_store, CodeStore::Sram(None)) {
             return Err(NandError::CodeSramEmpty);
         }
-        if self.blocks[block].pages[page].is_some() {
+        let expected = self.blocks[block].programmed;
+        if page < expected {
             return Err(NandError::PageNotErased { block, page });
         }
-        if let Some(expected) = self.blocks[block].pages[..page]
-            .iter()
-            .position(Option::is_none)
-        {
+        if page > expected {
             return Err(NandError::PageOutOfOrder {
                 block,
                 page,
@@ -692,20 +778,11 @@ impl NandDevice {
             None => pulse_count,
         };
         let partial_missing = f64::from(pulse_count - executed) / f64::from(pulse_count);
-        let mut phases = Vec::with_capacity(executed as usize * 4);
-        for i in 0..executed {
-            phases.push(Phase {
-                kind: PhaseKind::ProgramPulse {
-                    target_v: self.ispp.pulse_voltage(i),
-                },
-                duration_s: self.ispp.pulse_s,
-            });
-            phases.push(Phase {
-                kind: PhaseKind::Verify { level: 1 },
-                duration_s: profile.verifies_per_pulse * self.ispp.verify_s,
-            });
-        }
-        let op = self.sequencer.execute(&phases);
+        let cost = self.program_costs[self.algorithm as usize].first(
+            executed as usize,
+            &self.ispp,
+            &self.sequencer,
+        );
 
         let die = self.geometry.die_of_block(block);
         // Program-interference bookkeeping: integers only, maintained
@@ -713,30 +790,43 @@ impl NandDevice {
         // 0.0, so disabled-model runs stay bit-identical.
         self.die_programs[die] += 1;
         self.blocks[block].programs += 1;
-        // Wordline-adjacent coupling: already-programmed neighbors take
-        // one interference event each; blank neighbors are untouched.
-        for neighbor in [page.checked_sub(1), page.checked_add(1)] {
-            let Some(n) = neighbor else { continue };
-            if n >= self.geometry.pages_per_block {
-                continue;
-            }
-            if let Some(stored) = self.blocks[block].pages[n].as_mut() {
-                stored.interference_events += 1;
-            }
+        // Wordline-adjacent coupling: an already-programmed neighbor
+        // takes one interference event, a blank one is untouched — and
+        // the page above the one the block expects next is always blank.
+        let b = &mut self.blocks[block];
+        if let Some(below) = page.checked_sub(1) {
+            b.pages[below].interference_events += 1;
         }
-        self.blocks[block].pages[page] = Some(StoredPage {
-            data: data.to_vec(),
-            spare: spare.to_vec(),
+        let fresh = StoredPage {
+            data: Vec::new(),
+            spare: Vec::new(),
             algorithm: self.algorithm,
             cycles_at_program: cycles,
             programmed_at_hours: self.clock_hours,
             interference_events: 0,
             partial_missing,
             die_programs_at_program: self.die_programs[die],
-            block_programs_at_program: self.blocks[block].programs,
-        });
-        let report = self.finish(die, OpKind::Program, op.duration_s(), op.total_energy_j());
-        Ok(report)
+            block_programs_at_program: b.programs,
+        };
+        match b.pages.get_mut(page) {
+            // The slot keeps its buffers across erases: from the block's
+            // second fill on a program allocates nothing.
+            Some(slot) => {
+                *slot = StoredPage {
+                    data: mem::take(&mut slot.data),
+                    spare: mem::take(&mut slot.spare),
+                    ..fresh
+                }
+            }
+            None => b.pages.push(fresh),
+        }
+        let slot = &mut b.pages[page];
+        slot.data.clear();
+        slot.data.extend_from_slice(data);
+        slot.spare.clear();
+        slot.spare.extend_from_slice(spare);
+        b.programmed = page + 1;
+        Ok(self.finish(die, OpKind::Program, cost))
     }
 
     /// Reads a page back, injecting raw bit errors per the lifetime RBER
@@ -784,19 +874,18 @@ impl NandDevice {
         self.check_page(block, page)?;
         let geometry_spare = self.geometry.spare_bytes;
         let die = self.geometry.die_of_block(block);
-        if self.blocks[block].pages[page].is_none() {
+        // Rejected before the disturb bump: a blank page must not accrue
+        // read disturb.
+        if page >= self.blocks[block].programmed {
             return Err(NandError::PageNotProgrammed { block, page });
         }
         let prior_reads = self.blocks[block].reads_since_erase;
         self.blocks[block].reads_since_erase = prior_reads + 1;
-        // Checked programmed above (before the disturb bump — a blank
-        // page must not accrue read disturb); re-checked here so the
-        // borrow carries a typed error instead of a panic path.
-        let Some(stored) = self.blocks[block].pages[page].as_ref() else {
-            return Err(NandError::PageNotProgrammed { block, page });
-        };
+        let stored = &self.blocks[block].pages[page];
         let mut data = stored.data.clone();
-        let mut spare = stored.spare.clone();
+        // Room for the pad appended after injection.
+        let mut spare = Vec::with_capacity(geometry_spare);
+        spare.extend_from_slice(&stored.spare);
         let endurance = self
             .aging
             .rber(stored.algorithm, stored.cycles_at_program.max(1));
@@ -830,24 +919,22 @@ impl NandDevice {
         // tail senses as the erased state.
         spare.resize(geometry_spare, 0xFF);
 
-        let phases = [Phase {
-            kind: PhaseKind::Read,
-            duration_s: self.timing.read_page_s,
-        }];
-        let op = self.sequencer.execute(&phases);
-        let report = self.finish(die, OpKind::Read, op.duration_s(), op.total_energy_j());
+        let report = self.finish(die, OpKind::Read, self.read_cost);
         Ok((data, spare, report))
     }
 
-    fn finish(&mut self, die: usize, kind: OpKind, duration_s: f64, energy_j: f64) -> OpReport {
-        let duration_s = duration_s + self.timing.command_overhead_s;
-        let op = mlcx_hv::OperationEnergy::from_phases(vec![mlcx_hv::PhaseEnergy {
-            label: "op",
-            duration_s,
-            energy_j,
-        }]);
-        self.dies[die].meter.record(&op);
-        self.meter.record(&op);
+    /// Adds the command overhead and meters the operation on its die and
+    /// on the device.
+    fn finish(&mut self, die: usize, kind: OpKind, cost: OpCost) -> OpReport {
+        let duration_s = cost.duration_s + self.timing.command_overhead_s;
+        let energy_j = cost.energy_j;
+        let op = EnergyMeter {
+            total_energy_j: energy_j,
+            total_time_s: duration_s,
+            operations: 1,
+        };
+        self.dies[die].meter.absorb(&op);
+        self.meter.absorb(&op);
         OpReport {
             kind,
             duration_s,

@@ -1,0 +1,118 @@
+//! Heap allocations of the page path, pinned as exact counts.
+//!
+//! The per-page fixed costs were paid down to: nothing for a program or
+//! an erase once a block's buffers exist, the two buffers a read hands
+//! to its caller, and under two allocations per command through the
+//! whole engine on the benchmark's `fresh_mixed` shape
+//! (`core.engine.allocs_per_cmd` there, 1.88 with its shuffled merge). Counts are exact for a given
+//! command sequence, so a change here is a deliberate edit, not noise.
+//!
+//! One `#[test]` only: the counters are process-wide, and a second test
+//! on another thread would count into them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use mlcx::{Command, EngineBuilder, NandDevice, Objective};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator plus a counter. `realloc` and `alloc_zeroed` are
+/// the trait's defaults, which go through `alloc`: each counts once.
+struct Counting;
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state and never allocates.
+// mlcx-lint: allow(unsafe-scope, reason = "a counting #[global_allocator] cannot be written without implementing the unsafe GlobalAlloc trait; test-only, forwards to System")
+unsafe impl GlobalAlloc for Counting {
+    // mlcx-lint: allow(unsafe-scope, reason = "signature required by GlobalAlloc")
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    // mlcx-lint: allow(unsafe-scope, reason = "signature required by GlobalAlloc")
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes (its result is dropped after the count).
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.load(Relaxed);
+    let out = f();
+    let after = ALLOCS.load(Relaxed);
+    drop(out);
+    after - before
+}
+
+#[test]
+fn the_page_path_stays_inside_its_allocation_budget() {
+    // --- the bare device, from a block's second fill on ---
+    let mut dev = NandDevice::date2012(1);
+    let pages = dev.geometry().pages_per_block;
+    let data = vec![0xC3u8; dev.geometry().page_bytes];
+    let parity = vec![0x0Fu8; 130];
+    let fill = |dev: &mut NandDevice| {
+        allocations(|| {
+            for page in 0..pages {
+                dev.program_page(0, page, &data, &parity).unwrap();
+            }
+        })
+    };
+    dev.erase_block(0).unwrap();
+    fill(&mut dev); // the first fill allocates the block's buffers
+    assert_eq!(allocations(|| dev.erase_block(0).unwrap()), 0, "erase");
+    assert_eq!(fill(&mut dev), 0, "second fill");
+    for page in 0..pages {
+        assert_eq!(
+            allocations(|| dev.read_page(0, page).unwrap()),
+            2,
+            "a read allocates the payload and the spare it returns"
+        );
+    }
+
+    // --- through the engine: erase + 128 writes + 128 reads, the
+    // benchmark's `fresh_mixed` segment ---
+    let mut engine = EngineBuilder::date2012().seed(7).build().unwrap();
+    let svc = engine
+        .register_service("mixed", Objective::Baseline, 0..64)
+        .unwrap();
+    let prefill: Vec<Command> = (0..pages)
+        .map(|page| Command::write(svc, 32, page, data.clone()))
+        .collect();
+    engine.sq().submit_owned(prefill).unwrap();
+    assert!(engine.cq().drain().iter().all(|c| c.result.is_ok()));
+    let segment = |engine: &mut mlcx::StorageEngine| {
+        // Commands and payloads exist before the count starts, as in the
+        // benchmark; completions are dropped after it stops.
+        let mut cmds = vec![Command::erase(svc, 0)];
+        for page in 0..pages {
+            cmds.push(Command::write(svc, 0, page, data.clone()));
+            cmds.push(Command::read(svc, 32, (page * 37) % pages));
+        }
+        let commands = cmds.len() as u64;
+        let allocs = allocations(|| {
+            engine.sq().submit_owned(cmds).unwrap();
+            let done = engine.cq().drain();
+            assert!(done.iter().all(|c| c.result.is_ok()));
+            done
+        });
+        (allocs, commands)
+    };
+    segment(&mut engine); // warm-up: block 0's buffers, queue capacities
+    let (allocs, commands) = segment(&mut engine);
+    assert_eq!(commands, 257);
+    // One parity per write and two buffers per read, plus the batch's
+    // own vectors (ids, completions, flow samples, event heap: 10 here).
+    let per_command = 3 * pages as u64;
+    assert!(
+        (per_command..=per_command + 16).contains(&allocs),
+        "{allocs} allocations for {commands} commands; {per_command} belong to the pages"
+    );
+    assert!(allocs <= 2 * commands, "budget: 2.0 per command");
+}
