@@ -32,17 +32,6 @@ pub struct CodecStats {
     pub uncorrectable_pages: u64,
 }
 
-impl CodecStats {
-    /// Mean corrected bits per decoded page (0.0 when nothing decoded).
-    pub fn mean_corrected_bits(&self) -> f64 {
-        if self.pages_decoded == 0 {
-            0.0
-        } else {
-            self.corrected_bits as f64 / self.pages_decoded as f64
-        }
-    }
-}
-
 /// BCH codec with correction capability programmable at runtime.
 ///
 /// Holds the generator-polynomial ROM for `t = 1..=tmax` and lazily
@@ -196,7 +185,7 @@ impl AdaptiveBch {
     ///
     /// # Errors
     ///
-    /// Propagates [`BchCode::with_generator`] errors (none occur for
+    /// Propagates [`BchCode::with_generator_kernel`] errors (none occur for
     /// parameters validated at construction).
     pub fn code(&mut self) -> Result<Arc<BchCode>, BchError> {
         self.code_for(self.current_t)
@@ -299,11 +288,6 @@ impl AdaptiveBch {
         self.stats
     }
 
-    /// Clears the feedback counters (e.g. at a reliability-manager epoch).
-    pub fn reset_stats(&mut self) {
-        self.stats = CodecStats::default();
-    }
-
     /// The underlying field.
     pub fn field(&self) -> &Arc<GfField> {
         &self.field
@@ -396,9 +380,6 @@ mod tests {
         assert_eq!(s.corrected_pages, 1);
         assert_eq!(s.corrected_bits, 1);
         assert_eq!(s.last_corrected_bits, 1);
-        assert!(s.mean_corrected_bits() > 0.0);
-        c.reset_stats();
-        assert_eq!(c.stats(), CodecStats::default());
     }
 
     #[test]

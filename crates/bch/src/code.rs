@@ -130,21 +130,7 @@ impl BchCode {
     }
 
     /// Builds the code from a pre-computed generator polynomial (the
-    /// adaptive codec feeds these from its polynomial ROM).
-    ///
-    /// # Errors
-    ///
-    /// See [`BchCode::new`].
-    pub fn with_generator(
-        field: Arc<GfField>,
-        k_bits: usize,
-        t: u32,
-        generator: Gf2Poly,
-    ) -> Result<Self, BchError> {
-        Self::with_generator_kernel(field, k_bits, t, generator, CodecKernel::default())
-    }
-
-    /// Builds the code from a pre-computed generator polynomial on an
+    /// adaptive codec feeds these from its polynomial ROM) on an
     /// explicit codec kernel. Both kernels decode bit-identically.
     ///
     /// # Errors
@@ -190,11 +176,6 @@ impl BchCode {
         })
     }
 
-    /// The correction capability `t`.
-    pub fn correction_capability(&self) -> u32 {
-        self.t
-    }
-
     /// The codec kernel this instance runs.
     pub fn kernel(&self) -> CodecKernel {
         match self.lfsr {
@@ -226,11 +207,6 @@ impl BchCode {
     /// Full (unshortened) length `2^m - 1`.
     pub fn full_length(&self) -> usize {
         self.field.order() as usize
-    }
-
-    /// Number of positions removed by shortening.
-    pub fn shortened_by(&self) -> usize {
-        self.full_length() - self.codeword_bits()
     }
 
     /// Code rate `k / n`.
@@ -505,7 +481,6 @@ mod tests {
         assert_eq!(c.parity_bytes(), 7);
         assert_eq!(c.codeword_bits(), 4148);
         assert_eq!(c.full_length(), 8191);
-        assert_eq!(c.shortened_by(), 8191 - 4148);
         assert!(c.rate() > 0.98 && c.rate() < 1.0);
     }
 

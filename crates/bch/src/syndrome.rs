@@ -185,11 +185,6 @@ impl SyndromeCalculator {
         }
         syn
     }
-
-    /// `true` when every syndrome is zero (valid codeword).
-    pub fn all_zero(syndromes: &[u32]) -> bool {
-        syndromes.iter().all(|&s| s == 0)
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +392,7 @@ mod tests {
         let msg: Vec<u8> = (0..30).map(|i| (i * 7 + 201) as u8).collect();
         let parity = enc.remainder(&msg);
         let syn = calc.compute(&msg, &parity, enc.parity_bits());
-        assert!(SyndromeCalculator::all_zero(&syn), "syndromes: {syn:?}");
+        assert!(syn.iter().all(|&s| s == 0), "syndromes: {syn:?}");
     }
 
     #[test]

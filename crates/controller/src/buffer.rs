@@ -1,4 +1,4 @@
-//! The controller page buffer and its data-load strategies.
+//! The page-buffer data-load strategies.
 //!
 //! "Data transfers are processed through a dedicated buffer (e.g., an
 //! embedded RAM block). Typically, the size of the RAM is equal to the
@@ -6,6 +6,10 @@
 //! write-throughput overhead of ISPP-DV "can be mitigated by using a
 //! two-round data load strategy on the page buffer" — the second half of
 //! the page streams in while the first half is already programming.
+//!
+//! The simulator keeps no copy of the staged page (the encoder and the
+//! device both read the host's slice); what the buffer contributes to a
+//! write is the load latency its strategy leaves exposed.
 
 /// How host data is staged into the page buffer on writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,149 +33,9 @@ impl LoadStrategy {
     }
 }
 
-/// One-page embedded RAM buffer.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_controller::buffer::PageBuffer;
-///
-/// let mut buf = PageBuffer::new(4096);
-/// buf.load(&vec![7u8; 4096]).unwrap();
-/// assert!(buf.is_full());
-/// assert_eq!(buf.contents()[0], 7);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageBuffer {
-    data: Vec<u8>,
-    valid_bytes: usize,
-}
-
-impl PageBuffer {
-    /// An empty buffer for pages of `page_bytes`.
-    pub fn new(page_bytes: usize) -> Self {
-        PageBuffer {
-            data: vec![0; page_bytes],
-            valid_bytes: 0,
-        }
-    }
-
-    /// Buffer capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Bytes currently staged.
-    pub fn valid_bytes(&self) -> usize {
-        self.valid_bytes
-    }
-
-    /// `true` when a full page is staged.
-    pub fn is_full(&self) -> bool {
-        self.valid_bytes == self.data.len()
-    }
-
-    /// Loads a whole page.
-    ///
-    /// # Errors
-    ///
-    /// Returns the required size when `page` does not fill the buffer
-    /// exactly.
-    pub fn load(&mut self, page: &[u8]) -> Result<(), usize> {
-        if page.len() != self.data.len() {
-            return Err(self.data.len());
-        }
-        self.data.copy_from_slice(page);
-        self.valid_bytes = page.len();
-        Ok(())
-    }
-
-    /// Streams a chunk in (two-round loading); chunks must arrive in
-    /// order and fit the remaining space.
-    ///
-    /// # Errors
-    ///
-    /// Returns the remaining capacity when the chunk overflows it.
-    pub fn load_chunk(&mut self, chunk: &[u8]) -> Result<(), usize> {
-        let remaining = self.data.len() - self.valid_bytes;
-        if chunk.len() > remaining {
-            return Err(remaining);
-        }
-        self.data[self.valid_bytes..self.valid_bytes + chunk.len()].copy_from_slice(chunk);
-        self.valid_bytes += chunk.len();
-        Ok(())
-    }
-
-    /// The staged page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is not full — programming a half-loaded
-    /// buffer is a controller bug (buffer underrun).
-    pub fn contents(&self) -> &[u8] {
-        assert!(self.is_full(), "page buffer underrun");
-        &self.data
-    }
-
-    /// Clears the buffer for the next transfer.
-    pub fn reset(&mut self) {
-        self.valid_bytes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_round_load() {
-        let mut buf = PageBuffer::new(64);
-        assert!(!buf.is_full());
-        buf.load(&[1u8; 64]).unwrap();
-        assert!(buf.is_full());
-        assert_eq!(buf.contents().len(), 64);
-    }
-
-    #[test]
-    fn wrong_size_rejected() {
-        let mut buf = PageBuffer::new(64);
-        assert_eq!(buf.load(&[0u8; 63]), Err(64));
-    }
-
-    #[test]
-    fn two_round_chunked_load() {
-        let mut buf = PageBuffer::new(64);
-        buf.load_chunk(&[1u8; 32]).unwrap();
-        assert!(!buf.is_full());
-        assert_eq!(buf.valid_bytes(), 32);
-        buf.load_chunk(&[2u8; 32]).unwrap();
-        assert!(buf.is_full());
-        assert_eq!(buf.contents()[0], 1);
-        assert_eq!(buf.contents()[63], 2);
-    }
-
-    #[test]
-    fn chunk_overflow_rejected() {
-        let mut buf = PageBuffer::new(64);
-        buf.load_chunk(&[0u8; 60]).unwrap();
-        assert_eq!(buf.load_chunk(&[0u8; 8]), Err(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "page buffer underrun")]
-    fn reading_partial_buffer_panics() {
-        let mut buf = PageBuffer::new(64);
-        buf.load_chunk(&[0u8; 10]).unwrap();
-        let _ = buf.contents();
-    }
-
-    #[test]
-    fn reset_empties() {
-        let mut buf = PageBuffer::new(16);
-        buf.load(&[9u8; 16]).unwrap();
-        buf.reset();
-        assert_eq!(buf.valid_bytes(), 0);
-    }
 
     #[test]
     fn load_strategies_expose_different_latency() {

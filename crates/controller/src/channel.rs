@@ -246,16 +246,6 @@ impl ChannelScheduler {
     pub fn batch_channel_busy_s(&self) -> f64 {
         self.chan_busy_s.iter().sum()
     }
-
-    /// Mean fraction of the batch window each channel's bus was busy
-    /// (0 with no makespan).
-    pub fn batch_channel_utilization(&self) -> f64 {
-        let makespan = self.batch_makespan_s();
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        self.batch_channel_busy_s() / (self.topology.channels as f64 * makespan)
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +282,6 @@ mod tests {
         }
         // Four 1.01 ms writes on four channels: makespan is one write.
         assert!((s.batch_makespan_s() - 1.01e-3).abs() < EPS);
-        assert!(s.batch_channel_utilization() < 0.05);
     }
 
     #[test]

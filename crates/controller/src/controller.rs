@@ -11,12 +11,12 @@ use mlcx_nand::disturb::DisturbModel;
 use mlcx_nand::ispp::IsppConfig;
 use mlcx_nand::{AgingModel, DeviceGeometry, NandDevice, NandTiming, OpReport, ProgramAlgorithm};
 
-use crate::buffer::{LoadStrategy, PageBuffer};
+use crate::buffer::LoadStrategy;
 use crate::channel::{ChannelScheduler, OpTiming};
 use crate::error::CtrlError;
 use crate::flash_if::FlashInterface;
 use crate::ocp::OcpSocket;
-use crate::regs::{ConfigCommand, RegisterFile, ServiceLevel};
+use crate::regs::{ConfigCommand, RegisterFile};
 use crate::retry::{ReadOffsetTable, RetryPolicy, RetryStats};
 
 /// Static configuration of the controller instance.
@@ -79,7 +79,9 @@ impl ControllerConfig {
     }
 
     /// A fluent builder seeded with the [`ControllerConfig::date2012`]
-    /// preset; every knob is overridable before [`ControllerConfigBuilder::build`].
+    /// preset, with a setter per field some caller varies (the fields
+    /// are `pub`; the rest are assigned directly) and validation in
+    /// [`ControllerConfigBuilder::build`].
     pub fn builder() -> ControllerConfigBuilder {
         ControllerConfigBuilder {
             config: Self::date2012(),
@@ -128,30 +130,6 @@ impl ControllerConfigBuilder {
     /// bit-identical).
     pub fn ecc_kernel(mut self, kernel: CodecKernel) -> Self {
         self.config.ecc_kernel = kernel;
-        self
-    }
-
-    /// Socket interface parameters.
-    pub fn ocp(mut self, ocp: OcpSocket) -> Self {
-        self.config.ocp = ocp;
-        self
-    }
-
-    /// Flash bus parameters.
-    pub fn flash_if(mut self, flash_if: FlashInterface) -> Self {
-        self.config.flash_if = flash_if;
-        self
-    }
-
-    /// ECC hardware latency parameters.
-    pub fn ecc_hw(mut self, hw: EccHardware) -> Self {
-        self.config.ecc_hw = hw;
-        self
-    }
-
-    /// ECC power model.
-    pub fn ecc_power(mut self, power: EccPowerModel) -> Self {
-        self.config.ecc_power = power;
         self
     }
 
@@ -268,8 +246,8 @@ pub struct ReadReport {
 
 /// The memory controller of the paper's Fig. 1.
 ///
-/// Owns the adaptive BCH codec, the page buffer, both bus interfaces and
-/// the flash device; exposes the two cross-layer knobs through
+/// Owns the adaptive BCH codec, both bus interfaces and the flash
+/// device; exposes the two cross-layer knobs through
 /// [`ConfigCommand`]s.
 ///
 /// # Example
@@ -289,7 +267,6 @@ pub struct MemoryController {
     config: ControllerConfig,
     codec: AdaptiveBch,
     device: NandDevice,
-    buffer: PageBuffer,
     regs: RegisterFile,
     load_strategy: LoadStrategy,
     /// ECC capability each written page used (the controller's page
@@ -301,9 +278,6 @@ pub struct MemoryController {
     /// operation registers its bus/cell occupancy here, so batch layers
     /// can read the modeled parallel makespan.
     scheduler: ChannelScheduler,
-    /// Read-retry policy (from the config; `disabled()` = the pre-retry
-    /// datapath).
-    retry: RetryPolicy,
     /// Per-block read-reference offsets learned from successful
     /// retries; entries are forgotten on erase.
     offsets: ReadOffsetTable,
@@ -312,7 +286,13 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Builds the controller and its device.
+    /// Builds the controller and its device. The device is calibrated
+    /// from the `date2012()` presets of `NandTiming`, `IsppConfig`,
+    /// `AgingModel` and `HvSubsystem` whatever `config` says — the same
+    /// four `mlcx_core`'s `SubsystemModel::for_controller` takes, which is
+    /// what keeps the engine's model and this device equal with no check
+    /// between them; a device parameter that becomes configurable must
+    /// reach both from the one `ControllerConfig`.
     ///
     /// # Errors
     ///
@@ -346,20 +326,16 @@ impl MemoryController {
             seed,
         );
         device.set_disturb_model(config.disturb);
-        let buffer = PageBuffer::new(config.geometry.page_bytes);
         let scheduler = ChannelScheduler::new(config.geometry.topology);
-        let retry = config.retry.clone();
         let page_ecc = vec![0; config.geometry.total_pages()];
         Ok(MemoryController {
             config,
             codec,
             device,
-            buffer,
             regs: RegisterFile::default(),
             load_strategy: LoadStrategy::OneRound,
             page_ecc,
             scheduler,
-            retry,
             offsets: ReadOffsetTable::new(),
             retry_stats: RetryStats::default(),
         })
@@ -378,11 +354,6 @@ impl MemoryController {
     /// Current program algorithm.
     pub fn algorithm(&self) -> ProgramAlgorithm {
         self.device.algorithm()
-    }
-
-    /// Current service level (from the register file).
-    pub fn service_level(&self) -> ServiceLevel {
-        self.regs.service_level()
     }
 
     /// The register file (status polling).
@@ -413,7 +384,7 @@ impl MemoryController {
 
     /// The active read-retry policy.
     pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
+        &self.config.retry
     }
 
     /// Retry subsystem counters accumulated across reads.
@@ -438,7 +409,7 @@ impl MemoryController {
     ///
     /// Device errors propagate.
     pub fn block_effective_disturb_rber(&self, block: usize) -> Result<f64, CtrlError> {
-        let offset = if self.retry.is_enabled() {
+        let offset = if self.config.retry.is_enabled() {
             self.offsets.get(block)
         } else {
             0
@@ -465,10 +436,7 @@ impl MemoryController {
     /// store) propagate; the register write itself cannot fail.
     pub fn apply(&mut self, cmd: ConfigCommand) -> Result<(), CtrlError> {
         match cmd {
-            ConfigCommand::SetCorrection(t) => {
-                self.codec.set_correction(t)?;
-                self.regs.status_mut().ecc_reconfigured = true;
-            }
+            ConfigCommand::SetCorrection(t) => self.codec.set_correction(t)?,
             ConfigCommand::SetAlgorithm(a) => self.device.select_algorithm(a)?,
             ConfigCommand::SetTwoRoundLoad(enable) => {
                 self.load_strategy = if enable {
@@ -477,7 +445,6 @@ impl MemoryController {
                     LoadStrategy::OneRound
                 };
             }
-            ConfigCommand::SetServiceLevel(_) => {}
         }
         self.regs.apply(cmd);
         Ok(())
@@ -581,16 +548,16 @@ impl MemoryController {
         page: usize,
         data: &[u8],
     ) -> Result<WriteReport, CtrlError> {
-        self.buffer.reset();
-        self.buffer
-            .load(data)
-            .map_err(|expected| CtrlError::BufferSize {
+        let expected = self.config.geometry.page_bytes;
+        if data.len() != expected {
+            return Err(CtrlError::BufferSize {
                 expected,
                 actual: data.len(),
-            })?;
+            });
+        }
 
         let t = self.codec.correction();
-        let parity = self.codec.encode(self.buffer.contents())?;
+        let parity = self.codec.encode(data)?;
         let r_bits = self.codec.code()?.parity_bits();
 
         let path = crate::throughput::write_path(
@@ -658,15 +625,15 @@ impl MemoryController {
     /// [`CtrlError::UnknownPageConfig`] if the page was not written
     /// through this controller; device errors propagate.
     pub fn read_page(&mut self, block: usize, page: usize) -> Result<ReadReport, CtrlError> {
-        let enabled = self.retry.is_enabled();
+        let enabled = self.config.retry.is_enabled();
         let start = if enabled { self.offsets.get(block) } else { 0 };
         let mut report = self.read_page_at_offset(block, page, start)?;
         if enabled && report.outcome == DecodeOutcome::Uncorrectable {
             self.retry_stats.retried_reads += 1;
-            let budget = self.retry.max_senses;
+            let budget = self.config.retry.max_senses;
             let mut recovered = false;
-            for rung in 0..self.retry.ladder.len() {
-                let off = self.retry.ladder[rung];
+            for rung in 0..self.config.retry.ladder.len() {
+                let off = self.config.retry.ladder[rung];
                 if off == start || report.senses >= budget {
                     continue;
                 }
@@ -772,7 +739,6 @@ impl fmt::Debug for MemoryController {
         f.debug_struct("MemoryController")
             .field("correction", &self.correction())
             .field("algorithm", &self.algorithm())
-            .field("service_level", &self.service_level())
             .finish()
     }
 }
@@ -850,13 +816,26 @@ mod tests {
     }
 
     #[test]
-    fn wrong_page_size_rejected() {
+    fn wrong_page_size_is_rejected_before_anything_is_touched() {
         let mut ctrl = controller();
         ctrl.erase_block(0).unwrap();
-        assert!(matches!(
-            ctrl.write_page(0, 0, &[0u8; 100]),
-            Err(CtrlError::BufferSize { .. })
-        ));
+        ctrl.scheduler_mut().begin_batch();
+        let meter = ctrl.device().energy_meter();
+        for actual in [4095, 4097] {
+            assert_eq!(
+                ctrl.write_page(0, 0, &vec![0u8; actual]).unwrap_err(),
+                CtrlError::BufferSize {
+                    expected: 4096,
+                    actual
+                }
+            );
+        }
+        assert_eq!(ctrl.codec_stats().pages_encoded, 0);
+        assert_eq!(ctrl.device().energy_meter(), meter, "device untouched");
+        assert!(ctrl.page_ecc.iter().all(|&t| t == 0), "no page mapped");
+        assert_eq!(ctrl.scheduler().batch_ops(), 0, "nothing issued");
+        // The slot is still erased: a full page programs into it.
+        ctrl.write_page(0, 0, &vec![0u8; 4096]).unwrap();
     }
 
     #[test]
@@ -1013,7 +992,6 @@ mod tests {
             makespan < 0.5 * sum,
             "4 channels must overlap 4 programs: makespan {makespan} vs sum {sum}"
         );
-        assert!(ctrl.scheduler().batch_channel_utilization() > 0.0);
     }
 
     #[test]

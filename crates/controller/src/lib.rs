@@ -1,25 +1,26 @@
 //! Memory controller for the adaptive NAND flash sub-system (paper Fig. 1).
 //!
 //! The controller sits between the on-chip network (an OCP-like socket)
-//! and the flash device: read/write requests flow through a one-page RAM
-//! buffer and the adaptive BCH codec; configuration commands land in a
-//! command/status register file that selects the ECC correction
-//! capability, the program algorithm and the service level.
+//! and the flash device: read/write requests flow through the page
+//! buffer's load stage and the adaptive BCH codec; configuration commands
+//! select the ECC correction capability, the program algorithm and the
+//! load strategy, and are counted in a command/status register file.
 //!
 //! Components:
 //!
 //! * [`ocp`] — the socket interface and its burst-transfer timing;
-//! * [`buffer`] — the page buffer with the one-round and two-round data
-//!   load strategies (Section 6.3.3's write-overhead mitigation);
+//! * [`buffer`] — the page buffer's one-round and two-round data load
+//!   strategies (Section 6.3.3's write-overhead mitigation);
 //! * [`flash_if`] — the flash bus interface (command/address/data phase
 //!   timing at the ~32 MB/s of an asynchronous-NAND-era bus);
-//! * [`regs`] — the command/status register file;
+//! * [`regs`] — the command/status register file: sticky status bits
+//!   and the reconfiguration counter;
 //! * [`MemoryController`] — the core FSM: full write
 //!   (load -> encode -> program) and read (tR -> transfer -> decode)
 //!   datapaths with latency and energy reports;
 //! * [`reliability`] — the integrated reliability manager: consumes ECC
-//!   feedback and test-unit probes, re-configures `t` (and, cross-layer,
-//!   the program algorithm) at runtime;
+//!   feedback, re-configures `t` (and, cross-layer, the program
+//!   algorithm) at runtime;
 //! * [`throughput`] — closed-form read/write throughput used by the
 //!   figure harness;
 //! * [`channel`] — the multi-channel/multi-die busy-time scheduler: the
@@ -76,7 +77,7 @@ pub use controller::{
 pub use error::CtrlError;
 pub use ftl::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_bch::CodecKernel;
-pub use regs::{ConfigCommand, RegisterFile, ServiceLevel, StatusFlags};
+pub use regs::{ConfigCommand, RegisterFile, StatusFlags};
 pub use reliability::{ReliabilityManager, ReliabilityPolicy};
 pub use retry::{ReadOffsetTable, RetryPolicy, RetryStats};
 pub use scrub::{ScrubPolicy, ScrubStats, Scrubber};

@@ -44,11 +44,6 @@ impl OcpSocket {
         let beats = (bytes * 8).div_ceil(self.data_width_bits as usize);
         (beats as u64 + self.latency_cycles as u64) as f64 / self.clock_hz
     }
-
-    /// Sustained socket bandwidth, bytes per second.
-    pub fn bandwidth_bps(&self) -> f64 {
-        self.clock_hz * self.data_width_bits as f64 / 8.0
-    }
 }
 
 impl Default for OcpSocket {
@@ -75,7 +70,6 @@ mod tests {
         // moves in microseconds, not the 75 us of a flash tR.
         let ocp = OcpSocket::date2012();
         assert!(ocp.transfer_time_s(4096) < 75e-6 / 10.0);
-        assert!(ocp.bandwidth_bps() > 100e6);
     }
 
     #[test]

@@ -2,40 +2,12 @@
 //!
 //! "Configuration commands end up updating/reading from a command/status
 //! control register, which drives operation of the core controller."
-//! The register file holds the two cross-layer knobs — ECC correction
-//! capability and program algorithm — plus the user-facing service level
-//! that the reliability manager translates into knob settings.
-
-use std::fmt;
+//! The configured values themselves live where they act — the capability
+//! in the codec, the program algorithm in the device, the load strategy
+//! in the controller — so the register file holds what only it knows:
+//! the sticky status bits and the count of reconfigurations.
 
 use mlcx_nand::ProgramAlgorithm;
-
-/// User-visible service levels (the "differentiated storage services" the
-/// paper's conclusions point to).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServiceLevel {
-    /// Factory baseline: ISPP-SV with the ECC tracking UBER = 1e-11.
-    #[default]
-    Baseline,
-    /// Mission-critical data: ISPP-DV at the baseline ECC schedule —
-    /// UBER drops by orders of magnitude, read throughput unchanged
-    /// (Section 6.3.1).
-    MinUber,
-    /// Read-intensive data: ISPP-DV with the ECC relaxed to the DV
-    /// schedule — read throughput up to +30 %, UBER unchanged
-    /// (Section 6.3.2).
-    MaxReadThroughput,
-}
-
-impl fmt::Display for ServiceLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceLevel::Baseline => write!(f, "baseline"),
-            ServiceLevel::MinUber => write!(f, "min-UBER"),
-            ServiceLevel::MaxReadThroughput => write!(f, "max-read-throughput"),
-        }
-    }
-}
 
 /// Configuration commands accepted over the socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +16,6 @@ pub enum ConfigCommand {
     SetCorrection(u32),
     /// Select the device program algorithm.
     SetAlgorithm(ProgramAlgorithm),
-    /// Select a service level (drives both knobs through the manager).
-    SetServiceLevel(ServiceLevel),
     /// Select the page-buffer load strategy.
     SetTwoRoundLoad(bool),
 }
@@ -53,13 +23,10 @@ pub enum ConfigCommand {
 /// Sticky status bits the host can poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatusFlags {
-    /// At least one page decoded uncorrectable since the last clear.
+    /// At least one page decoded uncorrectable.
     pub uncorrectable_seen: bool,
-    /// The reliability manager changed the ECC configuration since the
-    /// last clear.
+    /// The ECC configuration was changed.
     pub ecc_reconfigured: bool,
-    /// The device is near its wear-out RBER budget.
-    pub wearout_warning: bool,
 }
 
 /// The command/status register file.
@@ -67,52 +34,27 @@ pub struct StatusFlags {
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::{ConfigCommand, RegisterFile, ServiceLevel};
+/// use mlcx_controller::{ConfigCommand, RegisterFile};
 ///
 /// let mut regs = RegisterFile::default();
-/// regs.apply(ConfigCommand::SetServiceLevel(ServiceLevel::MinUber));
-/// assert_eq!(regs.service_level(), ServiceLevel::MinUber);
+/// regs.apply(ConfigCommand::SetCorrection(14));
+/// assert_eq!(regs.commands_applied(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegisterFile {
-    correction: Option<u32>,
-    algorithm: Option<ProgramAlgorithm>,
-    service_level: ServiceLevel,
-    two_round_load: bool,
     status: StatusFlags,
     commands_applied: u64,
 }
 
 impl RegisterFile {
-    /// Applies a configuration command.
+    /// Records a configuration command the controller has carried out:
+    /// counts it, and latches [`StatusFlags::ecc_reconfigured`] on a
+    /// capability change.
     pub fn apply(&mut self, cmd: ConfigCommand) {
-        match cmd {
-            ConfigCommand::SetCorrection(t) => self.correction = Some(t),
-            ConfigCommand::SetAlgorithm(a) => self.algorithm = Some(a),
-            ConfigCommand::SetServiceLevel(s) => self.service_level = s,
-            ConfigCommand::SetTwoRoundLoad(enable) => self.two_round_load = enable,
+        if matches!(cmd, ConfigCommand::SetCorrection(_)) {
+            self.status.ecc_reconfigured = true;
         }
         self.commands_applied += 1;
-    }
-
-    /// Host-requested correction capability (None = manager decides).
-    pub fn correction(&self) -> Option<u32> {
-        self.correction
-    }
-
-    /// Host-requested program algorithm (None = manager decides).
-    pub fn algorithm(&self) -> Option<ProgramAlgorithm> {
-        self.algorithm
-    }
-
-    /// Selected service level.
-    pub fn service_level(&self) -> ServiceLevel {
-        self.service_level
-    }
-
-    /// Whether two-round buffer loading is enabled.
-    pub fn two_round_load(&self) -> bool {
-        self.two_round_load
     }
 
     /// Current status flags.
@@ -123,11 +65,6 @@ impl RegisterFile {
     /// Mutable status access for the controller/manager.
     pub fn status_mut(&mut self) -> &mut StatusFlags {
         &mut self.status
-    }
-
-    /// Clears the sticky status bits.
-    pub fn clear_status(&mut self) {
-        self.status = StatusFlags::default();
     }
 
     /// Number of configuration commands processed — the paper expects
@@ -143,42 +80,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn commands_update_fields() {
+    fn every_command_counts_and_a_capability_change_latches() {
         let mut regs = RegisterFile::default();
-        regs.apply(ConfigCommand::SetCorrection(14));
         regs.apply(ConfigCommand::SetAlgorithm(ProgramAlgorithm::IsppDv));
         regs.apply(ConfigCommand::SetTwoRoundLoad(true));
-        assert_eq!(regs.correction(), Some(14));
-        assert_eq!(regs.algorithm(), Some(ProgramAlgorithm::IsppDv));
-        assert!(regs.two_round_load());
+        assert!(!regs.status().ecc_reconfigured);
+        regs.apply(ConfigCommand::SetCorrection(14));
+        assert!(regs.status().ecc_reconfigured);
         assert_eq!(regs.commands_applied(), 3);
     }
 
     #[test]
-    fn defaults_delegate_to_manager() {
-        let regs = RegisterFile::default();
-        assert_eq!(regs.correction(), None);
-        assert_eq!(regs.algorithm(), None);
-        assert_eq!(regs.service_level(), ServiceLevel::Baseline);
-    }
-
-    #[test]
-    fn status_bits_stick_until_cleared() {
+    fn status_bits_stick() {
         let mut regs = RegisterFile::default();
-        regs.status_mut().uncorrectable_seen = true;
-        regs.status_mut().ecc_reconfigured = true;
-        assert!(regs.status().uncorrectable_seen);
-        regs.clear_status();
         assert_eq!(regs.status(), StatusFlags::default());
-    }
-
-    #[test]
-    fn service_levels_display() {
-        assert_eq!(ServiceLevel::Baseline.to_string(), "baseline");
-        assert_eq!(ServiceLevel::MinUber.to_string(), "min-UBER");
-        assert_eq!(
-            ServiceLevel::MaxReadThroughput.to_string(),
-            "max-read-throughput"
-        );
+        regs.status_mut().uncorrectable_seen = true;
+        assert!(regs.status().uncorrectable_seen);
     }
 }

@@ -7,12 +7,12 @@
 //! operating conditions is another clear trend for future MPSoC design."
 //!
 //! The manager here is feedback-driven: it watches the corrected-bit
-//! counts the codec reports per page (and optional test-unit probes of
-//! known data), keeps the maximum over an observation epoch, and
-//! recommends a correction capability that maintains a configurable
-//! headroom above the worst observed page. The *analytic* schedule (from
-//! the UBER equation) lives in `mlcx-core`; this component is what a
-//! controller can do with no model at all, purely in-situ.
+//! counts the codec reports per page, keeps the maximum over an
+//! observation epoch, and recommends a correction capability that
+//! maintains a configurable headroom above the worst observed page. The
+//! *analytic* schedule (from the UBER equation) lives in `mlcx-core`;
+//! this component is what a controller can do with no model at all,
+//! purely in-situ.
 
 use mlcx_bch::DecodeOutcome;
 
@@ -123,14 +123,6 @@ impl ReliabilityManager {
         }
     }
 
-    /// Feeds a test-unit probe: the number of raw bit errors measured on
-    /// a known-pattern scratch page. Probes close the epoch immediately —
-    /// they exist to answer "how bad is the medium right now".
-    pub fn observe_probe(&mut self, raw_bit_errors: u32) {
-        self.worst_in_epoch = self.worst_in_epoch.max(raw_bit_errors);
-        self.close_epoch();
-    }
-
     /// Takes the pending capability recommendation, if an epoch closed
     /// since the last call.
     pub fn take_recommendation(&mut self) -> Option<u32> {
@@ -206,14 +198,6 @@ mod tests {
         let mut mgr = manager(1);
         mgr.observe(&corrected(100));
         assert_eq!(mgr.take_recommendation(), Some(65));
-    }
-
-    #[test]
-    fn probe_closes_epoch_immediately() {
-        let mut mgr = manager(1000);
-        mgr.observe_probe(9);
-        assert_eq!(mgr.take_recommendation(), Some(18));
-        assert_eq!(mgr.epochs_closed(), 1);
     }
 
     #[test]

@@ -304,6 +304,21 @@ pub enum CommandOutput {
     },
 }
 
+impl CommandOutput {
+    /// Modeled energy the command spent, joules (0 for the commands
+    /// that touch no device resource).
+    pub fn energy_j(&self) -> f64 {
+        match self {
+            CommandOutput::Read(r) => r.energy_j,
+            CommandOutput::Write(w) => w.energy_j,
+            CommandOutput::Erase { energy_j, .. } | CommandOutput::Relocate { energy_j, .. } => {
+                *energy_j
+            }
+            CommandOutput::Trim { .. } | CommandOutput::Configure { .. } => 0.0,
+        }
+    }
+}
+
 /// One completed command, with its event timestamps on the engine's
 /// virtual clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -441,12 +456,9 @@ impl BatchReport {
 /// bucket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WearBucketing {
-    /// No memoization: re-derive on every command — the retired
-    /// per-page `ServicedStore` facade's behaviour.
-    PerPage,
     /// Memoize on the exact cycle count: every same-wear command after
-    /// the first is a cache hit, and the selected point is identical to
-    /// [`WearBucketing::PerPage`].
+    /// the first is a cache hit, and the selected point is the one a
+    /// derivation per command would pick.
     #[default]
     Exact,
     /// Memoize on power-of-two wear buckets, deriving at the bucket's
@@ -460,7 +472,7 @@ impl WearBucketing {
     /// `(cache key, wear to derive at)` for a wear level.
     fn bucket(self, wear: u64) -> (u64, u64) {
         match self {
-            WearBucketing::PerPage | WearBucketing::Exact => (wear, wear),
+            WearBucketing::Exact => (wear, wear),
             WearBucketing::Log2 => {
                 let key = 64 - u64::from(wear.leading_zeros());
                 let upper = if key >= 64 {
@@ -512,21 +524,21 @@ struct ServiceState {
 /// # Example
 ///
 /// ```
+/// use mlcx_controller::ControllerConfig;
 /// use mlcx_core::engine::{EngineBuilder, WearBucketing};
-/// use mlcx_core::SubsystemModel;
 ///
 /// let engine = EngineBuilder::date2012()
 ///     .seed(99)
-///     .model(SubsystemModel::builder().uber_target(1e-13).build()?)
+///     .controller_config(ControllerConfig::builder().ecc_tmax(40).build()?)
 ///     .wear_bucketing(WearBucketing::Log2)
 ///     .build()?;
-/// assert_eq!(engine.model().uber_target, 1e-13);
+/// // The model the engine plans with is its controller's.
+/// assert_eq!(engine.model().tmax, 40);
 /// # Ok::<(), mlcx_core::MlcxError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     config: ControllerConfig,
-    model: SubsystemModel,
     seed: u64,
     bucketing: WearBucketing,
     scrub: ScrubPolicy,
@@ -539,7 +551,6 @@ impl EngineBuilder {
     pub fn date2012() -> Self {
         EngineBuilder {
             config: ControllerConfig::date2012(),
-            model: SubsystemModel::date2012(),
             seed: 2012,
             bucketing: WearBucketing::default(),
             scrub: ScrubPolicy::disabled(),
@@ -556,7 +567,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the controller configuration.
+    /// Overrides the controller configuration — and with it the model
+    /// the engine plans with ([`SubsystemModel::for_controller`]).
     pub fn controller_config(mut self, config: ControllerConfig) -> Self {
         self.config = config;
         self
@@ -611,12 +623,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the cross-layer subsystem model.
-    pub fn model(mut self, model: SubsystemModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Seeds the device's error-injection stream.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -629,43 +635,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine and its controller/device pair.
+    /// Builds the engine and its controller/device pair. The model is
+    /// derived from the controller configuration
+    /// ([`SubsystemModel::for_controller`]), so it cannot schedule a
+    /// capability or codeword shape the codec does not have.
     ///
     /// # Errors
     ///
-    /// [`MlcxError::InvalidConfig`] when the model and the controller
-    /// configuration disagree (the model would schedule capabilities or
-    /// codeword shapes the codec cannot execute); controller
-    /// construction errors (codec build, spare overflow) surface as
-    /// [`MlcxError::Ctrl`].
+    /// Controller construction errors (codec build, spare overflow)
+    /// surface as [`MlcxError::Ctrl`].
     pub fn build(self) -> Result<StorageEngine, MlcxError> {
-        let (model, config) = (&self.model, &self.config);
-        if model.tmax > config.ecc_tmax || model.tmin < config.ecc_tmin {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!(
-                    "model capability range {}..={} exceeds the codec's {}..={}",
-                    model.tmin, model.tmax, config.ecc_tmin, config.ecc_tmax
-                ),
-            });
-        }
-        if model.ecc_m != config.ecc_m {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!(
-                    "model field degree m = {} differs from the codec's m = {}",
-                    model.ecc_m, config.ecc_m
-                ),
-            });
-        }
-        if model.k_bits != config.geometry.page_bytes * 8 {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!(
-                    "model message length {} bits differs from the {}-byte page",
-                    model.k_bits, config.geometry.page_bytes
-                ),
-            });
-        }
         let ctrl = MemoryController::new(self.config, self.seed)?;
-        let mut engine = StorageEngine::with_bucketing(ctrl, self.model, self.bucketing);
+        let mut engine = StorageEngine::with_bucketing(ctrl, self.bucketing);
         engine.scrub = self.scrub;
         engine.sched = self.sched;
         engine.fault = FaultInjector::new(self.fault);
@@ -684,6 +665,7 @@ pub struct StorageEngine {
     /// Identifies this instance so handles cannot cross engines.
     engine_id: u32,
     ctrl: MemoryController,
+    /// [`SubsystemModel::for_controller`] of `ctrl`'s configuration.
     model: SubsystemModel,
     services: Vec<ServiceState>,
     bucketing: WearBucketing,
@@ -703,10 +685,6 @@ pub struct StorageEngine {
     submit_seq: u64,
     /// Pending completion events, keyed `(end time, dispatch seq)`.
     events: EventQueue,
-    /// `(service index, flow latency)` of every completion in the most
-    /// recent dispatch — the per-tenant sample stream behind the
-    /// aggregate [`BatchReport`] flow percentiles.
-    last_flows: Vec<(u32, f64)>,
     /// Executor of the builder's [`FaultPlan`] — rolls its own seeded
     /// stream once per *host* write (never for maintenance relocations,
     /// and never at all when the plan is disabled).
@@ -726,17 +704,13 @@ impl StorageEngine {
         EngineBuilder::date2012()
     }
 
-    /// Wraps a controller/model pair with a memoization policy — the
-    /// constructor behind [`EngineBuilder::build`].
-    fn with_bucketing(
-        ctrl: MemoryController,
-        model: SubsystemModel,
-        bucketing: WearBucketing,
-    ) -> Self {
+    /// Wraps a controller with a memoization policy — the constructor
+    /// behind [`EngineBuilder::build`].
+    fn with_bucketing(ctrl: MemoryController, bucketing: WearBucketing) -> Self {
         StorageEngine {
             engine_id: NEXT_ENGINE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            model: SubsystemModel::for_controller(ctrl.config()),
             ctrl,
-            model,
             services: Vec::new(),
             bucketing,
             scrub: ScrubPolicy::disabled(),
@@ -747,7 +721,6 @@ impl StorageEngine {
             clock_s: 0.0,
             submit_seq: 0,
             events: EventQueue::default(),
-            last_flows: Vec::new(),
             fault: FaultInjector::new(FaultPlan::disabled()),
             incoming: Vec::new(),
         }
@@ -867,7 +840,9 @@ impl StorageEngine {
         &mut self.ctrl
     }
 
-    /// The cross-layer model driving configuration decisions.
+    /// The cross-layer model driving configuration decisions:
+    /// [`SubsystemModel::for_controller`] of the engine's own
+    /// controller configuration.
     pub fn model(&self) -> &SubsystemModel {
         &self.model
     }
@@ -950,14 +925,6 @@ impl StorageEngine {
     /// [`CompletionQueue::try_complete`] after new submissions).
     pub fn last_batch(&self) -> &BatchReport {
         &self.last_batch
-    }
-
-    /// `(service index, flow latency seconds)` of every completion in
-    /// the most recent dispatch — the per-tenant samples behind the
-    /// aggregate [`BatchReport`] flow percentiles. Order follows the
-    /// completion events.
-    pub fn last_batch_flows(&self) -> &[(u32, f64)] {
-        &self.last_flows
     }
 
     /// The cross-service dispatch policy the engine runs.
@@ -1139,7 +1106,6 @@ impl StorageEngine {
     /// percentiles) for the whole dispatch.
     fn dispatch_all(&mut self) {
         self.last_batch = BatchReport::default();
-        self.last_flows.clear();
         self.ctrl.scheduler_mut().begin_batch();
         let batch_start_s = self.clock_s;
         // The completion frontier: a command that touches no device
@@ -1173,23 +1139,23 @@ impl StorageEngine {
             };
             frontier_s = frontier_s.max(end_s);
             self.services[idx].vtime_s += end_s - start_s;
-            let flow_s = (end_s - queued.arrival_s).max(0.0);
+            let completion = Completion {
+                id: queued.id,
+                service,
+                result,
+                arrival_s: queued.arrival_s,
+                start_s,
+                end_s,
+            };
+            let flow_s = completion.flow_s();
             flows.push(flow_s);
-            self.last_flows.push((idx as u32, flow_s));
             if flow_s > self.services[idx].qos.deadline_s {
                 self.last_batch.deadline_misses += 1;
             }
             self.events.push(CompletionEvent {
                 end_s,
                 seq: dispatch_seq,
-                completion: Completion {
-                    id: queued.id,
-                    service,
-                    result,
-                    arrival_s: queued.arrival_s,
-                    start_s,
-                    end_s,
-                },
+                completion,
             });
             dispatch_seq += 1;
         }
@@ -1263,11 +1229,6 @@ impl StorageEngine {
     /// disturb snapshot may get before a re-derivation is forced.
     fn operating_point(&mut self, idx: usize, die: usize, wear: u64) -> OperatingPoint {
         let objective = self.services[idx].region.objective;
-        if self.bucketing == WearBucketing::PerPage {
-            self.last_batch.op_cache_misses += 1;
-            let extra = self.region_disturb_rber(idx, die);
-            return self.model.configure_with_extra_rber(objective, wear, extra);
-        }
         let (key, derive_at) = self.bucketing.bucket(wear);
         if let Some((cached_key, epoch, op)) = self.services[idx].op_slots[die] {
             if cached_key == key && epoch == self.disturb_epoch {
@@ -1389,7 +1350,7 @@ impl fmt::Debug for StorageEngine {
 
 /// Nearest-rank percentile of an ascending-sorted slice (`q` in 0..=1).
 /// Zero for an empty slice.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 0 {
         return 0.0;
@@ -1554,7 +1515,6 @@ mod tests {
         assert!(b.flow_p50_s > 0.0);
         assert!(b.flow_p50_s <= b.flow_p99_s && b.flow_p99_s <= b.flow_p999_s);
         assert_eq!(b.deadline_misses, 0);
-        assert_eq!(e.last_batch_flows().len(), 9);
         for (p, c) in completions[5..].iter().enumerate() {
             match c.result.as_ref().unwrap() {
                 CommandOutput::Read(r) => {
@@ -2068,38 +2028,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_model_controller_mismatch() {
-        let model = SubsystemModel::builder().tmax(100).build().unwrap();
-        assert!(matches!(
-            EngineBuilder::date2012().model(model).build(),
-            Err(MlcxError::InvalidConfig { .. })
-        ));
-        let model = SubsystemModel::builder()
-            .ecc_m(12)
-            .tmax(40)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            EngineBuilder::date2012().model(model).build(),
-            Err(MlcxError::InvalidConfig { .. })
-        ));
-        let model = SubsystemModel::builder().k_bits(512 * 8).build().unwrap();
-        assert!(matches!(
-            EngineBuilder::date2012().model(model).build(),
-            Err(MlcxError::InvalidConfig { .. })
-        ));
-    }
-
-    #[test]
     fn log2_bucketing_is_conservative_and_coarse() {
         let mut exact = StorageEngine::with_bucketing(
             MemoryController::new(ControllerConfig::date2012(), 1).unwrap(),
-            SubsystemModel::date2012(),
             WearBucketing::Exact,
         );
         let mut log2 = StorageEngine::with_bucketing(
             MemoryController::new(ControllerConfig::date2012(), 1).unwrap(),
-            SubsystemModel::date2012(),
             WearBucketing::Log2,
         );
         let he = exact

@@ -76,7 +76,7 @@ pub use engine::{
 pub use error::MlcxError;
 pub use event::{QosSpec, SchedPolicy};
 pub use fault::{FaultInjector, FaultPlan};
-pub use model::{Metrics, OperatingPoint, SubsystemModel, SubsystemModelBuilder};
+pub use model::{Metrics, OperatingPoint, SubsystemModel};
 pub use policy::Objective;
 pub use services::{ServiceError, ServiceRegion, ServiceStats};
 pub use sim::{Scenario, ScenarioReport, TraceGenerator, TraceKind, WorkloadRunner};

@@ -7,11 +7,11 @@ use mlcx_controller::buffer::LoadStrategy;
 use mlcx_controller::flash_if::FlashInterface;
 use mlcx_controller::ocp::OcpSocket;
 use mlcx_controller::throughput::{read_path, write_path, ReadPath, WritePath};
+use mlcx_controller::ControllerConfig;
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::ispp::{pattern_profile, program_profile, IsppConfig, ProgramProfile};
 use mlcx_nand::{AgingModel, MlcLevel, NandTiming, ProgramAlgorithm};
 
-use crate::error::MlcxError;
 use crate::policy::Objective;
 use crate::uber;
 
@@ -97,15 +97,6 @@ pub struct SubsystemModel {
 }
 
 impl SubsystemModel {
-    /// A fluent builder seeded with the [`SubsystemModel::date2012`]
-    /// preset; every knob is overridable before
-    /// [`SubsystemModelBuilder::build`].
-    pub fn builder() -> SubsystemModelBuilder {
-        SubsystemModelBuilder {
-            model: Self::date2012(),
-        }
-    }
-
     /// The paper's full calibration.
     pub fn date2012() -> Self {
         SubsystemModel {
@@ -123,6 +114,28 @@ impl SubsystemModel {
             tmin: 3,
             tmax: 65,
             uber_target: 1e-11,
+        }
+    }
+
+    /// The model of the hardware a controller built from `config`
+    /// drives — the only model a [`StorageEngine`](crate::StorageEngine)
+    /// plans with. The ECC engine and its power, both buses, the page
+    /// size and the codec range are the configuration's; the device-side
+    /// calibration (`aging`, `ispp`, `hv`, `timing`) is
+    /// [`SubsystemModel::date2012`]'s, the same presets
+    /// `MemoryController::new` builds its `NandDevice` from — which is
+    /// what keeps model and device equal with no check between them.
+    pub fn for_controller(config: &ControllerConfig) -> Self {
+        SubsystemModel {
+            ecc_hw: config.ecc_hw,
+            ecc_power: config.ecc_power,
+            bus: config.flash_if,
+            ocp: config.ocp,
+            k_bits: config.geometry.page_bytes * 8,
+            ecc_m: config.ecc_m,
+            tmin: config.ecc_tmin,
+            tmax: config.ecc_tmax,
+            ..Self::date2012()
         }
     }
 
@@ -303,147 +316,6 @@ impl SubsystemModel {
 impl Default for SubsystemModel {
     fn default() -> Self {
         Self::date2012()
-    }
-}
-
-/// Fluent construction of a [`SubsystemModel`], starting from the
-/// paper's calibration.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_core::SubsystemModel;
-///
-/// // Tighten the reliability requirement by two orders of magnitude:
-/// // the schedule responds with a higher capability everywhere.
-/// let strict = SubsystemModel::builder().uber_target(1e-13).build()?;
-/// let nominal = SubsystemModel::date2012();
-/// use mlcx_nand::ProgramAlgorithm;
-/// let t_strict = strict.required_t(ProgramAlgorithm::IsppSv, 100_000).unwrap();
-/// let t_nominal = nominal.required_t(ProgramAlgorithm::IsppSv, 100_000).unwrap();
-/// assert!(t_strict > t_nominal);
-/// # Ok::<(), mlcx_core::MlcxError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SubsystemModelBuilder {
-    model: SubsystemModel,
-}
-
-impl SubsystemModelBuilder {
-    /// Lifetime RBER curves.
-    pub fn aging(mut self, aging: AgingModel) -> Self {
-        self.model.aging = aging;
-        self
-    }
-
-    /// ISPP staircase/timing parameters.
-    pub fn ispp(mut self, ispp: IsppConfig) -> Self {
-        self.model.ispp = ispp;
-        self
-    }
-
-    /// ECC hardware latency parameters.
-    pub fn ecc_hw(mut self, ecc_hw: EccHardware) -> Self {
-        self.model.ecc_hw = ecc_hw;
-        self
-    }
-
-    /// ECC power model.
-    pub fn ecc_power(mut self, ecc_power: EccPowerModel) -> Self {
-        self.model.ecc_power = ecc_power;
-        self
-    }
-
-    /// HV subsystem (program power).
-    pub fn hv(mut self, hv: HvSubsystem) -> Self {
-        self.model.hv = hv;
-        self
-    }
-
-    /// Flash bus interface.
-    pub fn bus(mut self, bus: FlashInterface) -> Self {
-        self.model.bus = bus;
-        self
-    }
-
-    /// NoC socket interface.
-    pub fn ocp(mut self, ocp: OcpSocket) -> Self {
-        self.model.ocp = ocp;
-        self
-    }
-
-    /// Device timing constants.
-    pub fn timing(mut self, timing: NandTiming) -> Self {
-        self.model.timing = timing;
-        self
-    }
-
-    /// Page-buffer load strategy.
-    pub fn load_strategy(mut self, strategy: LoadStrategy) -> Self {
-        self.model.load_strategy = strategy;
-        self
-    }
-
-    /// Message length (one page), bits.
-    pub fn k_bits(mut self, k_bits: usize) -> Self {
-        self.model.k_bits = k_bits;
-        self
-    }
-
-    /// Galois-field degree of the codec.
-    pub fn ecc_m(mut self, m: u32) -> Self {
-        self.model.ecc_m = m;
-        self
-    }
-
-    /// Capability floor.
-    pub fn tmin(mut self, tmin: u32) -> Self {
-        self.model.tmin = tmin;
-        self
-    }
-
-    /// Capability ceiling.
-    pub fn tmax(mut self, tmax: u32) -> Self {
-        self.model.tmax = tmax;
-        self
-    }
-
-    /// The UBER requirement (1e-11 in the paper).
-    pub fn uber_target(mut self, target: f64) -> Self {
-        self.model.uber_target = target;
-        self
-    }
-
-    /// Validates and produces the model.
-    ///
-    /// # Errors
-    ///
-    /// [`MlcxError::InvalidConfig`] when the capability range is empty,
-    /// the field degree is outside 2..=16, the page is empty, or the
-    /// UBER target is not a probability in (0, 1).
-    pub fn build(self) -> Result<SubsystemModel, MlcxError> {
-        let m = &self.model;
-        if m.tmin == 0 || m.tmin > m.tmax {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!("empty capability range {}..={}", m.tmin, m.tmax),
-            });
-        }
-        if !(2..=16).contains(&m.ecc_m) {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!("field degree m = {} outside 2..=16", m.ecc_m),
-            });
-        }
-        if m.k_bits == 0 {
-            return Err(MlcxError::InvalidConfig {
-                reason: "message length k_bits must be positive".into(),
-            });
-        }
-        if !(m.uber_target > 0.0 && m.uber_target < 1.0) {
-            return Err(MlcxError::InvalidConfig {
-                reason: format!("UBER target {} outside (0, 1)", m.uber_target),
-            });
-        }
-        Ok(self.model)
     }
 }
 

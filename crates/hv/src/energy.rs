@@ -86,15 +86,6 @@ impl OperationEnergy {
             .map(|p| p.energy_j)
             .sum()
     }
-
-    /// Sums the duration of phases with the given label.
-    pub fn duration_for_label_s(&self, label: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.label == label)
-            .map(|p| p.duration_s)
-            .sum()
-    }
 }
 
 /// Accumulates operation energies into device-lifetime totals.
@@ -176,7 +167,6 @@ mod tests {
     fn label_filters() {
         let op = sample();
         assert!((op.energy_for_label_j("verify") - 7.2e-6).abs() < 1e-15);
-        assert!((op.duration_for_label_s("pulse") - 10e-6).abs() < 1e-15);
         assert_eq!(op.energy_for_label_j("nope"), 0.0);
     }
 

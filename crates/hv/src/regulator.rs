@@ -110,12 +110,6 @@ impl RegulatedPump {
         self.regulator.target_v
     }
 
-    /// Moves the regulation target (the ISPP staircase does this once per
-    /// pulse); the output rail keeps its charge.
-    pub fn set_target_v(&mut self, target_v: f64) {
-        self.regulator = HystereticRegulator::for_target(target_v);
-    }
-
     /// Present output voltage.
     pub fn output_v(&self) -> f64 {
         self.output_v
@@ -236,17 +230,6 @@ mod tests {
             h.duty_cycle,
             l.duty_cycle
         );
-    }
-
-    #[test]
-    fn retargeting_keeps_rail_charge() {
-        let mut p = RegulatedPump::new(DicksonPump::program_pump_45nm(), 14.0);
-        p.run_phase(20e-6, 0.1e-3);
-        let v_before = p.output_v();
-        p.set_target_v(14.25); // one ISPP step
-        assert!((p.output_v() - v_before).abs() < 1e-12);
-        p.run_phase(10e-6, 0.1e-3);
-        assert!(p.output_v() > v_before);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl AgingModel {
         }
     }
 
-    /// The RBER ratio between the algorithms (constant across life).
-    pub fn improvement_factor(&self) -> f64 {
-        self.dv_improvement
-    }
-
     /// Logarithmically spaced cycle points for lifetime sweeps
     /// (`points_per_decade` samples per decade from `start` to `end`).
     pub fn lifetime_grid(start: u64, end: u64, points_per_decade: usize) -> Vec<u64> {

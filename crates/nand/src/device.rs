@@ -635,20 +635,6 @@ impl NandDevice {
         Ok((total / count) as u64)
     }
 
-    /// The highest P/E cycle count across all blocks.
-    pub fn max_cycles(&self) -> u64 {
-        self.blocks.iter().map(|b| b.pe_cycles).max().unwrap_or(0)
-    }
-
-    /// The mean P/E cycle count across all blocks (rounded down).
-    pub fn mean_cycles(&self) -> u64 {
-        if self.blocks.is_empty() {
-            return 0;
-        }
-        let total: u128 = self.blocks.iter().map(|b| u128::from(b.pe_cycles)).sum();
-        (total / self.blocks.len() as u128) as u64
-    }
-
     /// Selects the program algorithm (the runtime knob of the paper).
     ///
     /// # Errors
@@ -1437,8 +1423,6 @@ mod tests {
         assert_eq!(dev.die_max_cycles(0).unwrap(), 0);
         assert_eq!(dev.die_mean_cycles(1).unwrap(), 10_000);
         assert_eq!(dev.die_max_cycles(3).unwrap(), 250_000);
-        assert_eq!(dev.max_cycles(), 250_000);
-        assert_eq!(dev.mean_cycles(), (10_000 + 250_000) / 4);
         // Block-level wear reflects the die partition boundary.
         assert_eq!(dev.block_cycles(63).unwrap(), 0);
         assert_eq!(dev.block_cycles(64).unwrap(), 10_000);

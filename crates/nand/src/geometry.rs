@@ -152,11 +152,6 @@ impl DeviceGeometry {
         self.blocks * self.pages_per_block
     }
 
-    /// Total main-area capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.total_pages() * self.page_bytes
-    }
-
     /// Blocks owned by each die.
     pub fn blocks_per_die(&self) -> usize {
         self.blocks / self.topology.total_dies().max(1)
@@ -212,7 +207,6 @@ mod tests {
         let g = DeviceGeometry::date2012();
         assert_eq!(g.cells_per_page(), (4096 + 224) * 4);
         assert_eq!(g.total_pages(), 64 * 128);
-        assert_eq!(g.capacity_bytes(), 64 * 128 * 4096);
         assert_eq!(g.blocks_per_die(), 64);
         assert_eq!(g.die_of_block(63), 0);
         g.validate().unwrap();

@@ -28,21 +28,6 @@ pub(crate) fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
-/// Inverse of [`q_function`] on (0, 0.5), by bisection.
-pub(crate) fn inverse_q(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 0.5, "inverse_q domain is (0, 0.5)");
-    let (mut lo, mut hi) = (0.0f64, 40.0f64);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if q_function(mid) > p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,20 +49,5 @@ mod tests {
         assert!((q_function(1.6449) - 0.05).abs() / 0.05 < 1e-3);
         assert!((q_function(3.0902) - 1e-3).abs() / 1e-3 < 1e-3);
         assert!((q_function(4.7534) - 1e-6).abs() / 1e-6 < 1e-3);
-    }
-
-    #[test]
-    fn inverse_q_round_trip() {
-        for p in [0.1, 1e-3, 1e-6, 1e-9, 1e-12] {
-            let x = inverse_q(p);
-            let back = q_function(x);
-            assert!((back - p).abs() / p < 1e-5, "p = {p}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inverse_q domain")]
-    fn inverse_q_rejects_out_of_domain() {
-        inverse_q(0.7);
     }
 }

@@ -8,7 +8,7 @@
 //! Monte-Carlo array simulation ([`crate::array`]) validates it.
 
 use crate::levels::{MlcLevel, ThresholdSpec};
-use crate::math::{inverse_q, q_function};
+use crate::math::q_function;
 
 /// The four threshold-voltage distributions of a programmed page.
 ///
@@ -128,29 +128,6 @@ pub fn sigma_for_rber(
     0.5 * (lo + hi)
 }
 
-/// Approximate read margin of the spec: the smallest |distance| between a
-/// programmed mean and its neighbouring read level, in volts. Useful as a
-/// sanity metric (`margin / sigma` is the Q-function argument scale).
-pub fn min_read_margin_v(spec: &ThresholdSpec, placement_step_v: f64) -> f64 {
-    let set = DistributionSet::programmed(spec, placement_step_v, 0.0, 0.1);
-    let mut margin: f64 = f64::INFINITY;
-    for k in 1..4 {
-        let mu = set.means[k];
-        margin = margin.min((mu - spec.read_v[k - 1]).abs());
-        if k < 3 {
-            margin = margin.min((spec.read_v[k] - mu).abs());
-        }
-    }
-    margin
-}
-
-/// The Q-function argument at which a two-sided crossing produces the
-/// requested RBER — exposed for calibration diagnostics.
-pub fn q_argument_for_rber(rber: f64) -> f64 {
-    // RBER ~ Q(x)/2 under the four-level symmetric-margin approximation.
-    inverse_q((2.0 * rber).min(0.49))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,12 +193,6 @@ mod tests {
     #[should_panic(expected = "outside the invertible sigma range")]
     fn sigma_inversion_rejects_absurd_targets() {
         sigma_for_rber(&spec(), 0.25, 0.0, 1e-30);
-    }
-
-    #[test]
-    fn margin_is_positive_and_subvolt() {
-        let m = min_read_margin_v(&spec(), 0.25);
-        assert!(m > 0.3 && m < 1.0, "margin = {m}");
     }
 
     #[test]

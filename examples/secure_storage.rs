@@ -10,12 +10,9 @@
 use mlcx::{Objective, SubsystemModel};
 
 fn main() {
-    // The builder starts from the paper's calibration; the default build
-    // is identical to `SubsystemModel::date2012()`. Tighten `uber_target`
-    // here to explore stricter mission profiles.
-    let model = SubsystemModel::builder()
-        .build()
-        .expect("date2012 preset is always valid");
+    // The paper's calibration. The fields are `pub`: tighten
+    // `uber_target` here to explore stricter mission profiles.
+    let model = SubsystemModel::date2012();
     println!("mission-critical storage: min-UBER mode vs baseline\n");
     println!(
         "{:>10} {:>4} {:>22} {:>22} {:>12} {:>12} {:>12}",

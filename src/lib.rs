@@ -18,7 +18,7 @@
 //! | [`bch`] | `mlcx-bch` | adaptive BCH codec + hardware latency/power model |
 //! | [`hv`]  | `mlcx-hv` | Dickson charge pumps, regulators, phase sequencer |
 //! | [`nand`] | `mlcx-nand` | MLC cell/array model, ISPP-SV/DV engines, aging, device |
-//! | [`controller`] | `mlcx-controller` | OCP socket, page buffer, core FSM, reliability manager |
+//! | [`controller`] | `mlcx-controller` | OCP socket, load strategy, core FSM, reliability manager |
 //! | [`xlayer`] | `mlcx-core` | storage engine, UBER math, optimizer, figure experiments |
 //!
 //! ## Quickstart
@@ -56,8 +56,8 @@
 //! ```
 //!
 //! The analytic trade-off space is available without a device, through
-//! [`SubsystemModel`] (every knob overridable via
-//! [`SubsystemModel::builder`]):
+//! [`SubsystemModel`] (every knob is a `pub` field: vary one with
+//! `SubsystemModel { uber_target: 1e-13, ..SubsystemModel::date2012() }`):
 //!
 //! ```
 //! use mlcx::{Objective, SubsystemModel};
@@ -87,7 +87,7 @@ pub use mlcx_bch::{AdaptiveBch, BchCode, CodecKernel, DecodeOutcome};
 pub use mlcx_controller::{ChannelScheduler, IssueSlot, OpTiming};
 pub use mlcx_controller::{
     ConfigCommand, ControllerConfig, ControllerConfigBuilder, CtrlError, MemoryController,
-    ReadReport, ReliabilityManager, ReliabilityPolicy, ServiceLevel, WriteReport,
+    ReadReport, ReliabilityManager, ReliabilityPolicy, WriteReport,
 };
 pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_controller::{ReadOffsetTable, RetryPolicy, RetryStats};
@@ -96,8 +96,8 @@ pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
     EngineBuilder, FaultInjector, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint,
     QosSpec, Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion,
-    ServiceStats, StorageEngine, SubmissionQueue, SubsystemModel, SubsystemModelBuilder,
-    TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
+    ServiceStats, StorageEngine, SubmissionQueue, SubsystemModel, TraceGenerator, TraceKind,
+    WearBucketing, WorkloadRunner,
 };
 pub use mlcx_gf2::MulKernel;
 pub use mlcx_nand::{AgingModel, DeviceGeometry, MlcLevel, NandDevice, ProgramAlgorithm, Topology};
