@@ -47,6 +47,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod adaptive;
 mod bitreg;

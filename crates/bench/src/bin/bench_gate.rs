@@ -23,6 +23,9 @@
 //! baseline both fail a plain run, so the gate is never silently
 //! disarmed; `--update` adopts the latter as a fresh baseline.
 
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -76,7 +79,6 @@ fn compare(baseline: &BenchResult, result: &BenchResult) -> Result<Vec<Check>, S
         let actual = lookup(&result.modeled, key)
             .ok_or_else(|| format!("result is missing modeled metric {key:?}"))?;
         let band = baseline.modeled_tolerance_pct / 100.0;
-        // mlcx-lint: allow(float-eq, reason = "exact zero sentinel guards the division below; any nonzero baseline takes the relative branch")
         let ok = if expect == 0.0 {
             actual.abs() <= band
         } else {
@@ -109,7 +111,6 @@ fn render_diff_table(bench: &str, failed: &[&Check]) -> String {
     );
     for c in failed {
         let delta = c.actual - c.baseline;
-        // mlcx-lint: allow(float-eq, reason = "exact zero sentinel guards the relative-delta division below")
         let rel = if c.baseline == 0.0 {
             "n/a".to_string()
         } else {

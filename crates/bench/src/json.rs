@@ -56,33 +56,20 @@ impl Json {
             .map(|(_, v)| v)
     }
 
-    /// Serializes compactly (no whitespace). The single JSON writer for
-    /// the workspace: `BenchResult::to_json`, the bench-gate `--update`
-    /// path and the `mlcx-lint --update-baseline` path all render
-    /// through here, so baseline files can never drift in dialect.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, None, 0);
-        out
-    }
-
     /// Serializes human-readably: two-space indentation, one entry per
-    /// line — the format the committed baseline files use.
+    /// line — the format the committed baseline files use. The single
+    /// JSON writer for the workspace: `BenchResult::to_json` and the
+    /// bench-gate `--update` path both render through here, so baseline
+    /// files can never drift in dialect.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, Some(2), 0);
+        self.render_into(&mut out, 0);
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (open_sep, close_sep, item_sep): (String, String, &str) = match indent {
-            Some(width) => (
-                format!("\n{}", " ".repeat(width * (depth + 1))),
-                format!("\n{}", " ".repeat(width * depth)),
-                ": ",
-            ),
-            None => (String::new(), String::new(), ":"),
-        };
+    fn render_into(&self, out: &mut String, depth: usize) {
+        let open_sep = format!("\n{}", "  ".repeat(depth + 1));
+        let close_sep = format!("\n{}", "  ".repeat(depth));
         match self {
             Json::Object(entries) => {
                 if entries.is_empty() {
@@ -96,8 +83,8 @@ impl Json {
                     }
                     out.push_str(&open_sep);
                     out.push_str(&quote(key));
-                    out.push_str(item_sep);
-                    value.render_into(out, indent, depth + 1);
+                    out.push_str(": ");
+                    value.render_into(out, depth + 1);
                 }
                 out.push_str(&close_sep);
                 out.push('}');
@@ -113,7 +100,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push_str(&open_sep);
-                    item.render_into(out, indent, depth + 1);
+                    item.render_into(out, depth + 1);
                 }
                 out.push_str(&close_sep);
                 out.push(']');
@@ -145,13 +132,14 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Serializes a finite number (integers print without a fraction).
+/// Serializes a finite number. `Display` for `f64` is the shortest text
+/// that parses back to the same bits, never uses an exponent, and prints
+/// integers without a fraction (`-0.0` as `-0`, sign kept) — the
+/// property the gate's bit-exact `exact` class rests on. A non-finite
+/// value renders as text [`parse`] refuses, since JSON has no spelling
+/// for it.
 pub fn number(n: f64) -> String {
-    if n.is_finite() && n == n.trunc() && n.abs() < 1e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
+    format!("{n}")
 }
 
 /// Parses a JSON document.
@@ -374,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn render_round_trips_and_pretty_matches_compact() {
+    fn render_round_trips_in_the_baseline_dialect() {
         let value = Json::Object(vec![
             (
                 "exact".into(),
@@ -390,22 +378,42 @@ mod tests {
             ),
             ("note".into(), Json::String("a \"quoted\" note".into())),
         ]);
-        assert_eq!(parse(&value.render()).unwrap(), value);
-        assert_eq!(parse(&value.render_pretty()).unwrap(), value);
-        assert_eq!(
-            value.render(),
-            "{\"exact\":{\"total_commands\":1217,\"violations\":0},\"empty\":{},\
-             \"list\":[1,false,null],\"note\":\"a \\\"quoted\\\" note\"}"
-        );
         let pretty = value.render_pretty();
-        assert!(pretty.contains("{\n  \"exact\": {\n    \"total_commands\": 1217,"));
-        assert!(pretty.contains("\"empty\": {}"));
+        assert_eq!(parse(&pretty).unwrap(), value);
+        assert_eq!(
+            pretty,
+            "{\n  \"exact\": {\n    \"total_commands\": 1217,\n    \"violations\": 0\n  },\n  \
+             \"empty\": {},\n  \"list\": [\n    1,\n    false,\n    null\n  ],\n  \
+             \"note\": \"a \\\"quoted\\\" note\"\n}"
+        );
     }
 
     #[test]
     fn number_formatting_is_stable() {
-        assert_eq!(number(1217.0), "1217");
-        assert_eq!(number(1.25), "1.25");
-        assert_eq!(parse(&number(0.161591)).unwrap(), Json::Number(0.161591));
+        // Around "prints as an integer": a signed zero, a plain fraction,
+        // both sides of 1e15 and of the i64 range, a small magnitude.
+        let edges = [
+            (1217.0, "1217"),
+            (1.25, "1.25"),
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (0.5, "0.5"),
+            (1e15 - 1.0, "999999999999999"),
+            (1e15, "1000000000000000"),
+            (2f64.powi(63), "9223372036854776000"),
+            (1e-7, "0.0000001"),
+        ];
+        for (n, text) in edges {
+            assert_eq!(number(n), text);
+        }
+        let extremes = [0.161591, 0.1 + 0.2, f64::MAX, f64::MIN_POSITIVE, 5e-324];
+        for n in edges.map(|(n, _)| n).into_iter().chain(extremes) {
+            let back = parse(&number(n)).unwrap().as_number().unwrap();
+            assert_eq!(back.to_bits(), n.to_bits(), "{n:e}");
+        }
+        // JSON cannot spell these: refused on the way back in, not altered.
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(parse(&number(n)).is_err(), "{n}");
+        }
     }
 }

@@ -10,6 +10,8 @@
 //! attribution) is measured by the repo benchmark under `benchmark/`.
 
 #![forbid(unsafe_code)]
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::path::PathBuf;
 
@@ -95,8 +97,7 @@ impl BenchResult {
     }
 
     /// Serializes the record as the gate's JSON schema, through the
-    /// shared [`json::Json::render_pretty`] writer (the same serializer
-    /// the `mlcx-lint` ratchet baseline uses).
+    /// shared [`json::Json::render_pretty`] writer.
     pub fn to_json(&self) -> String {
         use json::Json;
         let section = |pairs: &[(String, f64)]| {
@@ -151,10 +152,7 @@ impl BenchResult {
             return Err(format!("unknown key {key:?} (schema: {KEYS:?})"));
         }
         let field = |key: &str| -> Result<&json::Json, String> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or(format!("missing key {key:?}"))
+            value.get(key).ok_or(format!("missing key {key:?}"))
         };
         let text_field = |key: &str| -> Result<String, String> {
             Ok(field(key)?

@@ -77,7 +77,7 @@ impl Strategy for std::ops::RangeInclusive<f64> {
 
 macro_rules! impl_tuple_strategy {
     ($(($($name:ident),+);)*) => {$(
-        #[allow(non_snake_case)]
+        #[allow(non_snake_case, reason = "the type parameters double as the tuple bindings")]
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn sample(&self, rng: &mut StdRng) -> Self::Value {

@@ -536,6 +536,10 @@ impl LogicalMap {
             // reachable by take_slot. Returning OutOfSpace here instead
             // would hand the caller an innocent-looking skip with the
             // map already half-mutated — fail loudly instead.
+            #[expect(
+                clippy::expect_used,
+                reason = "the capacity check above guarantees the slot; Err here would leave the map half-mutated"
+            )]
             let to = self
                 .take_slot(wear)
                 .expect("reclaim capacity was checked up front; allocator invariant broken");

@@ -55,6 +55,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod controller;
 mod error;

@@ -83,7 +83,6 @@ pub fn read_path(
 
 /// Write-path latency for a `k_bits` page encoded at capability `t` with
 /// program time `program_s`.
-#[allow(clippy::too_many_arguments)]
 pub fn write_path(
     ocp: &OcpSocket,
     strategy: LoadStrategy,

@@ -22,7 +22,7 @@ use crate::engine::EngineBuilder;
 use crate::event::{QosSpec, SchedPolicy};
 use crate::fault::FaultPlan;
 use crate::policy::Objective;
-use crate::sim::{Scenario, TraceKind};
+use crate::sim::{Scenario, ScenarioBuilder, TraceKind};
 
 /// A small multi-die engine: `blocks` x 8-page blocks under `topology`
 /// (everything else the paper's calibration).
@@ -37,6 +37,19 @@ fn engine_with(blocks: usize, topology: Topology) -> EngineBuilder {
     EngineBuilder::date2012().controller_config(config)
 }
 
+/// Builds the preset `name`. What a preset configures is written out in
+/// this file, so one that fails validation is a bug here, not a
+/// condition a caller could handle.
+#[expect(
+    clippy::panic,
+    reason = "a preset that does not validate is a programming error in this file"
+)]
+fn validated(name: &str, builder: ScenarioBuilder) -> Scenario {
+    builder
+        .build()
+        .unwrap_or_else(|e| panic!("{name} preset must validate: {e}"))
+}
+
 /// Die-skew preset: one zipf key-value service striped over a
 /// 2-channel bank (8 blocks per die), with die 1 fast-forwarded 900k
 /// cycles between the phases. The `skewed` phase runs against a
@@ -44,15 +57,14 @@ fn engine_with(blocks: usize, topology: Topology) -> EngineBuilder {
 /// (stronger) operating point from the per-die memo while die 0 keeps
 /// the fresh schedule, and reads of die-1 pages see end-of-life RBER.
 pub fn die_skew(seed: u64) -> Scenario {
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine_with(16, Topology::new(2, 1)))
         .seed(seed)
         .batch_size(32)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
         .phase_with_die_skew("fresh", 80, 0, &[(1, 900_000)])
-        .phase("skewed", 80, 0)
-        .build()
-        .expect("die-skew preset must validate")
+        .phase("skewed", 80, 0);
+    validated("die-skew", builder)
 }
 
 /// Channel-contention preset: a 2x2 bank (4 dies, 4 blocks each) where
@@ -63,7 +75,7 @@ pub fn die_skew(seed: u64) -> Scenario {
 /// carries both tenants' transfers serially, channel 1 only the
 /// isolated tenant's.
 pub fn channel_contention(seed: u64) -> Scenario {
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine_with(16, Topology::new(2, 2)))
         .seed(seed)
         .batch_size(32)
@@ -86,9 +98,8 @@ pub fn channel_contention(seed: u64) -> Scenario {
             8..12,
             TraceKind::read_mostly(),
         )
-        .phase("contend", 90, 0)
-        .build()
-        .expect("channel-contention preset must validate")
+        .phase("contend", 90, 0);
+    validated("channel-contention", builder)
 }
 
 /// Retention-stress preset: a read-hot zipfian key-value service on an
@@ -110,7 +121,7 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -123,9 +134,8 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
         // Write the working set at EOL wear, then park it.
         .phase_with_elapsed("write", 120, 0, 20_000.0)
         // Serve read-hot traffic against the parked data.
-        .phase("serve", 280, 0)
-        .build()
-        .expect("retention-stress preset must validate")
+        .phase("serve", 280, 0);
+    validated("retention-stress", builder)
 }
 
 /// Read-reclaim preset: the read-disturb twin of
@@ -154,7 +164,7 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -167,9 +177,8 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
             TraceKind::ReadMostly { read_ratio: 0.95 },
         )
         .phase("burn", 0, 1_000_000)
-        .phase("hammer", 500, 0)
-        .build()
-        .expect("read-reclaim preset must validate")
+        .phase("hammer", 500, 0);
+    validated("read-reclaim", builder)
 }
 
 /// Multi-tenant QoS storm: `n_tenants` read-mostly tenants (at least
@@ -220,10 +229,7 @@ pub fn tenant_storm(seed: u64, n_tenants: usize) -> Scenario {
             QosSpec::weighted(weight),
         );
     }
-    builder
-        .phase("storm", 4, 0)
-        .build()
-        .expect("tenant-storm preset must validate")
+    validated("tenant-storm", builder.phase("storm", 4, 0))
 }
 
 /// Which reliability mitigations a [`scrub_vs_retry`] arm enables.
@@ -302,7 +308,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
     if mode.retry() {
         engine = engine.retry_policy(RetryPolicy::date2012());
     }
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -319,9 +325,8 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
         // Park the prefilled working set ~2.3 years.
         .phase_with_elapsed("park", 0, 0, 20_000.0)
         // Serve pure read traffic against the parked data.
-        .phase("serve", 280, 0)
-        .build()
-        .expect("scrub-vs-retry preset must validate")
+        .phase("serve", 280, 0);
+    validated("scrub-vs-retry", builder)
 }
 
 /// Program-interference preset: one zipfian key-value tenant whose own
@@ -362,17 +367,15 @@ pub fn program_interference(seed: u64) -> Scenario {
             interference_rber_threshold: 2e-3,
             max_blocks_per_pass: 2,
         });
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
         .utilization(0.5)
         .prefill(true)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
-        .phase("churn", 240, 0)
-        .build()
-        // mlcx-lint: allow(datapath-unwrap, reason = "preset constructor; invalid preset is a programming error")
-        .expect("program-interference preset must validate")
+        .phase("churn", 240, 0);
+    validated("program-interference", builder)
 }
 
 /// Write-hammer preset: the adversarial twin of
@@ -424,7 +427,7 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
     if mode.retry() {
         engine = engine.retry_policy(RetryPolicy::date2012());
     }
-    Scenario::builder()
+    let builder = Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -444,10 +447,8 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
             8..16,
             TraceKind::ReadMostly { read_ratio: 1.0 },
         )
-        .phase("hammer", 280, 0)
-        .build()
-        // mlcx-lint: allow(datapath-unwrap, reason = "preset constructor; invalid preset is a programming error")
-        .expect("write-hammer preset must validate")
+        .phase("hammer", 280, 0);
+    validated("write-hammer", builder)
 }
 
 #[cfg(test)]

@@ -136,7 +136,7 @@ pub fn mul_raw_clmul(a: &[Block], b: &[Block]) -> Vec<Block> {
 mod clmul {
     //! The only unsafe in the crate: `pclmulqdq` intrinsics, reachable
     //! solely through the runtime feature check in [`available`].
-    #![allow(unsafe_code)]
+    #![allow(unsafe_code, reason = "target_feature intrinsics have no safe form")]
 
     use super::{product_len, Block};
 
@@ -149,13 +149,16 @@ mod clmul {
 
     pub(super) fn mul(a: &[Block], b: &[Block]) -> Vec<Block> {
         debug_assert!(available());
-        // SAFETY: `available()` verified the CPU executes pclmulqdq/sse2.
-        // mlcx-lint: allow(unsafe-scope, reason = "the sanctioned CLMUL call site; guarded by the runtime feature check above")
+        // SAFETY: the sole caller, `mul_raw_clmul`, gets here only after
+        // `available()` saw pclmulqdq and sse4.1 (sse2 is x86_64 baseline).
         unsafe { mul_impl(a, b) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must execute pclmulqdq, sse2 and sse4.1 (`target_feature`
+    /// intrinsics require an unsafe fn); the sole caller, [`mul`], checks.
     #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
-    // mlcx-lint: allow(unsafe-scope, reason = "target_feature intrinsics require an unsafe fn; sole caller re-checks availability")
     unsafe fn mul_impl(a: &[Block], b: &[Block]) -> Vec<Block> {
         use std::arch::x86_64::{_mm_clmulepi64_si128, _mm_cvtsi64_si128, _mm_extract_epi64};
         let mut acc = vec![0u64; product_len(a, b)];

@@ -39,6 +39,8 @@
 // and guarded by a runtime CPU-feature check.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod field;
 mod poly;

@@ -276,6 +276,10 @@ impl NandDevice {
     /// (zero dimensions, or blocks not dividing evenly over the
     /// topology's dies). Builders above this layer surface the same
     /// condition as a recoverable configuration error first.
+    #[expect(
+        clippy::panic,
+        reason = "an infallible constructor by signature (benchmark/ names it); every builder above validates the geometry first"
+    )]
     pub fn with_config(
         geometry: DeviceGeometry,
         timing: NandTiming,

@@ -150,7 +150,6 @@ impl DisturbModel {
 
     /// Whether any mechanism can contribute RBER.
     pub fn is_enabled(&self) -> bool {
-        // mlcx-lint: allow(float-eq, reason = "exact disabled-sentinel check; 0.0 is an assigned constant, never computed")
         self.read_disturb_per_read != 0.0 || self.retention_enabled() || self.interference_enabled()
     }
 
@@ -158,11 +157,8 @@ impl DisturbModel {
     /// die-level program disturb, partial-program injection) can
     /// contribute RBER.
     pub fn interference_enabled(&self) -> bool {
-        // mlcx-lint: allow(float-eq, reason = "exact disabled-sentinel check; 0.0 is an assigned constant, never computed")
         let coupling = self.program_coupling_rber != 0.0;
-        // mlcx-lint: allow(float-eq, reason = "exact disabled-sentinel check; 0.0 is an assigned constant, never computed")
         let die_disturb = self.program_disturb_per_program != 0.0;
-        // mlcx-lint: allow(float-eq, reason = "exact disabled-sentinel check; 0.0 is an assigned constant, never computed")
         let partial = self.partial_program_rber != 0.0;
         coupling || die_disturb || partial
     }
@@ -170,7 +166,6 @@ impl DisturbModel {
     /// Whether the retention mechanism is active (a zero scale is the
     /// disabled sentinel [`DisturbModel::disabled`] assigns).
     pub fn retention_enabled(&self) -> bool {
-        // mlcx-lint: allow(float-eq, reason = "exact disabled-sentinel check; 0.0 is an assigned constant, never computed")
         self.retention_scale != 0.0
     }
 
@@ -277,7 +272,8 @@ impl DisturbModel {
         }
         let shift = nominal / self.rber_per_step;
         let off = offset as f64;
-        // mlcx-lint: allow(float-eq, reason = "additional_rber returns exactly 0.0 when all mechanisms are off; guards the division by shift below")
+        // Exactly 0.0 when every mechanism is off (assigned sentinels,
+        // never computed): guards the division by `shift` below.
         if shift == 0.0 {
             return nominal + self.offset_misread_rber * off * off;
         }

@@ -59,19 +59,18 @@ impl DistributionSet {
         }
     }
 
-    /// Probability mass of distribution `level` falling into read bin
-    /// `bin` (bins delimited by R1..R3).
-    pub fn mass_in_bin(&self, spec: &ThresholdSpec, level: MlcLevel, bin: usize) -> f64 {
+    /// Probability mass of distribution `level` falling into the read
+    /// bin that senses as `bin` (bins delimited by R1..R3).
+    pub fn mass_in_bin(&self, spec: &ThresholdSpec, level: MlcLevel, bin: MlcLevel) -> f64 {
         let mu = self.means[level.index()];
         let sigma = self.sigmas[level.index()];
         // Upper-tail probabilities beyond each read boundary.
         let tail = |boundary: f64| q_function((boundary - mu) / sigma);
         match bin {
-            0 => 1.0 - tail(spec.read_v[0]),
-            1 => tail(spec.read_v[0]) - tail(spec.read_v[1]),
-            2 => tail(spec.read_v[1]) - tail(spec.read_v[2]),
-            3 => tail(spec.read_v[2]),
-            _ => panic!("read bin must be 0..=3"),
+            MlcLevel::L0 => 1.0 - tail(spec.read_v[0]),
+            MlcLevel::L1 => tail(spec.read_v[0]) - tail(spec.read_v[1]),
+            MlcLevel::L2 => tail(spec.read_v[1]) - tail(spec.read_v[2]),
+            MlcLevel::L3 => tail(spec.read_v[2]),
         }
     }
 
@@ -79,12 +78,12 @@ impl DistributionSet {
     pub fn rber(&self, spec: &ThresholdSpec) -> f64 {
         let mut expected_bit_errors = 0.0;
         for level in MlcLevel::ALL {
-            for bin in 0..4 {
-                if bin == level.index() {
+            for bin in MlcLevel::ALL {
+                if bin == level {
                     continue;
                 }
                 let mass = self.mass_in_bin(spec, level, bin).max(0.0);
-                let bits = ThresholdSpec::bit_errors_between(level, MlcLevel::from_index(bin));
+                let bits = ThresholdSpec::bit_errors_between(level, bin);
                 expected_bit_errors += 0.25 * mass * bits as f64;
             }
         }
@@ -140,7 +139,10 @@ mod tests {
     fn masses_sum_to_one() {
         let set = DistributionSet::programmed(&spec(), 0.25, 0.0, 0.15);
         for level in MlcLevel::ALL {
-            let total: f64 = (0..4).map(|b| set.mass_in_bin(&spec(), level, b)).sum();
+            let total: f64 = MlcLevel::ALL
+                .iter()
+                .map(|&b| set.mass_in_bin(&spec(), level, b))
+                .sum();
             assert!((total - 1.0).abs() < 1e-9, "level {level}: {total}");
         }
     }
@@ -149,7 +151,7 @@ mod tests {
     fn dominant_mass_in_own_bin() {
         let set = DistributionSet::programmed(&spec(), 0.25, 0.0, 0.15);
         for level in MlcLevel::ALL {
-            let own = set.mass_in_bin(&spec(), level, level.index());
+            let own = set.mass_in_bin(&spec(), level, level);
             assert!(own > 0.99, "level {level}: {own}");
         }
     }
@@ -201,7 +203,10 @@ mod tests {
         // below the total RBER.
         let s = spec();
         let set = DistributionSet::programmed(&s, 0.25, 0.0, 0.18);
-        let l0_leak: f64 = (1..4).map(|b| set.mass_in_bin(&s, MlcLevel::L0, b)).sum();
+        let l0_leak: f64 = MlcLevel::ALL[1..]
+            .iter()
+            .map(|&b| set.mass_in_bin(&s, MlcLevel::L0, b))
+            .sum();
         assert!(l0_leak < 0.01 * set.rber(&s), "L0 leak = {l0_leak:e}");
     }
 }

@@ -75,6 +75,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub use mlcx_bch as bch;
 pub use mlcx_controller as controller;

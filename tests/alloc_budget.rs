@@ -21,19 +21,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// the trait's defaults, which go through `alloc`: each counts once.
 struct Counting;
 
-// SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state and never allocates.
-// mlcx-lint: allow(unsafe-scope, reason = "a counting #[global_allocator] cannot be written without implementing the unsafe GlobalAlloc trait; test-only, forwards to System")
+// SAFETY: a counting `#[global_allocator]` has no safe form (the trait
+// is unsafe). Both methods forward their arguments unchanged to
+// `System`, which upholds the `GlobalAlloc` contract; the counter
+// touches no allocator state and never allocates.
 unsafe impl GlobalAlloc for Counting {
-    // mlcx-lint: allow(unsafe-scope, reason = "signature required by GlobalAlloc")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
         System.alloc(layout)
     }
 
-    // mlcx-lint: allow(unsafe-scope, reason = "signature required by GlobalAlloc")
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, that is from `System`.
         System.dealloc(ptr, layout)
     }
 }

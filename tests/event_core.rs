@@ -19,7 +19,7 @@
 //! multi-die topology, impossible under the old drain-in-submission-
 //! order `poll()`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mlcx::xlayer::sim::presets::{scrub_vs_retry, MitigationMode};
 use mlcx::{
@@ -228,7 +228,7 @@ fn run_stress(streams: usize) -> Vec<Fingerprint> {
     // One batch per stream per turn. On `QueueFull` the stream makes
     // room the way a host driver does: reap completions, then resubmit
     // (submission is atomic — nothing of a rejected batch was enqueued).
-    let mut id_to_desc = HashMap::new();
+    let mut id_to_desc = BTreeMap::new();
     let mut completions = Vec::new();
     while queues.iter().any(|q| !q.is_empty()) {
         for queue in &mut queues {

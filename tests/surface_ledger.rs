@@ -9,6 +9,15 @@
 //! Counted from the source text: rustfmt's layout (`pub use a::{B, C};`,
 //! one `pub fn` signature up to its `{`) is what the parsing relies on,
 //! and CI runs `cargo fmt --check`.
+//!
+//! The same goes for the static-analysis rules (ARCHITECTURE.md "Static
+//! analysis & determinism invariants"): Clippy enforces them, and this
+//! file pins where they are switched on and how many exceptions the
+//! library code carries, so a rule that loses its scope or a new
+//! `#[expect]` is an edit of a literal here too.
+
+use std::collections::BTreeMap;
+use std::path::Path;
 
 const FACADE: &str = include_str!("../src/lib.rs");
 const ENGINE: &str = include_str!("../crates/core/src/engine.rs");
@@ -66,4 +75,121 @@ fn the_builders_have_the_setters_the_ledger_says() {
     assert_eq!(setters(ENGINE, "EngineBuilder"), 8);
     assert_eq!(setters(CONTROLLER, "ControllerConfigBuilder"), 7);
     assert_eq!(setters(SCENARIO, "ScenarioBuilder"), 10);
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory reads") {
+        let path = entry.expect("directory entry reads").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Clippy exceptions (`#[expect(clippy::..)]` / `#[allow(clippy::..)]`,
+/// outer or inner, however rustfmt wrapped them) per library source
+/// tree: the root `src/` and every `src/` under `crates/`.
+fn clippy_exceptions() -> BTreeMap<String, usize> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("crates"), &mut files);
+    let mut counts = BTreeMap::new();
+    for file in files {
+        let rel = file.strip_prefix(root).expect("walk stays under the root");
+        let rel = rel.to_str().expect("source paths are UTF-8");
+        let Some(at) = rel.find("src/") else {
+            continue; // a crate's tests/ or benches/
+        };
+        let text: String = std::fs::read_to_string(&file)
+            .expect("source file reads")
+            .split_whitespace()
+            .collect();
+        let found =
+            text.matches("[expect(clippy::").count() + text.matches("[allow(clippy::").count();
+        if found > 0 {
+            *counts.entry(rel[..at + 3].to_string()).or_insert(0) += found;
+        }
+    }
+    counts
+}
+
+#[test]
+fn the_lint_rules_are_switched_on_where_the_ledger_says() {
+    let clippy_toml = include_str!("../clippy.toml");
+    for key in [
+        "\"std::collections::HashMap\"",
+        "\"std::collections::HashSet\"",
+        "\"std::time::Instant\"",
+        "\"std::time::SystemTime\"",
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+        "allow-panic-in-tests = true",
+    ] {
+        assert!(clippy_toml.contains(key), "clippy.toml lost {key}");
+    }
+
+    // The two workspace-wide lints; then, per member (the root package
+    // is the empty path): the opt-in to them, the crate's unsafe gate,
+    // and the scoped levels at its crate root.
+    let manifest = include_str!("../Cargo.toml");
+    for lint in [
+        "undocumented_unsafe_blocks",
+        "allow_attributes_without_reason",
+    ] {
+        assert!(manifest.contains(&format!("{lint} = \"deny\"")), "{lint}");
+    }
+    const FLOAT_CMP: &str = "#![cfg_attr(not(test), deny(clippy::float_cmp))]";
+    const UNWRAP_FAMILY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: std::path::PathBuf| {
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"))
+    };
+    let (_, members) = manifest.split_once("members = [").expect("a workspace");
+    let members = members.split(']').next().expect("split yields one piece");
+    let members: Vec<&str> = members
+        .split(',')
+        .map(|m| m.trim().trim_matches('"'))
+        .filter(|m| !m.is_empty())
+        .chain([""])
+        .collect();
+    assert_eq!(members.len(), 10);
+    for member in members {
+        let opt_in = read(root.join(member).join("Cargo.toml"));
+        assert!(opt_in.contains("[lints]\nworkspace = true"), "{member}");
+        let lib = read(root.join(member).join("src/lib.rs"));
+        assert!(
+            lib.contains("#![forbid(unsafe_code)]") || lib.contains("#![deny(unsafe_code)]"),
+            "{member}: no unsafe_code gate"
+        );
+        // The compat crates stand in for external code and stay out of
+        // the scoped rules.
+        let ours = !member.starts_with("crates/compat/");
+        assert_eq!(lib.contains(FLOAT_CMP), ours, "{member}: float_cmp");
+        let datapath = ["crates/nand", "crates/controller", "crates/core"].contains(&member);
+        assert_eq!(
+            lib.contains(UNWRAP_FAMILY),
+            datapath,
+            "{member}: unwrap family"
+        );
+    }
+    assert!(read(root.join("crates/bench/src/bin/bench_gate.rs")).contains(FLOAT_CMP));
+}
+
+#[test]
+fn the_library_code_has_the_exceptions_the_ledger_says() {
+    // The three panic sites that stay (ROADMAP item 4(c) takes them to
+    // zero): `NandDevice::with_config`'s geometry check,
+    // `LogicalMap::plan_reclaim`'s allocator invariant, the presets'
+    // `validated` helper. Removing one is removing its entry.
+    let expected = [
+        "crates/controller/src",
+        "crates/core/src",
+        "crates/nand/src",
+    ]
+    .map(|tree| (tree.to_string(), 1));
+    assert_eq!(clippy_exceptions(), BTreeMap::from(expected));
 }
