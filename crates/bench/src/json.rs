@@ -1,7 +1,7 @@
-//! A minimal JSON reader/writer for the bench-regression gate.
+//! A minimal JSON reader/writer for the record baselines.
 //!
 //! The workspace builds offline with std-only stubs (no serde), and the
-//! gate only needs flat objects of strings and numbers — so this is a
+//! baselines only need flat objects of strings and numbers — so this is a
 //! deliberately small recursive-descent parser covering the full JSON
 //! grammar (objects, arrays, strings with escapes, numbers, literals)
 //! without any mapping machinery.
@@ -58,9 +58,9 @@ impl Json {
 
     /// Serializes human-readably: two-space indentation, one entry per
     /// line — the format the committed baseline files use. The single
-    /// JSON writer for the workspace: `BenchResult::to_json` and the
-    /// bench-gate `--update` path both render through here, so baseline
-    /// files can never drift in dialect.
+    /// JSON writer for the workspace: `BenchResult::to_json` — and
+    /// through it the `bless` refresh of `tests/records/` — renders
+    /// through here, so baseline files can never drift in dialect.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);

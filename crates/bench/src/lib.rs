@@ -1,13 +1,15 @@
-//! Deterministic regression records and the gate that compares them.
+//! The deterministic regression records' schema, JSON dialect and gate.
 //!
-//! The targets in `benches/` each run one seeded workload at the
-//! size its committed baseline was recorded at, assert the functional and
-//! structural properties in-process, and write a machine-readable record
-//! ([`BenchResult`]) that the `bench_gate` binary compares against
-//! `crates/bench/baselines/` — the CI regression gate (see EXPERIMENTS.md
-//! for the refresh procedure). Every recorded number is a model output:
-//! how fast the simulator itself runs (wall clock, RSS, per-layer
-//! attribution) is measured by the repo benchmark under `benchmark/`.
+//! The eight records under `tests/records/` each run one seeded workload
+//! at the size its committed baseline was recorded at, assert the
+//! functional and structural properties in-process, and end by holding
+//! their [`BenchResult`] against `crates/bench/baselines/<name>.json`
+//! through [`BenchResult::check_against`] — ordinary `#[test]`s, so
+//! `cargo test` is the regression gate in both profiles (see
+//! EXPERIMENTS.md for the refresh procedure). Every recorded number is a
+//! model output: how fast the simulator itself runs (wall clock, RSS,
+//! per-layer attribution) is measured by the repo benchmark under
+//! `benchmark/`.
 
 #![forbid(unsafe_code)]
 // Rule table: ARCHITECTURE.md "Static analysis & determinism invariants".
@@ -17,21 +19,13 @@ use std::path::PathBuf;
 
 pub mod json;
 
-/// Where bench result records land (`target/bench-results/`). The gate
-/// reads them from here; `--update` copies them over the baselines.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target")
-        .join("bench-results")
-}
-
-/// The committed baselines the gate compares against.
+/// The committed baselines the records are held against.
 pub fn baselines_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines")
 }
 
 /// Upper median (element `len / 2` after sorting) — the statistic the
-/// paired-sample benches report.
+/// paired-sample records report.
 ///
 /// # Panics
 ///
@@ -52,19 +46,20 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     sorted[(((q * sorted.len() as f64).ceil() as usize).max(1) - 1).min(sorted.len() - 1)]
 }
 
-/// One bench's machine-readable outcome, mirrored by the baseline files.
+/// One record's machine-readable outcome, mirrored by the baseline files.
 ///
-/// Two metric classes with different comparison rules:
+/// Two metric classes with different comparison rules
+/// ([`BenchResult::check_against`]):
 ///
 /// * `exact` — bit-deterministic structural counters (command counts,
-///   derivation counts, checksums): the gate requires bit equality.
+///   derivation counts, checksums): bit equality.
 /// * `modeled` — deterministic modeled quantities (device time, energy,
-///   makespans, modeled speedups): compared within
-///   `modeled_tolerance_pct` so a deliberate model change fails loudly
+///   makespans, modeled speedups): within the baseline's
+///   `modeled_tolerance_pct`, so a deliberate model change fails loudly
 ///   until the baselines are refreshed.
 #[derive(Debug, Clone, Default)]
 pub struct BenchResult {
-    /// Bench name (= result/baseline file stem).
+    /// Record name (= baseline file stem).
     pub bench: String,
     /// Free-form provenance note.
     pub recorded: String,
@@ -96,8 +91,8 @@ impl BenchResult {
         }
     }
 
-    /// Serializes the record as the gate's JSON schema, through the
-    /// shared [`json::Json::render_pretty`] writer.
+    /// Serializes the record as a baseline file, through the shared
+    /// [`json::Json::render_pretty`] writer.
     pub fn to_json(&self) -> String {
         use json::Json;
         let section = |pairs: &[(String, f64)]| {
@@ -123,27 +118,68 @@ impl BenchResult {
         text
     }
 
-    /// Writes the record to [`results_dir`] (and prints it once, so the
-    /// bench log doubles as the record).
+    /// Holds this record against its committed `baseline`: every `exact`
+    /// metric bit-equal, every `modeled` metric within the baseline's
+    /// tolerance band, and the same metric keys on both sides — a metric
+    /// only one of them knows is a failure, never silently ungated.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the results directory cannot be created or written —
-    /// a bench without its record would silently disarm the gate.
-    pub fn write(&self) {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir).expect("bench results dir must be creatable");
-        let path = dir.join(format!("{}.json", self.bench));
-        std::fs::write(&path, self.to_json()).expect("bench result must be writable");
-        println!("bench result recorded: {}", path.display());
+    /// The per-field diff table of everything that does not hold —
+    /// baseline vs current value, absolute and relative delta — so a
+    /// failure is diagnosable from the test log alone.
+    pub fn check_against(&self, baseline: &BenchResult) -> Result<(), String> {
+        let band = baseline.modeled_tolerance_pct / 100.0;
+        let lookup =
+            |set: &[(String, f64)], key: &str| set.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        let mut rows = String::new();
+        for (rule, base, mine) in [
+            ("exact", &baseline.exact, &self.exact),
+            ("modeled", &baseline.modeled, &self.modeled),
+        ] {
+            let unbaselined = mine.iter().filter(|(k, _)| lookup(base, k).is_none());
+            for (key, _) in base.iter().chain(unbaselined) {
+                let row = match (lookup(base, key), lookup(mine, key)) {
+                    (Some(expect), Some(actual)) => {
+                        let delta = actual - expect;
+                        let scale = if expect == 0.0 { 1.0 } else { expect };
+                        let holds = match rule {
+                            "exact" => actual.to_bits() == expect.to_bits(),
+                            _ => (delta / scale).abs() <= band,
+                        };
+                        if holds {
+                            continue;
+                        }
+                        let rel = if expect == 0.0 {
+                            "n/a".to_string()
+                        } else {
+                            format!("{:+.3}%", delta / expect * 100.0)
+                        };
+                        format!("{expect:>14.6} {actual:>14.6} {delta:>+14.6} {rel:>10}")
+                    }
+                    (Some(_), None) => "missing from the record".to_string(),
+                    _ => "missing from the baseline".to_string(),
+                };
+                rows.push_str(&format!("  {rule:7} {key:40} {row}\n"));
+            }
+        }
+        if rows.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "{}: metrics off their committed baseline (intentional? refresh: \
+             `cargo test --test records -- --ignored bless`, see EXPERIMENTS.md):\n  \
+             {:7} {:40} {:>14} {:>14} {:>14} {:>10}\n{rows}",
+            self.bench, "rule", "metric", "baseline", "current", "delta", "rel"
+        ))
     }
 
-    /// Parses a record (result or baseline file) back from JSON.
+    /// Parses a record (a baseline file) back from JSON.
     ///
     /// # Errors
     ///
     /// A human-readable parse/schema error. A key outside the schema is
-    /// an error naming it, so a stale record from an older schema (one
+    /// an error naming it, so a stale baseline from an older schema (one
     /// still carrying `mode` or `wall`) is refused rather than half-read.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
@@ -214,11 +250,45 @@ mod tests {
         assert_eq!(back.modeled, r.modeled);
         assert_eq!(back.modeled_tolerance_pct, 1.0);
 
-        // A record of the older schema is refused by the key it carries.
+        // A baseline of the older schema is refused by the key it carries.
         for (key, value) in [("mode", "\"smoke\""), ("wall", "{\"batch_s\": 0.003654}")] {
             let legacy = text.replacen('{', &format!("{{\n  \"{key}\": {value},"), 1);
             let err = BenchResult::from_json(&legacy).unwrap_err();
             assert!(err.contains(&format!("{key:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn check_against_is_bit_exact_banded_and_strict_about_keys() {
+        // A checksum-sized value: 1 ulp is 2048, far inside any relative
+        // tolerance, and must still fail.
+        let big = 13503135767590940000.0_f64;
+        let record = |exact: f64, modeled: f64| {
+            let mut r = BenchResult::new("demo", "unit test");
+            r.exact.push(("checksum".into(), exact));
+            r.modeled.push(("device_time_s".into(), modeled));
+            r
+        };
+        let baseline = record(big, 1.0);
+        // The failing rows of the diff table, header dropped.
+        let failing = |r: &BenchResult| match r.check_against(&baseline) {
+            Ok(()) => Vec::new(),
+            Err(table) => table.lines().skip(2).map(str::to_string).collect(),
+        };
+        assert_eq!(failing(&record(big, 1.009)), [""; 0], "inside 1 %");
+        let rows = failing(&record(f64::from_bits(big.to_bits() + 1), 1.011));
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(rows[0].contains("exact   checksum"), "{rows:?}");
+        assert!(rows[1].contains("modeled device_time_s") && rows[1].contains("+1.100%"));
+
+        // A metric only one side knows fails by name — one added after
+        // the last refresh included: never silently ungated.
+        let mut moved = baseline.clone();
+        moved.exact.clear();
+        moved.modeled.push(("energy_j".into(), 0.5));
+        let rows = failing(&moved);
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(rows[0].contains("checksum") && rows[0].contains("missing from the record"));
+        assert!(rows[1].contains("energy_j") && rows[1].contains("missing from the baseline"));
     }
 }

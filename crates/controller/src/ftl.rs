@@ -426,7 +426,29 @@ impl LogicalMap {
             return Ok(false);
         }
 
-        let live: Vec<(usize, usize)> = self.states[self.rel(victim)]
+        // The early-cleaning invariant guarantees every slot exists (the
+        // reserve block is never handed to host writes while a
+        // reclaimable block remains).
+        self.evacuate(victim, ops, wear, |s| {
+            (&mut s.relocated_pages, &mut s.gc_runs)
+        })?;
+        Ok(true)
+    }
+
+    /// The body of both reclaim plans: relocates every live page of
+    /// `victim` out (in page order), marks the block erased and plans
+    /// its erase, bumping the `(relocated pages, runs)` pair `counters`
+    /// selects. `Err` is an allocation that failed part-way — the map is
+    /// half-mutated then, and the caller decides what that means.
+    fn evacuate(
+        &mut self,
+        victim: usize,
+        ops: &mut Vec<FtlOp>,
+        wear: &mut dyn FnMut(usize) -> u64,
+        counters: fn(&mut FtlStats) -> (&mut u64, &mut u64),
+    ) -> Result<(), FtlError> {
+        let rel = self.rel(victim);
+        let live: Vec<(usize, usize)> = self.states[rel]
             .iter()
             .enumerate()
             .filter_map(|(p, s)| match s {
@@ -435,9 +457,6 @@ impl LogicalMap {
             })
             .collect();
         for (page, lpn) in live {
-            // The early-cleaning invariant guarantees a slot exists (the
-            // reserve block is never handed to host writes while a
-            // reclaimable block remains).
             let to = self.take_slot(wear).ok_or(FtlError::OutOfSpace)?;
             self.claim(to.0, to.1, lpn);
             self.map.insert(lpn, to);
@@ -447,9 +466,8 @@ impl LogicalMap {
                 to,
             });
             self.stats.physical_writes += 1;
-            self.stats.relocated_pages += 1;
+            *counters(&mut self.stats).0 += 1;
         }
-        let rel = self.rel(victim);
         for s in &mut self.states[rel] {
             if *s != PageState::Erased {
                 self.free_slots += 1;
@@ -457,8 +475,8 @@ impl LogicalMap {
             *s = PageState::Erased;
         }
         ops.push(FtlOp::Erase { block: victim });
-        self.stats.gc_runs += 1;
-        Ok(true)
+        *counters(&mut self.stats).1 += 1;
+        Ok(())
     }
 
     /// Plans the read-reclaim of one *caller-chosen* block: every live
@@ -507,60 +525,38 @@ impl LogicalMap {
         if self.states[rel].iter().all(|s| *s == PageState::Erased) {
             return Ok(Vec::new());
         }
-        let erased_in_victim = self.states[rel]
-            .iter()
-            .filter(|s| **s == PageState::Erased)
-            .count();
-        let live: Vec<(usize, usize)> = self.states[rel]
-            .iter()
-            .enumerate()
-            .filter_map(|(p, s)| match s {
-                PageState::Live(lpn) => Some((p, *lpn)),
-                _ => None,
-            })
-            .collect();
+        let (mut erased_in_victim, mut live) = (0, 0);
+        for s in &self.states[rel] {
+            match s {
+                PageState::Erased => erased_in_victim += 1,
+                PageState::Live(_) => live += 1,
+                PageState::Stale => {}
+            }
+        }
         // The victim's own erased pages are counted in free_slots but
         // can never be allocated (the block is not fully erased, and is
         // closed below if open): check against the usable remainder
         // before mutating anything.
-        if live.len() > self.free_slots - erased_in_victim {
+        if live > self.free_slots - erased_in_victim {
             return Err(FtlError::OutOfSpace);
         }
         if self.open.map(|(b, _)| b) == Some(block) {
             self.open = None;
         }
-        let mut ops = Vec::with_capacity(live.len() + 1);
-        for (page, lpn) in live {
-            // The up-front capacity check guarantees this allocation:
-            // every erased page outside the (now closed) victim is
-            // reachable by take_slot. Returning OutOfSpace here instead
-            // would hand the caller an innocent-looking skip with the
-            // map already half-mutated — fail loudly instead.
-            #[expect(
-                clippy::expect_used,
-                reason = "the capacity check above guarantees the slot; Err here would leave the map half-mutated"
-            )]
-            let to = self
-                .take_slot(wear)
-                .expect("reclaim capacity was checked up front; allocator invariant broken");
-            self.claim(to.0, to.1, lpn);
-            self.map.insert(lpn, to);
-            ops.push(FtlOp::Relocate {
-                lpn,
-                from: (block, page),
-                to,
-            });
-            self.stats.physical_writes += 1;
-            self.stats.scrub_relocated_pages += 1;
-        }
-        for s in &mut self.states[rel] {
-            if *s != PageState::Erased {
-                self.free_slots += 1;
-            }
-            *s = PageState::Erased;
-        }
-        ops.push(FtlOp::Erase { block });
-        self.stats.scrub_runs += 1;
+        let mut ops = Vec::with_capacity(live + 1);
+        // The up-front capacity check guarantees every allocation:
+        // every erased page outside the (now closed) victim is
+        // reachable by take_slot. Returning OutOfSpace here instead
+        // would hand the caller an innocent-looking skip with the
+        // map already half-mutated — fail loudly instead.
+        #[expect(
+            clippy::expect_used,
+            reason = "the capacity check above guarantees the slots; Err here would leave the map half-mutated"
+        )]
+        self.evacuate(block, &mut ops, wear, |s| {
+            (&mut s.scrub_relocated_pages, &mut s.scrub_runs)
+        })
+        .expect("reclaim capacity was checked up front; allocator invariant broken");
         Ok(ops)
     }
 }

@@ -683,6 +683,10 @@ pub struct StorageEngine {
     clock_s: f64,
     /// Global submission sequence source (arrival-order tie-breaks).
     submit_seq: u64,
+    /// Global dispatch sequence source — never restarted, so events of
+    /// one dispatch still in flight when the next runs keep a total
+    /// `(end time, dispatch seq)` order with its events.
+    dispatch_seq: u64,
     /// Pending completion events, keyed `(end time, dispatch seq)`.
     events: EventQueue,
     /// Executor of the builder's [`FaultPlan`] — rolls its own seeded
@@ -720,6 +724,7 @@ impl StorageEngine {
             sched: SchedPolicy::default(),
             clock_s: 0.0,
             submit_seq: 0,
+            dispatch_seq: 0,
             events: EventQueue::default(),
             fault: FaultInjector::new(FaultPlan::disabled()),
             incoming: Vec::new(),
@@ -814,11 +819,6 @@ impl StorageEngine {
     /// [`MlcxError::UnknownHandle`] for foreign handles.
     pub fn region(&self, handle: ServiceHandle) -> Result<&ServiceRegion, MlcxError> {
         self.state(handle).map(|s| &s.region)
-    }
-
-    /// All registered regions, in registration (handle) order.
-    pub fn regions(&self) -> impl Iterator<Item = &ServiceRegion> {
-        self.services.iter().map(|s| &s.region)
     }
 
     /// Traffic counters of a service.
@@ -1112,7 +1112,6 @@ impl StorageEngine {
         // resource (trim, configure, failed validation) completes here
         // — never earlier than anything dispatched before it.
         let mut frontier_s = batch_start_s;
-        let mut dispatch_seq = 0u64;
         let mut flows: Vec<f64> = Vec::new();
         while let Some(idx) = self.next_dispatch() {
             // `next_dispatch` only returns backlogged services; an empty
@@ -1154,10 +1153,10 @@ impl StorageEngine {
             }
             self.events.push(CompletionEvent {
                 end_s,
-                seq: dispatch_seq,
+                seq: self.dispatch_seq,
                 completion,
             });
-            dispatch_seq += 1;
+            self.dispatch_seq += 1;
         }
         // Close the dispatch's timing window: the channel scheduler has
         // overlapped the operations across channels/dies, and its

@@ -5,10 +5,8 @@
 /// Real SSD capacity — and the parallelism behind both throughput and
 /// wear-imbalance effects — comes from replicating dies behind
 /// independent channels. The topology describes that replication: how
-/// many channels the controller drives, how many dies share each
-/// channel's bus, and how many planes each die exposes (planes are
-/// carried for forward compatibility; the current timing model
-/// serializes within a die).
+/// many channels the controller drives and how many dies share each
+/// channel's bus (the timing model serializes within a die).
 ///
 /// Blocks map onto dies *contiguously*: die `d` owns blocks
 /// `d * blocks_per_die .. (d + 1) * blocks_per_die` (see
@@ -33,17 +31,14 @@ pub struct Topology {
     pub channels: usize,
     /// Dies attached to each channel.
     pub dies_per_channel: usize,
-    /// Planes per die (informational; operations serialize per die).
-    pub planes: usize,
 }
 
 impl Topology {
-    /// A topology of `channels` x `dies_per_channel` single-plane dies.
+    /// A topology of `channels` x `dies_per_channel` dies.
     pub fn new(channels: usize, dies_per_channel: usize) -> Self {
         Topology {
             channels,
             dies_per_channel,
-            planes: 1,
         }
     }
 
@@ -67,10 +62,10 @@ impl Topology {
 
     /// Whether the topology is well-formed (no zero dimension).
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 || self.dies_per_channel == 0 || self.planes == 0 {
+        if self.channels == 0 || self.dies_per_channel == 0 {
             return Err(format!(
-                "degenerate topology {}x{} dies, {} plane(s)",
-                self.channels, self.dies_per_channel, self.planes
+                "degenerate topology {}x{} dies",
+                self.channels, self.dies_per_channel
             ));
         }
         Ok(())
@@ -237,10 +232,7 @@ mod tests {
         assert!(g.validate().is_err());
         g.topology = Topology::new(0, 1);
         assert!(g.validate().is_err());
-        g.topology = Topology {
-            planes: 0,
-            ..Topology::single()
-        };
+        g.topology = Topology::new(1, 0);
         assert!(g.validate().is_err());
         let g = DeviceGeometry {
             blocks: 0,

@@ -5,8 +5,8 @@
 //!
 //! 1. `scrub_vs_retry(seed 7)` reproduces bit-for-bit under the default
 //!    kernel — every integer column pinned, every float column stable
-//!    across a re-run (the committed bench baselines pin the same runs'
-//!    exact metrics in CI through `bench_gate`).
+//!    across a re-run (the committed baselines pin the exact metrics of
+//!    runs like it through `tests/records/`).
 //! 2. The *same* scenario run under the bit-serial oracle and under the
 //!    production kernel yields the *same* [`ScenarioReport`], field for
 //!    field.

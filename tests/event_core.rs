@@ -344,3 +344,33 @@ fn multi_die_batches_complete_out_of_submission_order() {
     assert!(completions[0].start_s < completions[1].end_s);
     assert!(completions.iter().all(|c| c.result.is_ok()));
 }
+
+#[test]
+fn completion_order_is_total_across_dispatches() {
+    // Zero-device commands all complete at the dispatch frontier, so
+    // their end times collide and only the dispatch sequence orders
+    // them. Deliver one event, submit again while the rest are still in
+    // flight, drain: the second dispatch's events must sort after the
+    // first's, never tie with them.
+    let mut engine = EngineBuilder::date2012().seed(7).build().unwrap();
+    let svc = engine
+        .register_service("svc", Objective::Baseline, 0..8)
+        .unwrap();
+    let trims = |pages: std::ops::Range<usize>| -> Vec<Command> {
+        pages.map(|p| Command::trim(svc, 0, p)).collect()
+    };
+
+    engine.sq().submit(&trims(0..3)).unwrap();
+    let mut delivered = vec![engine.cq().try_complete().unwrap()];
+    assert_eq!(engine.completions_pending(), 2, "events still in flight");
+    engine.sq().submit(&trims(3..6)).unwrap();
+    delivered.extend(engine.cq().drain());
+
+    // One service: dispatch order is submission order is id order.
+    let order: Vec<(f64, u64)> = delivered.iter().map(|c| (c.end_s, c.id.raw())).collect();
+    assert_eq!(order.len(), 6);
+    assert!(
+        order.windows(2).all(|w| w[0] < w[1]),
+        "(end_s, dispatch order) must be strictly increasing: {order:?}"
+    );
+}

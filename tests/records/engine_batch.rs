@@ -13,10 +13,8 @@
 //! and energy; how fast the host executes the same path is the repo
 //! benchmark's `fresh_mixed/host_kpages_per_s`.
 
+use mlcx::{Command, EngineBuilder, MemoryController, Objective, ServiceHandle, StorageEngine};
 use mlcx_bench::BenchResult;
-use mlcx_controller::MemoryController;
-use mlcx_core::engine::{Command, EngineBuilder, ServiceHandle, StorageEngine};
-use mlcx_core::Objective;
 
 const INGEST_BLOCK: usize = 0;
 const LIBRARY_BLOCK: usize = 8;
@@ -94,7 +92,7 @@ fn run_batched(engine: &mut StorageEngine, ingest: ServiceHandle, library: Servi
     assert!(engine.last_batch().energy_j > 0.0);
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let (mut engine, ingest, library) = engine_under_test();
     // The committed record is the third batch: the seeded device
     // stream advances with every batch, so the count is part of the pin.
@@ -128,5 +126,5 @@ fn main() {
         ("parallel_latency_s".into(), batch.parallel_latency_s),
         ("energy_j".into(), batch.energy_j),
     ];
-    record.write();
+    record
 }

@@ -13,11 +13,11 @@
 //! `crates/bench/baselines/parallel_scale.json` gates CI regardless of
 //! container noise.
 
+use mlcx::{
+    BatchReport, Command, ControllerConfig, DeviceGeometry, EngineBuilder, Objective,
+    StorageEngine, Topology,
+};
 use mlcx_bench::{median, BenchResult};
-use mlcx_controller::ControllerConfig;
-use mlcx_core::engine::{BatchReport, Command, EngineBuilder, StorageEngine};
-use mlcx_core::Objective;
-use mlcx_nand::{DeviceGeometry, Topology};
 
 const BLOCKS: usize = 32;
 const PAGES_PER_BLOCK: usize = 16;
@@ -90,7 +90,7 @@ fn run_workload(engine: &mut StorageEngine) -> Vec<BatchReport> {
     reports
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let mut by_channels = Vec::new();
     for channels in [1usize, 2, 4] {
         let mut e = engine(channels);
@@ -188,5 +188,5 @@ fn main() {
         ("speedup_4ch".into(), speedup4),
         ("parallelism_4ch".into(), parallelism4),
     ];
-    record.write();
+    record
 }

@@ -25,9 +25,9 @@
 //! than a decade of model UBER, and scrub or retry alone each recover
 //! at least one decade of it — the PR's acceptance bar.
 
+use mlcx::xlayer::sim::presets::{program_interference, write_hammer, MitigationMode};
+use mlcx::xlayer::sim::{PhaseReport, ScenarioReport, ServicePhaseReport};
 use mlcx_bench::BenchResult;
-use mlcx_core::sim::presets::{program_interference, write_hammer, MitigationMode};
-use mlcx_core::sim::{PhaseReport, ScenarioReport, ServicePhaseReport};
 
 /// The preset seed the recovery guarantees were calibrated at.
 const SEED: u64 = 7;
@@ -48,7 +48,7 @@ fn victim<'a>(report: &'a ScenarioReport, ph: &str) -> &'a ServicePhaseReport {
         .expect("victim service must exist")
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let arms = [
         ("none", MitigationMode::None),
         ("scrub", MitigationMode::ScrubOnly),
@@ -202,5 +202,5 @@ fn main() {
         ("decades_recovered_scrub".into(), recovered_scrub),
         ("decades_recovered_retry".into(), recovered_retry),
     ];
-    record.write();
+    record
 }

@@ -18,11 +18,11 @@
 //! The headline assertion: weighted-fair must measurably shrink gold's
 //! p99.9 vs FIFO while completing the identical command set.
 
+use mlcx::{
+    Command, ControllerConfig, DeviceGeometry, EngineBuilder, Objective, QosSpec, SchedPolicy,
+    ServiceHandle, StorageEngine,
+};
 use mlcx_bench::{percentile, BenchResult};
-use mlcx_controller::ControllerConfig;
-use mlcx_core::engine::{Command, EngineBuilder, ServiceHandle, StorageEngine};
-use mlcx_core::{Objective, QosSpec, SchedPolicy};
-use mlcx_nand::DeviceGeometry;
 
 const CLASSES: [(&str, f64, usize); 3] =
     [("bronze", 1.0, 12), ("silver", 2.0, 8), ("gold", 8.0, 4)];
@@ -112,7 +112,7 @@ fn run_arm(policy: SchedPolicy) -> ([Vec<f64>; 3], usize) {
     (flows, completed)
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let (fifo, fifo_n) = run_arm(SchedPolicy::FifoArrival);
     let (wf, wf_n) = run_arm(SchedPolicy::WeightedFair);
 
@@ -194,5 +194,5 @@ fn main() {
     ];
     modeled.push(("gold_p999_improvement_pct".into(), improvement_pct));
     record.modeled = modeled;
-    record.write();
+    record
 }

@@ -22,13 +22,12 @@
 //! `crates/bench/baselines/read_retry.json` gates CI regardless of
 //! container noise.
 
+use mlcx::nand::disturb::DisturbModel;
+use mlcx::{
+    Command, CommandOutput, ControllerConfig, DeviceGeometry, EngineBuilder, Objective,
+    RetryPolicy, StorageEngine,
+};
 use mlcx_bench::{percentile, BenchResult};
-use mlcx_controller::retry::RetryPolicy;
-use mlcx_controller::ControllerConfig;
-use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
-use mlcx_core::Objective;
-use mlcx_nand::disturb::DisturbModel;
-use mlcx_nand::DeviceGeometry;
 
 const BLOCKS: usize = 16;
 const PAGES_PER_BLOCK: usize = 16;
@@ -128,7 +127,7 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
         engine.sq().submit_owned(cmds).expect("batch submits");
         for c in engine.cq().drain() {
             match c.result.expect("commands succeed") {
-                mlcx_core::engine::CommandOutput::Read(r) => {
+                CommandOutput::Read(r) => {
                     out.read_latencies_s.push(r.latency_s);
                     if !r.outcome.is_success() {
                         out.uncorrectable += 1;
@@ -149,7 +148,7 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
     out
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let mut e_off = engine(false);
     let off = run_workload(&mut e_off);
     let mut e_on = engine(true);
@@ -256,5 +255,5 @@ fn main() {
         ("uber_on_log10".into(), uber_on),
         ("uber_recovery_decades".into(), recovery),
     ];
-    record.write();
+    record
 }

@@ -23,13 +23,12 @@
 
 use std::collections::VecDeque;
 
+use mlcx::nand::disturb::DisturbModel;
+use mlcx::{
+    Command, CommandOutput, ControllerConfig, DeviceGeometry, EngineBuilder, Objective,
+    ScrubPolicy, Scrubber, StorageEngine,
+};
 use mlcx_bench::{percentile, BenchResult};
-use mlcx_controller::scrub::{ScrubPolicy, Scrubber};
-use mlcx_controller::ControllerConfig;
-use mlcx_core::engine::{Command, EngineBuilder, StorageEngine};
-use mlcx_core::Objective;
-use mlcx_nand::disturb::DisturbModel;
-use mlcx_nand::DeviceGeometry;
 
 const BLOCKS: usize = 16;
 const PAGES_PER_BLOCK: usize = 16;
@@ -152,10 +151,10 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
         engine.sq().submit_owned(cmds).expect("batch submits");
         for c in engine.cq().drain() {
             match c.result.expect("commands succeed") {
-                mlcx_core::engine::CommandOutput::Read(r) if !r.outcome.is_success() => {
+                CommandOutput::Read(r) if !r.outcome.is_success() => {
                     out.uncorrectable += 1;
                 }
-                mlcx_core::engine::CommandOutput::Relocate { read_ok: false, .. } => {
+                CommandOutput::Relocate { read_ok: false, .. } => {
                     out.uncorrectable += 1;
                 }
                 _ => {}
@@ -173,7 +172,7 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
     out
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     let mut e_off = engine();
     let off = run_workload(&mut e_off, false);
     let mut e_on = engine();
@@ -261,5 +260,5 @@ fn main() {
         ("uber_on_log10".into(), uber_on),
         ("uber_recovery_decades".into(), recovery),
     ];
-    record.write();
+    record
 }

@@ -14,12 +14,11 @@
 //! and write amplification against
 //! `crates/bench/baselines/workload_mix.json`.
 
+use mlcx::{
+    ControllerConfig, DeviceGeometry, EngineBuilder, Objective, Scenario, ScenarioReport,
+    TraceKind, WearBucketing,
+};
 use mlcx_bench::BenchResult;
-use mlcx_controller::ControllerConfig;
-use mlcx_core::engine::{EngineBuilder, WearBucketing};
-use mlcx_core::sim::{Scenario, ScenarioReport, TraceKind};
-use mlcx_core::Objective;
-use mlcx_nand::DeviceGeometry;
 
 /// Host operations per service per phase.
 const OPS: usize = 12;
@@ -60,7 +59,7 @@ fn run() -> ScenarioReport {
     report
 }
 
-fn main() {
+pub fn record() -> BenchResult {
     // The scenario runs clean and reproduces exactly; Log2 absorbs the
     // derivation pressure.
     let log2_report = run();
@@ -119,5 +118,5 @@ fn main() {
             kv_eol.write_amplification,
         ),
     ];
-    record.write();
+    record
 }
