@@ -7,10 +7,22 @@
 //! classical (division-form) Berlekamp-Massey recurrence, which produces
 //! the *same* error-locator polynomial up to a nonzero scalar; the Chien
 //! search only cares about the root set, which is scalar-invariant.
+//!
+//! The code is binary, and the recurrence knows it. Squaring is additive
+//! in characteristic 2 and fixes GF(2), so `r(x)^2 = r(x^2)` for every
+//! received word `r` and `S_2k = S_k^2`; with that, the discrepancy of
+//! every second iteration is zero whatever the error count (Berlekamp's
+//! simplification for binary BCH codes), and [`error_locator`] does not
+//! compute it: `t` iterations instead of `2t`. That is a **precondition**
+//! on its input — the syndromes of a binary word, which is what
+//! [`crate::syndrome`] produces — and the general recurrence, which takes
+//! any sequence, stays below it as the oracle the tests hold it to.
 
 use mlcx_gf2::GfField;
 
-/// Computes the error-locator polynomial from syndromes `S_1 .. S_2t`.
+/// Computes the error-locator polynomial from the syndromes `S_1 .. S_2t`
+/// of a binary word (`S_2k = S_k^2`; see the module doc — on any other
+/// sequence the result is not the shortest LFSR).
 ///
 /// Returns the coefficient vector `lambda[0..=L]` with `lambda[0] = 1`,
 /// trimmed of trailing zeros, where the roots of
@@ -21,6 +33,19 @@ use mlcx_gf2::GfField;
 /// than the code can locate) — this function only synthesizes the shortest
 /// LFSR that generates the syndrome sequence.
 pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
+    debug_assert!(
+        (1..=syndromes.len() / 2)
+            .all(|k| syndromes[2 * k - 1] == field.mul(syndromes[k - 1], syndromes[k - 1])),
+        "not the syndromes of a binary word"
+    );
+    massey(field, syndromes, 2)
+}
+
+/// The Berlekamp-Massey recurrence over iterations `0, stride, 2 stride,
+/// ..`: every one at `stride` 1 (any sequence), every second one at 2,
+/// the discrepancies between taken as the zeros they are for a binary
+/// word.
+fn massey(field: &GfField, syndromes: &[u32], stride: usize) -> Vec<u32> {
     let two_t = syndromes.len();
     let mut c = vec![0u32; two_t + 2];
     let mut b = vec![0u32; two_t + 2];
@@ -32,7 +57,7 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
     let mut shift = 1usize; // x^shift multiplier on b
     let mut last_d = 1u32; // discrepancy at the last length change
 
-    for n in 0..two_t {
+    for n in (0..two_t).step_by(stride) {
         // Discrepancy d = S_{n+1} + sum_{i=1..=l} c_i * S_{n+1-i}.
         let mut d = syndromes[n];
         for i in 1..=l.min(n) {
@@ -40,8 +65,10 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
                 d ^= field.mul(c[i], syndromes[n - i]);
             }
         }
+        // Every iteration moves b up by x, a skipped one (its discrepancy
+        // a zero) included: `stride` per turn of this loop.
         if d == 0 {
-            shift += 1;
+            shift += stride;
             continue;
         }
         let coef = field
@@ -62,12 +89,12 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
             b_len = c_len;
             l = n + 1 - l;
             last_d = d;
-            shift = 1;
+            shift = stride;
         } else {
             for i in 0..live {
                 c[i + shift] ^= field.mul(coef, b[i]);
             }
-            shift += 1;
+            shift += stride;
         }
         c_len = new_len;
     }
@@ -86,6 +113,12 @@ pub fn locator_degree(lambda: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The general recurrence: every iteration, any sequence.
+    fn error_locator_general(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
+        massey(field, syndromes, 1)
+    }
 
     /// The implementation this module shipped before its buffers were
     /// reused: clones `c` on every length change, walks all `2t + 2` slots.
@@ -184,20 +217,50 @@ mod tests {
                         .map(|_| rng.random_range(0..f.order()))
                         .collect();
                     let syn = syndromes_for_errors(&f, t, &exps);
+                    let expect = error_locator_reference(&f, &syn);
                     assert_eq!(
-                        error_locator(&f, &syn),
-                        error_locator_reference(&f, &syn),
+                        error_locator_general(&f, &syn),
+                        expect,
                         "t {t}, weight {weight}, exponents {exps:?}"
                     );
+                    assert_eq!(error_locator(&f, &syn), expect);
                     vectors += 1;
                 }
             }
         }
         assert!(vectors >= 1000);
-        // Not syndromes of any error pattern: arbitrary field elements.
+        // Not syndromes of any word: arbitrary field elements, which only
+        // the general recurrence takes.
         for two_t in [1usize, 2, 7, 28, 130] {
             let syn: Vec<u32> = (0..two_t).map(|_| rng.random_range(0..f.size())).collect();
-            assert_eq!(error_locator(&f, &syn), error_locator_reference(&f, &syn));
+            assert_eq!(
+                error_locator_general(&f, &syn),
+                error_locator_reference(&f, &syn)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// On the syndromes of a binary word — any number of flips, up to
+        /// three past where the LFSR runs to its longest, positions
+        /// repeating or not — skipping every second iteration changes no
+        /// coefficient.
+        #[test]
+        fn skipping_recurrence_equals_the_general_one_on_binary_words(
+            m_pick in 0usize..3,
+            t in 1u32..=65,
+            flips_pick in any::<u32>(),
+            seed in any::<u64>(),
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let f = GfField::new([8, 13, 16][m_pick]).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let flips = flips_pick % (2 * t + 4);
+            let exps: Vec<u32> = (0..flips).map(|_| rng.random_range(0..f.order())).collect();
+            let syn = syndromes_for_errors(&f, t, &exps);
+            prop_assert_eq!(error_locator(&f, &syn), error_locator_general(&f, &syn));
         }
     }
 

@@ -17,8 +17,9 @@
 //!   [`crate::CodecKernel::Reference`] runs and what the other two are
 //!   tested against.
 //! * [`find_error_positions_stride`] — the production search: it *solves*
-//!   the locator (Berlekamp trace splitting, as Linux `lib/bch.c` does)
-//!   in `16..25 * deg^2` antilog lookups, independent of `n`.
+//!   the locator (Berlekamp trace splitting down to quadratics, those in
+//!   closed form, as Linux `lib/bch.c` does) in `13..19 * deg^2` antilog
+//!   lookups, independent of `n`.
 //! * [`solve_single_error`] — the degree-1 case in closed form.
 //!
 //! The sweep answers `Some` exactly when `deg` of the exponents
@@ -115,7 +116,13 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
 ///    `gcd(g, Tr(alpha^k x) mod g)` splits every factor `g` found so far
 ///    whose roots disagree in that trace bit. Two distinct roots differ
 ///    in some bit `k < m`, so at most `m` rounds leave only linear
-///    factors;
+///    factors — but a factor is not split further than degree 2: there
+///    `x = c1 y` makes it `y^2 + y = c0 / c1^2`, whose solution is linear
+///    in the right-hand side ([`GfField::solve_quadratic`]), where
+///    waiting for the bit that separates its two roots took a locator of
+///    degree 34 four of its ten rounds. A locator of degree 2 goes
+///    straight there: `c1 != 0` and a solvable right-hand side *are*
+///    "two distinct roots in the field";
 /// 5. the root `alpha^j` is step `s = (j - start) mod N`; a step
 ///    `s >= n_bits` lies outside the shortened window: `None`. Sort.
 ///
@@ -131,6 +138,11 @@ pub fn find_error_positions_stride(
     match deg {
         0 => return None,
         1 => return solve_single_error(field, lambda, n_bits),
+        2 => {
+            let lead = field.inv(lambda[2]).expect("leading coefficient");
+            let (c0, c1) = (field.mul(lambda[0], lead), field.mul(lambda[1], lead));
+            return window_positions(field, &quadratic_roots(field, c0, c1)?, n_bits);
+        }
         _ => {}
     }
     let n = field.order();
@@ -221,20 +233,24 @@ pub fn find_error_positions_stride(
             if e >= 2 {
                 let f = &mut factors[off..off + e];
                 if let Some(g) = split(field, f, trace, a, b, div_logs) {
-                    seg[off] = g as u32;
-                    seg[off + g] = (e - g) as u32;
-                    linear += usize::from(g == 1) + usize::from(e - g == 1);
+                    linear += settle(field, factors, seg, off, g)
+                        + settle(field, factors, seg, off + g, e - g);
                 }
             }
             off += e;
         }
     }
     debug_assert_eq!(linear, deg, "distinct roots differ in a trace bit");
+    window_positions(field, factors, n_bits)
+}
 
-    // 5. x + c has the root c = alpha^j; start = N - (n_bits - 1).
-    let mut positions = Vec::with_capacity(deg);
-    for &root in factors.iter() {
-        let s = (field.log(root)? as usize + n_bits - 1) % n as usize;
+/// Step 5: the root `alpha^j` of `x + c`, `c = alpha^j`, is step
+/// `s = (j - start) mod N` with `start = N - (n_bits - 1)`; all of them
+/// inside the window and sorted, or `None`.
+fn window_positions(field: &GfField, roots: &[u32], n_bits: usize) -> Option<Vec<usize>> {
+    let mut positions = Vec::with_capacity(roots.len());
+    for &root in roots {
+        let s = (field.log(root)? as usize + n_bits - 1) % field.order() as usize;
         if s >= n_bits {
             return None;
         }
@@ -242,6 +258,37 @@ pub fn find_error_positions_stride(
     }
     positions.sort_unstable();
     Some(positions)
+}
+
+/// The roots of `x^2 + c1 x + c0`, when they are two distinct nonzero
+/// field elements: `x = c1 y` turns it into `y^2 + y = c0 / c1^2`, which
+/// [`GfField::solve_quadratic`] answers. `c1 = 0` is a double root, a
+/// `None` from the solver a pair of roots outside the field, `c0 = 0` a
+/// root at 0.
+fn quadratic_roots(field: &GfField, c0: u32, c1: u32) -> Option<[u32; 2]> {
+    let (l0, l1) = (field.log(c0)?, field.log(c1)?);
+    let n = field.order();
+    let u = field.alpha_pow_reduced(sub_mod(l0, double_mod(l1, n), n));
+    let root = field.mul(c1, field.solve_quadratic(u)?);
+    Some([root, root ^ c1])
+}
+
+/// Records the monic factor of degree `e` that starts at `factors[off]`,
+/// a quadratic as the two linear factors it is in closed form. Returns
+/// how many linear factors that made.
+fn settle(field: &GfField, factors: &mut [u32], seg: &mut [u32], off: usize, e: usize) -> usize {
+    seg[off] = e as u32;
+    match e {
+        1 => 1,
+        2 => {
+            let roots = quadratic_roots(field, factors[off], factors[off + 1])
+                .expect("a factor of a polynomial with distinct nonzero roots in the field");
+            factors[off..off + 2].copy_from_slice(&roots);
+            seg[off..off + 2].fill(1);
+            2
+        }
+        _ => 0,
+    }
 }
 
 /// Splits the monic factor `f` (low coefficients, degree `f.len()`) by

@@ -507,17 +507,22 @@ mod tests {
 
     /// Table bytes per production code over GF(2^16), pinned so that a
     /// footprint change is a deliberate one: the LFSR's `8P x 256 x W`
-    /// words (two-word steps up to `W = 4`, one-word above) and the
-    /// syndrome rows' `m*t x ceil(t/2)` packed pairs.
+    /// words where the pass runs off tables (two-word steps up to `W = 4`,
+    /// one-word above) or the fold's `2 x 18 x W + W + 1` where this CPU
+    /// folds, and the syndrome rows' `m*t x ceil(t/2)` packed pairs.
     #[test]
     fn table_footprint_per_code_is_pinned() {
         let field = Arc::new(GfField::new(16).unwrap());
         for (t, lfsr_kib, row_bytes) in [(3, 32, 384), (14, 128, 6_272), (65, 272, 137_280)] {
             let code = BchCode::new(field.clone(), 4096 * 8, t).unwrap();
+            let tables = LfsrEncoder::with_tables(code.generator());
+            assert_eq!(tables.table_bytes(), lfsr_kib << 10, "t = {t}");
             let Lfsr::Fused(encoder) = &code.lfsr else {
                 panic!("the default kernel is the production one");
             };
-            assert_eq!(encoder.table_bytes(), lfsr_kib << 10, "t = {t}");
+            let folds = t == 65 && mlcx_gf2::clmul_available();
+            let lfsr_bytes = if folds { 5_040 } else { lfsr_kib << 10 };
+            assert_eq!(encoder.table_bytes(), lfsr_bytes, "t = {t}");
             assert_eq!(code.syndromes.table_bytes(), row_bytes, "t = {t}");
         }
     }

@@ -7,7 +7,8 @@
 //! latency is `k/p` cycles **independent of the selected `t`** — the
 //! software model mirrors that with one table-driven step formula that
 //! folds `P` 64-bit words of message at every register width `r = deg g`,
-//! and widens `p` the way the hardware would: by stepping deeper.
+//! and widens `p` the way the hardware would: by stepping deeper. (The
+//! widest registers leave the tables for multiplication; last section.)
 //!
 //! What lets one step serve every `r` is the register's alignment. The
 //! running remainder `s(x)` lives in `W = ceil(r/64)` words, most
@@ -51,15 +52,52 @@
 //! `P` follows the stack/slice seam. Registers of up to four words
 //! (`t <= 16` over GF(2^16): every code a fresh or mid-life page is written
 //! with) run the step on the stack from a `[u64; W]` monomorph of the one
-//! body, where that chain is what the time is: `P = 2`. Wider ones run the
-//! same body over a slice, where the time is the table traffic (8 rows of
-//! `W` words per word of message, out of tables that already miss L1) and
-//! a doubled table only adds misses: `P = 1`.
+//! body, where that chain is what the time is: `P = 2`. Wider ones would
+//! run the same body over a slice, where the time is the table traffic (8
+//! rows of `W` words per word of message, out of tables — 272 KiB at
+//! `t = 65` — that miss L1 and crowd L2) and a doubled table only adds
+//! misses: `P = 1`. That slice loop is the wide pass where the CPU has no
+//! carry-less multiply, and only there.
+//!
+//! # The wide pass as a carry-less fold
+//!
+//! Where it has one ([`mlcx_gf2::clmul_available`] — selected by what the
+//! CPU does, here and nowhere else, like `MulKernel::best`), a register of
+//! 5 to 17 words is not stepped at all. With `K_k = x^(64k) mod G`
+//! (`W` words each), an `L`-word **state** `S`, right-aligned, stays
+//! congruent to everything read so far while `L` message words at a time
+//! come in underneath it:
+//!
+//! ```text
+//! S * x^(64L) + next  ==  sum_i s_i * K_(2L-1-i)  +  next     (mod G)
+//! ```
+//!
+//! — `W` multiplies per message word
+//! ([`mlcx_gf2::kernels::fold_clmul`]), about 5 KiB of constants at
+//! `t = 65` where the tables held 272. Zeros ahead of a message are free in
+//! a right-aligned state, so the message's odd leading bytes and words
+//! seed it and the rest is whole steps: no tail. The finish moves the
+//! state up by the register's width instead, `Z = sum_i s_i * K_(W+L-1-i)`,
+//! `W + 1` words congruent to `m(x) * x^(64W)`, and one Barrett word takes
+//! the one word too many off: `q = z_0 + high(z_0 * mu)` with
+//! `mu = floor(x^(64W+64) / G)`, `R = Z_low + low(q * G_low)`. That `R` is
+//! `m(x) * x^(64W) mod G = (m(x) * x^r mod g) * x^pad` — the **same**
+//! left-aligned register the stepped pass leaves, which is why nothing
+//! after the pass knows which one ran, and why the fold works modulo `G`
+//! too and not modulo `g`.
+//!
+//! `L` is not a knob: the product of a step, `W + 1` words, must land
+//! inside the state, so `L >= W + 1`; a step cannot start before the last
+//! has finished, so the longer the better; and the kernel keeps the state
+//! in its stack frame, 18 words. `L = 18` for every `W`, which is also
+//! where the range ends: a register of more than 17 words (no code of the
+//! paper's codec) takes the tables.
 //!
 //! [`crate::CodecKernel::Reference`] does not come through here: its
 //! bit-serial LFSR is `bitreg.rs`, which shares nothing with this module.
 
-use mlcx_gf2::Gf2Poly;
+use mlcx_gf2::kernels::{fold_clmul, row_product_clmul, FOLD_MAX_WORDS};
+use mlcx_gf2::{clmul_available, Gf2Poly};
 
 /// Registers of up to this many words (`t <= 16` over GF(2^16)) live on
 /// the stack, in a `[u64; W]` monomorph of the pass.
@@ -78,49 +116,91 @@ const fn step_words(words: usize) -> usize {
     }
 }
 
+/// State words `L` of the fold: the widest the kernel holds, whatever `W`
+/// is (module doc; 4 KiB at `W` = 5 takes 1.3 us at `L` = 8, 1.0 at 18).
+const FOLD_STATE: usize = FOLD_MAX_WORDS;
+/// The widest register the fold carries: the step's product, `W + 1`
+/// words, has to land inside the state.
+const FOLD_WORDS: usize = FOLD_STATE - 1;
+
 /// Parallel LFSR engine for one fixed generator polynomial.
 #[derive(Debug, Clone)]
 pub struct LfsrEncoder {
     r_bits: usize,
     /// Register width `W = ceil(r/64)` in words.
     words: usize,
+    pass: Pass,
+}
+
+/// What the pass runs on; both leave the same left-aligned register.
+#[derive(Debug, Clone)]
+enum Pass {
     /// Flattened `8P x 256 x W` position tables, `P = step_words(W)`: byte
     /// position `j` of the step, value `v` occupies
     /// `tables[(j*256 + v)*W..][..W]`, most significant word first.
-    tables: Vec<u64>,
+    Tables(Vec<u64>),
+    Fold(FoldConstants),
+}
+
+/// The carry-less fold's constants for one `G = g * x^pad`, in the
+/// kernels' layout (`W` rows of `L` words, see
+/// [`mlcx_gf2::kernels::row_product_clmul`]), `K_k = x^(64k) mod G`.
+#[derive(Debug, Clone)]
+struct FoldConstants {
+    /// `K_(2L-1-i)` against state word `i`: the state moves up `L` words.
+    step: Vec<u64>,
+    /// `K_(W+L-1-i)` against state word `i`: the state moves up `W` words,
+    /// into `W + 1`.
+    finish: Vec<u64>,
+    /// `K_W`, which is `G` without its leading term.
+    modulus: Vec<u64>,
+    /// `floor(x^(64W+64) / G)` without its leading term (Barrett).
+    mu: u64,
 }
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits).
+    /// bits): the fold where the register is wider than the stack bodies
+    /// take and the CPU multiplies carry-less, the tables otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
+        let words = generator.degree().unwrap_or(0).div_ceil(64);
+        if (STACK_WORDS + 1..=FOLD_WORDS).contains(&words) && clmul_available() {
+            Self::with_fold(generator)
+        } else {
+            Self::with_tables(generator)
+        }
+    }
+
+    /// `(r, W)` and `x^(64*W) mod G`, most significant word first:
+    /// `G = g * x^pad` has degree `64*W`, so that is its lower terms,
+    /// `(x^r mod g) * x^pad`.
+    fn shape(generator: &Gf2Poly) -> (usize, usize, Vec<u64>) {
         let r_bits = generator
             .degree()
             .filter(|&d| d >= 1)
             .expect("generator polynomial must have degree >= 1");
         let words = r_bits.div_ceil(64);
-        // G = g * x^pad has degree 64*W; its lower terms, most significant
-        // word first, are x^(64*W) mod G = (x^r mod g) * x^pad: entry 1 of
-        // the last position table.
         let scaled = generator.shl(64 * words - r_bits);
-        let feedback: Vec<u64> = scaled.as_words()[..words].iter().rev().copied().collect();
+        let feedback = scaled.as_words()[..words].iter().rev().copied().collect();
+        (r_bits, words, feedback)
+    }
+
+    /// The engine on position tables, whatever the CPU.
+    pub(crate) fn with_tables(generator: &Gf2Poly) -> Self {
+        let (r_bits, words, feedback) = Self::shape(generator);
         let at = |j: usize, v: usize| (j * 256 + v) * words;
         let last = 8 * step_words(words) - 1;
         let mut tables = vec![0u64; at(last + 1, 0)];
-        // T_last[2^i] = (x^(r+i) mod g) * x^pad: i multiplications by x
-        // mod G.
+        // T_last[1] = x^(64*W) mod G, and T_last[2^i] = (x^(r+i) mod g) *
+        // x^pad is i multiplications by x mod G.
         let mut reg = feedback.clone();
         for i in 0..8 {
             tables[at(last, 1 << i)..][..words].copy_from_slice(&reg);
-            let carry = reg[0] >> 63 == 1;
-            shl(&mut reg, 1);
-            if carry {
-                xor(&mut reg, &feedback);
-            }
+            mul_x(&mut reg, &feedback);
         }
         // Every table is linear in v.
         for v in 1..256usize {
@@ -140,7 +220,49 @@ impl LfsrEncoder {
         LfsrEncoder {
             r_bits,
             words,
-            tables,
+            pass: Pass::Tables(tables),
+        }
+    }
+
+    /// The engine on the carry-less fold, whatever the CPU (the kernels
+    /// multiply bit-serially where it has no `pclmulqdq`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register is wider than [`FOLD_WORDS`].
+    pub(crate) fn with_fold(generator: &Gf2Poly) -> Self {
+        let (r_bits, words, modulus) = Self::shape(generator);
+        assert!(words <= FOLD_WORDS, "a {words}-word register does not fold");
+        let l = FOLD_STATE;
+        // K_W .. K_(2L-1), each 64 multiplications by x after the last; the
+        // 64 carries of the first run are the quotient of x^(64W+64) by G
+        // below its leading term.
+        let (mut reg, mut mu) = (modulus.clone(), 0u64);
+        let mut k = Vec::with_capacity((2 * l - words) * words);
+        for power in words..2 * l {
+            k.extend_from_slice(&reg);
+            for _ in 0..64 {
+                let carry = mul_x(&mut reg, &modulus);
+                if power == words {
+                    mu = mu << 1 | u64::from(carry);
+                }
+            }
+        }
+        let by_column = |top: usize| -> Vec<u64> {
+            (0..words)
+                .flat_map(|w| (0..l).map(move |i| (top - i - words) * words + w))
+                .map(|at| k[at])
+                .collect()
+        };
+        LfsrEncoder {
+            r_bits,
+            words,
+            pass: Pass::Fold(FoldConstants {
+                step: by_column(2 * l - 1),
+                finish: by_column(words + l - 1),
+                modulus,
+                mu,
+            }),
         }
     }
 
@@ -196,43 +318,40 @@ impl LfsrEncoder {
         })
     }
 
-    /// Bytes of position tables this engine holds.
+    /// Bytes of position tables or fold constants this engine holds.
     #[cfg(test)]
     pub(crate) fn table_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.tables[..])
-    }
-
-    /// Runs the pass over `message` and hands `then` the finished register,
-    /// which lives on the stack up to [`STACK_WORDS`] words.
-    fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
-        match self.words {
-            1 => then(&mut self.narrow::<1>(message)),
-            2 => then(&mut self.narrow::<2>(message)),
-            3 => then(&mut self.narrow::<3>(message)),
-            4 => then(&mut self.narrow::<4>(message)),
-            wide => {
-                let mut reg = vec![0u64; wide];
-                self.wide(&mut reg, message);
-                then(&mut reg)
+        match &self.pass {
+            Pass::Tables(tables) => size_of_val(&tables[..]),
+            Pass::Fold(k) => {
+                size_of_val(&k.step[..])
+                    + size_of_val(&k.finish[..])
+                    + size_of_val(&k.modulus[..])
+                    + size_of_val(&k.mu)
             }
         }
     }
 
-    fn narrow<const W: usize>(&self, message: &[u8]) -> [u64; W] {
-        let mut lanes = [[0u64; W]; STACK_STEP];
-        fold(
-            &self.tables,
-            lanes.each_mut().map(|lane| &mut lane[..]),
-            message,
-        );
-        lanes[0]
-    }
-
-    /// The slice loop, compiled on its own: inlined beside the four stack
-    /// bodies it came out a quarter slower at `W = 8`.
-    #[inline(never)]
-    fn wide(&self, reg: &mut [u64], message: &[u8]) {
-        fold::<SLICE_STEP>(&self.tables, [reg], message);
+    /// Runs the pass over `message` and hands `then` the finished register,
+    /// which lives on the stack: up to [`STACK_WORDS`] words off the
+    /// tables, up to [`FOLD_WORDS`] off the fold.
+    fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
+        match (&self.pass, self.words) {
+            (Pass::Fold(k), words) => {
+                let mut reg = [0u64; FOLD_WORDS];
+                k.remainder(message, &mut reg[..words]);
+                then(&mut reg[..words])
+            }
+            (Pass::Tables(tables), 1) => then(&mut narrow::<1>(tables, message)),
+            (Pass::Tables(tables), 2) => then(&mut narrow::<2>(tables, message)),
+            (Pass::Tables(tables), 3) => then(&mut narrow::<3>(tables, message)),
+            (Pass::Tables(tables), 4) => then(&mut narrow::<4>(tables, message)),
+            (Pass::Tables(tables), words) => {
+                let mut reg = vec![0u64; words];
+                wide(tables, &mut reg, message);
+                then(&mut reg)
+            }
+        }
     }
 
     /// The register's top `r` bits as parity bytes.
@@ -243,6 +362,57 @@ impl LfsrEncoder {
         }
         out
     }
+}
+
+impl FoldConstants {
+    /// The fold: `reg = message(x) * x^(64*W) mod G`, the register the
+    /// table pass leaves (see the module doc).
+    fn remainder(&self, message: &[u8], reg: &mut [u64]) {
+        let (w, l) = (reg.len(), FOLD_STATE);
+        // The state is right-aligned and zeros ahead of a message are free,
+        // so the odd bytes and words *lead*: they seed the state, and what
+        // follows is whole steps.
+        let (head, words) = message.as_rchunks::<8>();
+        let (seed, steps) = words.split_at(words.len() % l);
+        let mut state = [0u64; FOLD_STATE];
+        let (ahead, seeded) = state.split_at_mut(l - seed.len());
+        let mut first = [0u8; 8];
+        first[8 - head.len()..].copy_from_slice(head);
+        ahead[ahead.len() - 1] = u64::from_be_bytes(first);
+        for (s, c) in seeded.iter_mut().zip(seed) {
+            *s = u64::from_be_bytes(*c);
+        }
+        fold_clmul(&mut state, &self.step, steps);
+        // Z = state * x^(64*W), congruent: W + 1 words, one too many.
+        let mut z = [0u64; FOLD_STATE];
+        let z = &mut z[..=w];
+        row_product_clmul(&state, &self.finish, z);
+        // Barrett: q = floor(z_0 * x^(64*W) / G) is the high word of
+        // z_0 * floor(x^(64*W+64) / G), and Z - q*G has nothing left in
+        // word 0.
+        let mut quotient = [0u64; 2];
+        row_product_clmul(&z[..1], &[self.mu], &mut quotient);
+        let q = z[0] ^ quotient[0];
+        let mut multiple = [0u64; FOLD_STATE];
+        let multiple = &mut multiple[..=w];
+        row_product_clmul(&[q], &self.modulus, multiple);
+        for ((r, z), m) in reg.iter_mut().zip(&z[1..]).zip(&multiple[1..]) {
+            *r = z ^ m;
+        }
+    }
+}
+
+fn narrow<const W: usize>(tables: &[u64], message: &[u8]) -> [u64; W] {
+    let mut lanes = [[0u64; W]; STACK_STEP];
+    fold(tables, lanes.each_mut().map(|lane| &mut lane[..]), message);
+    lanes[0]
+}
+
+/// The slice loop, compiled on its own: inlined beside the four stack
+/// bodies it came out a quarter slower at `W = 8`.
+#[inline(never)]
+fn wide(tables: &[u64], reg: &mut [u64], message: &[u8]) {
+    fold::<SLICE_STEP>(tables, [reg], message);
 }
 
 /// The pass: folds `message` into the left-aligned register, `P` words per
@@ -331,6 +501,17 @@ fn step_byte(t_last: &[u64], reg: &mut [u64], byte: u8) {
     xor(reg, &t_last[v * reg.len()..][..reg.len()]);
 }
 
+/// `reg <- reg * x mod G` for `G`'s lower terms `feedback`; returns the
+/// coefficient that left the top.
+fn mul_x(reg: &mut [u64], feedback: &[u64]) -> bool {
+    let carry = reg[0] >> 63 == 1;
+    shl(reg, 1);
+    if carry {
+        xor(reg, feedback);
+    }
+    carry
+}
+
 /// Shifts the register left by `k` bits (`0 < k < 64`), dropping what
 /// leaves the top.
 #[inline(always)]
@@ -382,6 +563,21 @@ mod tests {
         g
     }
 
+    /// Both passes for `g`, whatever this CPU would pick: the tables, then
+    /// the fold.
+    fn passes(g: &Gf2Poly) -> [LfsrEncoder; 2] {
+        [LfsrEncoder::with_tables(g), LfsrEncoder::with_fold(g)]
+    }
+
+    /// `p` as `words` words, most significant first (the register's order).
+    fn be_words(p: &Gf2Poly, words: usize) -> Vec<u64> {
+        let mut out = vec![0u64; words];
+        for (i, &w) in p.as_words().iter().enumerate() {
+            out[words - 1 - i] = w;
+        }
+        out
+    }
+
     fn payload(len: usize, salt: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 151 + salt * 29 + 7) as u8).collect()
     }
@@ -392,48 +588,103 @@ mod tests {
         // every position, at the depth the class steps at.
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
-            let enc = LfsrEncoder::new(&g);
+            let Pass::Tables(tables) = LfsrEncoder::with_tables(&g).pass else {
+                panic!("with_tables builds tables");
+            };
             let positions = if words <= 4 { 16 } else { 8 };
-            assert_eq!(enc.tables.len(), positions * 256 * words, "r = {r}");
+            assert_eq!(tables.len(), positions * 256 * words, "r = {r}");
             for j in 0..positions {
                 for v in 0..256usize {
                     let rem = Gf2Poly::from_int(v as u64)
                         .shl(r + 8 * (positions - 1 - j))
                         .rem(&g)
                         .shl(64 * words - r);
-                    let mut expect = vec![0u64; words];
-                    for (i, &w) in rem.as_words().iter().enumerate() {
-                        expect[words - 1 - i] = w;
-                    }
-                    let got = &enc.tables[(j * 256 + v) * words..][..words];
-                    assert_eq!(got, &expect[..], "r = {r}, T_{j}[{v}]");
+                    let got = &tables[(j * 256 + v) * words..][..words];
+                    assert_eq!(got, &be_words(&rem, words)[..], "r = {r}, T_{j}[{v}]");
                 }
             }
         }
     }
 
     #[test]
+    fn fold_constants_match_long_division() {
+        // K_k == x^(64k) mod G against each state word, in the kernels'
+        // column layout, and mu == floor(x^(64W+64) / G) below its leading
+        // term, by `Gf2Poly` long division.
+        for (m, t, r, words) in CLASSES {
+            let g = class_generator(m, t, r, words);
+            let enc = LfsrEncoder::with_fold(&g);
+            let Pass::Fold(k) = &enc.pass else {
+                panic!("with_fold builds constants");
+            };
+            let l = FOLD_STATE;
+            let scaled = g.shl(64 * words - r);
+            let power = |e: usize| be_words(&Gf2Poly::monomial(64 * e).rem(&scaled), words);
+            assert_eq!(k.modulus, power(words), "r = {r}");
+            assert_eq!((k.step.len(), k.finish.len()), (l * words, l * words));
+            for i in 0..l {
+                let (step, finish) = (power(2 * l - 1 - i), power(words + l - 1 - i));
+                for w in 0..words {
+                    assert_eq!(k.step[w * l + i], step[w], "r = {r}, word {i}");
+                    assert_eq!(k.finish[w * l + i], finish[w], "r = {r}, word {i}");
+                }
+            }
+            let (quotient, _) = Gf2Poly::monomial(64 * words + 64).div_rem(&scaled);
+            assert_eq!(quotient.degree(), Some(64));
+            assert_eq!(k.mu, quotient.as_words()[0], "r = {r}");
+            // The footprint this pass exists for: under 6 KiB where the
+            // tables it replaces hold 272.
+            if t == 65 {
+                assert_eq!(enc.table_bytes(), (2 * 18 * 17 + 17 + 1) * 8);
+                assert!(enc.table_bytes() <= 6 << 10);
+            }
+        }
+    }
+
+    #[test]
+    fn the_production_wide_pass_is_the_fold_exactly_where_clmul_is_native() {
+        for (m, t, r, words) in CLASSES {
+            let enc = LfsrEncoder::new(&class_generator(m, t, r, words));
+            let folds = matches!(enc.pass, Pass::Fold(_));
+            assert_eq!(folds, words > STACK_WORDS && clmul_available(), "r = {r}");
+        }
+        // Wider than the fold's stack state: the tables, on any CPU.
+        let mut g = Gf2Poly::monomial(64 * FOLD_WORDS + 1);
+        g.set_coeff(0, true);
+        assert!(matches!(LfsrEncoder::new(&g).pass, Pass::Tables(_)));
+    }
+
+    #[test]
     fn every_register_class_matches_the_oracle_and_long_division() {
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
-            let enc = LfsrEncoder::new(&g);
             let oracle = BitSerialLfsr::new(&g);
-            assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
             // Every `len % 16` below 16 and above, so the `P`-word loop, the
             // one-word step it can leave and each byte-tail length all run
-            // in every stack body and in the slice loop; the last is the
-            // paper's page.
-            for len in (0..=33).chain([47, 70, 4096]) {
-                let msg = payload(len, r);
-                let parity = enc.remainder(&msg);
-                assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
-                assert_eq!(
-                    parity,
-                    long_division_remainder(&msg, &g),
-                    "r = {r}, len {len}"
-                );
-                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
-                assert_eq!(enc.received_remainder(&msg, &parity), None);
+            // in every stack body and in the slice loop; a byte either side
+            // of the fold's first three `8*L` boundaries, where a seed word
+            // becomes a step; the last is the paper's page.
+            let step = 8 * FOLD_STATE;
+            let edges = (1..=3).flat_map(|k| k * step - 1..=k * step + 1);
+            let lens: Vec<usize> = (0..=33)
+                .chain([47, 70])
+                .chain(edges)
+                .chain([4096])
+                .collect();
+            for enc in passes(&g) {
+                assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
+                for &len in &lens {
+                    let msg = payload(len, r);
+                    let parity = enc.remainder(&msg);
+                    assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
+                    assert_eq!(
+                        parity,
+                        long_division_remainder(&msg, &g),
+                        "r = {r}, len {len}"
+                    );
+                    assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
+                    assert_eq!(enc.received_remainder(&msg, &parity), None);
+                }
             }
         }
     }
@@ -442,27 +693,28 @@ mod tests {
     fn any_single_flip_invalidates_the_codeword() {
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
-            let enc = LfsrEncoder::new(&g);
             let oracle = BitSerialLfsr::new(&g);
             // Short enough that no flip lands on another codeword: n stays
             // inside the code length 2^m - 1.
             let len = ((1usize << m) - 1 - r) / 8;
             let len = len.min(if r == 1040 { 3 } else { 21 });
             let msg = payload(len, words);
-            let parity = enc.remainder(&msg);
-            for u in 0..8 * len + r {
-                let (mut bad_msg, mut bad_parity) = (msg.clone(), parity.clone());
-                if u < 8 * len {
-                    bad_msg[u / 8] ^= 1 << (7 - u % 8);
-                } else {
-                    let v = u - 8 * len;
-                    bad_parity[v / 8] ^= 1 << (7 - v % 8);
+            for enc in passes(&g) {
+                let parity = enc.remainder(&msg);
+                for u in 0..8 * len + r {
+                    let (mut bad_msg, mut bad_parity) = (msg.clone(), parity.clone());
+                    if u < 8 * len {
+                        bad_msg[u / 8] ^= 1 << (7 - u % 8);
+                    } else {
+                        let v = u - 8 * len;
+                        bad_parity[v / 8] ^= 1 << (7 - v % 8);
+                    }
+                    assert!(
+                        !enc.codeword_is_valid(&bad_msg, &bad_parity),
+                        "r = {r}, flip {u}"
+                    );
+                    assert!(!oracle.codeword_is_valid(&bad_msg, &bad_parity));
                 }
-                assert!(
-                    !enc.codeword_is_valid(&bad_msg, &bad_parity),
-                    "r = {r}, flip {u}"
-                );
-                assert!(!oracle.codeword_is_valid(&bad_msg, &bad_parity));
             }
         }
     }
@@ -472,21 +724,22 @@ mod tests {
         for (m, t, r, words) in CLASSES {
             let pad_bits = 8 * r.div_ceil(8) - r;
             let g = class_generator(m, t, r, words);
-            let enc = LfsrEncoder::new(&g);
             let msg = payload(1, r);
-            let clean = enc.remainder(&msg);
-            let last = clean.len() - 1;
-            assert_eq!(clean[last] & ((1 << pad_bits) - 1), 0, "zero padding");
-            for pattern in 0..1u8 << pad_bits {
-                let mut parity = clean.clone();
-                parity[last] |= pattern;
-                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}");
-                // A real error beside them: the remainder comes back with
-                // the pad bits masked off, whatever they were.
-                parity[0] ^= 0x80;
-                let mut expect = vec![0u8; clean.len()];
-                expect[0] = 0x80;
-                assert_eq!(enc.received_remainder(&msg, &parity), Some(expect));
+            for enc in passes(&g) {
+                let clean = enc.remainder(&msg);
+                let last = clean.len() - 1;
+                assert_eq!(clean[last] & ((1 << pad_bits) - 1), 0, "zero padding");
+                for pattern in 0..1u8 << pad_bits {
+                    let mut parity = clean.clone();
+                    parity[last] |= pattern;
+                    assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}");
+                    // A real error beside them: the remainder comes back with
+                    // the pad bits masked off, whatever they were.
+                    parity[0] ^= 0x80;
+                    let mut expect = vec![0u8; clean.len()];
+                    expect[0] = 0x80;
+                    assert_eq!(enc.received_remainder(&msg, &parity), Some(expect));
+                }
             }
         }
     }
@@ -494,14 +747,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The pass is polynomial division, BCH or not: any generator of
-        /// any degree — so every `r % 64` and every `r % 8`, not only the
-        /// multiples of `m` the BCH classes reach — and any message length
-        /// (every `len % 16` several times over).
+        /// Either pass is polynomial division, BCH or not: any generator
+        /// of any degree — so every `r % 64` and every `r % 8`, not only
+        /// the multiples of `m` the BCH classes reach — and any message
+        /// length (every `len % 16` several times over, the fold's first
+        /// two steps at every `L`).
         #[test]
         fn random_generators_match_the_oracle_and_long_division(
             r in 1usize..=330,
-            len in 0usize..=70,
+            len in 0usize..=150,
             seed in any::<u64>(),
         ) {
             use rand::{RngExt, SeedableRng};
@@ -512,11 +766,12 @@ mod tests {
             }
             g.set_coeff(r, true);
             let msg: Vec<u8> = (0..len).map(|_| rng.random()).collect();
-            let enc = LfsrEncoder::new(&g);
-            let parity = enc.remainder(&msg);
-            prop_assert_eq!(&parity, &long_division_remainder(&msg, &g));
-            prop_assert_eq!(&parity, &BitSerialLfsr::new(&g).remainder(&msg));
-            prop_assert!(enc.codeword_is_valid(&msg, &parity));
+            let expect = long_division_remainder(&msg, &g);
+            prop_assert_eq!(&expect, &BitSerialLfsr::new(&g).remainder(&msg));
+            for enc in passes(&g) {
+                prop_assert_eq!(&enc.remainder(&msg), &expect);
+                prop_assert!(enc.codeword_is_valid(&msg, &expect));
+            }
         }
     }
 

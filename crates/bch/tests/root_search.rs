@@ -47,22 +47,94 @@ fn distinct_below(rng: &mut StdRng, count: usize, bound: usize) -> BTreeSet<usiz
     set
 }
 
+/// GF(2^13) beside it: 512-byte sectors at t = 8 and t = 40.
+const SECTOR_CODEWORDS: [usize; 2] = [4_200, 4_616];
+
 #[test]
 fn split_locators_of_every_degree_at_the_page_codeword_lengths() {
-    let f = GfField::new(16).unwrap();
+    // Every degree from 2 up, so that splitting chains of every shape —
+    // all of which now end in quadratics or linear factors — are walked.
     let mut rng = StdRng::seed_from_u64(0x5EED_C41E);
-    for n_bits in PAGE_CODEWORDS {
-        for deg in 2..=65usize {
-            let positions = distinct_below(&mut rng, deg, n_bits);
-            let exps: Vec<u32> = positions.iter().map(|&p| (n_bits - 1 - p) as u32).collect();
-            let mut lambda = locator_for(&f, &exps);
-            // Berlekamp-Massey's scaling (lambda_0 = 1) is not assumed.
-            let scale = rng.random_range(1..f.size());
-            for c in &mut lambda {
-                *c = f.mul(*c, scale);
+    for (m, lengths, t) in [(16, PAGE_CODEWORDS, 65), (13, SECTOR_CODEWORDS, 40)] {
+        let f = GfField::new(m).unwrap();
+        for n_bits in lengths {
+            for deg in 2..=t {
+                let positions = distinct_below(&mut rng, deg, n_bits);
+                let exps: Vec<u32> = positions.iter().map(|&p| (n_bits - 1 - p) as u32).collect();
+                let mut lambda = locator_for(&f, &exps);
+                // Berlekamp-Massey's scaling (lambda_0 = 1) is not assumed.
+                let scale = rng.random_range(1..f.size());
+                for c in &mut lambda {
+                    *c = f.mul(*c, scale);
+                }
+                let expect: Vec<usize> = positions.into_iter().collect();
+                assert_eq!(
+                    both(&f, &lambda, n_bits),
+                    Some(expect),
+                    "m {m}, degree {deg}"
+                );
             }
-            let expect: Vec<usize> = positions.into_iter().collect();
-            assert_eq!(both(&f, &lambda, n_bits), Some(expect), "degree {deg}");
+        }
+    }
+}
+
+#[test]
+fn quadratic_locators_are_solved_in_closed_form_or_refused() {
+    let mut rng = StdRng::seed_from_u64(0x0DE6_0002);
+    for (m, lengths) in [(16, PAGE_CODEWORDS), (13, SECTOR_CODEWORDS)] {
+        let f = GfField::new(m).unwrap();
+        let order = f.order();
+        for n_bits in lengths {
+            let n = n_bits as u32;
+            // Two roots in the window: the ends, neighbours, random pairs.
+            let random: Vec<[u32; 2]> = (0..64)
+                .map(|_| {
+                    let mut pair = distinct_below(&mut rng, 2, n_bits).into_iter();
+                    [pair.next().unwrap() as u32, pair.next().unwrap() as u32]
+                })
+                .collect();
+            for exps in [[0, n - 1], [0, 1], [n - 2, n - 1]]
+                .into_iter()
+                .chain(random)
+            {
+                let mut expect = exps.map(|e| n_bits - 1 - e as usize);
+                expect.sort_unstable();
+                let scale = rng.random_range(1..f.size());
+                let lambda: Vec<u32> = locator_for(&f, &exps)
+                    .iter()
+                    .map(|&c| f.mul(c, scale))
+                    .collect();
+                assert_eq!(both(&f, &lambda, n_bits), Some(expect.to_vec()));
+            }
+            // A double root: (1 + X x)^2 has no x term.
+            for e in [0, 30, n - 1] {
+                let lambda = locator_for(&f, &[e, e]);
+                assert_eq!(lambda[1], 0);
+                assert_eq!(both(&f, &lambda, n_bits), None, "double root {e}");
+            }
+            // Roots outside the field: x^2 + x + u with Tr(u) = 1, scaled
+            // and stretched (x -> x / c) so that lambda_1 is not 1.
+            let mut refused = 0;
+            for _ in 0..64 {
+                let u = rng.random_range(1..f.size());
+                if f.solve_quadratic(u).is_some() {
+                    continue;
+                }
+                let c = rng.random_range(1..f.size());
+                let lambda = [f.mul(u, f.mul(c, c)), c, 1];
+                assert_eq!(both(&f, &lambda, n_bits), None, "irreducible, u = {u}");
+                refused += 1;
+            }
+            assert!(refused > 16, "half of the field has trace 1");
+            // One root in the window, one past either end of it.
+            for outside in [n, n + 1, order - 1, (n + order) / 2] {
+                for inside in [0, 5, n - 1] {
+                    let lambda = locator_for(&f, &[inside, outside]);
+                    assert_eq!(both(&f, &lambda, n_bits), None, "{inside}, {outside}");
+                }
+            }
+            // A root at zero.
+            assert_eq!(both(&f, &[0, 1, f.alpha_pow(9)], n_bits), None);
         }
     }
 }

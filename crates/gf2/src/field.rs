@@ -101,6 +101,9 @@ pub struct GfField {
     log: Vec<u16>,
     /// `exp[i]` = alpha^i for `i in 0..2*(size-1)` (doubled to skip a mod).
     exp: Vec<u16>,
+    /// `quad[b]`: a `y` with `y^2 + y = alpha^b + Tr(alpha^b) c` for one
+    /// fixed `c` of trace 1; see [`GfField::solve_quadratic`].
+    quad: [u16; 16],
 }
 
 impl GfField {
@@ -155,13 +158,57 @@ impl GfField {
         if x != 1 {
             return Err(GfError::NotPrimitive { poly: poly as u64 });
         }
-        Ok(GfField {
+        let mut field = GfField {
             m,
             size,
             prim_poly: poly,
             log,
             exp,
-        })
+            quad: [0; 16],
+        };
+        field.quad = field.quadratic_base();
+        Ok(field)
+    }
+
+    /// Inverts `y -> y^2 + y` on the polynomial basis. The map is GF(2)-
+    /// linear with kernel `{0, 1}`, so its image — the trace-0 elements —
+    /// has dimension `m - 1`: eliminate over the images of the basis,
+    /// carrying the preimages along, and one direction stays out of reach.
+    fn quadratic_base(&self) -> [u16; 16] {
+        // pivot[h] = (v, y): v has top bit h and y^2 + y = v + Tr(v) c.
+        let mut pivot = [(0u32, 0u32); 16];
+        // Clears `v` from the top for as long as there is a pivot to do
+        // it with, `y` following.
+        let reduce = |pivot: &[(u32, u32); 16], mut v: u32, mut y: u32| {
+            while v != 0 {
+                let (row, row_y) = pivot[v.ilog2() as usize];
+                if row == 0 {
+                    break;
+                }
+                v ^= row;
+                y ^= row_y;
+            }
+            (v, y)
+        };
+        for b in 0..self.m {
+            let y = 1u32 << b;
+            let (v, y) = reduce(&pivot, self.mul(y, y) ^ y, y);
+            if v != 0 {
+                pivot[v.ilog2() as usize] = (v, y);
+            }
+        }
+        let mut quad = [0u16; 16];
+        for (b, entry) in quad.iter_mut().enumerate().take(self.m as usize) {
+            let (left, y) = reduce(&pivot, 1 << b, 0);
+            if left != 0 {
+                // What is left of the first alpha^b out of reach has trace
+                // 1 like alpha^b itself: it becomes `c`, the one pivot that
+                // was missing, and nothing is out of reach after it.
+                pivot[left.ilog2() as usize] = (left, 0);
+            }
+            *entry = y as u16;
+        }
+        quad
     }
 
     /// The extension degree `m`.
@@ -227,6 +274,36 @@ impl GfField {
     pub fn alpha_pow_reduced(&self, e: u32) -> u32 {
         debug_assert!(e < self.order());
         self.exp[e as usize] as u32
+    }
+
+    /// A root `y` of `y^2 + y = u` — the other one is `y + 1` — or `None`
+    /// when there is none in the field, which is when `Tr(u) = 1`.
+    ///
+    /// Every quadratic with two distinct roots reduces to this form
+    /// (`x^2 + bx + c`, `b != 0`: substitute `x = by`, `u = c / b^2`), and
+    /// `y` is linear in `u` over GF(2): the XOR of one precomputed solution
+    /// per set bit of `u`, which solves `y^2 + y = u + Tr(u) c` for a fixed
+    /// `c != 0` — so substituting it back is the trace test (after Linux
+    /// `lib/bch.c`, `find_poly_deg2_roots`).
+    ///
+    /// ```
+    /// use mlcx_gf2::GfField;
+    ///
+    /// let f = GfField::new(8)?;
+    /// let u = f.alpha_pow(25) ^ f.alpha_pow(50); // y^2 + y at y = alpha^25
+    /// let y = f.solve_quadratic(u).expect("u has trace 0");
+    /// assert!(y == f.alpha_pow(25) || y == f.alpha_pow(25) ^ 1);
+    /// # Ok::<(), mlcx_gf2::GfError>(())
+    /// ```
+    #[inline]
+    pub fn solve_quadratic(&self, u: u32) -> Option<u32> {
+        debug_assert!(u < self.size);
+        let (mut y, mut bits) = (0u32, u);
+        while bits != 0 {
+            y ^= u32::from(self.quad[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+        (self.mul(y, y) ^ y == u).then_some(y)
     }
 
     /// Raises `a` to the (signed) power `e`.
@@ -403,6 +480,47 @@ mod tests {
         let f = GfField::new(8).unwrap();
         for a in 1..f.size() {
             assert_eq!(f.pow(a, f.order() as i64), 1);
+        }
+    }
+
+    /// `Tr(u) = u + u^2 + u^4 + ... + u^(2^(m-1))`, by the definition.
+    fn trace(f: &GfField, u: u32) -> u32 {
+        let mut term = u;
+        (0..f.degree()).fold(0, |sum, _| {
+            let t = term;
+            term = f.mul(term, term);
+            sum ^ t
+        })
+    }
+
+    #[test]
+    fn quadratics_solve_exactly_where_the_trace_vanishes() {
+        let check = |f: &GfField, u: u32| {
+            let tr = trace(f, u);
+            assert!(tr <= 1, "the trace lies in GF(2)");
+            match f.solve_quadratic(u) {
+                Some(y) => {
+                    assert_eq!(f.mul(y, y) ^ y, u, "m = {}, u = {u}", f.degree());
+                    assert_eq!(tr, 0, "m = {}, u = {u}", f.degree());
+                }
+                None => assert_eq!(tr, 1, "m = {}, u = {u}", f.degree()),
+            }
+        };
+        // Every element of the small fields...
+        for m in 2..=12 {
+            let f = GfField::new(m).unwrap();
+            (0..f.size()).for_each(|u| check(&f, u));
+        }
+        // ...4096 seeded ones of each large one.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for m in 13..=16 {
+            let f = GfField::new(m).unwrap();
+            for _ in 0..4096 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                check(&f, state as u32 & f.order());
+            }
         }
     }
 

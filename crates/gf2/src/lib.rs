@@ -9,7 +9,8 @@
 //! * [`GfField`] — the finite field GF(2^m) for `2 <= m <= 16`, implemented
 //!   with log/antilog tables exactly as a hardware Galois-field unit would
 //!   store them in ROM. Syndrome evaluation, Berlekamp-Massey and the Chien
-//!   search all run over this field.
+//!   search all run over this field; quadratics over it have a closed form
+//!   ([`GfField::solve_quadratic`]).
 //! * [`minpoly`] — cyclotomic cosets, minimal polynomials and BCH generator
 //!   polynomial construction (the contents of the small "polynomial ROM" the
 //!   paper's adaptable encoder multiplexes over).
@@ -18,6 +19,9 @@
 //!   (`pclmulqdq`) kernel behind a runtime detect + `cfg`/feature gate, or
 //!   the portable 4-bit windowed kernel everywhere else. [`Gf2Poly::mul`]
 //!   runs [`MulKernel::best`]; the oracle exists for differential tests.
+//!   The same module carries the multiply-by-constants fold and row
+//!   product ([`kernels::fold_clmul`], [`kernels::row_product_clmul`]) the
+//!   BCH encoder's wide remainder pass is made of.
 //!
 //! # Example
 //!
@@ -34,7 +38,7 @@
 //! # Ok::<(), mlcx_gf2::GfError>(())
 //! ```
 
-// `deny` rather than `forbid`: the CLMUL kernel of `kernels` carries the
+// `deny` rather than `forbid`: the CLMUL kernels of `kernels` carry the
 // crate's only `#[allow(unsafe_code)]`, scoped to the intrinsics module
 // and guarded by a runtime CPU-feature check.
 #![deny(unsafe_code)]

@@ -4,8 +4,10 @@
 //! an erase once a block's buffers exist, the two buffers a read hands
 //! to its caller, and under two allocations per command through the
 //! whole engine on the benchmark's `fresh_mixed` shape
-//! (`core.engine.allocs_per_cmd` there, 1.88 with its shuffled merge). Counts are exact for a given
-//! command sequence, so a change here is a deliberate edit, not noise.
+//! (`core.engine.allocs_per_cmd` there, 1.88 with its shuffled merge);
+//! and at end of life, on the `t` = 65 code, nothing for a clean decode
+//! and six for a dirty one. Counts are exact for a given command
+//! sequence, so a change here is a deliberate edit, not noise.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! on another thread would count into them.
@@ -13,7 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use mlcx::{Command, EngineBuilder, NandDevice, Objective};
+use mlcx::gf2::{clmul_available, GfField};
+use mlcx::{BchCode, Command, DecodeOutcome, EngineBuilder, NandDevice, Objective};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -115,4 +118,27 @@ fn the_page_path_stays_inside_its_allocation_budget() {
         "{allocs} allocations for {commands} commands; {per_command} belong to the pages"
     );
     assert!(allocs <= 2 * commands, "budget: 2.0 per command");
+
+    // --- end of life: the 17-word register of the t = 65 code ---
+    // Where the CPU multiplies carry-less the pass folds on the stack;
+    // elsewhere the table pass keeps its one heap register.
+    let table_register = u64::from(!clmul_available());
+    let field = std::sync::Arc::new(GfField::new(16).unwrap());
+    let code = BchCode::new(field, data.len() * 8, 65).unwrap();
+    let mut page = data.clone();
+    let mut parity = code.encode(&page).unwrap();
+    let clean = allocations(|| code.decode(&mut page, &mut parity).unwrap());
+    assert_eq!(clean, table_register, "a clean page decodes in place");
+    for bit in (0..40).map(|i| 811 * i + 3) {
+        page[bit / 8] ^= 1 << (bit % 8);
+    }
+    let mut outcome = None;
+    let dirty = allocations(|| outcome = Some(code.decode(&mut page, &mut parity).unwrap()));
+    assert!(matches!(
+        outcome,
+        Some(DecodeOutcome::Corrected { bit_errors: 40, .. })
+    ));
+    // The remainder's bytes, the syndromes, Berlekamp-Massey's two
+    // buffers, the root search's arena and the positions it returns.
+    assert_eq!(dirty, table_register + 6, "a dirty page");
 }
