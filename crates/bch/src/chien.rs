@@ -17,9 +17,16 @@
 //!   [`crate::CodecKernel::Reference`] runs and what the other two are
 //!   tested against.
 //! * [`find_error_positions_stride`] — the production search: it *solves*
-//!   the locator (Berlekamp trace splitting down to quadratics, those in
-//!   closed form, as Linux `lib/bch.c` does) in `13..19 * deg^2` antilog
-//!   lookups, independent of `n`.
+//!   the locator, independent of `n` — Berlekamp trace splitting down to
+//!   factors of degree 4 and less, those in closed form (as Linux
+//!   `lib/bch.c` does). The Frobenius chain and the trace sums multiply
+//!   carry-less, two coefficients to a machine word
+//!   ([`mlcx_gf2::kernels`]): `(m/4 + 1) deg^2 + 2.5 m deg` multiplies for
+//!   the chain and `(m/2 + 1) deg` per round, where the log tables took
+//!   an antilog lookup per coefficient product — twice as many, each out
+//!   of L2 (`log` + `exp` are 384 KiB at `m = 16`). The divisions of the
+//!   split (`T mod g`, Euclid, the quotient) stay on the log tables,
+//!   `3..5 * deg^2` antilog lookups.
 //! * [`solve_single_error`] — the degree-1 case in closed form.
 //!
 //! The sweep answers `Some` exactly when `deg` of the exponents
@@ -30,6 +37,7 @@
 //! steps, so its `None` is the sweep's `None`. The modeled latency
 //! ([`crate::hardware`]) is the hardware sweep's either way.
 
+use mlcx_gf2::kernels::{combine, frobenius_chain, frobenius_scratch_len};
 use mlcx_gf2::GfField;
 
 /// Finds error positions (codeword stream indices, 0 = first message bit).
@@ -104,31 +112,37 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
 /// this function by name):
 ///
 /// 1. make lambda monic, `f = lambda / lambda_deg`. A zero constant term
-///    is a root at `x = 0`, which is no `alpha^j`: `None`;
-/// 2. `z_i = x^(2^i) mod f` for `i = 0..=m` by repeated squaring. A
-///    square is `sum_j c_j^2 x^(2j)`, so only the `deg/2` reductions
-///    `x^(2j) mod f` with `2j >= deg` are tabulated;
+///    is a root at `x = 0`, which is no `alpha^j`: `None`. Up to degree 4
+///    the roots have a closed form, which answers there and then: `x = c1 y`
+///    turns a quadratic into `y^2 + y = c0 / c1^2`
+///    ([`GfField::solve_quadratic`]); a cubic times `x + a2` (`a2` its
+///    `x^2` coefficient), and a quartic after the substitutions that
+///    remove its linear term and reverse it, are affine,
+///    `x^4 + a x^2 + b x + c` ([`GfField::solve_affine_quartic`]). A closed
+///    form declines exactly where there are not `deg` distinct nonzero
+///    roots in the field, so its `None` is final;
+/// 2. `z_i = x^(2^i) mod f` for `i = 0..=m` by repeated squaring
+///    ([`frobenius_chain`]: coefficients two to a machine word, carry-less
+///    multiplies where the log tables would be walked);
 /// 3. `f` divides `x^(2^m) - x`, the product of `x - a` over every field
 ///    element `a`, iff it has `deg` distinct roots in the field: unless
 ///    `z_m == x`, `None`;
 /// 4. round `k = 0, 1, ..`: `Tr(alpha^k x) mod f = sum_i alpha^(k 2^i) z_i`
-///    is 0 at half of the field and 1 at the other half, so
-///    `gcd(g, Tr(alpha^k x) mod g)` splits every factor `g` found so far
-///    whose roots disagree in that trace bit. Two distinct roots differ
-///    in some bit `k < m`, so at most `m` rounds leave only linear
-///    factors — but a factor is not split further than degree 2: there
-///    `x = c1 y` makes it `y^2 + y = c0 / c1^2`, whose solution is linear
-///    in the right-hand side ([`GfField::solve_quadratic`]), where
-///    waiting for the bit that separates its two roots took a locator of
-///    degree 34 four of its ten rounds. A locator of degree 2 goes
-///    straight there: `c1 != 0` and a solvable right-hand side *are*
-///    "two distinct roots in the field";
+///    (one [`combine`]) is 0 at half of the field and 1 at the other half,
+///    so `gcd(g, Tr(alpha^k x) mod g)` splits every factor `g` found so
+///    far whose roots disagree in that trace bit. Two distinct roots
+///    differ in some bit `k < m`, so at most `m` rounds leave only linear
+///    factors — but a factor is not split further than degree 4: from
+///    there it is solved in closed form, where waiting for the bits that
+///    separate four roots from one another took a locator of degree 34
+///    most of its ten rounds;
 /// 5. the root `alpha^j` is step `s = (j - start) mod N`; a step
 ///    `s >= n_bits` lies outside the shortened window: `None`. Sort.
 ///
-/// The working set is one scratch allocation sized from `deg` and `m`.
-/// Divisors are kept in log form, so updating a polynomial costs one
-/// antilog lookup per coefficient.
+/// The working set is one scratch allocation sized from `deg` and `m`
+/// (none up to degree 4). What remains on the log tables is the division
+/// inside a split, whose divisors are kept in log form so that updating a
+/// polynomial costs one antilog lookup per coefficient.
 pub fn find_error_positions_stride(
     field: &GfField,
     lambda: &[u32],
@@ -138,91 +152,65 @@ pub fn find_error_positions_stride(
     match deg {
         0 => return None,
         1 => return solve_single_error(field, lambda, n_bits),
-        2 => {
-            let lead = field.inv(lambda[2]).expect("leading coefficient");
-            let (c0, c1) = (field.mul(lambda[0], lead), field.mul(lambda[1], lead));
-            return window_positions(field, &quadratic_roots(field, c0, c1)?, n_bits);
-        }
         _ => {}
     }
     let n = field.order();
     debug_assert!(n_bits <= n as usize);
     let m = field.degree() as usize;
-    // x^(2j) mod f needs a table row only where 2j >= deg.
-    let first_row = deg.div_ceil(2);
-    let rows_len = (deg - first_row) * deg;
-
-    let mut arena = vec![0u32; rows_len + m * deg + 7 * (deg + 1)];
-    let (rows, rest) = arena.split_at_mut(rows_len);
-    let (z_logs, rest) = rest.split_at_mut(m * deg);
-    let mut bufs = rest.chunks_exact_mut(deg + 1);
-    let [f_logs, acc, factors, seg, a, b, div_logs]: [&mut [u32]; 7] =
-        std::array::from_fn(|_| bufs.next().expect("the arena holds seven buffers"));
-    let (f_logs, acc, factors) = (&mut f_logs[..deg], &mut acc[..deg], &mut factors[..deg]);
-
     // 1. Monic f, low coefficients only (the leading 1 is implicit).
-    let lead = field.log(lambda[deg]).expect("leading coefficient");
-    for (l, &c) in f_logs.iter_mut().zip(lambda) {
-        *l = field.log(c).map_or(n, |lc| sub_mod(lc, lead, n));
+    let lead = field.inv(lambda[deg]).expect("leading coefficient");
+    let monic = |f: &mut [u32]| {
+        for (c, &l) in f.iter_mut().zip(&lambda[..deg]) {
+            *c = field.mul(l, lead);
+        }
+    };
+    if deg <= 4 {
+        let mut f = [0u32; 4];
+        monic(&mut f);
+        let roots = closed_form_roots(field, &f[..deg])?;
+        return window_positions(field, &roots[..deg], n_bits);
     }
-    if f_logs[0] == n {
+    // The kernels take polynomials as whole two-slot words.
+    let stride = deg.next_multiple_of(2);
+    let scratch_len = frobenius_scratch_len(deg);
+
+    let mut arena = vec![0u32; (m + 3) * stride + scratch_len + 5 * (deg + 1)];
+    let (f, rest) = arena.split_at_mut(stride);
+    let (z, rest) = rest.split_at_mut((m + 1) * stride);
+    let (scratch, rest) = rest.split_at_mut(scratch_len);
+    let (acc, rest) = rest.split_at_mut(stride);
+    let mut bufs = rest.chunks_exact_mut(deg + 1);
+    let [factors, seg, a, b, div_logs]: [&mut [u32]; 5] =
+        std::array::from_fn(|_| bufs.next().expect("the arena holds five buffers"));
+    let factors = &mut factors[..deg];
+
+    monic(f);
+    if f[0] == 0 {
         return None;
     }
-    antilogs_into(field, factors, f_logs);
-
-    // 2. Rows x^(2j) mod f, each two multiplications by x after the last,
-    //    starting from x^deg mod f = f's own low coefficients.
-    acc.copy_from_slice(factors);
-    if deg % 2 == 1 {
-        mul_x_mod(field, acc, f_logs);
-    }
-    for (r, row) in rows.chunks_exact_mut(deg).enumerate() {
-        if r > 0 {
-            mul_x_mod(field, acc, f_logs);
-            mul_x_mod(field, acc, f_logs);
-        }
-        logs_into(field, row, acc);
-    }
-    // z_0 = x, then m squarings; z_m stays in `acc`.
-    z_logs[..deg].fill(n);
-    z_logs[1] = 0;
-    for i in 0..m {
-        let (z, next) = z_logs[i * deg..].split_at_mut(deg);
-        acc.fill(0);
-        for (j, &l) in z.iter().enumerate() {
-            if l == n {
-                continue;
-            }
-            let sq = double_mod(l, n);
-            if j < first_row {
-                acc[2 * j] ^= field.alpha_pow_reduced(sq);
-            } else {
-                add_scaled(field, acc, sq, &rows[(j - first_row) * deg..][..deg]);
-            }
-        }
-        if let Some(next) = next.get_mut(..deg) {
-            logs_into(field, next, acc);
-        }
-    }
-    // 3. f | x^(2^m) - x ?
-    if acc.iter().enumerate().any(|(c, &v)| v != (c == 1) as u32) {
+    // 2, 3. The chain, and f | x^(2^m) - x ?
+    if !frobenius_chain(field.barrett(), f, deg, scratch, z) {
         return None;
     }
 
     // 4. `factors` is a concatenation of monic factors (low coefficients);
     //    `seg[off]` is the degree of the one that starts at `off`.
+    factors.copy_from_slice(&f[..deg]);
     seg[0] = deg as u32;
+    let z = &z[..m * stride];
     let mut linear = 0;
     for k in 0..m {
         if linear == deg {
             break;
         }
-        acc.fill(0);
+        let mut scalars = [0u32; 16];
         let mut shift = k as u32 % n;
-        for z in z_logs.chunks_exact(deg) {
-            add_scaled(field, acc, shift, z);
+        for s in &mut scalars[..m] {
+            *s = field.alpha_pow_reduced(shift);
             shift = double_mod(shift, n);
         }
+        acc.fill(0);
+        combine(field.barrett(), &scalars[..m], z, acc);
         let Some(trace_deg) = degree(acc) else {
             continue;
         };
@@ -260,33 +248,84 @@ fn window_positions(field: &GfField, roots: &[u32], n_bits: usize) -> Option<Vec
     Some(positions)
 }
 
-/// The roots of `x^2 + c1 x + c0`, when they are two distinct nonzero
-/// field elements: `x = c1 y` turns it into `y^2 + y = c0 / c1^2`, which
-/// [`GfField::solve_quadratic`] answers. `c1 = 0` is a double root, a
-/// `None` from the solver a pair of roots outside the field, `c0 = 0` a
-/// root at 0.
-fn quadratic_roots(field: &GfField, c0: u32, c1: u32) -> Option<[u32; 2]> {
-    let (l0, l1) = (field.log(c0)?, field.log(c1)?);
+/// The roots of the monic `f` of degree 2, 3 or 4 (low coefficients), in
+/// the first `f.len()` entries, when they are that many distinct nonzero
+/// field elements; `None` otherwise — each `None` below is a root at 0, a
+/// repeated root or a root outside the field, never a set of roots this
+/// form merely cannot reach, so it is the sweep's `None` (after Linux
+/// `lib/bch.c`, `find_poly_deg{2,3,4}_roots`):
+///
+/// * `x^2 + c1 x + c0`: `x = c1 y` turns it into `y^2 + y = c0 / c1^2`,
+///   which [`GfField::solve_quadratic`] answers. `c1 = 0` is a double
+///   root, a `None` from the solver a pair of roots outside the field;
+/// * `x^3 + a2 x^2 + b2 x + c2`: times `x + a2` it is the affine quartic
+///   `x^4 + (a2^2 + b2) x^2 + (a2 b2 + c2) x + a2 c2`
+///   ([`GfField::solve_affine_quartic`]), whose roots are the cubic's and
+///   `a2`. Were `a2` a root of the cubic too (`a2 b2 = c2`) the product
+///   would have no linear term and the solver would decline — rightly,
+///   since that cubic is `(x + a2)(x^2 + b2)` and `x^2 + b2` a square;
+/// * `x^4 + a x^3 + b x^2 + c x + d`, `a = 0`: affine as it stands.
+///   Otherwise `x = z + e`, `e^2 = c / a`, removes the linear term,
+///   `z^4 + a z^3 + (a e + b) z^2 + d'` with `d' = e^4 + b e^2 + d` — a
+///   double root at `e` when `d' = 0` — and `y = 1 / z` turns that into
+///   the affine `y^4 + ((a e + b) / d') y^2 + (a / d') y + 1 / d'`.
+fn closed_form_roots(field: &GfField, f: &[u32]) -> Option<[u32; 4]> {
     let n = field.order();
-    let u = field.alpha_pow_reduced(sub_mod(l0, double_mod(l1, n), n));
-    let root = field.mul(c1, field.solve_quadratic(u)?);
-    Some([root, root ^ c1])
+    let constant = field.log(f[0])?;
+    match *f {
+        [_, c1] => {
+            let l1 = field.log(c1)?;
+            let u = field.alpha_pow_reduced(sub_mod(constant, double_mod(l1, n), n));
+            let root = field.mul(c1, field.solve_quadratic(u)?);
+            Some([root, root ^ c1, 0, 0])
+        }
+        [c2, b2, a2] => {
+            let a = field.mul(a2, a2) ^ b2;
+            let b = field.mul(a2, b2) ^ c2;
+            let mut roots = field.solve_affine_quartic(a, b, field.mul(a2, c2))?;
+            let extra = roots.iter().position(|&r| r == a2)?;
+            roots.swap(extra, 3);
+            Some(roots)
+        }
+        [d, c, b, 0] => field.solve_affine_quartic(b, c, d),
+        [d, c, b, a] => {
+            let la = field.log(a).expect("a is not zero");
+            // e = sqrt(c / a): half the log, made even first.
+            let e = field.log(c).map_or(0, |lc| {
+                let l = sub_mod(lc, la, n);
+                field.alpha_pow_reduced((l + (l & 1) * n) / 2)
+            });
+            let e2 = field.mul(e, e);
+            let shifted_b = field.mul(a, e) ^ b;
+            let shifted_d = field.log(field.mul(e2, e2) ^ field.mul(b, e2) ^ d)?;
+            let over_d = |v: u32| {
+                field
+                    .log(v)
+                    .map_or(0, |l| field.alpha_pow_reduced(sub_mod(l, shifted_d, n)))
+            };
+            let roots = field.solve_affine_quartic(over_d(shifted_b), over_d(a), over_d(1))?;
+            Some(roots.map(|y| field.inv(y).expect("the constant term 1 / d' is not zero") ^ e))
+        }
+        _ => unreachable!("closed forms stop at degree 4"),
+    }
 }
 
 /// Records the monic factor of degree `e` that starts at `factors[off]`,
-/// a quadratic as the two linear factors it is in closed form. Returns
-/// how many linear factors that made.
+/// one of degree 2 to 4 as the linear factors it is in closed form.
+/// Returns how many linear factors that made. (A factor of a polynomial
+/// with distinct nonzero roots in the field has them too, so the closed
+/// form does not decline here; if it did, the factor would stay for the
+/// trace rounds like a larger one.)
 fn settle(field: &GfField, factors: &mut [u32], seg: &mut [u32], off: usize, e: usize) -> usize {
     seg[off] = e as u32;
+    let factor = &mut factors[off..off + e];
     match e {
         1 => 1,
-        2 => {
-            let roots = quadratic_roots(field, factors[off], factors[off + 1])
-                .expect("a factor of a polynomial with distinct nonzero roots in the field");
-            factors[off..off + 2].copy_from_slice(&roots);
-            seg[off..off + 2].fill(1);
-            2
-        }
+        2..=4 => closed_form_roots(field, factor).map_or(0, |roots| {
+            factor.copy_from_slice(&roots[..e]);
+            seg[off..off + e].fill(1);
+            e
+        }),
         _ => 0,
     }
 }
@@ -364,16 +403,6 @@ fn rem_in_place(field: &GfField, a: &mut [u32], div_logs: &[u32]) {
         if let Some(l) = field.log(a[j]) {
             add_scaled(field, &mut a[j - db..j], l, div_logs);
         }
-    }
-}
-
-/// `p <- x * p mod f`, `f` monic with low coefficients `f_logs`.
-fn mul_x_mod(field: &GfField, p: &mut [u32], f_logs: &[u32]) {
-    let top = p[p.len() - 1];
-    p.copy_within(..p.len() - 1, 1);
-    p[0] = 0;
-    if let Some(l) = field.log(top) {
-        add_scaled(field, p, l, f_logs);
     }
 }
 

@@ -7,8 +7,9 @@
 //! latency is `k/p` cycles **independent of the selected `t`** — the
 //! software model mirrors that with one table-driven step formula that
 //! folds `P` 64-bit words of message at every register width `r = deg g`,
-//! and widens `p` the way the hardware would: by stepping deeper. (The
-//! widest registers leave the tables for multiplication; last section.)
+//! and widens `p` the way the hardware would: by stepping deeper.
+//! (Registers wider than one word leave the tables for multiplication
+//! where the CPU can; last section.)
 //!
 //! What lets one step serve every `r` is the register's alignment. The
 //! running remainder `s(x)` lives in `W = ceil(r/64)` words, most
@@ -50,20 +51,21 @@
 //! the critical path altogether.
 //!
 //! `P` follows the stack/slice seam. Registers of up to four words
-//! (`t <= 16` over GF(2^16): every code a fresh or mid-life page is written
-//! with) run the step on the stack from a `[u64; W]` monomorph of the one
-//! body, where that chain is what the time is: `P = 2`. Wider ones would
-//! run the same body over a slice, where the time is the table traffic (8
-//! rows of `W` words per word of message, out of tables — 272 KiB at
-//! `t = 65` — that miss L1 and crowd L2) and a doubled table only adds
-//! misses: `P = 1`. That slice loop is the wide pass where the CPU has no
-//! carry-less multiply, and only there.
+//! (`t <= 16` over GF(2^16)) run the step on the stack from a `[u64; W]`
+//! monomorph of the one body, where that chain is what the time is:
+//! `P = 2`. Wider ones would run the same body over a slice, where the
+//! time is the table traffic (8 rows of `W` words per word of message, out
+//! of tables — 272 KiB at `t = 65` — that miss L1 and crowd L2) and a
+//! doubled table only adds misses: `P = 1`. The one-word register
+//! (`t <= 4`: every code a fresh page is written with) steps on every
+//! machine; the stack bodies of two to four words and the slice loop are
+//! the pass where the CPU has no carry-less multiply, and only there.
 //!
-//! # The wide pass as a carry-less fold
+//! # From two words up, a carry-less fold
 //!
 //! Where it has one ([`mlcx_gf2::clmul_available`] — selected by what the
 //! CPU does, here and nowhere else, like `MulKernel::best`), a register of
-//! 5 to 17 words is not stepped at all. With `K_k = x^(64k) mod G`
+//! 2 to 17 words is not stepped at all. With `K_k = x^(64k) mod G`
 //! (`W` words each), an `L`-word **state** `S`, right-aligned, stays
 //! congruent to everything read so far while `L` message words at a time
 //! come in underneath it:
@@ -74,7 +76,9 @@
 //!
 //! — `W` multiplies per message word
 //! ([`mlcx_gf2::kernels::fold_clmul`]), about 5 KiB of constants at
-//! `t = 65` where the tables held 272. Zeros ahead of a message are free in
+//! `t = 65` where the tables held 272, 1.2 KiB at `t = 14` (`W = 4`: a
+//! 4 KiB page in 1.0 us where the stack body's sixteen row loads a step
+//! took 3.9) where they held 128. Zeros ahead of a message are free in
 //! a right-aligned state, so the message's odd leading bytes and words
 //! seed it and the rest is whole steps: no tail. The finish moves the
 //! state up by the register's width instead, `Z = sum_i s_i * K_(W+L-1-i)`,
@@ -99,8 +103,9 @@
 use mlcx_gf2::kernels::{fold_clmul, row_product_clmul, FOLD_MAX_WORDS};
 use mlcx_gf2::{clmul_available, Gf2Poly};
 
-/// Registers of up to this many words (`t <= 16` over GF(2^16)) live on
-/// the stack, in a `[u64; W]` monomorph of the pass.
+/// Registers of up to this many words (`t <= 16` over GF(2^16)) step on
+/// the stack, in a `[u64; W]` monomorph of the pass — the one-word one
+/// everywhere, the others where the CPU has no carry-less multiply.
 const STACK_WORDS: usize = 4;
 /// Words per step `P` where the register lives on the stack...
 const STACK_STEP: usize = 2;
@@ -160,15 +165,15 @@ struct FoldConstants {
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits): the fold where the register is wider than the stack bodies
-    /// take and the CPU multiplies carry-less, the tables otherwise.
+    /// bits): the fold where the register is wider than one word and the
+    /// CPU multiplies carry-less, the tables otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
         let words = generator.degree().unwrap_or(0).div_ceil(64);
-        if (STACK_WORDS + 1..=FOLD_WORDS).contains(&words) && clmul_available() {
+        if (2..=FOLD_WORDS).contains(&words) && clmul_available() {
             Self::with_fold(generator)
         } else {
             Self::with_tables(generator)
@@ -646,7 +651,7 @@ mod tests {
         for (m, t, r, words) in CLASSES {
             let enc = LfsrEncoder::new(&class_generator(m, t, r, words));
             let folds = matches!(enc.pass, Pass::Fold(_));
-            assert_eq!(folds, words > STACK_WORDS && clmul_available(), "r = {r}");
+            assert_eq!(folds, words >= 2 && clmul_available(), "r = {r}");
         }
         // Wider than the fold's stack state: the tables, on any CPU.
         let mut g = Gf2Poly::monomial(64 * FOLD_WORDS + 1);

@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 
 use mlcx_bch::chien::{find_error_positions, find_error_positions_stride};
+use mlcx_gf2::kernels::{frobenius_chain, frobenius_scratch_len};
 use mlcx_gf2::GfField;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,7 +54,7 @@ const SECTOR_CODEWORDS: [usize; 2] = [4_200, 4_616];
 #[test]
 fn split_locators_of_every_degree_at_the_page_codeword_lengths() {
     // Every degree from 2 up, so that splitting chains of every shape —
-    // all of which now end in quadratics or linear factors — are walked.
+    // all of which end in factors of degree 4 and less — are walked.
     let mut rng = StdRng::seed_from_u64(0x5EED_C41E);
     for (m, lengths, t) in [(16, PAGE_CODEWORDS, 65), (13, SECTOR_CODEWORDS, 40)] {
         let f = GfField::new(m).unwrap();
@@ -135,6 +136,232 @@ fn quadratic_locators_are_solved_in_closed_form_or_refused() {
             }
             // A root at zero.
             assert_eq!(both(&f, &[0, 1, f.alpha_pow(9)], n_bits), None);
+        }
+    }
+}
+
+/// `scale * prod_i (x + roots[i])`, low coefficient first.
+fn poly_with_roots(field: &GfField, roots: &[u32], scale: u32) -> Vec<u32> {
+    let mut p = vec![scale];
+    for &r in roots {
+        p.push(0);
+        for c in (0..p.len()).rev() {
+            p[c] = field.mul(p[c], r) ^ if c > 0 { p[c - 1] } else { 0 };
+        }
+    }
+    p
+}
+
+/// Where the sweep finds the root `alpha^j`: step `(j - start) mod N`.
+fn step_of(field: &GfField, root: u32, n_bits: usize) -> usize {
+    (field.log(root).unwrap() as usize + n_bits - 1) % field.order() as usize
+}
+
+#[test]
+fn every_cubic_and_quartic_over_the_small_fields_agrees() {
+    // Every monic polynomial of degree 3 and 4 over GF(2^4) and every
+    // cubic over GF(2^5), unshortened and through a window: all the ways
+    // a closed form can decline (a root at 0, a repeated root, a factor
+    // that is irreducible, a root past the window) and every root set.
+    for (m, degrees) in [(4u32, 3..=4), (5, 3..=3)] {
+        let f = GfField::new(m).unwrap();
+        let order = f.order() as usize;
+        for deg in degrees {
+            let mut split = 0;
+            for low in 0..f.size().pow(deg) {
+                let mut lambda: Vec<u32> = (0..deg).map(|c| low >> (c * m) & f.order()).collect();
+                lambda.push(1);
+                split += usize::from(both(&f, &lambda, order).is_some());
+                both(&f, &lambda, order - 4);
+            }
+            // One per set of `deg` distinct nonzero roots.
+            let sets = (0..deg as usize).fold(1, |c, i| c * (order - i) / (i + 1));
+            assert_eq!(split, sets, "m {m}, degree {deg}");
+        }
+    }
+}
+
+#[test]
+fn every_set_of_three_and_of_four_roots_is_solved_in_closed_form() {
+    let mut rng = StdRng::seed_from_u64(0xC10_5ED);
+    // Exhaustively over the small fields, unshortened...
+    for m in [4u32, 5] {
+        let f = GfField::new(m).unwrap();
+        let order = f.order();
+        let mut solved = |exps: &[u32]| {
+            let roots: Vec<u32> = exps.iter().map(|&e| f.alpha_pow(e as i64)).collect();
+            let lambda = poly_with_roots(&f, &roots, rng.random_range(1..f.size()));
+            let mut expect: Vec<usize> = roots
+                .iter()
+                .map(|&r| step_of(&f, r, order as usize))
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(both(&f, &lambda, order as usize), Some(expect), "m {m}");
+        };
+        for e2 in 0..order {
+            for e1 in 0..e2 {
+                for e0 in 0..e1 {
+                    solved(&[e0, e1, e2]);
+                    (e2 + 1..order).for_each(|e3| solved(&[e0, e1, e2, e3]));
+                }
+            }
+        }
+    }
+    // ...and 4 096 seeded sets of each size at the codeword lengths of the
+    // large ones, every sixteenth of them against the sweep as well.
+    for (m, n_bits) in [(13, SECTOR_CODEWORDS[1]), (16, PAGE_CODEWORDS[1])] {
+        let f = GfField::new(m).unwrap();
+        for deg in [3, 4] {
+            for round in 0..4096 {
+                let positions = distinct_below(&mut rng, deg, n_bits);
+                let exps: Vec<u32> = positions.iter().map(|&p| (n_bits - 1 - p) as u32).collect();
+                let scale = rng.random_range(1..f.size());
+                let lambda: Vec<u32> = locator_for(&f, &exps)
+                    .iter()
+                    .map(|&c| f.mul(c, scale))
+                    .collect();
+                let solved = if round % 16 == 0 {
+                    both(&f, &lambda, n_bits)
+                } else {
+                    find_error_positions_stride(&f, &lambda, n_bits)
+                };
+                assert_eq!(solved, Some(positions.into_iter().collect()), "m {m}");
+            }
+        }
+    }
+}
+
+#[test]
+fn cubics_and_quartics_on_each_branch_of_the_closed_form() {
+    let mut rng = StdRng::seed_from_u64(0xB2A_4C4E5);
+    for (m, n_bits) in [(13, SECTOR_CODEWORDS[1]), (16, PAGE_CODEWORDS[1])] {
+        let f = GfField::new(m).unwrap();
+        let order = f.order() as usize;
+        let sqrt = |v: u32| f.pow(v, 1 << (m - 1));
+        for _ in 0..64 {
+            let mut draw = || rng.random_range(1..f.size());
+            let (r1, r2, r3, scale) = (draw(), draw(), draw(), draw());
+            if r1 == r2 || r1 == r3 || r2 == r3 || r1 ^ r2 ^ r3 == 0 {
+                continue;
+            }
+            let solved = |roots: &[u32], n_bits: usize| {
+                let mut expect: Vec<usize> =
+                    roots.iter().map(|&r| step_of(&f, r, n_bits)).collect();
+                expect.sort_unstable();
+                let found = both(&f, &poly_with_roots(&f, roots, scale), n_bits);
+                assert_eq!(found.is_some(), expect.iter().all(|&s| s < n_bits));
+                if let Some(found) = found {
+                    assert_eq!(found, expect);
+                }
+            };
+            // A quartic without its cubic term is affine as it stands...
+            let affine = [r1, r2, r3, r1 ^ r2 ^ r3];
+            assert_eq!(poly_with_roots(&f, &affine, 1)[3], 0);
+            solved(&affine, order);
+            solved(&affine, n_bits);
+            // ...one without its linear term (the reciprocals sum to zero)
+            // needs no shift.
+            let unshifted = affine.map(|r| f.inv(r).unwrap());
+            assert_eq!(poly_with_roots(&f, &unshifted, 1)[1], 0);
+            solved(&unshifted, order);
+            solved(&unshifted, n_bits);
+            // Neither term, and a cubic without its square term.
+            let subspace = [r1, r2, r1 ^ r2];
+            solved(&subspace, order);
+            // A cubic whose x^2 coefficient is a root of it has the square
+            // x^2 + b2 beside it: a repeated root, which nobody finds.
+            let s = sqrt(r2);
+            let declining = poly_with_roots(&f, &[r1, s, s], scale);
+            assert_eq!(
+                f.mul(declining[2], declining[1]),
+                f.mul(declining[0], declining[3])
+            );
+            assert_eq!(both(&f, &declining, order), None);
+            // A double root at sqrt(c / a): the shifted constant vanishes.
+            let double = poly_with_roots(&f, &[r3, r3, r1, r2], 1);
+            assert_eq!(sqrt(f.div(double[1], double[3]).unwrap()), r3);
+            assert_eq!(both(&f, &double, order), None);
+            // Repeated roots otherwise, and a root at 0.
+            assert_eq!(
+                both(&f, &poly_with_roots(&f, &[r1, r1, r1], scale), order),
+                None
+            );
+            assert_eq!(
+                both(&f, &poly_with_roots(&f, &[r1, r2, r1, r2], scale), order),
+                None
+            );
+            assert_eq!(
+                both(&f, &poly_with_roots(&f, &[0, r1, r2], scale), order),
+                None
+            );
+            assert_eq!(
+                both(&f, &poly_with_roots(&f, &[r1, 0, r2, r3], scale), order),
+                None
+            );
+            // An irreducible quadratic beside one or two roots.
+            let u = draw();
+            if f.solve_quadratic(u).is_none() {
+                let cubic = [f.mul(u, r1), u ^ r1, 1 ^ r1, 1];
+                assert_eq!(both(&f, &cubic, order), None, "(x^2 + x + u)(x + r1)");
+                let mut quartic = vec![0];
+                quartic.extend(cubic);
+                for c in 0..4 {
+                    quartic[c] ^= f.mul(cubic[c], r2);
+                }
+                assert_eq!(both(&f, &quartic, order), None);
+            }
+            // One root past the end of the shortened window.
+            let inside = |e: u32| f.alpha_pow(-((e as usize % n_bits) as i64));
+            let outside = f.alpha_pow(-((n_bits + r1 as usize % (order - n_bits)) as i64));
+            for roots in [
+                vec![inside(r1), inside(r2 + 1), outside],
+                vec![inside(r1), inside(r2 + 1), inside(r3 + 2), outside],
+            ] {
+                let distinct: BTreeSet<u32> = roots.iter().copied().collect();
+                if distinct.len() == roots.len() {
+                    let lambda = poly_with_roots(&f, &roots, scale);
+                    assert_eq!(both(&f, &lambda, n_bits), None);
+                    assert!(both(&f, &lambda, order).is_some());
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_kernel_chain_is_repeated_squaring_by_field_arithmetic() {
+    // z_i = x^(2^i) mod f, every degree the codec's locators reach, by
+    // schoolbook multiplication through `GfField::mul`.
+    let mut rng = StdRng::seed_from_u64(0xF20B);
+    for m in [13u32, 16] {
+        let field = GfField::new(m).unwrap();
+        for deg in 3..=65usize {
+            let stride = deg.next_multiple_of(2);
+            let mut f: Vec<u32> = (0..deg)
+                .map(|_| rng.random_range(0..field.size()))
+                .collect();
+            f.resize(stride, 0);
+            let mut scratch = vec![0; frobenius_scratch_len(deg)];
+            let mut z = vec![0; (m as usize + 1) * stride];
+            let fixed = frobenius_chain(field.barrett(), &f, deg, &mut scratch, &mut z);
+            let mut expect = vec![0u32; stride];
+            expect[1] = 1;
+            for (i, z_i) in z.chunks(stride).enumerate() {
+                assert_eq!(z_i, expect, "m {m}, degree {deg}, z_{i}");
+                let mut square = vec![0u32; 2 * deg];
+                for (j, &c) in z_i[..deg].iter().enumerate() {
+                    square[2 * j] = field.mul(c, c);
+                }
+                for top in (deg..2 * deg).rev() {
+                    let lead = std::mem::take(&mut square[top]);
+                    for (c, &fc) in f[..deg].iter().enumerate() {
+                        square[top - deg + c] ^= field.mul(lead, fc);
+                    }
+                }
+                expect[..deg].copy_from_slice(&square[..deg]);
+            }
+            let x = z[m as usize * stride..].iter().enumerate();
+            assert_eq!(fixed, x.into_iter().all(|(c, &v)| v == u32::from(c == 1)));
         }
     }
 }

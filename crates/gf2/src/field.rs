@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::kernels::Barrett;
+
 /// Default primitive polynomials for GF(2^m), `m = 2..=16`.
 ///
 /// Entry `i` is the polynomial for `m = i + 2`, encoded as an integer with
@@ -104,6 +106,8 @@ pub struct GfField {
     /// `quad[b]`: a `y` with `y^2 + y = alpha^b + Tr(alpha^b) c` for one
     /// fixed `c` of trace 1; see [`GfField::solve_quadratic`].
     quad: [u16; 16],
+    /// What the packed-slot kernels reduce coefficients with.
+    barrett: Barrett,
 }
 
 impl GfField {
@@ -165,6 +169,7 @@ impl GfField {
             log,
             exp,
             quad: [0; 16],
+            barrett: Barrett::new(m, poly),
         };
         field.quad = field.quadratic_base();
         Ok(field)
@@ -229,6 +234,12 @@ impl GfField {
     /// The primitive polynomial, encoded as an integer.
     pub fn primitive_poly(&self) -> u32 {
         self.prim_poly
+    }
+
+    /// The constants [`crate::kernels::combine`] and its siblings reduce
+    /// this field's coefficients with.
+    pub fn barrett(&self) -> Barrett {
+        self.barrett
     }
 
     /// Field addition (= XOR; the field has characteristic 2).
@@ -304,6 +315,67 @@ impl GfField {
             bits &= bits - 1;
         }
         (self.mul(y, y) ^ y == u).then_some(y)
+    }
+
+    /// The four roots of the affine quartic `X^4 + aX^2 + bX + c`, or
+    /// `None` unless it has four distinct ones in the field.
+    ///
+    /// `L(X) = X^4 + aX^2 + bX` is GF(2)-linear, so the roots of `L(X) = c`
+    /// are one solution plus the kernel of `L`, and there are four of them
+    /// exactly when the kernel has dimension 2 and `c` lies in the image
+    /// (Linux `lib/bch.c`, `find_affine4_roots`; eliminated like
+    /// `y^2 + y` is for [`GfField::solve_quadratic`], preimages carried
+    /// along, which needs no transpose and so no `m < 16`).
+    ///
+    /// ```
+    /// use mlcx_gf2::GfField;
+    ///
+    /// let f = GfField::new(16)?;
+    /// // X (X + 1) (X + alpha) (X + alpha + 1): its roots are a GF(2)-
+    /// // subspace, so it is linear itself (c = 0).
+    /// let al = f.alpha_pow(1);
+    /// let (a, b) = (f.mul(al, al) ^ al ^ 1, f.mul(al, al) ^ al);
+    /// let mut roots = f.solve_affine_quartic(a, b, 0).expect("four roots");
+    /// roots.sort_unstable();
+    /// assert_eq!(roots, [0, 1, al, al ^ 1]);
+    /// # Ok::<(), mlcx_gf2::GfError>(())
+    /// ```
+    pub fn solve_affine_quartic(&self, a: u32, b: u32, c: u32) -> Option<[u32; 4]> {
+        debug_assert!(a < self.size && b < self.size && c < self.size);
+        // Without its linear term the quartic is a square.
+        let log_b = self.log(b)? as usize;
+        let log_a = self.log(a).map(|l| l as usize);
+        // A vector is an image `v` in the high half and a `y` with
+        // `L(y) = v` in the low half; pivot[h] has top image bit h.
+        let mut pivot = [0u32; 16];
+        let reduce = |pivot: &[u32; 16], mut w: u32| {
+            while w >> 16 != 0 {
+                let row = pivot[(w >> 16).ilog2() as usize];
+                if row == 0 {
+                    break;
+                }
+                w ^= row;
+            }
+            w
+        };
+        let (mut kernel, mut found) = ([0u32; 2], 0);
+        for i in 0..self.m as usize {
+            // L(alpha^i); the doubled antilog table reaches every index.
+            let image =
+                self.exp[4 * i] ^ log_a.map_or(0, |l| self.exp[l + 2 * i]) ^ self.exp[log_b + i];
+            let w = reduce(&pivot, u32::from(image) << 16 | 1 << i);
+            if w >> 16 != 0 {
+                pivot[(w >> 16).ilog2() as usize] = w;
+            } else {
+                *kernel.get_mut(found)? = w;
+                found += 1;
+            }
+        }
+        if found != 2 {
+            return None;
+        }
+        let y = reduce(&pivot, c << 16);
+        (y >> 16 == 0).then_some([y, y ^ kernel[0], y ^ kernel[1], y ^ kernel[0] ^ kernel[1]])
     }
 
     /// Raises `a` to the (signed) power `e`.
@@ -521,6 +593,61 @@ mod tests {
                 state ^= state << 17;
                 check(&f, state as u32 & f.order());
             }
+        }
+    }
+
+    #[test]
+    fn affine_quartics_solve_exactly_where_they_have_four_distinct_roots() {
+        // Against the definition: the x with x^4 + a x^2 + b x + c = 0.
+        let check = |f: &GfField, a: u32, b: u32, c: u32| {
+            let value = |x: u32| {
+                let x2 = f.mul(x, x);
+                f.mul(x2, x2) ^ f.mul(a, x2) ^ f.mul(b, x) ^ c
+            };
+            let roots: Vec<u32> = (0..f.size()).filter(|&x| value(x) == 0).collect();
+            let mut solved = f.solve_affine_quartic(a, b, c).map(Vec::from);
+            if let Some(found) = &mut solved {
+                found.sort_unstable();
+            }
+            let expect = (roots.len() == 4).then_some(roots);
+            assert_eq!(solved, expect, "m = {}, {a} {b} {c}", f.degree());
+        };
+        // Every quartic over the small fields...
+        for m in 2..=5 {
+            let f = GfField::new(m).unwrap();
+            for abc in 0..f.size().pow(3) {
+                let (a, b, c) = (abc >> (2 * m), abc >> m & f.order(), abc & f.order());
+                check(&f, a, b, c);
+            }
+        }
+        // ...seeded ones over the large ones: coefficients at random (few
+        // split), then from a root and a kernel picked first — with
+        // u = k2 (k1 + k2), x (x + k1) (x + k2) (x + k1 + k2) is
+        // x^4 + (u + k1^2) x^2 + k1 u x, and its value at x0 the constant
+        // that puts a root there.
+        let mut state = 0x0AFF_1E4Au64;
+        let mut next = |f: &GfField| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32 & f.order()
+        };
+        for m in [13, 16] {
+            let f = GfField::new(m).unwrap();
+            for _ in 0..48 {
+                check(&f, next(&f), next(&f), next(&f));
+                let (k1, k2, x0) = (next(&f) | 1, next(&f) & !1 | 2, next(&f));
+                let u = f.mul(k2, k1 ^ k2);
+                let (a, b) = (u ^ f.mul(k1, k1), f.mul(k1, u));
+                let x2 = f.mul(x0, x0);
+                let c = f.mul(x2, x2) ^ f.mul(a, x2) ^ f.mul(b, x0);
+                assert!(f
+                    .solve_affine_quartic(a, b, c)
+                    .is_some_and(|r| r.contains(&x0)));
+                check(&f, a, b, c);
+            }
+            check(&f, 0, next(&f), next(&f));
+            check(&f, next(&f), 0, next(&f));
         }
     }
 

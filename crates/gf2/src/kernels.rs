@@ -30,6 +30,23 @@
 //! |-------------|----------|
 //! | [`row_product_clmul`] | `sum_i a[i] * K_i`: `L` words against `L` constants of `W` words, into `W + 1` |
 //! | [`fold_clmul`] | per `L` message words, `state <- sum_i state[i] * K_i + (next L words)`: the row product landing in the state's low `W + 1` words |
+//!
+//! And three for a caller whose polynomials have coefficients in GF(2^m)
+//! (`mlcx_bch`'s root search), same split into a `pclmulqdq` body and a
+//! shift-and-XOR body. A polynomial is a `[u32]` of even length, one
+//! coefficient per 32-bit **slot**, and the kernels read it two slots to
+//! the 64-bit word (Kronecker substitution): the carry-less product of a
+//! word and a one-slot scalar is the two coefficient products side by
+//! side, because a product of reduced coefficients has degree
+//! `<= 2m - 2 <= 30` and the slots never meet. Sums of such products stay
+//! in their slots too, so a whole inner product is reduced modulo the
+//! field polynomial once, both slots at a time, by [`Barrett`]:
+//!
+//! | entry point | computes |
+//! |-------------|----------|
+//! | [`combine`] | `acc <- reduce(acc + sum_r s_r * row_r)`: one multiply per word of every row, two per word of `acc` to reduce |
+//! | [`square`] | `out[j] = p[j]^2`: `w * w` squares the two coefficients of a word, the cross terms cancelling |
+//! | [`frobenius_chain`] | `z_i = x^(2^i) mod f` for `i = 0..=m`, out of those two, and whether `z_m = x` |
 
 /// The machine word the kernels operate on (64 coefficient bits).
 pub type Block = u64;
@@ -230,10 +247,12 @@ impl MulAcc for ShiftXor {
         0
     }
 
-    fn mul_acc(self, acc: u128, a: Block, b: Block) -> u128 {
-        (0..64)
-            .filter(|bit| a >> bit & 1 == 1)
-            .fold(acc, |acc, bit| acc ^ u128::from(b) << bit)
+    fn mul_acc(self, mut acc: u128, mut a: Block, b: Block) -> u128 {
+        while a != 0 {
+            acc ^= u128::from(b) << a.trailing_zeros();
+            a &= a - 1;
+        }
+        acc
     }
 
     fn halves(self, acc: u128) -> (Block, Block) {
@@ -280,6 +299,269 @@ fn fold_with<M: MulAcc>(m: M, state: &mut [Block], consts: &[Block], message: &[
     }
 }
 
+/// The constants that reduce 32-bit slots modulo the polynomial of one
+/// GF(2^m), `2 <= m <= 16`, two slots at a time.
+///
+/// A slot holds a sum of products of reduced coefficients, `v` of degree
+/// `<= 2m - 2`. With `mu = floor(y^(2m) / p)` the quotient of `v` by `p` is
+/// exactly `q = floor(floor(v / y^m) * mu / y^m)` — carry-less division
+/// has no rounding to correct — and `v + q * p` is the remainder: two
+/// multiplies, each of a whole two-slot word by a one-slot constant, with
+/// products of degree `<= 2m - 2` again.
+#[derive(Debug, Clone, Copy)]
+pub struct Barrett {
+    m: u32,
+    /// The field polynomial `p`, degree `m`.
+    poly: u64,
+    /// `floor(y^(2m) / p)`, degree `m`.
+    mu: u64,
+}
+
+/// One value in both slots of a word.
+const BOTH_SLOTS: u64 = 0x1_0000_0001;
+
+impl Barrett {
+    /// The constants for GF(2^m) modulo `poly` (bit `i` the coefficient
+    /// of `y^i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= m <= 16` and `poly` has degree `m`.
+    pub fn new(m: u32, poly: u32) -> Self {
+        assert!((2..=16).contains(&m), "extension degree {m}");
+        assert_eq!(poly >> m, 1, "the polynomial's degree is not m");
+        // Long division of y^(2m) by p: one quotient bit per step.
+        let (mut rem, mut mu) = (1u64 << m, 0u64);
+        for _ in 0..=m {
+            mu <<= 1;
+            if rem >> m == 1 {
+                rem ^= u64::from(poly);
+                mu |= 1;
+            }
+            rem <<= 1;
+        }
+        Barrett {
+            m,
+            poly: u64::from(poly),
+            mu,
+        }
+    }
+
+    /// Both slots of `v` (each of degree `<= 2m - 2`) modulo `p`.
+    #[inline(always)]
+    fn reduce<M: MulAcc>(self, mul: M, v: u64) -> u64 {
+        // What a 64-bit shift by m carries from the upper slot into the
+        // lower one lands above bit 32 - m, where no quotient has bits.
+        let quotient = u64::from(u32::MAX >> self.m) * BOTH_SLOTS;
+        let low = |a, b| mul.halves(mul.mul_acc(mul.zero(), a, b)).1;
+        let q = low(self.mu, v >> self.m & quotient) >> self.m & quotient;
+        (v ^ low(self.poly, q)) & (((1 << self.m) - 1) * BOTH_SLOTS)
+    }
+}
+
+/// `true` when every slot is below `2^bits`.
+fn slots_below(bits: u32, slots: &[u32]) -> bool {
+    slots.iter().fold(0, |any, &v| any | v) >> bits == 0
+}
+
+fn pack([low, high]: [u32; 2]) -> u64 {
+    u64::from(low) | u64::from(high) << 32
+}
+
+fn unpack(word: u64) -> [u32; 2] {
+    [word as u32, (word >> 32) as u32]
+}
+
+/// `acc <- reduce(acc + sum_r scalars[r] * row_r)` over GF(2^m)\[x\]: the
+/// rows are `rows` cut into `scalars.len()` polynomials as long as `acc`.
+///
+/// `acc` comes in as the sum's first term and need not be reduced (slots
+/// below `2^(2m-1)`: a product of coefficients is welcome); it leaves
+/// reduced. Column by column: the accumulator of one word of `acc` takes
+/// a multiply per row, stays where the machine keeps it, and is reduced
+/// once ([`Barrett`]).
+///
+/// Runs `pclmulqdq` where [`clmul_available`], shift-and-XOR (the same
+/// result) everywhere else.
+///
+/// # Panics
+///
+/// Panics if `acc` is empty or of odd length, if `rows.len()` is not
+/// `scalars.len() * acc.len()`, or if a scalar, a row slot (`2^m` and up)
+/// or an `acc` slot (`2^(2m-1)` and up) is out of range.
+pub fn combine(field: Barrett, scalars: &[u32], rows: &[u32], acc: &mut [u32]) {
+    assert!(
+        !acc.is_empty() && acc.len().is_multiple_of(2),
+        "a polynomial is a whole number of two-slot words"
+    );
+    assert_eq!(
+        rows.len(),
+        scalars.len() * acc.len(),
+        "rows are not one polynomial per scalar"
+    );
+    assert!(
+        slots_below(field.m, scalars) && slots_below(field.m, rows),
+        "unreduced scalar or row slot"
+    );
+    assert!(
+        slots_below(2 * field.m - 1, acc),
+        "accumulator slot wider than a product"
+    );
+    if !clmul::combine(field, scalars, rows, acc) {
+        combine_with(ShiftXor, field, scalars, rows, acc);
+    }
+}
+
+/// Coefficient-wise squares over GF(2^m): `out[j] = p[j]^2`, which are the
+/// coefficients of `p(x)^2` (`out[j]` that of `x^(2j)`). One multiply per
+/// word: `(c0 + c1 Y)^2 = c0^2 + c1^2 Y^2` in characteristic 2, so the
+/// product of a two-slot word with itself is its two squares, one in each
+/// half, and they are reduced side by side ([`Barrett`]).
+///
+/// Runs `pclmulqdq` where [`clmul_available`], shift-and-XOR (the same
+/// result) everywhere else.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are odd, or if a slot of `p` is
+/// unreduced.
+pub fn square(field: Barrett, p: &[u32], out: &mut [u32]) {
+    assert!(
+        p.len().is_multiple_of(2),
+        "a polynomial is a whole number of two-slot words"
+    );
+    assert_eq!(p.len(), out.len(), "one square per coefficient");
+    assert!(slots_below(field.m, p), "unreduced slot");
+    if !clmul::square(field, p, out) {
+        square_with(ShiftXor, field, p, out);
+    }
+}
+
+/// Slots of [`frobenius_chain`]'s scratch for a modulus of degree `deg`.
+pub const fn frobenius_scratch_len(deg: usize) -> usize {
+    (3 + deg / 2) * deg.next_multiple_of(2)
+}
+
+/// The Frobenius chain modulo a monic `f` of degree `deg >= 3` over
+/// GF(2^m): `z` leaves as the `m + 1` polynomials `z_i = x^(2^i) mod f`,
+/// `i = 0..=m`, one after the other, each as long as `f`. Returns whether
+/// `z_m = x` — whether `f` divides `x^(2^m) - x`, i.e. has `deg` distinct
+/// roots in the field.
+///
+/// `f` is the low coefficients `f_0 .. f_(deg-1)` (the leading 1 is
+/// implicit), then a zero slot where `deg` is odd. A square is
+/// `sum_j c_j^2 x^(2j)`, so only the rows `x^(2j) mod f`, `2j >= deg`, are
+/// tabulated — each from the last by a move of one word and a
+/// [`combine`] of the two coefficients that left the top with
+/// `x^deg mod f` and `x^(deg+1) mod f` — and `z_(i+1)` is the low half of
+/// `z_i^2` plus a [`combine`] of the upper [`square`]s with those rows:
+/// `deg^2 / 4 + 2.5 deg` multiplies a squaring. All of it in one call, so
+/// that the `target_feature` boundary is crossed once.
+///
+/// # Panics
+///
+/// Panics if `deg < 3`, if `f.len()` is not `deg` rounded up to even, if
+/// `z.len()` is not `(m + 1) * f.len()` or `scratch.len()` not
+/// [`frobenius_scratch_len`], or if a slot of `f` is unreduced (the
+/// padding slot: nonzero).
+pub fn frobenius_chain(
+    field: Barrett,
+    f: &[u32],
+    deg: usize,
+    scratch: &mut [u32],
+    z: &mut [u32],
+) -> bool {
+    assert!(deg >= 3, "a modulus of degree {deg} has no chain");
+    assert_eq!(f.len(), deg.next_multiple_of(2), "f is not deg slots");
+    assert_eq!(
+        z.len(),
+        (field.m as usize + 1) * f.len(),
+        "z is not m + 1 rows"
+    );
+    assert_eq!(scratch.len(), frobenius_scratch_len(deg), "scratch");
+    assert!(
+        slots_below(field.m, f) && f[deg..].iter().all(|&pad| pad == 0),
+        "unreduced slot"
+    );
+    clmul::frobenius_chain(field, f, deg, scratch, z)
+        .unwrap_or_else(|| frobenius_chain_with(ShiftXor, field, f, deg, scratch, z))
+}
+
+/// [`combine`]'s body (shapes already checked).
+#[inline(always)]
+fn combine_with<M: MulAcc>(mul: M, field: Barrett, scalars: &[u32], rows: &[u32], acc: &mut [u32]) {
+    let (acc, _) = acc.as_chunks_mut::<2>();
+    let (rows, _) = rows.as_chunks::<2>();
+    let words = acc.len();
+    for (w, out) in acc.iter_mut().enumerate() {
+        let mut sum = mul.zero();
+        for (&s, row) in scalars.iter().zip(rows.chunks_exact(words)) {
+            sum = mul.mul_acc(sum, u64::from(s), pack(row[w]));
+        }
+        *out = unpack(field.reduce(mul, pack(*out) ^ mul.halves(sum).1));
+    }
+}
+
+/// [`square`]'s body (shapes already checked).
+#[inline(always)]
+fn square_with<M: MulAcc>(mul: M, field: Barrett, p: &[u32], out: &mut [u32]) {
+    let (p, _) = p.as_chunks::<2>();
+    let (out, _) = out.as_chunks_mut::<2>();
+    for (o, &w) in out.iter_mut().zip(p) {
+        let (high, low) = mul.halves(mul.mul_acc(mul.zero(), pack(w), pack(w)));
+        *o = unpack(field.reduce(mul, low | high << 32));
+    }
+}
+
+/// [`frobenius_chain`]'s body (shapes already checked).
+#[inline(always)]
+fn frobenius_chain_with<M: MulAcc>(
+    mul: M,
+    field: Barrett,
+    f: &[u32],
+    deg: usize,
+    scratch: &mut [u32],
+    z: &mut [u32],
+) -> bool {
+    let stride = f.len();
+    // x^deg mod f, which is f's low coefficients, and x^(deg+1) mod f:
+    // one slot up, the coefficient that leaves the top times the former.
+    let (base, rest) = scratch.split_at_mut(2 * stride);
+    let (rows, squares) = rest.split_at_mut(deg / 2 * stride);
+    base[..stride].copy_from_slice(f);
+    let (x_deg, x_deg1) = base.split_at_mut(stride);
+    x_deg1.fill(0);
+    x_deg1[1..deg].copy_from_slice(&f[..deg - 1]);
+    combine_with(mul, field, &[f[deg - 1]], x_deg, x_deg1);
+    // Rows x^(2j) mod f, 2j >= deg: the first is one of those two, each
+    // next one x^2 times the last.
+    rows[..stride].copy_from_slice(&base[deg % 2 * stride..][..stride]);
+    for r in 1..deg / 2 {
+        let (done, row) = rows.split_at_mut(r * stride);
+        let (last, row) = (&done[(r - 1) * stride..], &mut row[..stride]);
+        row.fill(0);
+        row[2..deg].copy_from_slice(&last[..deg - 2]);
+        combine_with(mul, field, &last[deg - 2..deg], base, row);
+    }
+    // z_0 = x; z_(i+1) = z_i^2 mod f.
+    z[..stride].fill(0);
+    z[1] = 1;
+    for i in 0..field.m as usize {
+        let (current, next) = z[i * stride..].split_at_mut(stride);
+        let next = &mut next[..stride];
+        square_with(mul, field, current, squares);
+        let (low, high) = squares.split_at(stride / 2);
+        for (n, &s) in next.as_chunks_mut::<2>().0.iter_mut().zip(low) {
+            *n = [s, 0];
+        }
+        combine_with(mul, field, &high[..deg / 2], rows, next);
+    }
+    let last = &z[field.m as usize * stride..];
+    last.iter()
+        .enumerate()
+        .all(|(c, &v)| v == u32::from(c == 1))
+}
+
 #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
 mod clmul {
     //! The only unsafe in the crate: `pclmulqdq` intrinsics, reachable
@@ -291,7 +573,10 @@ mod clmul {
         _mm_xor_si128,
     };
 
-    use super::{fold_with, product_len, row_product_with, Block, MulAcc};
+    use super::{
+        combine_with, fold_with, frobenius_chain_with, product_len, row_product_with, square_with,
+        Barrett, Block, MulAcc,
+    };
 
     pub(super) fn available() -> bool {
         // sse4.1 covers the pextrq lane extraction below; every CPU
@@ -352,6 +637,40 @@ mod clmul {
         // SAFETY: as in `row_product`.
         unsafe { fold_impl(cpu, state, consts, message) }
         true
+    }
+
+    /// [`super::combine`] on `pclmulqdq`, as [`row_product`].
+    pub(super) fn combine(field: Barrett, scalars: &[u32], rows: &[u32], acc: &mut [u32]) -> bool {
+        let Some(cpu) = Pclmul::detect() else {
+            return false;
+        };
+        // SAFETY: as in `row_product`.
+        unsafe { combine_impl(cpu, field, scalars, rows, acc) }
+        true
+    }
+
+    /// [`super::square`] on `pclmulqdq`, as [`row_product`].
+    pub(super) fn square(field: Barrett, p: &[u32], out: &mut [u32]) -> bool {
+        let Some(cpu) = Pclmul::detect() else {
+            return false;
+        };
+        // SAFETY: as in `row_product`.
+        unsafe { square_impl(cpu, field, p, out) }
+        true
+    }
+
+    /// [`super::frobenius_chain`] on `pclmulqdq` (shapes already
+    /// checked), or `None` with nothing done where the CPU has none.
+    pub(super) fn frobenius_chain(
+        field: Barrett,
+        f: &[u32],
+        deg: usize,
+        scratch: &mut [u32],
+        z: &mut [u32],
+    ) -> Option<bool> {
+        let cpu = Pclmul::detect()?;
+        // SAFETY: as in `row_product`.
+        Some(unsafe { frobenius_chain_impl(cpu, field, f, deg, scratch, z) })
     }
 
     /// Proof that the CPU executes pclmulqdq and sse4.1: the one
@@ -416,13 +735,50 @@ mod clmul {
     unsafe fn fold_impl(cpu: Pclmul, state: &mut [Block], consts: &[Block], message: &[[u8; 8]]) {
         fold_with(cpu, state, consts, message);
     }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn combine_impl(
+        cpu: Pclmul,
+        field: Barrett,
+        scalars: &[u32],
+        rows: &[u32],
+        acc: &mut [u32],
+    ) {
+        combine_with(cpu, field, scalars, rows, acc);
+    }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn square_impl(cpu: Pclmul, field: Barrett, p: &[u32], out: &mut [u32]) {
+        square_with(cpu, field, p, out);
+    }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn frobenius_chain_impl(
+        cpu: Pclmul,
+        field: Barrett,
+        f: &[u32],
+        deg: usize,
+        scratch: &mut [u32],
+        z: &mut [u32],
+    ) -> bool {
+        frobenius_chain_with(cpu, field, f, deg, scratch, z)
+    }
 }
 
 #[cfg(not(all(feature = "clmul", target_arch = "x86_64")))]
 mod clmul {
     //! Portable stand-in: CLMUL is unavailable and
     //! [`super::mul_raw_clmul`] falls back to the windowed kernel.
-    use super::Block;
+    use super::{Barrett, Block};
 
     pub(super) fn available() -> bool {
         false
@@ -438,6 +794,24 @@ mod clmul {
 
     pub(super) fn fold(_state: &mut [Block], _consts: &[Block], _message: &[[u8; 8]]) -> bool {
         false
+    }
+
+    pub(super) fn combine(_: Barrett, _: &[u32], _: &[u32], _: &mut [u32]) -> bool {
+        false
+    }
+
+    pub(super) fn square(_: Barrett, _: &[u32], _: &mut [u32]) -> bool {
+        false
+    }
+
+    pub(super) fn frobenius_chain(
+        _: Barrett,
+        _: &[u32],
+        _: usize,
+        _: &mut [u32],
+        _: &mut [u32],
+    ) -> Option<bool> {
+        None
     }
 }
 
@@ -661,6 +1035,268 @@ mod tests {
     #[should_panic(expected = "state of 19 words")]
     fn fold_rejects_a_state_wider_than_its_stack_frame() {
         fold_clmul(&mut [0; 19], &[0; 19], &[]);
+    }
+
+    /// `v mod p` by long division, one slot.
+    fn slot_mod(v: u32, m: u32, poly: u32) -> u32 {
+        (m..32).rev().fold(v, |v, bit| {
+            if v >> bit & 1 == 1 {
+                v ^ poly << (bit - m)
+            } else {
+                v
+            }
+        })
+    }
+
+    fn random_slots(n: usize, bits: u32, state: &mut u64) -> Vec<u32> {
+        (0..n)
+            .map(|_| xorshift(state) as u32 & ((1 << bits) - 1))
+            .collect()
+    }
+
+    #[test]
+    fn barrett_reduces_every_product_sized_slot() {
+        // A combine of no rows is the reduction alone. Every slot value a
+        // sum of products can take for m <= 8, 65 536 seeded ones above,
+        // each once in the low slot and once in the high one.
+        let mut rng = 0xBA22_E77Du64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            let poly = field.primitive_poly();
+            let values: Vec<u32> = if m <= 8 {
+                (0..1 << (2 * m - 1)).collect()
+            } else {
+                random_slots(1 << 16, 2 * m - 1, &mut rng)
+            };
+            let mut acc: Vec<u32> = values.iter().chain(values.iter().rev()).copied().collect();
+            combine(field.barrett(), &[], &[], &mut acc);
+            for (&v, &r) in values.iter().chain(values.iter().rev()).zip(&acc) {
+                assert_eq!(r, slot_mod(v, m, poly), "m {m}, v {v:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn combine_and_square_match_the_field_coefficient_by_coefficient() {
+        let mut rng = 0xC0FF_EE00_5107u64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            for (count, len) in [(0, 2), (1, 2), (2, 6), (5, 4), (16, 10), (33, 66)] {
+                let scalars = random_slots(count, m, &mut rng);
+                let rows = random_slots(count * len, m, &mut rng);
+                // The first term comes in as wide as a product.
+                let init = random_slots(len, 2 * m - 1, &mut rng);
+                let mut acc = init.clone();
+                combine(field.barrett(), &scalars, &rows, &mut acc);
+                for (c, &got) in acc.iter().enumerate() {
+                    let sum = scalars.iter().zip(rows.chunks(len)).fold(
+                        slot_mod(init[c], m, field.primitive_poly()),
+                        |sum, (&s, row)| sum ^ field.mul(s, row[c]),
+                    );
+                    assert_eq!(got, sum, "m {m}, {count} rows of {len}, coefficient {c}");
+                }
+                let mut squares = vec![0; rows.len()];
+                square(field.barrett(), &rows, &mut squares);
+                for (&c, &sq) in rows.iter().zip(&squares) {
+                    assert_eq!(sq, field.pow(c, 2), "m {m}, {c}^2");
+                }
+            }
+        }
+    }
+
+    /// A monic `f` of degree `deg` (low coefficients, padded to whole
+    /// words) with a nonzero constant term.
+    fn random_modulus(deg: usize, m: u32, state: &mut u64) -> Vec<u32> {
+        let mut f = random_slots(deg, m, state);
+        f[0] |= 1;
+        f.resize(deg.next_multiple_of(2), 0);
+        f
+    }
+
+    /// `p * q mod f` over GF(2^m), schoolbook, by `GfField::mul`.
+    fn mul_mod(field: &crate::GfField, p: &[u32], q: &[u32], f: &[u32], deg: usize) -> Vec<u32> {
+        let mut prod = vec![0u32; 2 * deg];
+        for (i, &a) in p[..deg].iter().enumerate() {
+            for (j, &b) in q[..deg].iter().enumerate() {
+                prod[i + j] ^= field.mul(a, b);
+            }
+        }
+        for top in (deg..2 * deg).rev() {
+            let lead = std::mem::take(&mut prod[top]);
+            for (c, &fc) in f[..deg].iter().enumerate() {
+                prod[top - deg + c] ^= field.mul(lead, fc);
+            }
+        }
+        prod.truncate(deg);
+        prod.resize(f.len(), 0);
+        prod
+    }
+
+    #[test]
+    fn frobenius_chain_squares_modulo_f_in_every_field() {
+        let mut rng = 0xF20B_E217u64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            for deg in [3, 4, 5, 6, 9, 16, 33] {
+                let f = random_modulus(deg, m, &mut rng);
+                let mut scratch = vec![0; frobenius_scratch_len(deg)];
+                let mut z = vec![0; (m as usize + 1) * f.len()];
+                let fixed = frobenius_chain(field.barrett(), &f, deg, &mut scratch, &mut z);
+                let mut expect = vec![0u32; f.len()];
+                expect[1] = 1;
+                for (i, z_i) in z.chunks(f.len()).enumerate() {
+                    assert_eq!(z_i, expect, "m {m}, degree {deg}, z_{i}");
+                    if i == m as usize {
+                        let x = z_i.iter().enumerate().all(|(c, &v)| v == u32::from(c == 1));
+                        assert_eq!(fixed, x, "m {m}, degree {deg}");
+                    }
+                    expect = mul_mod(&field, z_i, z_i, &f, deg);
+                }
+            }
+            // Distinct roots in the field: x^(2^m) = x modulo the product.
+            let deg = 3.min(field.order() as usize);
+            let mut f = vec![1u32];
+            for e in 0..deg {
+                let root = field.alpha_pow(e as i64);
+                f.push(0);
+                for c in (0..f.len()).rev() {
+                    f[c] = field.mul(f[c], root) ^ if c > 0 { f[c - 1] } else { 0 };
+                }
+            }
+            assert_eq!(f.pop(), Some(1), "monic");
+            f.resize(deg.next_multiple_of(2), 0);
+            let mut z = vec![0; (m as usize + 1) * f.len()];
+            let mut scratch = vec![0; frobenius_scratch_len(deg)];
+            assert!(frobenius_chain(
+                field.barrett(),
+                &f,
+                deg,
+                &mut scratch,
+                &mut z
+            ));
+        }
+    }
+
+    #[test]
+    fn the_pclmulqdq_bodies_equal_the_shift_and_xor_bodies() {
+        // What the safe wrappers run (pclmulqdq where the CPU has it)
+        // against the portable bodies called directly, on random shapes.
+        let mut rng = 0x5AFE_B0D1E5u64;
+        for round in 0..200 {
+            let m = 2 + (xorshift(&mut rng) % 15) as u32;
+            let field = Barrett::new(m, crate::GfField::new(m).unwrap().primitive_poly());
+            let (count, len) = (round % 19, 2 + 2 * (round % 13));
+            let scalars = random_slots(count, m, &mut rng);
+            let rows = random_slots(count * len, m, &mut rng);
+            let init = random_slots(len, 2 * m - 1, &mut rng);
+            let (mut got, mut expect) = (init.clone(), init);
+            combine(field, &scalars, &rows, &mut got);
+            combine_with(ShiftXor, field, &scalars, &rows, &mut expect);
+            assert_eq!(got, expect, "combine, m {m}, {count} rows of {len}");
+            let (mut got, mut expect) = (vec![0; rows.len()], vec![0; rows.len()]);
+            square(field, &rows, &mut got);
+            square_with(ShiftXor, field, &rows, &mut expect);
+            assert_eq!(got, expect, "square, m {m}");
+            let deg = 3 + round % 40;
+            let f = random_modulus(deg, m, &mut rng);
+            let mut scratch = vec![0; frobenius_scratch_len(deg)];
+            let mut got = vec![0; (m as usize + 1) * f.len()];
+            let mut expect = got.clone();
+            assert_eq!(
+                frobenius_chain(field, &f, deg, &mut scratch, &mut got),
+                frobenius_chain_with(ShiftXor, field, &f, deg, &mut scratch, &mut expect),
+            );
+            assert_eq!(got, expect, "chain, m {m}, degree {deg}");
+        }
+    }
+
+    fn gf16() -> Barrett {
+        Barrett::new(4, 0x13)
+    }
+
+    // As above: a bad shape never reaches the intrinsics.
+    #[test]
+    #[should_panic(expected = "unreduced scalar or row slot")]
+    fn combine_rejects_an_unreduced_scalar() {
+        combine(gf16(), &[16], &[1, 1], &mut [0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced scalar or row slot")]
+    fn combine_rejects_an_unreduced_row_slot() {
+        combine(gf16(), &[1, 1], &[1, 2, 3, 16], &mut [0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator slot wider than a product")]
+    fn combine_rejects_an_accumulator_wider_than_a_product() {
+        combine(gf16(), &[], &[], &mut [0, 1 << 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one polynomial per scalar")]
+    fn combine_rejects_rows_that_are_not_one_per_scalar() {
+        combine(gf16(), &[1, 1], &[0; 6], &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of two-slot words")]
+    fn combine_rejects_half_a_word() {
+        combine(gf16(), &[1], &[0; 3], &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of two-slot words")]
+    fn combine_rejects_an_empty_accumulator() {
+        combine(gf16(), &[], &[], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "one square per coefficient")]
+    fn square_rejects_lengths_that_disagree() {
+        square(gf16(), &[1, 2], &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn square_rejects_an_unreduced_slot() {
+        square(gf16(), &[1, 16], &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree 2 has no chain")]
+    fn chain_rejects_a_modulus_below_degree_three() {
+        frobenius_chain(gf16(), &[1, 1], 2, &mut [0; 8], &mut [0; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "f is not deg slots")]
+    fn chain_rejects_a_modulus_that_is_not_deg_slots() {
+        frobenius_chain(gf16(), &[1, 1, 1], 3, &mut [0; 16], &mut [0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "z is not m + 1 rows")]
+    fn chain_rejects_a_chain_that_is_not_m_plus_one_rows() {
+        frobenius_chain(gf16(), &[1, 1, 1, 0], 3, &mut [0; 16], &mut [0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch")]
+    fn chain_rejects_scratch_of_the_wrong_size() {
+        frobenius_chain(gf16(), &[1, 1, 1, 0], 3, &mut [0; 12], &mut [0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn chain_rejects_a_nonzero_padding_slot() {
+        frobenius_chain(gf16(), &[1, 1, 1, 1], 3, &mut [0; 16], &mut [0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree is not m")]
+    fn barrett_rejects_a_polynomial_of_another_degree() {
+        Barrett::new(4, 0x25);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`GfField`] — the finite field GF(2^m) for `2 <= m <= 16`, implemented
 //!   with log/antilog tables exactly as a hardware Galois-field unit would
 //!   store them in ROM. Syndrome evaluation, Berlekamp-Massey and the Chien
-//!   search all run over this field; quadratics over it have a closed form
-//!   ([`GfField::solve_quadratic`]).
+//!   search all run over this field; quadratics and affine quartics over
+//!   it have a closed form ([`GfField::solve_quadratic`],
+//!   [`GfField::solve_affine_quartic`]).
 //! * [`minpoly`] — cyclotomic cosets, minimal polynomials and BCH generator
 //!   polynomial construction (the contents of the small "polynomial ROM" the
 //!   paper's adaptable encoder multiplexes over).
@@ -21,7 +22,10 @@
 //!   runs [`MulKernel::best`]; the oracle exists for differential tests.
 //!   The same module carries the multiply-by-constants fold and row
 //!   product ([`kernels::fold_clmul`], [`kernels::row_product_clmul`]) the
-//!   BCH encoder's wide remainder pass is made of.
+//!   BCH encoder's remainder pass is made of, and GF(2^m)\[x\] with two
+//!   coefficients to a machine word ([`kernels::combine`],
+//!   [`kernels::square`], [`kernels::frobenius_chain`]) for the decoder's
+//!   root search.
 //!
 //! # Example
 //!

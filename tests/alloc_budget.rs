@@ -5,8 +5,9 @@
 //! to its caller, and under two allocations per command through the
 //! whole engine on the benchmark's `fresh_mixed` shape
 //! (`core.engine.allocs_per_cmd` there, 1.88 with its shuffled merge);
-//! and at end of life, on the `t` = 65 code, nothing for a clean decode
-//! and six for a dirty one. Counts are exact for a given command
+//! and at end of life, on the `t` = 65 and `t` = 14 codes, nothing for a
+//! clean decode, six for a dirty one and five where the locator has its
+//! roots in closed form. Counts are exact for a given command
 //! sequence, so a change here is a deliberate edit, not noise.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
@@ -141,4 +142,27 @@ fn the_page_path_stays_inside_its_allocation_budget() {
     // The remainder's bytes, the syndromes, Berlekamp-Massey's two
     // buffers, the root search's arena and the positions it returns.
     assert_eq!(dirty, table_register + 6, "a dirty page");
+
+    // --- the 4-word register of the t = 14 code: on the stack off either
+    // pass, the fold's or the tables' ---
+    let field = std::sync::Arc::new(GfField::new(16).unwrap());
+    let code = BchCode::new(field, data.len() * 8, 14).unwrap();
+    let mut page = data.clone();
+    let mut parity = code.encode(&page).unwrap();
+    let clean = allocations(|| code.decode(&mut page, &mut parity).unwrap());
+    assert_eq!(clean, 0, "a clean page decodes in place");
+    // Locators of degree 3 and 4 have their roots in closed form: the
+    // five buffers above and no arena.
+    for errors in [3, 4] {
+        for bit in (0..errors).map(|i| 9_973 * i + 5) {
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut outcome = None;
+        let dirty = allocations(|| outcome = Some(code.decode(&mut page, &mut parity).unwrap()));
+        assert!(matches!(
+            outcome,
+            Some(DecodeOutcome::Corrected { bit_errors, .. }) if bit_errors == errors
+        ));
+        assert_eq!(dirty, 5, "{errors} errors");
+    }
 }
