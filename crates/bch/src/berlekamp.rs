@@ -16,9 +16,32 @@
 //! compute it: `t` iterations instead of `2t`. That is a **precondition**
 //! on its input — the syndromes of a binary word, which is what
 //! [`crate::syndrome`] produces — and the general recurrence, which takes
-//! any sequence, stays below it as the oracle the tests hold it to.
+//! any sequence, stays in the tests as the oracle they hold it to.
+//!
+//! Each iteration's discrepancy `d = sum_i c_i S_(n+1-i)` is one
+//! coefficient of the product of `c` and the syndromes, and is computed as
+//! one: [`mlcx_gf2::kernels::dot`], two coefficients to a machine word,
+//! `ceil((l+1)/2)` carry-less multiplies read straight off the syndromes
+//! (behind one zero slot, so the window never starts before them) and one
+//! reduction, where the log tables took `l` products — from `l = 4` up;
+//! below, the log tables' few products finish before the kernel's
+//! dependent multiplies do. The update
+//! `c += (d / d_last) x^shift b` only ever scales `b`, which changes at a
+//! length change and nowhere else, so `b` is kept as its logarithms: one
+//! antilog per coefficient instead of two logs and an antilog.
 
+use mlcx_gf2::kernels::dot;
 use mlcx_gf2::GfField;
+
+/// A zero coefficient of `b`, which has no logarithm.
+const NO_LOG: u32 = u32::MAX;
+
+/// Up to this many coefficients of `c` (`l <= 3`) the discrepancy is
+/// summed on the log tables: its three products are done before one
+/// [`dot`] — a multiply, then the reduction's two, each behind the last —
+/// would be. That is every iteration after the last length change of a
+/// page with three errors, most of a `t = 65` decode.
+const SHORT: usize = 4;
 
 /// Computes the error-locator polynomial from the syndromes `S_1 .. S_2t`
 /// of a binary word (`S_2k = S_k^2`; see the module doc — on any other
@@ -38,70 +61,80 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
             .all(|k| syndromes[2 * k - 1] == field.mul(syndromes[k - 1], syndromes[k - 1])),
         "not the syndromes of a binary word"
     );
-    massey(field, syndromes, 2)
-}
-
-/// The Berlekamp-Massey recurrence over iterations `0, stride, 2 stride,
-/// ..`: every one at `stride` 1 (any sequence), every second one at 2,
-/// the discrepancies between taken as the zeros they are for a binary
-/// word.
-fn massey(field: &GfField, syndromes: &[u32], stride: usize) -> Vec<u32> {
     let two_t = syndromes.len();
-    let mut c = vec![0u32; two_t + 2];
-    let mut b = vec![0u32; two_t + 2];
+    let order = field.order();
+    // Room for deg c <= l <= 2t, in whole two-slot words.
+    let size = (two_t + 2).next_multiple_of(2);
+    let mut c = vec![0u32; size];
     c[0] = 1;
-    b[0] = 1;
+    // One scratch: the syndromes behind a zero slot, then log b (b = 1).
+    let mut scratch = vec![0u32; 2 * size];
+    let (padded, log_b) = scratch.split_at_mut(size);
+    padded[1..=two_t].copy_from_slice(syndromes);
+    log_b[1..].fill(NO_LOG);
+    // c_i * x^shift * b_i's coefficient, given log(d / d_last).
+    let scaled = |log_coef: u32, log_b: u32| {
+        if log_b == NO_LOG {
+            return 0;
+        }
+        let e = log_coef + log_b;
+        field.alpha_pow_reduced(if e >= order { e - order } else { e })
+    };
     // Every coefficient at or above these indices is zero.
     let (mut c_len, mut b_len) = (1usize, 1usize);
-    let mut l = 0usize; // current LFSR length
+    let mut l = 0usize; // current LFSR length, and deg c <= l
     let mut shift = 1usize; // x^shift multiplier on b
-    let mut last_d = 1u32; // discrepancy at the last length change
+    let mut log_last_d = 0u32; // discrepancy at the last length change
 
-    for n in (0..two_t).step_by(stride) {
-        // Discrepancy d = S_{n+1} + sum_{i=1..=l} c_i * S_{n+1-i}.
-        let mut d = syndromes[n];
-        for i in 1..=l.min(n) {
-            if c[i] != 0 {
-                d ^= field.mul(c[i], syndromes[n - i]);
-            }
-        }
-        // Every iteration moves b up by x, a skipped one (its discrepancy
-        // a zero) included: `stride` per turn of this loop.
-        if d == 0 {
-            shift += stride;
+    for n in (0..two_t).step_by(2) {
+        // d = S_(n+1) + sum_(i=1..=l) c_i S_(n+1-i): padded[n + 1 - i] is
+        // element len - 1 - i of the window (l <= n, so it starts at 0 or
+        // after; c_(l+1), where len takes it in, is zero).
+        let len = (l + 1).next_multiple_of(2);
+        let d = if len <= SHORT {
+            (1..=l).fold(padded[n + 1], |d, i| d ^ field.mul(c[i], padded[n + 1 - i]))
+        } else {
+            dot(field.barrett(), &c[..len], &padded[n + 2 - len..n + 2])
+        };
+        // Every iteration moves b up by x, the skipped one (its
+        // discrepancy a zero) included: 2 per turn of this loop.
+        let Some(log_d) = field.log(d) else {
+            shift += 2;
             continue;
-        }
-        let coef = field
-            .div(d, last_d)
-            .expect("last discrepancy is nonzero by construction");
+        };
+        let log_coef = if log_d >= log_last_d {
+            log_d - log_last_d
+        } else {
+            log_d + order - log_last_d
+        };
         // c + coef * x^shift * b, clipped to the buffer like every update.
-        let live = b_len.min(two_t + 2 - shift);
+        let live = b_len.min(size - shift);
         let new_len = c_len.max(live + shift);
         if 2 * l <= n {
-            // Length change: the old c becomes b. Build the new c in b's
-            // buffer, top down so b[i - shift] is read before it is
-            // overwritten, then trade the two.
+            // Length change: the old c becomes b. Top down, so that
+            // log b[i - shift] is read before it is overwritten.
             for i in (0..new_len).rev() {
-                let moved = if i >= shift { b[i - shift] } else { 0 };
-                b[i] = c[i] ^ field.mul(coef, moved);
+                let old = c[i];
+                if i >= shift {
+                    c[i] ^= scaled(log_coef, log_b[i - shift]);
+                }
+                log_b[i] = field.log(old).unwrap_or(NO_LOG);
             }
-            std::mem::swap(&mut c, &mut b);
             b_len = c_len;
             l = n + 1 - l;
-            last_d = d;
-            shift = stride;
+            log_last_d = log_d;
+            shift = 2;
         } else {
             for i in 0..live {
-                c[i + shift] ^= field.mul(coef, b[i]);
+                c[i + shift] ^= scaled(log_coef, log_b[i]);
             }
-            shift += stride;
+            shift += 2;
         }
         c_len = new_len;
     }
 
-    while c.len() > 1 && *c.last().unwrap() == 0 {
-        c.pop();
-    }
+    let degree = locator_degree(&c);
+    c.truncate(degree + 1);
     c
 }
 
@@ -115,9 +148,59 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The general recurrence: every iteration, any sequence.
+    /// The general recurrence: every iteration, any sequence, the
+    /// discrepancy and the update on `GfField::mul` — `error_locator` as it
+    /// was before it skipped iterations, packed its discrepancy and kept
+    /// `b` as logarithms.
     fn error_locator_general(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
-        massey(field, syndromes, 1)
+        let two_t = syndromes.len();
+        let mut c = vec![0u32; two_t + 2];
+        let mut b = vec![0u32; two_t + 2];
+        c[0] = 1;
+        b[0] = 1;
+        // Every coefficient at or above these indices is zero.
+        let (mut c_len, mut b_len) = (1usize, 1usize);
+        let mut l = 0usize; // current LFSR length
+        let mut shift = 1usize; // x^shift multiplier on b
+        let mut last_d = 1u32; // discrepancy at the last length change
+
+        for n in 0..two_t {
+            // Discrepancy d = S_{n+1} + sum_{i=1..=l} c_i * S_{n+1-i}.
+            let mut d = syndromes[n];
+            for i in 1..=l.min(n) {
+                d ^= field.mul(c[i], syndromes[n - i]);
+            }
+            if d == 0 {
+                shift += 1;
+                continue;
+            }
+            let coef = field.div(d, last_d).unwrap();
+            let live = b_len.min(two_t + 2 - shift);
+            let new_len = c_len.max(live + shift);
+            if 2 * l <= n {
+                // Length change: build the new c in b's buffer, top down,
+                // then trade the two.
+                for i in (0..new_len).rev() {
+                    let moved = if i >= shift { b[i - shift] } else { 0 };
+                    b[i] = c[i] ^ field.mul(coef, moved);
+                }
+                std::mem::swap(&mut c, &mut b);
+                b_len = c_len;
+                l = n + 1 - l;
+                last_d = d;
+                shift = 1;
+            } else {
+                for i in 0..live {
+                    c[i + shift] ^= field.mul(coef, b[i]);
+                }
+                shift += 1;
+            }
+            c_len = new_len;
+        }
+        while c.len() > 1 && *c.last().unwrap() == 0 {
+            c.pop();
+        }
+        c
     }
 
     /// The implementation this module shipped before its buffers were

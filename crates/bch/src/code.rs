@@ -160,9 +160,12 @@ impl BchCode {
                 Lfsr::Reference(BitSerialLfsr::new(&generator)),
                 SyndromeLane::Bit,
             ),
-            // Fused evaluates syndromes over the LFSR remainder, which the
-            // row table covers whole.
-            CodecKernel::Fused => (Lfsr::Fused(LfsrEncoder::new(&generator)), SyndromeLane::Row),
+            // Fused divides the LFSR remainder by the minimal polynomials,
+            // which covers all of it.
+            CodecKernel::Fused => (
+                Lfsr::Fused(LfsrEncoder::new(&generator)),
+                SyndromeLane::Residue,
+            ),
         };
         let syndromes = SyndromeCalculator::with_lane(field.clone(), t, syn_lane);
         Ok(BchCode {
@@ -259,13 +262,17 @@ impl BchCode {
         // the codeword is error-free and the decoding process ends") and
         // syndrome computation. The fused kernel does both in one LFSR pass
         // over the message: received mod g is zero iff the codeword is
-        // valid, and otherwise S_i is that remainder evaluated at beta_i.
+        // valid, and otherwise S_i is that remainder evaluated at beta_i,
+        // straight from the pass's register.
         let syn = match &self.lfsr {
             Lfsr::Fused(encoder) => {
-                let Some(rem) = encoder.received_remainder(message, parity) else {
+                let syn = encoder.received_remainder(message, parity, |reg| {
+                    self.syndromes.compute_register(reg, self.r_bits)
+                });
+                let Some(syn) = syn else {
                     return Ok(DecodeOutcome::Clean);
                 };
-                self.syndromes.compute(&[], &rem, self.r_bits)
+                syn
             }
             Lfsr::Reference(lfsr) => {
                 if lfsr.codeword_is_valid(message, parity) {
@@ -509,14 +516,16 @@ mod tests {
     /// footprint change is a deliberate one: the LFSR's `8P x 256 x W`
     /// words where the pass runs off tables (two-word steps up to `W = 4`,
     /// one-word above) or the fold's `2 x 18 x W + W + 1` where this CPU
-    /// folds, and the syndrome rows' `m*t x ceil(t/2)` packed pairs.
+    /// folds, and the residue lane's `t x (W + 2)` words of division
+    /// constants, `t x 4 x 16` evaluation entries and 64 squaring entries
+    /// (`W = ceil(16 t / 64)`).
     #[test]
     fn table_footprint_per_code_is_pinned() {
         let field = Arc::new(GfField::new(16).unwrap());
-        for (t, lfsr_kib, fold_bytes, row_bytes) in [
-            (3, 32, None, 384),
-            (14, 128, Some(1_192), 6_272),
-            (65, 272, Some(5_040), 137_280),
+        for (t, lfsr_kib, fold_bytes, syndrome_bytes) in [
+            (3, 32, None, 584),
+            (14, 128, Some(1_192), 2_592),
+            (65, 272, Some(5_040), 18_328),
         ] {
             let code = BchCode::new(field.clone(), 4096 * 8, t).unwrap();
             let tables = LfsrEncoder::with_tables(code.generator());
@@ -528,7 +537,7 @@ mod tests {
                 .filter(|_| mlcx_gf2::clmul_available())
                 .unwrap_or(lfsr_kib << 10);
             assert_eq!(encoder.table_bytes(), lfsr_bytes, "t = {t}");
-            assert_eq!(code.syndromes.table_bytes(), row_bytes, "t = {t}");
+            assert_eq!(code.syndromes.table_bytes(), syndrome_bytes, "t = {t}");
         }
     }
 

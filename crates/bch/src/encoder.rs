@@ -299,15 +299,23 @@ impl LfsrEncoder {
     ///
     /// Panics if `parity` is shorter than [`Self::parity_bytes`].
     pub fn codeword_is_valid(&self, message: &[u8], parity: &[u8]) -> bool {
-        self.received_remainder(message, parity).is_none()
+        self.received_remainder(message, parity, |_| ()).is_none()
     }
 
-    /// `received(x) mod g(x)` in the parity-byte layout, `None` when it is
-    /// zero (a valid codeword — no allocation on that path for `W <= 4`).
+    /// Hands `then` the register holding `received(x) mod g(x)` —
+    /// left-aligned in `W` words, most significant first, the pad bits
+    /// below it zero — and returns what it returns; `None`, without
+    /// calling it, when the remainder is zero (a valid codeword — no
+    /// allocation on that path where the register lives on the stack).
     /// The received word is `m'(x) * x^r + p'(x)` with `deg p' < r`, so its
     /// remainder is the message's plus the received parity, and the
     /// syndromes are this one `r`-bit polynomial evaluated at the roots.
-    pub(crate) fn received_remainder(&self, message: &[u8], parity: &[u8]) -> Option<Vec<u8>> {
+    pub(crate) fn received_remainder<R>(
+        &self,
+        message: &[u8],
+        parity: &[u8],
+        then: impl FnOnce(&[u64]) -> R,
+    ) -> Option<R> {
         let parity = &parity[..self.parity_bytes()];
         self.with_remainder(message, |reg| {
             for (word, bytes) in reg.iter_mut().zip(parity.chunks(8)) {
@@ -319,7 +327,7 @@ impl LfsrEncoder {
             // codeword bits: whatever was read there must not make a valid
             // codeword look dirty.
             reg[self.words - 1] &= !0 << (64 * self.words - self.r_bits);
-            reg.iter().any(|&w| w != 0).then(|| self.parity_image(reg))
+            reg.iter().any(|&w| w != 0).then(|| then(reg))
         })
     }
 
@@ -360,7 +368,7 @@ impl LfsrEncoder {
     }
 
     /// The register's top `r` bits as parity bytes.
-    fn parity_image(&self, reg: &[u64]) -> Vec<u8> {
+    pub(crate) fn parity_image(&self, reg: &[u64]) -> Vec<u8> {
         let mut out = vec![0u8; self.parity_bytes()];
         for (bytes, word) in out.chunks_mut(8).zip(reg) {
             bytes.copy_from_slice(&word.to_be_bytes()[..bytes.len()]);
@@ -688,7 +696,7 @@ mod tests {
                         "r = {r}, len {len}"
                     );
                     assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
-                    assert_eq!(enc.received_remainder(&msg, &parity), None);
+                    assert_eq!(enc.received_remainder(&msg, &parity, |_| ()), None);
                 }
             }
         }
@@ -743,7 +751,8 @@ mod tests {
                     parity[0] ^= 0x80;
                     let mut expect = vec![0u8; clean.len()];
                     expect[0] = 0x80;
-                    assert_eq!(enc.received_remainder(&msg, &parity), Some(expect));
+                    let image = enc.received_remainder(&msg, &parity, |reg| enc.parity_image(reg));
+                    assert_eq!(image, Some(expect));
                 }
             }
         }

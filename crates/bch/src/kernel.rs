@@ -7,10 +7,10 @@
 //! `tests/codec_kernels.rs` pins it bit-identical to
 //! [`CodecKernel::Reference`].
 //!
-//! | kernel      | role       | encoder                       | syndromes              | root search           |
-//! |-------------|------------|-------------------------------|------------------------|-----------------------|
-//! | `Reference` | oracle     | bit-serial LFSR               | bit-serial Horner      | Chien sweep           |
-//! | `Fused`     | production | slicing-by-8P, left-aligned   | rows of the remainder  | trace-split solve     |
+//! | kernel      | role       | encoder                       | syndromes                      | root search           |
+//! |-------------|------------|-------------------------------|--------------------------------|-----------------------|
+//! | `Reference` | oracle     | bit-serial LFSR               | bit-serial Horner              | Chien sweep           |
+//! | `Fused`     | production | slicing-by-8P, left-aligned   | residues of the remainder      | trace-split solve     |
 //!
 //! The production encoder has one step formula at every register width
 //! `r = deg g`: `P` message words (64 bits each) through `8P` position
@@ -28,8 +28,8 @@
 //! remainder plus the received parity, zero iff the codeword is valid,
 //! and since `g(beta_i) = 0` it satisfies `S_i = (received mod g)(beta_i)`
 //! for every designed root `beta_i`, so the `2t` full-codeword Horner
-//! passes collapse into the XOR of one precomputed row per set bit of an
-//! `r`-bit polynomial — the odd syndromes, the map being GF(2)-linear;
+//! passes collapse into one division of an `r`-bit polynomial by the `t`
+//! minimal polynomials of the odd roots, the residues evaluated there —
 //! see [`crate::syndrome`] — and `t` squarings (`S_2k = S_k^2`). Its root
 //! search does not sweep the `n` positions: it factors the locator into
 //! linear terms (see [`crate::chien`]), which costs `O(deg^2)` whatever

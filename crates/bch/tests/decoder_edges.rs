@@ -191,7 +191,7 @@ fn zero_syndrome_pin_for_error_free_codeword() {
     let parity = codes[0].encode(&msg).unwrap();
 
     let field = Arc::new(GfField::new(M).unwrap());
-    for lane in [SyndromeLane::Bit, SyndromeLane::Row] {
+    for lane in [SyndromeLane::Bit, SyndromeLane::Residue] {
         let calc = SyndromeCalculator::with_lane(Arc::clone(&field), T, lane);
         let syn = calc.compute(&msg, &parity, codes[0].parity_bits());
         assert_eq!(syn.len(), 2 * T as usize);

@@ -47,6 +47,15 @@
 //! | [`combine`] | `acc <- reduce(acc + sum_r s_r * row_r)`: one multiply per word of every row, two per word of `acc` to reduce |
 //! | [`square`] | `out[j] = p[j]^2`: `w * w` squares the two coefficients of a word, the cross terms cancelling |
 //! | [`frobenius_chain`] | `z_i = x^(2^i) mod f` for `i = 0..=m`, out of those two, and whether `z_m = x` |
+//! | [`dot`] | `sum_i a_i * b_(len-1-i)`: the product of `(a_0, a_1)` and `(b_0, b_1)` carries `a_0 b_1 + a_1 b_0` in its middle slot, so one multiply per word pair and one reduction |
+//!
+//! And one for a caller that divides one value by many small moduli over
+//! GF(2) (`mlcx_bch`'s syndromes, the residues modulo the minimal
+//! polynomials of the generator):
+//!
+//! | entry point | computes |
+//! |-------------|----------|
+//! | [`residues`] | `value mod m_j` for every modulus of a prebuilt [`Residues`] table: `W` multiplies per modulus, then a two-multiply Barrett word |
 
 /// The machine word the kernels operate on (64 coefficient bits).
 pub type Block = u64;
@@ -487,6 +496,108 @@ pub fn frobenius_chain(
         .unwrap_or_else(|| frobenius_chain_with(ShiftXor, field, f, deg, scratch, z))
 }
 
+/// `sum_i a[i] * b[len - 1 - i]` over GF(2^m), reduced: the coefficient of
+/// `x^(len-1)` in the product of the two polynomials. Word `w` of `a`,
+/// `(a_2w, a_2w+1)`, meets word `len/2 - 1 - w` of `b`,
+/// `(b_(len-2-2w), b_(len-1-2w))`, and the middle slot of their product is
+/// `a_2w b_(len-1-2w) + a_2w+1 b_(len-2-2w)` — two terms of the sum, the
+/// outer slots the terms of other coefficients. `len / 2` multiplies, one
+/// [`Barrett`] reduction.
+///
+/// Runs `pclmulqdq` where [`clmul_available`], shift-and-XOR (the same
+/// result) everywhere else.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are odd; in a debug build, also if a
+/// slot is unreduced.
+pub fn dot(field: Barrett, a: &[u32], b: &[u32]) -> u32 {
+    assert!(
+        a.len().is_multiple_of(2),
+        "a polynomial is a whole number of two-slot words"
+    );
+    assert_eq!(a.len(), b.len(), "a dot product of unequal lengths");
+    debug_assert!(
+        slots_below(field.m, a) && slots_below(field.m, b),
+        "unreduced slot"
+    );
+    clmul::dot(field, a, b).unwrap_or_else(|| dot_with(ShiftXor, field, a, b))
+}
+
+/// Moduli over GF(2) of degree 1 to 31 and what [`residues`] divides by
+/// them with, for a value of `W` words.
+///
+/// For a modulus `m` of degree `d`, the kernel works modulo
+/// `M = m * x^(64-d)`, of degree 64 (the residue then sits in the top `d`
+/// bits of a word): `value * x^(64-d)` is congruent to
+/// `sum_i value[i] * C_i` with `C_i = x^(64 (W-i) - d) mod M`, a sum of
+/// degree below 127, and one Barrett word takes it below 64:
+/// `q = hi + high(hi * mu)` with `mu = floor(x^128 / M)`, and the low word
+/// plus `low(q * M)` is the residue, moved up `64 - d`. Each `C_i` is the
+/// next one times `x^64`, reduced the same way: two multiplies per word.
+#[derive(Debug, Clone)]
+pub struct Residues {
+    words: usize,
+    /// Per modulus, `W + 2` words: `C_0 .. C_(W-1)`, then `mu` below its
+    /// leading term, then the modulus `m` itself.
+    rows: Vec<Block>,
+}
+
+impl Residues {
+    /// The table for `moduli` (bit `i` the coefficient of `x^i`) and a
+    /// value of `words` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a modulus is constant (degree 0).
+    pub fn new(moduli: &[u32], words: usize) -> Self {
+        assert!(
+            moduli.iter().all(|&m| m > 1),
+            "a constant modulus leaves no residue"
+        );
+        let mut rows = vec![0; moduli.len() * (words + 2)];
+        if !clmul::residues_table(moduli, words, &mut rows) {
+            residues_table_with(ShiftXor, moduli, words, &mut rows);
+        }
+        Residues { words, rows }
+    }
+
+    /// The words `W` of the value [`residues`] takes.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The number of moduli, i.e. of residues [`residues`] gives.
+    fn count(&self) -> usize {
+        self.rows.len() / (self.words + 2)
+    }
+
+    /// Bytes of constants the table holds.
+    pub fn table_bytes(&self) -> usize {
+        size_of_val(&self.rows[..])
+    }
+}
+
+/// `out[j] = value mod m_j` for every modulus of `table`, `value` being
+/// `W` words **most significant first** (as the fold's state): `W`
+/// multiplies per modulus, accumulated where the machine keeps them, and
+/// a two-multiply Barrett word — every modulus independent of the others.
+///
+/// Runs `pclmulqdq` where [`clmul_available`], shift-and-XOR (the same
+/// result) everywhere else.
+///
+/// # Panics
+///
+/// Panics unless `value` is [`Residues::words`] long and `out` holds one
+/// residue per modulus.
+pub fn residues(table: &Residues, value: &[Block], out: &mut [u32]) {
+    assert_eq!(value.len(), table.words, "the value is not W words");
+    assert_eq!(out.len(), table.count(), "not one residue per modulus");
+    if !clmul::residues(table, value, out) {
+        residues_with(ShiftXor, table, value, out);
+    }
+}
+
 /// [`combine`]'s body (shapes already checked).
 #[inline(always)]
 fn combine_with<M: MulAcc>(mul: M, field: Barrett, scalars: &[u32], rows: &[u32], acc: &mut [u32]) {
@@ -562,6 +673,82 @@ fn frobenius_chain_with<M: MulAcc>(
         .all(|(c, &v)| v == u32::from(c == 1))
 }
 
+/// [`dot`]'s body (shapes already checked).
+#[inline(always)]
+fn dot_with<M: MulAcc>(mul: M, field: Barrett, a: &[u32], b: &[u32]) -> u32 {
+    let (a, _) = a.as_chunks::<2>();
+    let (b, _) = b.as_chunks::<2>();
+    let mut sum = mul.zero();
+    for (&x, &y) in a.iter().zip(b.iter().rev()) {
+        sum = mul.mul_acc(sum, pack(x), pack(y));
+    }
+    let middle = mul.halves(sum).1 >> 32;
+    unpack(field.reduce(mul, middle))[0]
+}
+
+/// A modulus of [`Residues`] as the kernel takes it: `M` below its
+/// leading term, `m`'s lower terms moved up to where `x^(64-d)` puts them,
+/// and the move `64 - d`.
+#[inline(always)]
+fn scaled(modulus: Block) -> (Block, u32) {
+    let shift = 64 - modulus.ilog2();
+    ((modulus ^ 1 << modulus.ilog2()) << shift, shift)
+}
+
+/// `high * x^64 + low` modulo `M = x^64 + m_low`, given
+/// `mu = floor(x^128 / M)` below its leading term: the quotient is `high`
+/// plus the high word of `high * mu`, and nothing of the value and the
+/// quotient's multiple of `M` is left above the low word.
+#[inline(always)]
+fn barrett_word<M: MulAcc>(mul: M, high: Block, low: Block, mu: Block, m_low: Block) -> Block {
+    let q = high ^ mul.halves(mul.mul_acc(mul.zero(), high, mu)).0;
+    low ^ mul.halves(mul.mul_acc(mul.zero(), m_low, q)).1
+}
+
+/// [`Residues::new`]'s body (moduli already checked).
+#[inline(always)]
+fn residues_table_with<M: MulAcc>(mul: M, moduli: &[u32], words: usize, rows: &mut [Block]) {
+    for (row, &modulus) in rows.chunks_exact_mut(words + 2).zip(moduli) {
+        let (consts, tail) = row.split_at_mut(words);
+        let d = modulus.ilog2();
+        // floor(x^(64+d) / m) by long division, 65 quotient bits: the
+        // leading one leaves the word on the last shift.
+        let (mut rem, mut mu) = (1u64 << d, 0u64);
+        for _ in 0..65 {
+            mu <<= 1;
+            if rem >> d == 1 {
+                rem ^= u64::from(modulus);
+                mu |= 1;
+            }
+            rem <<= 1;
+        }
+        let (m_low, shift) = scaled(u64::from(modulus));
+        // C_(W-1) = x^(64-d); each one up is the last times x^64.
+        let mut c = 1 << shift;
+        for k in consts.iter_mut().rev() {
+            *k = c;
+            c = barrett_word(mul, c, 0, mu, m_low);
+        }
+        tail.copy_from_slice(&[mu, u64::from(modulus)]);
+    }
+}
+
+/// [`residues`]' body (shapes already checked).
+#[inline(always)]
+fn residues_with<M: MulAcc>(mul: M, table: &Residues, value: &[Block], out: &mut [u32]) {
+    for (o, row) in out.iter_mut().zip(table.rows.chunks_exact(table.words + 2)) {
+        let (consts, tail) = row.split_at(table.words);
+        let (mu, modulus) = (tail[0], tail[1]);
+        let mut sum = mul.zero();
+        for (&k, &v) in consts.iter().zip(value) {
+            sum = mul.mul_acc(sum, k, v);
+        }
+        let (high, low) = mul.halves(sum);
+        let (m_low, shift) = scaled(modulus);
+        *o = (barrett_word(mul, high, low, mu, m_low) >> shift) as u32;
+    }
+}
+
 #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
 mod clmul {
     //! The only unsafe in the crate: `pclmulqdq` intrinsics, reachable
@@ -574,8 +761,8 @@ mod clmul {
     };
 
     use super::{
-        combine_with, fold_with, frobenius_chain_with, product_len, row_product_with, square_with,
-        Barrett, Block, MulAcc,
+        combine_with, dot_with, fold_with, frobenius_chain_with, product_len, residues_table_with,
+        residues_with, row_product_with, square_with, Barrett, Block, MulAcc, Residues,
     };
 
     pub(super) fn available() -> bool {
@@ -671,6 +858,33 @@ mod clmul {
         let cpu = Pclmul::detect()?;
         // SAFETY: as in `row_product`.
         Some(unsafe { frobenius_chain_impl(cpu, field, f, deg, scratch, z) })
+    }
+
+    /// [`super::dot`] on `pclmulqdq`, as [`frobenius_chain`].
+    pub(super) fn dot(field: Barrett, a: &[u32], b: &[u32]) -> Option<u32> {
+        let cpu = Pclmul::detect()?;
+        // SAFETY: as in `row_product`.
+        Some(unsafe { dot_impl(cpu, field, a, b) })
+    }
+
+    /// [`super::Residues::new`]'s body on `pclmulqdq`, as [`row_product`].
+    pub(super) fn residues_table(moduli: &[u32], words: usize, rows: &mut [Block]) -> bool {
+        let Some(cpu) = Pclmul::detect() else {
+            return false;
+        };
+        // SAFETY: as in `row_product`.
+        unsafe { residues_table_impl(cpu, moduli, words, rows) }
+        true
+    }
+
+    /// [`super::residues`] on `pclmulqdq`, as [`row_product`].
+    pub(super) fn residues(table: &Residues, value: &[Block], out: &mut [u32]) -> bool {
+        let Some(cpu) = Pclmul::detect() else {
+            return false;
+        };
+        // SAFETY: as in `row_product`.
+        unsafe { residues_impl(cpu, table, value, out) }
+        true
     }
 
     /// Proof that the CPU executes pclmulqdq and sse4.1: the one
@@ -772,13 +986,37 @@ mod clmul {
     ) -> bool {
         frobenius_chain_with(cpu, field, f, deg, scratch, z)
     }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn dot_impl(cpu: Pclmul, field: Barrett, a: &[u32], b: &[u32]) -> u32 {
+        dot_with(cpu, field, a, b)
+    }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn residues_table_impl(cpu: Pclmul, moduli: &[u32], words: usize, rows: &mut [Block]) {
+        residues_table_with(cpu, moduli, words, rows);
+    }
+
+    /// # Safety
+    ///
+    /// As [`row_product_impl`].
+    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    unsafe fn residues_impl(cpu: Pclmul, table: &Residues, value: &[Block], out: &mut [u32]) {
+        residues_with(cpu, table, value, out);
+    }
 }
 
 #[cfg(not(all(feature = "clmul", target_arch = "x86_64")))]
 mod clmul {
     //! Portable stand-in: CLMUL is unavailable and
     //! [`super::mul_raw_clmul`] falls back to the windowed kernel.
-    use super::{Barrett, Block};
+    use super::{Barrett, Block, Residues};
 
     pub(super) fn available() -> bool {
         false
@@ -812,6 +1050,18 @@ mod clmul {
         _: &mut [u32],
     ) -> Option<bool> {
         None
+    }
+
+    pub(super) fn dot(_: Barrett, _: &[u32], _: &[u32]) -> Option<u32> {
+        None
+    }
+
+    pub(super) fn residues_table(_: &[u32], _: usize, _: &mut [Block]) -> bool {
+        false
+    }
+
+    pub(super) fn residues(_: &Residues, _: &[Block], _: &mut [u32]) -> bool {
+        false
     }
 }
 
@@ -1178,6 +1428,105 @@ mod tests {
     }
 
     #[test]
+    fn dot_is_the_sum_of_field_products_at_every_even_length() {
+        let mut rng = 0xD07_D07u64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            for len in (0..=132).step_by(2) {
+                let a = random_slots(len, m, &mut rng);
+                let b = random_slots(len, m, &mut rng);
+                let expect = (0..len).fold(0, |sum, i| sum ^ field.mul(a[i], b[len - 1 - i]));
+                assert_eq!(dot(field.barrett(), &a, &b), expect, "m {m}, length {len}");
+            }
+        }
+    }
+
+    /// The table's residues against long division (`Gf2Poly::rem`), and —
+    /// what the syndromes use them for — evaluated at the root.
+    fn check_residues(field: &crate::GfField, exponents: &[u32], words: usize, rng: &mut u64) {
+        let moduli: Vec<u32> = exponents
+            .iter()
+            .map(|&j| crate::minpoly::minimal_poly(field, j).as_words()[0] as u32)
+            .collect();
+        let table = Residues::new(&moduli, words);
+        assert_eq!((table.count(), table.words()), (moduli.len(), words));
+        for round in 0..4 {
+            // Random words, then all ones, then a single top bit.
+            let value = match round {
+                0 | 1 => random_words(words, rng),
+                2 => vec![!0; words],
+                _ => (0..words).map(|i| u64::from(i == 0) << 63).collect(),
+            };
+            let mut out = vec![0; moduli.len()];
+            residues(&table, &value, &mut out);
+            let poly = poly(&value);
+            for ((&j, &m), &r) in exponents.iter().zip(&moduli).zip(&out) {
+                let modulus = crate::Gf2Poly::from_int(u64::from(m));
+                let rem = crate::Gf2Poly::from_int(u64::from(r));
+                let what = format!("m {}, j {j}, {words} words", field.degree());
+                assert_eq!(rem, poly.rem(&modulus), "{what}");
+                let root = field.alpha_pow(i64::from(j));
+                assert_eq!(
+                    rem.eval_in_field(field, root),
+                    poly.eval_in_field(field, root),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn residues_are_long_division_by_the_minimal_polynomials_in_every_field() {
+        let mut rng = 0x2E51_D0E5u64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            for t in [1u32, 5, 11, 14] {
+                let odd: Vec<u32> = (0..t).map(|k| 2 * k + 1).collect();
+                for words in [1, (m * t).div_ceil(64) as usize, 5] {
+                    check_residues(&field, &odd, words, &mut rng);
+                }
+            }
+        }
+        // The paper's widest code: 65 moduli of degree 16, 17 words.
+        let field = crate::GfField::new(16).unwrap();
+        let odd: Vec<u32> = (0..65).map(|k| 2 * k + 1).collect();
+        check_residues(&field, &odd, 17, &mut rng);
+        // Moduli of degree below m — alpha^9 and alpha^21 of GF(2^6) lie
+        // in GF(2^3) and GF(2^2) — and two odd exponents of one coset
+        // (GF(2^4), t = 5: 9 is in C_3), one modulus twice.
+        let mp = |m, j| {
+            let field = crate::GfField::new(m).unwrap();
+            crate::minpoly::minimal_poly(&field, j)
+        };
+        assert_eq!((mp(6, 9).degree(), mp(6, 21).degree()), (Some(3), Some(2)));
+        assert_eq!(mp(4, 9), mp(4, 3));
+    }
+
+    #[test]
+    fn residues_divide_by_any_modulus_up_to_degree_31() {
+        let mut rng = 0x0DD_D1F15u64;
+        for degree in 1..=31 {
+            let moduli: Vec<u32> = (0..7)
+                .map(|_| xorshift(&mut rng) as u32 & ((1 << degree) - 1) | 1 << degree)
+                .collect();
+            for words in [1, 2, 17] {
+                let table = Residues::new(&moduli, words);
+                let value = random_words(words, &mut rng);
+                let mut out = vec![0; moduli.len()];
+                residues(&table, &value, &mut out);
+                for (&m, &r) in moduli.iter().zip(&out) {
+                    let modulus = crate::Gf2Poly::from_int(u64::from(m));
+                    assert_eq!(
+                        crate::Gf2Poly::from_int(u64::from(r)),
+                        poly(&value).rem(&modulus),
+                        "modulus {m:#x}, {words} words"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn the_pclmulqdq_bodies_equal_the_shift_and_xor_bodies() {
         // What the safe wrappers run (pclmulqdq where the CPU has it)
         // against the portable bodies called directly, on random shapes.
@@ -1207,6 +1556,32 @@ mod tests {
                 frobenius_chain_with(ShiftXor, field, &f, deg, &mut scratch, &mut expect),
             );
             assert_eq!(got, expect, "chain, m {m}, degree {deg}");
+            let (a, b) = (
+                random_slots(len, m, &mut rng),
+                random_slots(len, m, &mut rng),
+            );
+            assert_eq!(
+                dot(field, &a, &b),
+                dot_with(ShiftXor, field, &a, &b),
+                "dot, m {m}, length {len}"
+            );
+            // Moduli of every degree the table takes, values of 1..=18 words.
+            let words = 1 + round % 18;
+            let moduli: Vec<u32> = (0..count)
+                .map(|_| {
+                    let degree = 1 + xorshift(&mut rng) % 31;
+                    xorshift(&mut rng) as u32 & ((1 << degree) - 1) | 1 << degree
+                })
+                .collect();
+            let table = Residues::new(&moduli, words);
+            let mut portable = vec![0; table.rows.len()];
+            residues_table_with(ShiftXor, &moduli, words, &mut portable);
+            assert_eq!(table.rows, portable, "table, {count} moduli, {words} words");
+            let value = random_words(words, &mut rng);
+            let (mut got, mut expect) = (vec![0; count], vec![0; count]);
+            residues(&table, &value, &mut got);
+            residues_with(ShiftXor, &table, &value, &mut expect);
+            assert_eq!(got, expect, "residues, {count} moduli, {words} words");
         }
     }
 
@@ -1291,6 +1666,36 @@ mod tests {
     #[should_panic(expected = "unreduced slot")]
     fn chain_rejects_a_nonzero_padding_slot() {
         frobenius_chain(gf16(), &[1, 1, 1, 1], 3, &mut [0; 16], &mut [0; 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of two-slot words")]
+    fn dot_rejects_an_odd_length() {
+        dot(gf16(), &[1, 2, 3], &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn dot_rejects_unequal_lengths() {
+        dot(gf16(), &[1, 2], &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not W words")]
+    fn residues_reject_a_value_of_the_wrong_width() {
+        residues(&Residues::new(&[0x13, 0x7], 3), &[1, 2], &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one residue per modulus")]
+    fn residues_reject_an_output_of_the_wrong_length() {
+        residues(&Residues::new(&[0x13, 0x7], 2), &[1, 2], &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "constant modulus")]
+    fn residues_reject_a_constant_modulus() {
+        Residues::new(&[0x13, 1], 2);
     }
 
     #[test]

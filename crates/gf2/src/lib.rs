@@ -22,10 +22,11 @@
 //!   runs [`MulKernel::best`]; the oracle exists for differential tests.
 //!   The same module carries the multiply-by-constants fold and row
 //!   product ([`kernels::fold_clmul`], [`kernels::row_product_clmul`]) the
-//!   BCH encoder's remainder pass is made of, and GF(2^m)\[x\] with two
+//!   BCH encoder's remainder pass is made of, GF(2^m)\[x\] with two
 //!   coefficients to a machine word ([`kernels::combine`],
-//!   [`kernels::square`], [`kernels::frobenius_chain`]) for the decoder's
-//!   root search.
+//!   [`kernels::square`], [`kernels::frobenius_chain`], [`kernels::dot`])
+//!   for the decoder's root search and Berlekamp-Massey, and one division
+//!   by many small moduli ([`kernels::residues`]) for its syndromes.
 //!
 //! # Example
 //!

@@ -36,14 +36,12 @@ pub fn cyclotomic_coset(m: u32, s: u32) -> Vec<u32> {
 
 /// The minimal polynomial of `alpha^s` over GF(2).
 ///
-/// Computed as the product over the cyclotomic coset of `s` of the linear
-/// factors `(x + alpha^i)`, carried out in GF(2^m); the result provably has
-/// coefficients in GF(2).
-///
-/// # Panics
-///
-/// Panics (debug assertion) if a coefficient falls outside {0, 1}, which
-/// would indicate a broken field implementation.
+/// The monic polynomial of least degree with `beta = alpha^s` as a root is
+/// the first GF(2)-linear dependency among `1, beta, beta^2, ..` taken as
+/// `m`-bit vectors: each power is eliminated against the ones before it,
+/// carrying along which powers the pivots are sums of, and the first one
+/// that vanishes names the polynomial's terms. At most `m + 1` powers and
+/// `m` eliminations each — no arithmetic in GF(2^m) beyond the antilogs.
 ///
 /// # Example
 ///
@@ -56,27 +54,31 @@ pub fn cyclotomic_coset(m: u32, s: u32) -> Vec<u32> {
 /// # Ok::<(), mlcx_gf2::GfError>(())
 /// ```
 pub fn minimal_poly(field: &GfField, s: u32) -> Gf2Poly {
-    let coset = cyclotomic_coset(field.degree(), s);
-    // Polynomial over GF(2^m), coefficient of x^i at index i. Start with 1.
-    let mut coeffs: Vec<u32> = vec![1];
-    for &i in &coset {
-        let root = field.alpha_pow(i as i64);
-        // Multiply coeffs by (x + root).
-        let mut next = vec![0u32; coeffs.len() + 1];
-        for (d, &c) in coeffs.iter().enumerate() {
-            next[d + 1] ^= c; // c * x
-            next[d] ^= field.mul(c, root); // c * root
+    let (n, step) = (field.order(), s % field.order());
+    // pivot[h]: a sum of powers with top bit h, and which powers (bit i
+    // for beta^i) it is the sum of.
+    let mut pivot = [(0u32, 0u32); 16];
+    let mut log = 0;
+    for i in 0..=field.degree() {
+        let (mut v, mut terms) = (field.alpha_pow_reduced(log), 1u32 << i);
+        while v != 0 {
+            let (row, row_terms) = pivot[v.ilog2() as usize];
+            if row == 0 {
+                break;
+            }
+            v ^= row;
+            terms ^= row_terms;
         }
-        coeffs = next;
-    }
-    let mut out = Gf2Poly::zero();
-    for (d, &c) in coeffs.iter().enumerate() {
-        debug_assert!(c <= 1, "minimal polynomial coefficient not in GF(2)");
-        if c == 1 {
-            out.set_coeff(d, true);
+        if v == 0 {
+            return Gf2Poly::from_int(u64::from(terms));
+        }
+        pivot[v.ilog2() as usize] = (v, terms);
+        log += step;
+        if log >= n {
+            log -= n;
         }
     }
-    out
+    unreachable!("m + 1 vectors of GF(2)^m are linearly dependent")
 }
 
 /// The generator polynomial of the `t`-error-correcting binary BCH code
@@ -186,6 +188,49 @@ mod tests {
             total += coset.len();
         }
         assert_eq!(total, n as usize);
+    }
+
+    /// The definition: the product of `x + alpha^i` over the coset of `s`,
+    /// carried out in GF(2^m), whose coefficients land in GF(2).
+    fn coset_product(field: &GfField, s: u32) -> Gf2Poly {
+        let mut coeffs = vec![1u32];
+        for i in cyclotomic_coset(field.degree(), s) {
+            let root = field.alpha_pow(i64::from(i));
+            coeffs.insert(0, 0);
+            for d in 0..coeffs.len() - 1 {
+                coeffs[d] ^= field.mul(coeffs[d + 1], root);
+            }
+        }
+        assert!(
+            coeffs.iter().all(|&c| c <= 1),
+            "a coefficient outside GF(2)"
+        );
+        Gf2Poly::from_exponents(
+            &(0..coeffs.len())
+                .filter(|&d| coeffs[d] == 1)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn minimal_poly_is_the_product_over_the_coset() {
+        // Every exponent of the small fields, the odd ones a t = 65 code
+        // takes in the large ones, and the exponent n (the coset of 0).
+        for m in 2..=16 {
+            let f = GfField::new(m).unwrap();
+            let exponents: Vec<u32> = if m <= 8 {
+                (0..=f.order()).collect()
+            } else {
+                (1..130).step_by(2).chain([0, f.order()]).collect()
+            };
+            for s in exponents {
+                assert_eq!(
+                    minimal_poly(&f, s),
+                    coset_product(&f, s),
+                    "m = {m}, s = {s}"
+                );
+            }
+        }
     }
 
     #[test]
