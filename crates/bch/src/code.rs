@@ -513,32 +513,61 @@ mod tests {
     }
 
     /// Table bytes per production code over GF(2^16), pinned so that a
-    /// footprint change is a deliberate one: the LFSR's `8P x 256 x W`
-    /// words where the pass runs off tables (two-word steps up to `W = 4`,
-    /// one-word above) or the fold's `2 x 18 x W + W + 1` where this CPU
-    /// folds, and the residue lane's `t x (W + 2)` words of division
-    /// constants, `t x 4 x 16` evaluation entries and 64 squaring entries
-    /// (`W = ceil(16 t / 64)`).
+    /// footprint change is a deliberate one, on every CPU: the one-word
+    /// LFSR's `16 x 256` words of position tables or, from two words up,
+    /// the fold's `2 x 18 x W + W + 1`, and the residue lane's
+    /// `t x (W + 2)` words of division constants, `t x 4 x 16` evaluation
+    /// entries and 64 squaring entries (`W = ceil(16 t / 64)`).
     #[test]
     fn table_footprint_per_code_is_pinned() {
         let field = Arc::new(GfField::new(16).unwrap());
-        for (t, lfsr_kib, fold_bytes, syndrome_bytes) in [
-            (3, 32, None, 584),
-            (14, 128, Some(1_192), 2_592),
-            (65, 272, Some(5_040), 18_328),
-        ] {
+        for (t, lfsr_bytes, syndrome_bytes) in
+            [(3, 32 << 10, 584), (14, 1_192, 2_592), (65, 5_040, 18_328)]
+        {
             let code = BchCode::new(field.clone(), 4096 * 8, t).unwrap();
-            let tables = LfsrEncoder::with_tables(code.generator());
-            assert_eq!(tables.table_bytes(), lfsr_kib << 10, "t = {t}");
             let Lfsr::Fused(encoder) = &code.lfsr else {
                 panic!("the default kernel is the production one");
             };
-            let lfsr_bytes = fold_bytes
-                .filter(|_| mlcx_gf2::clmul_available())
-                .unwrap_or(lfsr_kib << 10);
             assert_eq!(encoder.table_bytes(), lfsr_bytes, "t = {t}");
             assert_eq!(code.syndromes.table_bytes(), syndrome_bytes, "t = {t}");
         }
+    }
+
+    /// `t = 70` over GF(2^16) (a user-set `ecc_tmax` past the paper's 65):
+    /// 1 120 parity bits, an 18-word register that folds with its state on
+    /// the heap, and a decode that corrects all 70 errors of a 4 KiB page.
+    #[test]
+    fn a_register_wider_than_the_papers_encodes_and_corrects_t_errors() {
+        let c = code(16, 4096, 70);
+        assert_eq!(c.parity_bits(), 1_120);
+        let mut rng = StdRng::seed_from_u64(70);
+        let msg: Vec<u8> = (0..4096).map(|_| rng.random()).collect();
+        let mut parity = c.encode(&msg).unwrap();
+        let reference =
+            BchCode::new_with_kernel(c.field.clone(), 4096 * 8, 70, CodecKernel::Reference);
+        assert_eq!(reference.unwrap().encode(&msg).unwrap(), parity);
+        let mut positions = std::collections::BTreeSet::new();
+        while positions.len() < 70 {
+            positions.insert(rng.random_range(0..c.codeword_bits()));
+        }
+        let mut recv = msg.clone();
+        for &p in &positions {
+            if p < c.message_bits() {
+                flip(&mut recv, p);
+            } else {
+                flip(&mut parity, p - c.message_bits());
+            }
+        }
+        let out = c.decode(&mut recv, &mut parity).unwrap();
+        assert!(
+            matches!(out, DecodeOutcome::Corrected { bit_errors: 70, .. }),
+            "{out:?}"
+        );
+        assert_eq!(recv, msg);
+        assert_eq!(
+            c.decode(&mut recv, &mut parity).unwrap(),
+            DecodeOutcome::Clean
+        );
     }
 
     #[test]

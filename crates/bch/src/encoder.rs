@@ -4,129 +4,90 @@
 //! parity as the remainder `m(x) * x^r mod g(x)` with an `r`-bit LFSR whose
 //! feedback taps are selected by multiplexers from a generator-polynomial
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
-//! latency is `k/p` cycles **independent of the selected `t`** — the
-//! software model mirrors that with one table-driven step formula that
-//! folds `P` 64-bit words of message at every register width `r = deg g`,
-//! and widens `p` the way the hardware would: by stepping deeper.
-//! (Registers wider than one word leave the tables for multiplication
-//! where the CPU can; last section.)
+//! latency is `k/p` cycles **independent of the selected `t`**. The
+//! software model has two passes, chosen by the register's width alone: a
+//! register of one word steps through tables, a wider one folds by
+//! carry-less multiplication. Both leave the same register.
 //!
-//! What lets one step serve every `r` is the register's alignment. The
-//! running remainder `s(x)` lives in `W = ceil(r/64)` words, most
-//! significant first, **left-aligned**: the words hold `s(x) * x^pad` with
-//! `pad = 64*W - r`, i.e. the pass works modulo `G = g * x^pad`, whose
-//! degree is a whole number of words whatever `r` is. Folding the next
-//! `P` message words `c[0..P]` is then
+//! That register is **left-aligned**: the running remainder `s(x)` lives in
+//! `W = ceil(r/64)` words, most significant first, holding `s(x) * x^pad`
+//! with `pad = 64*W - r` — the pass works modulo `G = g * x^pad`, whose
+//! degree is a whole number of words whatever `r` is. Read out big-endian
+//! and cut to `ceil(r/8)` bytes, the finished register *is* the parity
+//! layout.
+//!
+//! # One word: slicing-by-16
+//!
+//! A register of one word (`r <= 64`; `t <= 4` over GF(2^16), every code a
+//! fresh page is written with) takes two message words `c0`, `c1` a step
+//! through sixteen position tables
+//! `T_j[v] = ((v(x) * x^(r + 8*(15-j))) mod g) * x^pad` (slicing-by-16,
+//! after the CRC technique; 32 KiB):
 //!
 //! ```text
-//! idx[p] = reg[p] ^ be64(c[p])   // p < P; reg[p] = 0 for p >= W
-//! reg[i] = reg[i+P] ^ XOR over p, j of T_(8p+j)[byte j of idx[p]][i]
+//! reg = XOR over j < 8 of T_j[byte j of (reg ^ be64(c0))]
+//!     ^ XOR over j < 8 of T_(8+j)[byte j of be64(c1)]
 //! ```
 //!
-//! — the `64P` coefficients leaving the top, a move by `P` whole words (no
-//! bit shift, no mask), and `8P` table rows — with
-//! `T_j[v] = ((v(x) * x^(r + 8*(8P-1-j))) mod g) * x^pad` (slicing-by-8P,
-//! after the CRC technique). A right-aligned register would have to pull
-//! those coefficients off the top of an `r`-bit field — impossible below
-//! `r = 64`, a cross-word extract, a bit shift and a mask above — which is
-//! why no width here needs a narrower step. The last eight positions of
-//! any depth *are* the one-word step's tables, so what a `P`-word loop
-//! leaves takes one-word steps and then single bytes through the tail of
-//! the same table, and the finished register read out big-endian, cut to
-//! `ceil(r/8)` bytes, *is* the parity layout.
-//!
-//! Why step deeper: only `reg[0..P]` of one step feed the next step's
-//! indices, each through one XOR, one byte extract and one table load, so
-//! a two-word step has the dependency chain of a one-word step and its
-//! sixteen row loads overlap where the one-word step's eight left the load
-//! ports idle. What would lengthen the chain is the XOR of the rows: the
-//! compiler makes one serial chain of all `8P`. So the pass keeps the
-//! register as the XOR of `P` **lanes**, lane `p` taking the eight rows
-//! step word `p` selected and moving like the register does
-//! (`lane_p[i] = lane_p[i+P] ^ ..`); the lanes meet where the next index
-//! is formed (`reg[p]` above is the XOR of the lanes' word `p`) and are
-//! summed once after the last step. A step is then `P` independent chains
-//! of eight XORs, and at `W = 1`, where the second word meets no register
-//! (`reg[1] = 0`) and the message alone selects its rows, that lane is off
-//! the critical path altogether.
-//!
-//! `P` follows the stack/slice seam. Registers of up to four words
-//! (`t <= 16` over GF(2^16)) run the step on the stack from a `[u64; W]`
-//! monomorph of the one body, where that chain is what the time is:
-//! `P = 2`. Wider ones would run the same body over a slice, where the
-//! time is the table traffic (8 rows of `W` words per word of message, out
-//! of tables — 272 KiB at `t = 65` — that miss L1 and crowd L2) and a
-//! doubled table only adds misses: `P = 1`. The one-word register
-//! (`t <= 4`: every code a fresh page is written with) steps on every
-//! machine; the stack bodies of two to four words and the slice loop are
-//! the pass where the CPU has no carry-less multiply, and only there.
+//! — the 64 coefficients leaving the top select the rows, no bit shift, no
+//! mask; below `r = 64` a right-aligned register would need both. The
+//! second word's eight rows depend on the message alone, so the pass
+//! keeps their sum apart until the next step's index is formed: the step
+//! then has the dependency chain of a one-word step (one XOR, a byte
+//! extract and a load, eight XORs), and its sixteen loads overlap. What
+//! the two-word steps leave takes a one-word step through the last eight
+//! tables, then single bytes through the last one.
 //!
 //! # From two words up, a carry-less fold
 //!
-//! Where it has one ([`mlcx_gf2::clmul_available`] — selected by what the
-//! CPU does, here and nowhere else, like `MulKernel::best`), a register of
-//! 2 to 17 words is not stepped at all. With `K_k = x^(64k) mod G`
-//! (`W` words each), an `L`-word **state** `S`, right-aligned, stays
-//! congruent to everything read so far while `L` message words at a time
-//! come in underneath it:
+//! A register of two words or more is not stepped at all. With
+//! `K_k = x^(64k) mod G` (`W` words each), an `L`-word **state** `S`,
+//! right-aligned, stays congruent to everything read so far while `L`
+//! message words at a time come in underneath it:
 //!
 //! ```text
 //! S * x^(64L) + next  ==  sum_i s_i * K_(2L-1-i)  +  next     (mod G)
 //! ```
 //!
-//! — `W` multiplies per message word
-//! ([`mlcx_gf2::kernels::fold_clmul`]), about 5 KiB of constants at
-//! `t = 65` where the tables held 272, 1.2 KiB at `t = 14` (`W = 4`: a
-//! 4 KiB page in 1.0 us where the stack body's sixteen row loads a step
-//! took 3.9) where they held 128. Zeros ahead of a message are free in
-//! a right-aligned state, so the message's odd leading bytes and words
-//! seed it and the rest is whole steps: no tail. The finish moves the
-//! state up by the register's width instead, `Z = sum_i s_i * K_(W+L-1-i)`,
-//! `W + 1` words congruent to `m(x) * x^(64W)`, and one Barrett word takes
-//! the one word too many off: `q = z_0 + high(z_0 * mu)` with
+//! — `W` multiplies per message word ([`mlcx_gf2::kernels::fold_clmul`]:
+//! `pclmulqdq` where the CPU has it, shift-and-XOR elsewhere), about 5 KiB
+//! of constants at `t = 65` and 1.2 KiB at `t = 14`, where slicing tables
+//! would hold 272 and 128. Zeros ahead of a message are free in a
+//! right-aligned state, so the message's odd leading bytes and words seed
+//! it and the rest is whole steps: no tail. The finish moves the state up
+//! by the register's width instead, `Z = sum_i s_i * K_(W+L-1-i)`, `W + 1`
+//! words congruent to `m(x) * x^(64W)`, and one Barrett word takes the one
+//! word too many off: `q = z_0 + high(z_0 * mu)` with
 //! `mu = floor(x^(64W+64) / G)`, `R = Z_low + low(q * G_low)`. That `R` is
 //! `m(x) * x^(64W) mod G = (m(x) * x^r mod g) * x^pad` — the **same**
-//! left-aligned register the stepped pass leaves, which is why nothing
+//! left-aligned register the one-word step leaves, which is why nothing
 //! after the pass knows which one ran, and why the fold works modulo `G`
 //! too and not modulo `g`.
 //!
 //! `L` is not a knob: the product of a step, `W + 1` words, must land
 //! inside the state, so `L >= W + 1`; a step cannot start before the last
-//! has finished, so the longer the better; and the kernel keeps the state
-//! in its stack frame, 18 words. `L = 18` for every `W`, which is also
-//! where the range ends: a register of more than 17 words (no code of the
-//! paper's codec) takes the tables.
+//! has finished, so the longer the better; and the state lives in the
+//! stack frame, 18 words. `L = 18` up to `W = 17` (`t = 65` over
+//! GF(2^16), the paper's widest code); a wider register folds at
+//! `L = W + 1`, its state on the heap.
 //!
 //! [`crate::CodecKernel::Reference`] does not come through here: its
 //! bit-serial LFSR is `bitreg.rs`, which shares nothing with this module.
 
-use mlcx_gf2::kernels::{fold_clmul, row_product_clmul, FOLD_MAX_WORDS};
-use mlcx_gf2::{clmul_available, Gf2Poly};
+use mlcx_gf2::kernels::{fold_clmul, row_product_clmul};
+use mlcx_gf2::Gf2Poly;
 
-/// Registers of up to this many words (`t <= 16` over GF(2^16)) step on
-/// the stack, in a `[u64; W]` monomorph of the pass — the one-word one
-/// everywhere, the others where the CPU has no carry-less multiply.
-const STACK_WORDS: usize = 4;
-/// Words per step `P` where the register lives on the stack...
-const STACK_STEP: usize = 2;
-/// ...and where the pass runs over a slice.
-const SLICE_STEP: usize = 1;
+use crate::syndrome::with_words;
 
-/// The step depth `P` a `words`-word register runs at, and its tables are
-/// built for.
-const fn step_words(words: usize) -> usize {
-    match words {
-        1..=STACK_WORDS => STACK_STEP,
-        _ => SLICE_STEP,
-    }
+/// State words `L` of the fold up to `W = 17` (module doc; 4 KiB at `W` = 5
+/// takes 1.3 us at `L` = 8, 1.0 at 18).
+const FOLD_STATE: usize = 18;
+
+/// The fold's state words for a `words`-word register: the step's product,
+/// `W + 1` words, has to land inside the state.
+fn fold_state(words: usize) -> usize {
+    FOLD_STATE.max(words + 1)
 }
-
-/// State words `L` of the fold: the widest the kernel holds, whatever `W`
-/// is (module doc; 4 KiB at `W` = 5 takes 1.3 us at `L` = 8, 1.0 at 18).
-const FOLD_STATE: usize = FOLD_MAX_WORDS;
-/// The widest register the fold carries: the step's product, `W + 1`
-/// words, has to land inside the state.
-const FOLD_WORDS: usize = FOLD_STATE - 1;
 
 /// Parallel LFSR engine for one fixed generator polynomial.
 #[derive(Debug, Clone)]
@@ -140,10 +101,11 @@ pub struct LfsrEncoder {
 /// What the pass runs on; both leave the same left-aligned register.
 #[derive(Debug, Clone)]
 enum Pass {
-    /// Flattened `8P x 256 x W` position tables, `P = step_words(W)`: byte
-    /// position `j` of the step, value `v` occupies
-    /// `tables[(j*256 + v)*W..][..W]`, most significant word first.
-    Tables(Vec<u64>),
+    /// The one-word register's sixteen position tables, `T_(8h+j)` at
+    /// `[h][j]`: the first word of a two-word step selects in half 0, the
+    /// second — and every word or byte after the two-word steps — in
+    /// half 1.
+    Tables(Box<[[[u64; 256]; 8]; 2]>),
     Fold(FoldConstants),
 }
 
@@ -165,18 +127,17 @@ struct FoldConstants {
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits): the fold where the register is wider than one word and the
-    /// CPU multiplies carry-less, the tables otherwise.
+    /// bits): the tables where the register is one word, the fold where it
+    /// is wider.
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
-        let words = generator.degree().unwrap_or(0).div_ceil(64);
-        if (2..=FOLD_WORDS).contains(&words) && clmul_available() {
-            Self::with_fold(generator)
-        } else {
+        if generator.degree().unwrap_or(0) <= 64 {
             Self::with_tables(generator)
+        } else {
+            Self::with_fold(generator)
         }
     }
 
@@ -194,32 +155,31 @@ impl LfsrEncoder {
         (r_bits, words, feedback)
     }
 
-    /// The engine on position tables, whatever the CPU.
+    /// The engine on the one-word position tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register is wider than one word.
     pub(crate) fn with_tables(generator: &Gf2Poly) -> Self {
         let (r_bits, words, feedback) = Self::shape(generator);
-        let at = |j: usize, v: usize| (j * 256 + v) * words;
-        let last = 8 * step_words(words) - 1;
-        let mut tables = vec![0u64; at(last + 1, 0)];
-        // T_last[1] = x^(64*W) mod G, and T_last[2^i] = (x^(r+i) mod g) *
-        // x^pad is i multiplications by x mod G.
-        let mut reg = feedback.clone();
+        assert_eq!(words, 1, "a {words}-word register has no tables");
+        let mut tables = Box::new([[[0u64; 256]; 8]; 2]);
+        // T_15[1] = x^64 mod G, and T_15[2^i] = (x^(r+i) mod g) * x^pad is
+        // i multiplications by x mod G; every table is linear in v.
+        let last = &mut tables[1][7];
+        let mut reg = [feedback[0]];
         for i in 0..8 {
-            tables[at(last, 1 << i)..][..words].copy_from_slice(&reg);
+            last[1 << i] = reg[0];
             mul_x(&mut reg, &feedback);
         }
-        // Every table is linear in v.
         for v in 1..256usize {
-            let (rest, low) = (v & (v - 1), v & v.wrapping_neg());
-            for i in 0..words {
-                tables[at(last, v) + i] = tables[at(last, rest) + i] ^ tables[at(last, low) + i];
-            }
+            last[v] = last[v & (v - 1)] ^ last[v & v.wrapping_neg()];
         }
         // T_j[v] = T_(j+1)[v] * x^8 mod G: one byte step with a zero byte.
-        for j in (0..last).rev() {
+        for j in (0..15).rev() {
             for v in 0..256 {
-                reg.copy_from_slice(&tables[at(j + 1, v)..][..words]);
-                step_byte(&tables[at(last, 0)..], &mut reg, 0);
-                tables[at(j, v)..][..words].copy_from_slice(&reg);
+                let next = tables[(j + 1) / 8][(j + 1) % 8][v];
+                tables[j / 8][j % 8][v] = next << 8 ^ tables[1][7][(next >> 56) as usize];
             }
         }
         LfsrEncoder {
@@ -229,16 +189,10 @@ impl LfsrEncoder {
         }
     }
 
-    /// The engine on the carry-less fold, whatever the CPU (the kernels
-    /// multiply bit-serially where it has no `pclmulqdq`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register is wider than [`FOLD_WORDS`].
+    /// The engine on the carry-less fold, at any width.
     pub(crate) fn with_fold(generator: &Gf2Poly) -> Self {
         let (r_bits, words, modulus) = Self::shape(generator);
-        assert!(words <= FOLD_WORDS, "a {words}-word register does not fold");
-        let l = FOLD_STATE;
+        let l = fold_state(words);
         // K_W .. K_(2L-1), each 64 multiplications by x after the last; the
         // 64 carries of the first run are the quotient of x^(64W+64) by G
         // below its leading term.
@@ -335,7 +289,7 @@ impl LfsrEncoder {
     #[cfg(test)]
     pub(crate) fn table_bytes(&self) -> usize {
         match &self.pass {
-            Pass::Tables(tables) => size_of_val(&tables[..]),
+            Pass::Tables(tables) => size_of_val(&**tables),
             Pass::Fold(k) => {
                 size_of_val(&k.step[..])
                     + size_of_val(&k.finish[..])
@@ -346,23 +300,16 @@ impl LfsrEncoder {
     }
 
     /// Runs the pass over `message` and hands `then` the finished register,
-    /// which lives on the stack: up to [`STACK_WORDS`] words off the
-    /// tables, up to [`FOLD_WORDS`] off the fold.
+    /// which lives on the stack up to `W = 17`.
     fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
-        match (&self.pass, self.words) {
-            (Pass::Fold(k), words) => {
-                let mut reg = [0u64; FOLD_WORDS];
-                k.remainder(message, &mut reg[..words]);
-                then(&mut reg[..words])
-            }
-            (Pass::Tables(tables), 1) => then(&mut narrow::<1>(tables, message)),
-            (Pass::Tables(tables), 2) => then(&mut narrow::<2>(tables, message)),
-            (Pass::Tables(tables), 3) => then(&mut narrow::<3>(tables, message)),
-            (Pass::Tables(tables), 4) => then(&mut narrow::<4>(tables, message)),
-            (Pass::Tables(tables), words) => {
-                let mut reg = vec![0u64; words];
-                wide(tables, &mut reg, message);
-                then(&mut reg)
+        match &self.pass {
+            Pass::Tables(tables) => then(&mut [one_word_pass(tables, message)]),
+            Pass::Fold(k) => {
+                let l = fold_state(self.words);
+                with_words::<{ 2 * FOLD_STATE }, _>(l + self.words + 1, |scratch| {
+                    let (state, z) = scratch.split_at_mut(l);
+                    then(k.remainder(message, state, z))
+                })
             }
         }
     }
@@ -378,16 +325,17 @@ impl LfsrEncoder {
 }
 
 impl FoldConstants {
-    /// The fold: `reg = message(x) * x^(64*W) mod G`, the register the
-    /// table pass leaves (see the module doc).
-    fn remainder(&self, message: &[u8], reg: &mut [u64]) {
-        let (w, l) = (reg.len(), FOLD_STATE);
+    /// The fold through the zeroed `state` (`L` words) and `z` (`W + 1`):
+    /// returns the register, `message(x) * x^(64*W) mod G` — the one the
+    /// one-word step leaves (see the module doc) — as the low `W` words of
+    /// `z`.
+    fn remainder<'z>(&self, message: &[u8], state: &mut [u64], z: &'z mut [u64]) -> &'z mut [u64] {
+        let l = state.len();
         // The state is right-aligned and zeros ahead of a message are free,
         // so the odd bytes and words *lead*: they seed the state, and what
         // follows is whole steps.
         let (head, words) = message.as_rchunks::<8>();
         let (seed, steps) = words.split_at(words.len() % l);
-        let mut state = [0u64; FOLD_STATE];
         let (ahead, seeded) = state.split_at_mut(l - seed.len());
         let mut first = [0u8; 8];
         first[8 - head.len()..].copy_from_slice(head);
@@ -395,151 +343,72 @@ impl FoldConstants {
         for (s, c) in seeded.iter_mut().zip(seed) {
             *s = u64::from_be_bytes(*c);
         }
-        fold_clmul(&mut state, &self.step, steps);
+        fold_clmul(state, &self.step, steps);
         // Z = state * x^(64*W), congruent: W + 1 words, one too many.
-        let mut z = [0u64; FOLD_STATE];
-        let z = &mut z[..=w];
-        row_product_clmul(&state, &self.finish, z);
+        row_product_clmul(state, &self.finish, z);
         // Barrett: q = floor(z_0 * x^(64*W) / G) is the high word of
         // z_0 * floor(x^(64*W+64) / G), and Z - q*G has nothing left in
-        // word 0.
+        // word 0. The state is spent and takes q*G.
         let mut quotient = [0u64; 2];
         row_product_clmul(&z[..1], &[self.mu], &mut quotient);
         let q = z[0] ^ quotient[0];
-        let mut multiple = [0u64; FOLD_STATE];
-        let multiple = &mut multiple[..=w];
+        let multiple = &mut state[..z.len()];
         row_product_clmul(&[q], &self.modulus, multiple);
-        for ((r, z), m) in reg.iter_mut().zip(&z[1..]).zip(&multiple[1..]) {
-            *r = z ^ m;
+        for (r, m) in z.iter_mut().zip(&*multiple).skip(1) {
+            *r ^= m;
         }
+        &mut z[1..]
     }
 }
 
-fn narrow<const W: usize>(tables: &[u64], message: &[u8]) -> [u64; W] {
-    let mut lanes = [[0u64; W]; STACK_STEP];
-    fold(tables, lanes.each_mut().map(|lane| &mut lane[..]), message);
-    lanes[0]
-}
-
-/// The slice loop, compiled on its own: inlined beside the four stack
-/// bodies it came out a quarter slower at `W = 8`.
-#[inline(never)]
-fn wide(tables: &[u64], reg: &mut [u64], message: &[u8]) {
-    fold::<SLICE_STEP>(tables, [reg], message);
-}
-
-/// The pass: folds `message` into the left-aligned register, `P` words per
-/// step, then what that leaves one word at a time through the last eight
-/// position tables, then bytewise through the last one. The `P` lanes come
-/// in zeroed; their XOR is the register while the `P`-word steps run (see
-/// the module doc), and `lanes[0]` is the register from there on. Inlined
-/// into each caller so that a `[u64; W]` register unrolls into scalars —
-/// and written with loops and `#[inline(always)]` helpers only: a closure
-/// in the step (`array::map`, `from_fn`, `Iterator::fold`) is inlined at
-/// the optimiser's discretion, and each one tried was outlined, at up to
-/// 2.5x the pass time.
-#[inline(always)]
-fn fold<const P: usize>(tables: &[u64], mut lanes: [&mut [u64]; P], message: &[u8]) {
-    let w = lanes[0].len();
-    // One length check here lets every row lookup below go unchecked; it
-    // is also what holds `P` to the depth the tables were built at.
-    assert_eq!(tables.len(), 8 * P * 256 * w);
+/// The one-word pass: two message words a step, the second one's rows
+/// kept apart in `side` until the next index is formed (module doc), then
+/// a word, then bytes. Plain loops and shift-extracted bytes only: a
+/// closure in the step (`array::map`, `from_fn`, `Iterator::fold`) is
+/// inlined at the optimiser's discretion, and each one tried was outlined,
+/// at up to 2.5x the pass time.
+fn one_word_pass(tables: &[[[u64; 256]; 8]; 2], message: &[u8]) -> u64 {
     let (words, tail) = message.as_chunks::<8>();
-    let (steps, rest) = words.as_chunks::<P>();
-    for chunk in steps {
-        step(tables, &mut lanes, chunk);
+    let (pairs, rest) = words.as_chunks::<2>();
+    let (mut reg, mut side) = (0, 0);
+    for [first, second] in pairs {
+        let idx = reg ^ side ^ u64::from_be_bytes(*first);
+        side = rows(&tables[1], u64::from_be_bytes(*second));
+        reg = rows(&tables[0], idx);
     }
-    let (reg, side) = lanes.split_first_mut().expect("P >= 1");
-    for lane in side {
-        xor(reg, lane);
-    }
-    // Positions 8(P-1).. are the one-word step's own tables.
-    let tables = &tables[8 * (P - 1) * 256 * w..];
-    for chunk in rest {
-        step(tables, &mut [&mut **reg], &[*chunk]);
+    reg ^= side;
+    for word in rest {
+        reg = rows(&tables[1], reg ^ u64::from_be_bytes(*word));
     }
     for &byte in tail {
-        step_byte(&tables[7 * 256 * w..], reg, byte);
+        reg = reg << 8 ^ tables[1][7][usize::from((reg >> 56) as u8 ^ byte)];
     }
+    reg
 }
 
-/// One `P`-word step over the `8P` position tables in `tables`: step word
-/// `p` selects eight rows by the register's word `p` (the lanes' XOR) and
-/// its message word, and lane `p` takes them.
+/// The rows of eight position tables the bytes of `idx` select, the most
+/// significant byte in the first table, summed.
 #[inline(always)]
-fn step<const P: usize>(tables: &[u64], lanes: &mut [&mut [u64]; P], chunk: &[[u8; 8]; P]) {
-    let w = lanes[0].len();
-    let mut rows = [[&tables[..w]; 8]; P];
-    for p in 0..P {
-        // The 64 coefficients leaving the top in word p of the step.
-        let mut idx = u64::from_be_bytes(chunk[p]);
-        if p < w {
-            for lane in lanes.iter() {
-                idx ^= lane[p];
-            }
-        }
-        for j in 0..8 {
-            let v = (idx >> (56 - 8 * j)) as u8 as usize;
-            rows[p][j] = &tables[((8 * p + j) * 256 + v) * w..][..w];
-        }
+fn rows(tables: &[[u64; 256]; 8], idx: u64) -> u64 {
+    let mut sum = 0;
+    for (j, table) in tables.iter().enumerate() {
+        sum ^= table[usize::from((idx >> (56 - 8 * j)) as u8)];
     }
-    // The word move and the XOR in one sweep: word i takes word i + P.
-    let moved = w.saturating_sub(P);
-    for (lane, rows) in lanes.iter_mut().zip(&rows) {
-        for i in 0..moved {
-            lane[i] = lane[i + P] ^ sum(rows, i);
-        }
-        for i in moved..w {
-            lane[i] = sum(rows, i);
-        }
-    }
+    sum
 }
 
-/// Word `i` of the eight selected rows, summed.
-#[inline(always)]
-fn sum(rows: &[&[u64]; 8], i: usize) -> u64 {
-    let mut acc = 0;
-    for row in rows {
-        acc ^= row[i];
-    }
-    acc
-}
-
-/// One byte through the last position table `t_last`: the 8 coefficients
-/// leaving the top select the row, the register moves up 8 bits.
-#[inline(always)]
-fn step_byte(t_last: &[u64], reg: &mut [u64], byte: u8) {
-    let v = ((reg[0] >> 56) as u8 ^ byte) as usize;
-    shl(reg, 8);
-    xor(reg, &t_last[v * reg.len()..][..reg.len()]);
-}
-
-/// `reg <- reg * x mod G` for `G`'s lower terms `feedback`; returns the
-/// coefficient that left the top.
+/// `reg <- reg * x mod G` for `G`'s lower terms `feedback`, both most
+/// significant word first; returns the coefficient that left the top.
 fn mul_x(reg: &mut [u64], feedback: &[u64]) -> bool {
     let carry = reg[0] >> 63 == 1;
-    shl(reg, 1);
-    if carry {
-        xor(reg, feedback);
+    for i in 0..reg.len() {
+        let below = reg.get(i + 1).map_or(0, |&next| next >> 63);
+        reg[i] = reg[i] << 1 | below;
+        if carry {
+            reg[i] ^= feedback[i];
+        }
     }
     carry
-}
-
-/// Shifts the register left by `k` bits (`0 < k < 64`), dropping what
-/// leaves the top.
-#[inline(always)]
-fn shl(reg: &mut [u64], k: u32) {
-    for i in 0..reg.len() {
-        let below = reg.get(i + 1).map_or(0, |&next| next >> (64 - k));
-        reg[i] = reg[i] << k | below;
-    }
-}
-
-#[inline(always)]
-fn xor(reg: &mut [u64], row: &[u64]) {
-    for (w, &t) in reg.iter_mut().zip(row) {
-        *w ^= t;
-    }
 }
 
 #[cfg(test)]
@@ -551,9 +420,10 @@ mod tests {
 
     /// One generator per register class: `(m, t, r, W)`. r < 8; one word
     /// with and without pad bits in the last parity byte; r = 64 exactly;
-    /// r = 65; r = 128; multi-word with `r % 64 != 0` at W = 2, 3, 4; the
-    /// slice loop at W = 5 and at the paper's t = 65 (W = 17).
-    const CLASSES: [(u32, u32, usize, usize); 13] = [
+    /// r = 65; r = 128; multi-word with `r % 64 != 0` at W = 2, 3, 4; W = 5;
+    /// the paper's t = 65 (W = 17, the widest state on the stack); and
+    /// t = 70 (W = 18, the first fold state on the heap).
+    const CLASSES: [(u32, u32, usize, usize); 14] = [
         (4, 1, 4, 1),
         (5, 1, 5, 1),
         (13, 3, 39, 1),
@@ -567,6 +437,7 @@ mod tests {
         (16, 14, 224, 4),
         (16, 17, 272, 5),
         (16, 65, 1040, 17),
+        (16, 70, 1120, 18),
     ];
 
     fn class_generator(m: u32, t: u32, r: usize, words: usize) -> Gf2Poly {
@@ -576,10 +447,14 @@ mod tests {
         g
     }
 
-    /// Both passes for `g`, whatever this CPU would pick: the tables, then
-    /// the fold.
-    fn passes(g: &Gf2Poly) -> [LfsrEncoder; 2] {
-        [LfsrEncoder::with_tables(g), LfsrEncoder::with_fold(g)]
+    /// Every pass for `g`: the fold, and where the register is one word
+    /// the tables too.
+    fn passes(g: &Gf2Poly) -> Vec<LfsrEncoder> {
+        let mut passes = vec![LfsrEncoder::with_fold(g)];
+        if g.degree() <= Some(64) {
+            passes.push(LfsrEncoder::with_tables(g));
+        }
+        passes
     }
 
     /// `p` as `words` words, most significant first (the register's order).
@@ -597,23 +472,21 @@ mod tests {
 
     #[test]
     fn tables_match_the_polynomial_definition() {
-        // T_j[v] == ((v * x^(r + 8*(8P-1-j))) mod g) << pad, every entry of
-        // every position, at the depth the class steps at.
-        for (m, t, r, words) in CLASSES {
+        // T_j[v] == ((v * x^(r + 8*(15-j))) mod g) << pad, every entry of
+        // every position, in each one-word class.
+        for (m, t, r, words) in CLASSES.into_iter().filter(|c| c.3 == 1) {
             let g = class_generator(m, t, r, words);
             let Pass::Tables(tables) = LfsrEncoder::with_tables(&g).pass else {
                 panic!("with_tables builds tables");
             };
-            let positions = if words <= 4 { 16 } else { 8 };
-            assert_eq!(tables.len(), positions * 256 * words, "r = {r}");
-            for j in 0..positions {
+            for j in 0..16 {
                 for v in 0..256usize {
                     let rem = Gf2Poly::from_int(v as u64)
-                        .shl(r + 8 * (positions - 1 - j))
+                        .shl(r + 8 * (15 - j))
                         .rem(&g)
-                        .shl(64 * words - r);
-                    let got = &tables[(j * 256 + v) * words..][..words];
-                    assert_eq!(got, &be_words(&rem, words)[..], "r = {r}, T_{j}[{v}]");
+                        .shl(64 - r);
+                    let got = tables[j / 8][j % 8][v];
+                    assert_eq!([got], &be_words(&rem, 1)[..], "r = {r}, T_{j}[{v}]");
                 }
             }
         }
@@ -630,7 +503,7 @@ mod tests {
             let Pass::Fold(k) = &enc.pass else {
                 panic!("with_fold builds constants");
             };
-            let l = FOLD_STATE;
+            let l = fold_state(words);
             let scaled = g.shl(64 * words - r);
             let power = |e: usize| be_words(&Gf2Poly::monomial(64 * e).rem(&scaled), words);
             assert_eq!(k.modulus, power(words), "r = {r}");
@@ -645,26 +518,23 @@ mod tests {
             let (quotient, _) = Gf2Poly::monomial(64 * words + 64).div_rem(&scaled);
             assert_eq!(quotient.degree(), Some(64));
             assert_eq!(k.mu, quotient.as_words()[0], "r = {r}");
-            // The footprint this pass exists for: under 6 KiB where the
-            // tables it replaces hold 272.
+            // The footprint this pass exists for: under 6 KiB where slicing
+            // tables would hold 272.
             if t == 65 {
                 assert_eq!(enc.table_bytes(), (2 * 18 * 17 + 17 + 1) * 8);
                 assert!(enc.table_bytes() <= 6 << 10);
             }
+            assert_eq!(l, if words < 18 { 18 } else { words + 1 }, "r = {r}");
         }
     }
 
     #[test]
-    fn the_production_wide_pass_is_the_fold_exactly_where_clmul_is_native() {
+    fn the_production_pass_is_the_fold_exactly_where_the_register_is_wider_than_a_word() {
         for (m, t, r, words) in CLASSES {
             let enc = LfsrEncoder::new(&class_generator(m, t, r, words));
             let folds = matches!(enc.pass, Pass::Fold(_));
-            assert_eq!(folds, words >= 2 && clmul_available(), "r = {r}");
+            assert_eq!(folds, words >= 2, "r = {r}");
         }
-        // Wider than the fold's stack state: the tables, on any CPU.
-        let mut g = Gf2Poly::monomial(64 * FOLD_WORDS + 1);
-        g.set_coeff(0, true);
-        assert!(matches!(LfsrEncoder::new(&g).pass, Pass::Tables(_)));
     }
 
     #[test]
@@ -672,12 +542,12 @@ mod tests {
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
             let oracle = BitSerialLfsr::new(&g);
-            // Every `len % 16` below 16 and above, so the `P`-word loop, the
+            // Every `len % 16` below 16 and above, so the two-word loop, the
             // one-word step it can leave and each byte-tail length all run
-            // in every stack body and in the slice loop; a byte either side
-            // of the fold's first three `8*L` boundaries, where a seed word
-            // becomes a step; the last is the paper's page.
-            let step = 8 * FOLD_STATE;
+            // in the one-word pass; a byte either side of the fold's first
+            // three `8*L` boundaries, where a seed word becomes a step; the
+            // last is the paper's page.
+            let step = 8 * fold_state(words);
             let edges = (1..=3).flat_map(|k| k * step - 1..=k * step + 1);
             let lens: Vec<usize> = (0..=33)
                 .chain([47, 70])
@@ -710,7 +580,7 @@ mod tests {
             // Short enough that no flip lands on another codeword: n stays
             // inside the code length 2^m - 1.
             let len = ((1usize << m) - 1 - r) / 8;
-            let len = len.min(if r == 1040 { 3 } else { 21 });
+            let len = len.min(if r >= 1040 { 3 } else { 21 });
             let msg = payload(len, words);
             for enc in passes(&g) {
                 let parity = enc.remainder(&msg);

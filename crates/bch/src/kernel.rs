@@ -7,21 +7,19 @@
 //! `tests/codec_kernels.rs` pins it bit-identical to
 //! [`CodecKernel::Reference`].
 //!
-//! | kernel      | role       | encoder                       | syndromes                      | root search           |
-//! |-------------|------------|-------------------------------|--------------------------------|-----------------------|
-//! | `Reference` | oracle     | bit-serial LFSR               | bit-serial Horner              | Chien sweep           |
-//! | `Fused`     | production | slicing-by-8P, left-aligned   | residues of the remainder      | trace-split solve     |
+//! | kernel      | role       | encoder                                          | syndromes                      | root search           |
+//! |-------------|------------|--------------------------------------------------|--------------------------------|-----------------------|
+//! | `Reference` | oracle     | bit-serial LFSR                                  | bit-serial Horner              | Chien sweep           |
+//! | `Fused`     | production | one word: slicing-by-16; wider: carry-less fold  | residues of the remainder      | trace-split solve     |
 //!
-//! The production encoder has one step formula at every register width
-//! `r = deg g`: `P` message words (64 bits each) through `8P` position
-//! tables. Its register is left-aligned in whole words (it works modulo
-//! `g * x^pad`), so the coefficients a step retires are always exactly
-//! the top words and no `r` — not even `r < 8` — needs a narrower step.
-//! The depth follows the register width and nothing sets it: `P = 2`
-//! where the register lives on the stack (up to four words, `t <= 16`
-//! over GF(2^16)) and the pass is bound by the step's dependency chain,
-//! `P = 1` above, where it is bound by table traffic. See
-//! [`crate::encoder`].
+//! The production encoder's register is left-aligned in whole words (it
+//! works modulo `g * x^pad`), so both of its passes leave the same one.
+//! The register's width alone picks the pass: one word (`t <= 4` over
+//! GF(2^16)) steps two message words at a time through sixteen position
+//! tables, whose index is the top word and needs no shift or mask even at
+//! `r < 8`; two words and up fold `W` carry-less multiplies per message
+//! word into a state of at least 18 words, on whichever multiply the CPU
+//! has. See [`crate::encoder`].
 //!
 //! `Fused` fuses the validity shortcut and syndrome computation into one
 //! LFSR pass over the message: `received mod g` is the message's
@@ -45,7 +43,8 @@
 pub enum CodecKernel {
     /// Bit-serial everything. The differential-testing oracle.
     Reference,
-    /// The production path: sliced-table LFSR encoder, fused single-pass
+    /// The production path: LFSR encoder on slicing tables for a one-word
+    /// register and a carry-less fold for a wider one, fused single-pass
     /// syndrome-via-remainder decode, locator roots solved for instead of
     /// searched.
     #[default]

@@ -148,7 +148,7 @@ impl SyndromeCalculator {
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
         let left = |i: usize| u64::from_be_bytes(*words.get(i).unwrap_or(&last));
-        with_words(lane.moduli.words(), |value| {
+        with_words::<STACK_WORDS, _>(lane.moduli.words(), |value| {
             right_align(parity_bits.div_ceil(64), parity_bits, left, value);
             lane.odd_syndromes(value, &mut syn);
         });
@@ -183,7 +183,7 @@ impl SyndromeCalculator {
             reg.len()
         );
         let mut syn = vec![0u32; self.two_t];
-        with_words(words, |value| {
+        with_words::<STACK_WORDS, _>(words, |value| {
             right_align(reg.len(), bits, |i| reg[i], value);
             lane.odd_syndromes(value, &mut syn);
         });
@@ -291,10 +291,14 @@ fn horner(f: &GfField, bits: impl Iterator<Item = u32>, beta: u32) -> u32 {
 /// GF(2^16), the paper's widest code, divides 17 words.
 const STACK_WORDS: usize = 17;
 
-/// Runs `then` on `words` zeroed words, on the stack where they fit.
-fn with_words<R>(words: usize, then: impl FnOnce(&mut [u64]) -> R) -> R {
-    if words <= STACK_WORDS {
-        then(&mut [0; STACK_WORDS][..words])
+/// Runs `then` on `words` zeroed words, on the stack where they fit in
+/// `STACK` (the encoder's fold scratch takes this road too).
+pub(crate) fn with_words<const STACK: usize, R>(
+    words: usize,
+    then: impl FnOnce(&mut [u64]) -> R,
+) -> R {
+    if words <= STACK {
+        then(&mut [0; STACK][..words])
     } else {
         then(&mut vec![0; words])
     }

@@ -123,8 +123,8 @@ fn single_bit_error_at_first_and_last_position() {
 
 /// A full-weight burst clustered inside one 64-bit register word decodes
 /// identically to the same weight spread across word seams. Both
-/// geometries hit the widest datapath strides (slice-8 encode, dual-byte
-/// syndrome fold) at their least-aligned points.
+/// geometries hit the word-wide datapath (the encoder's word steps, the
+/// syndromes' division of whole words) at their least-aligned points.
 #[test]
 fn clustered_and_word_boundary_spread_errors() {
     for code in ladder() {

@@ -16,13 +16,14 @@
 //!   polynomial construction (the contents of the small "polynomial ROM" the
 //!   paper's adaptable encoder multiplexes over).
 //! * [`kernels`] — word-parallel carry-less multiplication: a bit-serial
-//!   oracle and one production path, which is the `x86_64` CLMUL
-//!   (`pclmulqdq`) kernel behind a runtime detect + `cfg`/feature gate, or
-//!   the portable 4-bit windowed kernel everywhere else. [`Gf2Poly::mul`]
-//!   runs [`MulKernel::best`]; the oracle exists for differential tests.
-//!   The same module carries the multiply-by-constants fold and row
-//!   product ([`kernels::fold_clmul`], [`kernels::row_product_clmul`]) the
-//!   BCH encoder's remainder pass is made of, GF(2^m)\[x\] with two
+//!   oracle and one production path, every body of which runs on the
+//!   `x86_64` CLMUL instruction (`pclmulqdq`) behind a runtime detect +
+//!   `cfg`/feature gate, or on shift-and-XOR everywhere else.
+//!   [`Gf2Poly::mul`] runs [`MulKernel::best`]; the oracle exists for
+//!   differential tests. The same module carries the multiply-by-constants
+//!   fold and row product ([`kernels::fold_clmul`],
+//!   [`kernels::row_product_clmul`]) the BCH encoder's remainder pass is
+//!   made of for registers wider than one word, GF(2^m)\[x\] with two
 //!   coefficients to a machine word ([`kernels::combine`],
 //!   [`kernels::square`], [`kernels::frobenius_chain`], [`kernels::dot`])
 //!   for the decoder's root search and Berlekamp-Massey, and one division
@@ -43,7 +44,7 @@
 //! # Ok::<(), mlcx_gf2::GfError>(())
 //! ```
 
-// `deny` rather than `forbid`: the CLMUL kernels of `kernels` carry the
+// `deny` rather than `forbid`: the CLMUL gate of `kernels` carries the
 // crate's only `#[allow(unsafe_code)]`, scoped to the intrinsics module
 // and guarded by a runtime CPU-feature check.
 #![deny(unsafe_code)]

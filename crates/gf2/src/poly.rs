@@ -141,8 +141,8 @@ impl Gf2Poly {
     }
 
     /// Carry-less (GF(2)) product `self * rhs`, through the production
-    /// kernel for this build/CPU ([`crate::MulKernel::best`]: CLMUL, else
-    /// 4-bit windowed).
+    /// kernel ([`crate::MulKernel::best`]: `pclmulqdq` where the CPU has
+    /// it, shift-and-XOR elsewhere).
     pub fn mul(&self, rhs: &Gf2Poly) -> Self {
         self.mul_with(rhs, crate::MulKernel::best())
     }

@@ -108,8 +108,8 @@ proptest! {
     #[test]
     fn every_mul_kernel_matches_reference(a in arb_poly(300), b in arb_poly(300)) {
         // Differential harness for the multiply kernels: each must be
-        // bit-identical to the bit-serial oracle, including the CLMUL
-        // kernel (which silently falls back when unsupported).
+        // bit-identical to the bit-serial oracle, the production kernel on
+        // whichever multiply this build and CPU give it.
         let reference = a.mul_with(&b, MulKernel::Reference);
         for kernel in MulKernel::ALL {
             let out = kernel.mul_raw(a.as_words(), b.as_words());
@@ -162,8 +162,8 @@ proptest! {
 }
 
 /// `generator_poly` runs on `Gf2Poly::mul`; these are FNV-1a hashes of
-/// g(x)'s little-endian words from before `mul` moved from the
-/// word-sliced schoolbook kernel to `MulKernel::best()`.
+/// g(x)'s little-endian words, pinned before `mul` first moved to
+/// `MulKernel::best()`, and held through every production multiply since.
 #[test]
 fn generator_polys_are_unchanged_by_the_multiply_kernel() {
     let f = GfField::new(16).unwrap();

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use mlcx::gf2::{clmul_available, GfField};
+use mlcx::gf2::GfField;
 use mlcx::{BchCode, Command, DecodeOutcome, EngineBuilder, NandDevice, Objective};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -120,16 +120,14 @@ fn the_page_path_stays_inside_its_allocation_budget() {
     );
     assert!(allocs <= 2 * commands, "budget: 2.0 per command");
 
-    // --- end of life: the 17-word register of the t = 65 code ---
-    // Where the CPU multiplies carry-less the pass folds on the stack;
-    // elsewhere the table pass keeps its one heap register.
-    let table_register = u64::from(!clmul_available());
+    // --- end of life: the 17-word register of the t = 65 code, which
+    // folds on the stack whatever multiply the CPU has ---
     let field = std::sync::Arc::new(GfField::new(16).unwrap());
     let code = BchCode::new(field, data.len() * 8, 65).unwrap();
     let mut page = data.clone();
     let mut parity = code.encode(&page).unwrap();
     let clean = allocations(|| code.decode(&mut page, &mut parity).unwrap());
-    assert_eq!(clean, table_register, "a clean page decodes in place");
+    assert_eq!(clean, 0, "a clean page decodes in place");
     for bit in (0..40).map(|i| 811 * i + 3) {
         page[bit / 8] ^= 1 << (bit % 8);
     }
@@ -142,10 +140,9 @@ fn the_page_path_stays_inside_its_allocation_budget() {
     // The syndromes (divided straight from the pass's register, no byte
     // image of it), Berlekamp-Massey's scratch and the locator it
     // returns, the root search's arena and the positions it returns.
-    assert_eq!(dirty, table_register + 5, "a dirty page");
+    assert_eq!(dirty, 5, "a dirty page");
 
-    // --- the 4-word register of the t = 14 code: on the stack off either
-    // pass, the fold's or the tables' ---
+    // --- the 4-word register of the t = 14 code ---
     let field = std::sync::Arc::new(GfField::new(16).unwrap());
     let code = BchCode::new(field, data.len() * 8, 14).unwrap();
     let mut page = data.clone();

@@ -15,7 +15,8 @@
 //! file pins where they are switched on and how many exceptions the
 //! library code carries, so a rule that loses its scope or a new
 //! `#[expect]` is an edit of a literal here too. The banned types
-//! (hash-ordered containers, wall clocks) carry none in any target.
+//! (hash-ordered containers, wall clocks) carry none in any target. So
+//! is a new `unsafe` block or `unsafe fn` in library code.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -90,10 +91,10 @@ fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Clippy exceptions (`#[expect(clippy::..)]` / `#[allow(clippy::..)]`,
-/// outer or inner, however rustfmt wrapped them) per library source
-/// tree: the root `src/` and every `src/` under `crates/`.
-fn clippy_exceptions() -> BTreeMap<String, usize> {
+/// Occurrences of any of `needles` in the whitespace-free source text,
+/// per library source tree: the root `src/` and every `src/` under
+/// `crates/`. Trees without one are left out.
+fn library_counts(needles: &[&str]) -> BTreeMap<String, usize> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_files(&root.join("src"), &mut files);
@@ -109,13 +110,18 @@ fn clippy_exceptions() -> BTreeMap<String, usize> {
             .expect("source file reads")
             .split_whitespace()
             .collect();
-        let found =
-            text.matches("[expect(clippy::").count() + text.matches("[allow(clippy::").count();
+        let found: usize = needles.iter().map(|n| text.matches(n).count()).sum();
         if found > 0 {
             *counts.entry(rel[..at + 3].to_string()).or_insert(0) += found;
         }
     }
     counts
+}
+
+/// Clippy exceptions (`#[expect(clippy::..)]` / `#[allow(clippy::..)]`,
+/// outer or inner, however rustfmt wrapped them) per library source tree.
+fn clippy_exceptions() -> BTreeMap<String, usize> {
+    library_counts(&["[expect(clippy::", "[allow(clippy::"])
 }
 
 #[test]
@@ -192,6 +198,17 @@ fn the_library_code_has_the_exceptions_the_ledger_says() {
     ]
     .map(|tree| (tree.to_string(), 1));
     assert_eq!(clippy_exceptions(), BTreeMap::from(expected));
+}
+
+#[test]
+fn the_library_code_has_the_unsafe_the_ledger_says() {
+    // All of it in `mlcx-gf2`'s `pclmulqdq` gate: the three intrinsic
+    // blocks of its multiply-accumulate and the one call of the one
+    // `#[target_feature]` function, which is the one `unsafe fn`.
+    let expected = BTreeMap::from([("crates/gf2/src".to_string(), 4)]);
+    assert_eq!(library_counts(&["unsafe{"]), expected, "unsafe blocks");
+    let expected = BTreeMap::from([("crates/gf2/src".to_string(), 1)]);
+    assert_eq!(library_counts(&["unsafefn"]), expected, "unsafe fns");
 }
 
 #[test]
