@@ -20,17 +20,20 @@
 //!
 //! Each iteration's discrepancy `d = sum_i c_i S_(n+1-i)` is one
 //! coefficient of the product of `c` and the syndromes, and is computed as
-//! one: [`mlcx_gf2::kernels::dot`], two coefficients to a machine word,
-//! `ceil((l+1)/2)` carry-less multiplies read straight off the syndromes
-//! (behind one zero slot, so the window never starts before them) and one
-//! reduction, where the log tables took `l` products — from `l = 4` up;
-//! below, the log tables' few products finish before the kernel's
-//! dependent multiplies do. The update
+//! one, two coefficients to a machine word: `ceil((l+1)/2)` carry-less
+//! multiplies read straight off the syndromes (behind one zero slot, so
+//! the window never starts before them) and one reduction, where the log
+//! tables took `l` products — from `l = 4` up; below, the log tables' few
+//! products finish before the kernel's dependent multiplies do. The whole
+//! loop is one [`mlcx_gf2::kernels::with_dots`] job: each discrepancy
+//! waits on the last, and a kernel call apiece would put the kernels'
+//! `target_feature` boundary, its arguments passed through memory, on
+//! that chain. The update
 //! `c += (d / d_last) x^shift b` only ever scales `b`, which changes at a
 //! length change and nowhere else, so `b` is kept as its logarithms: one
 //! antilog per coefficient instead of two logs and an antilog.
 
-use mlcx_gf2::kernels::dot;
+use mlcx_gf2::kernels::{with_dots, Dots};
 use mlcx_gf2::GfField;
 
 /// A zero coefficient of `b`, which has no logarithm.
@@ -38,7 +41,7 @@ const NO_LOG: u32 = u32::MAX;
 
 /// Up to this many coefficients of `c` (`l <= 3`) the discrepancy is
 /// summed on the log tables: its three products are done before one
-/// [`dot`] — a multiply, then the reduction's two, each behind the last —
+/// `dot` — a multiply, then the reduction's two, each behind the last —
 /// would be. That is every iteration after the last length change of a
 /// page with three errors, most of a `t = 65` decode.
 const SHORT: usize = 4;
@@ -62,7 +65,6 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
         "not the syndromes of a binary word"
     );
     let two_t = syndromes.len();
-    let order = field.order();
     // Room for deg c <= l <= 2t, in whole two-slot words.
     let size = (two_t + 2).next_multiple_of(2);
     let mut c = vec![0u32; size];
@@ -72,70 +74,104 @@ pub fn error_locator(field: &GfField, syndromes: &[u32]) -> Vec<u32> {
     let (padded, log_b) = scratch.split_at_mut(size);
     padded[1..=two_t].copy_from_slice(syndromes);
     log_b[1..].fill(NO_LOG);
-    // c_i * x^shift * b_i's coefficient, given log(d / d_last).
-    let scaled = |log_coef: u32, log_b: u32| {
-        if log_b == NO_LOG {
-            return 0;
-        }
-        let e = log_coef + log_b;
-        field.alpha_pow_reduced(if e >= order { e - order } else { e })
-    };
-    // Every coefficient at or above these indices is zero.
-    let (mut c_len, mut b_len) = (1usize, 1usize);
-    let mut l = 0usize; // current LFSR length, and deg c <= l
-    let mut shift = 1usize; // x^shift multiplier on b
-    let mut log_last_d = 0u32; // discrepancy at the last length change
-
-    for n in (0..two_t).step_by(2) {
-        // d = S_(n+1) + sum_(i=1..=l) c_i S_(n+1-i): padded[n + 1 - i] is
-        // element len - 1 - i of the window (l <= n, so it starts at 0 or
-        // after; c_(l+1), where len takes it in, is zero).
-        let len = (l + 1).next_multiple_of(2);
-        let d = if len <= SHORT {
-            (1..=l).fold(padded[n + 1], |d, i| d ^ field.mul(c[i], padded[n + 1 - i]))
-        } else {
-            dot(field.barrett(), &c[..len], &padded[n + 2 - len..n + 2])
-        };
-        // Every iteration moves b up by x, the skipped one (its
-        // discrepancy a zero) included: 2 per turn of this loop.
-        let Some(log_d) = field.log(d) else {
-            shift += 2;
-            continue;
-        };
-        let log_coef = if log_d >= log_last_d {
-            log_d - log_last_d
-        } else {
-            log_d + order - log_last_d
-        };
-        // c + coef * x^shift * b, clipped to the buffer like every update.
-        let live = b_len.min(size - shift);
-        let new_len = c_len.max(live + shift);
-        if 2 * l <= n {
-            // Length change: the old c becomes b. Top down, so that
-            // log b[i - shift] is read before it is overwritten.
-            for i in (0..new_len).rev() {
-                let old = c[i];
-                if i >= shift {
-                    c[i] ^= scaled(log_coef, log_b[i - shift]);
-                }
-                log_b[i] = field.log(old).unwrap_or(NO_LOG);
-            }
-            b_len = c_len;
-            l = n + 1 - l;
-            log_last_d = log_d;
-            shift = 2;
-        } else {
-            for i in 0..live {
-                c[i + shift] ^= scaled(log_coef, log_b[i]);
-            }
-            shift += 2;
-        }
-        c_len = new_len;
-    }
-
+    with_dots(
+        field.barrett(),
+        &mut Recurrence {
+            field,
+            two_t,
+            c: &mut c,
+            padded,
+            log_b,
+        },
+    );
     let degree = locator_degree(&c);
     c.truncate(degree + 1);
     c
+}
+
+/// [`error_locator`]'s iterations: the whole loop is one [`with_dots`]
+/// job, so that its chain of discrepancies does not cross the kernels'
+/// `target_feature` boundary once a turn.
+struct Recurrence<'a> {
+    field: &'a GfField,
+    two_t: usize,
+    c: &'a mut [u32],
+    padded: &'a [u32],
+    log_b: &'a mut [u32],
+}
+
+impl Dots for Recurrence<'_> {
+    #[inline(always)]
+    fn run(&mut self, mut dot: impl FnMut(&[u32], &[u32]) -> u32) {
+        let Recurrence {
+            field,
+            two_t,
+            ref mut c,
+            padded,
+            ref mut log_b,
+        } = *self;
+        let (order, size) = (field.order(), c.len());
+        // c_i * x^shift * b_i's coefficient, given log(d / d_last).
+        let scaled = |log_coef: u32, log_b: u32| {
+            if log_b == NO_LOG {
+                return 0;
+            }
+            let e = log_coef + log_b;
+            field.alpha_pow_reduced(if e >= order { e - order } else { e })
+        };
+        // Every coefficient at or above these indices is zero.
+        let (mut c_len, mut b_len) = (1usize, 1usize);
+        let mut l = 0usize; // current LFSR length, and deg c <= l
+        let mut shift = 1usize; // x^shift multiplier on b
+        let mut log_last_d = 0u32; // discrepancy at the last length change
+
+        for n in (0..two_t).step_by(2) {
+            // d = S_(n+1) + sum_(i=1..=l) c_i S_(n+1-i): padded[n + 1 - i] is
+            // element len - 1 - i of the window (l <= n, so it starts at 0 or
+            // after; c_(l+1), where len takes it in, is zero).
+            let len = (l + 1).next_multiple_of(2);
+            let d = if len <= SHORT {
+                (1..=l).fold(padded[n + 1], |d, i| d ^ field.mul(c[i], padded[n + 1 - i]))
+            } else {
+                dot(&c[..len], &padded[n + 2 - len..n + 2])
+            };
+            // Every iteration moves b up by x, the skipped one (its
+            // discrepancy a zero) included: 2 per turn of this loop.
+            let Some(log_d) = field.log(d) else {
+                shift += 2;
+                continue;
+            };
+            let log_coef = if log_d >= log_last_d {
+                log_d - log_last_d
+            } else {
+                log_d + order - log_last_d
+            };
+            // c + coef * x^shift * b, clipped to the buffer like every update.
+            let live = b_len.min(size - shift);
+            let new_len = c_len.max(live + shift);
+            if 2 * l <= n {
+                // Length change: the old c becomes b. Top down, so that
+                // log b[i - shift] is read before it is overwritten.
+                for i in (0..new_len).rev() {
+                    let old = c[i];
+                    if i >= shift {
+                        c[i] ^= scaled(log_coef, log_b[i - shift]);
+                    }
+                    log_b[i] = field.log(old).unwrap_or(NO_LOG);
+                }
+                b_len = c_len;
+                l = n + 1 - l;
+                log_last_d = log_d;
+                shift = 2;
+            } else {
+                for i in 0..live {
+                    c[i + shift] ^= scaled(log_coef, log_b[i]);
+                }
+                shift += 2;
+            }
+            c_len = new_len;
+        }
+    }
 }
 
 /// The degree of an error-locator polynomial returned by [`error_locator`].

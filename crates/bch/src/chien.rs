@@ -24,9 +24,12 @@
 //!   ([`mlcx_gf2::kernels`]): `(m/4 + 1) deg^2 + 2.5 m deg` multiplies for
 //!   the chain and `(m/2 + 1) deg` per round, where the log tables took
 //!   an antilog lookup per coefficient product — twice as many, each out
-//!   of L2 (`log` + `exp` are 384 KiB at `m = 16`). The divisions of the
-//!   split (`T mod g`, Euclid, the quotient) stay on the log tables,
-//!   `3..5 * deg^2` antilog lookups.
+//!   of L2 (`log` + `exp` are 384 KiB at `m = 16`). The divisions of a
+//!   split (`T mod g`, Euclid, the quotient) are one kernel call
+//!   ([`mlcx_gf2::kernels::split`]), on the same multiplier: only the
+//!   leading coefficient is reduced per step, so the chain from one step
+//!   to the next is a multiply where the log tables took a `log` and an
+//!   `exp`, and Euclid takes no inverse until the gcd is found.
 //! * [`solve_single_error`] — the degree-1 case in closed form.
 //!
 //! The sweep answers `Some` exactly when `deg` of the exponents
@@ -37,7 +40,9 @@
 //! steps, so its `None` is the sweep's `None`. The modeled latency
 //! ([`crate::hardware`]) is the hardware sweep's either way.
 
-use mlcx_gf2::kernels::{combine, frobenius_chain, frobenius_scratch_len};
+use mlcx_gf2::kernels::{
+    combine, frobenius_chain, frobenius_scratch_len, split, split_scratch_len,
+};
 use mlcx_gf2::GfField;
 
 /// Finds error positions (codeword stream indices, 0 = first message bit).
@@ -130,7 +135,9 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
 /// 4. round `k = 0, 1, ..`: `Tr(alpha^k x) mod f = sum_i alpha^(k 2^i) z_i`
 ///    (one [`combine`]) is 0 at half of the field and 1 at the other half,
 ///    so `gcd(g, Tr(alpha^k x) mod g)` splits every factor `g` found so
-///    far whose roots disagree in that trace bit. Two distinct roots
+///    far whose roots disagree in that trace bit ([`split`]: the trace
+///    modulo `g`, Euclid and `g / gcd` in one call, on the carry-less
+///    multiplier). Two distinct roots
 ///    differ in some bit `k < m`, so at most `m` rounds leave only linear
 ///    factors — but a factor is not split further than degree 4: from
 ///    there it is solved in closed form, where waiting for the bits that
@@ -140,9 +147,9 @@ pub fn find_error_positions(field: &GfField, lambda: &[u32], n_bits: usize) -> O
 ///    `s >= n_bits` lies outside the shortened window: `None`. Sort.
 ///
 /// The working set is one scratch allocation sized from `deg` and `m`
-/// (none up to degree 4). What remains on the log tables is the division
-/// inside a split, whose divisors are kept in log form so that updating a
-/// polynomial costs one antilog lookup per coefficient.
+/// (none up to degree 4), the chain's scratch serving the splits after it.
+/// What remains on the log tables is a monic `lambda`, the closed forms
+/// and the window.
 pub fn find_error_positions_stride(
     field: &GfField,
     lambda: &[u32],
@@ -170,19 +177,19 @@ pub fn find_error_positions_stride(
         let roots = closed_form_roots(field, &f[..deg])?;
         return window_positions(field, &roots[..deg], n_bits);
     }
-    // The kernels take polynomials as whole two-slot words.
+    // The kernels take polynomials as whole two-slot words. The chain's
+    // scratch is the split's once the chain is done.
     let stride = deg.next_multiple_of(2);
     let scratch_len = frobenius_scratch_len(deg);
+    debug_assert!(scratch_len >= split_scratch_len(deg, stride));
 
-    let mut arena = vec![0u32; (m + 3) * stride + scratch_len + 5 * (deg + 1)];
+    let mut arena = vec![0u32; (m + 4) * stride + scratch_len + 2 * deg];
     let (f, rest) = arena.split_at_mut(stride);
     let (z, rest) = rest.split_at_mut((m + 1) * stride);
     let (scratch, rest) = rest.split_at_mut(scratch_len);
     let (acc, rest) = rest.split_at_mut(stride);
-    let mut bufs = rest.chunks_exact_mut(deg + 1);
-    let [factors, seg, a, b, div_logs]: [&mut [u32]; 5] =
-        std::array::from_fn(|_| bufs.next().expect("the arena holds five buffers"));
-    let factors = &mut factors[..deg];
+    let (factor, rest) = rest.split_at_mut(stride);
+    let (factors, seg) = rest.split_at_mut(deg);
 
     monic(f);
     if f[0] == 0 {
@@ -211,16 +218,17 @@ pub fn find_error_positions_stride(
         }
         acc.fill(0);
         combine(field.barrett(), &scalars[..m], z, acc);
-        let Some(trace_deg) = degree(acc) else {
-            continue;
-        };
-        let trace = &acc[..=trace_deg];
         let mut off = 0;
         while off < deg {
             let e = seg[off] as usize;
             if e >= 2 {
-                let f = &mut factors[off..off + e];
-                if let Some(g) = split(field, f, trace, a, b, div_logs) {
+                // The kernel takes the factor as whole two-slot words.
+                let f = &mut factor[..e.next_multiple_of(2)];
+                f[..e].copy_from_slice(&factors[off..off + e]);
+                f[e..].fill(0);
+                let scratch = &mut scratch[..split_scratch_len(e, stride)];
+                if let Some(g) = split(field, f, e, acc, scratch) {
+                    factors[off..off + e].copy_from_slice(&f[..e]);
                     linear += settle(field, factors, seg, off, g)
                         + settle(field, factors, seg, off + g, e - g);
                 }
@@ -330,98 +338,6 @@ fn settle(field: &GfField, factors: &mut [u32], seg: &mut [u32], off: usize, e: 
     }
 }
 
-/// Splits the monic factor `f` (low coefficients, degree `f.len()`) by
-/// `g = gcd(f, trace mod f)`. When `g` is a proper factor, rewrites `f`
-/// as `g` followed by `f / g` and returns `deg g`.
-fn split<'s>(
-    field: &GfField,
-    f: &mut [u32],
-    trace: &[u32],
-    mut a: &'s mut [u32],
-    mut b: &'s mut [u32],
-    div_logs: &mut [u32],
-) -> Option<usize> {
-    let e = f.len();
-    // b = trace mod f.
-    b[..trace.len()].copy_from_slice(trace);
-    logs_into(field, &mut div_logs[..e], f);
-    rem_in_place(field, &mut b[..trace.len()], &div_logs[..e]);
-    // A zero remainder means every root has trace 0: nothing to split.
-    let mut db = degree(&b[..e.min(trace.len())])?;
-    // a = f; Euclid until the remainder vanishes, the gcd is then `b`.
-    a[..e].copy_from_slice(f);
-    a[e] = 1;
-    let mut da = e;
-    loop {
-        // Divisor in log form, scaled to be monic.
-        let lead = field.log(b[db]).expect("db is the degree of b");
-        let n = field.order();
-        for (l, &c) in div_logs.iter_mut().zip(&b[..db]) {
-            *l = field.log(c).map_or(n, |lc| sub_mod(lc, lead, n));
-        }
-        rem_in_place(field, &mut a[..=da], &div_logs[..db]);
-        match degree(&a[..db]) {
-            None => break,
-            Some(d) => {
-                da = db;
-                db = d;
-                std::mem::swap(&mut a, &mut b);
-            }
-        }
-    }
-    // A constant gcd means every root has trace 1.
-    if db == 0 {
-        return None;
-    }
-    // `div_logs[..db]` is the monic gcd; long division leaves the (monic)
-    // quotient in the high coefficients of the dividend.
-    a[..e].copy_from_slice(f);
-    a[e] = 1;
-    rem_in_place(field, &mut a[..=e], &div_logs[..db]);
-    antilogs_into(field, &mut f[..db], &div_logs[..db]);
-    f[db..].copy_from_slice(&a[db..e]);
-    Some(db)
-}
-
-/// `acc[c] += alpha^(shift + logs[c])`; a log of `N` stands for zero.
-#[inline]
-fn add_scaled(field: &GfField, acc: &mut [u32], shift: u32, logs: &[u32]) {
-    let n = field.order();
-    for (a, &l) in acc.iter_mut().zip(logs) {
-        if l != n {
-            let e = shift + l;
-            *a ^= field.alpha_pow_reduced(if e >= n { e - n } else { e });
-        }
-    }
-}
-
-/// Reduces `a` modulo the monic divisor whose low coefficients are
-/// `div_logs` (log form). The quotient is left in `a[div_logs.len()..]`.
-fn rem_in_place(field: &GfField, a: &mut [u32], div_logs: &[u32]) {
-    let db = div_logs.len();
-    for j in (db..a.len()).rev() {
-        if let Some(l) = field.log(a[j]) {
-            add_scaled(field, &mut a[j - db..j], l, div_logs);
-        }
-    }
-}
-
-fn logs_into(field: &GfField, logs: &mut [u32], values: &[u32]) {
-    for (l, &v) in logs.iter_mut().zip(values) {
-        *l = field.log(v).unwrap_or(field.order());
-    }
-}
-
-fn antilogs_into(field: &GfField, values: &mut [u32], logs: &[u32]) {
-    for (v, &l) in values.iter_mut().zip(logs) {
-        *v = if l == field.order() {
-            0
-        } else {
-            field.alpha_pow_reduced(l)
-        };
-    }
-}
-
 /// `2l mod N` for a log `l < N`.
 #[inline]
 fn double_mod(l: u32, n: u32) -> u32 {
@@ -440,10 +356,6 @@ fn sub_mod(a: u32, b: u32, n: u32) -> u32 {
     } else {
         a + n - b
     }
-}
-
-fn degree(p: &[u32]) -> Option<usize> {
-    p.iter().rposition(|&c| c != 0)
 }
 
 /// Direct solve for a degree-1 locator (the production path).

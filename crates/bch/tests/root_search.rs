@@ -80,6 +80,33 @@ fn split_locators_of_every_degree_at_the_page_codeword_lengths() {
 }
 
 #[test]
+fn locators_of_degree_66_to_70_over_gf2_16() {
+    // Past the paper's t = 65: a user-set `ecc_tmax` reaches t = 70.
+    let mut rng = StdRng::seed_from_u64(0x66_70);
+    let f = GfField::new(16).unwrap();
+    for n_bits in PAGE_CODEWORDS {
+        for deg in 66..=70 {
+            let positions = distinct_below(&mut rng, deg, n_bits);
+            let exps: Vec<u32> = positions.iter().map(|&p| (n_bits - 1 - p) as u32).collect();
+            let scale = rng.random_range(1..f.size());
+            let lambda: Vec<u32> = locator_for(&f, &exps)
+                .iter()
+                .map(|&c| f.mul(c, scale))
+                .collect();
+            let expect: Vec<usize> = positions.into_iter().collect();
+            assert_eq!(both(&f, &lambda, n_bits), Some(expect), "degree {deg}");
+            // One root moved past the window, or onto another: refused.
+            let mut outside = exps.clone();
+            outside[0] = n_bits as u32 + rng.random_range(0..f.order() - n_bits as u32);
+            assert_eq!(both(&f, &locator_for(&f, &outside), n_bits), None);
+            let mut repeated = exps;
+            repeated[0] = repeated[1];
+            assert_eq!(both(&f, &locator_for(&f, &repeated), n_bits), None);
+        }
+    }
+}
+
+#[test]
 fn quadratic_locators_are_solved_in_closed_form_or_refused() {
     let mut rng = StdRng::seed_from_u64(0x0DE6_0002);
     for (m, lengths) in [(16, PAGE_CODEWORDS), (13, SECTOR_CODEWORDS)] {

@@ -411,8 +411,9 @@ impl GfField {
         if a == 0 {
             return Err(GfError::ZeroInverse);
         }
+        // 1 <= N - log a <= N: the doubled table reaches it, no division.
         let n = self.order();
-        Ok(self.alpha_pow((n - self.log[a as usize] as u32) as i64))
+        Ok(self.exp[(n - self.log[a as usize] as u32) as usize] as u32)
     }
 
     /// Division `a / b`.

@@ -26,7 +26,7 @@
 //! | [`row_product_clmul`] | `sum_i a[i] * K_i`: `L` words against `L` constants of `W` words, into `W + 1` |
 //! | [`fold_clmul`] | per `L` message words, `state <- sum_i state[i] * K_i + (next L words)`: the row product landing in the state's low `W + 1` words |
 //!
-//! And four for a caller whose polynomials have coefficients in GF(2^m)
+//! And five for a caller whose polynomials have coefficients in GF(2^m)
 //! (`mlcx_bch`'s root search and Berlekamp-Massey). A polynomial is a
 //! `[u32]` of even length, one coefficient per 32-bit **slot**, and the
 //! kernels read it two slots to the 64-bit word (Kronecker substitution):
@@ -42,7 +42,8 @@
 //! | [`combine`] | `acc <- reduce(acc + sum_r s_r * row_r)`: one multiply per word of every row, two per word of `acc` to reduce |
 //! | [`square`] | `out[j] = p[j]^2`: `w * w` squares the two coefficients of a word, the cross terms cancelling |
 //! | [`frobenius_chain`] | `z_i = x^(2^i) mod f` for `i = 0..=m`, out of those two, and whether `z_m = x` |
-//! | [`dot`] | `sum_i a_i * b_(len-1-i)`: the product of `(a_0, a_1)` and `(b_0, b_1)` carries `a_0 b_1 + a_1 b_0` in its middle slot, so one multiply per word pair and one reduction |
+//! | [`with_dots`] | a caller's loop of `sum_i a_i * b_(len-1-i)`: the product of `(a_0, a_1)` and `(b_0, b_1)` carries `a_0 b_1 + a_1 b_0` in its middle slot, so one multiply per word pair and one reduction, the loop run whole behind the gate |
+//! | [`split`] | `g = gcd(f, trace mod f)` and `f / g` in place: the three divisions of a trace split, one slot per multiply and only the leading coefficient reduced per step ([`Barrett`] on a whole word), Euclid on pseudo-remainders, no inverse until the gcd |
 //!
 //! And one for a caller that divides one value by many small moduli over
 //! GF(2) (`mlcx_bch`'s syndromes, the residues modulo the minimal
@@ -183,10 +184,15 @@ pub fn fold_clmul(state: &mut [Block], consts: &[Block], message: &[[u8; 8]]) {
 /// port).
 trait MulAcc: Copy {
     type Acc: Copy;
-    fn zero(self) -> Self::Acc;
+    /// `w` as an accumulator's low word, the high word zero.
+    fn word(self, w: Block) -> Self::Acc;
     fn mul_acc(self, acc: Self::Acc, a: Block, b: Block) -> Self::Acc;
     /// The accumulator's (high, low) words.
     fn halves(self, acc: Self::Acc) -> (Block, Block);
+
+    fn zero(self) -> Self::Acc {
+        self.word(0)
+    }
 }
 
 /// Shift-and-XOR, one bit of `a` at a time: the portable [`MulAcc`].
@@ -196,8 +202,8 @@ struct ShiftXor;
 impl MulAcc for ShiftXor {
     type Acc = u128;
 
-    fn zero(self) -> u128 {
-        0
+    fn word(self, w: Block) -> u128 {
+        u128::from(w)
     }
 
     fn mul_acc(self, mut acc: u128, mut a: Block, b: Block) -> u128 {
@@ -332,6 +338,12 @@ impl Kernel for Fold<'_> {
 /// has no rounding to correct — and `v + q * p` is the remainder: two
 /// multiplies, each of a whole two-slot word by a one-slot constant, with
 /// products of degree `<= 2m - 2` again.
+///
+/// A whole word `v` (any degree below 64) is reduced the same way, one
+/// value at a time, without a shift: `q = floor(v * mu_63 / y^63)` for
+/// `mu_63 = floor(y^63 / p)` (the terms of `v` below `y^m` reach no
+/// quotient bit), which is the high word of `v * (mu_63 y)`, and
+/// `v + q * p` is the remainder.
 #[derive(Debug, Clone, Copy)]
 pub struct Barrett {
     m: u32,
@@ -339,6 +351,8 @@ pub struct Barrett {
     poly: u64,
     /// `floor(y^(2m) / p)`, degree `m`.
     mu: u64,
+    /// `floor(y^63 / p) * y`, degree `64 - m`.
+    word_mu: u64,
 }
 
 /// One value in both slots of a word.
@@ -354,21 +368,34 @@ impl Barrett {
     pub fn new(m: u32, poly: u32) -> Self {
         assert!((2..=16).contains(&m), "extension degree {m}");
         assert_eq!(poly >> m, 1, "the polynomial's degree is not m");
-        // Long division of y^(2m) by p: one quotient bit per step.
-        let (mut rem, mut mu) = (1u64 << m, 0u64);
-        for _ in 0..=m {
-            mu <<= 1;
-            if rem >> m == 1 {
-                rem ^= u64::from(poly);
-                mu |= 1;
+        // Long division of y^k by p: one quotient bit per step.
+        let quotient = |k: u32| {
+            let (mut rem, mut mu) = (1u64 << m, 0u64);
+            for _ in m..=k {
+                mu <<= 1;
+                if rem >> m == 1 {
+                    rem ^= u64::from(poly);
+                    mu |= 1;
+                }
+                rem <<= 1;
             }
-            rem <<= 1;
-        }
+            mu
+        };
         Barrett {
             m,
             poly: u64::from(poly),
-            mu,
+            mu: quotient(2 * m),
+            word_mu: quotient(63) << 1,
         }
+    }
+
+    /// The low word of `v` (any degree below 64) modulo `p`.
+    #[inline(always)]
+    fn reduce_word<M: MulAcc>(self, mul: M, v: M::Acc) -> Block {
+        let q = mul
+            .halves(mul.mul_acc(mul.zero(), mul.halves(v).1, self.word_mu))
+            .0;
+        mul.halves(mul.mul_acc(v, q, self.poly)).1
     }
 
     /// Both slots of `v` (each of degree `<= 2m - 2`) modulo `p`.
@@ -500,29 +527,90 @@ pub fn frobenius_chain(
     dispatch(Chain(field, f, deg, scratch, z))
 }
 
-/// `sum_i a[i] * b[len - 1 - i]` over GF(2^m), reduced: the coefficient of
-/// `x^(len-1)` in the product of the two polynomials. Word `w` of `a`,
-/// `(a_2w, a_2w+1)`, meets word `len/2 - 1 - w` of `b`,
-/// `(b_(len-2-2w), b_(len-1-2w))`, and the middle slot of their product is
-/// `a_2w b_(len-1-2w) + a_2w+1 b_(len-2-2w)` — two terms of the sum, the
-/// outer slots the terms of other coefficients. `len / 2` multiplies, one
-/// [`Barrett`] reduction.
+/// A loop that takes one inner product of GF(2^m) polynomials a turn,
+/// each behind the last — Berlekamp–Massey's discrepancies — for
+/// [`with_dots`] to run whole.
+pub trait Dots {
+    /// The loop. `dot(a, b)` is `sum_i a[i] * b[len - 1 - i]`, reduced,
+    /// over the field [`with_dots`] was given: the coefficient of
+    /// `x^(len-1)` in the product of the two polynomials. Word `w` of `a`,
+    /// `(a_2w, a_2w+1)`, meets word `len/2 - 1 - w` of `b`,
+    /// `(b_(len-2-2w), b_(len-1-2w))`, and the middle slot of their
+    /// product is `a_2w b_(len-1-2w) + a_2w+1 b_(len-2-2w)` — two terms of
+    /// the sum, the outer slots the terms of other coefficients. `len / 2`
+    /// multiplies, one [`Barrett`] reduction. `dot` panics if the lengths
+    /// differ or are odd; in a debug build, also if a slot is unreduced.
+    ///
+    /// Mark the implementation `#[inline(always)]`: only inlined into the
+    /// `target_feature` function does the loop run there.
+    fn run(&mut self, dot: impl FnMut(&[u32], &[u32]) -> u32);
+}
+
+/// Runs `job` with its `dot` on whichever multiply the CPU has, the
+/// `target_feature` boundary crossed once for the whole loop: each product
+/// waits on the last, and a crossing apiece, its arguments passed through
+/// memory, would sit on that chain.
+pub fn with_dots(field: Barrett, job: &mut impl Dots) {
+    dispatch(DotLoop(field, job));
+}
+
+/// Slots of [`split`]'s scratch for a factor of degree `deg` and a trace
+/// of `len` slots.
+pub const fn split_scratch_len(deg: usize, len: usize) -> usize {
+    let dividend = if len > deg { len } else { deg + 1 };
+    dividend + 2 * deg + 1
+}
+
+/// Splits the monic `f` of degree `deg` over GF(2^m) by
+/// `g = gcd(f, trace mod f)`: when `g` is a proper factor, `f` leaves as
+/// the low coefficients of `g` followed by those of `f / g` (both monic,
+/// the leading 1s implicit) and the result is `Some(deg g)`; otherwise `f`
+/// is left as it came and the result is `None`.
+///
+/// `f` is laid out as for [`frobenius_chain`]: `f_0 .. f_(deg-1)`, then a
+/// zero slot where `deg` is odd; `trace` is any polynomial, reduced slots.
+/// All three divisions — `trace mod f`, Euclid's, `f / g` — are one call.
+/// The two by a monic divisor reduce only the leading coefficient: every
+/// other one takes its carry-less product with the quotient coefficient
+/// unreduced (a sum of products, below `2^(2m-1)`), the quotient
+/// coefficient is one [`Barrett`] word, and the next leading coefficient,
+/// which need only be congruent, takes this one's product unreduced two
+/// steps in three — so that the chain from one step to the next is one
+/// multiply, where the log tables took a `log` and an `exp` out of L2.
+/// Euclid takes no inverse: each remainder is a pseudo-remainder, two
+/// multiplies and two reductions from the last, and `g` is made monic
+/// once ([`GfField::inv`](crate::GfField::inv)).
 ///
 /// # Panics
 ///
-/// Panics if the lengths differ or are odd; in a debug build, also if a
-/// slot is unreduced.
-pub fn dot(field: Barrett, a: &[u32], b: &[u32]) -> u32 {
+/// Panics if `deg` is 0, if `f.len()` is not `deg` rounded up to even, if
+/// `trace` is of odd length, if `scratch.len()` is not
+/// [`split_scratch_len`]`(deg, trace.len())`, or if a slot of `f` or
+/// `trace` is unreduced (the padding slot: nonzero).
+pub fn split(
+    field: &crate::GfField,
+    f: &mut [u32],
+    deg: usize,
+    trace: &[u32],
+    scratch: &mut [u32],
+) -> Option<usize> {
+    let m = field.degree();
+    assert!(deg > 0, "a constant has no factor to split");
+    assert_eq!(f.len(), deg.next_multiple_of(2), "f is not deg slots");
     assert!(
-        a.len().is_multiple_of(2),
+        trace.len().is_multiple_of(2),
         "a polynomial is a whole number of two-slot words"
     );
-    assert_eq!(a.len(), b.len(), "a dot product of unequal lengths");
-    debug_assert!(
-        slots_below(field.m, a) && slots_below(field.m, b),
+    assert_eq!(
+        scratch.len(),
+        split_scratch_len(deg, trace.len()),
+        "scratch"
+    );
+    assert!(
+        slots_below(m, f) && slots_below(m, trace) && f[deg..].iter().all(|&pad| pad == 0),
         "unreduced slot"
     );
-    dispatch(Dot(field, a, b))
+    dispatch(Split(field, f, deg, trace, scratch))
 }
 
 /// Moduli over GF(2) of degree 1 to 31 and what [`residues`] divides by
@@ -681,7 +769,7 @@ impl Kernel for Chain<'_> {
     }
 }
 
-/// [`dot`]'s job.
+/// One inner product of [`with_dots`].
 struct Dot<'a>(Barrett, &'a [u32], &'a [u32]);
 
 impl Kernel for Dot<'_> {
@@ -698,6 +786,215 @@ impl Kernel for Dot<'_> {
         }
         let middle = mul.halves(sum).1 >> 32;
         unpack(field.reduce(mul, middle))[0]
+    }
+}
+
+/// [`with_dots`]' job.
+struct DotLoop<'a, J>(Barrett, &'a mut J);
+
+impl<J: Dots> Kernel for DotLoop<'_, J> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<M: MulAcc>(self, mul: M) {
+        let DotLoop(field, job) = self;
+        job.run(|a, b| {
+            assert!(
+                a.len().is_multiple_of(2),
+                "a polynomial is a whole number of two-slot words"
+            );
+            assert_eq!(a.len(), b.len(), "a dot product of unequal lengths");
+            debug_assert!(
+                slots_below(field.m, a) && slots_below(field.m, b),
+                "unreduced slot"
+            );
+            Dot(field, a, b).run(mul)
+        });
+    }
+}
+
+/// `a` modulo the monic divisor whose low coefficients are `d`, from the
+/// top down: the (reduced) quotient is left in `a[d.len()..]`, the
+/// remainder in `a[..d.len()]`, its slots sums of products.
+///
+/// `a`'s slots need only be below `2^(2m-1)`. Only the leading coefficient
+/// is reduced, and it stays in the accumulator from one step to the next.
+#[inline(always)]
+fn divide<M: MulAcc>(field: Barrett, mul: M, a: &mut [u32], d: &[u32]) {
+    let e = d.len();
+    if a.len() <= e {
+        return;
+    }
+    let mut lead = mul.word(u64::from(a[a.len() - 1]));
+    // The next leading coefficient need only be congruent: two steps in
+    // three it takes the product of this one unreduced (below 2^31, then
+    // 2^47: the product stays in the word), and the reduction is off the
+    // chain. Unrolled, so that which factor it takes is not a select.
+    let mut steps = (e..a.len()).rev();
+    while let Some(j) = steps.next() {
+        lead = divide_step(field, mul, a, j, d, lead, false);
+        let Some(j) = steps.next() else { break };
+        lead = divide_step(field, mul, a, j, d, lead, false);
+        let Some(j) = steps.next() else { break };
+        lead = divide_step(field, mul, a, j, d, lead, true);
+    }
+    a[e - 1] = field.reduce_word(mul, lead) as u32;
+}
+
+/// One step of [`divide`]: the quotient coefficient `reduce(lead)` into
+/// `a[j]`, its products into the slots below, and the next leading
+/// coefficient, out of this one `reduced` or not.
+#[inline(always)]
+fn divide_step<M: MulAcc>(
+    field: Barrett,
+    mul: M,
+    a: &mut [u32],
+    j: usize,
+    d: &[u32],
+    lead: M::Acc,
+    reduced: bool,
+) -> M::Acc {
+    let (&top, low) = d.split_last().expect("d is not empty");
+    let q = field.reduce_word(mul, lead);
+    a[j] = q as u32;
+    let factor = if reduced { q } else { mul.halves(lead).1 };
+    let next = mul.mul_acc(mul.word(u64::from(a[j - 1])), factor, u64::from(top));
+    // From the top: the next step reads the first of these.
+    for (x, &c) in a[j - d.len()..j - 1].iter_mut().zip(low).rev() {
+        *x ^= mul.halves(mul.mul_acc(mul.zero(), q, u64::from(c))).1 as u32;
+    }
+    next
+}
+
+/// `s * x + t * y` reduced, for reduced factors.
+#[inline(always)]
+fn mul_add<M: MulAcc>(field: Barrett, mul: M, [s, x, t, y]: [u64; 4]) -> u64 {
+    let v = mul.mul_acc(mul.mul_acc(mul.zero(), s, x), t, y);
+    field.reduce_word(mul, v)
+}
+
+/// One step of Euclid without an inverse: `a[..db]` leaves as the
+/// pseudo-remainder `beta^k a mod b` of `a` by `b` (degree `db`, its
+/// leading coefficient `beta`, also passed on its own), the quotient's
+/// length `k = a.len() - db` at least 2; returns the remainder's
+/// coefficient of `x^(db-1)` — its leading one unless it is 0 — so that
+/// the next step's `beta` need not come back from memory. Every slot is
+/// reduced, in and out.
+///
+/// Long division of `beta^k a` needs no inverse: a step is
+/// `A <- beta A + lead x^s b`. A quotient longer than two takes it slot by
+/// slot until two are left; for the usual two (quotient degree 1, the
+/// remainder one degree down) the remainder is
+/// `beta^2 a + alpha_1 b + beta alpha_0 x b` with `alpha_0 = a_(db+1)`,
+/// `alpha_1 = beta a_db + alpha_0 b_(db-1)`: each slot one sum of three
+/// products and one reduction, and from one remainder's leading
+/// coefficient to the next a chain of two.
+#[inline(always)]
+fn pseudo_remainder<M: MulAcc>(
+    field: Barrett,
+    mul: M,
+    mut a: &mut [u32],
+    b: &[u32],
+    beta: u64,
+) -> u64 {
+    let db = b.len() - 1;
+    while a.len() > db + 2 {
+        let (lead, rest) = a.split_last_mut().expect("a is longer than b");
+        let (lead, shift) = (u64::from(*lead), rest.len() - db);
+        for (i, x) in rest.iter_mut().enumerate() {
+            let c = i.checked_sub(shift).map_or(0, |i| b[i]);
+            *x = mul_add(field, mul, [beta, (*x).into(), lead, c.into()]) as u32;
+        }
+        a = rest;
+    }
+    let alpha0 = u64::from(a[db + 1]);
+    let alpha1 = mul_add(field, mul, [beta, a[db].into(), alpha0, b[db - 1].into()]);
+    let gamma0 = mul_add(field, mul, [beta, alpha0, 0, 0]);
+    let beta2 = mul_add(field, mul, [beta, beta, 0, 0]);
+    let slot = |x: u32, c: u32, c_below: u32| {
+        let sum = mul.mul_acc(mul.mul_acc(mul.zero(), beta2, x.into()), alpha1, c.into());
+        let sum = mul.mul_acc(sum, gamma0, c_below.into());
+        field.reduce_word(mul, sum)
+    };
+    // From the top: the next step's beta first.
+    let (first, above) = a[..db].split_first_mut().expect("b is not constant");
+    let mut above = above.iter_mut().zip(b.windows(2)).rev();
+    let Some((x, c)) = above.next() else {
+        *first = slot(*first, b[0], 0) as u32;
+        return (*first).into();
+    };
+    let top = slot(*x, c[1], c[0]);
+    *x = top as u32;
+    for (x, c) in above {
+        *x = slot(*x, c[1], c[0]) as u32;
+    }
+    *first = slot(*first, b[0], 0) as u32;
+    top
+}
+
+/// [`split`]'s job: `(field, f, deg, trace, scratch)`.
+struct Split<'a>(
+    &'a crate::GfField,
+    &'a mut [u32],
+    usize,
+    &'a [u32],
+    &'a mut [u32],
+);
+
+impl Kernel for Split<'_> {
+    type Out = Option<usize>;
+
+    #[inline(always)]
+    fn run<M: MulAcc>(self, mul: M) -> Option<usize> {
+        let Split(gf, f, e, trace, scratch) = self;
+        let field = gf.barrett();
+        let (mut b, rest) = scratch.split_at_mut(trace.len().max(e + 1));
+        let (mut a, div) = rest.split_at_mut(e + 1);
+        // b = trace mod f, its slots reduced.
+        let len = trace.iter().rposition(|&c| c != 0)? + 1;
+        b[..len].copy_from_slice(&trace[..len]);
+        divide(field, mul, &mut b[..len], &f[..e]);
+        let rem = &mut b[..len.min(e)];
+        for c in rem.iter_mut() {
+            *c = field.reduce_word(mul, mul.word((*c).into())) as u32;
+        }
+        // A zero remainder: every root has trace 0; a constant one: every
+        // root has trace 1. Nothing to split either way.
+        let mut db = rem.iter().rposition(|&c| c != 0).filter(|&d| d > 0)?;
+        // Euclid, from a = f: a <- a mod b, (a, b) <- (b, a) until the
+        // remainder vanishes; b is then the gcd.
+        a[..e].copy_from_slice(&f[..e]);
+        a[e] = 1;
+        let (mut da, mut beta) = (e, u64::from(b[db]));
+        loop {
+            let top = pseudo_remainder(field, mul, &mut a[..=da], &b[..=db], beta);
+            let (d, lead) = if top != 0 {
+                (db - 1, top)
+            } else {
+                match a[..db].iter().rposition(|&c| c != 0) {
+                    None => break,
+                    Some(d) => (d, a[d].into()),
+                }
+            };
+            // A constant remainder: the gcd is 1.
+            if d == 0 {
+                return None;
+            }
+            std::mem::swap(&mut a, &mut b);
+            (da, db, beta) = (db, d, lead);
+        }
+        // g, monic.
+        let inv = u64::from(gf.inv(b[db]).expect("b[db] is b's leading coefficient"));
+        for (o, &c) in div.iter_mut().zip(&b[..db]) {
+            *o = mul_add(field, mul, [inv, c.into(), 0, 0]) as u32;
+        }
+        // f / g: the quotient is what long division leaves on top.
+        a[..e].copy_from_slice(&f[..e]);
+        a[e] = 1;
+        divide(field, mul, &mut a[..=e], &div[..db]);
+        f[..db].copy_from_slice(&div[..db]);
+        f[db..e].copy_from_slice(&a[db..e]);
+        Some(db)
     }
 }
 
@@ -785,8 +1082,7 @@ mod clmul {
     #![allow(unsafe_code, reason = "target_feature intrinsics have no safe form")]
 
     use std::arch::x86_64::{
-        __m128i, _mm_clmulepi64_si128, _mm_cvtsi64_si128, _mm_extract_epi64, _mm_setzero_si128,
-        _mm_xor_si128,
+        __m128i, _mm_clmulepi64_si128, _mm_cvtsi64_si128, _mm_extract_epi64, _mm_xor_si128,
     };
 
     use super::{Block, Kernel, MulAcc};
@@ -818,9 +1114,9 @@ mod clmul {
         type Acc = __m128i;
 
         #[inline(always)]
-        fn zero(self) -> __m128i {
+        fn word(self, w: Block) -> __m128i {
             // SAFETY: sse2 is x86_64 baseline.
-            unsafe { _mm_setzero_si128() }
+            unsafe { _mm_cvtsi64_si128(w as i64) }
         }
 
         #[inline(always)]
@@ -1112,6 +1408,53 @@ mod tests {
         }
     }
 
+    /// [`Barrett::reduce_word`] over a list of words.
+    struct Words<'a>(Barrett, &'a [u64]);
+
+    impl Kernel for Words<'_> {
+        type Out = Vec<u64>;
+
+        fn run<M: MulAcc>(self, mul: M) -> Vec<u64> {
+            let Words(field, values) = self;
+            values
+                .iter()
+                .map(|&v| field.reduce_word(mul, mul.word(v)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn barrett_reduces_any_word_on_either_multiply() {
+        // What the split's leading coefficients are: any value below 2^64
+        // (products of products, up to 62 bits), each bit alone, all ones.
+        let mut rng = 0x030D_B0D5_u64;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            let poly = u64::from(field.primitive_poly());
+            let mut values = random_words(4096, &mut rng);
+            values.extend((0..64).map(|bit| 1 << bit));
+            values.push(!0);
+            let expect: Vec<u64> = values
+                .iter()
+                .map(|&v| {
+                    (m..64).rev().fold(v, |v, bit| {
+                        if v >> bit & 1 == 1 {
+                            v ^ poly << (bit - m)
+                        } else {
+                            v
+                        }
+                    })
+                })
+                .collect();
+            assert_eq!(dispatch(Words(field.barrett(), &values)), expect, "m {m}");
+            assert_eq!(
+                Words(field.barrett(), &values).run(ShiftXor),
+                expect,
+                "m {m}"
+            );
+        }
+    }
+
     #[test]
     fn combine_and_square_match_the_field_coefficient_by_coefficient() {
         let mut rng = 0xC0FF_EE00_5107u64;
@@ -1213,18 +1556,204 @@ mod tests {
         }
     }
 
+    /// A loop of `dot`s over given pairs, collecting them.
+    struct Pairs<'a>(&'a [(Vec<u32>, Vec<u32>)], Vec<u32>);
+
+    impl Dots for Pairs<'_> {
+        #[inline(always)]
+        fn run(&mut self, mut dot: impl FnMut(&[u32], &[u32]) -> u32) {
+            let Pairs(pairs, out) = self;
+            out.extend(pairs.iter().map(|(a, b)| dot(a, b)));
+        }
+    }
+
+    fn dots_of(field: Barrett, pairs: &[(Vec<u32>, Vec<u32>)]) -> Vec<u32> {
+        let mut job = Pairs(pairs, Vec::new());
+        with_dots(field, &mut job);
+        job.1
+    }
+
     #[test]
     fn dot_is_the_sum_of_field_products_at_every_even_length() {
         let mut rng = 0xD07_D07u64;
         for m in 2..=16 {
             let field = crate::GfField::new(m).unwrap();
-            for len in (0..=132).step_by(2) {
-                let a = random_slots(len, m, &mut rng);
-                let b = random_slots(len, m, &mut rng);
+            let pairs: Vec<(Vec<u32>, Vec<u32>)> = (0..=132)
+                .step_by(2)
+                .map(|len| {
+                    (
+                        random_slots(len, m, &mut rng),
+                        random_slots(len, m, &mut rng),
+                    )
+                })
+                .collect();
+            let dots = dots_of(field.barrett(), &pairs);
+            for ((a, b), got) in pairs.iter().zip(dots) {
+                let len = a.len();
                 let expect = (0..len).fold(0, |sum, i| sum ^ field.mul(a[i], b[len - 1 - i]));
-                assert_eq!(dot(field.barrett(), &a, &b), expect, "m {m}, length {len}");
+                assert_eq!(got, expect, "m {m}, length {len}");
             }
         }
+    }
+
+    /// `a * b` over GF(2^m), schoolbook.
+    fn poly_mul(field: &crate::GfField, a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = vec![0; a.len() + b.len() - 1];
+        for (i, &x) in a.iter().enumerate() {
+            for (j, &y) in b.iter().enumerate() {
+                out[i + j] ^= field.mul(x, y);
+            }
+        }
+        out
+    }
+
+    /// `(a / b, a mod b)` by schoolbook long division through
+    /// `GfField::inv`; `b`'s last coefficient is its nonzero leading one.
+    fn poly_divmod(field: &crate::GfField, a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let db = b.len() - 1;
+        let inv = field.inv(b[db]).unwrap();
+        let mut rem = a.to_vec();
+        let mut quot = vec![0; a.len().saturating_sub(db)];
+        for j in (db..a.len()).rev() {
+            let q = field.mul(rem[j], inv);
+            quot[j - db] = q;
+            for (r, &c) in rem[j - db..=j].iter_mut().zip(b) {
+                *r ^= field.mul(q, c);
+            }
+        }
+        rem.truncate(db.min(a.len()));
+        (quot, rem)
+    }
+
+    fn trimmed(mut p: Vec<u32>) -> Vec<u32> {
+        while p.last() == Some(&0) {
+            p.pop();
+        }
+        p
+    }
+
+    /// What [`split`] gives on `f` (low coefficients, monic) and `trace`,
+    /// by Euclid and long division on `GfField`: `deg g` and `g` then
+    /// `f / g` when `g = gcd(f, trace mod f)` is a proper factor; `None` and
+    /// `f` otherwise.
+    fn split_reference(
+        field: &crate::GfField,
+        f: &[u32],
+        trace: &[u32],
+    ) -> (Option<usize>, Vec<u32>) {
+        let full: Vec<u32> = f.iter().copied().chain([1]).collect();
+        let (mut a, mut b) = (full.clone(), trimmed(poly_divmod(field, trace, &full).1));
+        while !b.is_empty() {
+            let rem = trimmed(poly_divmod(field, &a, &b).1);
+            (a, b) = (b, rem);
+        }
+        let dg = a.len() - 1;
+        if dg == 0 || dg == f.len() {
+            return (None, f.to_vec());
+        }
+        let inv = field.inv(a[dg]).unwrap();
+        let g: Vec<u32> = a.iter().map(|&c| field.mul(c, inv)).collect();
+        let (h, rem) = poly_divmod(field, &full, &g);
+        assert!(rem.iter().all(|&c| c == 0), "g divides f");
+        (
+            Some(dg),
+            g[..dg].iter().chain(&h[..f.len() - dg]).copied().collect(),
+        )
+    }
+
+    /// [`split`] on `f` (low coefficients) and `trace`, padded as it takes
+    /// them: its result and what it leaves of `f`.
+    fn split_padded(field: &crate::GfField, f: &[u32], trace: &[u32]) -> (Option<usize>, Vec<u32>) {
+        let deg = f.len();
+        let mut padded = f.to_vec();
+        padded.resize(deg.next_multiple_of(2), 0);
+        let mut trace = trace.to_vec();
+        trace.resize(trace.len().next_multiple_of(2), 0);
+        let mut scratch = vec![0; split_scratch_len(deg, trace.len())];
+        let split = split(field, &mut padded, deg, &trace, &mut scratch);
+        assert!(padded[deg..].iter().all(|&pad| pad == 0), "padding kept");
+        padded.truncate(deg);
+        (split, padded)
+    }
+
+    /// A monic polynomial of degree `deg`, full coefficients.
+    fn random_monic(deg: usize, m: u32, state: &mut u64) -> Vec<u32> {
+        let mut p = random_slots(deg, m, state);
+        p.push(1);
+        p
+    }
+
+    /// `f = g h` with `deg g` drawn from `1..deg` (full coefficients), and
+    /// a trace `g u + f v` of up to `2 deg` coefficients.
+    fn factored(
+        field: &crate::GfField,
+        deg: usize,
+        state: &mut u64,
+    ) -> (usize, Vec<u32>, Vec<u32>) {
+        let m = field.degree();
+        let dg = 1 + xorshift(state) as usize % (deg - 1);
+        let g = random_monic(dg, m, state);
+        let f = poly_mul(field, &g, &random_monic(deg - dg, m, state));
+        let v = random_slots(xorshift(state) as usize % deg + 1, m, state);
+        let mut trace = poly_mul(field, &f, &v);
+        for (t, c) in trace
+            .iter_mut()
+            .zip(poly_mul(field, &g, &random_slots(deg - dg, m, state)))
+        {
+            *t ^= c;
+        }
+        (dg, f, trace)
+    }
+
+    #[test]
+    fn split_is_schoolbook_division_and_gcd_in_every_field() {
+        // Divisors of degree 1 to 70 in every field, traces up to twice as
+        // long: random ones (their gcd with f mostly 1), g u + f v for a
+        // proper factor g (mostly g), multiples of f (every root shared)
+        // and 1 plus one (no root shared) — neither of which splits.
+        let mut rng = 0x5_B117_5EEDu64;
+        let mut proper = 0;
+        for m in 2..=16 {
+            let field = crate::GfField::new(m).unwrap();
+            for deg in 1..=70 {
+                let f = random_monic(deg, m, &mut rng);
+                let len = 1 + xorshift(&mut rng) as usize % (2 * deg);
+                let multiple = poly_mul(
+                    &field,
+                    &f,
+                    &random_slots(len.max(deg + 1) - deg, m, &mut rng),
+                );
+                let mut one_more = multiple.clone();
+                one_more[0] ^= 1;
+                let cases = [
+                    (f.clone(), random_slots(len, m, &mut rng), "random"),
+                    (f.clone(), multiple, "a multiple of f"),
+                    (f, one_more, "1 + a multiple of f"),
+                ];
+                let factored = (deg >= 2).then(|| {
+                    let (dg, f, trace) = factored(&field, deg, &mut rng);
+                    (f, trace, dg)
+                });
+                for (f, trace, what) in cases {
+                    let expect = split_reference(&field, &f[..deg], &trace);
+                    if what != "random" {
+                        assert_eq!(expect.0, None, "m {m}, degree {deg}, {what}");
+                    }
+                    let what = format!("m {m}, degree {deg}, {what} of {}", trace.len());
+                    assert_eq!(split_padded(&field, &f[..deg], &trace), expect, "{what}");
+                }
+                if let Some((f, trace, dg)) = factored {
+                    let expect = split_reference(&field, &f[..deg], &trace);
+                    proper += usize::from(expect.0 == Some(dg));
+                    let what = format!("m {m}, degree {deg}, g of {dg}");
+                    assert_eq!(split_padded(&field, &f[..deg], &trace), expect, "{what}");
+                }
+            }
+        }
+        assert!(
+            proper > 15 * 69 / 2,
+            "only {proper} splits by the planted factor"
+        );
     }
 
     /// The table's residues against long division (`Gf2Poly::rem`), and —
@@ -1317,6 +1846,8 @@ mod tests {
         // What the entry points run (pclmulqdq where the CPU has it)
         // against their jobs run on shift-and-XOR, on random shapes.
         let mut rng = 0x5AFE_B0D1E5u64;
+        let fields: Vec<crate::GfField> =
+            (2..=16).map(|m| crate::GfField::new(m).unwrap()).collect();
         for round in 0..200 {
             let (la, lb) = (1 + round % 17, 1 + round % 5);
             let (a, b) = (random_words(la, &mut rng), random_words(lb, &mut rng));
@@ -1364,11 +1895,39 @@ mod tests {
                 random_slots(len, m, &mut rng),
                 random_slots(len, m, &mut rng),
             );
+            let pairs = [(a, b)];
+            let mut portable = Pairs(&pairs, Vec::new());
+            DotLoop(field, &mut portable).run(ShiftXor);
             assert_eq!(
-                dot(field, &a, &b),
-                Dot(field, &a, &b).run(ShiftXor),
+                dots_of(field, &pairs),
+                portable.1,
                 "dot, m {m}, length {len}"
             );
+            // Factors of degree 1 to 70, every other trace planted with a
+            // proper factor.
+            let gf = &fields[m as usize - 2];
+            let deg = 1 + round % 70;
+            let (f, trace) = if round % 2 == 0 && deg >= 2 {
+                let (_, f, trace) = factored(gf, deg, &mut rng);
+                (f[..deg].to_vec(), trace)
+            } else {
+                let len = 1 + xorshift(&mut rng) as usize % (2 * deg);
+                (
+                    random_slots(deg, m, &mut rng),
+                    random_slots(len, m, &mut rng),
+                )
+            };
+            let (mut f, mut trace) = (f, trace);
+            f.resize(deg.next_multiple_of(2), 0);
+            trace.resize(trace.len().next_multiple_of(2), 0);
+            let mut scratch = vec![0; split_scratch_len(deg, trace.len())];
+            let (mut got, mut expect) = (f.clone(), f);
+            assert_eq!(
+                split(gf, &mut got, deg, &trace, &mut scratch),
+                Split(gf, &mut expect, deg, &trace, &mut scratch).run(ShiftXor),
+                "split, m {m}, degree {deg}"
+            );
+            assert_eq!(got, expect, "split, m {m}, degree {deg}");
             // Moduli of every degree the table takes, values of 1..=18 words.
             let words = 1 + round % 18;
             let moduli: Vec<u32> = (0..count)
@@ -1475,13 +2034,85 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of two-slot words")]
     fn dot_rejects_an_odd_length() {
-        dot(gf16(), &[1, 2, 3], &[1, 2, 3]);
+        dots_of(gf16(), &[(vec![1, 2, 3], vec![1, 2, 3])]);
     }
 
     #[test]
     #[should_panic(expected = "unequal lengths")]
     fn dot_rejects_unequal_lengths() {
-        dot(gf16(), &[1, 2], &[1, 2, 3, 4]);
+        dots_of(gf16(), &[(vec![1, 2], vec![1, 2, 3, 4])]);
+    }
+
+    fn gf16_field() -> crate::GfField {
+        crate::GfField::new(4).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "a constant has no factor")]
+    fn split_rejects_a_constant() {
+        split(&gf16_field(), &mut [], 0, &[1, 0], &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "f is not deg slots")]
+    fn split_rejects_a_factor_that_is_not_deg_slots() {
+        split(&gf16_field(), &mut [1, 2, 3], 3, &[1, 2], &mut [0; 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of two-slot words")]
+    fn split_rejects_half_a_word_of_trace() {
+        split(
+            &gf16_field(),
+            &mut [1, 2, 3, 0],
+            3,
+            &[1, 2, 3],
+            &mut [0; 11],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch")]
+    fn split_rejects_scratch_of_the_wrong_size() {
+        split(&gf16_field(), &mut [1, 2, 3, 0], 3, &[1, 2], &mut [0; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn split_rejects_an_unreduced_factor_slot() {
+        split(&gf16_field(), &mut [1, 16, 3, 0], 3, &[1, 2], &mut [0; 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn split_rejects_an_unreduced_trace_slot() {
+        split(&gf16_field(), &mut [1, 2, 3, 0], 3, &[1, 17], &mut [0; 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn split_rejects_a_nonzero_padding_slot() {
+        split(&gf16_field(), &mut [1, 2, 3, 5], 3, &[1, 2], &mut [0; 11]);
+    }
+
+    // Monic is the layout, the leading 1 implicit: one written out lands in
+    // the padding slot (odd degree) or makes f a slot too long (even).
+    #[test]
+    #[should_panic(expected = "unreduced slot")]
+    fn split_rejects_a_written_out_leading_coefficient() {
+        split(&gf16_field(), &mut [1, 2, 3, 1], 3, &[1, 2], &mut [0; 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "f is not deg slots")]
+    fn split_rejects_a_factor_with_its_leading_coefficient() {
+        split(
+            &gf16_field(),
+            &mut [1, 2, 3, 4, 1, 0],
+            4,
+            &[1, 2],
+            &mut [0; 14],
+        );
     }
 
     #[test]
