@@ -19,7 +19,24 @@ use crate::ocp::OcpSocket;
 use crate::regs::{ConfigCommand, RegisterFile};
 use crate::retry::{ReadOffsetTable, RetryPolicy, RetryStats};
 
-/// Static configuration of the controller instance.
+/// Static configuration of the controller instance: every setting is a
+/// `pub` field, set by struct update over [`ControllerConfig::date2012`],
+/// and [`MemoryController::new`] checks the whole of it.
+///
+/// # Example
+///
+/// ```
+/// use mlcx_controller::{ControllerConfig, MemoryController, RetryPolicy};
+///
+/// let config = ControllerConfig {
+///     ecc_tmax: 40,
+///     retry: RetryPolicy::date2012(),
+///     ..ControllerConfig::date2012()
+/// };
+/// let ctrl = MemoryController::new(config, 7)?;
+/// assert_eq!(ctrl.config().ecc_tmax, 40);
+/// # Ok::<(), mlcx_controller::CtrlError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Galois-field degree of the BCH codec.
@@ -78,28 +95,52 @@ impl ControllerConfig {
         }
     }
 
-    /// A fluent builder seeded with the [`ControllerConfig::date2012`]
-    /// preset, with a setter per field some caller varies (the fields
-    /// are `pub`; the rest are assigned directly) and validation in
-    /// [`ControllerConfigBuilder::build`].
+    /// A builder seeded with the [`ControllerConfig::date2012`] preset:
+    /// [`ControllerConfigBuilder::geometry`] and the check of
+    /// [`ControllerConfigBuilder::build`]. Every other setting is a `pub`
+    /// field, set by struct update.
     pub fn builder() -> ControllerConfigBuilder {
         ControllerConfigBuilder {
             config: Self::date2012(),
         }
     }
+
+    /// The one check of a configuration, run by [`MemoryController::new`]
+    /// and [`ControllerConfigBuilder::build`] alike: a non-empty
+    /// capability range, a field degree in 2..=16 and a valid geometry.
+    fn validate(&self) -> Result<(), CtrlError> {
+        if self.ecc_tmin == 0 || self.ecc_tmin > self.ecc_tmax {
+            return Err(CtrlError::InvalidConfig {
+                reason: format!(
+                    "empty capability range {}..={}",
+                    self.ecc_tmin, self.ecc_tmax
+                ),
+            });
+        }
+        if !(2..=16).contains(&self.ecc_m) {
+            return Err(CtrlError::InvalidConfig {
+                reason: format!("field degree m = {} outside 2..=16", self.ecc_m),
+            });
+        }
+        self.geometry
+            .validate()
+            .map_err(|reason| CtrlError::InvalidConfig { reason })
+    }
 }
 
-/// Fluent construction of a [`ControllerConfig`], starting from the
-/// paper's calibration.
+/// A [`ControllerConfig`] over a geometry of its own, checked by
+/// [`ControllerConfigBuilder::build`] as [`MemoryController::new`] checks
+/// it. Every other setting is a `pub` field of the config.
 ///
 /// # Example
 ///
 /// ```
 /// use mlcx_controller::ControllerConfig;
+/// use mlcx_nand::DeviceGeometry;
 ///
-/// let config = ControllerConfig::builder().ecc_tmax(40).build()?;
-/// assert_eq!(config.ecc_tmax, 40);
-/// assert_eq!(config.ecc_m, 16); // preset value untouched
+/// let geometry = DeviceGeometry::date2012_topology(2, 1);
+/// let config = ControllerConfig::builder().geometry(geometry).build()?;
+/// assert_eq!(config.geometry.topology.total_dies(), 2);
 /// # Ok::<(), mlcx_controller::CtrlError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -108,72 +149,21 @@ pub struct ControllerConfigBuilder {
 }
 
 impl ControllerConfigBuilder {
-    /// Galois-field degree of the BCH codec.
-    pub fn ecc_m(mut self, m: u32) -> Self {
-        self.config.ecc_m = m;
-        self
-    }
-
-    /// Minimum correction capability.
-    pub fn ecc_tmin(mut self, t: u32) -> Self {
-        self.config.ecc_tmin = t;
-        self
-    }
-
-    /// Maximum correction capability.
-    pub fn ecc_tmax(mut self, t: u32) -> Self {
-        self.config.ecc_tmax = t;
-        self
-    }
-
-    /// Codec kernel of the BCH datapath (oracle and production path are
-    /// bit-identical).
-    pub fn ecc_kernel(mut self, kernel: CodecKernel) -> Self {
-        self.config.ecc_kernel = kernel;
-        self
-    }
-
     /// Device geometry.
     pub fn geometry(mut self, geometry: DeviceGeometry) -> Self {
         self.config.geometry = geometry;
         self
     }
 
-    /// Read-disturb / retention model for the device (default
-    /// [`DisturbModel::disabled`]).
-    pub fn disturb(mut self, disturb: DisturbModel) -> Self {
-        self.config.disturb = disturb;
-        self
-    }
-
-    /// Read-retry policy for uncorrectable reads (default
-    /// [`RetryPolicy::disabled`]).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Validates and produces the configuration.
+    /// Checks and produces the configuration.
     ///
     /// # Errors
     ///
     /// [`CtrlError::InvalidConfig`] when the capability range is empty,
-    /// the field degree is outside 2..=16, or the geometry is degenerate.
+    /// the field degree is outside 2..=16, or the geometry is degenerate
+    /// — the verdict [`MemoryController::new`] gives the same config.
     pub fn build(self) -> Result<ControllerConfig, CtrlError> {
-        let c = &self.config;
-        if c.ecc_tmin == 0 || c.ecc_tmin > c.ecc_tmax {
-            return Err(CtrlError::InvalidConfig {
-                reason: format!("empty capability range {}..={}", c.ecc_tmin, c.ecc_tmax),
-            });
-        }
-        if !(2..=16).contains(&c.ecc_m) {
-            return Err(CtrlError::InvalidConfig {
-                reason: format!("field degree m = {} outside 2..=16", c.ecc_m),
-            });
-        }
-        if let Err(reason) = c.geometry.validate() {
-            return Err(CtrlError::InvalidConfig { reason });
-        }
+        self.config.validate()?;
         Ok(self.config)
     }
 }
@@ -296,13 +286,12 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Codec construction errors, or [`CtrlError::SpareOverflow`] when the
-    /// worst-case parity cannot fit the spare area.
+    /// [`CtrlError::InvalidConfig`] when the capability range is empty,
+    /// the field degree is outside 2..=16, or the geometry is degenerate;
+    /// other codec construction errors; or [`CtrlError::SpareOverflow`]
+    /// when the worst-case parity cannot fit the spare area.
     pub fn new(config: ControllerConfig, seed: u64) -> Result<Self, CtrlError> {
-        config
-            .geometry
-            .validate()
-            .map_err(|reason| CtrlError::InvalidConfig { reason })?;
+        config.validate()?;
         let codec = AdaptiveBch::new_with_kernel(
             config.ecc_m,
             config.geometry.page_bytes * 8,
@@ -380,11 +369,6 @@ impl MemoryController {
     /// enabling disturb/retention mechanisms), not for datapath use.
     pub fn device_mut(&mut self) -> &mut NandDevice {
         &mut self.device
-    }
-
-    /// The active read-retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.config.retry
     }
 
     /// Retry subsystem counters accumulated across reads.
@@ -914,36 +898,51 @@ mod tests {
 
     #[test]
     fn config_builder_presets_and_validation() {
-        let config = ControllerConfig::builder()
-            .ecc_tmin(5)
-            .ecc_tmax(30)
-            .build()
-            .unwrap();
+        let config = ControllerConfig {
+            ecc_tmin: 5,
+            ecc_tmax: 30,
+            ..ControllerConfig::date2012()
+        };
+        let config = ControllerConfigBuilder { config }.build().unwrap();
         assert_eq!((config.ecc_tmin, config.ecc_tmax), (5, 30));
         assert_eq!(config.ecc_m, 16, "preset fields survive");
         assert_eq!(config.ecc_kernel, CodecKernel::Fused, "preset kernel");
         assert!(MemoryController::new(config, 1).is_ok());
 
-        assert!(matches!(
-            ControllerConfig::builder().ecc_tmin(0).build(),
-            Err(CtrlError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            ControllerConfig::builder().ecc_tmax(2).build(),
-            Err(CtrlError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            ControllerConfig::builder().ecc_m(17).build(),
-            Err(CtrlError::InvalidConfig { .. })
-        ));
+        for bad in [
+            ControllerConfig {
+                ecc_tmin: 0,
+                ..ControllerConfig::date2012()
+            },
+            ControllerConfig {
+                ecc_tmax: 2,
+                ..ControllerConfig::date2012()
+            },
+            ControllerConfig {
+                ecc_m: 17,
+                ..ControllerConfig::date2012()
+            },
+        ] {
+            assert!(matches!(
+                ControllerConfigBuilder {
+                    config: bad.clone()
+                }
+                .build(),
+                Err(CtrlError::InvalidConfig { .. })
+            ));
+            assert!(matches!(
+                MemoryController::new(bad, 1),
+                Err(CtrlError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
     fn ecc_kernel_knob_reaches_the_codec() {
-        let config = ControllerConfig::builder()
-            .ecc_kernel(CodecKernel::Reference)
-            .build()
-            .unwrap();
+        let config = ControllerConfig {
+            ecc_kernel: CodecKernel::Reference,
+            ..ControllerConfig::date2012()
+        };
         let ctrl = MemoryController::new(config, 1).unwrap();
         assert_eq!(ctrl.codec().kernel(), CodecKernel::Reference);
     }
@@ -1034,15 +1033,15 @@ mod tests {
         // mean raw errors), while any rung within a step of the ~2.7
         // step shift decodes with wide margin — the endurance floor at
         // 100k cycles is only ~1e-4.
-        let config = ControllerConfig::builder()
-            .disturb(DisturbModel {
+        let config = ControllerConfig {
+            disturb: DisturbModel {
                 retention_scale: 2e-3,
                 rber_per_step: 1e-3,
                 ..DisturbModel::disabled()
-            })
-            .retry(RetryPolicy::date2012())
-            .build()
-            .unwrap();
+            },
+            retry: RetryPolicy::date2012(),
+            ..ControllerConfig::date2012()
+        };
         let mut ctrl = MemoryController::new(config, 9).unwrap();
         ctrl.apply(ConfigCommand::SetCorrection(65)).unwrap();
         ctrl.erase_block(0).unwrap();
@@ -1099,12 +1098,14 @@ mod tests {
             rber_per_step: 1e-3,
             ..DisturbModel::disabled()
         };
-        let base = ControllerConfig::builder().disturb(stress).build().unwrap();
-        let with_retry = ControllerConfig::builder()
-            .disturb(stress)
-            .retry(RetryPolicy::date2012())
-            .build()
-            .unwrap();
+        let base = ControllerConfig {
+            disturb: stress,
+            ..ControllerConfig::date2012()
+        };
+        let with_retry = ControllerConfig {
+            retry: RetryPolicy::date2012(),
+            ..base.clone()
+        };
         let mut a = MemoryController::new(base, 11).unwrap();
         let mut b = MemoryController::new(with_retry, 11).unwrap();
         for ctrl in [&mut a, &mut b] {

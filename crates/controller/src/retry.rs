@@ -15,10 +15,10 @@
 //! so steady-state reads start near the optimum and the ladder only
 //! walks again when the distributions move further.
 //!
-//! The controller owns both pieces: [`RetryPolicy`] is configured
-//! through `ControllerConfigBuilder::retry` (or
-//! `EngineBuilder::retry_policy` a layer up), and the learned table
-//! lives inside `MemoryController`, reset per block on erase.
+//! The controller owns both pieces: [`RetryPolicy`] is the `retry` field
+//! of its `ControllerConfig` (the engine a layer up takes the whole
+//! config), and the learned table lives inside `MemoryController`, reset
+//! per block on erase.
 
 use std::collections::BTreeMap;
 

@@ -521,19 +521,29 @@ struct ServiceState {
 
 /// Fluent construction of a [`StorageEngine`].
 ///
+/// The controller's settings — codec range and kernel, geometry, disturb
+/// model, read-retry policy — are fields of the one [`ControllerConfig`]
+/// handed to [`EngineBuilder::controller_config`], checked by
+/// [`EngineBuilder::build`]; the setters here are the engine's own.
+///
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::ControllerConfig;
+/// use mlcx_controller::{ControllerConfig, RetryPolicy};
 /// use mlcx_core::engine::{EngineBuilder, WearBucketing};
 ///
 /// let engine = EngineBuilder::date2012()
 ///     .seed(99)
-///     .controller_config(ControllerConfig::builder().ecc_tmax(40).build()?)
+///     .controller_config(ControllerConfig {
+///         ecc_tmax: 40,
+///         retry: RetryPolicy::date2012(),
+///         ..ControllerConfig::date2012()
+///     })
 ///     .wear_bucketing(WearBucketing::Log2)
 ///     .build()?;
 /// // The model the engine plans with is its controller's.
 /// assert_eq!(engine.model().tmax, 40);
+/// assert!(engine.controller().config().retry.is_enabled());
 /// # Ok::<(), mlcx_core::MlcxError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -567,19 +577,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the controller configuration — and with it the model
-    /// the engine plans with ([`SubsystemModel::for_controller`]).
+    /// Overrides the controller configuration — every controller
+    /// setting, the disturb model and the read-retry policy included —
+    /// and with it the model the engine plans with
+    /// ([`SubsystemModel::for_controller`]). Retry senses are charged to
+    /// the channel scheduler like any read, surface in
+    /// [`Counters::retry_senses`]/[`Counters::retry_latency_s`], and —
+    /// through the block's learned offset — lower the effective disturb
+    /// RBER the `(wear-bucket, disturb-epoch)` memo derives ECC schedules
+    /// against.
     pub fn controller_config(mut self, config: ControllerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Installs a read-disturb / retention model on the device (default
-    /// [`DisturbModel::disabled`](mlcx_nand::disturb::DisturbModel::disabled)).
-    /// Call after [`EngineBuilder::controller_config`], which replaces
-    /// the whole configuration including this knob.
-    pub fn disturb_model(mut self, disturb: mlcx_nand::disturb::DisturbModel) -> Self {
-        self.config.disturb = disturb;
         self
     }
 
@@ -591,22 +599,6 @@ impl EngineBuilder {
     /// [`Command::Relocate`]/[`Command::ScrubErase`] maintenance.
     pub fn scrub_policy(mut self, scrub: ScrubPolicy) -> Self {
         self.scrub = scrub;
-        self
-    }
-
-    /// Sets the read-retry policy the controller applies on
-    /// uncorrectable reads (default
-    /// [`RetryPolicy::disabled`](mlcx_controller::retry::RetryPolicy::disabled)
-    /// — the pre-retry datapath, bit-for-bit). Call after
-    /// [`EngineBuilder::controller_config`], which replaces the whole
-    /// configuration including this knob. Retry senses are charged to
-    /// the channel scheduler like any read, surface in
-    /// [`Counters::retry_senses`]/[`Counters::retry_latency_s`], and —
-    /// through the block's learned offset — lower the effective disturb
-    /// RBER the `(wear-bucket, disturb-epoch)` memo derives ECC schedules
-    /// against.
-    pub fn retry_policy(mut self, retry: mlcx_controller::retry::RetryPolicy) -> Self {
-        self.config.retry = retry;
         self
     }
 
@@ -642,8 +634,8 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// Controller construction errors (codec build, spare overflow)
-    /// surface as [`MlcxError::Ctrl`].
+    /// Controller construction errors (an invalid configuration, codec
+    /// build, spare overflow) surface as [`MlcxError::Ctrl`].
     pub fn build(self) -> Result<StorageEngine, MlcxError> {
         let ctrl = MemoryController::new(self.config, self.seed)?;
         let mut engine = StorageEngine::with_bucketing(ctrl, self.bucketing);
@@ -862,12 +854,6 @@ impl StorageEngine {
     /// [`Counters::injected_partial_programs`]).
     pub fn injected_faults(&self) -> u64 {
         self.fault.injected()
-    }
-
-    /// The read-retry policy the controller applies on uncorrectable
-    /// reads.
-    pub fn retry_policy(&self) -> &mlcx_controller::retry::RetryPolicy {
-        self.ctrl.retry_policy()
     }
 
     /// Advances the device wall clock — the retention time base every
@@ -1870,7 +1856,10 @@ mod tests {
         // Enabled model: the same jump re-derives.
         let mut e = EngineBuilder::date2012()
             .seed(77)
-            .disturb_model(DisturbModel::date2012())
+            .controller_config(ControllerConfig {
+                disturb: DisturbModel::date2012(),
+                ..ControllerConfig::date2012()
+            })
             .build()
             .unwrap();
         let a = e.register_service("a", Objective::Baseline, 0..2).unwrap();
@@ -1903,10 +1892,13 @@ mod tests {
         // not endurance alone.
         let mut e = EngineBuilder::date2012()
             .seed(5)
-            .disturb_model(DisturbModel {
-                retention_scale: 1e-4,
-                retention_wear_exponent: 0.0,
-                ..DisturbModel::disabled()
+            .controller_config(ControllerConfig {
+                disturb: DisturbModel {
+                    retention_scale: 1e-4,
+                    retention_wear_exponent: 0.0,
+                    ..DisturbModel::disabled()
+                },
+                ..ControllerConfig::date2012()
             })
             .build()
             .unwrap();
@@ -1961,23 +1953,26 @@ mod tests {
         use mlcx_controller::retry::RetryPolicy;
         use mlcx_nand::disturb::DisturbModel;
         let e = engine();
-        assert!(!e.retry_policy().is_enabled());
+        assert!(!e.controller().config().retry.is_enabled());
 
         // The controller unit tests pin the ladder mechanics; here the
         // batch layer: a parked page whose first sense fails must
         // surface retry counters in the BatchReport, and the recovered
         // read must complete successfully.
         let mut e = EngineBuilder::date2012()
-            .disturb_model(DisturbModel {
-                retention_scale: 2e-3,
-                rber_per_step: 1e-3,
-                ..DisturbModel::disabled()
+            .controller_config(ControllerConfig {
+                disturb: DisturbModel {
+                    retention_scale: 2e-3,
+                    rber_per_step: 1e-3,
+                    ..DisturbModel::disabled()
+                },
+                retry: RetryPolicy::date2012(),
+                ..ControllerConfig::date2012()
             })
-            .retry_policy(RetryPolicy::date2012())
             .seed(9)
             .build()
             .unwrap();
-        assert!(e.retry_policy().is_enabled());
+        assert!(e.controller().config().retry.is_enabled());
         let svc = e.register_service("kv", Objective::Baseline, 0..4).unwrap();
         let data = vec![0x3Cu8; 4096];
         // Age first: the retention wear term keys off the wear *at
@@ -2264,7 +2259,10 @@ mod tests {
         let build = |rate: f64| {
             EngineBuilder::date2012()
                 .seed(77)
-                .disturb_model(mlcx_nand::disturb::DisturbModel::date2012())
+                .controller_config(ControllerConfig {
+                    disturb: mlcx_nand::disturb::DisturbModel::date2012(),
+                    ..ControllerConfig::date2012()
+                })
                 .fault_plan(FaultPlan {
                     partial_program_rate: rate,
                     partial_program_fraction: 0.5,

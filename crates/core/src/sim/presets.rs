@@ -24,17 +24,29 @@ use crate::fault::FaultPlan;
 use crate::policy::Objective;
 use crate::sim::{Scenario, ScenarioBuilder, TraceKind};
 
-/// A small multi-die engine: `blocks` x 8-page blocks under `topology`
-/// (everything else the paper's calibration).
-fn engine_with(blocks: usize, topology: Topology) -> EngineBuilder {
-    let mut config = ControllerConfig::date2012();
-    config.geometry = DeviceGeometry {
-        blocks,
-        pages_per_block: 8,
-        topology,
-        ..config.geometry
-    };
-    EngineBuilder::date2012().controller_config(config)
+/// A small multi-die controller: `blocks` x 8-page blocks under
+/// `topology` (everything else the paper's calibration), for a preset to
+/// finish by struct update and hand to
+/// [`EngineBuilder::controller_config`].
+fn config_with(blocks: usize, topology: Topology) -> ControllerConfig {
+    ControllerConfig {
+        geometry: DeviceGeometry {
+            blocks,
+            pages_per_block: 8,
+            topology,
+            ..DeviceGeometry::date2012()
+        },
+        ..ControllerConfig::date2012()
+    }
+}
+
+/// [`RetryPolicy::date2012`] when `on`, else the disabled policy.
+fn retry(on: bool) -> RetryPolicy {
+    if on {
+        RetryPolicy::date2012()
+    } else {
+        RetryPolicy::disabled()
+    }
 }
 
 /// Builds the preset `name`. What a preset configures is written out in
@@ -58,7 +70,7 @@ fn validated(name: &str, builder: ScenarioBuilder) -> Scenario {
 /// the fresh schedule, and reads of die-1 pages see end-of-life RBER.
 pub fn die_skew(seed: u64) -> Scenario {
     let builder = Scenario::builder()
-        .engine(engine_with(16, Topology::new(2, 1)))
+        .engine(EngineBuilder::date2012().controller_config(config_with(16, Topology::new(2, 1))))
         .seed(seed)
         .batch_size(32)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
@@ -76,7 +88,7 @@ pub fn die_skew(seed: u64) -> Scenario {
 /// isolated tenant's.
 pub fn channel_contention(seed: u64) -> Scenario {
     let builder = Scenario::builder()
-        .engine(engine_with(16, Topology::new(2, 2)))
+        .engine(EngineBuilder::date2012().controller_config(config_with(16, Topology::new(2, 2))))
         .seed(seed)
         .batch_size(32)
         .prefill(true)
@@ -112,7 +124,10 @@ pub fn channel_contention(seed: u64) -> Scenario {
 /// recovers that margin at a measured relocation/erase/device-time
 /// cost. Run both arms with the same seed to quantify the trade-off.
 pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
-    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel::date2012());
+    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+        disturb: DisturbModel::date2012(),
+        ..config_with(16, Topology::single())
+    });
     if scrub {
         engine = engine.scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
@@ -149,12 +164,15 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
 /// exactly as arXiv:1706.08642's read-reclaim describes — before the
 /// disturb RBER can stack onto the end-of-life endurance floor.
 pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
-    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
-        // Demo-scaled: the date2012 per-read constant needs ~100k
-        // reads to matter; 3e-6 reaches the same disturb RBER in
-        // the ~100 reads a preset-sized trace can issue.
-        read_disturb_per_read: 3e-6,
-        ..DisturbModel::disabled()
+    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+        disturb: DisturbModel {
+            // Demo-scaled: the date2012 per-read constant needs ~100k
+            // reads to matter; 3e-6 reaches the same disturb RBER in
+            // the ~100 reads a preset-sized trace can issue.
+            read_disturb_per_read: 3e-6,
+            ..DisturbModel::disabled()
+        },
+        ..config_with(16, Topology::single())
     });
     if scrub {
         engine = engine.scrub_policy(ScrubPolicy {
@@ -205,7 +223,11 @@ pub fn tenant_storm(seed: u64, n_tenants: usize) -> Scenario {
     let blocks_per_tenant = 2;
     let mut builder = Scenario::builder()
         .engine(
-            engine_with(n_tenants * blocks_per_tenant, Topology::single())
+            EngineBuilder::date2012()
+                .controller_config(config_with(
+                    n_tenants * blocks_per_tenant,
+                    Topology::single(),
+                ))
                 .sched_policy(SchedPolicy::WeightedFair),
         )
         .seed(seed)
@@ -283,19 +305,23 @@ impl MitigationMode {
 /// * [`MitigationMode::Both`] — retry absorbs errors between scrub
 ///   passes; scrub bounds how far the ladder must reach.
 pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
-    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
-        // Demo-scaled retention, independent of program-time wear
-        // (exponent 0) so the prefilled data ages at full rate:
-        // ~1.5e-3 additive RBER after the park (~50 raw errors per
-        // codeword — uncorrectable at the fresh-wear schedule),
-        // with a step size that puts the Vth shift almost exactly
-        // two reference steps out, squarely on a date2012 ladder
-        // rung.
-        retention_scale: 3.5e-4,
-        retention_wear_exponent: 0.0,
-        rber_per_step: 7.5e-4,
-        offset_residual_fraction: 0.01,
-        ..DisturbModel::disabled()
+    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+        disturb: DisturbModel {
+            // Demo-scaled retention, independent of program-time wear
+            // (exponent 0) so the prefilled data ages at full rate:
+            // ~1.5e-3 additive RBER after the park (~50 raw errors per
+            // codeword — uncorrectable at the fresh-wear schedule),
+            // with a step size that puts the Vth shift almost exactly
+            // two reference steps out, squarely on a date2012 ladder
+            // rung.
+            retention_scale: 3.5e-4,
+            retention_wear_exponent: 0.0,
+            rber_per_step: 7.5e-4,
+            offset_residual_fraction: 0.01,
+            ..DisturbModel::disabled()
+        },
+        retry: retry(mode.retry()),
+        ..config_with(16, Topology::single())
     });
     if mode.scrub() {
         engine = engine.scrub_policy(ScrubPolicy {
@@ -304,9 +330,6 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
             interference_rber_threshold: f64::INFINITY,
             max_blocks_per_pass: 2,
         });
-    }
-    if mode.retry() {
-        engine = engine.retry_policy(RetryPolicy::date2012());
     }
     let builder = Scenario::builder()
         .engine(engine)
@@ -346,15 +369,18 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
 /// corruption — so unlike the other presets, a run is *expected* to
 /// report failures. The preset exists to count them deterministically.
 pub fn program_interference(seed: u64) -> Scenario {
-    let engine = engine_with(16, Topology::single())
-        .disturb_model(DisturbModel {
-            // Demo-scaled: the date2012 coupling constant needs ~200
-            // neighbour events per page to matter; 1e-4 per event shows
-            // up within a preset-sized trace. Partial-program corruption
-            // keeps its real (catastrophic) severity.
-            program_coupling_rber: 1e-4,
-            partial_program_rber: 5e-2,
-            ..DisturbModel::disabled()
+    let engine = EngineBuilder::date2012()
+        .controller_config(ControllerConfig {
+            disturb: DisturbModel {
+                // Demo-scaled: the date2012 coupling constant needs ~200
+                // neighbour events per page to matter; 1e-4 per event shows
+                // up within a preset-sized trace. Partial-program corruption
+                // keeps its real (catastrophic) severity.
+                program_coupling_rber: 1e-4,
+                partial_program_rber: 5e-2,
+                ..DisturbModel::disabled()
+            },
+            ..config_with(16, Topology::single())
         })
         .fault_plan(FaultPlan {
             partial_program_rate: 0.02,
@@ -402,19 +428,23 @@ pub fn program_interference(seed: u64) -> Scenario {
 /// * [`MitigationMode::Both`] — retry absorbs the shift between scrub
 ///   passes.
 pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
-    let mut engine = engine_with(16, Topology::single()).disturb_model(DisturbModel {
-        // Demo-scaled: the date2012 per-program constant needs ~100k
-        // programs on the die to matter; 4e-6 reaches a schedule-
-        // breaking victim RBER within the few hundred programs a
-        // preset-sized burst trace issues. The step size puts the
-        // end-of-run shift almost exactly two reference rungs out —
-        // squarely on the date2012 ladder — and the residual keeps
-        // the tracked optimum clean.
-        program_disturb_per_program: 4e-6,
-        program_coupling_rber: 1e-5,
-        rber_per_step: 5e-4,
-        offset_residual_fraction: 0.01,
-        ..DisturbModel::disabled()
+    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+        disturb: DisturbModel {
+            // Demo-scaled: the date2012 per-program constant needs ~100k
+            // programs on the die to matter; 4e-6 reaches a schedule-
+            // breaking victim RBER within the few hundred programs a
+            // preset-sized burst trace issues. The step size puts the
+            // end-of-run shift almost exactly two reference rungs out —
+            // squarely on the date2012 ladder — and the residual keeps
+            // the tracked optimum clean.
+            program_disturb_per_program: 4e-6,
+            program_coupling_rber: 1e-5,
+            rber_per_step: 5e-4,
+            offset_residual_fraction: 0.01,
+            ..DisturbModel::disabled()
+        },
+        retry: retry(mode.retry()),
+        ..config_with(16, Topology::single())
     });
     if mode.scrub() {
         engine = engine.scrub_policy(ScrubPolicy {
@@ -423,9 +453,6 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
             interference_rber_threshold: 7.5e-4,
             max_blocks_per_pass: 2,
         });
-    }
-    if mode.retry() {
-        engine = engine.retry_policy(RetryPolicy::date2012());
     }
     let builder = Scenario::builder()
         .engine(engine)

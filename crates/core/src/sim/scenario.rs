@@ -418,13 +418,16 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Overrides the engine configuration: geometry, wear
-    /// bucketing, dispatch policy, and the disturb, fault, scrub and
-    /// retry knobs all live on the [`EngineBuilder`]. An enabled scrub
-    /// policy gives every service its own `Scrubber`, whose
-    /// relocate+erase maintenance is compiled into the same command
-    /// batches as host traffic. The scenario's [`ScenarioBuilder::seed`]
-    /// is applied on top at run time.
+    /// Overrides the engine configuration. The controller's settings —
+    /// geometry, disturb model, read-retry policy — are fields of the
+    /// `ControllerConfig` handed to
+    /// [`EngineBuilder::controller_config`]; wear bucketing, dispatch
+    /// policy and the fault and scrub knobs are the [`EngineBuilder`]'s
+    /// own. An enabled scrub policy gives every service its own
+    /// `Scrubber`, whose relocate+erase maintenance is compiled into the
+    /// same command batches as host traffic. The scenario's
+    /// [`ScenarioBuilder::seed`] is applied on top at run time: it
+    /// overrides the seed of the builder passed in.
     pub fn engine(mut self, engine: EngineBuilder) -> Self {
         self.scenario.engine = engine;
         self

@@ -26,7 +26,7 @@
 //! | [`row_product_clmul`] | `sum_i a[i] * K_i`: `L` words against `L` constants of `W` words, into `W + 1` |
 //! | [`fold_clmul`] | per `L` message words, `state <- sum_i state[i] * K_i + (next L words)`: the row product landing in the state's low `W + 1` words |
 //!
-//! And five for a caller whose polynomials have coefficients in GF(2^m)
+//! And four for a caller whose polynomials have coefficients in GF(2^m)
 //! (`mlcx_bch`'s root search and Berlekamp-Massey). A polynomial is a
 //! `[u32]` of even length, one coefficient per 32-bit **slot**, and the
 //! kernels read it two slots to the 64-bit word (Kronecker substitution):
@@ -40,8 +40,7 @@
 //! | entry point | computes |
 //! |-------------|----------|
 //! | [`combine`] | `acc <- reduce(acc + sum_r s_r * row_r)`: one multiply per word of every row, two per word of `acc` to reduce |
-//! | [`square`] | `out[j] = p[j]^2`: `w * w` squares the two coefficients of a word, the cross terms cancelling |
-//! | [`frobenius_chain`] | `z_i = x^(2^i) mod f` for `i = 0..=m`, out of those two, and whether `z_m = x` |
+//! | [`frobenius_chain`] | `z_i = x^(2^i) mod f` for `i = 0..=m`, and whether `z_m = x`: each `z_i^2` one multiply per word (`w * w` squares the two coefficients of a word, the cross terms cancelling), folded down by [`combine`]s |
 //! | [`with_dots`] | a caller's loop of `sum_i a_i * b_(len-1-i)`: the product of `(a_0, a_1)` and `(b_0, b_1)` carries `a_0 b_1 + a_1 b_0` in its middle slot, so one multiply per word pair and one reduction, the loop run whole behind the gate |
 //! | [`split`] | `g = gcd(f, trace mod f)` and `f / g` in place: the three divisions of a trace split, one slot per multiply and only the leading coefficient reduced per step ([`Barrett`] on a whole word), Euclid on pseudo-remainders, no inverse until the gcd |
 //!
@@ -458,26 +457,6 @@ pub fn combine(field: Barrett, scalars: &[u32], rows: &[u32], acc: &mut [u32]) {
     dispatch(Combine(field, scalars, rows, acc));
 }
 
-/// Coefficient-wise squares over GF(2^m): `out[j] = p[j]^2`, which are the
-/// coefficients of `p(x)^2` (`out[j]` that of `x^(2j)`). One multiply per
-/// word: `(c0 + c1 Y)^2 = c0^2 + c1^2 Y^2` in characteristic 2, so the
-/// product of a two-slot word with itself is its two squares, one in each
-/// half, and they are reduced side by side ([`Barrett`]).
-///
-/// # Panics
-///
-/// Panics if the lengths differ or are odd, or if a slot of `p` is
-/// unreduced.
-pub fn square(field: Barrett, p: &[u32], out: &mut [u32]) {
-    assert!(
-        p.len().is_multiple_of(2),
-        "a polynomial is a whole number of two-slot words"
-    );
-    assert_eq!(p.len(), out.len(), "one square per coefficient");
-    assert!(slots_below(field.m, p), "unreduced slot");
-    dispatch(Square(field, p, out));
-}
-
 /// Slots of [`frobenius_chain`]'s scratch for a modulus of degree `deg`.
 pub const fn frobenius_scratch_len(deg: usize) -> usize {
     (3 + deg / 2) * deg.next_multiple_of(2)
@@ -495,7 +474,7 @@ pub const fn frobenius_scratch_len(deg: usize) -> usize {
 /// tabulated — each from the last by a move of one word and a
 /// [`combine`] of the two coefficients that left the top with
 /// `x^deg mod f` and `x^(deg+1) mod f` — and `z_(i+1)` is the low half of
-/// `z_i^2` plus a [`combine`] of the upper [`square`]s with those rows:
+/// `z_i^2` plus a [`combine`] of its upper coefficients with those rows:
 /// `deg^2 / 4 + 2.5 deg` multiplies a squaring. All of it in one call, so
 /// that the `target_feature` boundary is crossed once.
 ///
@@ -702,7 +681,12 @@ impl Kernel for Combine<'_> {
     }
 }
 
-/// [`square`]'s job.
+/// Coefficient-wise squares over GF(2^m), `(field, p, out)`:
+/// `out[j] = p[j]^2`, which are the coefficients of `p(x)^2` (`out[j]` that
+/// of `x^(2j)`). One multiply per word: `(c0 + c1 Y)^2 = c0^2 + c1^2 Y^2`
+/// in characteristic 2, so the product of a two-slot word with itself is
+/// its two squares, one in each half, and they are reduced side by side
+/// ([`Barrett`]). Run by [`Chain`] on its own rows.
 struct Square<'a>(Barrett, &'a [u32], &'a mut [u32]);
 
 impl Kernel for Square<'_> {
@@ -1475,7 +1459,7 @@ mod tests {
                     assert_eq!(got, sum, "m {m}, {count} rows of {len}, coefficient {c}");
                 }
                 let mut squares = vec![0; rows.len()];
-                square(field.barrett(), &rows, &mut squares);
+                dispatch(Square(field.barrett(), &rows, &mut squares));
                 for (&c, &sq) in rows.iter().zip(&squares) {
                     assert_eq!(sq, field.pow(c, 2), "m {m}, {c}^2");
                 }
@@ -1878,7 +1862,7 @@ mod tests {
             Combine(field, &scalars, &rows, &mut expect).run(ShiftXor);
             assert_eq!(got, expect, "combine, m {m}, {count} rows of {len}");
             let (mut got, mut expect) = (vec![0; rows.len()], vec![0; rows.len()]);
-            square(field, &rows, &mut got);
+            dispatch(Square(field, &rows, &mut got));
             Square(field, &rows, &mut expect).run(ShiftXor);
             assert_eq!(got, expect, "square, m {m}");
             let deg = 3 + round % 40;
@@ -1987,18 +1971,6 @@ mod tests {
     #[should_panic(expected = "whole number of two-slot words")]
     fn combine_rejects_an_empty_accumulator() {
         combine(gf16(), &[], &[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "one square per coefficient")]
-    fn square_rejects_lengths_that_disagree() {
-        square(gf16(), &[1, 2], &mut [0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unreduced slot")]
-    fn square_rejects_an_unreduced_slot() {
-        square(gf16(), &[1, 16], &mut [0; 2]);
     }
 
     #[test]

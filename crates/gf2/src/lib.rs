@@ -25,7 +25,7 @@
 //!   [`kernels::row_product_clmul`]) the BCH encoder's remainder pass is
 //!   made of for registers wider than one word, GF(2^m)\[x\] with two
 //!   coefficients to a machine word ([`kernels::combine`],
-//!   [`kernels::square`], [`kernels::frobenius_chain`], [`kernels::with_dots`])
+//!   [`kernels::frobenius_chain`], [`kernels::with_dots`])
 //!   and the divisions of a trace split ([`kernels::split`]) for the
 //!   decoder's root search and Berlekamp-Massey, and one division by many
 //!   small moduli ([`kernels::residues`]) for its syndromes.

@@ -10,7 +10,7 @@ use mlcx::nand::disturb::DisturbModel;
 use mlcx::{ConfigCommand, ControllerConfig, MemoryController};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut ctrl = MemoryController::new(ControllerConfig::builder().build()?, 99)?;
+    let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 99)?;
     // An aggressive disturb model so the demo converges in few reads.
     // (The paper's evaluation runs with disturb disabled.)
     let disturb = DisturbModel {

@@ -10,7 +10,7 @@ use mlcx::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut ctrl = MemoryController::new(ControllerConfig::builder().build()?, 1234)?;
+    let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 1234)?;
     let mut manager = ReliabilityManager::new(ReliabilityPolicy {
         headroom: 2.0,
         epoch_pages: 16,

@@ -115,32 +115,32 @@ fn scrub_vs_retry_seed7_reproduces_bit_for_bit() {
 /// The scrub-vs-retry physics re-run under the oracle and the production
 /// kernel: the full [`ScenarioReport`] must be identical.
 fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
-    let config = ControllerConfig::builder()
-        .ecc_kernel(kernel)
-        .geometry(DeviceGeometry {
+    let config = ControllerConfig {
+        ecc_kernel: kernel,
+        geometry: DeviceGeometry {
             blocks: 16,
             pages_per_block: 8,
             topology: Topology::single(),
-            ..ControllerConfig::date2012().geometry
-        })
-        .build()
-        .unwrap();
-    let engine = EngineBuilder::date2012()
-        .controller_config(config)
-        .disturb_model(DisturbModel {
+            ..DeviceGeometry::date2012()
+        },
+        disturb: DisturbModel {
             retention_scale: 3.5e-4,
             retention_wear_exponent: 0.0,
             rber_per_step: 7.5e-4,
             offset_residual_fraction: 0.01,
             ..DisturbModel::disabled()
-        })
+        },
+        retry: RetryPolicy::date2012(),
+        ..ControllerConfig::date2012()
+    };
+    let engine = EngineBuilder::date2012()
+        .controller_config(config)
         .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 5_000.0,
             interference_rber_threshold: f64::INFINITY,
             max_blocks_per_pass: 2,
-        })
-        .retry_policy(RetryPolicy::date2012());
+        });
     Scenario::builder()
         .engine(engine)
         .seed(7)

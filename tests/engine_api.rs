@@ -4,8 +4,9 @@
 //! unified error type.
 
 use mlcx::{
-    Command, CommandOutput, CtrlError, EngineBuilder, MlcxError, Objective, ServiceError,
-    ServiceHandle, StorageEngine, WearBucketing,
+    Command, CommandOutput, ControllerConfig, CtrlError, DeviceGeometry, EngineBuilder,
+    MemoryController, MlcxError, Objective, ServiceError, ServiceHandle, StorageEngine, Topology,
+    WearBucketing,
 };
 
 fn engine(seed: u64) -> StorageEngine {
@@ -138,6 +139,101 @@ fn error_paths_surface_typed_errors() {
         completions[0].result,
         Err(MlcxError::Ctrl(CtrlError::UnknownPageConfig { .. }))
     ));
+}
+
+/// One configuration, one verdict: a config the controller cannot run is
+/// `InvalidConfig` whichever route hands it over — the controller itself,
+/// the engine builder, or (for a geometry) the config builder.
+#[test]
+fn one_config_gets_one_verdict_on_every_route() {
+    let preset = ControllerConfig::date2012;
+    let uneven = DeviceGeometry {
+        blocks: 64,
+        topology: Topology::new(3, 1),
+        ..DeviceGeometry::date2012()
+    };
+    let bad = [
+        (
+            "t_min = 0",
+            ControllerConfig {
+                ecc_tmin: 0,
+                ..preset()
+            },
+        ),
+        (
+            "t_min > t_max",
+            ControllerConfig {
+                ecc_tmin: 20,
+                ecc_tmax: 10,
+                ..preset()
+            },
+        ),
+        (
+            "m = 1",
+            ControllerConfig {
+                ecc_m: 1,
+                ..preset()
+            },
+        ),
+        (
+            "m = 17",
+            ControllerConfig {
+                ecc_m: 17,
+                ..preset()
+            },
+        ),
+        (
+            "3 dies over 64 blocks",
+            ControllerConfig {
+                geometry: uneven,
+                ..preset()
+            },
+        ),
+    ];
+    for (what, config) in bad {
+        assert!(
+            matches!(
+                MemoryController::new(config.clone(), 1),
+                Err(CtrlError::InvalidConfig { .. })
+            ),
+            "{what}: controller"
+        );
+        assert!(
+            matches!(
+                EngineBuilder::date2012().controller_config(config).build(),
+                Err(MlcxError::Ctrl(CtrlError::InvalidConfig { .. }))
+            ),
+            "{what}: engine"
+        );
+    }
+    assert!(matches!(
+        ControllerConfig::builder().geometry(uneven).build(),
+        Err(CtrlError::InvalidConfig { .. })
+    ));
+
+    // A valid config whose parity does not fit keeps its own error.
+    let short_spare = ControllerConfig {
+        geometry: DeviceGeometry {
+            spare_bytes: 64,
+            ..DeviceGeometry::date2012()
+        },
+        ..preset()
+    };
+    assert!(matches!(
+        MemoryController::new(short_spare.clone(), 1),
+        Err(CtrlError::SpareOverflow { .. })
+    ));
+    assert!(matches!(
+        EngineBuilder::date2012()
+            .controller_config(short_spare)
+            .build(),
+        Err(MlcxError::Ctrl(CtrlError::SpareOverflow { .. }))
+    ));
+    assert!(MemoryController::new(preset(), 1).is_ok());
+    assert!(EngineBuilder::date2012()
+        .controller_config(preset())
+        .build()
+        .is_ok());
 }
 
 /// The unified error type composes a single `std::error::Error` chain

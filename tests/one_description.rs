@@ -72,7 +72,10 @@ fn model_paths_equal_the_datapath_reports_on_a_non_default_controller() {
 
 #[test]
 fn a_narrower_codec_range_needs_no_hand_matched_model() {
-    let config = ControllerConfig::builder().ecc_tmax(40).build().unwrap();
+    let config = ControllerConfig {
+        ecc_tmax: 40,
+        ..ControllerConfig::date2012()
+    };
     let mut engine = EngineBuilder::date2012()
         .controller_config(config)
         .seed(7)

@@ -104,15 +104,12 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         offset_residual_fraction: 0.01,
         ..DisturbModel::disabled()
     };
-    let mut engine = EngineBuilder::date2012()
-        .controller_config(config)
-        .scrub_policy(ScrubPolicy {
-            read_threshold: u64::MAX,
-            retention_age_hours: 5_000.0,
-            interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        })
-        .retry_policy(RetryPolicy::date2012());
+    let mut engine = EngineBuilder::date2012().scrub_policy(ScrubPolicy {
+        read_threshold: u64::MAX,
+        retention_age_hours: 5_000.0,
+        interference_rber_threshold: f64::INFINITY,
+        max_blocks_per_pass: 2,
+    });
     if let Some((fraction, plan_seed, partial_rber)) = zero_knobs {
         // Zero coupling, zero injection rate: the knobs are installed
         // but must be inert — including the per-page partial-program
@@ -127,7 +124,11 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         });
     }
     Scenario::builder()
-        .engine(engine.disturb_model(disturb))
+        .engine(engine.controller_config(ControllerConfig {
+            disturb,
+            retry: RetryPolicy::date2012(),
+            ..config
+        }))
         .seed(seed)
         .batch_size(24)
         .utilization(0.25)
@@ -256,9 +257,12 @@ fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
         seed: 5,
     };
     let mut engine = EngineBuilder::date2012()
-        .disturb_model(DisturbModel {
-            partial_program_rber: 5e-2,
-            ..DisturbModel::disabled()
+        .controller_config(ControllerConfig {
+            disturb: DisturbModel {
+                partial_program_rber: 5e-2,
+                ..DisturbModel::disabled()
+            },
+            ..ControllerConfig::date2012()
         })
         .fault_plan(plan)
         .build()

@@ -39,11 +39,15 @@ fn run_seeded(
     hours: f64,
     ops: &[(usize, usize)],
 ) -> (Vec<mlcx::Completion>, mlcx::BatchReport, StorageEngine) {
-    let mut builder = EngineBuilder::date2012().seed(seed);
+    let mut config = ControllerConfig::date2012();
     if retry {
-        builder = builder.retry_policy(RetryPolicy::date2012());
+        config.retry = RetryPolicy::date2012();
     }
-    let mut engine = builder.build().expect("engine builds");
+    let mut engine = EngineBuilder::date2012()
+        .controller_config(config)
+        .seed(seed)
+        .build()
+        .expect("engine builds");
     let svc = engine
         .register_service("svc", Objective::Baseline, 0..4)
         .expect("service registers");
@@ -166,10 +170,10 @@ fn learned_offsets_cut_mean_senses_per_read_after_warm_up() {
         rber_per_step: 1e-3,
         ..DisturbModel::disabled()
     };
+    config.retry = RetryPolicy::date2012();
     let mut engine = EngineBuilder::date2012()
         .controller_config(config)
         .seed(2012)
-        .retry_policy(RetryPolicy::date2012())
         .build()
         .expect("engine builds");
     let svc = engine

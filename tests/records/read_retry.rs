@@ -54,13 +54,14 @@ fn engine(retry: bool) -> StorageEngine {
         rber_per_step: 1e-3,
         ..DisturbModel::disabled()
     };
-    let mut builder = EngineBuilder::date2012()
-        .controller_config(config)
-        .seed(SEED);
     if retry {
-        builder = builder.retry_policy(RetryPolicy::date2012());
+        config.retry = RetryPolicy::date2012();
     }
-    let mut engine = builder.build().expect("bench engine must build");
+    let mut engine = EngineBuilder::date2012()
+        .controller_config(config)
+        .seed(SEED)
+        .build()
+        .expect("bench engine must build");
     engine
         .register_service("serving", Objective::Baseline, 0..BLOCKS)
         .expect("service must register");

@@ -6,7 +6,7 @@
 
 use mlcx::nand::disturb::DisturbModel;
 use mlcx::xlayer::sim::{presets, Scenario};
-use mlcx::{Command, CommandOutput, EngineBuilder, Objective, TraceKind};
+use mlcx::{Command, CommandOutput, ControllerConfig, EngineBuilder, Objective, TraceKind};
 
 fn corrected_of(output: &CommandOutput) -> u64 {
     match output {
@@ -25,12 +25,15 @@ fn advance_hours_surfaces_retention_rber_in_measured_reads() {
     // correction after it.
     let mut engine = EngineBuilder::date2012()
         .seed(404)
-        .disturb_model(DisturbModel {
-            read_disturb_per_read: 0.0,
-            retention_scale: 1e-4,
-            retention_wear_exponent: 0.5,
-            reference_cycles: 1e6,
-            ..DisturbModel::disabled()
+        .controller_config(ControllerConfig {
+            disturb: DisturbModel {
+                read_disturb_per_read: 0.0,
+                retention_scale: 1e-4,
+                retention_wear_exponent: 0.5,
+                reference_cycles: 1e6,
+                ..DisturbModel::disabled()
+            },
+            ..ControllerConfig::date2012()
         })
         .build()
         .unwrap();
@@ -80,9 +83,12 @@ fn advance_hours_surfaces_retention_rber_in_measured_reads() {
 fn erase_resets_the_read_disturb_accumulator_through_the_engine() {
     let mut engine = EngineBuilder::date2012()
         .seed(11)
-        .disturb_model(DisturbModel {
-            read_disturb_per_read: 1e-6,
-            ..DisturbModel::disabled()
+        .controller_config(ControllerConfig {
+            disturb: DisturbModel {
+                read_disturb_per_read: 1e-6,
+                ..DisturbModel::disabled()
+            },
+            ..ControllerConfig::date2012()
         })
         .build()
         .unwrap();

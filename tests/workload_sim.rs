@@ -170,6 +170,31 @@ fn scenario_reproduces_exactly_from_a_fixed_seed() {
 }
 
 #[test]
+fn the_scenario_seed_overrides_the_engine_builder_seed() {
+    // `ScenarioBuilder::engine`'s contract: the scenario's seed is applied
+    // on top of the builder passed in, so the builder's own seed is
+    // immaterial — even at end of life, where the device's error
+    // injection shows in every read.
+    let run = |engine_seed: u64| {
+        Scenario::builder()
+            .engine(EngineBuilder::date2012().seed(engine_seed))
+            .seed(7)
+            .batch_size(16)
+            .service("kv", Objective::Baseline, 0..4, TraceKind::zipfian())
+            .phase("burn", 0, 1_000_000)
+            .phase("eol", 40, 0)
+            .build()
+            .expect("scenario must validate")
+            .run()
+            .expect("scenario must run")
+    };
+    let report = run(1);
+    let corrected: u64 = report.service_reports().map(|s| s.corrected_bits).sum();
+    assert!(corrected > 0, "errors were injected");
+    assert_eq!(report, run(2));
+}
+
+#[test]
 fn every_objective_survives_eol_overwrite_traffic() {
     // One service per objective, all under the zipf overwrite pattern,
     // aged to end of life mid-run: integrity must hold through GC at
@@ -252,14 +277,17 @@ fn counters_are_conserved_from_completions_to_the_scenario_total() {
     // scrub maintenance (the runner keeps its own drains to itself).
     let mut engine = EngineBuilder::date2012()
         .seed(9)
-        .disturb_model(DisturbModel {
-            retention_scale: 2e-3,
-            rber_per_step: 1e-3,
-            program_coupling_rber: 1e-4,
-            partial_program_rber: 5e-2,
-            ..DisturbModel::disabled()
+        .controller_config(ControllerConfig {
+            disturb: DisturbModel {
+                retention_scale: 2e-3,
+                rber_per_step: 1e-3,
+                program_coupling_rber: 1e-4,
+                partial_program_rber: 5e-2,
+                ..DisturbModel::disabled()
+            },
+            retry: RetryPolicy::date2012(),
+            ..ControllerConfig::date2012()
         })
-        .retry_policy(RetryPolicy::date2012())
         .fault_plan(FaultPlan {
             partial_program_rate: 0.25,
             partial_program_fraction: 0.5,
