@@ -207,11 +207,6 @@ impl BchCode {
         self.k_bits + self.r_bits
     }
 
-    /// Full (unshortened) length `2^m - 1`.
-    pub fn full_length(&self) -> usize {
-        self.field.order() as usize
-    }
-
     /// Code rate `k / n`.
     pub fn rate(&self) -> f64 {
         self.k_bits as f64 / self.codeword_bits() as f64
@@ -487,7 +482,6 @@ mod tests {
         assert_eq!(c.parity_bits(), 52);
         assert_eq!(c.parity_bytes(), 7);
         assert_eq!(c.codeword_bits(), 4148);
-        assert_eq!(c.full_length(), 8191);
         assert!(c.rate() > 0.98 && c.rate() < 1.0);
     }
 

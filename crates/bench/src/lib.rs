@@ -48,37 +48,24 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
 
 /// One record's machine-readable outcome, mirrored by the baseline files.
 ///
-/// Two metric classes with different comparison rules
-/// ([`BenchResult::check_against`]):
-///
-/// * `exact` — bit-deterministic structural counters (command counts,
-///   derivation counts, checksums): bit equality.
-/// * `modeled` — deterministic modeled quantities (device time, energy,
-///   makespans, modeled speedups): within the baseline's
-///   `modeled_tolerance_pct`, so a deliberate model change fails loudly
-///   until the baselines are refreshed.
+/// Every recorded number — structural counters, checksums and modeled
+/// quantities (device time, energy, makespans, speedups) alike — is a
+/// deterministic function of the record's seed, so one comparison rule
+/// holds them all: bit equality ([`BenchResult::check_against`]). A
+/// deliberate model change fails loudly until the baselines are
+/// refreshed.
 #[derive(Debug, Clone, Default)]
 pub struct BenchResult {
     /// Record name (= baseline file stem).
     pub bench: String,
     /// Free-form provenance note.
     pub recorded: String,
-    /// Bit-deterministic counters (equality).
+    /// The recorded metrics, held bit-for-bit.
     pub exact: Vec<(String, f64)>,
-    /// Deterministic modeled metrics (tolerance band).
-    pub modeled: Vec<(String, f64)>,
-    /// Allowed relative drift for `modeled`, percent.
-    pub modeled_tolerance_pct: f64,
 }
 
 /// Every key of the record schema.
-const KEYS: [&str; 5] = [
-    "bench",
-    "recorded",
-    "modeled_tolerance_pct",
-    "exact",
-    "modeled",
-];
+const KEYS: [&str; 3] = ["bench", "recorded", "exact"];
 
 impl BenchResult {
     /// A result skeleton for `bench`.
@@ -86,7 +73,6 @@ impl BenchResult {
         BenchResult {
             bench: bench.to_string(),
             recorded: recorded.to_string(),
-            modeled_tolerance_pct: 1.0,
             ..BenchResult::default()
         }
     }
@@ -95,33 +81,24 @@ impl BenchResult {
     /// [`json::Json::render_pretty`] writer.
     pub fn to_json(&self) -> String {
         use json::Json;
-        let section = |pairs: &[(String, f64)]| {
-            Json::Object(
-                pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Number(*v)))
-                    .collect(),
-            )
-        };
+        let exact = self
+            .exact
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Number(*v)))
+            .collect();
         let obj = Json::Object(vec![
             ("bench".into(), Json::String(self.bench.clone())),
             ("recorded".into(), Json::String(self.recorded.clone())),
-            (
-                "modeled_tolerance_pct".into(),
-                Json::Number(self.modeled_tolerance_pct),
-            ),
-            ("exact".into(), section(&self.exact)),
-            ("modeled".into(), section(&self.modeled)),
+            ("exact".into(), Json::Object(exact)),
         ]);
         let mut text = obj.render_pretty();
         text.push('\n');
         text
     }
 
-    /// Holds this record against its committed `baseline`: every `exact`
-    /// metric bit-equal, every `modeled` metric within the baseline's
-    /// tolerance band, and the same metric keys on both sides — a metric
-    /// only one of them knows is a failure, never silently ungated.
+    /// Holds this record against its committed `baseline`: every metric
+    /// bit-equal, and the same metric keys on both sides — a metric only
+    /// one of them knows is a failure, never silently ungated.
     ///
     /// # Errors
     ///
@@ -129,39 +106,29 @@ impl BenchResult {
     /// baseline vs current value, absolute and relative delta — so a
     /// failure is diagnosable from the test log alone.
     pub fn check_against(&self, baseline: &BenchResult) -> Result<(), String> {
-        let band = baseline.modeled_tolerance_pct / 100.0;
         let lookup =
             |set: &[(String, f64)], key: &str| set.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        let (base, mine) = (&baseline.exact, &self.exact);
         let mut rows = String::new();
-        for (rule, base, mine) in [
-            ("exact", &baseline.exact, &self.exact),
-            ("modeled", &baseline.modeled, &self.modeled),
-        ] {
-            let unbaselined = mine.iter().filter(|(k, _)| lookup(base, k).is_none());
-            for (key, _) in base.iter().chain(unbaselined) {
-                let row = match (lookup(base, key), lookup(mine, key)) {
-                    (Some(expect), Some(actual)) => {
-                        let delta = actual - expect;
-                        let scale = if expect == 0.0 { 1.0 } else { expect };
-                        let holds = match rule {
-                            "exact" => actual.to_bits() == expect.to_bits(),
-                            _ => (delta / scale).abs() <= band,
-                        };
-                        if holds {
-                            continue;
-                        }
-                        let rel = if expect == 0.0 {
-                            "n/a".to_string()
-                        } else {
-                            format!("{:+.3}%", delta / expect * 100.0)
-                        };
-                        format!("{expect:>14.6} {actual:>14.6} {delta:>+14.6} {rel:>10}")
+        let unbaselined = mine.iter().filter(|(k, _)| lookup(base, k).is_none());
+        for (key, _) in base.iter().chain(unbaselined) {
+            let row = match (lookup(base, key), lookup(mine, key)) {
+                (Some(expect), Some(actual)) => {
+                    if actual.to_bits() == expect.to_bits() {
+                        continue;
                     }
-                    (Some(_), None) => "missing from the record".to_string(),
-                    _ => "missing from the baseline".to_string(),
-                };
-                rows.push_str(&format!("  {rule:7} {key:40} {row}\n"));
-            }
+                    let delta = actual - expect;
+                    let rel = if expect == 0.0 {
+                        "n/a".to_string()
+                    } else {
+                        format!("{:+.3}%", delta / expect * 100.0)
+                    };
+                    format!("{expect:>14.6} {actual:>14.6} {delta:>+14.6} {rel:>10}")
+                }
+                (Some(_), None) => "missing from the record".to_string(),
+                _ => "missing from the baseline".to_string(),
+            };
+            rows.push_str(&format!("  {key:40} {row}\n"));
         }
         if rows.is_empty() {
             return Ok(());
@@ -169,8 +136,8 @@ impl BenchResult {
         Err(format!(
             "{}: metrics off their committed baseline (intentional? refresh: \
              `cargo test --test records -- --ignored bless`, see EXPERIMENTS.md):\n  \
-             {:7} {:40} {:>14} {:>14} {:>14} {:>10}\n{rows}",
-            self.bench, "rule", "metric", "baseline", "current", "delta", "rel"
+             {:40} {:>14} {:>14} {:>14} {:>10}\n{rows}",
+            self.bench, "metric", "baseline", "current", "delta", "rel"
         ))
     }
 
@@ -180,7 +147,8 @@ impl BenchResult {
     ///
     /// A human-readable parse/schema error. A key outside the schema is
     /// an error naming it, so a stale baseline from an older schema (one
-    /// still carrying `mode` or `wall`) is refused rather than half-read.
+    /// still carrying `mode`, `wall` or `modeled`) is refused rather than
+    /// half-read.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
         let obj = value.as_object().ok_or("top level must be an object")?;
@@ -195,11 +163,6 @@ impl BenchResult {
                 .as_str()
                 .ok_or(format!("{key:?} must be a string"))?
                 .to_string())
-        };
-        let num_field = |key: &str| -> Result<f64, String> {
-            field(key)?
-                .as_number()
-                .ok_or(format!("{key:?} must be a number"))
         };
         let map_field = |key: &str| -> Result<Vec<(String, f64)>, String> {
             field(key)?
@@ -216,9 +179,7 @@ impl BenchResult {
         Ok(BenchResult {
             bench: text_field("bench")?,
             recorded: text_field("recorded")?,
-            modeled_tolerance_pct: num_field("modeled_tolerance_pct")?,
             exact: map_field("exact")?,
-            modeled: map_field("modeled")?,
         })
     }
 }
@@ -242,16 +203,18 @@ mod tests {
     fn bench_result_round_trips_through_json() {
         let mut r = BenchResult::new("demo", "unit test");
         r.exact.push(("commands".into(), 1217.0));
-        r.modeled.push(("device_time_s".into(), 1.21409));
+        r.exact.push(("device_time_s".into(), 1.21409));
         let text = r.to_json();
         let back = BenchResult::from_json(&text).unwrap();
         assert_eq!(back.bench, "demo");
         assert_eq!(back.exact, r.exact);
-        assert_eq!(back.modeled, r.modeled);
-        assert_eq!(back.modeled_tolerance_pct, 1.0);
 
-        // A baseline of the older schema is refused by the key it carries.
-        for (key, value) in [("mode", "\"smoke\""), ("wall", "{\"batch_s\": 0.003654}")] {
+        // A baseline of an older schema is refused by the key it carries.
+        for (key, value) in [
+            ("mode", "\"smoke\""),
+            ("wall", "{\"batch_s\": 0.003654}"),
+            ("modeled", "{\"device_time_s\": 1.21409}"),
+        ] {
             let legacy = text.replacen('{', &format!("{{\n  \"{key}\": {value},"), 1);
             let err = BenchResult::from_json(&legacy).unwrap_err();
             assert!(err.contains(&format!("{key:?}")), "{err}");
@@ -259,14 +222,15 @@ mod tests {
     }
 
     #[test]
-    fn check_against_is_bit_exact_banded_and_strict_about_keys() {
+    fn check_against_is_bit_exact_and_strict_about_keys() {
         // A checksum-sized value: 1 ulp is 2048, far inside any relative
-        // tolerance, and must still fail.
+        // tolerance, and must still fail — as must a modeled time 1 ulp
+        // off.
         let big = 13503135767590940000.0_f64;
-        let record = |exact: f64, modeled: f64| {
+        let record = |checksum: f64, time: f64| {
             let mut r = BenchResult::new("demo", "unit test");
-            r.exact.push(("checksum".into(), exact));
-            r.modeled.push(("device_time_s".into(), modeled));
+            r.exact.push(("checksum".into(), checksum));
+            r.exact.push(("device_time_s".into(), time));
             r
         };
         let baseline = record(big, 1.0);
@@ -275,17 +239,18 @@ mod tests {
             Ok(()) => Vec::new(),
             Err(table) => table.lines().skip(2).map(str::to_string).collect(),
         };
-        assert_eq!(failing(&record(big, 1.009)), [""; 0], "inside 1 %");
-        let rows = failing(&record(f64::from_bits(big.to_bits() + 1), 1.011));
+        assert_eq!(failing(&record(big, 1.0)), [""; 0]);
+        let next = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let rows = failing(&record(next(big), next(1.0)));
         assert_eq!(rows.len(), 2, "{rows:?}");
-        assert!(rows[0].contains("exact   checksum"), "{rows:?}");
-        assert!(rows[1].contains("modeled device_time_s") && rows[1].contains("+1.100%"));
+        assert!(rows[0].contains("checksum"), "{rows:?}");
+        assert!(rows[1].contains("device_time_s") && rows[1].contains("+0.000%"));
 
         // A metric only one side knows fails by name — one added after
         // the last refresh included: never silently ungated.
         let mut moved = baseline.clone();
-        moved.exact.clear();
-        moved.modeled.push(("energy_j".into(), 0.5));
+        moved.exact.remove(0);
+        moved.exact.push(("energy_j".into(), 0.5));
         let rows = failing(&moved);
         assert_eq!(rows.len(), 2, "{rows:?}");
         assert!(rows[0].contains("checksum") && rows[0].contains("missing from the record"));

@@ -16,13 +16,18 @@
 //! *completion-time* order, out of order with respect to dispatch
 //! whenever dies overlap. Each drain also produces an aggregate
 //! [`BatchReport`] of modeled latency, energy, throughput and
-//! tail-latency flow percentiles.
+//! tail-latency flow percentiles. Those are the engine's only accounts:
+//! every per-command fact is in its [`Completion`], every per-drain sum
+//! in the [`BatchReport`], and a host that wants a per-service tally
+//! counts the completions it drained.
 //!
 //! The engine is also where the cross-layer re-derivation cost is paid
 //! once instead of per page: the operating point selected by a service's
-//! objective at a wear level is memoized per `(service, wear bucket)`
-//! ([`WearBucketing`]), and the controller knobs are only rewritten when
-//! the point actually changes ([`MemoryController::apply_point`]).
+//! objective at a wear level is memoized per `(service, die, wear
+//! bucket)` ([`WearBucketing`]) and re-derived when
+//! [`StorageEngine::advance_hours`] ages retention-sensitive data, and
+//! the controller knobs are only rewritten when the point actually
+//! changes ([`MemoryController::apply_point`]).
 //!
 //! # Example
 //!
@@ -49,7 +54,7 @@
 //! # Ok::<(), mlcx_core::MlcxError>(())
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 
@@ -57,11 +62,11 @@ use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, ScrubPolic
 
 use crate::counters::Counters;
 use crate::error::MlcxError;
-use crate::event::{CompletionEvent, EventQueue, QosSpec, SchedPolicy};
+use crate::event::{CompletionEvent, QosSpec, SchedPolicy};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::model::{OperatingPoint, SubsystemModel};
 use crate::policy::Objective;
-use crate::services::{ServiceError, ServiceRegion, ServiceStats};
+use crate::services::{ServiceError, ServiceRegion};
 
 /// An opaque ticket naming a registered service.
 ///
@@ -498,7 +503,6 @@ struct QueuedCmd {
 
 struct ServiceState {
     region: ServiceRegion,
-    stats: ServiceStats,
     qos: QosSpec,
     /// Device time this service has consumed, per unit weight — the
     /// weighted-fair virtual time its dispatches are ordered by.
@@ -680,7 +684,7 @@ pub struct StorageEngine {
     /// `(end time, dispatch seq)` order with its events.
     dispatch_seq: u64,
     /// Pending completion events, keyed `(end time, dispatch seq)`.
-    events: EventQueue,
+    events: BinaryHeap<CompletionEvent>,
     /// Executor of the builder's [`FaultPlan`] — rolls its own seeded
     /// stream once per *host* write (never for maintenance relocations,
     /// and never at all when the plan is disabled).
@@ -695,11 +699,6 @@ pub struct StorageEngine {
 static NEXT_ENGINE_ID: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 
 impl StorageEngine {
-    /// A builder seeded with the paper's calibration.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::date2012()
-    }
-
     /// Wraps a controller with a memoization policy — the constructor
     /// behind [`EngineBuilder::build`].
     fn with_bucketing(ctrl: MemoryController, bucketing: WearBucketing) -> Self {
@@ -717,7 +716,7 @@ impl StorageEngine {
             clock_s: 0.0,
             submit_seq: 0,
             dispatch_seq: 0,
-            events: EventQueue::default(),
+            events: BinaryHeap::new(),
             fault: FaultInjector::new(FaultPlan::disabled()),
             incoming: Vec::new(),
         }
@@ -778,22 +777,12 @@ impl StorageEngine {
                 objective,
                 blocks,
             },
-            stats: ServiceStats::default(),
             qos,
             vtime_s: 0.0,
             queue: VecDeque::new(),
             op_slots: vec![None; dies],
         });
         Ok(handle)
-    }
-
-    /// The QoS contract a service was registered with.
-    ///
-    /// # Errors
-    ///
-    /// [`MlcxError::UnknownHandle`] for foreign handles.
-    pub fn qos(&self, handle: ServiceHandle) -> Result<QosSpec, MlcxError> {
-        self.state(handle).map(|s| s.qos)
     }
 
     /// Looks a service up by name.
@@ -811,15 +800,6 @@ impl StorageEngine {
     /// [`MlcxError::UnknownHandle`] for foreign handles.
     pub fn region(&self, handle: ServiceHandle) -> Result<&ServiceRegion, MlcxError> {
         self.state(handle).map(|s| &s.region)
-    }
-
-    /// Traffic counters of a service.
-    ///
-    /// # Errors
-    ///
-    /// [`MlcxError::UnknownHandle`] for foreign handles.
-    pub fn stats(&self, handle: ServiceHandle) -> Result<ServiceStats, MlcxError> {
-        self.state(handle).map(|s| s.stats)
     }
 
     /// The wrapped controller (wear inspection etc.).
@@ -860,8 +840,8 @@ impl StorageEngine {
     /// stored page ages against — by `hours`.
     ///
     /// When the retention mechanism is actually enabled this also
-    /// invalidates the memoized operating points
-    /// ([`StorageEngine::invalidate_operating_points`]): the
+    /// invalidates every memoized operating point (the disturb epoch
+    /// moves, so the next command per `(service, die)` re-derives): the
     /// `(service, die, wear-bucket)` memo key cannot see RBER that grew
     /// without a P/E cycle, and derivation *does* consume the current
     /// disturb state (the ECC schedule is solved for endurance plus the
@@ -885,24 +865,17 @@ impl StorageEngine {
         }
     }
 
-    /// The device wall clock, hours since construction.
-    pub fn now_hours(&self) -> f64 {
-        self.ctrl.device().now_hours()
-    }
-
     /// Drops every memoized operating point by bumping the disturb
     /// epoch: the next command per `(service, die)` re-derives against
     /// the current state. This is the invalidation hook for
-    /// disturb-driven RBER growth the wear-bucket key cannot express —
-    /// [`StorageEngine::advance_hours`] calls it on retention jumps, and
-    /// scrub orchestrators may call it after heavy read-disturb
-    /// accumulation.
-    pub fn invalidate_operating_points(&mut self) {
+    /// disturb-driven RBER growth the wear-bucket key cannot express;
+    /// [`StorageEngine::advance_hours`] calls it on retention jumps.
+    fn invalidate_operating_points(&mut self) {
         self.disturb_epoch += 1;
     }
 
-    /// Commands enqueued but not yet polled.
-    pub fn pending(&self) -> usize {
+    /// Commands enqueued but not yet dispatched.
+    fn pending(&self) -> usize {
         self.services.iter().map(|s| s.queue.len()).sum()
     }
 
@@ -913,21 +886,10 @@ impl StorageEngine {
         &self.last_batch
     }
 
-    /// The cross-service dispatch policy the engine runs.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched
-    }
-
     /// The engine's virtual clock, absolute seconds. Advances as
     /// completion events are delivered.
     pub fn now_s(&self) -> f64 {
         self.clock_s
-    }
-
-    /// Completions dispatched but not yet delivered through
-    /// [`CompletionQueue::try_complete`].
-    pub fn completions_pending(&self) -> usize {
-        self.events.len()
     }
 
     fn state(&self, handle: ServiceHandle) -> Result<&ServiceState, MlcxError> {
@@ -1248,7 +1210,6 @@ impl StorageEngine {
                 self.last_batch.absorb(report.latency_s, report.energy_j);
                 self.last_batch.write_latency_s += report.latency_s;
                 self.last_batch.bytes_written += data.len();
-                self.services[idx].stats.pages_written += 1;
                 Ok(CommandOutput::Write(report))
             }
             Command::Read { block, page, .. } => {
@@ -1256,11 +1217,7 @@ impl StorageEngine {
                 self.last_batch.absorb(report.latency_s, report.energy_j);
                 self.last_batch.read_latency_s += report.latency_s;
                 self.last_batch.bytes_read += report.data.len();
-                let corrected = report.outcome.corrected_bits() as u64;
-                self.last_batch.corrected_bits += corrected;
-                let stats = &mut self.services[idx].stats;
-                stats.pages_read += 1;
-                stats.corrected_bits += corrected;
+                self.last_batch.corrected_bits += report.outcome.corrected_bits() as u64;
                 Ok(CommandOutput::Read(report))
             }
             Command::Erase { block, .. } => self.erase(block, false),
@@ -1439,7 +1396,7 @@ impl CompletionQueue<'_> {
 
     /// Completion events already scheduled but not yet delivered.
     pub fn depth(&self) -> usize {
-        self.engine.completions_pending()
+        self.engine.events.len()
     }
 }
 
@@ -1844,7 +1801,7 @@ mod tests {
         e.cq().drain();
         assert_eq!(e.last_batch().op_cache_misses, 1);
         e.advance_hours(10_000.0);
-        assert!((e.now_hours() - 10_000.0).abs() < 1e-9);
+        assert!((e.controller().device().now_hours() - 10_000.0).abs() < 1e-9);
         e.sq().submit(&[Command::write(a, 0, 1, page(2))]).unwrap();
         e.cq().drain();
         assert_eq!(
@@ -2073,9 +2030,16 @@ mod tests {
     fn bounded_depth_pushes_back_atomically() {
         let mut e = engine();
         let a = e
-            .register_service_with_qos("a", Objective::Baseline, 0..2, QosSpec::default().depth(3))
+            .register_service_with_qos(
+                "a",
+                Objective::Baseline,
+                0..2,
+                QosSpec {
+                    depth: 3,
+                    ..QosSpec::default()
+                },
+            )
             .unwrap();
-        assert_eq!(e.qos(a).unwrap().depth, 3);
         e.sq()
             .submit(&[Command::erase(a, 0), Command::erase(a, 1)])
             .unwrap();
@@ -2113,7 +2077,7 @@ mod tests {
             .submit(&[Command::erase(a, 0), Command::write(a, 0, 0, page(1))])
             .unwrap();
         let first = e.cq().try_complete().expect("first event");
-        assert_eq!(e.completions_pending(), 1);
+        assert_eq!(e.cq().depth(), 1);
         // The clock sits at the delivered event's end time.
         assert!((e.now_s() - first.end_s).abs() < 1e-15);
         let second = e.cq().try_complete().expect("second event");
@@ -2182,10 +2146,26 @@ mod tests {
             .build()
             .unwrap();
         let light = e
-            .register_service_with_qos("light", Objective::Baseline, 0..2, QosSpec::weighted(1.0))
+            .register_service_with_qos(
+                "light",
+                Objective::Baseline,
+                0..2,
+                QosSpec {
+                    weight: 1.0,
+                    ..QosSpec::default()
+                },
+            )
             .unwrap();
         let heavy = e
-            .register_service_with_qos("heavy", Objective::Baseline, 2..4, QosSpec::weighted(4.0))
+            .register_service_with_qos(
+                "heavy",
+                Objective::Baseline,
+                2..4,
+                QosSpec {
+                    weight: 4.0,
+                    ..QosSpec::default()
+                },
+            )
             .unwrap();
         // Submit light's work first: under service-major it would all
         // run before heavy's. Weighted-fair must interleave, giving
@@ -2223,7 +2203,10 @@ mod tests {
                 "lax",
                 Objective::Baseline,
                 0..2,
-                QosSpec::with_deadline(10.0),
+                QosSpec {
+                    deadline_s: 10.0,
+                    ..QosSpec::default()
+                },
             )
             .unwrap();
         let urgent = e
@@ -2231,7 +2214,10 @@ mod tests {
                 "urgent",
                 Objective::Baseline,
                 2..4,
-                QosSpec::with_deadline(1e-4),
+                QosSpec {
+                    deadline_s: 1e-4,
+                    ..QosSpec::default()
+                },
             )
             .unwrap();
         // Same arrivals: the tighter relative deadline must win even

@@ -8,15 +8,15 @@
 //! [`SchedPolicy`] order) runs it through the functional datapath and
 //! asks the scheduler for the command's merged issue window
 //! ([`ChannelScheduler::command_window`](mlcx_controller::channel::ChannelScheduler::command_window));
-//! the resulting completion event is keyed by `(end time, dispatch
-//! sequence)` in a min-heap, so completions pop in *completion-time*
+//! the resulting completion event orders by `(end time, dispatch
+//! sequence)`, earliest first, so the engine's
+//! `BinaryHeap<CompletionEvent>` pops completions in *completion-time*
 //! order — out of order with respect to dispatch whenever dies overlap.
 //!
 //! This module also owns the QoS vocabulary: [`QosSpec`] (per-service
 //! weight, deadline and bounded queue depth).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::engine::Completion;
 
@@ -46,7 +46,19 @@ pub enum SchedPolicy {
     Deadline,
 }
 
-/// Per-service quality-of-service contract.
+/// Per-service quality-of-service contract, set by struct update over
+/// the neutral default:
+///
+/// ```
+/// use mlcx_core::QosSpec;
+///
+/// let gold = QosSpec {
+///     weight: 8.0,
+///     depth: 64,
+///     ..QosSpec::default()
+/// };
+/// assert_eq!(gold.deadline_s, f64::INFINITY);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSpec {
     /// Weighted-fair share under [`SchedPolicy::WeightedFair`]
@@ -71,32 +83,6 @@ impl Default for QosSpec {
             deadline_s: f64::INFINITY,
             depth: usize::MAX,
         }
-    }
-}
-
-impl QosSpec {
-    /// A spec with a weighted-fair share and the remaining fields at
-    /// their defaults.
-    pub fn weighted(weight: f64) -> Self {
-        QosSpec {
-            weight,
-            ..QosSpec::default()
-        }
-    }
-
-    /// A spec with a relative deadline and the remaining fields at
-    /// their defaults.
-    pub fn with_deadline(deadline_s: f64) -> Self {
-        QosSpec {
-            deadline_s,
-            ..QosSpec::default()
-        }
-    }
-
-    /// Returns the spec with a bounded queue depth.
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.depth = depth;
-        self
     }
 }
 
@@ -139,35 +125,11 @@ impl Ord for CompletionEvent {
     }
 }
 
-/// The engine's pending completion events, ordered by completion time.
-#[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    heap: BinaryHeap<CompletionEvent>,
-}
-
-impl EventQueue {
-    pub fn push(&mut self, event: CompletionEvent) {
-        self.heap.push(event);
-    }
-
-    /// The earliest `(end, seq)` event, if any.
-    pub fn pop(&mut self) -> Option<CompletionEvent> {
-        self.heap.pop()
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{CmdId, CommandOutput, Completion};
+    use std::collections::BinaryHeap;
 
     fn event(end_s: f64, seq: u64) -> CompletionEvent {
         CompletionEvent {
@@ -186,7 +148,7 @@ mod tests {
 
     #[test]
     fn events_pop_in_end_time_order_with_seq_tiebreak() {
-        let mut q = EventQueue::default();
+        let mut q = BinaryHeap::new();
         q.push(event(3.0, 0));
         q.push(event(1.0, 2));
         q.push(event(1.0, 1));
@@ -205,8 +167,5 @@ mod tests {
         assert_eq!(q.weight, 1.0);
         assert_eq!(q.deadline_s, f64::INFINITY);
         assert_eq!(q.depth, usize::MAX);
-        let q = QosSpec::weighted(8.0).depth(4);
-        assert_eq!((q.weight, q.depth), (8.0, 4));
-        assert_eq!(QosSpec::with_deadline(1e-3).deadline_s, 1e-3);
     }
 }

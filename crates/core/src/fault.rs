@@ -69,7 +69,7 @@ impl Default for FaultPlan {
 /// own seeded stream once per program *only when the plan is enabled*,
 /// so a disabled plan leaves every RNG stream untouched.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
     injected: u64,

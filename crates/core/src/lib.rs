@@ -78,8 +78,8 @@ pub use engine::{
 };
 pub use error::MlcxError;
 pub use event::{QosSpec, SchedPolicy};
-pub use fault::{FaultInjector, FaultPlan};
+pub use fault::FaultPlan;
 pub use model::{Metrics, OperatingPoint, SubsystemModel};
 pub use policy::Objective;
-pub use services::{ServiceError, ServiceRegion, ServiceStats};
+pub use services::{ServiceError, ServiceRegion};
 pub use sim::{Scenario, ScenarioReport, TraceGenerator, TraceKind, WorkloadRunner};

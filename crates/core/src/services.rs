@@ -5,9 +5,14 @@
 //! services to applications". The realization of that promise is
 //! [`StorageEngine`](crate::engine::StorageEngine); this module owns the
 //! service-directory vocabulary it builds on: [`ServiceRegion`] (a named
-//! block range bound to a cross-layer objective), [`ServiceStats`]
-//! (per-service traffic counters) and [`ServiceError`] (directory
-//! violations).
+//! block range bound to a cross-layer objective) and [`ServiceError`]
+//! (directory violations).
+//!
+//! The engine keeps no per-service tally of its own: each
+//! [`Completion`](crate::engine::Completion) names its service and
+//! carries its command's output (pages written or read, bits corrected),
+//! so a host counts its traffic from the completions it drains, and
+//! [`BatchReport`](crate::engine::BatchReport) sums each drain.
 //!
 //! The original synchronous per-page facade (`ServicedStore`) has been
 //! retired: drive the engine's typed submission/completion queues
@@ -66,17 +71,6 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-/// Per-service traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Pages written through the service.
-    pub pages_written: u64,
-    /// Pages read through the service.
-    pub pages_read: u64,
-    /// Raw bit errors the ECC corrected for this service.
-    pub corrected_bits: u64,
-}
 
 #[cfg(test)]
 mod tests {

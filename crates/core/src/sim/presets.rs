@@ -13,16 +13,21 @@
 //! These presets pin both down as deterministic [`Scenario`]s the
 //! `WorkloadRunner` drives end-to-end through the striped FTL, the
 //! per-die operating-point memo and the channel busy-time scheduler.
+//!
+//! Every constructor returns [`ScenarioBuilder::build`](crate::sim::ScenarioBuilder::build)'s
+//! verdict on what it wrote out, so an `Err` from a preset is a bug in
+//! this file, reported the way any invalid scenario is.
 
 use mlcx_controller::{ControllerConfig, RetryPolicy, ScrubPolicy};
 use mlcx_nand::disturb::DisturbModel;
 use mlcx_nand::{DeviceGeometry, Topology};
 
 use crate::engine::EngineBuilder;
+use crate::error::MlcxError;
 use crate::event::{QosSpec, SchedPolicy};
 use crate::fault::FaultPlan;
 use crate::policy::Objective;
-use crate::sim::{Scenario, ScenarioBuilder, TraceKind};
+use crate::sim::{Scenario, TraceKind};
 
 /// A small multi-die controller: `blocks` x 8-page blocks under
 /// `topology` (everything else the paper's calibration), for a preset to
@@ -49,34 +54,21 @@ fn retry(on: bool) -> RetryPolicy {
     }
 }
 
-/// Builds the preset `name`. What a preset configures is written out in
-/// this file, so one that fails validation is a bug here, not a
-/// condition a caller could handle.
-#[expect(
-    clippy::panic,
-    reason = "a preset that does not validate is a programming error in this file"
-)]
-fn validated(name: &str, builder: ScenarioBuilder) -> Scenario {
-    builder
-        .build()
-        .unwrap_or_else(|e| panic!("{name} preset must validate: {e}"))
-}
-
 /// Die-skew preset: one zipf key-value service striped over a
 /// 2-channel bank (8 blocks per die), with die 1 fast-forwarded 900k
 /// cycles between the phases. The `skewed` phase runs against a
 /// wear-imbalanced bank: writes landing on die 1 derive their own
 /// (stronger) operating point from the per-die memo while die 0 keeps
 /// the fresh schedule, and reads of die-1 pages see end-of-life RBER.
-pub fn die_skew(seed: u64) -> Scenario {
-    let builder = Scenario::builder()
+pub fn die_skew(seed: u64) -> Result<Scenario, MlcxError> {
+    Scenario::builder()
         .engine(EngineBuilder::date2012().controller_config(config_with(16, Topology::new(2, 1))))
         .seed(seed)
         .batch_size(32)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
         .phase_with_die_skew("fresh", 80, 0, &[(1, 900_000)])
-        .phase("skewed", 80, 0);
-    validated("die-skew", builder)
+        .phase("skewed", 80, 0)
+        .build()
 }
 
 /// Channel-contention preset: a 2x2 bank (4 dies, 4 blocks each) where
@@ -86,8 +78,8 @@ pub fn die_skew(seed: u64) -> Scenario {
 /// two channels' bus busy-times expose the contention: channel 0
 /// carries both tenants' transfers serially, channel 1 only the
 /// isolated tenant's.
-pub fn channel_contention(seed: u64) -> Scenario {
-    let builder = Scenario::builder()
+pub fn channel_contention(seed: u64) -> Result<Scenario, MlcxError> {
+    Scenario::builder()
         .engine(EngineBuilder::date2012().controller_config(config_with(16, Topology::new(2, 2))))
         .seed(seed)
         .batch_size(32)
@@ -110,8 +102,8 @@ pub fn channel_contention(seed: u64) -> Scenario {
             8..12,
             TraceKind::read_mostly(),
         )
-        .phase("contend", 90, 0);
-    validated("channel-contention", builder)
+        .phase("contend", 90, 0)
+        .build()
 }
 
 /// Retention-stress preset: a read-hot zipfian key-value service on an
@@ -123,7 +115,7 @@ pub fn channel_contention(seed: u64) -> Scenario {
 /// serving phase — rewriting the data at the current clock — and
 /// recovers that margin at a measured relocation/erase/device-time
 /// cost. Run both arms with the same seed to quantify the trade-off.
-pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
+pub fn retention_stress(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
     let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel::date2012(),
         ..config_with(16, Topology::single())
@@ -136,7 +128,7 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    let builder = Scenario::builder()
+    Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -149,8 +141,8 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
         // Write the working set at EOL wear, then park it.
         .phase_with_elapsed("write", 120, 0, 20_000.0)
         // Serve read-hot traffic against the parked data.
-        .phase("serve", 280, 0);
-    validated("retention-stress", builder)
+        .phase("serve", 280, 0)
+        .build()
 }
 
 /// Read-reclaim preset: the read-disturb twin of
@@ -163,7 +155,7 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Scenario {
 /// them once they cross the read threshold — resetting the accumulator
 /// exactly as arXiv:1706.08642's read-reclaim describes — before the
 /// disturb RBER can stack onto the end-of-life endurance floor.
-pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
+pub fn read_reclaim(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
     let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled: the date2012 per-read constant needs ~100k
@@ -182,7 +174,7 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    let builder = Scenario::builder()
+    Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -195,8 +187,8 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
             TraceKind::ReadMostly { read_ratio: 0.95 },
         )
         .phase("burn", 0, 1_000_000)
-        .phase("hammer", 500, 0);
-    validated("read-reclaim", builder)
+        .phase("hammer", 500, 0)
+        .build()
 }
 
 /// Multi-tenant QoS storm: `n_tenants` read-mostly tenants (at least
@@ -218,7 +210,7 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Scenario {
 /// p99/p99.9 directly measurable against
 /// [`SchedPolicy::FifoArrival`] (the `qos_tail` bench does exactly
 /// that comparison).
-pub fn tenant_storm(seed: u64, n_tenants: usize) -> Scenario {
+pub fn tenant_storm(seed: u64, n_tenants: usize) -> Result<Scenario, MlcxError> {
     let n_tenants = n_tenants.max(1);
     let blocks_per_tenant = 2;
     let mut builder = Scenario::builder()
@@ -248,10 +240,13 @@ pub fn tenant_storm(seed: u64, n_tenants: usize) -> Scenario {
             Objective::Baseline,
             lo..lo + blocks_per_tenant,
             TraceKind::read_mostly(),
-            QosSpec::weighted(weight),
+            QosSpec {
+                weight,
+                ..QosSpec::default()
+            },
         );
     }
-    validated("tenant-storm", builder.phase("storm", 4, 0))
+    builder.phase("storm", 4, 0).build()
 }
 
 /// Which reliability mitigations a [`scrub_vs_retry`] arm enables.
@@ -304,7 +299,7 @@ impl MitigationMode {
 ///   zero relocations, zero erases.
 /// * [`MitigationMode::Both`] — retry absorbs errors between scrub
 ///   passes; scrub bounds how far the ladder must reach.
-pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
+pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxError> {
     let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled retention, independent of program-time wear
@@ -331,7 +326,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    let builder = Scenario::builder()
+    Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -348,8 +343,8 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
         // Park the prefilled working set ~2.3 years.
         .phase_with_elapsed("park", 0, 0, 20_000.0)
         // Serve pure read traffic against the parked data.
-        .phase("serve", 280, 0);
-    validated("scrub-vs-retry", builder)
+        .phase("serve", 280, 0)
+        .build()
 }
 
 /// Program-interference preset: one zipfian key-value tenant whose own
@@ -368,7 +363,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Scenario {
 /// or scrub relocation that copies such a page forward preserves the
 /// corruption — so unlike the other presets, a run is *expected* to
 /// report failures. The preset exists to count them deterministically.
-pub fn program_interference(seed: u64) -> Scenario {
+pub fn program_interference(seed: u64) -> Result<Scenario, MlcxError> {
     let engine = EngineBuilder::date2012()
         .controller_config(ControllerConfig {
             disturb: DisturbModel {
@@ -393,15 +388,15 @@ pub fn program_interference(seed: u64) -> Scenario {
             interference_rber_threshold: 2e-3,
             max_blocks_per_pass: 2,
         });
-    let builder = Scenario::builder()
+    Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
         .utilization(0.5)
         .prefill(true)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
-        .phase("churn", 240, 0);
-    validated("program-interference", builder)
+        .phase("churn", 240, 0)
+        .build()
 }
 
 /// Write-hammer preset: the adversarial twin of
@@ -427,7 +422,7 @@ pub fn program_interference(seed: u64) -> Scenario {
 ///   paid in extra read latency.
 /// * [`MitigationMode::Both`] — retry absorbs the shift between scrub
 ///   passes.
-pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
+pub fn write_hammer(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxError> {
     let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled: the date2012 per-program constant needs ~100k
@@ -454,7 +449,7 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
             max_blocks_per_pass: 2,
         });
     }
-    let builder = Scenario::builder()
+    Scenario::builder()
         .engine(engine)
         .seed(seed)
         .batch_size(24)
@@ -474,8 +469,8 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Scenario {
             8..16,
             TraceKind::ReadMostly { read_ratio: 1.0 },
         )
-        .phase("hammer", 280, 0);
-    validated("write-hammer", builder)
+        .phase("hammer", 280, 0)
+        .build()
 }
 
 #[cfg(test)]
@@ -484,7 +479,7 @@ mod tests {
 
     #[test]
     fn die_skew_preset_splits_the_wear_and_stays_clean() {
-        let report = die_skew(11).run().expect("preset must run");
+        let report = die_skew(11).unwrap().run().expect("preset must run");
         assert_eq!(report.integrity_violations, 0);
         assert_eq!(report.read_failures, 0);
         let fresh = &report.phases[0].services[0];
@@ -504,7 +499,10 @@ mod tests {
 
     #[test]
     fn channel_contention_preset_loads_the_shared_channel() {
-        let report = channel_contention(23).run().expect("preset must run");
+        let report = channel_contention(23)
+            .unwrap()
+            .run()
+            .expect("preset must run");
         assert_eq!(report.integrity_violations, 0);
         assert_eq!(report.read_failures, 0);
         let contend = report
@@ -517,7 +515,7 @@ mod tests {
         assert!(contend.parallel_time_s < contend.device_time_s);
         assert!(contend.channel_busy_s > 0.0);
         // Determinism: the preset is a fixed function of its seed.
-        let again = channel_contention(23).run().unwrap();
+        let again = channel_contention(23).unwrap().run().unwrap();
         assert_eq!(report, again);
     }
 
@@ -535,8 +533,14 @@ mod tests {
 
     #[test]
     fn retention_stress_scrubber_recovers_uber_at_a_latency_cost() {
-        let off = retention_stress(7, false).run().expect("off arm runs");
-        let on = retention_stress(7, true).run().expect("on arm runs");
+        let off = retention_stress(7, false)
+            .unwrap()
+            .run()
+            .expect("off arm runs");
+        let on = retention_stress(7, true)
+            .unwrap()
+            .run()
+            .expect("on arm runs");
         // Both arms stay functionally clean: the EOL schedule absorbs
         // the retention errors; the damage is UBER margin, not data.
         for report in [&off, &on] {
@@ -572,14 +576,17 @@ mod tests {
         assert!(s_on.counters.scrub_relocations > 0 && s_on.counters.scrub_erases > 0);
 
         // Determinism: both arms are fixed functions of the seed.
-        assert_eq!(off, retention_stress(7, false).run().unwrap());
-        assert_eq!(on, retention_stress(7, true).run().unwrap());
+        assert_eq!(off, retention_stress(7, false).unwrap().run().unwrap());
+        assert_eq!(on, retention_stress(7, true).unwrap().run().unwrap());
     }
 
     #[test]
     fn read_reclaim_resets_the_disturb_accumulator() {
-        let off = read_reclaim(31, false).run().expect("off arm runs");
-        let on = read_reclaim(31, true).run().expect("on arm runs");
+        let off = read_reclaim(31, false)
+            .unwrap()
+            .run()
+            .expect("off arm runs");
+        let on = read_reclaim(31, true).unwrap().run().expect("on arm runs");
         for report in [&off, &on] {
             assert_eq!(report.integrity_violations, 0);
             assert_eq!(report.read_failures, 0);
@@ -603,12 +610,12 @@ mod tests {
             s_off.model_disturb_rber
         );
         assert!(s_on.model_log10_uber_disturbed < s_off.model_log10_uber_disturbed);
-        assert_eq!(on, read_reclaim(31, true).run().unwrap());
+        assert_eq!(on, read_reclaim(31, true).unwrap().run().unwrap());
     }
 
     #[test]
     fn tenant_storm_serves_256_tenants_on_one_bank_with_flow_tails() {
-        let report = tenant_storm(7, 256).run().expect("storm must run");
+        let report = tenant_storm(7, 256).unwrap().run().expect("storm must run");
         assert_eq!(report.integrity_violations, 0);
         assert_eq!(report.read_failures, 0);
         let storm = phase(&report, "storm");
@@ -631,16 +638,28 @@ mod tests {
         }
         assert_eq!(classes_seen, [true; 3]);
         // Determinism: the storm is a fixed function of its seed.
-        let again = tenant_storm(7, 256).run().unwrap();
+        let again = tenant_storm(7, 256).unwrap().run().unwrap();
         assert_eq!(report, again);
     }
 
     #[test]
     fn scrub_vs_retry_recovers_uber_in_different_currencies() {
-        let none = scrub_vs_retry(7, MitigationMode::None).run().unwrap();
-        let scrub = scrub_vs_retry(7, MitigationMode::ScrubOnly).run().unwrap();
-        let retry = scrub_vs_retry(7, MitigationMode::RetryOnly).run().unwrap();
-        let both = scrub_vs_retry(7, MitigationMode::Both).run().unwrap();
+        let none = scrub_vs_retry(7, MitigationMode::None)
+            .unwrap()
+            .run()
+            .unwrap();
+        let scrub = scrub_vs_retry(7, MitigationMode::ScrubOnly)
+            .unwrap()
+            .run()
+            .unwrap();
+        let retry = scrub_vs_retry(7, MitigationMode::RetryOnly)
+            .unwrap()
+            .run()
+            .unwrap();
+        let both = scrub_vs_retry(7, MitigationMode::Both)
+            .unwrap()
+            .run()
+            .unwrap();
 
         // Unmitigated, the parked data genuinely fails: this preset is
         // harsher than retention_stress on purpose.
@@ -708,16 +727,28 @@ mod tests {
         assert!(both.read_failures <= retry.read_failures);
 
         // Determinism: every arm is a fixed function of the seed.
-        assert_eq!(none, scrub_vs_retry(7, MitigationMode::None).run().unwrap());
+        assert_eq!(
+            none,
+            scrub_vs_retry(7, MitigationMode::None)
+                .unwrap()
+                .run()
+                .unwrap()
+        );
         assert_eq!(
             retry,
-            scrub_vs_retry(7, MitigationMode::RetryOnly).run().unwrap()
+            scrub_vs_retry(7, MitigationMode::RetryOnly)
+                .unwrap()
+                .run()
+                .unwrap()
         );
     }
 
     #[test]
     fn program_interference_counts_coupling_faults_and_reclaims() {
-        let report = program_interference(7).run().expect("preset must run");
+        let report = program_interference(7)
+            .unwrap()
+            .run()
+            .expect("preset must run");
         // The fault schedule fired, the coupled/corrupt pages were seen
         // at read time, and the interference-pressure scrubber reclaimed
         // the damaged blocks with explicit attribution.
@@ -742,14 +773,23 @@ mod tests {
         assert!(churn.model_interference_rber > 0.0);
         assert!(churn.counters.injected_partial_programs > 0);
         // Determinism: the preset is a fixed function of its seed.
-        assert_eq!(report, program_interference(7).run().unwrap());
+        assert_eq!(report, program_interference(7).unwrap().run().unwrap());
     }
 
     #[test]
     fn write_hammer_attacker_damage_is_recovered_by_scrub_or_retry() {
-        let none = write_hammer(7, MitigationMode::None).run().unwrap();
-        let scrub = write_hammer(7, MitigationMode::ScrubOnly).run().unwrap();
-        let retry = write_hammer(7, MitigationMode::RetryOnly).run().unwrap();
+        let none = write_hammer(7, MitigationMode::None)
+            .unwrap()
+            .run()
+            .unwrap();
+        let scrub = write_hammer(7, MitigationMode::ScrubOnly)
+            .unwrap()
+            .run()
+            .unwrap();
+        let retry = write_hammer(7, MitigationMode::RetryOnly)
+            .unwrap()
+            .run()
+            .unwrap();
 
         let victim = |r: &crate::sim::ScenarioReport, ph: &str| {
             phase(r, ph)
@@ -812,10 +852,19 @@ mod tests {
         );
 
         // Determinism: every arm is a fixed function of the seed.
-        assert_eq!(none, write_hammer(7, MitigationMode::None).run().unwrap());
+        assert_eq!(
+            none,
+            write_hammer(7, MitigationMode::None)
+                .unwrap()
+                .run()
+                .unwrap()
+        );
         assert_eq!(
             scrub,
-            write_hammer(7, MitigationMode::ScrubOnly).run().unwrap()
+            write_hammer(7, MitigationMode::ScrubOnly)
+                .unwrap()
+                .run()
+                .unwrap()
         );
     }
 }

@@ -8,7 +8,8 @@ use mlcx_controller::scrub::Scrubber;
 
 use crate::counters::Counters;
 use crate::engine::{
-    nearest_rank, Command, CommandOutput, Completion, EngineBuilder, ServiceHandle, StorageEngine,
+    nearest_rank, BatchReport, Command, CommandOutput, Completion, EngineBuilder, ServiceHandle,
+    StorageEngine,
 };
 use crate::error::MlcxError;
 use crate::event::QosSpec;
@@ -627,6 +628,31 @@ struct Acc {
     counters: Counters,
 }
 
+/// The engine's side of one phase: every drain's [`BatchReport`], added
+/// once as it lands.
+#[derive(Default)]
+struct PhaseBatches {
+    commands: usize,
+    device_time_s: f64,
+    parallel_time_s: f64,
+    channel_busy_s: f64,
+    op_cache_hits: u64,
+    op_cache_misses: u64,
+    knob_writes: u64,
+}
+
+impl PhaseBatches {
+    fn add(&mut self, batch: &BatchReport) {
+        self.commands += batch.commands;
+        self.device_time_s += batch.device_latency_s;
+        self.parallel_time_s += batch.parallel_latency_s;
+        self.channel_busy_s += batch.channel_busy_s;
+        self.op_cache_hits += batch.op_cache_hits;
+        self.op_cache_misses += batch.op_cache_misses;
+        self.knob_writes += batch.knob_writes;
+    }
+}
+
 struct SimService {
     name: String,
     objective: Objective,
@@ -666,13 +692,8 @@ pub struct WorkloadRunner {
     meta: BTreeMap<u64, CmdMeta>,
     /// Relocation read payloads, indexed by the batch slot.
     gc_data: Vec<Option<Vec<u8>>>,
-    phase_commands: usize,
-    phase_device_time_s: f64,
-    phase_parallel_time_s: f64,
-    phase_channel_busy_s: f64,
-    phase_op_cache_hits: u64,
-    phase_op_cache_misses: u64,
-    phase_knob_writes: u64,
+    /// The current phase's drains, taken by `phase_report`.
+    batches: PhaseBatches,
 }
 
 /// The deterministic page payload of `(service, lpn, version)`.
@@ -768,13 +789,7 @@ impl WorkloadRunner {
             pending: Vec::new(),
             meta: BTreeMap::new(),
             gc_data: Vec::new(),
-            phase_commands: 0,
-            phase_device_time_s: 0.0,
-            phase_parallel_time_s: 0.0,
-            phase_channel_busy_s: 0.0,
-            phase_op_cache_hits: 0,
-            phase_op_cache_misses: 0,
-            phase_knob_writes: 0,
+            batches: PhaseBatches::default(),
         })
     }
 
@@ -802,49 +817,38 @@ impl WorkloadRunner {
         let (verify, verified_pages) = self.run_final_verify()?;
         phases.push(verify);
 
-        let total_commands = phases.iter().map(|p| p.commands).sum();
-        let total_device_time_s = phases.iter().map(|p| p.device_time_s).sum();
-        let total_parallel_time_s = phases.iter().map(|p| p.parallel_time_s).sum();
-        let total_energy_j = phases.iter().map(|p| p.energy_j).sum();
-        let op_cache_misses = phases.iter().map(|p| p.op_cache_misses).sum();
-        let op_cache_hits = phases.iter().map(|p| p.op_cache_hits).sum();
-        let integrity_violations = phases
-            .iter()
-            .flat_map(|p| &p.services)
-            .map(|s| s.integrity_violations)
-            .sum();
-        let read_failures = phases
-            .iter()
-            .flat_map(|p| &p.services)
-            .map(|s| s.read_failures)
-            .sum();
-        let mut counters = Counters::default();
-        for phase in &phases {
-            counters.absorb(&phase.counters);
-        }
-        Ok(ScenarioReport {
-            phases,
-            total_commands,
-            total_device_time_s,
-            total_parallel_time_s,
-            total_energy_j,
-            op_cache_misses,
-            op_cache_hits,
+        // The totals: one in-order fold over the phases.
+        let mut report = ScenarioReport {
+            phases: Vec::new(),
+            total_commands: 0,
+            total_device_time_s: 0.0,
+            total_parallel_time_s: 0.0,
+            total_energy_j: 0.0,
+            op_cache_misses: 0,
+            op_cache_hits: 0,
             verified_pages,
-            integrity_violations,
-            read_failures,
-            counters,
-        })
+            integrity_violations: 0,
+            read_failures: 0,
+            counters: Counters::default(),
+        };
+        for phase in &phases {
+            report.total_commands += phase.commands;
+            report.total_device_time_s += phase.device_time_s;
+            report.total_parallel_time_s += phase.parallel_time_s;
+            report.total_energy_j += phase.energy_j;
+            report.op_cache_misses += phase.op_cache_misses;
+            report.op_cache_hits += phase.op_cache_hits;
+            for service in &phase.services {
+                report.integrity_violations += service.integrity_violations;
+                report.read_failures += service.read_failures;
+            }
+            report.counters.absorb(&phase.counters);
+        }
+        report.phases = phases;
+        Ok(report)
     }
 
     fn begin_phase(&mut self) {
-        self.phase_commands = 0;
-        self.phase_device_time_s = 0.0;
-        self.phase_parallel_time_s = 0.0;
-        self.phase_channel_busy_s = 0.0;
-        self.phase_op_cache_hits = 0;
-        self.phase_op_cache_misses = 0;
-        self.phase_knob_writes = 0;
         for s in &mut self.services {
             s.ftl_at_phase_start = s.map.stats();
             s.acc = Acc::default();
@@ -1088,14 +1092,7 @@ impl WorkloadRunner {
             self.meta.insert(id.raw(), meta);
         }
         let completions = self.engine.cq().drain();
-        let batch = self.engine.last_batch();
-        self.phase_commands += batch.commands;
-        self.phase_device_time_s += batch.device_latency_s;
-        self.phase_parallel_time_s += batch.parallel_latency_s;
-        self.phase_channel_busy_s += batch.channel_busy_s;
-        self.phase_op_cache_hits += batch.op_cache_hits;
-        self.phase_op_cache_misses += batch.op_cache_misses;
-        self.phase_knob_writes += batch.knob_writes;
+        self.batches.add(self.engine.last_batch());
         self.process(completions)
     }
 
@@ -1249,19 +1246,20 @@ impl WorkloadRunner {
             });
         }
         let energy_j = services.iter().map(|s| s.energy_j).sum();
+        let batches = std::mem::take(&mut self.batches);
         PhaseReport {
             name: name.to_string(),
             fast_forward_cycles,
             elapsed_hours,
             services,
-            commands: self.phase_commands,
-            device_time_s: self.phase_device_time_s,
-            parallel_time_s: self.phase_parallel_time_s,
-            channel_busy_s: self.phase_channel_busy_s,
+            commands: batches.commands,
+            device_time_s: batches.device_time_s,
+            parallel_time_s: batches.parallel_time_s,
+            channel_busy_s: batches.channel_busy_s,
             energy_j,
-            op_cache_hits: self.phase_op_cache_hits,
-            op_cache_misses: self.phase_op_cache_misses,
-            knob_writes: self.phase_knob_writes,
+            op_cache_hits: batches.op_cache_hits,
+            op_cache_misses: batches.op_cache_misses,
+            knob_writes: batches.knob_writes,
             counters,
         }
     }

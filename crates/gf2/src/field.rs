@@ -425,21 +425,6 @@ impl GfField {
     pub fn div(&self, a: u32, b: u32) -> Result<u32, GfError> {
         Ok(self.mul(a, self.inv(b)?))
     }
-
-    /// Checks that an element is a valid field member.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GfError::ElementOutOfRange`] when `a >= 2^m`.
-    pub fn check_element(&self, a: u32) -> Result<(), GfError> {
-        if a >= self.size {
-            return Err(GfError::ElementOutOfRange {
-                element: a,
-                size: self.size,
-            });
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Debug for GfField {
@@ -650,19 +635,6 @@ mod tests {
             check(&f, 0, next(&f), next(&f));
             check(&f, next(&f), 0, next(&f));
         }
-    }
-
-    #[test]
-    fn check_element_bounds() {
-        let f = GfField::new(4).unwrap();
-        assert!(f.check_element(15).is_ok());
-        assert_eq!(
-            f.check_element(16),
-            Err(GfError::ElementOutOfRange {
-                element: 16,
-                size: 16
-            })
-        );
     }
 
     #[test]

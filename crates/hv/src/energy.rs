@@ -77,15 +77,6 @@ impl OperationEnergy {
             self.total_energy_j() / t
         }
     }
-
-    /// Sums the energy of phases with the given label.
-    pub fn energy_for_label_j(&self, label: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.label == label)
-            .map(|p| p.energy_j)
-            .sum()
-    }
 }
 
 /// Accumulates operation energies into device-lifetime totals.
@@ -161,13 +152,6 @@ mod tests {
         assert!((op.duration_s() - 50e-6).abs() < 1e-15);
         let avg = op.average_power_w();
         assert!((avg - 8.7e-6 / 50e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn label_filters() {
-        let op = sample();
-        assert!((op.energy_for_label_j("verify") - 7.2e-6).abs() < 1e-15);
-        assert_eq!(op.energy_for_label_j("nope"), 0.0);
     }
 
     #[test]

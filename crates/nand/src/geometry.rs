@@ -158,11 +158,6 @@ impl DeviceGeometry {
         block / self.blocks_per_die().max(1)
     }
 
-    /// The channel a block's die hangs off.
-    pub fn channel_of_block(&self, block: usize) -> usize {
-        self.topology.channel_of_die(self.die_of_block(block))
-    }
-
     /// The block range owned by a die.
     pub fn die_blocks(&self, die: usize) -> std::ops::Range<usize> {
         let per = self.blocks_per_die();
@@ -218,10 +213,6 @@ mod tests {
         assert_eq!(g.die_of_block(64), 1);
         assert_eq!(g.die_of_block(511), 7);
         assert_eq!(g.die_blocks(1), 64..128);
-        // Dies channel-major: dies 0..2 on channel 0, 2..4 on channel 1...
-        assert_eq!(g.channel_of_block(0), 0);
-        assert_eq!(g.channel_of_block(128), 1);
-        assert_eq!(g.channel_of_block(511), 3);
         g.validate().unwrap();
     }
 

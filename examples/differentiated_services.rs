@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example differentiated_services`
 
-use mlcx::{Command, CommandOutput, Completion, EngineBuilder, Objective, ServiceHandle};
+use mlcx::{Command, CommandOutput, Completion, EngineBuilder, Objective};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = EngineBuilder::date2012().seed(2012).build()?;
@@ -96,13 +96,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.corrected_bits
     );
 
-    let stat = |h: ServiceHandle| -> Result<_, mlcx::MlcxError> { engine.stats(h) };
+    // Per-service traffic, tallied from the drained completions.
     for (name, handle) in names.iter().zip([payments, media, general]) {
-        let s = stat(handle)?;
-        println!(
-            "stats {name:>9}: {} written, {} read, {} bits corrected",
-            s.pages_written, s.pages_read, s.corrected_bits
-        );
+        let (mut written, mut read, mut corrected) = (0, 0, 0);
+        for completion in completions.iter().filter(|c| c.service == handle) {
+            match output(completion) {
+                CommandOutput::Write(_) => written += 1,
+                CommandOutput::Read(r) => {
+                    read += 1;
+                    corrected += r.outcome.corrected_bits();
+                }
+                _ => {}
+            }
+        }
+        println!("stats {name:>9}: {written} written, {read} read, {corrected} bits corrected");
     }
     Ok(())
 }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let reports: Vec<(&str, ScenarioReport)> = arms
         .iter()
-        .map(|&(name, mode)| Ok((name, scrub_vs_retry(SEED, mode).run()?)))
+        .map(|&(name, mode)| Ok((name, scrub_vs_retry(SEED, mode)?.run()?)))
         .collect::<Result<_, mlcx::MlcxError>>()?;
 
     println!(

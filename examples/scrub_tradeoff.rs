@@ -18,10 +18,10 @@ use mlcx::{Scenario, ScenarioReport};
 fn run_pair(
     name: &str,
     phase: &str,
-    build: impl Fn(bool) -> Scenario,
+    build: impl Fn(bool) -> Result<Scenario, mlcx::MlcxError>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let off: ScenarioReport = build(false).run()?;
-    let on: ScenarioReport = build(true).run()?;
+    let off: ScenarioReport = build(false)?.run()?;
+    let on: ScenarioReport = build(true)?.run()?;
     for (arm, report) in [("off", &off), ("on", &on)] {
         assert_eq!(
             report.integrity_violations, 0,

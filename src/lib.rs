@@ -96,10 +96,9 @@ pub use mlcx_controller::{ReadOffsetTable, RetryPolicy, RetryStats};
 pub use mlcx_controller::{ScrubPolicy, ScrubStats, Scrubber};
 pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
-    EngineBuilder, FaultInjector, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint,
-    QosSpec, Scenario, ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion,
-    ServiceStats, StorageEngine, SubmissionQueue, SubsystemModel, TraceGenerator, TraceKind,
-    WearBucketing, WorkloadRunner,
+    EngineBuilder, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint, QosSpec, Scenario,
+    ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion, StorageEngine,
+    SubmissionQueue, SubsystemModel, TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
 };
 pub use mlcx_gf2::MulKernel;
 pub use mlcx_nand::{AgingModel, DeviceGeometry, MlcLevel, NandDevice, ProgramAlgorithm, Topology};

@@ -78,7 +78,7 @@ fn scrub_vs_retry_seed7_reproduces_bit_for_bit() {
     ];
 
     for pin in pins {
-        let report = scrub_vs_retry(7, pin.mode).run().unwrap();
+        let report = scrub_vs_retry(7, pin.mode).unwrap().run().unwrap();
         let mode = pin.mode;
         assert_eq!(report.total_commands, pin.commands, "{mode:?}: commands");
         assert_eq!(
@@ -107,7 +107,7 @@ fn scrub_vs_retry_seed7_reproduces_bit_for_bit() {
         );
         // Float columns: a second run must reproduce every field of the
         // report exactly — including modeled times and energies.
-        let rerun = scrub_vs_retry(7, pin.mode).run().unwrap();
+        let rerun = scrub_vs_retry(7, pin.mode).unwrap().run().unwrap();
         assert_eq!(report, rerun, "{mode:?}: report must be deterministic");
     }
 }

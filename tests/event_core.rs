@@ -113,7 +113,7 @@ const PINS: [Pin; 4] = [
 #[test]
 fn event_core_reproduces_the_committed_scrub_vs_retry_integers() {
     for pin in &PINS {
-        let report = scrub_vs_retry(7, pin.mode).run().unwrap();
+        let report = scrub_vs_retry(7, pin.mode).unwrap().run().unwrap();
         let m = pin.mode;
         assert_eq!(report.total_commands, pin.total_commands, "{m:?}");
         assert_eq!(report.read_failures, pin.read_failures, "{m:?}");
@@ -183,7 +183,10 @@ fn stress_engine() -> (StorageEngine, Vec<ServiceHandle>) {
                 &format!("tenant-{t}"),
                 Objective::Baseline,
                 start..start + BLOCKS_PER_TENANT,
-                QosSpec::default().depth(PAGES + 1),
+                QosSpec {
+                    depth: PAGES + 1,
+                    ..QosSpec::default()
+                },
             )
             .unwrap();
         handles.push(h);
@@ -251,8 +254,8 @@ fn run_stress(streams: usize) -> Vec<Fingerprint> {
         }
     }
     completions.extend(engine.cq().drain());
-    assert_eq!(engine.pending(), 0);
-    assert_eq!(engine.completions_pending(), 0);
+    assert_eq!(engine.sq().depth(), 0);
+    assert_eq!(engine.cq().depth(), 0);
     assert!(engine.now_s() > 0.0, "the virtual clock must have advanced");
 
     let mut fingerprints: Vec<Fingerprint> = completions
@@ -362,7 +365,7 @@ fn completion_order_is_total_across_dispatches() {
 
     engine.sq().submit(&trims(0..3)).unwrap();
     let mut delivered = vec![engine.cq().try_complete().unwrap()];
-    assert_eq!(engine.completions_pending(), 2, "events still in flight");
+    assert_eq!(engine.cq().depth(), 2, "events still in flight");
     engine.sq().submit(&trims(3..6)).unwrap();
     delivered.extend(engine.cq().drain());
 

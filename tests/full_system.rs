@@ -52,6 +52,8 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
         .device_mut()
         .advance_time_hours(24.0 * 30.0); // a month on the shelf
 
+    // The media service's traffic, tallied from its completions.
+    let (mut media_reads, mut media_corrected_bits) = (0u64, 0u64);
     for _round in 0..10 {
         let mut reads = Vec::new();
         for page in 0..4 {
@@ -63,6 +65,10 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
             match c.result.unwrap() {
                 CommandOutput::Read(r) => {
                     assert!(r.outcome.is_success());
+                    if c.service == media {
+                        media_reads += 1;
+                        media_corrected_bits += r.outcome.corrected_bits() as u64;
+                    }
                     let expected = if c.service == payments {
                         &record
                     } else {
@@ -76,9 +82,8 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
     }
 
     // The worn media region needed real correction work.
-    let media_stats = engine.stats(media).unwrap();
-    assert!(media_stats.corrected_bits > 0, "EOL region must see errors");
-    assert_eq!(media_stats.pages_read, 40);
+    assert!(media_corrected_bits > 0, "EOL region must see errors");
+    assert_eq!(media_reads, 40);
 
     // Page 0 is already written: an overwrite without erase must be
     // rejected end-to-end, as a completion-level device error.

@@ -55,7 +55,7 @@ fn scrub_vs_retry_pins_hold_and_interference_counters_stay_zero() {
         (MitigationMode::Both, 376, 0),
     ];
     for (mode, commands, read_failures) in pins {
-        let report = scrub_vs_retry(7, mode).run().unwrap();
+        let report = scrub_vs_retry(7, mode).unwrap().run().unwrap();
         assert_eq!(report.total_commands, commands, "{mode:?}: commands");
         assert_eq!(
             report.read_failures, read_failures,

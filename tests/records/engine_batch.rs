@@ -121,10 +121,10 @@ pub fn record() -> BenchResult {
         ("op_cache_hits".into(), batch.op_cache_hits as f64),
         ("knob_writes".into(), batch.knob_writes as f64),
     ];
-    record.modeled = vec![
+    record.exact.extend([
         ("device_latency_s".into(), batch.device_latency_s),
         ("parallel_latency_s".into(), batch.parallel_latency_s),
         ("energy_j".into(), batch.energy_j),
-    ];
+    ]);
     record
 }

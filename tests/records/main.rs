@@ -5,10 +5,9 @@
 //! functional and structural properties in-process and returns the
 //! [`BenchResult`]; the test of the same name then compares it to
 //! `crates/bench/baselines/<name>.json` ([`BenchResult::check_against`]:
-//! `exact` metrics bit-for-bit, `modeled` ones within the baseline's
-//! band, same keys on both sides) and panics with the per-field diff
-//! table. Tier-1 runs them under the dev profile and CI again
-//! optimised, so both builds are held to the same numbers.
+//! every metric bit-for-bit, same keys on both sides) and panics with
+//! the per-field diff table. Tier-1 runs them under the dev profile and
+//! CI again optimised, so both builds are held to the same numbers.
 //!
 //! ```text
 //! cargo test --test records                      # all eight vs their baselines

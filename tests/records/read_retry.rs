@@ -246,7 +246,7 @@ pub fn record() -> BenchResult {
         ("retry_senses_on".into(), on.retry_senses as f64),
         ("offsets_learned_on".into(), learned as f64),
     ];
-    record.modeled = vec![
+    record.exact.extend([
         ("p50_read_off_s".into(), p50_off),
         ("p50_read_on_s".into(), p50_on),
         ("p95_read_off_s".into(), p95_off),
@@ -255,6 +255,6 @@ pub fn record() -> BenchResult {
         ("uber_off_log10".into(), uber_off),
         ("uber_on_log10".into(), uber_on),
         ("uber_recovery_decades".into(), recovery),
-    ];
+    ]);
     record
 }

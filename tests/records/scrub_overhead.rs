@@ -250,7 +250,7 @@ pub fn record() -> BenchResult {
         ("uncorrectable_off".into(), off.uncorrectable as f64),
         ("uncorrectable_on".into(), on.uncorrectable as f64),
     ];
-    record.modeled = vec![
+    record.exact.extend([
         ("p50_batch_off_s".into(), p50_off),
         ("p50_batch_on_s".into(), p50_on),
         ("p95_batch_off_s".into(), p95_off),
@@ -259,6 +259,6 @@ pub fn record() -> BenchResult {
         ("uber_off_log10".into(), uber_off),
         ("uber_on_log10".into(), uber_on),
         ("uber_recovery_decades".into(), recovery),
-    ];
+    ]);
     record
 }

@@ -109,7 +109,7 @@ pub fn record() -> BenchResult {
         ),
         ("read_failures".into(), log2_report.read_failures as f64),
     ];
-    record.modeled = vec![
+    record.exact.extend([
         ("device_time_s".into(), log2_report.total_device_time_s),
         ("parallel_time_s".into(), log2_report.total_parallel_time_s),
         ("total_energy_j".into(), log2_report.total_energy_j),
@@ -117,6 +117,6 @@ pub fn record() -> BenchResult {
             "kv_eol_write_amplification".into(),
             kv_eol.write_amplification,
         ),
-    ];
+    ]);
     record
 }

@@ -60,7 +60,7 @@ fn advance_hours_surfaces_retention_rber_in_measured_reads() {
     };
     let fresh = sweep(&mut engine);
     engine.advance_hours(30_000.0);
-    assert!((engine.now_hours() - 30_000.0).abs() < 1e-9);
+    assert!((engine.controller().device().now_hours() - 30_000.0).abs() < 1e-9);
     let aged = sweep(&mut engine);
     assert!(
         aged > fresh,
@@ -189,7 +189,7 @@ fn scrub_presets_run_clean_end_to_end() {
     // scrubber scan -> reclaim plan -> engine Relocate/ScrubErase
     // commands -> report counters; the closing verify sweep proves the
     // relocations preserved every mapped page.
-    let report = presets::read_reclaim(5, true).run().unwrap();
+    let report = presets::read_reclaim(5, true).unwrap().run().unwrap();
     assert_eq!(report.integrity_violations, 0);
     assert_eq!(report.read_failures, 0);
     assert!(report.verified_pages > 0);

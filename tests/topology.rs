@@ -124,7 +124,7 @@ fn aging_a_subset_of_dies_skews_wear_unevenly() {
 
 #[test]
 fn die_skew_survives_a_full_scenario_run() {
-    let report = presets::die_skew(5).run().unwrap();
+    let report = presets::die_skew(5).unwrap().run().unwrap();
     assert_eq!(report.integrity_violations, 0);
     assert_eq!(report.read_failures, 0);
     let fresh = &report.phases[0].services[0];

@@ -6,12 +6,12 @@
 use mlcx::nand::disturb::DisturbModel;
 use mlcx::xlayer::engine::EngineBuilder;
 use mlcx::xlayer::sim::presets::{
-    program_interference, scrub_vs_retry, write_hammer, MitigationMode,
+    channel_contention, program_interference, scrub_vs_retry, write_hammer, MitigationMode,
 };
 use mlcx::xlayer::sim::{Scenario, ScenarioReport, TraceKind};
 use mlcx::{
-    Command, ControllerConfig, Counters, DeviceGeometry, FaultPlan, Objective, RetryPolicy,
-    StorageEngine,
+    Command, ControllerConfig, Counters, DeviceGeometry, FaultPlan, MlcxError, Objective,
+    RetryPolicy, StorageEngine,
 };
 
 /// A 16-block x 8-page device keeps GC-heavy scenarios fast while the
@@ -321,26 +321,81 @@ fn counters_are_conserved_from_completions_to_the_scenario_total() {
     assert!(total.interference_reads > 0);
     assert!(total.injected_partial_programs > 0);
     assert_eq!(total.injected_partial_programs, engine.injected_faults());
+}
 
-    // Report level: a phase is the fold of its services, the run the
-    // fold of its phases.
-    for scenario in [
-        scrub_vs_retry(7, MitigationMode::Both),
-        program_interference(7),
+/// Report level: every total is the in-order fold of its parts, to the
+/// bit — a phase's energy and counters fold its services', the run's
+/// totals fold its phases' (and their services'). No report keeps a
+/// tally of its own.
+#[test]
+fn each_report_is_the_fold_of_its_parts() {
+    // `Debug` prints every float as its shortest round-trip text, so
+    // equal text is equal bits.
+    let same = |a: &Counters, b: &Counters| format!("{a:?}") == format!("{b:?}");
+    let mut every_run = Counters::default();
+    for (name, scenario) in [
+        ("scrub_vs_retry", scrub_vs_retry(7, MitigationMode::Both)),
+        ("program_interference", program_interference(7)),
+        ("channel_contention", channel_contention(7)),
     ] {
-        let report = scenario.run().unwrap();
-        let mut run = Counters::default();
+        let report = scenario.unwrap().run().unwrap();
+        assert!(report.phases.len() > 2, "{name}: prefill, traffic, verify");
+        let (mut commands, mut device_s, mut parallel_s, mut energy_j) = (0, 0.0, 0.0, 0.0);
+        let (mut hits, mut misses, mut violations, mut failures) = (0, 0, 0, 0);
+        let mut counters = Counters::default();
         for phase in &report.phases {
-            let mut folded = Counters::default();
+            let mut phase_energy_j = 0.0;
+            let mut phase_counters = Counters::default();
             for s in &phase.services {
-                folded.absorb(&s.counters);
+                phase_energy_j += s.energy_j;
+                phase_counters.absorb(&s.counters);
+                violations += s.integrity_violations;
+                failures += s.read_failures;
             }
-            assert_eq!(folded, phase.counters, "phase {}", phase.name);
-            run.absorb(&phase.counters);
+            let at = format!("{name}/{}", phase.name);
+            assert_eq!(phase_energy_j.to_bits(), phase.energy_j.to_bits(), "{at}");
+            assert!(same(&phase_counters, &phase.counters), "{at}");
+            commands += phase.commands;
+            device_s += phase.device_time_s;
+            parallel_s += phase.parallel_time_s;
+            energy_j += phase.energy_j;
+            hits += phase.op_cache_hits;
+            misses += phase.op_cache_misses;
+            counters.absorb(&phase.counters);
         }
-        assert_eq!(run, report.counters);
-        assert!(run.scrub_relocations > 0);
+        assert_eq!(commands, report.total_commands, "{name}");
+        assert_eq!(
+            device_s.to_bits(),
+            report.total_device_time_s.to_bits(),
+            "{name}"
+        );
+        assert_eq!(
+            parallel_s.to_bits(),
+            report.total_parallel_time_s.to_bits(),
+            "{name}"
+        );
+        assert_eq!(
+            energy_j.to_bits(),
+            report.total_energy_j.to_bits(),
+            "{name}"
+        );
+        assert_eq!(
+            (hits, misses),
+            (report.op_cache_hits, report.op_cache_misses),
+            "{name}"
+        );
+        assert_eq!(violations, report.integrity_violations, "{name}");
+        assert_eq!(failures, report.read_failures, "{name}");
+        assert!(same(&counters, &report.counters), "{name}");
+        assert!(
+            commands > 0 && energy_j > 0.0 && hits + misses > 0,
+            "{name}"
+        );
+        every_run.absorb(&counters);
     }
+    // The mitigations ran, so the counter folds compared nonzero values.
+    assert!(every_run.scrub_relocations > 0 && every_run.retry_reads > 0);
+    assert!(every_run.injected_partial_programs > 0);
 }
 
 #[test]
@@ -354,13 +409,13 @@ fn scrub_relocation_retries_pay_their_latency_in_the_service_report() {
     // 130.7 ms. (scrub_vs_retry(7, Both) never tripped it: host reads
     // teach every block its offset before the first scrub pass, so no
     // relocation there retries.)
-    type Preset = fn(u64, MitigationMode) -> Scenario;
+    type Preset = fn(u64, MitigationMode) -> Result<Scenario, MlcxError>;
     for (name, preset) in [
         ("scrub_vs_retry", scrub_vs_retry as Preset),
         ("write_hammer", write_hammer),
     ] {
-        let retry_only = preset(7, MitigationMode::RetryOnly).run().unwrap().counters;
-        let both = preset(7, MitigationMode::Both).run().unwrap().counters;
+        let run = |mode| preset(7, mode).unwrap().run().unwrap().counters;
+        let (retry_only, both) = (run(MitigationMode::RetryOnly), run(MitigationMode::Both));
         assert!(retry_only.retry_senses > 0 && both.retry_senses > 0);
         assert!(both.scrub_relocations > 0);
         let per_sense_s = |c: &Counters| c.retry_latency_s / c.retry_senses as f64;
