@@ -1,4 +1,10 @@
 //! Runtime-adaptable BCH codec (the paper's Section 4 architecture).
+//!
+//! The paper's controller envisions "an integrated reliability manager
+//! collecting and elaborating ... feedback from the ECC sub-system". That
+//! feedback is the [`DecodeOutcome`] each decode returns: the caller folds
+//! it (the controller hands it on in its read report), so the codec keeps
+//! no counter of its own.
 
 use std::fmt;
 use std::sync::Arc;
@@ -8,29 +14,6 @@ use mlcx_gf2::{minpoly::GeneratorTable, GfField};
 use crate::code::{BchCode, DecodeOutcome};
 use crate::error::BchError;
 use crate::kernel::CodecKernel;
-
-/// Running counters the codec exposes to the reliability manager.
-///
-/// The paper's controller envisions "an integrated reliability manager
-/// collecting and elaborating ... feedback from the ECC sub-system"; these
-/// counters are that feedback channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CodecStats {
-    /// Pages encoded since construction (or the last reset).
-    pub pages_encoded: u64,
-    /// Pages decoded.
-    pub pages_decoded: u64,
-    /// Pages that decoded with zero errors.
-    pub clean_pages: u64,
-    /// Pages that needed correction.
-    pub corrected_pages: u64,
-    /// Total corrected bit errors.
-    pub corrected_bits: u64,
-    /// Bit errors corrected in the most recent page.
-    pub last_corrected_bits: u32,
-    /// Pages declared uncorrectable.
-    pub uncorrectable_pages: u64,
-}
 
 /// BCH codec with correction capability programmable at runtime.
 ///
@@ -64,7 +47,6 @@ pub struct AdaptiveBch {
     rom: GeneratorTable,
     codes: Vec<Option<Arc<BchCode>>>,
     current_t: u32,
-    stats: CodecStats,
 }
 
 impl AdaptiveBch {
@@ -125,7 +107,6 @@ impl AdaptiveBch {
             rom,
             codes: vec![None; tmax as usize],
             current_t: tmin,
-            stats: CodecStats::default(),
         })
     }
 
@@ -244,14 +225,10 @@ impl AdaptiveBch {
     ///
     /// [`BchError::BufferSize`] when `message` is not `k/8` bytes.
     pub fn encode(&mut self, message: &[u8]) -> Result<Vec<u8>, BchError> {
-        let code = self.code()?;
-        let parity = code.encode(message)?;
-        self.stats.pages_encoded += 1;
-        Ok(parity)
+        self.code()?.encode(message)
     }
 
-    /// Decodes a page in place at the current capability and updates the
-    /// feedback counters.
+    /// Decodes a page in place at the current capability.
     ///
     /// # Errors
     ///
@@ -262,30 +239,7 @@ impl AdaptiveBch {
         message: &mut [u8],
         parity: &mut [u8],
     ) -> Result<DecodeOutcome, BchError> {
-        let code = self.code()?;
-        let outcome = code.decode(message, parity)?;
-        self.stats.pages_decoded += 1;
-        match &outcome {
-            DecodeOutcome::Clean => {
-                self.stats.clean_pages += 1;
-                self.stats.last_corrected_bits = 0;
-            }
-            DecodeOutcome::Corrected { bit_errors, .. } => {
-                self.stats.corrected_pages += 1;
-                self.stats.corrected_bits += *bit_errors as u64;
-                self.stats.last_corrected_bits = *bit_errors as u32;
-            }
-            DecodeOutcome::Uncorrectable => {
-                self.stats.uncorrectable_pages += 1;
-                self.stats.last_corrected_bits = 0;
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// The feedback counters.
-    pub fn stats(&self) -> CodecStats {
-        self.stats
+        self.code()?.decode(message, parity)
     }
 
     /// The underlying field.
@@ -364,22 +318,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn each_decode_reports_its_own_outcome() {
         let mut c = AdaptiveBch::new(10, 32 * 8, 1, 4).unwrap();
         c.set_correction(2).unwrap();
         let msg = vec![0u8; 32];
         let mut parity = c.encode(&msg).unwrap();
         let mut recv = msg.clone();
-        c.decode(&mut recv, &mut parity).unwrap();
+        assert_eq!(
+            c.decode(&mut recv, &mut parity).unwrap(),
+            DecodeOutcome::Clean
+        );
         recv[0] ^= 0x80;
-        c.decode(&mut recv, &mut parity).unwrap();
-        let s = c.stats();
-        assert_eq!(s.pages_encoded, 1);
-        assert_eq!(s.pages_decoded, 2);
-        assert_eq!(s.clean_pages, 1);
-        assert_eq!(s.corrected_pages, 1);
-        assert_eq!(s.corrected_bits, 1);
-        assert_eq!(s.last_corrected_bits, 1);
+        let out = c.decode(&mut recv, &mut parity).unwrap();
+        assert!(matches!(out, DecodeOutcome::Corrected { .. }));
+        assert_eq!(out.corrected_bits(), 1);
     }
 
     #[test]

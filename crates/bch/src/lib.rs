@@ -62,7 +62,7 @@ pub mod hardware;
 pub mod kernel;
 pub mod syndrome;
 
-pub use adaptive::{AdaptiveBch, CodecStats};
+pub use adaptive::AdaptiveBch;
 pub use code::{BchCode, DecodeOutcome};
 pub use error::BchError;
 pub use kernel::CodecKernel;

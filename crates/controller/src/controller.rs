@@ -4,7 +4,7 @@ use std::fmt;
 use std::mem;
 
 use mlcx_bch::hardware::{EccHardware, EccPowerModel};
-use mlcx_bch::{AdaptiveBch, CodecKernel, CodecStats, DecodeOutcome};
+use mlcx_bch::{AdaptiveBch, CodecKernel, DecodeOutcome};
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::device::CodeStore;
 use mlcx_nand::disturb::DisturbModel;
@@ -17,7 +17,7 @@ use crate::error::CtrlError;
 use crate::flash_if::FlashInterface;
 use crate::ocp::OcpSocket;
 use crate::regs::{ConfigCommand, RegisterFile};
-use crate::retry::{ReadOffsetTable, RetryPolicy, RetryStats};
+use crate::retry::{ReadOffsetTable, RetryPolicy};
 
 /// Static configuration of the controller instance: every setting is a
 /// `pub` field, set by struct update over [`ControllerConfig::date2012`],
@@ -271,8 +271,6 @@ pub struct MemoryController {
     /// Per-block read-reference offsets learned from successful
     /// retries; entries are forgotten on erase.
     offsets: ReadOffsetTable,
-    /// Retry subsystem counters.
-    retry_stats: RetryStats,
 }
 
 impl MemoryController {
@@ -326,7 +324,6 @@ impl MemoryController {
             page_ecc,
             scheduler,
             offsets: ReadOffsetTable::new(),
-            retry_stats: RetryStats::default(),
         })
     }
 
@@ -350,11 +347,6 @@ impl MemoryController {
         &self.regs
     }
 
-    /// Codec feedback counters (for the reliability manager).
-    pub fn codec_stats(&self) -> CodecStats {
-        self.codec.stats()
-    }
-
     /// The adaptive BCH codec (kernel/capability inspection).
     pub fn codec(&self) -> &AdaptiveBch {
         &self.codec
@@ -369,11 +361,6 @@ impl MemoryController {
     /// enabling disturb/retention mechanisms), not for datapath use.
     pub fn device_mut(&mut self) -> &mut NandDevice {
         &mut self.device
-    }
-
-    /// Retry subsystem counters accumulated across reads.
-    pub fn retry_stats(&self) -> RetryStats {
-        self.retry_stats
     }
 
     /// The per-block learned read-offset table.
@@ -613,9 +600,7 @@ impl MemoryController {
         let start = if enabled { self.offsets.get(block) } else { 0 };
         let mut report = self.read_page_at_offset(block, page, start)?;
         if enabled && report.outcome == DecodeOutcome::Uncorrectable {
-            self.retry_stats.retried_reads += 1;
             let budget = self.config.retry.max_senses;
-            let mut recovered = false;
             for rung in 0..self.config.retry.ladder.len() {
                 let off = self.config.retry.ladder[rung];
                 if off == start || report.senses >= budget {
@@ -623,7 +608,6 @@ impl MemoryController {
                 }
                 let next = self.read_page_at_offset(block, page, off)?;
                 let decoded = next.outcome != DecodeOutcome::Uncorrectable;
-                self.retry_stats.extra_senses += 1;
                 report.senses += 1;
                 report.latency_s += next.latency_s;
                 report.retry_latency_s += next.latency_s;
@@ -635,15 +619,9 @@ impl MemoryController {
                 report.outcome = next.outcome;
                 report.reference_offset = off;
                 if decoded {
-                    recovered = true;
                     self.offsets.learn(block, off);
                     break;
                 }
-            }
-            if recovered {
-                self.retry_stats.recovered_reads += 1;
-            } else {
-                self.retry_stats.exhausted_reads += 1;
             }
         }
         if report.outcome == DecodeOutcome::Uncorrectable {
@@ -674,8 +652,7 @@ impl MemoryController {
         let (mut data, mut parity, dev_report) = self.device.read_page_at(block, page, offset)?;
 
         // Decode at the page's write-time capability, restoring the host
-        // configuration afterwards; going through the adaptive codec keeps
-        // the reliability-manager feedback counters accurate.
+        // configuration afterwards.
         let host_t = self.codec.correction();
         self.codec.set_correction(t)?;
         let code = self.codec.code()?;
@@ -733,6 +710,22 @@ mod tests {
 
     fn controller() -> MemoryController {
         MemoryController::new(ControllerConfig::date2012(), 5).unwrap()
+    }
+
+    /// `(retried, extra senses, exhausted)` reads folded from their
+    /// reports — the retry account the engine keeps in its `Counters`.
+    fn retry_tally<'a>(reports: impl IntoIterator<Item = &'a ReadReport>) -> (u64, u64, u64) {
+        reports
+            .into_iter()
+            .fold((0, 0, 0), |(retried, extra, exhausted), r| {
+                let more = u64::from(r.senses - 1);
+                let was_retried = more > 0;
+                (
+                    retried + u64::from(was_retried),
+                    extra + more,
+                    exhausted + u64::from(was_retried && !r.outcome.is_success()),
+                )
+            })
     }
 
     #[test]
@@ -804,7 +797,6 @@ mod tests {
         let mut ctrl = controller();
         ctrl.erase_block(0).unwrap();
         ctrl.scheduler_mut().begin_batch();
-        let meter = ctrl.device().energy_meter();
         for actual in [4095, 4097] {
             assert_eq!(
                 ctrl.write_page(0, 0, &vec![0u8; actual]).unwrap_err(),
@@ -814,10 +806,15 @@ mod tests {
                 }
             );
         }
-        assert_eq!(ctrl.codec_stats().pages_encoded, 0);
-        assert_eq!(ctrl.device().energy_meter(), meter, "device untouched");
         assert!(ctrl.page_ecc.iter().all(|&t| t == 0), "no page mapped");
-        assert_eq!(ctrl.scheduler().batch_ops(), 0, "nothing issued");
+        assert_eq!(ctrl.device().block_reads_since_erase(0).unwrap(), 0);
+        assert_eq!(
+            ctrl.device_mut().read_page(0, 0).unwrap_err(),
+            mlcx_nand::NandError::PageNotProgrammed { block: 0, page: 0 },
+            "device untouched"
+        );
+        assert_eq!(ctrl.scheduler().command_window(), None, "nothing issued");
+        assert_eq!(ctrl.scheduler().batch_makespan_s(), 0.0);
         // The slot is still erased: a full page programs into it.
         ctrl.write_page(0, 0, &vec![0u8; 4096]).unwrap();
     }
@@ -964,7 +961,6 @@ mod tests {
             (makespan - sum).abs() < 1e-12,
             "1x1 makespan {makespan} must equal serial sum {sum}"
         );
-        assert_eq!(ctrl.scheduler().batch_ops(), 7);
     }
 
     #[test]
@@ -1056,16 +1052,8 @@ mod tests {
         assert!(r.senses > 1, "the first sense must have failed");
         assert_ne!(r.reference_offset, 0);
         assert!(r.retry_latency_s > 0.0 && r.retry_latency_s < r.latency_s);
-        let stats = ctrl.retry_stats();
-        assert_eq!(
-            (
-                stats.retried_reads,
-                stats.recovered_reads,
-                stats.exhausted_reads
-            ),
-            (1, 1, 0)
-        );
-        assert_eq!(stats.extra_senses, (r.senses - 1) as u64);
+        // One read retried and recovered, none exhausted.
+        assert_eq!(retry_tally([&r]), (1, u64::from(r.senses - 1), 0));
         assert_eq!(ctrl.read_offsets().get(0), r.reference_offset);
 
         // Steady state: the learned offset makes the next read a single
@@ -1117,12 +1105,14 @@ mod tests {
                 ctrl.write_page(0, page, &data).unwrap();
             }
         }
+        let mut reads = Vec::new();
         for page in 0..4 {
             let ra = a.read_page(0, page).unwrap();
             let rb = b.read_page(0, page).unwrap();
             assert_eq!(ra, rb, "page {page} diverged");
             assert_eq!(ra.senses, 1);
+            reads.push(rb);
         }
-        assert_eq!(b.retry_stats(), RetryStats::default());
+        assert_eq!(retry_tally(&reads), (0, 0, 0));
     }
 }

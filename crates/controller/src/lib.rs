@@ -82,5 +82,5 @@ pub use ftl::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_bch::CodecKernel;
 pub use regs::{ConfigCommand, RegisterFile, StatusFlags};
 pub use reliability::{ReliabilityManager, ReliabilityPolicy};
-pub use retry::{ReadOffsetTable, RetryPolicy, RetryStats};
-pub use scrub::{ScrubPolicy, ScrubStats, Scrubber};
+pub use retry::{ReadOffsetTable, RetryPolicy};
+pub use scrub::{ScrubPolicy, Scrubber};

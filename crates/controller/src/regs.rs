@@ -5,7 +5,9 @@
 //! The configured values themselves live where they act — the capability
 //! in the codec, the program algorithm in the device, the load strategy
 //! in the controller — so the register file holds what only it knows:
-//! the sticky status bits and the count of reconfigurations.
+//! the sticky status bits and the count of reconfigurations. That count
+//! is no copy of a report: no per-operation report carries a register
+//! write, and the engine a layer up reads it as its batch's knob writes.
 
 use mlcx_nand::ProgramAlgorithm;
 

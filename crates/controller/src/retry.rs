@@ -18,7 +18,9 @@
 //! The controller owns both pieces: [`RetryPolicy`] is the `retry` field
 //! of its `ControllerConfig` (the engine a layer up takes the whole
 //! config), and the learned table lives inside `MemoryController`, reset
-//! per block on erase.
+//! per block on erase. Each read's `ReadReport` carries its senses and
+//! outcome; the engine folds those into its `Counters` (`retry_reads`,
+//! `retry_senses`, `retry_exhausted`), which are the retry account.
 
 use std::collections::BTreeMap;
 
@@ -97,24 +99,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self::disabled()
     }
-}
-
-/// Counters for the retry subsystem, accumulated by the controller
-/// across reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Host reads whose first sense came back uncorrectable and entered
-    /// the ladder walk.
-    pub retried_reads: u64,
-    /// Extra senses issued beyond each read's first (ladder steps
-    /// actually sensed).
-    pub extra_senses: u64,
-    /// Retried reads that found a decodable offset before the sense
-    /// budget ran out.
-    pub recovered_reads: u64,
-    /// Retried reads that exhausted the ladder/budget still
-    /// uncorrectable.
-    pub exhausted_reads: u64,
 }
 
 /// Per-block read-reference offsets learned from successful retries.

@@ -20,13 +20,17 @@
 //! they already drive (the workload simulator compiles them into engine
 //! `Relocate`/`ScrubErase` commands, charged to the channel scheduler
 //! like any other operation).
+//!
+//! The scrubber keeps no counter of its own: each pass's returned plan
+//! and the map's [`crate::FtlStats`] (`scrub_runs`,
+//! `scrub_relocated_pages`, `interference_reclaims`) are its account.
 
 use std::ops::Range;
 
 use mlcx_nand::disturb::DisturbModel;
 use mlcx_nand::NandDevice;
 
-use crate::ftl::{FtlError, FtlOp, LogicalMap};
+use crate::ftl::{FtlOp, LogicalMap};
 
 /// When a block qualifies for read-reclaim, and how much reclaim work a
 /// single pass may emit.
@@ -109,23 +113,6 @@ impl Default for ScrubPolicy {
     }
 }
 
-/// Lifetime counters of one [`Scrubber`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubStats {
-    /// Scan passes run ([`Scrubber::plan_pass`] calls on an enabled
-    /// policy).
-    pub passes: u64,
-    /// Blocks whose reclaim plan was emitted.
-    pub blocks_reclaimed: u64,
-    /// Live pages relocated across all emitted plans.
-    pub relocated_pages: u64,
-    /// Erases emitted across all plans.
-    pub erases: u64,
-    /// Candidates skipped because the map lacked relocation room (the
-    /// pass retries them once host traffic has garbage-collected).
-    pub skipped_out_of_space: u64,
-}
-
 /// The background scrub policy engine (see the [module docs](self)).
 ///
 /// # Example
@@ -150,26 +137,17 @@ pub struct ScrubStats {
 #[derive(Debug, Clone)]
 pub struct Scrubber {
     policy: ScrubPolicy,
-    stats: ScrubStats,
 }
 
 impl Scrubber {
     /// A scrubber enforcing `policy`.
     pub fn new(policy: ScrubPolicy) -> Self {
-        Scrubber {
-            policy,
-            stats: ScrubStats::default(),
-        }
+        Scrubber { policy }
     }
 
     /// The enforced policy.
     pub fn policy(&self) -> &ScrubPolicy {
         &self.policy
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> ScrubStats {
-        self.stats
     }
 
     /// Blocks of `blocks` whose disturb state crossed a policy
@@ -252,7 +230,6 @@ impl Scrubber {
         if !self.policy.is_enabled() {
             return Vec::new();
         }
-        self.stats.passes += 1;
         let mut ops = Vec::new();
         let mut reclaimed = 0;
         for (_, interference_qualified, block) in self.pressed(device, map.blocks()) {
@@ -260,29 +237,20 @@ impl Scrubber {
                 break;
             }
             let mut wear = |b: usize| device.block_cycles(b).unwrap_or(0);
-            match map.plan_reclaim(block, &mut wear) {
-                Ok(plan) if plan.is_empty() => {}
-                Ok(plan) => {
-                    reclaimed += 1;
-                    self.stats.blocks_reclaimed += 1;
-                    if interference_qualified {
-                        map.note_interference_reclaim();
-                    }
-                    for op in &plan {
-                        match op {
-                            FtlOp::Relocate { .. } => self.stats.relocated_pages += 1,
-                            FtlOp::Erase { .. } => self.stats.erases += 1,
-                            FtlOp::Write { .. } => unreachable!("reclaim plans never host-write"),
-                        }
-                    }
-                    ops.extend(plan);
-                }
-                Err(FtlError::OutOfSpace) => self.stats.skipped_out_of_space += 1,
-                // plan_reclaim has no other error today; a future one
-                // is still just a skipped candidate to the background
-                // path.
-                Err(_) => self.stats.skipped_out_of_space += 1,
+            // `OutOfSpace` (plan_reclaim's only error today; a future one
+            // is still just a skipped candidate to the background path)
+            // and an empty plan both skip the block.
+            let Ok(plan) = map.plan_reclaim(block, &mut wear) else {
+                continue;
+            };
+            if plan.is_empty() {
+                continue;
             }
+            reclaimed += 1;
+            if interference_qualified {
+                map.note_interference_reclaim();
+            }
+            ops.extend(plan);
         }
         ops
     }
@@ -320,7 +288,7 @@ mod tests {
         let mut scrubber = Scrubber::new(ScrubPolicy::disabled());
         assert!(scrubber.candidates(ctrl.device(), 0..6).is_empty());
         assert!(scrubber.plan_pass(ctrl.device(), &mut map).is_empty());
-        assert_eq!(scrubber.stats(), ScrubStats::default());
+        assert_eq!(map.stats().scrub_runs, 0);
     }
 
     #[test]
@@ -419,9 +387,14 @@ mod tests {
         let plan = scrubber.plan_pass(ctrl.device(), &mut map);
         // One block per pass: 4 relocations + 1 erase, nothing more.
         assert_eq!(plan.len(), 5);
-        assert_eq!(scrubber.stats().blocks_reclaimed, 1);
-        assert_eq!(scrubber.stats().relocated_pages, 4);
-        assert_eq!(scrubber.stats().erases, 1);
+        let relocations = plan
+            .iter()
+            .filter(|op| matches!(op, FtlOp::Relocate { .. }))
+            .count();
+        assert_eq!(relocations, 4);
+        assert!(matches!(plan[4], FtlOp::Erase { .. }));
+        assert_eq!(map.stats().scrub_runs, 1);
+        assert_eq!(map.stats().scrub_relocated_pages, 4);
         // Execute the plan; the second pass then reclaims the other
         // pressed block.
         for op in plan {
@@ -439,6 +412,6 @@ mod tests {
         assert_eq!(ctrl.device().block_reads_since_erase(0).unwrap(), 0);
         let plan = scrubber.plan_pass(ctrl.device(), &mut map);
         assert!(matches!(plan.last(), Some(FtlOp::Erase { block: 1 })));
-        assert_eq!(scrubber.stats().passes, 2);
+        assert_eq!(map.stats().scrub_runs, 2);
     }
 }

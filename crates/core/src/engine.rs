@@ -829,13 +829,6 @@ impl StorageEngine {
         self.fault.plan()
     }
 
-    /// Lifetime count of programs the [`FaultPlan`] has interrupted
-    /// (across every batch, unlike the per-drain
-    /// [`Counters::injected_partial_programs`]).
-    pub fn injected_faults(&self) -> u64 {
-        self.fault.injected()
-    }
-
     /// Advances the device wall clock — the retention time base every
     /// stored page ages against — by `hours`.
     ///
@@ -2281,7 +2274,6 @@ mod tests {
         let mut quiet = build(0.0);
         let (w, r) = run(&mut quiet);
         assert_eq!(w.counters.injected_partial_programs, 0);
-        assert_eq!(quiet.injected_faults(), 0);
         assert!(!quiet.fault_plan().is_enabled());
         assert_eq!(r.counters.interference_reads, 3);
 
@@ -2290,7 +2282,6 @@ mod tests {
         let mut noisy = build(1.0);
         let (w, r) = run(&mut noisy);
         assert_eq!(w.counters.injected_partial_programs, 4);
-        assert_eq!(noisy.injected_faults(), 4);
         assert_eq!(r.counters.interference_reads, 4);
 
         // The schedule is a pure function of the plan's seed.

@@ -72,7 +72,6 @@ impl Default for FaultPlan {
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
-    injected: u64,
 }
 
 impl FaultInjector {
@@ -81,7 +80,6 @@ impl FaultInjector {
         FaultInjector {
             plan,
             rng: StdRng::seed_from_u64(plan.seed),
-            injected: 0,
         }
     }
 
@@ -98,17 +96,7 @@ impl FaultInjector {
             return None;
         }
         let roll: f64 = self.rng.random();
-        if roll < self.plan.partial_program_rate {
-            self.injected += 1;
-            Some(self.plan.partial_program_fraction)
-        } else {
-            None
-        }
-    }
-
-    /// Lifetime count of faults this injector has ordered.
-    pub fn injected(&self) -> u64 {
-        self.injected
+        (roll < self.plan.partial_program_rate).then_some(self.plan.partial_program_fraction)
     }
 }
 
@@ -122,7 +110,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_program(), None);
         }
-        assert_eq!(a.injected(), 0);
     }
 
     #[test]
@@ -153,6 +140,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(inj.next_program(), Some(0.5));
         }
-        assert_eq!(inj.injected(), 10);
     }
 }

@@ -44,13 +44,6 @@ pub enum GfError {
         /// The offending polynomial, encoded as an integer.
         poly: u64,
     },
-    /// An element outside `0..2^m` was passed to a field operation.
-    ElementOutOfRange {
-        /// The offending element.
-        element: u32,
-        /// The field size `2^m`.
-        size: u32,
-    },
     /// Multiplicative inverse of zero was requested.
     ZeroInverse,
 }
@@ -63,9 +56,6 @@ impl fmt::Display for GfError {
             }
             GfError::NotPrimitive { poly } => {
                 write!(f, "polynomial {poly:#x} is not primitive over GF(2)")
-            }
-            GfError::ElementOutOfRange { element, size } => {
-                write!(f, "element {element} outside field of size {size}")
             }
             GfError::ZeroInverse => write!(f, "multiplicative inverse of zero requested"),
         }
@@ -642,10 +632,6 @@ mod tests {
         for e in [
             GfError::UnsupportedDegree { m: 1 },
             GfError::NotPrimitive { poly: 3 },
-            GfError::ElementOutOfRange {
-                element: 9,
-                size: 8,
-            },
             GfError::ZeroInverse,
         ] {
             assert!(!e.to_string().is_empty());

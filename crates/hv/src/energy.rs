@@ -11,17 +11,6 @@ pub struct PhaseEnergy {
     pub energy_j: f64,
 }
 
-impl PhaseEnergy {
-    /// Mean power of the phase, watts.
-    pub fn power_w(&self) -> f64 {
-        if self.duration_s <= 0.0 {
-            0.0
-        } else {
-            self.energy_j / self.duration_s
-        }
-    }
-}
-
 /// Full energy breakdown of one memory operation (program, read, erase).
 ///
 /// # Example
@@ -52,11 +41,6 @@ impl OperationEnergy {
         &self.phases
     }
 
-    /// Appends a phase record.
-    pub fn push(&mut self, phase: PhaseEnergy) {
-        self.phases.push(phase);
-    }
-
     /// Total supply energy of the operation, joules.
     pub fn total_energy_j(&self) -> f64 {
         self.phases.iter().map(|p| p.energy_j).sum()
@@ -75,48 +59,6 @@ impl OperationEnergy {
             0.0
         } else {
             self.total_energy_j() / t
-        }
-    }
-}
-
-/// Accumulates operation energies into device-lifetime totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EnergyMeter {
-    /// Total accumulated energy, joules.
-    pub total_energy_j: f64,
-    /// Total accumulated busy time, seconds.
-    pub total_time_s: f64,
-    /// Number of operations accumulated.
-    pub operations: u64,
-}
-
-impl EnergyMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        EnergyMeter::default()
-    }
-
-    /// Folds one operation into the running totals.
-    pub fn record(&mut self, op: &OperationEnergy) {
-        self.total_energy_j += op.total_energy_j();
-        self.total_time_s += op.duration_s();
-        self.operations += 1;
-    }
-
-    /// Folds another meter into this one — rolling per-die meters up
-    /// into per-channel or subsystem totals.
-    pub fn absorb(&mut self, other: &EnergyMeter) {
-        self.total_energy_j += other.total_energy_j;
-        self.total_time_s += other.total_time_s;
-        self.operations += other.operations;
-    }
-
-    /// Lifetime average power, watts.
-    pub fn average_power_w(&self) -> f64 {
-        if self.total_time_s <= 0.0 {
-            0.0
-        } else {
-            self.total_energy_j / self.total_time_s
         }
     }
 }
@@ -157,7 +99,11 @@ mod tests {
     #[test]
     fn average_power_between_phase_powers() {
         let op = sample();
-        let powers: Vec<f64> = op.phases().iter().map(|p| p.power_w()).collect();
+        let powers: Vec<f64> = op
+            .phases()
+            .iter()
+            .map(|p| p.energy_j / p.duration_s)
+            .collect();
         let min = powers.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = powers.iter().cloned().fold(0.0, f64::max);
         let avg = op.average_power_w();
@@ -169,16 +115,5 @@ mod tests {
         let op = OperationEnergy::default();
         assert_eq!(op.average_power_w(), 0.0);
         assert_eq!(op.total_energy_j(), 0.0);
-    }
-
-    #[test]
-    fn meter_accumulates() {
-        let mut meter = EnergyMeter::new();
-        let op = sample();
-        meter.record(&op);
-        meter.record(&op);
-        assert_eq!(meter.operations, 2);
-        assert!((meter.total_energy_j - 2.0 * op.total_energy_j()).abs() < 1e-15);
-        assert!((meter.average_power_w() - op.average_power_w()).abs() < 1e-9);
     }
 }

@@ -44,7 +44,7 @@ pub mod energy;
 pub mod sequencer;
 
 pub use dickson::{DicksonPump, RampResult};
-pub use energy::{EnergyMeter, OperationEnergy, PhaseEnergy};
+pub use energy::{OperationEnergy, PhaseEnergy};
 pub use regulator::{HystereticRegulator, RegulatedPump};
 pub use sequencer::{Phase, PhaseKind, Sequencer};
 pub use subsystem::HvSubsystem;

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::mem;
 
-use mlcx_hv::{EnergyMeter, HvSubsystem, Phase, PhaseKind, Sequencer};
+use mlcx_hv::{HvSubsystem, Phase, PhaseKind, Sequencer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -188,13 +188,6 @@ impl ProgramCosts {
     }
 }
 
-/// Per-die simulation state: each die ages independently, injects
-/// errors from its own seeded stream, and meters its own energy.
-struct DieState {
-    rng: StdRng,
-    meter: EnergyMeter,
-}
-
 /// The seed of a die's error-injection stream. Die 0 uses the device
 /// seed unchanged, so a 1-channel/1-die topology replays exactly the
 /// stream the single-die model produced (the paper-figure experiments
@@ -238,13 +231,14 @@ pub struct NandDevice {
     disturb: DisturbModel,
     clock_hours: f64,
     blocks: Vec<Block>,
-    dies: Vec<DieState>,
+    /// Per-die error-injection streams: each die injects errors from its
+    /// own seeded stream (dies age independently through their blocks).
+    die_rngs: Vec<StdRng>,
     /// Lifetime program count per die (program-disturb exposure base).
     die_programs: Vec<u64>,
     /// One-shot partial-program arm: the next program executes only this
     /// fraction of its ISPP staircase (power-loss injection).
     partial_arm: Option<f64>,
-    meter: EnergyMeter,
     /// Phase totals of a page read and a block erase (constants of the
     /// timing set and the HV subsystem).
     read_cost: OpCost,
@@ -301,13 +295,10 @@ impl NandDevice {
                 programmed: 0,
             })
             .collect();
-        let dies: Vec<DieState> = (0..geometry.topology.total_dies())
-            .map(|die| DieState {
-                rng: StdRng::seed_from_u64(die_seed(seed, die)),
-                meter: EnergyMeter::new(),
-            })
+        let die_rngs: Vec<StdRng> = (0..geometry.topology.total_dies())
+            .map(|die| StdRng::seed_from_u64(die_seed(seed, die)))
             .collect();
-        let die_programs = vec![0u64; dies.len()];
+        let die_programs = vec![0u64; die_rngs.len()];
         let sequencer = Sequencer::new(hv);
         let single_phase = |kind, duration_s| {
             let op = sequencer.execute(&[Phase { kind, duration_s }]);
@@ -330,10 +321,9 @@ impl NandDevice {
             disturb: DisturbModel::disabled(),
             clock_hours: 0.0,
             blocks,
-            dies,
+            die_rngs,
             die_programs,
             partial_arm: None,
-            meter: EnergyMeter::new(),
             read_cost,
             erase_cost,
             program_costs,
@@ -363,25 +353,6 @@ impl NandDevice {
     /// The code store.
     pub fn code_store(&self) -> &CodeStore {
         &self.code_store
-    }
-
-    /// Lifetime energy/busy-time totals across every die.
-    pub fn energy_meter(&self) -> EnergyMeter {
-        self.meter
-    }
-
-    /// Lifetime energy/busy-time totals of one die.
-    ///
-    /// The device-wide [`NandDevice::energy_meter`] is always the sum of
-    /// the per-die meters (`EnergyMeter::absorb` folds them back
-    /// together for per-channel rollups).
-    ///
-    /// # Errors
-    ///
-    /// [`NandError::DieOutOfRange`] for bad indices.
-    pub fn die_energy_meter(&self, die: usize) -> Result<EnergyMeter, NandError> {
-        self.check_die(die)?;
-        Ok(self.dies[die].meter)
     }
 
     /// Enables (or replaces) the read-disturb / retention model. The
@@ -679,8 +650,7 @@ impl NandDevice {
         b.programmed = 0;
         b.pe_cycles += 1;
         b.reads_since_erase = 0;
-        let die = self.geometry.die_of_block(block);
-        Ok(self.finish(die, OpKind::Erase, self.erase_cost))
+        Ok(self.finish(OpKind::Erase, self.erase_cost))
     }
 
     /// Arms a one-shot partial-program injection: the *next*
@@ -816,7 +786,7 @@ impl NandDevice {
         slot.spare.clear();
         slot.spare.extend_from_slice(spare);
         b.programmed = page + 1;
-        Ok(self.finish(die, OpKind::Program, cost))
+        Ok(self.finish(OpKind::Program, cost))
     }
 
     /// Reads a page back, injecting raw bit errors per the lifetime RBER
@@ -893,7 +863,7 @@ impl NandDevice {
         // perturb the injection sequence of another. Injection covers
         // the *stored* bytes only — the pad below is appended after, so
         // short-spare programs draw exactly the stream they always did.
-        let rng = &mut self.dies[die].rng;
+        let rng = &mut self.die_rngs[die];
         let total_bits = (data.len() + spare.len()) * 8;
         let errors = sample_binomial(rng, total_bits as u64, rber);
         for _ in 0..errors {
@@ -909,22 +879,14 @@ impl NandDevice {
         // tail senses as the erased state.
         spare.resize(geometry_spare, 0xFF);
 
-        let report = self.finish(die, OpKind::Read, self.read_cost);
+        let report = self.finish(OpKind::Read, self.read_cost);
         Ok((data, spare, report))
     }
 
-    /// Adds the command overhead and meters the operation on its die and
-    /// on the device.
-    fn finish(&mut self, die: usize, kind: OpKind, cost: OpCost) -> OpReport {
+    /// Adds the command overhead: the operation's report is its account.
+    fn finish(&self, kind: OpKind, cost: OpCost) -> OpReport {
         let duration_s = cost.duration_s + self.timing.command_overhead_s;
         let energy_j = cost.energy_j;
-        let op = EnergyMeter {
-            total_energy_j: energy_j,
-            total_time_s: duration_s,
-            operations: 1,
-        };
-        self.dies[die].meter.absorb(&op);
-        self.meter.absorb(&op);
         OpReport {
             kind,
             duration_s,
@@ -1177,15 +1139,18 @@ mod tests {
     }
 
     #[test]
-    fn energy_meter_accumulates() {
+    fn op_reports_fold_to_the_average_power() {
         let mut dev = device();
-        dev.erase_block(0).unwrap();
-        dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
-        dev.read_page(0, 0).unwrap();
-        let m = dev.energy_meter();
-        assert_eq!(m.operations, 3);
-        assert!(m.total_energy_j > 0.0);
-        assert!(m.average_power_w() > 0.05 && m.average_power_w() < 0.5);
+        let reports = [
+            dev.erase_block(0).unwrap(),
+            dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap(),
+            dev.read_page(0, 0).unwrap().2,
+        ];
+        let energy_j: f64 = reports.iter().map(|r| r.energy_j).sum();
+        let time_s: f64 = reports.iter().map(|r| r.duration_s).sum();
+        assert!(energy_j > 0.0);
+        let average_w = energy_j / time_s;
+        assert!(average_w > 0.05 && average_w < 0.5);
     }
 
     #[test]
@@ -1410,7 +1375,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_die_bank_ages_independently_with_per_die_meters() {
+    fn multi_die_bank_ages_independently() {
         let mut dev = NandDevice::with_config(
             DeviceGeometry::date2012_topology(2, 2), // 4 dies x 64 blocks
             NandTiming::date2012(),
@@ -1430,21 +1395,6 @@ mod tests {
         // Block-level wear reflects the die partition boundary.
         assert_eq!(dev.block_cycles(63).unwrap(), 0);
         assert_eq!(dev.block_cycles(64).unwrap(), 10_000);
-
-        // Ops meter into their die; device meter is the die-meter sum.
-        dev.erase_block(0).unwrap(); // die 0
-        dev.erase_block(64).unwrap(); // die 1
-        dev.program_page(64, 0, &vec![0u8; 4096], &[]).unwrap();
-        let d0 = dev.die_energy_meter(0).unwrap();
-        let d1 = dev.die_energy_meter(1).unwrap();
-        assert_eq!(d0.operations, 1);
-        assert_eq!(d1.operations, 2);
-        assert_eq!(dev.die_energy_meter(2).unwrap().operations, 0);
-        let mut rollup = EnergyMeter::new();
-        for die in 0..4 {
-            rollup.absorb(&dev.die_energy_meter(die).unwrap());
-        }
-        assert_eq!(rollup, dev.energy_meter());
 
         // Die addressing is validated.
         assert_eq!(

@@ -139,11 +139,6 @@ impl ThresholdSpec {
         }
     }
 
-    /// `true` when a threshold voltage exceeds the over-programming limit.
-    pub fn is_over_programmed(&self, vth: f64) -> bool {
-        vth > self.over_program_v
-    }
-
     /// Number of differing bits between the Gray codes of two levels —
     /// the bit cost of a misread between them.
     pub fn bit_errors_between(a: MlcLevel, b: MlcLevel) -> u32 {
@@ -205,13 +200,6 @@ mod tests {
         assert_eq!(s.classify(4.2), MlcLevel::L3);
         // Boundary behaviour: exactly at R2 reads as L2.
         assert_eq!(s.classify(s.read_v[1]), MlcLevel::L2);
-    }
-
-    #[test]
-    fn over_programming_detection() {
-        let s = ThresholdSpec::date2012();
-        assert!(!s.is_over_programmed(4.5));
-        assert!(s.is_over_programmed(5.5));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example self_adaptive`
 
 use mlcx::{
-    ConfigCommand, ControllerConfig, MemoryController, ReliabilityManager, ReliabilityPolicy,
+    ConfigCommand, ControllerConfig, DecodeOutcome, MemoryController, ReliabilityManager,
+    ReliabilityPolicy,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,6 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let data: Vec<u8> = (0..4096).map(|i| (i * 13) as u8).collect();
+    // The codec's feedback is the outcome each read reports.
+    let mut outcomes = Vec::new();
     // March the block through its life in decade steps.
     for wear_step in [0u64, 1_000, 10_000, 100_000, 400_000, 1_000_000] {
         ctrl.age_block(0, wear_step)?;
@@ -40,6 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let r = ctrl.read_page(0, page)?;
             worst = worst.max(r.outcome.corrected_bits());
             manager.observe(&r.outcome);
+            outcomes.push(r.outcome);
         }
 
         // The manager's epoch closed: apply its recommendation.
@@ -59,10 +63,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let stats = ctrl.codec_stats();
+    let corrected = outcomes
+        .iter()
+        .filter(|o| matches!(o, DecodeOutcome::Corrected { .. }))
+        .count();
+    let bits_fixed: usize = outcomes.iter().map(DecodeOutcome::corrected_bits).sum();
+    let uncorrectable = outcomes.iter().filter(|o| !o.is_success()).count();
     println!(
-        "\ncodec feedback: {} pages decoded, {} corrected, {} bits fixed, {} uncorrectable",
-        stats.pages_decoded, stats.corrected_pages, stats.corrected_bits, stats.uncorrectable_pages
+        "\ncodec feedback: {} pages decoded, {corrected} corrected, {bits_fixed} bits fixed, {uncorrectable} uncorrectable",
+        outcomes.len()
     );
     println!(
         "register file saw {} reconfiguration commands",

@@ -92,8 +92,8 @@ pub use mlcx_controller::{
     ReadReport, ReliabilityManager, ReliabilityPolicy, WriteReport,
 };
 pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
-pub use mlcx_controller::{ReadOffsetTable, RetryPolicy, RetryStats};
-pub use mlcx_controller::{ScrubPolicy, ScrubStats, Scrubber};
+pub use mlcx_controller::{ReadOffsetTable, RetryPolicy};
+pub use mlcx_controller::{ScrubPolicy, Scrubber};
 pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
     EngineBuilder, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint, QosSpec, Scenario,

@@ -279,7 +279,6 @@ fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
     engine.sq().submit_owned(cmds).unwrap();
     assert!(engine.cq().drain().iter().all(|c| c.result.is_ok()));
 
-    assert_eq!(engine.injected_faults(), 2, "unit rate interrupts both");
     assert_eq!(engine.last_batch().counters.injected_partial_programs, 2);
     let device = engine.controller().device();
     assert!(device.page_partially_programmed(0, 0).unwrap());

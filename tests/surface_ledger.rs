@@ -18,7 +18,8 @@
 //! library code carries, so a rule that loses its scope or a new
 //! `#[expect]` is an edit of a literal here too. The banned types
 //! (hash-ordered containers, wall clocks) carry none in any target. So
-//! is a new `unsafe` block or `unsafe fn` in library code.
+//! is a new `unsafe` block or `unsafe fn` in library code, and a new
+//! lifetime tally (a `pub struct` named `..Stats` or `..Meter`).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -91,7 +92,7 @@ fn pub_fields(source: &str, name: &str) -> usize {
 
 #[test]
 fn the_facade_reexports_what_the_ledger_says() {
-    assert_eq!(reexported_names(FACADE), 60);
+    assert_eq!(reexported_names(FACADE), 58);
 }
 
 #[test]
@@ -105,7 +106,7 @@ fn the_builders_have_the_setters_the_ledger_says() {
 fn the_storage_engine_has_the_queries_the_ledger_says() {
     // One route per host query: the completions and `last_batch` are
     // the engine's only accounts, `sq()`/`cq()` its queue views.
-    assert_eq!(pub_fns(ENGINE, "StorageEngine").len(), 15);
+    assert_eq!(pub_fns(ENGINE, "StorageEngine").len(), 14);
 }
 
 #[test]
@@ -128,10 +129,10 @@ fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Occurrences of any of `needles` in the whitespace-free source text,
-/// per library source tree: the root `src/` and every `src/` under
-/// `crates/`. Trees without one are left out.
-fn library_counts(needles: &[&str]) -> BTreeMap<String, usize> {
+/// What `count` finds in the whitespace-free source text, summed per
+/// library source tree: the root `src/` and every `src/` under
+/// `crates/`. Trees where it finds nothing are left out.
+fn library_counts(count: impl Fn(&str) -> usize) -> BTreeMap<String, usize> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_files(&root.join("src"), &mut files);
@@ -147,7 +148,7 @@ fn library_counts(needles: &[&str]) -> BTreeMap<String, usize> {
             .expect("source file reads")
             .split_whitespace()
             .collect();
-        let found: usize = needles.iter().map(|n| text.matches(n).count()).sum();
+        let found = count(&text);
         if found > 0 {
             *counts.entry(rel[..at + 3].to_string()).or_insert(0) += found;
         }
@@ -155,10 +156,15 @@ fn library_counts(needles: &[&str]) -> BTreeMap<String, usize> {
     counts
 }
 
+/// Occurrences of any of `needles` in `text`.
+fn occurrences(text: &str, needles: &[&str]) -> usize {
+    needles.iter().map(|n| text.matches(n).count()).sum()
+}
+
 /// Clippy exceptions (`#[expect(clippy::..)]` / `#[allow(clippy::..)]`,
 /// outer or inner, however rustfmt wrapped them) per library source tree.
 fn clippy_exceptions() -> BTreeMap<String, usize> {
-    library_counts(&["[expect(clippy::", "[allow(clippy::"])
+    library_counts(|text| occurrences(text, &["[expect(clippy::", "[allow(clippy::"]))
 }
 
 #[test]
@@ -238,9 +244,41 @@ fn the_library_code_has_the_unsafe_the_ledger_says() {
     // blocks of its multiply-accumulate and the one call of the one
     // `#[target_feature]` function, which is the one `unsafe fn`.
     let expected = BTreeMap::from([("crates/gf2/src".to_string(), 4)]);
-    assert_eq!(library_counts(&["unsafe{"]), expected, "unsafe blocks");
+    let blocks = library_counts(|text| occurrences(text, &["unsafe{"]));
+    assert_eq!(blocks, expected, "unsafe blocks");
     let expected = BTreeMap::from([("crates/gf2/src".to_string(), 1)]);
-    assert_eq!(library_counts(&["unsafefn"]), expected, "unsafe fns");
+    let fns = library_counts(|text| occurrences(text, &["unsafefn"]));
+    assert_eq!(fns, expected, "unsafe fns");
+}
+
+#[test]
+fn the_library_keeps_the_tallies_the_ledger_says() {
+    // One metrics spine: the engine's completions and `BatchReport`, fed
+    // by the report each operation returns below it. `FtlStats` is the
+    // one lifetime tally left in library code (the FTL's only account);
+    // `LevelStats` (one Monte-Carlo page's Vth distributions) and
+    // `LatencyStats` (one report's percentiles) are results computed
+    // once from a population, not counters kept across operations. A
+    // second tally is an edit of a number here.
+    let tallies = library_counts(|text| {
+        text.split("pubstruct")
+            .skip(1)
+            .filter(|rest| {
+                let name = rest
+                    .split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+                    .expect("split yields one piece");
+                name.ends_with("Stats") || name.ends_with("Meter")
+            })
+            .count()
+    });
+    let expected = [
+        "crates/controller/src",
+        "crates/core/src",
+        "crates/nand/src",
+    ]
+    .map(|tree| (tree.to_string(), 1));
+    assert_eq!(tallies, BTreeMap::from(expected));
 }
 
 #[test]

@@ -154,7 +154,7 @@ fn out_of_range_die_addressing_is_rejected_everywhere() {
         Err(mlcx::nand::NandError::DieOutOfRange { die: 7, dies: 2 })
     ));
     assert!(matches!(
-        device.die_energy_meter(2),
+        device.die_mean_cycles(2),
         Err(mlcx::nand::NandError::DieOutOfRange { .. })
     ));
 
