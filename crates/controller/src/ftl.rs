@@ -497,10 +497,7 @@ impl LogicalMap {
     ///
     /// Panics when `block` is outside the map's range (the scrubber
     /// iterates [`LogicalMap::blocks`], so a foreign block is caller
-    /// misuse, not a runtime condition) — or on a broken internal
-    /// allocator invariant (a mid-relocation allocation failure after
-    /// the up-front capacity check passed), which must never silently
-    /// leave the map half-mutated.
+    /// misuse, not a runtime condition).
     ///
     /// # Errors
     ///
@@ -546,17 +543,10 @@ impl LogicalMap {
         let mut ops = Vec::with_capacity(live + 1);
         // The up-front capacity check guarantees every allocation:
         // every erased page outside the (now closed) victim is
-        // reachable by take_slot. Returning OutOfSpace here instead
-        // would hand the caller an innocent-looking skip with the
-        // map already half-mutated — fail loudly instead.
-        #[expect(
-            clippy::expect_used,
-            reason = "the capacity check above guarantees the slots; Err here would leave the map half-mutated"
-        )]
+        // reachable by take_slot, so evacuation cannot fail part-way.
         self.evacuate(block, &mut ops, wear, |s| {
             (&mut s.scrub_relocated_pages, &mut s.scrub_runs)
-        })
-        .expect("reclaim capacity was checked up front; allocator invariant broken");
+        })?;
         Ok(ops)
     }
 }

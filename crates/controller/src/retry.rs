@@ -202,8 +202,13 @@ mod tests {
         // And the recovered RBER at that rung is a small fraction of
         // nominal — the ladder genuinely recovers the read.
         let nominal = m.additional_rber(DisturbModel::SCRUB_READ_THRESHOLD, 8760.0, 1_000_000);
-        let at_rung =
-            m.rber_at_offset(DisturbModel::SCRUB_READ_THRESHOLD, 8760.0, 1_000_000, *best);
+        let at_rung = m.rber_at_offset(
+            DisturbModel::SCRUB_READ_THRESHOLD,
+            8760.0,
+            1_000_000,
+            0.0,
+            *best,
+        );
         assert!(at_rung < nominal / 5.0, "{at_rung:e} vs {nominal:e}");
     }
 

@@ -12,6 +12,8 @@
 //! A new counter is one field here, one line in `record`, one line in
 //! `absorb` and its renderer column.
 
+use mlcx_controller::ReadReport;
+
 use crate::engine::CommandOutput;
 
 /// Event counters of the reliability mitigations (scrub, read-retry)
@@ -60,9 +62,7 @@ impl Counters {
     pub fn record(&mut self, output: &CommandOutput) {
         match output {
             CommandOutput::Read(r) => {
-                if r.senses > 1 {
-                    self.retried(r.senses - 1, r.retry_latency_s, r.outcome.is_success());
-                }
+                self.retries_of(r);
                 if r.interference_rber > 0.0 {
                     self.interference_reads += 1;
                 }
@@ -72,38 +72,33 @@ impl Counters {
                     self.injected_partial_programs += 1;
                 }
             }
-            CommandOutput::Erase {
-                duration_s, scrub, ..
-            } => {
+            CommandOutput::Erase { report, scrub } => {
                 if *scrub {
                     self.scrub_erases += 1;
-                    self.scrub_latency_s += duration_s;
+                    self.scrub_latency_s += report.duration_s;
                 }
             }
-            CommandOutput::Relocate {
-                read_ok,
-                retry_senses,
-                retry_latency_s,
-                latency_s,
-                ..
-            } => {
+            // The source read counts its retries like any read, but not
+            // its interference: that counter is host and GC reads only.
+            CommandOutput::Relocate { read, write } => {
                 self.scrub_relocations += 1;
-                self.scrub_latency_s += latency_s;
-                if *retry_senses > 0 {
-                    self.retried(*retry_senses, *retry_latency_s, *read_ok);
-                }
+                self.scrub_latency_s += read.latency_s + write.latency_s;
+                self.retries_of(read);
             }
             CommandOutput::Trim { .. } | CommandOutput::Configure { .. } => {}
         }
     }
 
-    /// One read that walked the retry ladder for `extra_senses`.
-    fn retried(&mut self, extra_senses: u32, latency_s: f64, recovered: bool) {
-        self.retry_reads += 1;
-        self.retry_senses += u64::from(extra_senses);
-        self.retry_latency_s += latency_s;
-        if !recovered {
-            self.retry_exhausted += 1;
+    /// The retry ladder of one read: counted when it sensed more than
+    /// once.
+    fn retries_of(&mut self, r: &ReadReport) {
+        if r.senses > 1 {
+            self.retry_reads += 1;
+            self.retry_senses += u64::from(r.senses - 1);
+            self.retry_latency_s += r.retry_latency_s;
+            if !r.outcome.is_success() {
+                self.retry_exhausted += 1;
+            }
         }
     }
 
@@ -138,13 +133,19 @@ impl Counters {
 mod tests {
     use super::*;
     use crate::policy::Objective;
+    use mlcx_bch::DecodeOutcome;
+    use mlcx_controller::WriteReport;
+    use mlcx_nand::{OpReport, ProgramAlgorithm};
 
     #[test]
     fn record_reads_each_output_kind_and_absorb_sums_every_field() {
-        let mut c = Counters::default();
-        c.record(&CommandOutput::Erase {
+        let erase = OpReport {
             duration_s: 2e-3,
             energy_j: 1e-6,
+        };
+        let mut c = Counters::default();
+        c.record(&CommandOutput::Erase {
+            report: erase,
             scrub: false,
         });
         c.record(&CommandOutput::Trim { was_mapped: true });
@@ -154,25 +155,44 @@ mod tests {
         assert_eq!(c, Counters::default(), "host traffic counts nothing");
 
         c.record(&CommandOutput::Erase {
-            duration_s: 2e-3,
-            energy_j: 1e-6,
+            report: erase,
             scrub: true,
         });
-        let relocate = |retry_senses, read_ok| CommandOutput::Relocate {
-            corrected_bits: 0,
-            read_ok,
-            retry_senses,
-            retry_latency_s: 1e-4 * f64::from(retry_senses),
-            latency_s: 1e-3,
-            energy_j: 1e-6,
-            t_used: 3,
+        let relocate = |senses: u32, outcome, interference_rber| CommandOutput::Relocate {
+            read: Box::new(ReadReport {
+                data: vec![0x5A; 8],
+                outcome,
+                latency_s: 7e-4,
+                energy_j: 1e-6,
+                sense_s: 0.0,
+                transfer_s: 0.0,
+                decode_s: 0.0,
+                t_used: 3,
+                senses,
+                reference_offset: 0,
+                retry_latency_s: 1e-4 * f64::from(senses - 1),
+                interference_rber,
+            }),
+            write: WriteReport {
+                latency_s: 3e-4,
+                energy_j: 1e-6,
+                load_s: 0.0,
+                encode_s: 0.0,
+                transfer_s: 0.0,
+                program_s: 0.0,
+                t_used: 3,
+                algorithm: ProgramAlgorithm::IsppSv,
+                injected_partial: false,
+            },
         };
-        c.record(&relocate(0, true));
-        c.record(&relocate(2, false));
+        // A relocation's source read counts its retries but never its
+        // interference.
+        c.record(&relocate(1, DecodeOutcome::Clean, 1e-3));
+        c.record(&relocate(3, DecodeOutcome::Uncorrectable, 0.0));
         let expected = Counters {
             scrub_relocations: 2,
             scrub_erases: 1,
-            scrub_latency_s: 2e-3 + 1e-3 + 1e-3,
+            scrub_latency_s: 2e-3 + (7e-4 + 3e-4) + (7e-4 + 3e-4),
             retry_reads: 1,
             retry_senses: 2,
             retry_exhausted: 1,

@@ -15,11 +15,12 @@
 //! window becomes a completion event — so completions surface in
 //! *completion-time* order, out of order with respect to dispatch
 //! whenever dies overlap. Each drain also produces an aggregate
-//! [`BatchReport`] of modeled latency, energy, throughput and
+//! [`BatchReport`] of modeled device time, energy, channel overlap and
 //! tail-latency flow percentiles. Those are the engine's only accounts:
-//! every per-command fact is in its [`Completion`], every per-drain sum
-//! in the [`BatchReport`], and a host that wants a per-service tally
-//! counts the completions it drained.
+//! every per-command fact (its bytes, its own latency, the reports of
+//! the operations it ran) is in its [`Completion`], every per-drain sum
+//! in the [`BatchReport`], and a host that wants a per-kind or
+//! per-service tally folds the completions it drained.
 //!
 //! The engine is also where the cross-layer re-derivation cost is paid
 //! once instead of per page: the operating point selected by a service's
@@ -59,6 +60,7 @@ use std::fmt;
 use std::ops::Range;
 
 use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, ScrubPolicy, WriteReport};
+use mlcx_nand::OpReport;
 
 use crate::counters::Counters;
 use crate::error::MlcxError;
@@ -174,8 +176,8 @@ pub enum Command {
     /// (read + ECC correct at the source's write-time capability, then
     /// re-encode and program at the service's current operating point) —
     /// the relocation primitive of scrub/read-reclaim maintenance.
-    /// Counted under [`Counters::scrub_relocations`], not the host
-    /// byte counters.
+    /// Counted under [`Counters::scrub_relocations`]; its output is
+    /// [`CommandOutput::Relocate`], never a host read or write.
     Relocate {
         /// Issuing service.
         service: ServiceHandle,
@@ -267,12 +269,10 @@ pub enum CommandOutput {
     Read(ReadReport),
     /// Write result: the latency/energy breakdown and configuration used.
     Write(WriteReport),
-    /// Erase result: device busy time and energy.
+    /// Erase result: the device's busy time and energy.
     Erase {
-        /// Erase busy time, seconds.
-        duration_s: f64,
-        /// Erase energy, joules.
-        energy_j: f64,
+        /// The device's report of the erase.
+        report: OpReport,
         /// Whether the erase ran as scrub maintenance
         /// ([`Command::ScrubErase`]) rather than host or GC traffic.
         scrub: bool,
@@ -287,25 +287,17 @@ pub enum CommandOutput {
         /// The objective the service was bound to before.
         previous: Objective,
     },
-    /// Scrub relocation result.
+    /// Scrub relocation result: the reports of its two operations. The
+    /// command's latency and energy are the sums of theirs.
     Relocate {
-        /// Raw bit errors the ECC corrected reading the source page.
-        corrected_bits: usize,
-        /// Whether the source decode succeeded (the best-effort data is
-        /// relocated either way; a miss surfaces at the next host read).
-        read_ok: bool,
-        /// Extra read-retry senses the source read needed beyond its
-        /// first (0 with retry disabled or a clean first sense).
-        retry_senses: u32,
-        /// Latency of those retry senses alone, seconds (already
-        /// included in `latency_s`).
-        retry_latency_s: f64,
-        /// Read + write device latency, seconds.
-        latency_s: f64,
-        /// Read + write energy, joules.
-        energy_j: f64,
-        /// Capability the destination page was re-encoded at.
-        t_used: u32,
+        /// The source read, decoded at the page's write-time capability.
+        /// Whether it decoded is `read.outcome`: the best-effort data is
+        /// relocated either way, and a miss surfaces at the next host
+        /// read. Boxed so the variant is no larger than a host read's.
+        read: Box<ReadReport>,
+        /// The destination program, re-encoded at the service's current
+        /// operating point (`write.t_used`).
+        write: WriteReport,
     },
 }
 
@@ -316,9 +308,8 @@ impl CommandOutput {
         match self {
             CommandOutput::Read(r) => r.energy_j,
             CommandOutput::Write(w) => w.energy_j,
-            CommandOutput::Erase { energy_j, .. } | CommandOutput::Relocate { energy_j, .. } => {
-                *energy_j
-            }
+            CommandOutput::Erase { report, .. } => report.energy_j,
+            CommandOutput::Relocate { read, write } => read.energy_j + write.energy_j,
             CommandOutput::Trim { .. } | CommandOutput::Configure { .. } => 0.0,
         }
     }
@@ -354,26 +345,21 @@ impl Completion {
 }
 
 /// Aggregate accounting of one [`CompletionQueue::drain`].
+///
+/// A per-command fact is not repeated here: the bytes a read or write
+/// moved and its own latency are in its [`Completion`]'s
+/// [`CommandOutput`], and the commands that succeeded are
+/// `commands - failed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Commands executed.
     pub commands: usize,
-    /// Commands that completed successfully.
-    pub succeeded: usize,
     /// Commands that completed with an error.
     pub failed: usize,
     /// Total modeled datapath latency, seconds (sequential device time).
     pub device_latency_s: f64,
-    /// Portion of [`BatchReport::device_latency_s`] spent in reads.
-    pub read_latency_s: f64,
-    /// Portion of [`BatchReport::device_latency_s`] spent in writes.
-    pub write_latency_s: f64,
     /// Total modeled energy, joules.
     pub energy_j: f64,
-    /// Payload bytes read.
-    pub bytes_read: usize,
-    /// Payload bytes written.
-    pub bytes_written: usize,
     /// Raw bit errors corrected by the ECC across the batch.
     pub corrected_bits: u64,
     /// Operating points served from the memo cache.
@@ -409,24 +395,6 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Modeled read throughput over the batch's read time, MB/s (0 if
-    /// no reads).
-    pub fn read_mbps(&self) -> f64 {
-        if self.read_latency_s <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_read as f64 / self.read_latency_s / 1e6
-    }
-
-    /// Modeled write throughput over the batch's write time, MB/s (0 if
-    /// no writes).
-    pub fn write_mbps(&self) -> f64 {
-        if self.write_latency_s <= 0.0 {
-            return 0.0;
-        }
-        self.bytes_written as f64 / self.write_latency_s / 1e6
-    }
-
     /// Serial device time over parallel makespan: how many channels'
     /// worth of work the batch actually overlapped (1.0 when nothing
     /// overlaps, up to the die count for a perfectly striped batch; 0
@@ -824,11 +792,6 @@ impl StorageEngine {
         &self.scrub
     }
 
-    /// The fault-injection schedule the engine rolls per host write.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.fault.plan()
-    }
-
     /// Advances the device wall clock — the retention time base every
     /// stored page ages against — by `hours`.
     ///
@@ -1067,10 +1030,7 @@ impl StorageEngine {
             let result = self.execute_validated(idx, queued.cmd);
             self.last_batch.commands += 1;
             match &result {
-                Ok(output) => {
-                    self.last_batch.succeeded += 1;
-                    self.last_batch.counters.record(output);
-                }
+                Ok(output) => self.last_batch.counters.record(output),
                 Err(_) => self.last_batch.failed += 1,
             }
             let (start_s, end_s) = match self.ctrl.scheduler().command_window() {
@@ -1201,15 +1161,11 @@ impl StorageEngine {
                 }
                 let report = self.ctrl.write_page(block, page, &data)?;
                 self.last_batch.absorb(report.latency_s, report.energy_j);
-                self.last_batch.write_latency_s += report.latency_s;
-                self.last_batch.bytes_written += data.len();
                 Ok(CommandOutput::Write(report))
             }
             Command::Read { block, page, .. } => {
                 let report = self.ctrl.read_page(block, page)?;
                 self.last_batch.absorb(report.latency_s, report.energy_j);
-                self.last_batch.read_latency_s += report.latency_s;
-                self.last_batch.bytes_read += report.data.len();
                 self.last_batch.corrected_bits += report.outcome.corrected_bits() as u64;
                 Ok(CommandOutput::Read(report))
             }
@@ -1231,8 +1187,7 @@ impl StorageEngine {
             Command::Relocate { from, to, .. } => {
                 let read = self.ctrl.read_page(from.0, from.1)?;
                 self.last_batch.absorb(read.latency_s, read.energy_j);
-                let corrected = read.outcome.corrected_bits();
-                self.last_batch.corrected_bits += corrected as u64;
+                self.last_batch.corrected_bits += read.outcome.corrected_bits() as u64;
                 let wear = self.ctrl.device().block_cycles(to.0)?.max(1);
                 let die = self.ctrl.config().geometry.die_of_block(to.0);
                 let op = self.operating_point(idx, die, wear);
@@ -1242,13 +1197,8 @@ impl StorageEngine {
                 let write = self.ctrl.write_page(to.0, to.1, &read.data)?;
                 self.last_batch.absorb(write.latency_s, write.energy_j);
                 Ok(CommandOutput::Relocate {
-                    corrected_bits: corrected,
-                    read_ok: read.outcome.is_success(),
-                    retry_senses: read.senses.saturating_sub(1),
-                    retry_latency_s: read.retry_latency_s,
-                    latency_s: read.latency_s + write.latency_s,
-                    energy_j: read.energy_j + write.energy_j,
-                    t_used: write.t_used,
+                    read: Box::new(read),
+                    write,
                 })
             }
         }
@@ -1257,11 +1207,7 @@ impl StorageEngine {
     fn erase(&mut self, block: usize, scrub: bool) -> Result<CommandOutput, MlcxError> {
         let report = self.ctrl.erase_block(block)?;
         self.last_batch.absorb(report.duration_s, report.energy_j);
-        Ok(CommandOutput::Erase {
-            duration_s: report.duration_s,
-            energy_j: report.energy_j,
-            scrub,
-        })
+        Ok(CommandOutput::Erase { report, scrub })
     }
 }
 
@@ -1461,13 +1407,9 @@ mod tests {
         }
 
         let batch = e.last_batch();
-        assert_eq!(batch.commands, 9);
-        assert_eq!(batch.succeeded, 9);
-        assert_eq!(batch.bytes_written, 4 * 4096);
-        assert_eq!(batch.bytes_read, 4 * 4096);
+        assert_eq!((batch.commands, batch.failed), (9, 0));
         assert!(batch.device_latency_s > 0.0);
         assert!(batch.energy_j > 0.0);
-        assert!(batch.read_mbps() > 0.0 && batch.write_mbps() > 0.0);
         // EOL block: the DV schedule must have corrected raw errors.
         assert!(batch.corrected_bits > 0);
         // 4 same-wear writes: one derivation, three cache hits.
@@ -1550,8 +1492,7 @@ mod tests {
             ))
         ));
         assert!(completions[1].result.is_ok());
-        assert_eq!(e.last_batch().failed, 1);
-        assert_eq!(e.last_batch().succeeded, 1);
+        assert_eq!((e.last_batch().commands, e.last_batch().failed), (2, 1));
     }
 
     #[test]
@@ -1736,20 +1677,15 @@ mod tests {
             ])
             .unwrap();
         let completions = e.cq().drain();
-        match completions[0].result.as_ref().unwrap() {
-            CommandOutput::Relocate {
-                corrected_bits,
-                read_ok,
-                latency_s,
-                energy_j,
-                ..
-            } => {
-                assert!(*read_ok);
-                assert!(*corrected_bits > 0, "EOL source must need correction");
-                assert!(*latency_s > 0.0 && *energy_j > 0.0);
-            }
-            other => panic!("expected relocate output, got {other:?}"),
-        }
+        let Ok(CommandOutput::Relocate { read, write }) = &completions[0].result else {
+            panic!("expected relocate output, got {:?}", completions[0].result);
+        };
+        assert!(read.outcome.is_success());
+        assert!(
+            read.outcome.corrected_bits() > 0,
+            "EOL source must need correction"
+        );
+        assert!(completions[0].result.as_ref().unwrap().energy_j() > 0.0);
         assert!(matches!(
             completions[1].result.as_ref().unwrap(),
             CommandOutput::Erase { scrub: true, .. }
@@ -1762,19 +1698,19 @@ mod tests {
             (batch.counters.scrub_latency_s - batch.device_latency_s).abs() < 1e-12,
             "an all-maintenance batch is pure scrub time"
         );
-        // Maintenance does not count as host payload.
-        assert_eq!(batch.bytes_read, 0);
-        assert_eq!(batch.bytes_written, 0);
         // The scrub erase reset the disturb accumulator end-to-end.
         assert_eq!(
             e.controller().device().block_reads_since_erase(0).unwrap(),
             0
         );
-        // The relocated data reads back from the destination.
+        // The relocated data reads back from the destination, and the
+        // completion carried the data and capability that landed there.
         match run_one(&mut e, Command::read(a, 1, 0)).unwrap() {
             CommandOutput::Read(r) => {
                 assert!(r.outcome.is_success());
                 assert_eq!(r.data, page(0x5A));
+                assert_eq!(read.data, r.data);
+                assert_eq!(write.t_used, r.t_used);
             }
             other => panic!("expected read output, got {other:?}"),
         }
@@ -1949,7 +1885,7 @@ mod tests {
         assert_eq!(batch.counters.retry_senses, u64::from(r.senses - 1));
         assert_eq!(batch.counters.retry_exhausted, 0);
         assert!(batch.counters.retry_latency_s > 0.0);
-        assert!(batch.read_latency_s >= batch.counters.retry_latency_s);
+        assert!(r.latency_s >= batch.counters.retry_latency_s);
 
         // The learned offset flows into derivation: the effective
         // region disturb RBER is now the recovered figure, so a point
@@ -2274,7 +2210,6 @@ mod tests {
         let mut quiet = build(0.0);
         let (w, r) = run(&mut quiet);
         assert_eq!(w.counters.injected_partial_programs, 0);
-        assert!(!quiet.fault_plan().is_enabled());
         assert_eq!(r.counters.interference_reads, 3);
 
         // Unit-rate plan: every host program is interrupted halfway, so

@@ -83,11 +83,6 @@ impl FaultInjector {
         }
     }
 
-    /// The schedule being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Decides the fate of the next program: `Some(fraction)` orders an
     /// interruption after that fraction of the staircase, `None` lets
     /// the program complete. Draws nothing under a disabled plan.

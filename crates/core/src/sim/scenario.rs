@@ -384,21 +384,6 @@ impl Scenario {
         }
     }
 
-    /// The configured services.
-    pub fn services(&self) -> &[ServiceSpec] {
-        &self.services
-    }
-
-    /// The configured phases.
-    pub fn phases(&self) -> &[PhaseSpec] {
-        &self.phases
-    }
-
-    /// The master seed (engine error injection + trace streams).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Runs the scenario end to end.
     ///
     /// # Errors
@@ -671,8 +656,9 @@ struct SimService {
 /// addresses through a per-service [`LogicalMap`] so garbage collection
 /// and write amplification are exercised on the real datapath.
 ///
-/// Most callers want [`Scenario::run`]; the runner is public so
-/// experiment harnesses can inspect the [`StorageEngine`] mid-run.
+/// Most callers want [`Scenario::run`]; the runner is public so a
+/// harness can time [`WorkloadRunner::new`] (scenario compilation and
+/// engine build) apart from [`WorkloadRunner::run`].
 pub struct WorkloadRunner {
     engine: StorageEngine,
     services: Vec<SimService>,
@@ -791,11 +777,6 @@ impl WorkloadRunner {
             gc_data: Vec::new(),
             batches: PhaseBatches::default(),
         })
-    }
-
-    /// The engine under the runner (wear inspection etc.).
-    pub fn engine(&self) -> &StorageEngine {
-        &self.engine
     }
 
     /// Executes every phase (plus the optional prefill and the closing
@@ -1155,8 +1136,8 @@ impl WorkloadRunner {
                     }
                     self.gc_data[slot] = Some(r.data);
                 }
-                (CmdMeta::ScrubRelocate, Ok(CommandOutput::Relocate { read_ok, .. })) => {
-                    if !read_ok {
+                (CmdMeta::ScrubRelocate, Ok(CommandOutput::Relocate { read, .. })) => {
+                    if !read.outcome.is_success() {
                         // Best-effort data was relocated anyway; the
                         // damage surfaces at the next host read.
                         acc.read_failures += 1;

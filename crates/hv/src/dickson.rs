@@ -42,18 +42,6 @@ pub struct DicksonPump {
     pub output_capacitance_f: f64,
 }
 
-/// Result of a ramp-up transient simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RampResult {
-    /// Time to reach the requested target voltage, seconds
-    /// (`f64::INFINITY` if the target is unreachable).
-    pub rise_time_s: f64,
-    /// Output voltage at the end of the simulated window.
-    pub final_v: f64,
-    /// Energy drawn from the supply during the window, joules.
-    pub input_energy_j: f64,
-}
-
 impl DicksonPump {
     /// The paper's **program** pump: conventional 12-stage Dickson
     /// modified pump supplying the 14-19 V ISPP pulse.
@@ -138,44 +126,6 @@ impl DicksonPump {
             p_out / p_in
         }
     }
-
-    /// Simulates the ramp-up transient towards `target_v` with a constant
-    /// load, by forward-Euler integration of
-    /// `C_out * dV/dt = (V_nl - V)/R_out - I_load`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt_s` or `window_s` is not strictly positive.
-    pub fn simulate_ramp(
-        &self,
-        target_v: f64,
-        load_current_a: f64,
-        dt_s: f64,
-        window_s: f64,
-    ) -> RampResult {
-        assert!(dt_s > 0.0 && window_s > 0.0, "time steps must be positive");
-        let v_nl = self.no_load_output_v();
-        let r_out = self.output_impedance_ohm();
-        let mut v = self.supply_v; // rail precharged to Vdd
-        let mut t = 0.0;
-        let mut rise_time = f64::INFINITY;
-        let mut energy = 0.0;
-        while t < window_s {
-            let pump_current = ((v_nl - v) / r_out).max(0.0);
-            energy += self.input_power_w(pump_current) * dt_s;
-            let dv = (pump_current - load_current_a) / self.output_capacitance_f * dt_s;
-            v += dv;
-            t += dt_s;
-            if rise_time.is_infinite() && v >= target_v {
-                rise_time = t;
-            }
-        }
-        RampResult {
-            rise_time_s: rise_time,
-            final_v: v,
-            input_energy_j: energy,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,37 +176,5 @@ mod tests {
             assert!(eta > 0.0 && eta < 1.0, "eta = {eta}");
         }
         assert_eq!(p.efficiency(18.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn ramp_converges_to_regulation_point() {
-        let p = DicksonPump::program_pump_45nm();
-        let r = p.simulate_ramp(18.0, 0.1e-3, 5e-9, 50e-6);
-        assert!(r.rise_time_s.is_finite(), "pump must reach 18 V");
-        assert!(r.rise_time_s < 20e-6, "rise time {:.2e}", r.rise_time_s);
-        assert!(r.final_v >= 18.0);
-        assert!(r.input_energy_j > 0.0);
-    }
-
-    #[test]
-    fn unreachable_target_reported_as_infinite() {
-        let p = DicksonPump::verify_pump_45nm();
-        let r = p.simulate_ramp(25.0, 0.0, 1e-8, 20e-6);
-        assert!(r.rise_time_s.is_infinite());
-        assert!(r.final_v < 25.0);
-    }
-
-    #[test]
-    fn heavier_load_slows_the_ramp() {
-        let p = DicksonPump::inhibit_pump_45nm();
-        let light = p.simulate_ramp(8.0, 0.05e-3, 5e-9, 50e-6);
-        let heavy = p.simulate_ramp(8.0, 0.6e-3, 5e-9, 50e-6);
-        assert!(light.rise_time_s < heavy.rise_time_s);
-    }
-
-    #[test]
-    #[should_panic(expected = "time steps must be positive")]
-    fn ramp_rejects_bad_dt() {
-        DicksonPump::program_pump_45nm().simulate_ramp(18.0, 0.0, 0.0, 1e-6);
     }
 }

@@ -8,7 +8,7 @@
 //! embedded microcontroller drives them:
 //!
 //! * [`DicksonPump`] — stage-level pump physics: no-load voltage, output
-//!   impedance, ramp transient, input current and conversion efficiency.
+//!   impedance, input current and conversion efficiency.
 //! * [`RegulatedPump`] — a pump wrapped in the paper's hysteretic
 //!   regulation loop (voltage divider + comparator that shuts the pump
 //!   down at target and restarts it below the reference band).
@@ -43,7 +43,7 @@ mod subsystem;
 pub mod energy;
 pub mod sequencer;
 
-pub use dickson::{DicksonPump, RampResult};
+pub use dickson::DicksonPump;
 pub use energy::{OperationEnergy, PhaseEnergy};
 pub use regulator::{HystereticRegulator, RegulatedPump};
 pub use sequencer::{Phase, PhaseKind, Sequencer};

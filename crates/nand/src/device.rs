@@ -22,28 +22,14 @@ use crate::geometry::DeviceGeometry;
 use crate::ispp::{program_profile, IsppConfig, ProgramAlgorithm};
 use crate::timing::NandTiming;
 
-/// What kind of operation an [`OpReport`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Block erase.
-    Erase,
-    /// Page program.
-    Program,
-    /// Page read.
-    Read,
-}
-
-/// Duration and energy of one device operation.
+/// Duration and energy of one device operation. The operation is the
+/// one the caller issued; its average power is `energy_j / duration_s`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpReport {
-    /// Operation kind.
-    pub kind: OpKind,
     /// Busy time of the device, seconds.
     pub duration_s: f64,
     /// Supply energy consumed, joules.
     pub energy_j: f64,
-    /// Average power over the operation, watts.
-    pub power_w: f64,
 }
 
 /// The microcode store of Section 6.4.
@@ -530,7 +516,7 @@ impl NandDevice {
         Ok(b.stored()
             .iter()
             .map(|p| {
-                self.disturb.rber_at_offset_with_interference(
+                self.disturb.rber_at_offset(
                     b.reads_since_erase,
                     self.clock_hours - p.programmed_at_hours,
                     p.cycles_at_program,
@@ -650,7 +636,7 @@ impl NandDevice {
         b.programmed = 0;
         b.pe_cycles += 1;
         b.reads_since_erase = 0;
-        Ok(self.finish(OpKind::Erase, self.erase_cost))
+        Ok(self.finish(self.erase_cost))
     }
 
     /// Arms a one-shot partial-program injection: the *next*
@@ -786,7 +772,7 @@ impl NandDevice {
         slot.spare.clear();
         slot.spare.extend_from_slice(spare);
         b.programmed = page + 1;
-        Ok(self.finish(OpKind::Program, cost))
+        Ok(self.finish(cost))
     }
 
     /// Reads a page back, injecting raw bit errors per the lifetime RBER
@@ -849,7 +835,7 @@ impl NandDevice {
         let endurance = self
             .aging
             .rber(stored.algorithm, stored.cycles_at_program.max(1));
-        let extra = self.disturb.rber_at_offset_with_interference(
+        let extra = self.disturb.rber_at_offset(
             prior_reads,
             self.clock_hours - stored.programmed_at_hours,
             stored.cycles_at_program,
@@ -879,23 +865,15 @@ impl NandDevice {
         // tail senses as the erased state.
         spare.resize(geometry_spare, 0xFF);
 
-        let report = self.finish(OpKind::Read, self.read_cost);
+        let report = self.finish(self.read_cost);
         Ok((data, spare, report))
     }
 
     /// Adds the command overhead: the operation's report is its account.
-    fn finish(&self, kind: OpKind, cost: OpCost) -> OpReport {
-        let duration_s = cost.duration_s + self.timing.command_overhead_s;
-        let energy_j = cost.energy_j;
+    fn finish(&self, cost: OpCost) -> OpReport {
         OpReport {
-            kind,
-            duration_s,
-            energy_j,
-            power_w: if duration_s > 0.0 {
-                energy_j / duration_s
-            } else {
-                0.0
-            },
+            duration_s: cost.duration_s + self.timing.command_overhead_s,
+            energy_j: cost.energy_j,
         }
     }
 
@@ -981,8 +959,7 @@ mod tests {
         for page in 0..=7 {
             dev.program_page(0, page, &data, &spare).unwrap();
         }
-        let (d, s, report) = dev.read_page(0, 7).unwrap();
-        assert_eq!(report.kind, OpKind::Read);
+        let (d, s, _) = dev.read_page(0, 7).unwrap();
         assert_eq!(d.len(), 4096);
         // A short spare pads to the full OOB area on read-back, and the
         // unwritten tail senses as the erased state.
@@ -1157,16 +1134,13 @@ mod tests {
     fn program_power_in_fig6_band() {
         let mut dev = device();
         dev.erase_block(0).unwrap();
-        let sv = dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
-        assert!(
-            (0.14..0.19).contains(&sv.power_w),
-            "SV program power = {}",
-            sv.power_w
-        );
+        let power_w = |r: OpReport| r.energy_j / r.duration_s;
+        let sv = power_w(dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap());
+        assert!((0.14..0.19).contains(&sv), "SV program power = {sv}");
         dev.select_algorithm(ProgramAlgorithm::IsppDv).unwrap();
         dev.erase_block(1).unwrap();
-        let dv = dev.program_page(1, 0, &vec![0u8; 4096], &[]).unwrap();
-        let delta_mw = (dv.power_w - sv.power_w) * 1e3;
+        let dv = power_w(dev.program_page(1, 0, &vec![0u8; 4096], &[]).unwrap());
+        let delta_mw = (dv - sv) * 1e3;
         assert!(
             (2.0..15.0).contains(&delta_mw),
             "DV-SV power delta = {delta_mw} mW"

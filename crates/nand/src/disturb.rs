@@ -233,9 +233,18 @@ impl DisturbModel {
     /// Additive RBER when the page is sensed at read-reference `offset`
     /// (in steps, signed) instead of the nominal references.
     ///
+    /// `interference` is the page-local program-side term (see
+    /// [`DisturbModel::interference_rber`]), folded into the nominal RBER
+    /// *and* the Vth shift: interference moves the distributions like
+    /// retention does, so a tracking read reference recovers it — except
+    /// a partial program, whose shift
+    /// (`partial_program_rber / rber_per_step`) is far beyond any
+    /// ladder's reach by construction.
+    ///
     /// * `offset == 0` returns *exactly*
-    ///   [`DisturbModel::additional_rber`] — the pre-retry datapath,
-    ///   bit-for-bit.
+    ///   [`DisturbModel::additional_rber`] plus `interference` — with
+    ///   `interference == 0.0` the pre-retry datapath, bit-for-bit
+    ///   (adding +0.0 is an IEEE identity).
     /// * An offset matching [`DisturbModel::vth_shift_steps`] collapses
     ///   the additive RBER to its unrecoverable residual
     ///   (`offset_residual_fraction` of nominal — distribution widening
@@ -244,21 +253,7 @@ impl DisturbModel {
     /// * On an unshifted page, a nonzero offset costs
     ///   [`DisturbModel::offset_misread_rber`] per squared step — a
     ///   stale learned offset is never free.
-    pub fn rber_at_offset(&self, reads: u64, hours: f64, cycles: u64, offset: i32) -> f64 {
-        self.rber_at_offset_with_interference(reads, hours, cycles, 0.0, offset)
-    }
-
-    /// [`DisturbModel::rber_at_offset`] with an extra page-local
-    /// program-side term (see [`DisturbModel::interference_rber`])
-    /// folded into the nominal RBER *and* the Vth shift: interference
-    /// moves the distributions like retention does, so a tracking read
-    /// reference recovers it — except a partial program, whose shift
-    /// (`partial_program_rber / rber_per_step`) is far beyond any
-    /// ladder's reach by construction.
-    ///
-    /// `interference == 0.0` reproduces [`DisturbModel::rber_at_offset`]
-    /// bit-for-bit (adding +0.0 is an IEEE identity).
-    pub fn rber_at_offset_with_interference(
+    pub fn rber_at_offset(
         &self,
         reads: u64,
         hours: f64,
@@ -369,7 +364,7 @@ mod tests {
             // `==` on purpose: the offset-0 path must return the very
             // same f64 the pre-retry datapath computed.
             assert!(
-                m.rber_at_offset(reads, hours, cycles, 0)
+                m.rber_at_offset(reads, hours, cycles, 0.0, 0)
                     == m.additional_rber(reads, hours, cycles)
             );
         }
@@ -384,7 +379,7 @@ mod tests {
         assert!(shift > 1.0, "the worst case must shift past one step");
         // The integer rung nearest the shift must land close to the
         // residual floor, and far below nominal.
-        let best = m.rber_at_offset(reads, hours, cycles, shift.round() as i32);
+        let best = m.rber_at_offset(reads, hours, cycles, 0.0, shift.round() as i32);
         let residual = nominal * m.offset_residual_fraction;
         assert!(best < nominal / 5.0, "best {best:e} vs nominal {nominal:e}");
         assert!(best >= residual, "no offset beats the widening residual");
@@ -396,11 +391,11 @@ mod tests {
         let (reads, hours, cycles) = (400_000, 8760.0, 1_000_000);
         let shift = m.vth_shift_steps(reads, hours, cycles);
         let rung = shift.round() as i32;
-        let near = m.rber_at_offset(reads, hours, cycles, rung);
-        let far = m.rber_at_offset(reads, hours, cycles, rung + 3);
+        let near = m.rber_at_offset(reads, hours, cycles, 0.0, rung);
+        let far = m.rber_at_offset(reads, hours, cycles, 0.0, rung + 3);
         assert!(far > near, "overshoot must be penalized");
         // Same |distance| from the optimum => same RBER.
-        let a = m.rber_at_offset(reads, hours, cycles, 2);
+        let a = m.rber_at_offset(reads, hours, cycles, 0.0, 2);
         let off = 2.0;
         let mirror = 2.0 * shift - off;
         let nominal = m.additional_rber(reads, hours, cycles);
@@ -428,20 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_interference_offset_path_is_bitwise_nominal() {
-        // The generalized entry point with a 0.0 interference term must
-        // return the very same f64 as the historical method, offset by
-        // offset — this is the PR's disabled-model bit-identity anchor.
-        let m = DisturbModel::date2012();
-        for offset in -4..=4 {
-            assert!(
-                m.rber_at_offset_with_interference(50_000, 8760.0, 100_000, 0.0, offset)
-                    == m.rber_at_offset(50_000, 8760.0, 100_000, offset)
-            );
-        }
-    }
-
-    #[test]
     fn interference_shifts_the_distributions_like_retention() {
         // A coupled page's interference RBER must be recoverable by a
         // reference offset tracking the enlarged shift — while a partial
@@ -451,10 +432,10 @@ mod tests {
             ..DisturbModel::disabled()
         };
         let interference = m.interference_rber(3, 0, 0.0);
-        let nominal = m.rber_at_offset_with_interference(0, 0.0, 1, interference, 0);
+        let nominal = m.rber_at_offset(0, 0.0, 1, interference, 0);
         assert!((nominal - 3e-4).abs() < 1e-18);
         let shift = nominal / m.rber_per_step; // 3 steps
-        let best = m.rber_at_offset_with_interference(0, 0.0, 1, interference, shift as i32);
+        let best = m.rber_at_offset(0, 0.0, 1, interference, shift as i32);
         assert!(best < nominal / 5.0, "tracking offset must recover");
 
         let partial = DisturbModel::date2012();
@@ -465,9 +446,9 @@ mod tests {
     #[test]
     fn offsets_on_unshifted_pages_cost_misreads() {
         let m = DisturbModel::disabled();
-        assert_eq!(m.rber_at_offset(1_000, 100.0, 1_000_000, 0), 0.0);
-        let one = m.rber_at_offset(1_000, 100.0, 1_000_000, 1);
-        let two = m.rber_at_offset(1_000, 100.0, 1_000_000, -2);
+        assert_eq!(m.rber_at_offset(1_000, 100.0, 1_000_000, 0.0, 0), 0.0);
+        let one = m.rber_at_offset(1_000, 100.0, 1_000_000, 0.0, 1);
+        let two = m.rber_at_offset(1_000, 100.0, 1_000_000, 0.0, -2);
         assert!(one > 0.0 && (two - 4.0 * one).abs() < 1e-18);
     }
 }

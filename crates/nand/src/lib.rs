@@ -67,7 +67,7 @@ pub mod timing;
 pub mod variability;
 
 pub use aging::AgingModel;
-pub use device::{NandDevice, OpKind, OpReport};
+pub use device::{NandDevice, OpReport};
 pub use error::NandError;
 pub use geometry::{DeviceGeometry, Topology};
 pub use ispp::{IsppConfig, ProgramAlgorithm, ProgramProfile};

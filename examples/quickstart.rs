@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
                 assert_eq!(r.data, data);
             }
-            CommandOutput::Erase { duration_s, .. } => {
-                println!("erase: {:.0} us", duration_s * 1e6)
+            CommandOutput::Erase { report, .. } => {
+                println!("erase: {:.0} us", report.duration_s * 1e6)
             }
             other => println!("{other:?}"),
         }

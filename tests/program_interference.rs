@@ -245,10 +245,9 @@ fn out_of_order_page_programs_are_rejected_both_ways() {
     dev.program_page(1, 0, &payload(0), &[]).unwrap();
 }
 
-/// An enabled fault plan surfaces through the facade: the builder knob
-/// round-trips, every interrupted host program marks its page partially
-/// programmed, the batch counters count them, and an erase clears the
-/// damage.
+/// An enabled fault plan surfaces through the facade: every interrupted
+/// host program marks its page partially programmed, the batch counters
+/// count them, and an erase clears the damage.
 #[test]
 fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
     let plan = FaultPlan {
@@ -267,7 +266,6 @@ fn fault_injection_surfaces_through_the_facade_and_clears_on_erase() {
         .fault_plan(plan)
         .build()
         .unwrap();
-    assert_eq!(engine.fault_plan(), &plan);
 
     let svc = engine
         .register_service("svc", Objective::Baseline, 0..4)

@@ -154,7 +154,7 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
                 CommandOutput::Read(r) if !r.outcome.is_success() => {
                     out.uncorrectable += 1;
                 }
-                CommandOutput::Relocate { read_ok: false, .. } => {
+                CommandOutput::Relocate { read, .. } if !read.outcome.is_success() => {
                     out.uncorrectable += 1;
                 }
                 _ => {}
