@@ -66,22 +66,19 @@ impl std::error::Error for FtlError {}
 pub struct FtlStats {
     /// Host page writes accepted.
     pub host_writes: u64,
-    /// Physical page writes issued (host + relocation).
+    /// Physical page writes issued (host + GC and scrub relocation, so
+    /// write amplification stays honest about maintenance traffic).
     pub physical_writes: u64,
     /// Garbage-collection passes run.
     pub gc_runs: u64,
     /// Live pages relocated by GC.
     pub relocated_pages: u64,
-    /// Blocks reclaimed by the scrubber ([`LogicalMap::plan_reclaim`]).
-    pub scrub_runs: u64,
-    /// Live pages relocated by scrub read-reclaim (also counted in
-    /// [`FtlStats::physical_writes`], so write amplification stays
-    /// honest about maintenance traffic).
-    pub scrub_relocated_pages: u64,
     /// Scrub reclaims whose victim qualified on program-interference
     /// RBER (neighbor coupling, die program disturb, or a partially
-    /// programmed page) — a subset of [`FtlStats::scrub_runs`]
-    /// attributing maintenance traffic to program-side corruption.
+    /// programmed page) — a subset of the reclaimed blocks, attributing
+    /// maintenance traffic to program-side corruption. The reclaims
+    /// themselves are the [`FtlOp::Erase`]s of the plans
+    /// [`LogicalMap::plan_reclaim`] returns.
     pub interference_reclaims: u64,
 }
 
@@ -109,10 +106,6 @@ impl FtlStats {
             physical_writes: self.physical_writes.saturating_sub(earlier.physical_writes),
             gc_runs: self.gc_runs.saturating_sub(earlier.gc_runs),
             relocated_pages: self.relocated_pages.saturating_sub(earlier.relocated_pages),
-            scrub_runs: self.scrub_runs.saturating_sub(earlier.scrub_runs),
-            scrub_relocated_pages: self
-                .scrub_relocated_pages
-                .saturating_sub(earlier.scrub_relocated_pages),
             interference_reclaims: self
                 .interference_reclaims
                 .saturating_sub(earlier.interference_reclaims),
@@ -429,24 +422,22 @@ impl LogicalMap {
         // The early-cleaning invariant guarantees every slot exists (the
         // reserve block is never handed to host writes while a
         // reclaimable block remains).
-        self.evacuate(victim, ops, wear, |s| {
-            (&mut s.relocated_pages, &mut s.gc_runs)
-        })?;
+        self.stats.relocated_pages += self.evacuate(victim, ops, wear)? as u64;
+        self.stats.gc_runs += 1;
         Ok(true)
     }
 
     /// The body of both reclaim plans: relocates every live page of
     /// `victim` out (in page order), marks the block erased and plans
-    /// its erase, bumping the `(relocated pages, runs)` pair `counters`
-    /// selects. `Err` is an allocation that failed part-way — the map is
-    /// half-mutated then, and the caller decides what that means.
+    /// its erase, returning the pages moved. `Err` is an allocation that
+    /// failed part-way — the map is half-mutated then, and the caller
+    /// decides what that means.
     fn evacuate(
         &mut self,
         victim: usize,
         ops: &mut Vec<FtlOp>,
         wear: &mut dyn FnMut(usize) -> u64,
-        counters: fn(&mut FtlStats) -> (&mut u64, &mut u64),
-    ) -> Result<(), FtlError> {
+    ) -> Result<usize, FtlError> {
         let rel = self.rel(victim);
         let live: Vec<(usize, usize)> = self.states[rel]
             .iter()
@@ -456,6 +447,7 @@ impl LogicalMap {
                 _ => None,
             })
             .collect();
+        let moved = live.len();
         for (page, lpn) in live {
             let to = self.take_slot(wear).ok_or(FtlError::OutOfSpace)?;
             self.claim(to.0, to.1, lpn);
@@ -466,7 +458,6 @@ impl LogicalMap {
                 to,
             });
             self.stats.physical_writes += 1;
-            *counters(&mut self.stats).0 += 1;
         }
         for s in &mut self.states[rel] {
             if *s != PageState::Erased {
@@ -475,8 +466,7 @@ impl LogicalMap {
             *s = PageState::Erased;
         }
         ops.push(FtlOp::Erase { block: victim });
-        *counters(&mut self.stats).1 += 1;
-        Ok(())
+        Ok(moved)
     }
 
     /// Plans the read-reclaim of one *caller-chosen* block: every live
@@ -484,8 +474,8 @@ impl LogicalMap {
     /// resetting the device's read-disturb accumulator and, because the
     /// relocated pages are rewritten at the current device time, their
     /// retention age. Unlike garbage collection the victim need not hold
-    /// a single stale page; this is the plan a scrubber
-    /// (`mlcx_controller::scrub::Scrubber`) emits for blocks whose
+    /// a single stale page; this is the plan a scrub pass
+    /// ([`crate::scrub::ScrubPolicy::plan_pass`]) emits for blocks whose
     /// disturb state crossed its thresholds.
     ///
     /// A fully erased block yields an empty plan (erasing it would only
@@ -544,9 +534,7 @@ impl LogicalMap {
         // The up-front capacity check guarantees every allocation:
         // every erased page outside the (now closed) victim is
         // reachable by take_slot, so evacuation cannot fail part-way.
-        self.evacuate(block, &mut ops, wear, |s| {
-            (&mut s.scrub_relocated_pages, &mut s.scrub_runs)
-        })?;
+        self.evacuate(block, &mut ops, wear)?;
         Ok(ops)
     }
 }
@@ -883,8 +871,8 @@ mod tests {
             assert_eq!(map.translate(lpn), Some(to));
         }
         let stats = map.stats();
-        assert_eq!(stats.scrub_runs, 1);
-        assert_eq!(stats.scrub_relocated_pages, 4);
+        assert_eq!(stats.relocated_pages, 0, "scrub moves are not GC's");
+        assert_eq!(stats.gc_runs, 0);
         assert_eq!(stats.physical_writes, 6 + 4);
         assert!(stats.write_amplification() > 1.0);
         // The reclaimed block is writable again and the map still
@@ -922,7 +910,6 @@ mod tests {
         let mut wear = |_b: usize| 0u64;
         // Fully erased block: nothing to do, no cycle burned.
         assert!(map.plan_reclaim(2, &mut wear).unwrap().is_empty());
-        assert_eq!(map.stats().scrub_runs, 0);
         // All-stale block: a bare erase (overwrites staled block 0).
         map.plan_write(0, &mut wear).unwrap();
         map.plan_write(1, &mut wear).unwrap();

@@ -83,4 +83,4 @@ pub use mlcx_bch::CodecKernel;
 pub use regs::{ConfigCommand, RegisterFile, StatusFlags};
 pub use reliability::{ReliabilityManager, ReliabilityPolicy};
 pub use retry::{ReadOffsetTable, RetryPolicy};
-pub use scrub::{ScrubPolicy, Scrubber};
+pub use scrub::ScrubPolicy;

@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 /// domains and at different times: **retry is per-read and
 /// voltage-domain** — it changes only how an individual failing read is
 /// sensed, between the read's issue and its completion; **scrub is
-/// batch-scoped and data-movement-domain** — `Scrubber::plan_pass`
+/// batch-scoped and data-movement-domain** — `ScrubPolicy::plan_pass`
 /// plans relocations against the *flushed* device state between
 /// batches. A read recovered by retry still bumps the block's
 /// read-disturb accumulator (retry senses included), so a retried block

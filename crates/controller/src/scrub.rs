@@ -11,19 +11,22 @@
 //! trade-off this crate exists to expose: scrub traffic competes with
 //! host traffic for bus and cell time.
 //!
-//! [`Scrubber`] is the policy engine: it scans a block range's disturb
-//! state (reads since erase, oldest data age — both exposed by
-//! [`NandDevice`]) against a [`ScrubPolicy`], and turns the most-pressed
-//! candidates into relocate+erase plans through
+//! A [`ScrubPolicy`] is also the scanner that enforces it: it checks a
+//! block range's disturb state (reads since erase, oldest data age —
+//! both exposed by [`NandDevice`]) against its thresholds, and turns the
+//! most-pressed candidates into relocate+erase plans through
 //! [`LogicalMap::plan_reclaim`] — the same [`FtlOp`] machinery garbage
 //! collection uses, so callers execute scrub plans on whatever datapath
 //! they already drive (the workload simulator compiles them into engine
 //! `Relocate`/`ScrubErase` commands, charged to the channel scheduler
 //! like any other operation).
 //!
-//! The scrubber keeps no counter of its own: each pass's returned plan
-//! and the map's [`crate::FtlStats`] (`scrub_runs`,
-//! `scrub_relocated_pages`, `interference_reclaims`) are its account.
+//! A pass keeps no counter: its account is the returned plan (one
+//! [`FtlOp::Erase`] per reclaimed block, one [`FtlOp::Relocate`] per
+//! moved page) and, once executed on the engine, the
+//! `scrub_erases`/`scrub_relocations` counters of its completions. The
+//! map's [`crate::FtlStats::interference_reclaims`] records the one fact
+//! no plan carries: why a block was reclaimed.
 
 use std::ops::Range;
 
@@ -33,17 +36,38 @@ use mlcx_nand::NandDevice;
 use crate::ftl::{FtlOp, LogicalMap};
 
 /// When a block qualifies for read-reclaim, and how much reclaim work a
-/// single pass may emit.
+/// single pass may emit — and the scanner that plans those passes (see
+/// the [module docs](self)).
 ///
 /// The default ([`ScrubPolicy::disabled`]) never qualifies anything, so
 /// every stack layer carries the knob at zero behavioral cost until a
 /// caller opts in.
 ///
+/// # Example
+///
+/// ```
+/// use mlcx_controller::scrub::ScrubPolicy;
+/// use mlcx_controller::{ControllerConfig, LogicalMap, MemoryController};
+///
+/// let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 1)?;
+/// for block in 0..4 {
+///     ctrl.erase_block(block)?;
+/// }
+/// let mut map = LogicalMap::new(0..4, 128);
+/// let policy = ScrubPolicy {
+///     read_threshold: 1_000,
+///     ..ScrubPolicy::date2012()
+/// };
+/// // Nothing is pressed yet: the pass is empty.
+/// assert!(policy.plan_pass(ctrl.device(), &mut map).is_empty());
+/// # Ok::<(), mlcx_controller::CtrlError>(())
+/// ```
+///
 /// # Precedence with read-retry
 ///
 /// Scrub and read-retry ([`crate::retry::RetryPolicy`]) are independent
 /// knobs and may both be enabled. **Scrub is batch-scoped and
-/// data-movement-domain**: [`Scrubber::plan_pass`] plans relocations
+/// data-movement-domain**: [`ScrubPolicy::plan_pass`] plans relocations
 /// against the *flushed* device state between batches, paying write
 /// amplification and erase cycles. **Retry is per-read and
 /// voltage-domain**: it re-senses an individual failing read at stepped
@@ -105,50 +129,6 @@ impl ScrubPolicy {
                 || self.retention_age_hours.is_finite()
                 || self.interference_rber_threshold.is_finite())
     }
-}
-
-impl Default for ScrubPolicy {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// The background scrub policy engine (see the [module docs](self)).
-///
-/// # Example
-///
-/// ```
-/// use mlcx_controller::scrub::{ScrubPolicy, Scrubber};
-/// use mlcx_controller::{ControllerConfig, LogicalMap, MemoryController};
-///
-/// let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 1)?;
-/// for block in 0..4 {
-///     ctrl.erase_block(block)?;
-/// }
-/// let mut map = LogicalMap::new(0..4, 128);
-/// let mut scrubber = Scrubber::new(ScrubPolicy {
-///     read_threshold: 1_000,
-///     ..ScrubPolicy::date2012()
-/// });
-/// // Nothing is pressed yet: the pass is empty.
-/// assert!(scrubber.plan_pass(ctrl.device(), &mut map).is_empty());
-/// # Ok::<(), mlcx_controller::CtrlError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Scrubber {
-    policy: ScrubPolicy,
-}
-
-impl Scrubber {
-    /// A scrubber enforcing `policy`.
-    pub fn new(policy: ScrubPolicy) -> Self {
-        Scrubber { policy }
-    }
-
-    /// The enforced policy.
-    pub fn policy(&self) -> &ScrubPolicy {
-        &self.policy
-    }
 
     /// Blocks of `blocks` whose disturb state crossed a policy
     /// threshold, most-pressed first (pressure = reads, age and
@@ -166,7 +146,7 @@ impl Scrubber {
     /// block the interference threshold alone would have reclaimed (the
     /// attribution the FTL's `interference_reclaims` counter records).
     fn pressed(&self, device: &NandDevice, blocks: Range<usize>) -> Vec<(f64, bool, usize)> {
-        if !self.policy.is_enabled() {
+        if !self.is_enabled() {
             return Vec::new();
         }
         let mut pressed: Vec<(f64, bool, usize)> = Vec::new();
@@ -177,33 +157,33 @@ impl Scrubber {
             let Ok(age) = device.block_data_age_hours(block) else {
                 continue;
             };
-            let read_pressure = if self.policy.read_threshold == u64::MAX {
+            let read_pressure = if self.read_threshold == u64::MAX {
                 0.0
             } else {
-                reads as f64 / self.policy.read_threshold.max(1) as f64
+                reads as f64 / self.read_threshold.max(1) as f64
             };
-            let age_pressure = if self.policy.retention_age_hours.is_finite() {
+            let age_pressure = if self.retention_age_hours.is_finite() {
                 // `age > 0` only when the block actually stores data, so
                 // a degenerate zero-hour threshold cannot flag blanks.
-                if age > 0.0 && self.policy.retention_age_hours <= 0.0 {
+                if age > 0.0 && self.retention_age_hours <= 0.0 {
                     1.0
-                } else if self.policy.retention_age_hours > 0.0 {
-                    age / self.policy.retention_age_hours
+                } else if self.retention_age_hours > 0.0 {
+                    age / self.retention_age_hours
                 } else {
                     0.0
                 }
             } else {
                 0.0
             };
-            let interference_pressure = if self.policy.interference_rber_threshold.is_finite() {
+            let interference_pressure = if self.interference_rber_threshold.is_finite() {
                 let rber = device.block_interference_rber(block).unwrap_or(0.0);
                 // Same blank-guard shape as the age clock: only a block
                 // actually carrying interference can trip a degenerate
                 // zero threshold.
-                if rber > 0.0 && self.policy.interference_rber_threshold <= 0.0 {
+                if rber > 0.0 && self.interference_rber_threshold <= 0.0 {
                     1.0
-                } else if self.policy.interference_rber_threshold > 0.0 {
-                    rber / self.policy.interference_rber_threshold
+                } else if self.interference_rber_threshold > 0.0 {
+                    rber / self.interference_rber_threshold
                 } else {
                     0.0
                 }
@@ -226,14 +206,14 @@ impl Scrubber {
     /// the returned ops in order, exactly like a GC plan). Candidates
     /// the map cannot relocate right now are skipped, not failed —
     /// background maintenance must never take down the host path.
-    pub fn plan_pass(&mut self, device: &NandDevice, map: &mut LogicalMap) -> Vec<FtlOp> {
-        if !self.policy.is_enabled() {
+    pub fn plan_pass(&self, device: &NandDevice, map: &mut LogicalMap) -> Vec<FtlOp> {
+        if !self.is_enabled() {
             return Vec::new();
         }
         let mut ops = Vec::new();
         let mut reclaimed = 0;
         for (_, interference_qualified, block) in self.pressed(device, map.blocks()) {
-            if reclaimed >= self.policy.max_blocks_per_pass {
+            if reclaimed >= self.max_blocks_per_pass {
                 break;
             }
             let mut wear = |b: usize| device.block_cycles(b).unwrap_or(0);
@@ -256,6 +236,12 @@ impl Scrubber {
     }
 }
 
+impl Default for ScrubPolicy {
+    fn default() -> Self {
+        Self::disabled()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,6 +259,20 @@ mod tests {
         ctrl
     }
 
+    /// Blocks a plan reclaims: one erase each.
+    fn erases(plan: &[FtlOp]) -> usize {
+        plan.iter()
+            .filter(|op| matches!(op, FtlOp::Erase { .. }))
+            .count()
+    }
+
+    /// Pages a plan moves: one relocation each.
+    fn relocations(plan: &[FtlOp]) -> usize {
+        plan.iter()
+            .filter(|op| matches!(op, FtlOp::Relocate { .. }))
+            .count()
+    }
+
     #[test]
     fn disabled_policy_never_qualifies() {
         assert!(!ScrubPolicy::disabled().is_enabled());
@@ -285,10 +285,9 @@ mod tests {
 
         let ctrl = pressed_controller();
         let mut map = LogicalMap::new(0..6, 4);
-        let mut scrubber = Scrubber::new(ScrubPolicy::disabled());
-        assert!(scrubber.candidates(ctrl.device(), 0..6).is_empty());
-        assert!(scrubber.plan_pass(ctrl.device(), &mut map).is_empty());
-        assert_eq!(map.stats().scrub_runs, 0);
+        let policy = ScrubPolicy::disabled();
+        assert!(policy.candidates(ctrl.device(), 0..6).is_empty());
+        assert!(policy.plan_pass(ctrl.device(), &mut map).is_empty());
     }
 
     #[test]
@@ -303,16 +302,16 @@ mod tests {
         for _ in 0..80 {
             ctrl.read_page(1, 0).unwrap();
         }
-        let scrubber = Scrubber::new(ScrubPolicy {
+        let policy = ScrubPolicy {
             read_threshold: 25,
             ..ScrubPolicy::date2012()
-        });
+        };
         // Block 1 (80 reads) is more pressed than block 0 (30 reads).
-        assert_eq!(scrubber.candidates(ctrl.device(), 0..6), vec![1, 0]);
-        let below = Scrubber::new(ScrubPolicy {
+        assert_eq!(policy.candidates(ctrl.device(), 0..6), vec![1, 0]);
+        let below = ScrubPolicy {
             read_threshold: 1_000,
             ..ScrubPolicy::date2012()
-        });
+        };
         assert!(below.candidates(ctrl.device(), 0..6).is_empty());
     }
 
@@ -321,15 +320,15 @@ mod tests {
         let mut ctrl = pressed_controller();
         ctrl.write_page(2, 0, &vec![0u8; 4096]).unwrap();
         ctrl.device_mut().advance_time_hours(500.0);
-        let scrubber = Scrubber::new(ScrubPolicy {
+        let policy = ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 400.0,
             interference_rber_threshold: f64::INFINITY,
             max_blocks_per_pass: 1,
-        });
+        };
         // Only the block holding 500-hour-old data qualifies; the blank
         // blocks share the device clock but store nothing.
-        assert_eq!(scrubber.candidates(ctrl.device(), 0..6), vec![2]);
+        assert_eq!(policy.candidates(ctrl.device(), 0..6), vec![2]);
     }
 
     #[test]
@@ -345,18 +344,18 @@ mod tests {
         // the interference threshold while the read/age clocks are cold.
         ctrl.device_mut().arm_partial_program(0.3);
         ctrl.write_page(to.0, to.1, &vec![0u8; 4096]).unwrap();
-        let mut scrubber = Scrubber::new(ScrubPolicy {
+        let policy = ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: 1e-3,
             max_blocks_per_pass: 1,
-        });
-        assert_eq!(scrubber.candidates(ctrl.device(), 0..6), vec![to.0]);
-        let plan = scrubber.plan_pass(ctrl.device(), &mut map);
+        };
+        assert_eq!(policy.candidates(ctrl.device(), 0..6), vec![to.0]);
+        let plan = policy.plan_pass(ctrl.device(), &mut map);
         assert!(matches!(plan.last(), Some(FtlOp::Erase { .. })));
+        assert_eq!(erases(&plan), 1);
         // The reclaim is attributed to interference pressure.
         assert_eq!(map.stats().interference_reclaims, 1);
-        assert_eq!(map.stats().scrub_runs, 1);
     }
 
     #[test]
@@ -378,23 +377,18 @@ mod tests {
             ctrl.read_page(0, 0).unwrap();
             ctrl.read_page(1, 0).unwrap();
         }
-        let mut scrubber = Scrubber::new(ScrubPolicy {
+        let policy = ScrubPolicy {
             read_threshold: 40,
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: f64::INFINITY,
             max_blocks_per_pass: 1,
-        });
-        let plan = scrubber.plan_pass(ctrl.device(), &mut map);
+        };
+        let plan = policy.plan_pass(ctrl.device(), &mut map);
         // One block per pass: 4 relocations + 1 erase, nothing more.
         assert_eq!(plan.len(), 5);
-        let relocations = plan
-            .iter()
-            .filter(|op| matches!(op, FtlOp::Relocate { .. }))
-            .count();
-        assert_eq!(relocations, 4);
+        assert_eq!(relocations(&plan), 4);
+        assert_eq!(erases(&plan), 1);
         assert!(matches!(plan[4], FtlOp::Erase { .. }));
-        assert_eq!(map.stats().scrub_runs, 1);
-        assert_eq!(map.stats().scrub_relocated_pages, 4);
         // Execute the plan; the second pass then reclaims the other
         // pressed block.
         for op in plan {
@@ -410,8 +404,8 @@ mod tests {
             }
         }
         assert_eq!(ctrl.device().block_reads_since_erase(0).unwrap(), 0);
-        let plan = scrubber.plan_pass(ctrl.device(), &mut map);
+        let plan = policy.plan_pass(ctrl.device(), &mut map);
         assert!(matches!(plan.last(), Some(FtlOp::Erase { block: 1 })));
-        assert_eq!(map.stats().scrub_runs, 2);
+        assert_eq!(erases(&plan), 1);
     }
 }

@@ -59,7 +59,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 
-use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, ScrubPolicy, WriteReport};
+use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, WriteReport};
 use mlcx_nand::OpReport;
 
 use crate::counters::Counters;
@@ -523,7 +523,6 @@ pub struct EngineBuilder {
     config: ControllerConfig,
     seed: u64,
     bucketing: WearBucketing,
-    scrub: ScrubPolicy,
     sched: SchedPolicy,
     fault: FaultPlan,
 }
@@ -535,7 +534,6 @@ impl EngineBuilder {
             config: ControllerConfig::date2012(),
             seed: 2012,
             bucketing: WearBucketing::default(),
-            scrub: ScrubPolicy::disabled(),
             sched: SchedPolicy::default(),
             fault: FaultPlan::disabled(),
         }
@@ -560,17 +558,6 @@ impl EngineBuilder {
     /// against.
     pub fn controller_config(mut self, config: ControllerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the scrub/read-reclaim policy carried by the engine
-    /// (default [`ScrubPolicy::disabled`]). The engine itself does not
-    /// scan — layers owning the logical maps (the workload simulator's
-    /// per-service `Scrubber`s) read the policy back via
-    /// [`StorageEngine::scrub_policy`] and submit the resulting
-    /// [`Command::Relocate`]/[`Command::ScrubErase`] maintenance.
-    pub fn scrub_policy(mut self, scrub: ScrubPolicy) -> Self {
-        self.scrub = scrub;
         self
     }
 
@@ -611,7 +598,6 @@ impl EngineBuilder {
     pub fn build(self) -> Result<StorageEngine, MlcxError> {
         let ctrl = MemoryController::new(self.config, self.seed)?;
         let mut engine = StorageEngine::with_bucketing(ctrl, self.bucketing);
-        engine.scrub = self.scrub;
         engine.sched = self.sched;
         engine.fault = FaultInjector::new(self.fault);
         Ok(engine)
@@ -633,7 +619,6 @@ pub struct StorageEngine {
     model: SubsystemModel,
     services: Vec<ServiceState>,
     bucketing: WearBucketing,
-    scrub: ScrubPolicy,
     /// Generation counter of the disturb state the memoized operating
     /// points were derived under (see [`ServiceState::op_slots`]).
     disturb_epoch: u64,
@@ -676,7 +661,6 @@ impl StorageEngine {
             ctrl,
             services: Vec::new(),
             bucketing,
-            scrub: ScrubPolicy::disabled(),
             disturb_epoch: 0,
             next_id: 0,
             last_batch: BatchReport::default(),
@@ -785,11 +769,6 @@ impl StorageEngine {
     /// controller configuration.
     pub fn model(&self) -> &SubsystemModel {
         &self.model
-    }
-
-    /// The scrub/read-reclaim policy the engine was built with.
-    pub fn scrub_policy(&self) -> &ScrubPolicy {
-        &self.scrub
     }
 
     /// Advances the device wall clock — the retention time base every
@@ -1816,22 +1795,6 @@ mod tests {
         let disturbed = model.configure_with_extra_rber(Objective::Baseline, 100_001, extra);
         assert!(disturbed.correction > plain.correction);
         assert_eq!(disturbed.algorithm, plain.algorithm);
-    }
-
-    #[test]
-    fn scrub_policy_rides_the_builder() {
-        use mlcx_controller::ScrubPolicy;
-        let e = engine();
-        assert!(!e.scrub_policy().is_enabled());
-        let e = EngineBuilder::date2012()
-            .scrub_policy(ScrubPolicy::date2012())
-            .build()
-            .unwrap();
-        assert!(e.scrub_policy().is_enabled());
-        assert_eq!(
-            e.scrub_policy().read_threshold,
-            mlcx_nand::disturb::DisturbModel::SCRUB_READ_THRESHOLD
-        );
     }
 
     #[test]

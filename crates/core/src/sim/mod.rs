@@ -63,8 +63,9 @@
 //! clock (`ScenarioBuilder::phase_with_elapsed` →
 //! `StorageEngine::advance_hours`), stored pages age against the
 //! retention model, read-hammered blocks accumulate read disturb, and
-//! an enabled `ScrubPolicy` lets per-service scrubbers stage
-//! relocate+erase maintenance into the same batches as host traffic.
+//! an enabled `ScrubPolicy` (`ScenarioBuilder::scrub_policy`) scans
+//! every service's region and stages relocate+erase maintenance into
+//! the same batches as host traffic.
 //!
 //! Determinism is end to end: the engine's error-injection stream (one
 //! stream per die), the trace streams and the payload derivation are

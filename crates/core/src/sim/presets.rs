@@ -116,20 +116,19 @@ pub fn channel_contention(seed: u64) -> Result<Scenario, MlcxError> {
 /// recovers that margin at a measured relocation/erase/device-time
 /// cost. Run both arms with the same seed to quantify the trade-off.
 pub fn retention_stress(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
-    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+    let engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel::date2012(),
         ..config_with(16, Topology::single())
     });
-    if scrub {
-        engine = engine.scrub_policy(ScrubPolicy {
+    Scenario::builder()
+        .engine(engine)
+        .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 5_000.0,
             interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    Scenario::builder()
-        .engine(engine)
+            // Zero blocks per pass is the scrub-off arm.
+            max_blocks_per_pass: if scrub { 2 } else { 0 },
+        })
         .seed(seed)
         .batch_size(24)
         .service("kv", Objective::Baseline, 0..16, TraceKind::zipfian())
@@ -156,7 +155,7 @@ pub fn retention_stress(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
 /// exactly as arXiv:1706.08642's read-reclaim describes — before the
 /// disturb RBER can stack onto the end-of-life endurance floor.
 pub fn read_reclaim(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
-    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+    let engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled: the date2012 per-read constant needs ~100k
             // reads to matter; 3e-6 reaches the same disturb RBER in
@@ -166,16 +165,15 @@ pub fn read_reclaim(seed: u64, scrub: bool) -> Result<Scenario, MlcxError> {
         },
         ..config_with(16, Topology::single())
     });
-    if scrub {
-        engine = engine.scrub_policy(ScrubPolicy {
+    Scenario::builder()
+        .engine(engine)
+        .scrub_policy(ScrubPolicy {
             read_threshold: 40,
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    Scenario::builder()
-        .engine(engine)
+            // Zero blocks per pass is the scrub-off arm.
+            max_blocks_per_pass: if scrub { 2 } else { 0 },
+        })
         .seed(seed)
         .batch_size(24)
         // A small working set concentrates the reads on few blocks.
@@ -300,7 +298,7 @@ impl MitigationMode {
 /// * [`MitigationMode::Both`] — retry absorbs errors between scrub
 ///   passes; scrub bounds how far the ladder must reach.
 pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxError> {
-    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+    let engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled retention, independent of program-time wear
             // (exponent 0) so the prefilled data ages at full rate:
@@ -318,16 +316,15 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxE
         retry: retry(mode.retry()),
         ..config_with(16, Topology::single())
     });
-    if mode.scrub() {
-        engine = engine.scrub_policy(ScrubPolicy {
+    Scenario::builder()
+        .engine(engine)
+        .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 5_000.0,
             interference_rber_threshold: f64::INFINITY,
-            max_blocks_per_pass: 2,
-        });
-    }
-    Scenario::builder()
-        .engine(engine)
+            // Zero blocks per pass is the scrub-off arm.
+            max_blocks_per_pass: if mode.scrub() { 2 } else { 0 },
+        })
         .seed(seed)
         .batch_size(24)
         // A small working set: the prefill packs it into a few blocks
@@ -381,15 +378,15 @@ pub fn program_interference(seed: u64) -> Result<Scenario, MlcxError> {
             partial_program_rate: 0.02,
             partial_program_fraction: 0.5,
             seed: seed ^ 0xFA17,
-        })
+        });
+    Scenario::builder()
+        .engine(engine)
         .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: 2e-3,
             max_blocks_per_pass: 2,
-        });
-    Scenario::builder()
-        .engine(engine)
+        })
         .seed(seed)
         .batch_size(24)
         .utilization(0.5)
@@ -423,7 +420,7 @@ pub fn program_interference(seed: u64) -> Result<Scenario, MlcxError> {
 /// * [`MitigationMode::Both`] — retry absorbs the shift between scrub
 ///   passes.
 pub fn write_hammer(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxError> {
-    let mut engine = EngineBuilder::date2012().controller_config(ControllerConfig {
+    let engine = EngineBuilder::date2012().controller_config(ControllerConfig {
         disturb: DisturbModel {
             // Demo-scaled: the date2012 per-program constant needs ~100k
             // programs on the die to matter; 4e-6 reaches a schedule-
@@ -441,16 +438,15 @@ pub fn write_hammer(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxErr
         retry: retry(mode.retry()),
         ..config_with(16, Topology::single())
     });
-    if mode.scrub() {
-        engine = engine.scrub_policy(ScrubPolicy {
+    Scenario::builder()
+        .engine(engine)
+        .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: f64::INFINITY,
             interference_rber_threshold: 7.5e-4,
-            max_blocks_per_pass: 2,
-        });
-    }
-    Scenario::builder()
-        .engine(engine)
+            // Zero blocks per pass is the scrub-off arm.
+            max_blocks_per_pass: if mode.scrub() { 2 } else { 0 },
+        })
         .seed(seed)
         .batch_size(24)
         // Small working sets: the victim's parked data packs into a few

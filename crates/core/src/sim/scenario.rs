@@ -4,7 +4,9 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mlcx_controller::ftl::{FtlOp, FtlStats, LogicalMap};
-use mlcx_controller::scrub::Scrubber;
+use mlcx_controller::scrub::ScrubPolicy;
+use mlcx_controller::CtrlError;
+use mlcx_nand::NandError;
 
 use crate::counters::Counters;
 use crate::engine::{
@@ -102,8 +104,6 @@ impl LatencyStats {
 pub struct ServicePhaseReport {
     /// Service name.
     pub service: String,
-    /// The objective the service ran under.
-    pub objective: Objective,
     /// The trace pattern that drove the service.
     pub trace: TraceKind,
     /// Host reads issued (mapped pages only).
@@ -160,21 +160,16 @@ pub struct ServicePhaseReport {
     /// Highest P/E cycle count across the service's blocks at phase
     /// end (before the phase's fast-forward).
     pub max_wear: u64,
-    /// FTL counter deltas for the phase.
+    /// FTL counter deltas for the phase (write amplification is
+    /// [`FtlStats::write_amplification`] of this delta).
     pub ftl: FtlStats,
-    /// Write amplification over the phase's FTL delta.
-    pub write_amplification: f64,
 }
 
 /// Aggregate accounting of one phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
-    /// Phase name.
+    /// Phase name (the [`PhaseSpec`] it ran, or `prefill`/`verify`).
     pub name: String,
-    /// The fast-forward applied *after* this phase's traffic.
-    pub fast_forward_cycles: u64,
-    /// The wall-clock jump applied *after* this phase's traffic, hours.
-    pub elapsed_hours: f64,
     /// Per-service breakdowns.
     pub services: Vec<ServicePhaseReport>,
     /// Engine commands executed.
@@ -282,7 +277,7 @@ impl ScenarioReport {
                     s.reads.to_string(),
                     s.writes.to_string(),
                     s.cold_reads.to_string(),
-                    fixed2(s.write_amplification),
+                    fixed2(s.ftl.write_amplification()),
                     fixed2(s.read_latency.p50_s * 1e6),
                     fixed2(s.read_latency.p99_s * 1e6),
                     fixed2(s.write_latency.p50_s * 1e6),
@@ -359,6 +354,7 @@ impl ScenarioReport {
 #[derive(Debug, Clone)]
 pub struct Scenario {
     engine: EngineBuilder,
+    scrub: ScrubPolicy,
     services: Vec<ServiceSpec>,
     phases: Vec<PhaseSpec>,
     seed: u64,
@@ -374,6 +370,7 @@ impl Scenario {
         ScenarioBuilder {
             scenario: Scenario {
                 engine: EngineBuilder::date2012(),
+                scrub: ScrubPolicy::disabled(),
                 services: Vec::new(),
                 phases: Vec::new(),
                 seed: 2012,
@@ -408,14 +405,21 @@ impl ScenarioBuilder {
     /// geometry, disturb model, read-retry policy — are fields of the
     /// `ControllerConfig` handed to
     /// [`EngineBuilder::controller_config`]; wear bucketing, dispatch
-    /// policy and the fault and scrub knobs are the [`EngineBuilder`]'s
-    /// own. An enabled scrub policy gives every service its own
-    /// `Scrubber`, whose relocate+erase maintenance is compiled into the
-    /// same command batches as host traffic. The scenario's
-    /// [`ScenarioBuilder::seed`] is applied on top at run time: it
-    /// overrides the seed of the builder passed in.
+    /// policy and the fault plan are the [`EngineBuilder`]'s own. The
+    /// scenario's [`ScenarioBuilder::seed`] is applied on top at run
+    /// time: it overrides the seed of the builder passed in.
     pub fn engine(mut self, engine: EngineBuilder) -> Self {
         self.scenario.engine = engine;
+        self
+    }
+
+    /// Sets the scrub/read-reclaim policy (default
+    /// [`ScrubPolicy::disabled`]). The runner scans every service's
+    /// region against it between batches and compiles the resulting
+    /// relocate+erase maintenance into the same command batches as host
+    /// traffic.
+    pub fn scrub_policy(mut self, scrub: ScrubPolicy) -> Self {
+        self.scenario.scrub = scrub;
         self
     }
 
@@ -542,9 +546,10 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// [`MlcxError::InvalidConfig`] when no service or phase is
-    /// configured, a service region holds fewer than two blocks (the
-    /// FTL needs one block of garbage-collection headroom per region),
-    /// or a trace's parameters fail [`TraceKind::validate`].
+    /// configured, a phase's `elapsed_hours` is negative or not finite,
+    /// a service region holds fewer than two blocks (the FTL needs one
+    /// block of garbage-collection headroom per region), or a trace's
+    /// parameters fail [`TraceKind::validate`].
     pub fn build(self) -> Result<Scenario, MlcxError> {
         let scenario = self.scenario;
         if scenario.services.is_empty() {
@@ -556,6 +561,13 @@ impl ScenarioBuilder {
             return Err(MlcxError::InvalidConfig {
                 reason: "scenario needs at least one phase".into(),
             });
+        }
+        for p in &scenario.phases {
+            if !(p.elapsed_hours.is_finite() && p.elapsed_hours >= 0.0) {
+                return Err(MlcxError::InvalidConfig {
+                    reason: format!("phase {} elapses {} hours", p.name, p.elapsed_hours),
+                });
+            }
         }
         for s in &scenario.services {
             if s.blocks.len() < 2 {
@@ -576,6 +588,9 @@ impl ScenarioBuilder {
         Ok(scenario)
     }
 }
+
+/// A physical `(block, page)` address.
+type Slot = (usize, usize);
 
 /// What a submitted command was for (accounting + data routing). The
 /// service it books against is the completion's own.
@@ -662,10 +677,9 @@ struct SimService {
 pub struct WorkloadRunner {
     engine: StorageEngine,
     services: Vec<SimService>,
-    /// Per-service scrubbers (present only under an enabled
-    /// [`ScrubPolicy`](mlcx_controller::scrub::ScrubPolicy)); each scans
-    /// its own service's region/map.
-    scrubbers: Vec<Option<Scrubber>>,
+    /// The scenario's scrub policy; each pass scans every service's
+    /// region/map in turn.
+    scrub: ScrubPolicy,
     phases: Vec<PhaseSpec>,
     batch_size: usize,
     prefill: bool,
@@ -704,11 +718,20 @@ impl WorkloadRunner {
     /// # Errors
     ///
     /// Engine construction errors; [`MlcxError::InvalidConfig`] when a
-    /// region exceeds the device geometry; controller errors from the
-    /// format pass.
+    /// region exceeds the device geometry; `DieOutOfRange` (as
+    /// [`MlcxError::Ctrl`]) when a phase skews a die the topology does
+    /// not have; controller errors from the format pass.
     pub fn new(scenario: &Scenario) -> Result<Self, MlcxError> {
         let mut engine = scenario.engine.clone().seed(scenario.seed).build()?;
         let geometry = engine.controller().config().geometry;
+        let dies = geometry.topology.total_dies();
+        // Checked before any traffic runs, with the error `age_die`
+        // would raise after it.
+        for phase in &scenario.phases {
+            if let Some(&(die, _)) = phase.die_skew.iter().find(|&&(die, _)| die >= dies) {
+                return Err(CtrlError::Nand(NandError::DieOutOfRange { die, dies }).into());
+            }
+        }
         let mut services = Vec::with_capacity(scenario.services.len());
         for (i, spec) in scenario.services.iter().enumerate() {
             if spec.blocks.end > geometry.blocks {
@@ -757,15 +780,10 @@ impl WorkloadRunner {
         }
         let model = engine.model();
         let (k_bits, ecc_m) = (model.k_bits, model.ecc_m);
-        let scrub = *engine.scrub_policy();
-        let scrubbers = services
-            .iter()
-            .map(|_| scrub.is_enabled().then(|| Scrubber::new(scrub)))
-            .collect();
         Ok(WorkloadRunner {
             engine,
             services,
-            scrubbers,
+            scrub: scenario.scrub,
             phases: scenario.phases.clone(),
             batch_size: scenario.batch_size,
             prefill: scenario.prefill,
@@ -849,9 +867,9 @@ impl WorkloadRunner {
         // One closing scrub pass so a phase ends with its maintenance
         // debt visible in its own report, then drain everything.
         self.flush()?;
-        self.scrub_tick()?;
+        self.scrub_tick();
         self.flush()?;
-        let report = self.phase_report(&spec.name, spec.fast_forward_cycles, spec.elapsed_hours);
+        let report = self.phase_report(&spec.name);
         if spec.fast_forward_cycles > 0 {
             self.engine
                 .controller_mut()
@@ -875,7 +893,7 @@ impl WorkloadRunner {
             }
         }
         self.flush()?;
-        Ok(self.phase_report("prefill", 0, 0.0))
+        Ok(self.phase_report("prefill"))
     }
 
     fn run_final_verify(&mut self) -> Result<(PhaseReport, usize), MlcxError> {
@@ -888,10 +906,10 @@ impl WorkloadRunner {
             }
         }
         self.flush()?;
-        Ok((self.phase_report("verify", 0, 0.0), verified))
+        Ok((self.phase_report("verify"), verified))
     }
 
-    /// One background-scrub round: every enabled service scans its
+    /// One background-scrub round: every service scans its
     /// region's disturb state and *stages* the resulting relocate+erase
     /// maintenance onto the pending queue, so scrub traffic rides the
     /// next submitted batch — competing with host commands for bus and
@@ -901,40 +919,29 @@ impl WorkloadRunner {
     /// reclaim plans assume the map's physical state has landed on the
     /// device. Host operations staged *after* the tick are consistent —
     /// per-service FIFO executes the maintenance first, in plan order.
-    fn scrub_tick(&mut self) -> Result<(), MlcxError> {
-        if self.scrubbers.iter().all(Option::is_none) {
-            return Ok(());
+    fn scrub_tick(&mut self) {
+        if !self.scrub.is_enabled() {
+            return;
         }
         debug_assert!(
             self.pending.is_empty(),
             "scrub planning needs the staged state flushed"
         );
-        let WorkloadRunner {
-            engine,
-            services,
-            scrubbers,
-            pending,
-            ..
-        } = self;
-        let device = engine.controller().device();
-        for (service, scrubber) in services.iter_mut().zip(scrubbers.iter_mut()) {
-            let Some(scrubber) = scrubber.as_mut() else {
-                continue;
-            };
+        let device = self.engine.controller().device();
+        for service in &mut self.services {
             let handle = service.handle;
-            for op in scrubber.plan_pass(device, &mut service.map) {
-                match op {
+            for op in self.scrub.plan_pass(device, &mut service.map) {
+                self.pending.push(match op {
                     FtlOp::Relocate { from, to, .. } => {
-                        pending.push((Command::relocate(handle, from, to), CmdMeta::ScrubRelocate))
+                        (Command::relocate(handle, from, to), CmdMeta::ScrubRelocate)
                     }
                     FtlOp::Erase { block } => {
-                        pending.push((Command::scrub_erase(handle, block), CmdMeta::ScrubErase))
+                        (Command::scrub_erase(handle, block), CmdMeta::ScrubErase)
                     }
                     FtlOp::Write { .. } => unreachable!("reclaim plans never host-write"),
-                }
+                });
             }
         }
-        Ok(())
     }
 
     /// Routes one trace operation: reads translate through the service's
@@ -975,10 +982,10 @@ impl WorkloadRunner {
         }
         if self.pending.len() >= self.batch_size {
             self.flush()?;
-            // With the staged state landed, let the scrubbers scan; any
-            // maintenance they plan is staged ahead of the next batch's
-            // host commands.
-            self.scrub_tick()?;
+            // With the staged state landed, let the scrub policy scan;
+            // any maintenance it plans is staged ahead of the next
+            // batch's host commands.
+            self.scrub_tick();
         }
         Ok(())
     }
@@ -1004,11 +1011,12 @@ impl WorkloadRunner {
         while i < plan.len() {
             match plan[i] {
                 FtlOp::Relocate { .. } => {
-                    let start = i;
-                    while i < plan.len() && matches!(plan[i], FtlOp::Relocate { .. }) {
+                    let mut moves = Vec::new();
+                    while let Some(&FtlOp::Relocate { from, to, .. }) = plan.get(i) {
+                        moves.push((from, to));
                         i += 1;
                     }
-                    self.relocate(svc, &plan[start..i])?;
+                    self.relocate(svc, &moves)?;
                 }
                 FtlOp::Erase { block } => {
                     self.pending
@@ -1024,29 +1032,24 @@ impl WorkloadRunner {
         Ok(())
     }
 
-    /// One run of relocations: read every source page (its own batch,
-    /// after a flush so earlier relocation writes have landed), then
-    /// stage the copies. The destination writes re-encode through the
-    /// service's current operating point at the destination wear.
-    fn relocate(&mut self, svc: usize, relocs: &[FtlOp]) -> Result<(), MlcxError> {
+    /// One run of relocations, as `(from, to)` pairs: read every source
+    /// page (its own batch, after a flush so earlier relocation writes
+    /// have landed), then stage the copies. The destination writes
+    /// re-encode through the service's current operating point at the
+    /// destination wear.
+    fn relocate(&mut self, svc: usize, moves: &[(Slot, Slot)]) -> Result<(), MlcxError> {
         self.flush()?;
         let handle = self.services[svc].handle;
-        self.gc_data = vec![None; relocs.len()];
-        let mut batch = Vec::with_capacity(relocs.len());
-        for (slot, op) in relocs.iter().enumerate() {
-            let FtlOp::Relocate { from, .. } = *op else {
-                unreachable!("relocate run holds only Relocate ops");
-            };
+        self.gc_data = vec![None; moves.len()];
+        let mut batch = Vec::with_capacity(moves.len());
+        for (slot, &(from, _)) in moves.iter().enumerate() {
             batch.push((
                 Command::read(handle, from.0, from.1),
                 CmdMeta::GcRead { slot },
             ));
         }
         self.submit_batch(batch)?;
-        for (slot, op) in relocs.iter().enumerate() {
-            let FtlOp::Relocate { to, .. } = *op else {
-                unreachable!("relocate run holds only Relocate ops");
-            };
+        for (slot, &(_, to)) in moves.iter().enumerate() {
             let data = self.gc_data[slot]
                 .take()
                 .ok_or_else(|| MlcxError::Internal {
@@ -1151,12 +1154,7 @@ impl WorkloadRunner {
         Ok(())
     }
 
-    fn phase_report(
-        &mut self,
-        name: &str,
-        fast_forward_cycles: u64,
-        elapsed_hours: f64,
-    ) -> PhaseReport {
+    fn phase_report(&mut self, name: &str) -> PhaseReport {
         let mut services = Vec::with_capacity(self.services.len());
         let mut counters = Counters::default();
         for i in 0..self.services.len() {
@@ -1202,7 +1200,6 @@ impl WorkloadRunner {
             counters.absorb(&acc.counters);
             services.push(ServicePhaseReport {
                 service: s.name.clone(),
-                objective,
                 trace: s.trace,
                 reads: acc.reads,
                 writes: acc.writes,
@@ -1222,7 +1219,6 @@ impl WorkloadRunner {
                 counters: acc.counters,
                 model_interference_rber,
                 max_wear,
-                write_amplification: ftl.write_amplification(),
                 ftl,
             });
         }
@@ -1230,8 +1226,6 @@ impl WorkloadRunner {
         let batches = std::mem::take(&mut self.batches);
         PhaseReport {
             name: name.to_string(),
-            fast_forward_cycles,
-            elapsed_hours,
             services,
             commands: batches.commands,
             device_time_s: batches.device_time_s,
@@ -1321,6 +1315,17 @@ mod tests {
                 .build(),
             Err(MlcxError::InvalidConfig { .. })
         ));
+        // A wall-clock jump that is negative or not a number of hours
+        // fails at build(), not as a silently unclocked phase.
+        for hours in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                Scenario::builder()
+                    .service("s", Objective::Baseline, 0..4, TraceKind::Sequential)
+                    .phase_with_elapsed("p", 1, 0, hours)
+                    .build(),
+                Err(MlcxError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1334,6 +1339,20 @@ mod tests {
         assert!(matches!(
             scenario.run(),
             Err(MlcxError::InvalidConfig { .. })
+        ));
+        // A die skew past the topology fails before any traffic runs.
+        let scenario = Scenario::builder()
+            .engine(small_engine())
+            .service("s", Objective::Baseline, 0..4, TraceKind::Sequential)
+            .phase_with_die_skew("p", 1, 0, &[(1, 10)])
+            .build()
+            .unwrap();
+        assert!(matches!(
+            WorkloadRunner::new(&scenario),
+            Err(MlcxError::Ctrl(CtrlError::Nand(NandError::DieOutOfRange {
+                die: 1,
+                dies: 1
+            })))
         ));
     }
 
@@ -1359,7 +1378,7 @@ mod tests {
             "zipf overwrites on a small region must trigger GC: {:?}",
             s.ftl
         );
-        assert!(s.write_amplification >= 1.0);
+        assert!(s.ftl.write_amplification() >= 1.0);
         assert!(s.write_latency.p50_s > 0.0);
         assert!(s.write_latency.p99_s >= s.write_latency.p50_s);
         assert!(report.total_energy_j > 0.0);

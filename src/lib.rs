@@ -86,6 +86,7 @@ pub use mlcx_hv as hv;
 pub use mlcx_nand as nand;
 
 pub use mlcx_bch::{AdaptiveBch, BchCode, CodecKernel, DecodeOutcome};
+pub use mlcx_controller::ScrubPolicy;
 pub use mlcx_controller::{ChannelScheduler, IssueSlot, OpTiming};
 pub use mlcx_controller::{
     ConfigCommand, ControllerConfig, ControllerConfigBuilder, CtrlError, MemoryController,
@@ -93,7 +94,6 @@ pub use mlcx_controller::{
 };
 pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_controller::{ReadOffsetTable, RetryPolicy};
-pub use mlcx_controller::{ScrubPolicy, Scrubber};
 pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
     EngineBuilder, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint, QosSpec, Scenario,

@@ -133,16 +133,14 @@ fn scenario_with_kernel(kernel: CodecKernel) -> Scenario {
         retry: RetryPolicy::date2012(),
         ..ControllerConfig::date2012()
     };
-    let engine = EngineBuilder::date2012()
-        .controller_config(config)
+    Scenario::builder()
+        .engine(EngineBuilder::date2012().controller_config(config))
         .scrub_policy(ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 5_000.0,
             interference_rber_threshold: f64::INFINITY,
             max_blocks_per_pass: 2,
-        });
-    Scenario::builder()
-        .engine(engine)
+        })
         .seed(7)
         .batch_size(24)
         .utilization(0.25)

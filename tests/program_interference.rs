@@ -104,12 +104,7 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
         offset_residual_fraction: 0.01,
         ..DisturbModel::disabled()
     };
-    let mut engine = EngineBuilder::date2012().scrub_policy(ScrubPolicy {
-        read_threshold: u64::MAX,
-        retention_age_hours: 5_000.0,
-        interference_rber_threshold: f64::INFINITY,
-        max_blocks_per_pass: 2,
-    });
+    let mut engine = EngineBuilder::date2012();
     if let Some((fraction, plan_seed, partial_rber)) = zero_knobs {
         // Zero coupling, zero injection rate: the knobs are installed
         // but must be inert — including the per-page partial-program
@@ -129,6 +124,12 @@ fn knobbed_scenario(seed: u64, zero_knobs: Option<(f64, u64, f64)>) -> Scenario 
             retry: RetryPolicy::date2012(),
             ..config
         }))
+        .scrub_policy(ScrubPolicy {
+            read_threshold: u64::MAX,
+            retention_age_hours: 5_000.0,
+            interference_rber_threshold: f64::INFINITY,
+            max_blocks_per_pass: 2,
+        })
         .seed(seed)
         .batch_size(24)
         .utilization(0.25)

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use mlcx::nand::disturb::DisturbModel;
 use mlcx::{
     Command, CommandOutput, ControllerConfig, DeviceGeometry, EngineBuilder, Objective,
-    ScrubPolicy, Scrubber, StorageEngine,
+    ScrubPolicy, StorageEngine,
 };
 use mlcx_bench::{percentile, BenchResult};
 
@@ -100,12 +100,12 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
     // Current physical home of each hot slot, and the erased spares.
     let mut hot: Vec<usize> = (0..HOT_BLOCKS).collect();
     let mut spares: VecDeque<usize> = (HOT_BLOCKS..BLOCKS).collect();
-    let scrubber = Scrubber::new(ScrubPolicy {
+    let policy = ScrubPolicy {
         read_threshold: READ_THRESHOLD,
         retention_age_hours: f64::INFINITY,
         interference_rber_threshold: f64::INFINITY,
         max_blocks_per_pass: 1,
-    });
+    };
 
     let mut out = ArmResult {
         batch_latencies_s: Vec::with_capacity(BATCHES),
@@ -128,7 +128,7 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
         if scrub {
             // Maintenance planned against the drained state rides ahead
             // of this batch's host reads, competing for the device.
-            let candidates = scrubber.candidates(engine.controller().device(), 0..BLOCKS);
+            let candidates = policy.candidates(engine.controller().device(), 0..BLOCKS);
             if let Some(&victim) = candidates.first() {
                 let spare = spares.pop_front().expect("a spare block is always free");
                 for page in 0..PAGES_PER_BLOCK {

@@ -115,7 +115,7 @@ pub fn record() -> BenchResult {
         ("total_energy_j".into(), log2_report.total_energy_j),
         (
             "kv_eol_write_amplification".into(),
-            kv_eol.write_amplification,
+            kv_eol.ftl.write_amplification(),
         ),
     ]);
     record

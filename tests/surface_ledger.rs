@@ -30,6 +30,7 @@ const ENGINE: &str = include_str!("../crates/core/src/engine.rs");
 const CONTROLLER: &str = include_str!("../crates/controller/src/controller.rs");
 const SCENARIO: &str = include_str!("../crates/core/src/sim/scenario.rs");
 const DEVICE: &str = include_str!("../crates/nand/src/device.rs");
+const FTL: &str = include_str!("../crates/controller/src/ftl.rs");
 
 /// Names re-exported by `pub use path::{A, B};` / `pub use path::A;`
 /// items (the `pub use crate_x as y;` module aliases are not names of
@@ -94,21 +95,21 @@ fn pub_fields(source: &str, name: &str) -> usize {
 
 #[test]
 fn the_facade_reexports_what_the_ledger_says() {
-    assert_eq!(reexported_names(FACADE), 58);
+    assert_eq!(reexported_names(FACADE), 57);
 }
 
 #[test]
 fn the_builders_have_the_setters_the_ledger_says() {
-    assert_eq!(setters(ENGINE, "EngineBuilder"), 6);
+    assert_eq!(setters(ENGINE, "EngineBuilder"), 5);
     assert_eq!(setters(CONTROLLER, "ControllerConfigBuilder"), 1);
-    assert_eq!(setters(SCENARIO, "ScenarioBuilder"), 10);
+    assert_eq!(setters(SCENARIO, "ScenarioBuilder"), 11);
 }
 
 #[test]
 fn the_storage_engine_has_the_queries_the_ledger_says() {
     // One route per host query: the completions and `last_batch` are
     // the engine's only accounts, `sq()`/`cq()` its queue views.
-    assert_eq!(pub_fns(ENGINE, "StorageEngine").len(), 13);
+    assert_eq!(pub_fns(ENGINE, "StorageEngine").len(), 12);
 }
 
 #[test]
@@ -120,6 +121,15 @@ fn the_reports_hold_the_fields_the_ledger_says() {
     // ratio.
     assert_eq!(pub_fields(ENGINE, "BatchReport"), 16);
     assert_eq!(pub_fields(DEVICE, "OpReport"), 2);
+    // The FTL keeps what only it knows: the scrub reclaims and their
+    // page moves are the plans' ops and the completions' counters.
+    assert_eq!(pub_fields(FTL, "FtlStats"), 5);
+    // A scenario report holds what was measured, not the spec it ran
+    // (the caller built the `PhaseSpec`) nor a ratio of its own fields
+    // (write amplification is `ftl.write_amplification()`).
+    assert_eq!(pub_fields(SCENARIO, "PhaseReport"), 11);
+    assert_eq!(pub_fields(SCENARIO, "ServicePhaseReport"), 21);
+    assert_eq!(pub_fields(SCENARIO, "ScenarioReport"), 11);
 }
 
 #[test]

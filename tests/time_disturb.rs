@@ -120,34 +120,6 @@ fn erase_resets_the_read_disturb_accumulator_through_the_engine() {
     assert_eq!(device.block_disturb_rber(0).unwrap(), 0.0);
 }
 
-/// Strip the spec-side fields a clocked run necessarily records
-/// differently (`elapsed_hours` is part of the phase *description*) and
-/// compare everything measured.
-fn assert_reports_equal(a: &mlcx::ScenarioReport, b: &mlcx::ScenarioReport) {
-    assert_eq!(a.phases.len(), b.phases.len());
-    for (pa, pb) in a.phases.iter().zip(&b.phases) {
-        assert_eq!(pa.name, pb.name);
-        assert_eq!(pa.services, pb.services, "phase {}", pa.name);
-        assert_eq!(pa.commands, pb.commands);
-        assert_eq!(pa.device_time_s, pb.device_time_s, "phase {}", pa.name);
-        assert_eq!(pa.parallel_time_s, pb.parallel_time_s);
-        assert_eq!(pa.energy_j, pb.energy_j);
-        assert_eq!(pa.op_cache_hits, pb.op_cache_hits, "phase {}", pa.name);
-        assert_eq!(pa.op_cache_misses, pb.op_cache_misses);
-        assert_eq!(pa.knob_writes, pb.knob_writes);
-        assert_eq!(pa.counters.scrub_relocations, 0);
-        assert_eq!(pb.counters.scrub_relocations, 0);
-    }
-    assert_eq!(a.total_commands, b.total_commands);
-    assert_eq!(a.total_device_time_s, b.total_device_time_s);
-    assert_eq!(a.total_energy_j, b.total_energy_j);
-    assert_eq!(a.op_cache_hits, b.op_cache_hits);
-    assert_eq!(a.op_cache_misses, b.op_cache_misses);
-    assert_eq!(a.verified_pages, b.verified_pages);
-    assert_eq!(a.integrity_violations, b.integrity_violations);
-    assert_eq!(a.read_failures, b.read_failures);
-}
-
 #[test]
 fn disabled_disturb_makes_clocked_runs_bit_identical_to_unclocked_ones() {
     // Identical scenarios except one fast-forwards years of wall-clock
@@ -177,10 +149,10 @@ fn disabled_disturb_makes_clocked_runs_bit_identical_to_unclocked_ones() {
     };
     let clocked = base(true).run().unwrap();
     let unclocked = base(false).run().unwrap();
-    assert_reports_equal(&clocked, &unclocked);
-    // The spec-side difference is recorded faithfully.
-    assert_eq!(clocked.phases[0].elapsed_hours, 50_000.0);
-    assert_eq!(unclocked.phases[0].elapsed_hours, 0.0);
+    // The report holds only what was measured, so the whole of it —
+    // every phase, counter, channel and parallel time — must match.
+    assert_eq!(clocked, unclocked);
+    assert_eq!(clocked.counters.scrub_relocations, 0);
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn multi_service_mix_round_trips_across_gc_and_wear() {
         assert!(p.energy_j > 0.0, "{phase}");
         assert!(p.device_time_s > 0.0, "{phase}");
         for s in &p.services {
-            assert!(s.write_amplification >= 1.0, "{phase}/{}", s.service);
+            assert!(s.ftl.write_amplification() >= 1.0, "{phase}/{}", s.service);
             // Objectives hold the paper's UBER target at every wear.
             assert!(
                 s.model_log10_uber <= -11.0 + 1e-9,
