@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::mem;
+use std::ops::Range;
 
 use mlcx_bch::hardware::{EccHardware, EccPowerModel};
 use mlcx_bch::{AdaptiveBch, CodecKernel, DecodeOutcome};
@@ -357,8 +358,9 @@ impl MemoryController {
         &self.device
     }
 
-    /// Mutable device access — for experiment setup (positioning wear,
-    /// enabling disturb/retention mechanisms), not for datapath use.
+    /// Mutable device access — for experiment setup (positioning wear),
+    /// not for datapath use. The disturb model is set through
+    /// [`ControllerConfig::disturb`].
     pub fn device_mut(&mut self) -> &mut NandDevice {
         &mut self.device
     }
@@ -368,24 +370,24 @@ impl MemoryController {
         &self.offsets
     }
 
-    /// The additive disturb/retention RBER a read of `block` would see
-    /// *through this controller right now*: the device's worst-page
-    /// disturb RBER evaluated at the block's learned read-reference
-    /// offset. With retry disabled or no offset learned this is exactly
-    /// [`mlcx_nand::NandDevice::block_disturb_rber`]; with a learned
-    /// offset it is the recovered (effective) figure the upper layers
-    /// should plan ECC against.
+    /// The worst additive disturb/retention RBER a read of any block in
+    /// `blocks` would see *through this controller right now*: each
+    /// block's worst-page disturb RBER evaluated at its learned
+    /// read-reference offset, folded in ascending block order. With
+    /// retry disabled or no offset learned this is the device's
+    /// [`mlcx_nand::NandDevice::block_disturb_rber`] at offset 0; with a
+    /// learned offset it is the recovered (effective) figure the upper
+    /// layers should plan ECC against. 0.0 for an empty range.
     ///
     /// # Errors
     ///
     /// Device errors propagate.
-    pub fn block_effective_disturb_rber(&self, block: usize) -> Result<f64, CtrlError> {
-        let offset = if self.config.retry.is_enabled() {
-            self.offsets.get(block)
-        } else {
-            0
-        };
-        Ok(self.device.block_disturb_rber_at(block, offset)?)
+    pub fn effective_disturb_rber(&self, mut blocks: Range<usize>) -> Result<f64, CtrlError> {
+        let retry = self.config.retry.is_enabled();
+        blocks.try_fold(0.0, |worst: f64, block| {
+            let offset = if retry { self.offsets.get(block) } else { 0 };
+            Ok(worst.max(self.device.block_disturb_rber(block, offset)?))
+        })
     }
 
     /// The channel/die busy-time scheduler (batch parallelism model).
@@ -1066,8 +1068,8 @@ mod tests {
 
         // The effective (offset-aware) disturb RBER is what the upper
         // layers should now plan against.
-        let eff = ctrl.block_effective_disturb_rber(0).unwrap();
-        let nominal = ctrl.device().block_disturb_rber(0).unwrap();
+        let eff = ctrl.effective_disturb_rber(0..1).unwrap();
+        let nominal = ctrl.device().block_disturb_rber(0, 0).unwrap();
         assert!(eff < nominal / 2.0, "eff {eff:e} vs nominal {nominal:e}");
 
         // Erase resets the distributions and forgets the offset.

@@ -59,7 +59,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 
-use mlcx_controller::{ControllerConfig, MemoryController, ReadReport, WriteReport};
+use mlcx_controller::{ControllerConfig, CtrlError, MemoryController, ReadReport, WriteReport};
 use mlcx_nand::OpReport;
 
 use crate::counters::Counters;
@@ -685,8 +685,9 @@ impl StorageEngine {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Overlap`] (as [`MlcxError::Service`]) when the
-    /// block range collides with an existing region.
+    /// [`MlcxError::InvalidConfig`] when the block range runs past the
+    /// device; [`ServiceError::Overlap`] (as [`MlcxError::Service`]) when
+    /// it collides with an existing region.
     pub fn register_service(
         &mut self,
         name: &str,
@@ -710,6 +711,14 @@ impl StorageEngine {
         blocks: Range<usize>,
         qos: QosSpec,
     ) -> Result<ServiceHandle, MlcxError> {
+        let device_blocks = self.ctrl.config().geometry.blocks;
+        if blocks.end > device_blocks {
+            return Err(MlcxError::InvalidConfig {
+                reason: format!(
+                    "service {name} region {blocks:?} exceeds the {device_blocks}-block device"
+                ),
+            });
+        }
         for existing in &self.services {
             if blocks.start < existing.region.blocks.end
                 && existing.region.blocks.start < blocks.end
@@ -1094,9 +1103,7 @@ impl StorageEngine {
         // offset tracks its Vth shift exposes the recovered RBER to the
         // derivation, not the nominal-reference one. Identical to the
         // device's raw accessor with retry off or nothing learned.
-        (lo..hi)
-            .map(|b| self.ctrl.block_effective_disturb_rber(b).unwrap_or(0.0))
-            .fold(0.0, f64::max)
+        self.ctrl.effective_disturb_rber(lo..hi).unwrap_or(0.0)
     }
 
     /// The operating point a service runs on `die` at a wear level,
@@ -1124,12 +1131,18 @@ impl StorageEngine {
         op
     }
 
+    /// The wear a program of `block` derives its operating point at: its
+    /// P/E count, at least 1.
+    fn program_wear(&self, block: usize) -> Result<u64, CtrlError> {
+        Ok(self.ctrl.device().block_cycles(block)?.max(1))
+    }
+
     fn execute_validated(&mut self, idx: usize, cmd: Command) -> Result<CommandOutput, MlcxError> {
         match cmd {
             Command::Write {
                 block, page, data, ..
             } => {
-                let wear = self.ctrl.device().block_cycles(block)?.max(1);
+                let wear = self.program_wear(block)?;
                 let die = self.ctrl.config().geometry.die_of_block(block);
                 let op = self.operating_point(idx, die, wear);
                 let before = self.ctrl.regs().commands_applied();
@@ -1167,7 +1180,7 @@ impl StorageEngine {
                 let read = self.ctrl.read_page(from.0, from.1)?;
                 self.last_batch.absorb(read.latency_s, read.energy_j);
                 self.last_batch.corrected_bits += read.outcome.corrected_bits() as u64;
-                let wear = self.ctrl.device().block_cycles(to.0)?.max(1);
+                let wear = self.program_wear(to.0)?;
                 let die = self.ctrl.config().geometry.die_of_block(to.0);
                 let op = self.operating_point(idx, die, wear);
                 let before = self.ctrl.regs().commands_applied();
@@ -1789,7 +1802,7 @@ mod tests {
         // The model-side arithmetic agrees: extra rber of the aged
         // block raises the required capability at the same wear.
         let model = e.model();
-        let extra = e.controller().device().block_disturb_rber(0).unwrap();
+        let extra = e.controller().device().block_disturb_rber(0, 0).unwrap();
         assert!(extra > 0.0);
         let plain = model.configure(Objective::Baseline, 100_001);
         let disturbed = model.configure_with_extra_rber(Objective::Baseline, 100_001, extra);
@@ -1855,8 +1868,8 @@ mod tests {
         // derived after the retry sees less extra RBER than nominal.
         let learned = e.controller().read_offsets().get(0);
         assert_ne!(learned, 0);
-        let eff = e.controller().block_effective_disturb_rber(0).unwrap();
-        let nominal = e.controller().device().block_disturb_rber(0).unwrap();
+        let eff = e.controller().effective_disturb_rber(0..1).unwrap();
+        let nominal = e.controller().device().block_disturb_rber(0, 0).unwrap();
         assert!(eff < nominal, "eff {eff:e} vs nominal {nominal:e}");
 
         // Steady state: same-seed single-sense read, no new counters.

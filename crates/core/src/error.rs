@@ -2,19 +2,19 @@
 //!
 //! Every fallible host-facing operation across the workspace funnels into
 //! [`MlcxError`]: service-directory violations ([`ServiceError`]),
-//! controller datapath failures ([`CtrlError`], itself wrapping the codec
-//! and device errors), raw device errors ([`NandError`]), codec errors
-//! ([`BchError`]) and the engine/builder-specific conditions introduced
-//! by the command-queue API. One `std::error::Error` impl, one `source()`
-//! chain, one type to match on at the application boundary.
+//! controller datapath failures ([`CtrlError`]), FTL failures and the
+//! engine/builder-specific conditions introduced by the command-queue
+//! API. Device and codec errors are not variants of their own: every
+//! route that reaches the device or the codec goes through the
+//! controller, so they arrive as `Ctrl(CtrlError::Nand(..))` or
+//! `Ctrl(CtrlError::Ecc(..))`. One `std::error::Error` impl, one
+//! `source()` chain, one type to match on at the application boundary.
 
 use std::error::Error;
 use std::fmt;
 
-use mlcx_bch::BchError;
 use mlcx_controller::ftl::FtlError;
 use mlcx_controller::CtrlError;
-use mlcx_nand::NandError;
 
 use crate::services::ServiceError;
 
@@ -26,10 +26,6 @@ pub enum MlcxError {
     Service(ServiceError),
     /// Memory-controller datapath or configuration failure.
     Ctrl(CtrlError),
-    /// Raw NAND device failure (outside the controller datapath).
-    Nand(NandError),
-    /// BCH codec failure (outside the controller datapath).
-    Ecc(BchError),
     /// A command referenced a service handle the engine never issued.
     UnknownHandle {
         /// The raw handle index.
@@ -76,8 +72,6 @@ impl fmt::Display for MlcxError {
         match self {
             MlcxError::Service(e) => write!(f, "service: {e}"),
             MlcxError::Ctrl(e) => write!(f, "controller: {e}"),
-            MlcxError::Nand(e) => write!(f, "nand: {e}"),
-            MlcxError::Ecc(e) => write!(f, "ecc: {e}"),
             MlcxError::UnknownHandle { handle } => {
                 write!(
                     f,
@@ -109,8 +103,6 @@ impl Error for MlcxError {
         match self {
             MlcxError::Service(e) => Some(e),
             MlcxError::Ctrl(e) => Some(e),
-            MlcxError::Nand(e) => Some(e),
-            MlcxError::Ecc(e) => Some(e),
             MlcxError::Ftl(e) => Some(e),
             _ => None,
         }
@@ -126,18 +118,6 @@ impl From<ServiceError> for MlcxError {
 impl From<CtrlError> for MlcxError {
     fn from(e: CtrlError) -> Self {
         MlcxError::Ctrl(e)
-    }
-}
-
-impl From<NandError> for MlcxError {
-    fn from(e: NandError) -> Self {
-        MlcxError::Nand(e)
-    }
-}
-
-impl From<BchError> for MlcxError {
-    fn from(e: BchError) -> Self {
-        MlcxError::Ecc(e)
     }
 }
 

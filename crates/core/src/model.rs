@@ -97,45 +97,36 @@ pub struct SubsystemModel {
 }
 
 impl SubsystemModel {
-    /// The paper's full calibration.
+    /// The paper's full calibration: the model of the preset
+    /// controller, [`ControllerConfig::date2012`].
     pub fn date2012() -> Self {
-        SubsystemModel {
-            aging: AgingModel::date2012(),
-            ispp: IsppConfig::date2012(),
-            ecc_hw: EccHardware::date2012(),
-            ecc_power: EccPowerModel::date2012(),
-            hv: HvSubsystem::date2012(),
-            bus: FlashInterface::date2012(),
-            ocp: OcpSocket::date2012(),
-            timing: NandTiming::date2012(),
-            load_strategy: LoadStrategy::OneRound,
-            k_bits: 4096 * 8,
-            ecc_m: 16,
-            tmin: 3,
-            tmax: 65,
-            uber_target: 1e-11,
-        }
+        Self::for_controller(&ControllerConfig::date2012())
     }
 
     /// The model of the hardware a controller built from `config`
     /// drives — the only model a [`StorageEngine`](crate::StorageEngine)
     /// plans with. The ECC engine and its power, both buses, the page
     /// size and the codec range are the configuration's; the device-side
-    /// calibration (`aging`, `ispp`, `hv`, `timing`) is
-    /// [`SubsystemModel::date2012`]'s, the same presets
-    /// `MemoryController::new` builds its `NandDevice` from — which is
-    /// what keeps model and device equal with no check between them.
+    /// calibration (`aging`, `ispp`, `hv`, `timing`) is written here
+    /// once, from the same `date2012()` presets `MemoryController::new`
+    /// builds its `NandDevice` from — which is what keeps model and
+    /// device equal with no check between them.
     pub fn for_controller(config: &ControllerConfig) -> Self {
         SubsystemModel {
+            aging: AgingModel::date2012(),
+            ispp: IsppConfig::date2012(),
             ecc_hw: config.ecc_hw,
             ecc_power: config.ecc_power,
+            hv: HvSubsystem::date2012(),
             bus: config.flash_if,
             ocp: config.ocp,
+            timing: NandTiming::date2012(),
+            load_strategy: LoadStrategy::OneRound,
             k_bits: config.geometry.page_bytes * 8,
             ecc_m: config.ecc_m,
             tmin: config.ecc_tmin,
             tmax: config.ecc_tmax,
-            ..Self::date2012()
+            uber_target: 1e-11,
         }
     }
 

@@ -10,8 +10,7 @@ use mlcx_nand::NandError;
 
 use crate::counters::Counters;
 use crate::engine::{
-    nearest_rank, BatchReport, Command, CommandOutput, Completion, EngineBuilder, ServiceHandle,
-    StorageEngine,
+    nearest_rank, Command, CommandOutput, EngineBuilder, ServiceHandle, StorageEngine,
 };
 use crate::error::MlcxError;
 use crate::event::QosSpec;
@@ -592,8 +591,8 @@ impl ScenarioBuilder {
 /// A physical `(block, page)` address.
 type Slot = (usize, usize);
 
-/// What a submitted command was for (accounting + data routing). The
-/// service it books against is the completion's own.
+/// What a submitted command was for, as far as its [`CommandOutput`]
+/// cannot say. The service it books against is the completion's own.
 enum CmdMeta {
     /// A trace read: verify the payload against `(lpn, version)`.
     HostRead { lpn: usize, version: u64 },
@@ -601,14 +600,9 @@ enum CmdMeta {
     HostWrite,
     /// A GC relocation read: stash the data in `gc_data[slot]`.
     GcRead { slot: usize },
-    /// A GC relocation write.
-    GcWrite,
-    /// A GC victim erase.
-    GcErase,
-    /// A scrub relocation (engine-level copy-back).
-    ScrubRelocate,
-    /// A scrub erase.
-    ScrubErase,
+    /// A GC relocation write or victim erase, or a scrub relocation or
+    /// erase: the output (`Write`, `Erase` or `Relocate`) names which.
+    Maintenance,
 }
 
 /// Per-phase, per-service accumulator.
@@ -628,35 +622,9 @@ struct Acc {
     counters: Counters,
 }
 
-/// The engine's side of one phase: every drain's [`BatchReport`], added
-/// once as it lands.
-#[derive(Default)]
-struct PhaseBatches {
-    commands: usize,
-    device_time_s: f64,
-    parallel_time_s: f64,
-    channel_busy_s: f64,
-    op_cache_hits: u64,
-    op_cache_misses: u64,
-    knob_writes: u64,
-}
-
-impl PhaseBatches {
-    fn add(&mut self, batch: &BatchReport) {
-        self.commands += batch.commands;
-        self.device_time_s += batch.device_latency_s;
-        self.parallel_time_s += batch.parallel_latency_s;
-        self.channel_busy_s += batch.channel_busy_s;
-        self.op_cache_hits += batch.op_cache_hits;
-        self.op_cache_misses += batch.op_cache_misses;
-        self.knob_writes += batch.knob_writes;
-    }
-}
-
+/// A service's runtime state; its name, objective and trace are the
+/// scenario's [`ServiceSpec`] at the same index.
 struct SimService {
-    name: String,
-    objective: Objective,
-    trace: TraceKind,
     handle: ServiceHandle,
     map: LogicalMap,
     gen: TraceGenerator,
@@ -664,6 +632,27 @@ struct SimService {
     versions: BTreeMap<usize, u64>,
     ftl_at_phase_start: FtlStats,
     acc: Acc,
+}
+
+impl PhaseReport {
+    /// A report with nothing booked yet: the runner adds each drain's
+    /// [`BatchReport`](crate::engine::BatchReport) into it, then names it
+    /// and fills in the services.
+    fn empty() -> Self {
+        PhaseReport {
+            name: String::new(),
+            services: Vec::new(),
+            commands: 0,
+            device_time_s: 0.0,
+            parallel_time_s: 0.0,
+            channel_busy_s: 0.0,
+            energy_j: 0.0,
+            op_cache_hits: 0,
+            op_cache_misses: 0,
+            knob_writes: 0,
+            counters: Counters::default(),
+        }
+    }
 }
 
 /// Compiles trace streams into engine command batches and drives them
@@ -676,24 +665,17 @@ struct SimService {
 /// engine build) apart from [`WorkloadRunner::run`].
 pub struct WorkloadRunner {
     engine: StorageEngine,
+    /// The scenario being run: phases, batch size, prefill, scrub
+    /// policy and every service's spec.
+    scenario: Scenario,
     services: Vec<SimService>,
-    /// The scenario's scrub policy; each pass scans every service's
-    /// region/map in turn.
-    scrub: ScrubPolicy,
-    phases: Vec<PhaseSpec>,
-    batch_size: usize,
-    prefill: bool,
-    page_bytes: usize,
-    k_bits: usize,
-    ecc_m: u32,
     /// Commands staged for the next submit, with their accounting tags.
     pending: Vec<(Command, CmdMeta)>,
-    /// CmdId -> accounting tag for everything submitted and unpolled.
-    meta: BTreeMap<u64, CmdMeta>,
     /// Relocation read payloads, indexed by the batch slot.
     gc_data: Vec<Option<Vec<u8>>>,
-    /// The current phase's drains, taken by `phase_report`.
-    batches: PhaseBatches,
+    /// The current phase's report under construction, taken by
+    /// `phase_report`.
+    report: PhaseReport,
 }
 
 /// The deterministic page payload of `(service, lpn, version)`.
@@ -717,10 +699,11 @@ impl WorkloadRunner {
     ///
     /// # Errors
     ///
-    /// Engine construction errors; [`MlcxError::InvalidConfig`] when a
-    /// region exceeds the device geometry; `DieOutOfRange` (as
-    /// [`MlcxError::Ctrl`]) when a phase skews a die the topology does
-    /// not have; controller errors from the format pass.
+    /// Engine construction and service registration errors
+    /// ([`MlcxError::InvalidConfig`] when a region exceeds the device
+    /// geometry); `DieOutOfRange` (as [`MlcxError::Ctrl`]) when a phase
+    /// skews a die the topology does not have; controller errors from
+    /// the format pass.
     pub fn new(scenario: &Scenario) -> Result<Self, MlcxError> {
         let mut engine = scenario.engine.clone().seed(scenario.seed).build()?;
         let geometry = engine.controller().config().geometry;
@@ -734,14 +717,6 @@ impl WorkloadRunner {
         }
         let mut services = Vec::with_capacity(scenario.services.len());
         for (i, spec) in scenario.services.iter().enumerate() {
-            if spec.blocks.end > geometry.blocks {
-                return Err(MlcxError::InvalidConfig {
-                    reason: format!(
-                        "service {} region {:?} exceeds the {}-block device",
-                        spec.name, spec.blocks, geometry.blocks
-                    ),
-                });
-            }
             let handle = engine.register_service_with_qos(
                 &spec.name,
                 spec.objective,
@@ -767,9 +742,6 @@ impl WorkloadRunner {
             let gen = TraceGenerator::new(spec.trace, trace_space, trace_seed)
                 .map_err(|reason| MlcxError::InvalidConfig { reason })?;
             services.push(SimService {
-                name: spec.name.clone(),
-                objective: spec.objective,
-                trace: spec.trace,
                 handle,
                 map,
                 gen,
@@ -778,22 +750,13 @@ impl WorkloadRunner {
                 acc: Acc::default(),
             });
         }
-        let model = engine.model();
-        let (k_bits, ecc_m) = (model.k_bits, model.ecc_m);
         Ok(WorkloadRunner {
             engine,
+            scenario: scenario.clone(),
             services,
-            scrub: scenario.scrub,
-            phases: scenario.phases.clone(),
-            batch_size: scenario.batch_size,
-            prefill: scenario.prefill,
-            page_bytes: geometry.page_bytes,
-            k_bits,
-            ecc_m,
             pending: Vec::new(),
-            meta: BTreeMap::new(),
             gc_data: Vec::new(),
-            batches: PhaseBatches::default(),
+            report: PhaseReport::empty(),
         })
     }
 
@@ -807,14 +770,40 @@ impl WorkloadRunner {
     /// misses) are reported in the [`ScenarioReport`] counters instead.
     pub fn run(mut self) -> Result<ScenarioReport, MlcxError> {
         let mut phases = Vec::new();
-        if self.prefill {
-            phases.push(self.run_prefill()?);
+        if self.scenario.prefill {
+            let mut ops = Vec::new();
+            for (svc, s) in self.services.iter().enumerate() {
+                ops.extend((0..s.gen.capacity()).map(|lpn| (svc, TraceOp::Write(lpn))));
+            }
+            phases.push(self.run_phase("prefill".into(), ops, None)?);
         }
-        for spec in self.phases.clone() {
-            phases.push(self.run_phase(&spec)?);
+        for p in 0..self.scenario.phases.len() {
+            // Round-robin across services per op, so the services
+            // genuinely contend inside shared batches. The generators
+            // never read the device, so drawing the phase's ops up front
+            // replays the same streams.
+            let mut ops = Vec::new();
+            for _ in 0..self.scenario.phases[p].ops_per_service {
+                for (svc, s) in self.services.iter_mut().enumerate() {
+                    ops.push((svc, s.gen.next_op()));
+                }
+            }
+            let name = self.scenario.phases[p].name.clone();
+            phases.push(self.run_phase(name, ops, Some(p))?);
         }
-        let (verify, verified_pages) = self.run_final_verify()?;
-        phases.push(verify);
+        // Reads map and unmap nothing (a scrub relocation moves a page,
+        // not its lpn), so the set collected here is the set swept.
+        let mut ops = Vec::new();
+        for (svc, s) in self.services.iter().enumerate() {
+            ops.extend(
+                s.map
+                    .mapped_lpns()
+                    .into_iter()
+                    .map(|lpn| (svc, TraceOp::Read(lpn))),
+            );
+        }
+        let verified_pages = ops.len();
+        phases.push(self.run_phase("verify".into(), ops, None)?);
 
         // The totals: one in-order fold over the phases.
         let mut report = ScenarioReport {
@@ -847,29 +836,31 @@ impl WorkloadRunner {
         Ok(report)
     }
 
-    fn begin_phase(&mut self) {
+    /// Applies `ops` in order and drains them. A configured phase (the
+    /// scenario's phase `configured`) then runs one closing scrub pass,
+    /// so it ends with its maintenance debt visible in its own report,
+    /// and after the report applies its fast-forward, die skew and
+    /// clock jump.
+    fn run_phase(
+        &mut self,
+        name: String,
+        ops: Vec<(usize, TraceOp)>,
+        configured: Option<usize>,
+    ) -> Result<PhaseReport, MlcxError> {
         for s in &mut self.services {
             s.ftl_at_phase_start = s.map.stats();
-            s.acc = Acc::default();
         }
-    }
-
-    fn run_phase(&mut self, spec: &PhaseSpec) -> Result<PhaseReport, MlcxError> {
-        self.begin_phase();
-        // Round-robin across services per op, so the services genuinely
-        // contend inside shared batches.
-        for _ in 0..spec.ops_per_service {
-            for svc in 0..self.services.len() {
-                let op = self.services[svc].gen.next_op();
-                self.apply_op(svc, op)?;
-            }
+        for (svc, op) in ops {
+            self.apply_op(svc, op)?;
         }
-        // One closing scrub pass so a phase ends with its maintenance
-        // debt visible in its own report, then drain everything.
         self.flush()?;
+        let Some(p) = configured else {
+            return Ok(self.phase_report(name));
+        };
         self.scrub_tick();
         self.flush()?;
-        let report = self.phase_report(&spec.name);
+        let report = self.phase_report(name);
+        let spec = &self.scenario.phases[p];
         if spec.fast_forward_cycles > 0 {
             self.engine
                 .controller_mut()
@@ -884,31 +875,6 @@ impl WorkloadRunner {
         Ok(report)
     }
 
-    fn run_prefill(&mut self) -> Result<PhaseReport, MlcxError> {
-        self.begin_phase();
-        let spaces: Vec<usize> = self.services.iter().map(|s| s.gen.capacity()).collect();
-        for (svc, space) in spaces.into_iter().enumerate() {
-            for lpn in 0..space {
-                self.apply_op(svc, TraceOp::Write(lpn))?;
-            }
-        }
-        self.flush()?;
-        Ok(self.phase_report("prefill"))
-    }
-
-    fn run_final_verify(&mut self) -> Result<(PhaseReport, usize), MlcxError> {
-        self.begin_phase();
-        let mut verified = 0;
-        for svc in 0..self.services.len() {
-            for lpn in self.services[svc].map.mapped_lpns() {
-                verified += 1;
-                self.apply_op(svc, TraceOp::Read(lpn))?;
-            }
-        }
-        self.flush()?;
-        Ok((self.phase_report("verify"), verified))
-    }
-
     /// One background-scrub round: every service scans its
     /// region's disturb state and *stages* the resulting relocate+erase
     /// maintenance onto the pending queue, so scrub traffic rides the
@@ -920,7 +886,7 @@ impl WorkloadRunner {
     /// device. Host operations staged *after* the tick are consistent —
     /// per-service FIFO executes the maintenance first, in plan order.
     fn scrub_tick(&mut self) {
-        if !self.scrub.is_enabled() {
+        if !self.scenario.scrub.is_enabled() {
             return;
         }
         debug_assert!(
@@ -930,16 +896,13 @@ impl WorkloadRunner {
         let device = self.engine.controller().device();
         for service in &mut self.services {
             let handle = service.handle;
-            for op in self.scrub.plan_pass(device, &mut service.map) {
-                self.pending.push(match op {
-                    FtlOp::Relocate { from, to, .. } => {
-                        (Command::relocate(handle, from, to), CmdMeta::ScrubRelocate)
-                    }
-                    FtlOp::Erase { block } => {
-                        (Command::scrub_erase(handle, block), CmdMeta::ScrubErase)
-                    }
+            for op in self.scenario.scrub.plan_pass(device, &mut service.map) {
+                let command = match op {
+                    FtlOp::Relocate { from, to, .. } => Command::relocate(handle, from, to),
+                    FtlOp::Erase { block } => Command::scrub_erase(handle, block),
                     FtlOp::Write { .. } => unreachable!("reclaim plans never host-write"),
-                });
+                };
+                self.pending.push((command, CmdMeta::Maintenance));
             }
         }
     }
@@ -980,7 +943,7 @@ impl WorkloadRunner {
                 }
             }
         }
-        if self.pending.len() >= self.batch_size {
+        if self.pending.len() >= self.scenario.batch_size {
             self.flush()?;
             // With the staged state landed, let the scrub policy scan;
             // any maintenance it plans is staged ahead of the next
@@ -995,7 +958,8 @@ impl WorkloadRunner {
         let service = &mut self.services[svc];
         let version = service.versions.entry(lpn).or_insert(0);
         *version += 1;
-        let data = payload(self.page_bytes, svc, lpn, *version);
+        let page_bytes = self.engine.controller().config().geometry.page_bytes;
+        let data = payload(page_bytes, svc, lpn, *version);
         let handle = service.handle;
         self.pending
             .push((Command::write(handle, to.0, to.1, data), CmdMeta::HostWrite));
@@ -1020,7 +984,7 @@ impl WorkloadRunner {
                 }
                 FtlOp::Erase { block } => {
                     self.pending
-                        .push((Command::erase(handle, block), CmdMeta::GcErase));
+                        .push((Command::erase(handle, block), CmdMeta::Maintenance));
                     i += 1;
                 }
                 FtlOp::Write { lpn, to } => {
@@ -1055,8 +1019,10 @@ impl WorkloadRunner {
                 .ok_or_else(|| MlcxError::Internal {
                     reason: format!("relocation read for slot {slot} never stashed its payload"),
                 })?;
-            self.pending
-                .push((Command::write(handle, to.0, to.1, data), CmdMeta::GcWrite));
+            self.pending.push((
+                Command::write(handle, to.0, to.1, data),
+                CmdMeta::Maintenance,
+            ));
         }
         Ok(())
     }
@@ -1069,18 +1035,9 @@ impl WorkloadRunner {
         self.submit_batch(batch)
     }
 
-    fn submit_batch(&mut self, batch: Vec<(Command, CmdMeta)>) -> Result<(), MlcxError> {
-        let (commands, metas): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
-        let ids = self.engine.sq().submit_owned(commands)?;
-        for (id, meta) in ids.into_iter().zip(metas) {
-            self.meta.insert(id.raw(), meta);
-        }
-        let completions = self.engine.cq().drain();
-        self.batches.add(self.engine.last_batch());
-        self.process(completions)
-    }
-
-    /// Books every completion against its service accumulator.
+    /// Submits and drains one batch, adds its
+    /// [`BatchReport`](crate::engine::BatchReport) into the phase report,
+    /// and books every completion against its service's accumulator.
     ///
     /// Host *read* failures become counters — an ECC decode miss is a
     /// modeled reliability event the report exists to surface. Write
@@ -1088,11 +1045,32 @@ impl WorkloadRunner {
     /// slots its own FTL allocated, so a rejected write or erase means
     /// the runner and the device disagree about physical state (a bug,
     /// not a modeled event).
-    fn process(&mut self, completions: Vec<Completion>) -> Result<(), MlcxError> {
+    fn submit_batch(&mut self, batch: Vec<(Command, CmdMeta)>) -> Result<(), MlcxError> {
+        let (commands, mut tags): (Vec<_>, Vec<_>) =
+            batch.into_iter().map(|(c, meta)| (c, Some(meta))).unzip();
+        // One submission's ids are consecutive and the drain returns
+        // exactly what it submitted: a completion's tag sits at its id's
+        // offset from the first.
+        let ids = self.engine.sq().submit_owned(commands)?;
+        let first = ids.first().map_or(0, |id| id.raw());
+        let completions = self.engine.cq().drain();
+        let batch = self.engine.last_batch();
+        let report = &mut self.report;
+        report.commands += batch.commands;
+        report.device_time_s += batch.device_latency_s;
+        report.parallel_time_s += batch.parallel_latency_s;
+        report.channel_busy_s += batch.channel_busy_s;
+        report.op_cache_hits += batch.op_cache_hits;
+        report.op_cache_misses += batch.op_cache_misses;
+        report.knob_writes += batch.knob_writes;
+
+        let page_bytes = self.engine.controller().config().geometry.page_bytes;
+        let model = self.engine.model();
+        let codeword_bits = |t: u32| (model.k_bits + model.parity_bits(t)) as u64;
         for c in completions {
-            let meta = self
-                .meta
-                .remove(&c.id.raw())
+            let offset = c.id.raw().checked_sub(first);
+            let meta = offset
+                .and_then(|k| tags.get_mut(usize::try_from(k).ok()?)?.take())
                 .ok_or_else(|| MlcxError::Internal {
                     reason: format!(
                         "completion for command #{} the runner never submitted",
@@ -1111,7 +1089,6 @@ impl WorkloadRunner {
                 acc.counters.record(output);
                 acc.energy_j += output.energy_j();
             }
-            let codeword_bits = |t: u32| (self.k_bits + self.ecc_m as usize * t as usize) as u64;
             match (meta, c.result) {
                 (CmdMeta::HostRead { lpn, version }, Ok(CommandOutput::Read(r))) => {
                     acc.read_lat.push(r.latency_s);
@@ -1119,7 +1096,7 @@ impl WorkloadRunner {
                     acc.codeword_bits_read += codeword_bits(r.t_used);
                     if !r.outcome.is_success() {
                         acc.read_failures += 1;
-                    } else if r.data != payload(self.page_bytes, svc, lpn, version) {
+                    } else if r.data != payload(page_bytes, svc, lpn, version) {
                         acc.integrity_violations += 1;
                     }
                 }
@@ -1139,27 +1116,35 @@ impl WorkloadRunner {
                     }
                     self.gc_data[slot] = Some(r.data);
                 }
-                (CmdMeta::ScrubRelocate, Ok(CommandOutput::Relocate { read, .. })) => {
+                (CmdMeta::Maintenance, Ok(CommandOutput::Relocate { read, .. })) => {
                     if !read.outcome.is_success() {
                         // Best-effort data was relocated anyway; the
                         // damage surfaces at the next host read.
                         acc.read_failures += 1;
                     }
                 }
-                (CmdMeta::GcWrite | CmdMeta::GcErase | CmdMeta::ScrubErase, Ok(_)) => {}
+                (CmdMeta::Maintenance, Ok(_)) => {}
                 (_, Err(e)) => return Err(e),
-                (_, Ok(other)) => unreachable!("mismatched command output {other:?}"),
+                (_, Ok(other)) => {
+                    return Err(MlcxError::Internal {
+                        reason: format!("mismatched command output {other:?}"),
+                    })
+                }
             }
         }
         Ok(())
     }
 
-    fn phase_report(&mut self, name: &str) -> PhaseReport {
+    /// Closes the current phase as `name`: the per-service reports, read
+    /// against the device and the model at phase end.
+    fn phase_report(&mut self, name: String) -> PhaseReport {
         let mut services = Vec::with_capacity(self.services.len());
         let mut counters = Counters::default();
-        for i in 0..self.services.len() {
-            let blocks = self.services[i].map.blocks();
-            let device = self.engine.controller().device();
+        let ctrl = self.engine.controller();
+        let device = ctrl.device();
+        let model = self.engine.model();
+        for (spec, s) in self.scenario.services.iter().zip(&mut self.services) {
+            let blocks = s.map.blocks();
             let max_wear = blocks
                 .clone()
                 .map(|b| device.block_cycles(b).unwrap_or(0))
@@ -1170,26 +1155,19 @@ impl WorkloadRunner {
             // *at the reference each block would actually be sensed at*
             // — with retry enabled, a block's learned offset discounts
             // the shift the ladder has already tuned away.
-            let ctrl = self.engine.controller();
-            let model_disturb_rber = blocks
-                .clone()
-                .map(|b| ctrl.block_effective_disturb_rber(b).unwrap_or(0.0))
-                .fold(0.0, f64::max);
+            let model_disturb_rber = ctrl.effective_disturb_rber(blocks.clone()).unwrap_or(0.0);
             // Worst program-interference RBER across the region: what
             // neighbor coupling, die-level program disturb and any
             // partially programmed page add on top of the disturb state.
             let model_interference_rber = blocks
                 .map(|b| device.block_interference_rber(b).unwrap_or(0.0))
                 .fold(0.0, f64::max);
-            let objective = self.services[i].objective;
-            let model = self.engine.model();
-            let op = model.configure(objective, max_wear.max(1));
+            let op = model.configure(spec.objective, max_wear.max(1));
             let model_rber = model.rber(op.algorithm, max_wear.max(1));
             let model_log10_uber = model.log10_uber(&op, max_wear.max(1));
             let model_log10_uber_disturbed =
                 model.log10_uber_at_rber(&op, (model_rber + model_disturb_rber).min(0.5));
 
-            let s = &mut self.services[i];
             let acc = std::mem::take(&mut s.acc);
             let ftl = s.map.stats().delta_since(&s.ftl_at_phase_start);
             let measured_rber = if acc.codeword_bits_read == 0 {
@@ -1199,8 +1177,8 @@ impl WorkloadRunner {
             };
             counters.absorb(&acc.counters);
             services.push(ServicePhaseReport {
-                service: s.name.clone(),
-                trace: s.trace,
+                service: spec.name.clone(),
+                trace: spec.trace,
                 reads: acc.reads,
                 writes: acc.writes,
                 cold_reads: acc.cold_reads,
@@ -1222,21 +1200,12 @@ impl WorkloadRunner {
                 ftl,
             });
         }
-        let energy_j = services.iter().map(|s| s.energy_j).sum();
-        let batches = std::mem::take(&mut self.batches);
-        PhaseReport {
-            name: name.to_string(),
-            services,
-            commands: batches.commands,
-            device_time_s: batches.device_time_s,
-            parallel_time_s: batches.parallel_time_s,
-            channel_busy_s: batches.channel_busy_s,
-            energy_j,
-            op_cache_hits: batches.op_cache_hits,
-            op_cache_misses: batches.op_cache_misses,
-            knob_writes: batches.knob_writes,
-            counters,
-        }
+        let mut report = std::mem::replace(&mut self.report, PhaseReport::empty());
+        report.name = name;
+        report.energy_j = services.iter().map(|s| s.energy_j).sum();
+        report.services = services;
+        report.counters = counters;
+        report
     }
 }
 
@@ -1244,8 +1213,8 @@ impl std::fmt::Debug for WorkloadRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkloadRunner")
             .field("services", &self.services.len())
-            .field("phases", &self.phases.len())
-            .field("batch_size", &self.batch_size)
+            .field("phases", &self.scenario.phases.len())
+            .field("batch_size", &self.scenario.batch_size)
             .field("pending", &self.pending.len())
             .finish()
     }

@@ -403,31 +403,46 @@ impl NandDevice {
 
     /// The additive RBER the active [`DisturbModel`] would charge a read
     /// of the block's worst (oldest, at its program-time wear) page
-    /// right now: read-disturb from the accumulated reads since erase
-    /// plus the worst per-page retention term. 0.0 for a blank block
-    /// under any model, and for any block under
-    /// [`DisturbModel::disabled`].
+    /// sensed at read-reference `offset` steps from nominal, right now.
+    /// At offset 0 that is read-disturb from the accumulated reads since
+    /// erase plus the worst per-page retention term; otherwise the worst
+    /// per-page [`DisturbModel::rber_at_offset`] — a well-learned offset
+    /// reports the *effective* (recovered) disturb RBER a retrying
+    /// controller actually exposes upward. 0.0 for a blank block under
+    /// any model, and for any block under [`DisturbModel::disabled`] at
+    /// offset 0.
     ///
     /// # Errors
     ///
     /// [`NandError::BlockOutOfRange`] for bad indices.
-    pub fn block_disturb_rber(&self, block: usize) -> Result<f64, NandError> {
+    pub fn block_disturb_rber(&self, block: usize, offset: i32) -> Result<f64, NandError> {
         self.check_block(block)?;
         let b = &self.blocks[block];
         if b.programmed == 0 {
             return Ok(0.0);
         }
-        let retention = b
-            .stored()
-            .iter()
+        let pages = b.stored().iter();
+        let age = |p: &StoredPage| self.clock_hours - p.programmed_at_hours;
+        if offset == 0 {
+            let retention = pages
+                .map(|p| {
+                    self.disturb.retention_rber(age(p), p.cycles_at_program)
+                        + self.page_interference(block, p)
+                })
+                .fold(0.0, f64::max);
+            return Ok(self.disturb.read_disturb_rber(b.reads_since_erase) + retention);
+        }
+        Ok(pages
             .map(|p| {
-                self.disturb.retention_rber(
-                    self.clock_hours - p.programmed_at_hours,
+                self.disturb.rber_at_offset(
+                    b.reads_since_erase,
+                    age(p),
                     p.cycles_at_program,
-                ) + self.page_interference(block, p)
+                    self.page_interference(block, p),
+                    offset,
+                )
             })
-            .fold(0.0, f64::max);
-        Ok(self.disturb.read_disturb_rber(b.reads_since_erase) + retention)
+            .fold(0.0, f64::max))
     }
 
     /// The program-interference RBER a stored page has accrued: the
@@ -490,40 +505,6 @@ impl NandDevice {
             .stored()
             .iter()
             .map(|p| self.page_interference(block, p))
-            .fold(0.0, f64::max))
-    }
-
-    /// Like [`NandDevice::block_disturb_rber`], but for a read sensed at
-    /// read-reference `offset` steps from nominal: the worst per-page
-    /// [`DisturbModel::rber_at_offset`] over the block's programmed
-    /// pages. At offset 0 this is exactly
-    /// [`NandDevice::block_disturb_rber`]; a well-learned offset reports
-    /// the *effective* (recovered) disturb RBER a retrying controller
-    /// actually exposes upward.
-    ///
-    /// # Errors
-    ///
-    /// [`NandError::BlockOutOfRange`] for bad indices.
-    pub fn block_disturb_rber_at(&self, block: usize, offset: i32) -> Result<f64, NandError> {
-        if offset == 0 {
-            return self.block_disturb_rber(block);
-        }
-        self.check_block(block)?;
-        let b = &self.blocks[block];
-        if b.programmed == 0 {
-            return Ok(0.0);
-        }
-        Ok(b.stored()
-            .iter()
-            .map(|p| {
-                self.disturb.rber_at_offset(
-                    b.reads_since_erase,
-                    self.clock_hours - p.programmed_at_hours,
-                    p.cycles_at_program,
-                    self.page_interference(block, p),
-                    offset,
-                )
-            })
             .fold(0.0, f64::max))
     }
 
@@ -1236,7 +1217,7 @@ mod tests {
         let mut dev = device();
         dev.set_disturb_model(DisturbModel::date2012());
         assert_eq!(dev.block_data_age_hours(0).unwrap(), 0.0);
-        assert_eq!(dev.block_disturb_rber(0).unwrap(), 0.0);
+        assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
         dev.age_block(0, 1_000_000).unwrap();
         dev.erase_block(0).unwrap();
         dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
@@ -1252,12 +1233,12 @@ mod tests {
         // the block's worst (oldest) page.
         let expected =
             m.read_disturb_rber(2) + (m.retention_rber(100.0, 1_000_001) + m.program_coupling_rber);
-        assert!((dev.block_disturb_rber(0).unwrap() - expected).abs() < 1e-15);
+        assert!((dev.block_disturb_rber(0, 0).unwrap() - expected).abs() < 1e-15);
         // Erase resets both axes.
         dev.erase_block(0).unwrap();
         assert_eq!(dev.block_data_age_hours(0).unwrap(), 0.0);
-        assert_eq!(dev.block_disturb_rber(0).unwrap(), 0.0);
-        assert!(dev.block_disturb_rber(9_999).is_err());
+        assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
+        assert!(dev.block_disturb_rber(9_999, 0).is_err());
     }
 
     #[test]
@@ -1580,7 +1561,7 @@ mod tests {
             assert_eq!(dev.page_interference_rber(0, page).unwrap(), 0.0);
         }
         assert_eq!(dev.block_interference_rber(0).unwrap(), 0.0);
-        assert_eq!(dev.block_disturb_rber(0).unwrap(), 0.0);
+        assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
     }
 
     #[test]

@@ -282,8 +282,7 @@ impl Model {
                         })
                         .fold(0.0, f64::max)
             };
-            assert_eq!(dev.block_disturb_rber(block).unwrap(), disturb);
-            assert_eq!(dev.block_disturb_rber_at(block, 0).unwrap(), disturb);
+            assert_eq!(dev.block_disturb_rber(block, 0).unwrap(), disturb);
             for offset in [-1, 2] {
                 let at = self
                     .stored(block)
@@ -297,7 +296,7 @@ impl Model {
                         )
                     })
                     .fold(0.0, f64::max);
-                assert_eq!(dev.block_disturb_rber_at(block, offset).unwrap(), at);
+                assert_eq!(dev.block_disturb_rber(block, offset).unwrap(), at);
             }
             for (page, slot) in b.pages.iter().enumerate() {
                 let (interference, partial) = match slot {
@@ -486,8 +485,8 @@ fn refilled_slots_show_nothing_of_their_previous_content() {
     }
     assert_eq!(dev.block_reads_since_erase(0).unwrap(), 0);
     assert_eq!(dev.block_data_age_hours(0).unwrap(), 0.0);
-    assert_eq!(dev.block_disturb_rber(0).unwrap(), 0.0);
-    assert_eq!(dev.block_disturb_rber_at(0, 2).unwrap(), 0.0);
+    assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
+    assert_eq!(dev.block_disturb_rber(0, 2).unwrap(), 0.0);
     assert_eq!(dev.block_interference_rber(0).unwrap(), 0.0);
 
     // Refill two of the five slots with a shorter spare.

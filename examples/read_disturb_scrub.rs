@@ -10,13 +10,17 @@ use mlcx::nand::disturb::DisturbModel;
 use mlcx::{ConfigCommand, ControllerConfig, MemoryController};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 99)?;
     // An aggressive disturb model so the demo converges in few reads.
-    // (The paper's evaluation runs with disturb disabled.)
-    let disturb = DisturbModel {
-        read_disturb_per_read: 3e-8,
-        ..DisturbModel::disabled()
+    // (The paper's evaluation runs with disturb disabled.) It acts on
+    // reads only, and every read below follows the write.
+    let config = ControllerConfig {
+        disturb: DisturbModel {
+            read_disturb_per_read: 3e-8,
+            ..DisturbModel::disabled()
+        },
+        ..ControllerConfig::date2012()
     };
+    let mut ctrl = MemoryController::new(config, 99)?;
 
     // Early-life block (endurance errors are rare), ECC provisioned with
     // margin — the demo shows disturb eating that margin.
@@ -25,9 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ctrl.apply(ConfigCommand::SetCorrection(22))?;
     let data: Vec<u8> = (0..4096).map(|i| (i * 41) as u8).collect();
     ctrl.write_page(0, 0, &data)?;
-
-    // Enable the disturb mechanism after the write.
-    ctrl.device_mut().set_disturb_model(disturb);
 
     println!("read-hammering block 0 (disturb accumulates)...\n");
     println!("{:>8} {:>16} {:>12}", "reads", "corrected bits", "status");

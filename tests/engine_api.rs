@@ -99,6 +99,13 @@ fn error_paths_surface_typed_errors() {
         .register_service("svc", Objective::Baseline, 0..4)
         .unwrap();
 
+    // A region past the 64-block device: rejected at registration, so
+    // no command can name a block the device does not have.
+    let err = e
+        .register_service("beyond", Objective::Baseline, 60..72)
+        .unwrap_err();
+    assert!(matches!(err, MlcxError::InvalidConfig { .. }), "{err:?}");
+
     // Unknown handle (issued by a *different* engine): rejected at
     // submission even though its index is in range here, and nothing is
     // enqueued.

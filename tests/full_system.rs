@@ -9,18 +9,22 @@ use mlcx::{
 
 #[test]
 fn serviced_device_with_disturb_survives_mixed_workload() {
-    let mut engine = EngineBuilder::date2012().seed(4242).build().unwrap();
     // Real-world mechanisms on (moderate constants).
-    engine
-        .controller_mut()
-        .device_mut()
-        .set_disturb_model(DisturbModel {
+    let config = ControllerConfig {
+        disturb: DisturbModel {
             read_disturb_per_read: 1e-9,
             retention_scale: 2.5e-5,
             retention_wear_exponent: 0.5,
             reference_cycles: 1e6,
             ..DisturbModel::disabled()
-        });
+        },
+        ..ControllerConfig::date2012()
+    };
+    let mut engine = EngineBuilder::date2012()
+        .controller_config(config)
+        .seed(4242)
+        .build()
+        .unwrap();
 
     let payments = engine
         .register_service("payments", Objective::MinUber, 0..4)
@@ -47,10 +51,7 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
         assert!(c.result.is_ok(), "{:?}", c.result);
     }
 
-    engine
-        .controller_mut()
-        .device_mut()
-        .advance_time_hours(24.0 * 30.0); // a month on the shelf
+    engine.advance_hours(24.0 * 30.0); // a month on the shelf
 
     // The media service's traffic, tallied from its completions.
     let (mut media_reads, mut media_corrected_bits) = (0u64, 0u64);
@@ -102,11 +103,14 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
 fn reliability_loop_handles_disturb_creep() {
     use mlcx::{ConfigCommand, ReliabilityManager, ReliabilityPolicy};
 
-    let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 7).unwrap();
-    ctrl.device_mut().set_disturb_model(DisturbModel {
-        read_disturb_per_read: 5e-9,
-        ..DisturbModel::disabled()
-    });
+    let config = ControllerConfig {
+        disturb: DisturbModel {
+            read_disturb_per_read: 5e-9,
+            ..DisturbModel::disabled()
+        },
+        ..ControllerConfig::date2012()
+    };
+    let mut ctrl = MemoryController::new(config, 7).unwrap();
     ctrl.age_block(0, 10_000).unwrap();
     ctrl.erase_block(0).unwrap();
     ctrl.apply(ConfigCommand::SetAlgorithm(ProgramAlgorithm::IsppSv))

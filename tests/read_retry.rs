@@ -142,8 +142,8 @@ proptest! {
         prop_assert_eq!(d0, d1);
         prop_assert_eq!(s0, s1);
         prop_assert_eq!(
-            nominal.block_disturb_rber(0).unwrap(),
-            offset.block_disturb_rber_at(0, 0).unwrap()
+            nominal.block_disturb_rber(0, 0).unwrap(),
+            offset.block_disturb_rber(0, 0).unwrap()
         );
     }
 }

@@ -142,10 +142,10 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
         out.retry_senses += batch.counters.retry_senses;
         out.retry_latency_s += batch.counters.retry_latency_s;
     }
-    let ctrl = engine.controller();
-    out.worst_effective_rber = (0..BLOCKS)
-        .map(|b| ctrl.block_effective_disturb_rber(b).unwrap())
-        .fold(0.0, f64::max);
+    out.worst_effective_rber = engine
+        .controller()
+        .effective_disturb_rber(0..BLOCKS)
+        .unwrap();
     out
 }
 

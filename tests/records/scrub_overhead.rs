@@ -165,10 +165,10 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
         out.scrub_relocations += batch.counters.scrub_relocations;
         out.scrub_erases += batch.counters.scrub_erases;
     }
-    let device = engine.controller().device();
-    out.worst_disturb_rber = (0..BLOCKS)
-        .map(|b| device.block_disturb_rber(b).unwrap())
-        .fold(0.0, f64::max);
+    out.worst_disturb_rber = engine
+        .controller()
+        .effective_disturb_rber(0..BLOCKS)
+        .unwrap();
     out
 }
 

@@ -4,9 +4,9 @@
 //! ledger columns, kept by the test suite: every name the `mlcx` facade
 //! re-exports, every setter of the three builders, every `pub` field of
 //! `ControllerConfig` (where the controller's settings live), every
-//! `pub fn` of `StorageEngine` (the host's queries) and every `pub`
-//! field of the reports the stack hands back is one more thing a user
-//! can reach and a test matrix must cover, so adding one is a
+//! `pub fn` of `StorageEngine` (the host's queries), every `pub` field
+//! of the reports the stack hands back and every variant of `MlcxError`
+//! is one more thing a user can reach and a test matrix must cover, so adding one is a
 //! deliberate edit of a number here, not a side effect.
 //!
 //! Counted from the source text: rustfmt's layout (`pub use a::{B, C};`,
@@ -28,6 +28,7 @@ use std::path::Path;
 const FACADE: &str = include_str!("../src/lib.rs");
 const ENGINE: &str = include_str!("../crates/core/src/engine.rs");
 const CONTROLLER: &str = include_str!("../crates/controller/src/controller.rs");
+const ERROR: &str = include_str!("../crates/core/src/error.rs");
 const SCENARIO: &str = include_str!("../crates/core/src/sim/scenario.rs");
 const DEVICE: &str = include_str!("../crates/nand/src/device.rs");
 const FTL: &str = include_str!("../crates/controller/src/ftl.rs");
@@ -93,6 +94,22 @@ fn pub_fields(source: &str, name: &str) -> usize {
         .count()
 }
 
+/// Variants of `pub enum <name> { .. }`, one a line as rustfmt writes
+/// them.
+fn variants(source: &str, name: &str) -> usize {
+    let start = source
+        .find(&format!("\npub enum {name} {{"))
+        .unwrap_or_else(|| panic!("no `pub enum {name}`"));
+    let body = &source[start..];
+    let body = &body[..body.find("\n}\n").expect("enum closes")];
+    body.lines()
+        .filter(|line| {
+            line.strip_prefix("    ")
+                .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_uppercase()))
+        })
+        .count()
+}
+
 #[test]
 fn the_facade_reexports_what_the_ledger_says() {
     assert_eq!(reexported_names(FACADE), 57);
@@ -138,6 +155,15 @@ fn the_controller_config_has_the_fields_the_ledger_says() {
     // config builder's one setter is `geometry`, the engine builder's
     // `controller_config` takes the whole struct.
     assert_eq!(pub_fields(CONTROLLER, "ControllerConfig"), 11);
+}
+
+#[test]
+fn the_error_type_has_the_variants_the_ledger_says() {
+    // Device and codec errors reach the host through the controller, as
+    // `Ctrl(CtrlError::Nand(..) | CtrlError::Ecc(..))`: the engine
+    // rejects a region past the device at registration, so no route
+    // hands them over raw.
+    assert_eq!(variants(ERROR, "MlcxError"), 8);
 }
 
 /// Every `.rs` file under `dir`, recursively.

@@ -67,7 +67,11 @@ fn advance_hours_surfaces_retention_rber_in_measured_reads() {
         "retention must raise the corrected-bit count: fresh {fresh}, aged {aged}"
     );
     // The device-side accessor agrees with the model arithmetic.
-    let rber = engine.controller().device().block_disturb_rber(0).unwrap();
+    let rber = engine
+        .controller()
+        .device()
+        .block_disturb_rber(0, 0)
+        .unwrap();
     let expected = DisturbModel {
         read_disturb_per_read: 0.0,
         retention_scale: 1e-4,
@@ -110,14 +114,14 @@ fn erase_resets_the_read_disturb_accumulator_through_the_engine() {
     }
     let device = engine.controller().device();
     assert_eq!(device.block_reads_since_erase(0).unwrap(), 200);
-    assert!(device.block_disturb_rber(0).unwrap() >= 200.0 * 1e-6 - 1e-12);
+    assert!(device.block_disturb_rber(0, 0).unwrap() >= 200.0 * 1e-6 - 1e-12);
 
     // A host erase through the command queue resets both views.
     engine.sq().submit(&[Command::erase(svc, 0)]).unwrap();
     assert!(engine.cq().drain()[0].result.is_ok());
     let device = engine.controller().device();
     assert_eq!(device.block_reads_since_erase(0).unwrap(), 0);
-    assert_eq!(device.block_disturb_rber(0).unwrap(), 0.0);
+    assert_eq!(device.block_disturb_rber(0, 0).unwrap(), 0.0);
 }
 
 #[test]
