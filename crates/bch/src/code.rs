@@ -507,16 +507,15 @@ mod tests {
     }
 
     /// Table bytes per production code over GF(2^16), pinned so that a
-    /// footprint change is a deliberate one, on every CPU: the one-word
-    /// LFSR's `16 x 256` words of position tables or, from two words up,
-    /// the fold's `2 x 18 x W + W + 1`, and the residue lane's
+    /// footprint change is a deliberate one, on every CPU: the LFSR fold's
+    /// `2 x 18 x W + W + 1` words at every width, and the residue lane's
     /// `t x (W + 2)` words of division constants, `t x 4 x 16` evaluation
     /// entries and 64 squaring entries (`W = ceil(16 t / 64)`).
     #[test]
     fn table_footprint_per_code_is_pinned() {
         let field = Arc::new(GfField::new(16).unwrap());
         for (t, lfsr_bytes, syndrome_bytes) in
-            [(3, 32 << 10, 584), (14, 1_192, 2_592), (65, 5_040, 18_328)]
+            [(3, 304, 584), (14, 1_192, 2_592), (65, 5_040, 18_328)]
         {
             let code = BchCode::new(field.clone(), 4096 * 8, t).unwrap();
             let Lfsr::Fused(encoder) = &code.lfsr else {

@@ -5,9 +5,8 @@
 //! feedback taps are selected by multiplexers from a generator-polynomial
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
 //! latency is `k/p` cycles **independent of the selected `t`**. The
-//! software model has two passes, chosen by the register's width alone: a
-//! register of one word steps through tables, a wider one folds by
-//! carry-less multiplication. Both leave the same register.
+//! software model has one pass at every `t` too: a carry-less fold, `W`
+//! multiplies per message word for a register of `W` words.
 //!
 //! That register is **left-aligned**: the running remainder `s(x)` lives in
 //! `W = ceil(r/64)` words, most significant first, holding `s(x) * x^pad`
@@ -16,53 +15,29 @@
 //! and cut to `ceil(r/8)` bytes, the finished register *is* the parity
 //! layout.
 //!
-//! # One word: slicing-by-16
+//! # A carry-less fold
 //!
-//! A register of one word (`r <= 64`; `t <= 4` over GF(2^16), every code a
-//! fresh page is written with) takes two message words `c0`, `c1` a step
-//! through sixteen position tables
-//! `T_j[v] = ((v(x) * x^(r + 8*(15-j))) mod g) * x^pad` (slicing-by-16,
-//! after the CRC technique; 32 KiB):
-//!
-//! ```text
-//! reg = XOR over j < 8 of T_j[byte j of (reg ^ be64(c0))]
-//!     ^ XOR over j < 8 of T_(8+j)[byte j of be64(c1)]
-//! ```
-//!
-//! — the 64 coefficients leaving the top select the rows, no bit shift, no
-//! mask; below `r = 64` a right-aligned register would need both. The
-//! second word's eight rows depend on the message alone, so the pass
-//! keeps their sum apart until the next step's index is formed: the step
-//! then has the dependency chain of a one-word step (one XOR, a byte
-//! extract and a load, eight XORs), and its sixteen loads overlap. What
-//! the two-word steps leave takes a one-word step through the last eight
-//! tables, then single bytes through the last one.
-//!
-//! # From two words up, a carry-less fold
-//!
-//! A register of two words or more is not stepped at all. With
-//! `K_k = x^(64k) mod G` (`W` words each), an `L`-word **state** `S`,
-//! right-aligned, stays congruent to everything read so far while `L`
-//! message words at a time come in underneath it:
+//! The register is not stepped at all. With `K_k = x^(64k) mod G` (`W`
+//! words each), an `L`-word **state** `S`, right-aligned, stays congruent
+//! to everything read so far while `L` message words at a time come in
+//! underneath it:
 //!
 //! ```text
 //! S * x^(64L) + next  ==  sum_i s_i * K_(2L-1-i)  +  next     (mod G)
 //! ```
 //!
 //! — `W` multiplies per message word ([`mlcx_gf2::kernels::fold_clmul`]:
-//! `pclmulqdq` where the CPU has it, shift-and-XOR elsewhere), about 5 KiB
-//! of constants at `t = 65` and 1.2 KiB at `t = 14`, where slicing tables
-//! would hold 272 and 128. Zeros ahead of a message are free in a
-//! right-aligned state, so the message's odd leading bytes and words seed
-//! it and the rest is whole steps: no tail. The finish moves the state up
-//! by the register's width instead, `Z = sum_i s_i * K_(W+L-1-i)`, `W + 1`
-//! words congruent to `m(x) * x^(64W)`, and one Barrett word takes the one
-//! word too many off: `q = z_0 + high(z_0 * mu)` with
-//! `mu = floor(x^(64W+64) / G)`, `R = Z_low + low(q * G_low)`. That `R` is
-//! `m(x) * x^(64W) mod G = (m(x) * x^r mod g) * x^pad` — the **same**
-//! left-aligned register the one-word step leaves, which is why nothing
-//! after the pass knows which one ran, and why the fold works modulo `G`
-//! too and not modulo `g`.
+//! `pclmulqdq` where the CPU has it, shift-and-XOR elsewhere), 304 bytes
+//! of constants at `t = 3`, 1.2 KiB at `t = 14` and about 5 KiB at
+//! `t = 65`. Zeros ahead of a message are free in a right-aligned state,
+//! so the message's odd leading bytes and words seed it and the rest is
+//! whole steps: no tail. The finish moves the state up by the register's
+//! width instead, `Z = sum_i s_i * K_(W+L-1-i)`, `W + 1` words congruent
+//! to `m(x) * x^(64W)`, and one Barrett word takes the one word too many
+//! off: `q = z_0 + high(z_0 * mu)` with `mu = floor(x^(64W+64) / G)`,
+//! `R = Z_low + low(q * G_low)`. That `R` is
+//! `m(x) * x^(64W) mod G = (m(x) * x^r mod g) * x^pad` — the left-aligned
+//! register, which is why the fold works modulo `G` and not modulo `g`.
 //!
 //! `L` is not a knob: the product of a step, `W + 1` words, must land
 //! inside the state, so `L >= W + 1`; a step cannot start before the last
@@ -95,18 +70,7 @@ pub struct LfsrEncoder {
     r_bits: usize,
     /// Register width `W = ceil(r/64)` in words.
     words: usize,
-    pass: Pass,
-}
-
-/// What the pass runs on; both leave the same left-aligned register.
-#[derive(Debug, Clone)]
-enum Pass {
-    /// The one-word register's sixteen position tables, `T_(8h+j)` at
-    /// `[h][j]`: the first word of a two-word step selects in half 0, the
-    /// second — and every word or byte after the two-word steps — in
-    /// half 1.
-    Tables(Box<[[[u64; 256]; 8]; 2]>),
-    Fold(FoldConstants),
+    fold: FoldConstants,
 }
 
 /// The carry-less fold's constants for one `G = g * x^pad`, in the
@@ -127,71 +91,21 @@ struct FoldConstants {
 
 impl LfsrEncoder {
     /// Builds the engine for generator polynomial `g` (degree = parity
-    /// bits): the tables where the register is one word, the fold where it
-    /// is wider.
+    /// bits).
     ///
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
     pub fn new(generator: &Gf2Poly) -> Self {
-        if generator.degree().unwrap_or(0) <= 64 {
-            Self::with_tables(generator)
-        } else {
-            Self::with_fold(generator)
-        }
-    }
-
-    /// `(r, W)` and `x^(64*W) mod G`, most significant word first:
-    /// `G = g * x^pad` has degree `64*W`, so that is its lower terms,
-    /// `(x^r mod g) * x^pad`.
-    fn shape(generator: &Gf2Poly) -> (usize, usize, Vec<u64>) {
         let r_bits = generator
             .degree()
             .filter(|&d| d >= 1)
             .expect("generator polynomial must have degree >= 1");
         let words = r_bits.div_ceil(64);
+        // K_W = x^(64W) mod G, most significant word first: G = g * x^pad
+        // has degree 64W, so that is its lower terms, (x^r mod g) * x^pad.
         let scaled = generator.shl(64 * words - r_bits);
-        let feedback = scaled.as_words()[..words].iter().rev().copied().collect();
-        (r_bits, words, feedback)
-    }
-
-    /// The engine on the one-word position tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register is wider than one word.
-    pub(crate) fn with_tables(generator: &Gf2Poly) -> Self {
-        let (r_bits, words, feedback) = Self::shape(generator);
-        assert_eq!(words, 1, "a {words}-word register has no tables");
-        let mut tables = Box::new([[[0u64; 256]; 8]; 2]);
-        // T_15[1] = x^64 mod G, and T_15[2^i] = (x^(r+i) mod g) * x^pad is
-        // i multiplications by x mod G; every table is linear in v.
-        let last = &mut tables[1][7];
-        let mut reg = [feedback[0]];
-        for i in 0..8 {
-            last[1 << i] = reg[0];
-            mul_x(&mut reg, &feedback);
-        }
-        for v in 1..256usize {
-            last[v] = last[v & (v - 1)] ^ last[v & v.wrapping_neg()];
-        }
-        // T_j[v] = T_(j+1)[v] * x^8 mod G: one byte step with a zero byte.
-        for j in (0..15).rev() {
-            for v in 0..256 {
-                let next = tables[(j + 1) / 8][(j + 1) % 8][v];
-                tables[j / 8][j % 8][v] = next << 8 ^ tables[1][7][(next >> 56) as usize];
-            }
-        }
-        LfsrEncoder {
-            r_bits,
-            words,
-            pass: Pass::Tables(tables),
-        }
-    }
-
-    /// The engine on the carry-less fold, at any width.
-    pub(crate) fn with_fold(generator: &Gf2Poly) -> Self {
-        let (r_bits, words, modulus) = Self::shape(generator);
+        let modulus: Vec<u64> = scaled.as_words()[..words].iter().rev().copied().collect();
         let l = fold_state(words);
         // K_W .. K_(2L-1), each 64 multiplications by x after the last; the
         // 64 carries of the first run are the quotient of x^(64W+64) by G
@@ -216,12 +130,12 @@ impl LfsrEncoder {
         LfsrEncoder {
             r_bits,
             words,
-            pass: Pass::Fold(FoldConstants {
+            fold: FoldConstants {
                 step: by_column(2 * l - 1),
                 finish: by_column(words + l - 1),
                 modulus,
                 mu,
-            }),
+            },
         }
     }
 
@@ -285,33 +199,24 @@ impl LfsrEncoder {
         })
     }
 
-    /// Bytes of position tables or fold constants this engine holds.
+    /// Bytes of fold constants this engine holds.
     #[cfg(test)]
     pub(crate) fn table_bytes(&self) -> usize {
-        match &self.pass {
-            Pass::Tables(tables) => size_of_val(&**tables),
-            Pass::Fold(k) => {
-                size_of_val(&k.step[..])
-                    + size_of_val(&k.finish[..])
-                    + size_of_val(&k.modulus[..])
-                    + size_of_val(&k.mu)
-            }
-        }
+        let k = &self.fold;
+        size_of_val(&k.step[..])
+            + size_of_val(&k.finish[..])
+            + size_of_val(&k.modulus[..])
+            + size_of_val(&k.mu)
     }
 
     /// Runs the pass over `message` and hands `then` the finished register,
     /// which lives on the stack up to `W = 17`.
     fn with_remainder<R>(&self, message: &[u8], then: impl FnOnce(&mut [u64]) -> R) -> R {
-        match &self.pass {
-            Pass::Tables(tables) => then(&mut [one_word_pass(tables, message)]),
-            Pass::Fold(k) => {
-                let l = fold_state(self.words);
-                with_words::<{ 2 * FOLD_STATE }, _>(l + self.words + 1, |scratch| {
-                    let (state, z) = scratch.split_at_mut(l);
-                    then(k.remainder(message, state, z))
-                })
-            }
-        }
+        let l = fold_state(self.words);
+        with_words::<{ 2 * FOLD_STATE }, _>(l + self.words + 1, |scratch| {
+            let (state, z) = scratch.split_at_mut(l);
+            then(self.fold.remainder(message, state, z))
+        })
     }
 
     /// The register's top `r` bits as parity bytes.
@@ -326,9 +231,8 @@ impl LfsrEncoder {
 
 impl FoldConstants {
     /// The fold through the zeroed `state` (`L` words) and `z` (`W + 1`):
-    /// returns the register, `message(x) * x^(64*W) mod G` — the one the
-    /// one-word step leaves (see the module doc) — as the low `W` words of
-    /// `z`.
+    /// returns the register, `message(x) * x^(64*W) mod G` (see the module
+    /// doc), as the low `W` words of `z`.
     fn remainder<'z>(&self, message: &[u8], state: &mut [u64], z: &'z mut [u64]) -> &'z mut [u64] {
         let l = state.len();
         // The state is right-aligned and zeros ahead of a message are free,
@@ -359,42 +263,6 @@ impl FoldConstants {
         }
         &mut z[1..]
     }
-}
-
-/// The one-word pass: two message words a step, the second one's rows
-/// kept apart in `side` until the next index is formed (module doc), then
-/// a word, then bytes. Plain loops and shift-extracted bytes only: a
-/// closure in the step (`array::map`, `from_fn`, `Iterator::fold`) is
-/// inlined at the optimiser's discretion, and each one tried was outlined,
-/// at up to 2.5x the pass time.
-fn one_word_pass(tables: &[[[u64; 256]; 8]; 2], message: &[u8]) -> u64 {
-    let (words, tail) = message.as_chunks::<8>();
-    let (pairs, rest) = words.as_chunks::<2>();
-    let (mut reg, mut side) = (0, 0);
-    for [first, second] in pairs {
-        let idx = reg ^ side ^ u64::from_be_bytes(*first);
-        side = rows(&tables[1], u64::from_be_bytes(*second));
-        reg = rows(&tables[0], idx);
-    }
-    reg ^= side;
-    for word in rest {
-        reg = rows(&tables[1], reg ^ u64::from_be_bytes(*word));
-    }
-    for &byte in tail {
-        reg = reg << 8 ^ tables[1][7][usize::from((reg >> 56) as u8 ^ byte)];
-    }
-    reg
-}
-
-/// The rows of eight position tables the bytes of `idx` select, the most
-/// significant byte in the first table, summed.
-#[inline(always)]
-fn rows(tables: &[[u64; 256]; 8], idx: u64) -> u64 {
-    let mut sum = 0;
-    for (j, table) in tables.iter().enumerate() {
-        sum ^= table[usize::from((idx >> (56 - 8 * j)) as u8)];
-    }
-    sum
 }
 
 /// `reg <- reg * x mod G` for `G`'s lower terms `feedback`, both most
@@ -447,16 +315,6 @@ mod tests {
         g
     }
 
-    /// Every pass for `g`: the fold, and where the register is one word
-    /// the tables too.
-    fn passes(g: &Gf2Poly) -> Vec<LfsrEncoder> {
-        let mut passes = vec![LfsrEncoder::with_fold(g)];
-        if g.degree() <= Some(64) {
-            passes.push(LfsrEncoder::with_tables(g));
-        }
-        passes
-    }
-
     /// `p` as `words` words, most significant first (the register's order).
     fn be_words(p: &Gf2Poly, words: usize) -> Vec<u64> {
         let mut out = vec![0u64; words];
@@ -471,38 +329,14 @@ mod tests {
     }
 
     #[test]
-    fn tables_match_the_polynomial_definition() {
-        // T_j[v] == ((v * x^(r + 8*(15-j))) mod g) << pad, every entry of
-        // every position, in each one-word class.
-        for (m, t, r, words) in CLASSES.into_iter().filter(|c| c.3 == 1) {
-            let g = class_generator(m, t, r, words);
-            let Pass::Tables(tables) = LfsrEncoder::with_tables(&g).pass else {
-                panic!("with_tables builds tables");
-            };
-            for j in 0..16 {
-                for v in 0..256usize {
-                    let rem = Gf2Poly::from_int(v as u64)
-                        .shl(r + 8 * (15 - j))
-                        .rem(&g)
-                        .shl(64 - r);
-                    let got = tables[j / 8][j % 8][v];
-                    assert_eq!([got], &be_words(&rem, 1)[..], "r = {r}, T_{j}[{v}]");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fold_constants_match_long_division() {
         // K_k == x^(64k) mod G against each state word, in the kernels'
         // column layout, and mu == floor(x^(64W+64) / G) below its leading
         // term, by `Gf2Poly` long division.
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
-            let enc = LfsrEncoder::with_fold(&g);
-            let Pass::Fold(k) = &enc.pass else {
-                panic!("with_fold builds constants");
-            };
+            let enc = LfsrEncoder::new(&g);
+            let k = &enc.fold;
             let l = fold_state(words);
             let scaled = g.shl(64 * words - r);
             let power = |e: usize| be_words(&Gf2Poly::monomial(64 * e).rem(&scaled), words);
@@ -518,22 +352,30 @@ mod tests {
             let (quotient, _) = Gf2Poly::monomial(64 * words + 64).div_rem(&scaled);
             assert_eq!(quotient.degree(), Some(64));
             assert_eq!(k.mu, quotient.as_words()[0], "r = {r}");
-            // The footprint this pass exists for: under 6 KiB where slicing
-            // tables would hold 272.
-            if t == 65 {
-                assert_eq!(enc.table_bytes(), (2 * 18 * 17 + 17 + 1) * 8);
-                assert!(enc.table_bytes() <= 6 << 10);
-            }
             assert_eq!(l, if words < 18 { 18 } else { words + 1 }, "r = {r}");
         }
     }
 
+    /// Every width folds, the one-word register of every fresh page
+    /// included: an engine holds the fold's `2 x L x W + W + 1` words and
+    /// nothing else — 304 bytes at one word, under 6 KiB at the paper's
+    /// t = 65.
     #[test]
-    fn the_production_pass_is_the_fold_exactly_where_the_register_is_wider_than_a_word() {
+    fn every_register_width_folds() {
         for (m, t, r, words) in CLASSES {
             let enc = LfsrEncoder::new(&class_generator(m, t, r, words));
-            let folds = matches!(enc.pass, Pass::Fold(_));
-            assert_eq!(folds, words >= 2, "r = {r}");
+            let l = fold_state(words);
+            assert_eq!(
+                enc.table_bytes(),
+                (2 * l * words + words + 1) * 8,
+                "r = {r}"
+            );
+            if words == 1 {
+                assert_eq!(enc.table_bytes(), 304, "r = {r}");
+            }
+            if t == 65 {
+                assert!(enc.table_bytes() <= 6 << 10);
+            }
         }
     }
 
@@ -542,11 +384,10 @@ mod tests {
         for (m, t, r, words) in CLASSES {
             let g = class_generator(m, t, r, words);
             let oracle = BitSerialLfsr::new(&g);
-            // Every `len % 16` below 16 and above, so the two-word loop, the
-            // one-word step it can leave and each byte-tail length all run
-            // in the one-word pass; a byte either side of the fold's first
-            // three `8*L` boundaries, where a seed word becomes a step; the
-            // last is the paper's page.
+            // Every odd-byte head and every seed length below two steps at
+            // W = 1; a byte either side of the fold's first three `8*L`
+            // boundaries, where a seed word becomes a step; the last is the
+            // paper's page.
             let step = 8 * fold_state(words);
             let edges = (1..=3).flat_map(|k| k * step - 1..=k * step + 1);
             let lens: Vec<usize> = (0..=33)
@@ -554,20 +395,19 @@ mod tests {
                 .chain(edges)
                 .chain([4096])
                 .collect();
-            for enc in passes(&g) {
-                assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
-                for &len in &lens {
-                    let msg = payload(len, r);
-                    let parity = enc.remainder(&msg);
-                    assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
-                    assert_eq!(
-                        parity,
-                        long_division_remainder(&msg, &g),
-                        "r = {r}, len {len}"
-                    );
-                    assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
-                    assert_eq!(enc.received_remainder(&msg, &parity, |_| ()), None);
-                }
+            let enc = LfsrEncoder::new(&g);
+            assert_eq!((enc.parity_bits(), enc.parity_bytes()), (r, r.div_ceil(8)));
+            for &len in &lens {
+                let msg = payload(len, r);
+                let parity = enc.remainder(&msg);
+                assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
+                assert_eq!(
+                    parity,
+                    long_division_remainder(&msg, &g),
+                    "r = {r}, len {len}"
+                );
+                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
+                assert_eq!(enc.received_remainder(&msg, &parity, |_| ()), None);
             }
         }
     }
@@ -582,59 +422,108 @@ mod tests {
             let len = ((1usize << m) - 1 - r) / 8;
             let len = len.min(if r >= 1040 { 3 } else { 21 });
             let msg = payload(len, words);
-            for enc in passes(&g) {
-                let parity = enc.remainder(&msg);
-                for u in 0..8 * len + r {
-                    let (mut bad_msg, mut bad_parity) = (msg.clone(), parity.clone());
-                    if u < 8 * len {
-                        bad_msg[u / 8] ^= 1 << (7 - u % 8);
-                    } else {
-                        let v = u - 8 * len;
-                        bad_parity[v / 8] ^= 1 << (7 - v % 8);
-                    }
-                    assert!(
-                        !enc.codeword_is_valid(&bad_msg, &bad_parity),
-                        "r = {r}, flip {u}"
-                    );
-                    assert!(!oracle.codeword_is_valid(&bad_msg, &bad_parity));
+            let enc = LfsrEncoder::new(&g);
+            let parity = enc.remainder(&msg);
+            for u in 0..8 * len + r {
+                let (mut bad_msg, mut bad_parity) = (msg.clone(), parity.clone());
+                if u < 8 * len {
+                    bad_msg[u / 8] ^= 1 << (7 - u % 8);
+                } else {
+                    let v = u - 8 * len;
+                    bad_parity[v / 8] ^= 1 << (7 - v % 8);
                 }
+                assert!(
+                    !enc.codeword_is_valid(&bad_msg, &bad_parity),
+                    "r = {r}, flip {u}"
+                );
+                assert!(!oracle.codeword_is_valid(&bad_msg, &bad_parity));
             }
+        }
+    }
+
+    /// The last parity byte's pad bits (`8 * ceil(r/8) - r` of them) are
+    /// not codeword bits: whatever is read there, `msg` with its parity is
+    /// valid, and beside a real error the remainder comes back with them
+    /// masked off.
+    fn assert_pad_bits_are_ignored(enc: &LfsrEncoder, msg: &[u8]) {
+        let r = enc.parity_bits();
+        let pad_bits = 8 * r.div_ceil(8) - r;
+        let clean = enc.remainder(msg);
+        let last = clean.len() - 1;
+        assert_eq!(
+            clean[last] & ((1 << pad_bits) - 1),
+            0,
+            "r = {r}: zero padding"
+        );
+        for pattern in 0..1u8 << pad_bits {
+            let mut parity = clean.clone();
+            parity[last] |= pattern;
+            assert!(enc.codeword_is_valid(msg, &parity), "r = {r}");
+            parity[0] ^= 0x80;
+            let mut expect = vec![0u8; clean.len()];
+            expect[0] = 0x80;
+            let image = enc.received_remainder(msg, &parity, |reg| enc.parity_image(reg));
+            assert_eq!(image, Some(expect), "r = {r}, pad {pattern:#x}");
         }
     }
 
     #[test]
     fn pad_bits_of_the_last_parity_byte_are_not_codeword_bits() {
         for (m, t, r, words) in CLASSES {
-            let pad_bits = 8 * r.div_ceil(8) - r;
             let g = class_generator(m, t, r, words);
-            let msg = payload(1, r);
-            for enc in passes(&g) {
-                let clean = enc.remainder(&msg);
-                let last = clean.len() - 1;
-                assert_eq!(clean[last] & ((1 << pad_bits) - 1), 0, "zero padding");
-                for pattern in 0..1u8 << pad_bits {
-                    let mut parity = clean.clone();
-                    parity[last] |= pattern;
-                    assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}");
-                    // A real error beside them: the remainder comes back with
-                    // the pad bits masked off, whatever they were.
-                    parity[0] ^= 0x80;
-                    let mut expect = vec![0u8; clean.len()];
-                    expect[0] = 0x80;
-                    let image = enc.received_remainder(&msg, &parity, |reg| enc.parity_image(reg));
-                    assert_eq!(image, Some(expect));
-                }
+            assert_pad_bits_are_ignored(&LfsrEncoder::new(&g), &payload(1, r));
+        }
+    }
+
+    /// The one-word register is the pass of every fresh page (`t <= 4`
+    /// over GF(2^16)), so every `r` it holds is swept — every pad below
+    /// the register, every `r % 8`, and `r = 64` exactly — on a generator
+    /// with all its lower terms drawn: against the oracle and long
+    /// division, as a valid codeword, and with the pad bits masked. The
+    /// lengths: every one to 33 bytes (each odd-byte head, each seed up to
+    /// four words), a byte either side of the first two `8 * L`
+    /// boundaries, and the page. The default build runs it on `pclmulqdq`
+    /// where the CPU has it, `--no-default-features` on shift-and-XOR.
+    #[test]
+    fn every_one_word_register_matches_the_oracle_and_long_division() {
+        let step = 8 * FOLD_STATE;
+        let lens: Vec<usize> = (0..=33)
+            .chain([step - 1, step + 1, 2 * step - 1, 2 * step + 1, 4096])
+            .collect();
+        let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+        for r in 1..=64 {
+            draw ^= draw << 13;
+            draw ^= draw >> 7;
+            draw ^= draw << 17;
+            let mut g = Gf2Poly::from_words(vec![draw]);
+            for high in r..64 {
+                g.set_coeff(high, false);
             }
+            g.set_coeff(r, true);
+            let (enc, oracle) = (LfsrEncoder::new(&g), BitSerialLfsr::new(&g));
+            assert_eq!((enc.words, enc.parity_bytes()), (1, r.div_ceil(8)));
+            for &len in &lens {
+                let msg = payload(len, r);
+                let parity = enc.remainder(&msg);
+                assert_eq!(parity, oracle.remainder(&msg), "r = {r}, len {len}");
+                assert_eq!(
+                    parity,
+                    long_division_remainder(&msg, &g),
+                    "r = {r}, len {len}"
+                );
+                assert!(enc.codeword_is_valid(&msg, &parity), "r = {r}, len {len}");
+            }
+            assert_pad_bits_are_ignored(&enc, &payload(21, r));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Either pass is polynomial division, BCH or not: any generator
+        /// The fold is polynomial division, BCH or not: any generator
         /// of any degree — so every `r % 64` and every `r % 8`, not only
         /// the multiples of `m` the BCH classes reach — and any message
-        /// length (every `len % 16` several times over, the fold's first
+        /// length (every odd-byte head, the fold's first
         /// two steps at every `L`).
         #[test]
         fn random_generators_match_the_oracle_and_long_division(
@@ -652,10 +541,9 @@ mod tests {
             let msg: Vec<u8> = (0..len).map(|_| rng.random()).collect();
             let expect = long_division_remainder(&msg, &g);
             prop_assert_eq!(&expect, &BitSerialLfsr::new(&g).remainder(&msg));
-            for enc in passes(&g) {
-                prop_assert_eq!(&enc.remainder(&msg), &expect);
-                prop_assert!(enc.codeword_is_valid(&msg, &expect));
-            }
+            let enc = LfsrEncoder::new(&g);
+            prop_assert_eq!(&enc.remainder(&msg), &expect);
+            prop_assert!(enc.codeword_is_valid(&msg, &expect));
         }
     }
 

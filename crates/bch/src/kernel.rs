@@ -7,19 +7,16 @@
 //! `tests/codec_kernels.rs` pins it bit-identical to
 //! [`CodecKernel::Reference`].
 //!
-//! | kernel      | role       | encoder                                          | syndromes                      | root search           |
-//! |-------------|------------|--------------------------------------------------|--------------------------------|-----------------------|
-//! | `Reference` | oracle     | bit-serial LFSR                                  | bit-serial Horner              | Chien sweep           |
-//! | `Fused`     | production | one word: slicing-by-16; wider: carry-less fold  | residues of the remainder      | trace-split solve     |
+//! | kernel      | role       | encoder             | syndromes                      | root search           |
+//! |-------------|------------|---------------------|--------------------------------|-----------------------|
+//! | `Reference` | oracle     | bit-serial LFSR     | bit-serial Horner              | Chien sweep           |
+//! | `Fused`     | production | carry-less fold     | residues of the remainder      | trace-split solve     |
 //!
-//! The production encoder's register is left-aligned in whole words (it
-//! works modulo `g * x^pad`), so both of its passes leave the same one.
-//! The register's width alone picks the pass: one word (`t <= 4` over
-//! GF(2^16)) steps two message words at a time through sixteen position
-//! tables, whose index is the top word and needs no shift or mask even at
-//! `r < 8`; two words and up fold `W` carry-less multiplies per message
-//! word into a state of at least 18 words, on whichever multiply the CPU
-//! has. See [`crate::encoder`].
+//! The production encoder has one pass at every register width, from the
+//! one word of `t <= 4` over GF(2^16) up: it folds `W` carry-less
+//! multiplies per message word into a state of at least 18 words, on
+//! whichever multiply the CPU has, and leaves the register left-aligned
+//! in whole words (it works modulo `g * x^pad`). See [`crate::encoder`].
 //!
 //! `Fused` fuses the validity shortcut and syndrome computation into one
 //! LFSR pass over the message: `received mod g` is the message's
@@ -43,10 +40,9 @@
 pub enum CodecKernel {
     /// Bit-serial everything. The differential-testing oracle.
     Reference,
-    /// The production path: LFSR encoder on slicing tables for a one-word
-    /// register and a carry-less fold for a wider one, fused single-pass
-    /// syndrome-via-remainder decode, locator roots solved for instead of
-    /// searched.
+    /// The production path: LFSR encoder on a carry-less fold, fused
+    /// single-pass syndrome-via-remainder decode, locator roots solved for
+    /// instead of searched.
     #[default]
     Fused,
 }

@@ -160,10 +160,9 @@ proptest! {
     }
 }
 
-/// `(m, t, W)`: the one-word step, and the fold at `W = ceil(r/64)` from 2
-/// to 6, 8 and 17, over registers that fill their last word and last
-/// parity byte and ones that do not (r < 8, r = 64, 65, 128 and 1040
-/// among them).
+/// `(m, t, W)`: the fold at `W = ceil(r/64)` from 1 to 6, 8 and 17, over
+/// registers that fill their last word and last parity byte and ones that
+/// do not (r < 8, r = 64, 65, 128 and 1040 among them).
 const WIDTH_CLASSES: [(u32, u32, usize); 26] = [
     (4, 1, 1),
     (5, 1, 1),
@@ -196,10 +195,9 @@ const WIDTH_CLASSES: [(u32, u32, usize); 26] = [
 /// Each register width the production pass runs at is held against the
 /// oracle here: parity, outcome (positions included) and corrected
 /// buffers, for error weights up to `t + 2`. Message lengths walk every
-/// `len % 16`, `len < 16` included, so the one-word pass's two-word loop,
-/// the one-word step after it and each bytewise tail run, and the fold
-/// seeds its state from every odd length; the classes over GF(2^16) also
-/// take the paper's 4 KiB page.
+/// length to 33 bytes, so the fold seeds its state from every odd-byte
+/// head and every short run of words; the classes over GF(2^16) also take
+/// the paper's 4 KiB page.
 #[test]
 fn fused_matches_reference_in_every_register_width_class() {
     use rand::{RngExt, SeedableRng};
@@ -308,7 +306,7 @@ proptest! {
 
 /// The paper's codec, every capability it can be set to: GF(2^16), a 4 KiB
 /// page, `t = 1..=65`, so every register width from 1 to 17 words — the
-/// one-word step and the fold at each width — on the real page.
+/// fold at each width — on the real page.
 /// Production parity must be the oracle's, and the oracle must accept it.
 #[test]
 fn every_capability_of_the_paper_codec_encodes_identically() {

@@ -18,6 +18,7 @@
 use std::path::PathBuf;
 
 pub mod json;
+pub mod trajectory;
 
 /// The committed baselines the records are held against.
 pub fn baselines_dir() -> PathBuf {

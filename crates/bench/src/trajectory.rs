@@ -1,0 +1,414 @@
+//! The committed performance trajectory: one `BENCH_<pr>.json` per
+//! performance change at the repository root, each the summary of a
+//! session of runs of the repo benchmark (`benchmark/`), so that a
+//! speed-up's "before" column is the previous file rather than a number
+//! remembered in prose.
+//!
+//! [`Session`] turns the benchmark's own output into a file: the median,
+//! range and run-order values of every metric, the repetition count beside
+//! every `host_peak_rss_mb`, the completion digests, and the ledger of
+//! `tests/surface_ledger.rs`. [`check`] holds every committed file to the
+//! metric names of `BENCHMARK.json`, and holds the simulated numbers — every
+//! `sim_*`, `write_amp` and completion digest — equal from one file to the
+//! next unless the later one declares a `"model_change"` and its reason.
+
+use crate::json::Json;
+use crate::median;
+
+/// One workload's runs in one session, in run order.
+#[derive(Debug, Default)]
+struct Runs {
+    /// Metric name, unit, one value per run (`None` where JSON had none).
+    metrics: Vec<(String, String, Vec<Option<f64>>)>,
+    /// `# repetitions` of each untraced run, beside its `host_peak_rss_mb`.
+    rss_repetitions: Vec<f64>,
+    digest: Option<String>,
+    failed: f64,
+}
+
+/// The runs of one benchmark build, summarised into one trajectory file.
+#[derive(Debug)]
+pub struct Session {
+    pr: u32,
+    header: Vec<(String, Json)>,
+    workloads: Vec<(String, Runs)>,
+}
+
+impl Session {
+    /// A session for the file `BENCH_<pr>.json`; `header` is written first
+    /// as it is (seed, run lengths, host, ledger).
+    pub fn new(pr: u32, header: Vec<(String, Json)>) -> Self {
+        Session {
+            pr,
+            header,
+            workloads: Vec::new(),
+        }
+    }
+
+    /// The file name this session writes.
+    pub fn file_name(&self) -> String {
+        format!("BENCH_{}.json", self.pr)
+    }
+
+    /// Adds one run of `workload` from the benchmark's standard output: its
+    /// last line (the `{"correct", "attempted", "failed", "metrics"}`
+    /// object) and its `# repetitions` and `# bench.completion_digest`
+    /// notes.
+    ///
+    /// # Errors
+    ///
+    /// Output without a result line, an incorrect run, or a digest that
+    /// differs from an earlier run's.
+    pub fn add_run(&mut self, workload: &str, stdout: &str) -> Result<(), String> {
+        let result = stdout
+            .lines()
+            .rev()
+            .find(|l| l.starts_with('{'))
+            .ok_or(format!("{workload}: no result line"))?;
+        let result = crate::json::parse(result)?;
+        if result.get("correct") != Some(&Json::Bool(true)) {
+            return Err(format!("{workload}: the run is not correct"));
+        }
+        let note = |key: &str| {
+            stdout
+                .lines()
+                .find_map(|l| l.strip_prefix("# ")?.strip_prefix(key)?.strip_prefix(' '))
+                .map(str::trim)
+        };
+        let at = match self.workloads.iter().position(|(w, _)| w == workload) {
+            Some(at) => at,
+            None => {
+                self.workloads.push((workload.to_string(), Runs::default()));
+                self.workloads.len() - 1
+            }
+        };
+        let runs = &mut self.workloads[at].1;
+        if let Some(digest) = note("bench.completion_digest") {
+            match &runs.digest {
+                Some(seen) if seen != digest => {
+                    return Err(format!("{workload}: digest {digest} after {seen}"));
+                }
+                _ => runs.digest = Some(digest.to_string()),
+            }
+        }
+        runs.failed += result
+            .get("failed")
+            .and_then(Json::as_number)
+            .unwrap_or(0.0);
+        let metrics = result
+            .get("metrics")
+            .and_then(Json::as_object)
+            .ok_or(format!("{workload}: no metrics"))?;
+        for (name, metric) in metrics {
+            if name == "host_peak_rss_mb" {
+                let reps = note("repetitions").and_then(|r| r.parse().ok());
+                runs.rss_repetitions
+                    .push(reps.ok_or(format!("{workload}: no repetitions note"))?);
+            }
+            let value = metric.get("value").and_then(Json::as_number);
+            let unit = metric.get("unit").and_then(Json::as_str).unwrap_or("");
+            match runs.metrics.iter_mut().find(|(n, ..)| n == name) {
+                Some((.., values)) => values.push(value),
+                None => runs
+                    .metrics
+                    .push((name.clone(), unit.to_string(), vec![value])),
+            }
+        }
+        Ok(())
+    }
+
+    /// The trajectory file, rendered.
+    pub fn render(&self) -> String {
+        let numbers =
+            |values: &[f64]| Json::Array(values.iter().map(|&v| Json::Number(v)).collect());
+        let workloads = self.workloads.iter().map(|(name, runs)| {
+            let metrics = runs.metrics.iter().map(|(metric, unit, values)| {
+                let known: Vec<f64> = values.iter().flatten().copied().collect();
+                let stat = |f: fn(Vec<f64>) -> f64| {
+                    if known.is_empty() {
+                        Json::Null
+                    } else {
+                        Json::Number(f(known.clone()))
+                    }
+                };
+                let mut entry = vec![
+                    ("unit".to_string(), Json::String(unit.clone())),
+                    ("median".to_string(), stat(median)),
+                    (
+                        "min".to_string(),
+                        stat(|v| v.into_iter().fold(f64::INFINITY, f64::min)),
+                    ),
+                    (
+                        "max".to_string(),
+                        stat(|v| v.into_iter().fold(f64::NEG_INFINITY, f64::max)),
+                    ),
+                    (
+                        "values".to_string(),
+                        Json::Array(
+                            values
+                                .iter()
+                                .map(|v| v.map_or(Json::Null, Json::Number))
+                                .collect(),
+                        ),
+                    ),
+                ];
+                if metric == "host_peak_rss_mb" {
+                    entry.push(("repetitions".to_string(), numbers(&runs.rss_repetitions)));
+                }
+                (metric.clone(), Json::Object(entry))
+            });
+            let digest = runs.digest.clone().map_or(Json::Null, Json::String);
+            let summary = vec![
+                ("completion_digest".to_string(), digest),
+                ("failed".to_string(), Json::Number(runs.failed)),
+                ("metrics".to_string(), Json::Object(metrics.collect())),
+            ];
+            (name.clone(), Json::Object(summary))
+        });
+        let mut file = vec![("pr".to_string(), Json::Number(f64::from(self.pr)))];
+        file.extend(self.header.iter().cloned());
+        file.push(("workloads".to_string(), Json::Object(workloads.collect())));
+        let mut text = Json::Object(file).render_pretty();
+        text.push('\n');
+        text
+    }
+}
+
+/// The ledger of `tests/surface_ledger.rs` (its source text): the
+/// `("name", count)` entries of its `const LEDGER` table, or `None` for a
+/// ledger written before the table existed.
+pub fn ledger(source: &str) -> Option<Json> {
+    let table = source.split_once("const LEDGER")?.1;
+    let table = &table[..table.find("];")?];
+    let entries = table.lines().filter_map(|line| {
+        let (name, count) = line.trim().strip_prefix("(\"")?.split_once("\", ")?;
+        let count = count.strip_suffix("),")?.parse().ok()?;
+        Some((name.to_string(), Json::Number(count)))
+    });
+    Some(Json::Object(entries.collect()))
+}
+
+/// Whether a metric is a simulated number, exact per seed.
+fn simulated(metric: &str) -> bool {
+    metric.starts_with("sim_") || metric == "write_amp"
+}
+
+/// Holds the committed trajectory files, `(pr, parsed file)`, to
+/// `manifest` (the parsed `BENCHMARK.json`): each has exactly its
+/// workloads and its end-to-end and per-layer metric names, its simulated
+/// numbers are equal across its runs, and from one file to the next (in
+/// PR order) every simulated number and digest is equal to the bit, unless
+/// the later file declares `"model_change"` with a reason.
+///
+/// # Errors
+///
+/// Every violation, one per line.
+pub fn check(manifest: &Json, files: &mut [(u32, Json)]) -> Result<(), String> {
+    let names = |key: &str| -> Vec<String> {
+        let list = manifest.get(key).and_then(Json::as_array).unwrap_or(&[]);
+        list.iter()
+            .filter_map(|entry| Some(entry.get("name")?.as_str()?.to_string()))
+            .collect()
+    };
+    let mut metrics = names("end_to_end");
+    metrics.extend(names("per_layer"));
+    metrics.sort();
+    let workloads = names("workloads");
+    files.sort_by_key(|(pr, _)| *pr);
+    let mut errors = Vec::new();
+    let mut previous: Option<(u32, &Json)> = None;
+    for (pr, file) in files.iter() {
+        let mut found: Vec<&str> = Vec::new();
+        for (workload, summary) in file
+            .get("workloads")
+            .and_then(Json::as_object)
+            .unwrap_or(&[])
+        {
+            found.push(workload);
+            let mut names: Vec<String> = summary
+                .get("metrics")
+                .and_then(Json::as_object)
+                .unwrap_or(&[])
+                .iter()
+                .map(|(name, _)| name.clone())
+                .collect();
+            names.sort();
+            if names != metrics {
+                errors.push(format!(
+                    "BENCH_{pr}: {workload}'s metrics are not BENCHMARK.json's"
+                ));
+            }
+            for name in names.iter().filter(|n| simulated(n)) {
+                let (min, max) = (stat(summary, name, "min"), stat(summary, name, "max"));
+                if min.map(f64::to_bits) != max.map(f64::to_bits) {
+                    errors.push(format!(
+                        "BENCH_{pr}: {workload}/{name} differs between runs"
+                    ));
+                }
+            }
+        }
+        if found != workloads {
+            errors.push(format!(
+                "BENCH_{pr}: workloads {found:?}, not {workloads:?}"
+            ));
+        }
+        if let Some((before, earlier)) = previous {
+            let reason = file.get("model_change").and_then(Json::as_str);
+            if reason.is_none_or(str::is_empty) {
+                compare(before, earlier, *pr, file, &mut errors);
+            }
+        }
+        previous = Some((*pr, file));
+    }
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("\n"))
+    }
+}
+
+/// `statistic` of `metric` in one workload's summary.
+fn stat(summary: &Json, metric: &str, statistic: &str) -> Option<f64> {
+    summary
+        .get("metrics")?
+        .get(metric)?
+        .get(statistic)?
+        .as_number()
+}
+
+/// The simulated numbers of `file` against those of `earlier`, workload by
+/// workload.
+fn compare(before: u32, earlier: &Json, pr: u32, file: &Json, errors: &mut Vec<String>) {
+    if earlier.get("seed") != file.get("seed") {
+        errors.push(format!("BENCH_{pr}: another seed than BENCH_{before}"));
+        return;
+    }
+    for (workload, summary) in file
+        .get("workloads")
+        .and_then(Json::as_object)
+        .unwrap_or(&[])
+    {
+        let Some(old) = earlier.get("workloads").and_then(|w| w.get(workload)) else {
+            continue;
+        };
+        if old.get("completion_digest") != summary.get("completion_digest") {
+            errors.push(format!(
+                "BENCH_{pr}: {workload}'s digest is not BENCH_{before}'s"
+            ));
+        }
+        let metrics = summary
+            .get("metrics")
+            .and_then(Json::as_object)
+            .unwrap_or(&[]);
+        for (name, _) in metrics.iter().filter(|(n, _)| simulated(n)) {
+            let (then, now) = (stat(old, name, "median"), stat(summary, name, "median"));
+            if then.map(f64::to_bits) != now.map(f64::to_bits) {
+                errors.push(format!(
+                    "BENCH_{pr}: {workload}/{name} {now:?}, BENCH_{before} {then:?} \
+                     (a deliberate move declares \"model_change\")"
+                ));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::parse;
+
+    const MANIFEST: &str = r#"{
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "sim_mb_per_s"}, {"name": "host_peak_rss_mb"}],
+        "per_layer": [{"name": "bch.encode_ns_per_page"}]
+    }"#;
+
+    fn run(sim: f64, rss: f64, reps: u32, digest: u64) -> String {
+        format!(
+            "  sim_mb_per_s {sim} MB/s\n# repetitions {reps}\n# bench.completion_digest {digest}\n\
+             {{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {{\
+             \"sim_mb_per_s\": {{\"value\": {sim}, \"unit\": \"MB/s\"}}, \
+             \"host_peak_rss_mb\": {{\"value\": {rss}, \"unit\": \"MiB\"}}}}}}\n"
+        )
+    }
+
+    fn traced(ns: f64) -> String {
+        format!(
+            "{{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {{\
+             \"bch.encode_ns_per_page\": {{\"value\": {ns}, \"unit\": \"ns/page\"}}}}}}\n"
+        )
+    }
+
+    fn file(pr: u32, sim: f64, extra: &[(String, Json)]) -> (u32, Json) {
+        let mut header = vec![("seed".to_string(), Json::Number(4096.0))];
+        header.extend(extra.iter().cloned());
+        let mut session = Session::new(pr, header);
+        for (rss, reps) in [(40.0, 169), (39.0, 171), (41.5, 160)] {
+            session.add_run("w", &run(sim, rss, reps, 7)).unwrap();
+            session.add_run("w", &traced(400.0 + rss)).unwrap();
+        }
+        (pr, parse(&session.render()).unwrap())
+    }
+
+    #[test]
+    fn a_session_keeps_medians_ranges_and_repetitions_beside_the_rss() {
+        let (_, json) = file(8, 6.3, &[]);
+        let w = json.get("workloads").unwrap().get("w").unwrap();
+        assert_eq!(w.get("completion_digest").unwrap().as_str(), Some("7"));
+        let rss = w.get("metrics").unwrap().get("host_peak_rss_mb").unwrap();
+        assert_eq!(rss.get("median").unwrap().as_number(), Some(40.0));
+        assert_eq!(rss.get("min").unwrap().as_number(), Some(39.0));
+        assert_eq!(rss.get("max").unwrap().as_number(), Some(41.5));
+        let reps = rss.get("repetitions").unwrap().as_array().unwrap();
+        assert_eq!(reps, [169.0, 171.0, 160.0].map(Json::Number));
+        let encode = w
+            .get("metrics")
+            .unwrap()
+            .get("bch.encode_ns_per_page")
+            .unwrap();
+        assert_eq!(encode.get("median").unwrap().as_number(), Some(440.0));
+    }
+
+    #[test]
+    fn a_run_with_another_digest_or_no_result_is_refused() {
+        let mut session = Session::new(1, Vec::new());
+        session.add_run("w", &run(1.0, 1.0, 9, 7)).unwrap();
+        assert!(session.add_run("w", &run(1.0, 1.0, 9, 8)).is_err());
+        assert!(session.add_run("w", "# repetitions 9\n").is_err());
+        let wrong = run(1.0, 1.0, 9, 7).replace("\"correct\": true", "\"correct\": false");
+        assert!(session.add_run("w", &wrong).is_err());
+    }
+
+    #[test]
+    fn the_check_holds_names_and_simulated_numbers_across_files() {
+        let manifest = parse(MANIFEST).unwrap();
+        let mut same = [file(7, 6.3, &[]), file(8, 6.3, &[])];
+        assert_eq!(check(&manifest, &mut same), Ok(()));
+        let mut moved = [file(8, 6.4, &[]), file(7, 6.3, &[])];
+        let error = check(&manifest, &mut moved).unwrap_err();
+        assert!(error.contains("BENCH_8: w/sim_mb_per_s"), "{error}");
+        let declared = [(
+            "model_change".to_string(),
+            Json::String("new RBER model".into()),
+        )];
+        let mut moved = [file(7, 6.3, &[]), file(8, 6.4, &declared)];
+        assert_eq!(check(&manifest, &mut moved), Ok(()));
+        let fewer = parse(&MANIFEST.replace(", {\"name\": \"host_peak_rss_mb\"}", "")).unwrap();
+        let error = check(&fewer, &mut same).unwrap_err();
+        assert!(
+            error.contains("metrics are not BENCHMARK.json's"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn the_ledger_is_read_from_its_table() {
+        let source =
+            "const X: u8 = 1;\nconst LEDGER: [(&str, usize); 2] = [\n    (\"facade\", 57),\n    \
+                      (\"unsafe_fns\", 1),\n];\n";
+        let ledger = ledger(source).unwrap();
+        assert_eq!(ledger.get("facade").unwrap().as_number(), Some(57.0));
+        assert_eq!(ledger.get("unsafe_fns").unwrap().as_number(), Some(1.0));
+        assert_eq!(super::ledger("fn main() {}"), None);
+    }
+}

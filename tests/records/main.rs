@@ -14,9 +14,27 @@
 //! cargo test --test records qos_tail -- --nocapture   # one record, with its table
 //! cargo test --test records -- --ignored bless   # refresh the baselines (EXPERIMENTS.md)
 //! ```
+//!
+//! Beside them, the performance trajectory: `trajectory` writes a
+//! `BENCH_<pr>.json` at the root from runs of the built repo benchmark,
+//! and every committed one is held to `BENCHMARK.json`'s metric names and
+//! to its predecessor's simulated numbers
+//! ([`mlcx_bench::trajectory::check`]).
+//!
+//! ```text
+//! cargo build --release --offline --manifest-path benchmark/Cargo.toml
+//! MLCX_BENCH_PR=<n> cargo test --release --test records -- --ignored --nocapture trajectory
+//! # and the parent's file from the same alternating session, its
+//! # benchmark built in its own checkout:
+//! MLCX_BENCH_PR=<n> MLCX_BENCH_PARENT=<n-1>=../parent cargo test --release --test records \
+//!     -- --ignored --nocapture trajectory
+//! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
+use mlcx_bench::json::{self, Json};
+use mlcx_bench::trajectory::{self, Session};
 use mlcx_bench::{baselines_dir, BenchResult};
 
 mod codec_kernels;
@@ -93,5 +111,190 @@ fn every_baseline_has_a_record_and_every_record_a_baseline() {
 fn bless() {
     for (name, record) in RECORDS {
         std::fs::write(baseline_path(name), record().to_json()).unwrap();
+    }
+}
+
+/// Runs of each workload per build and mode in a trajectory session.
+const TRAJECTORY_RUNS: usize = 5;
+/// The seed every trajectory file is recorded at.
+const TRAJECTORY_SEED: u32 = 4096;
+/// Seconds of a traced run (an untraced one runs `BENCHMARK.json`'s
+/// `run_seconds`).
+const TRACED_SECONDS: u32 = 10;
+
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn manifest() -> Json {
+    let path = repo_root().join("BENCHMARK.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    json::parse(&text).unwrap()
+}
+
+/// Every committed `BENCH_<pr>.json`, with its number.
+fn trajectory_files() -> Vec<(u32, Json)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(repo_root()).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let Some(pr) = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        let text = std::fs::read_to_string(repo_root().join(&name)).unwrap();
+        let file = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        files.push((
+            pr.parse()
+                .unwrap_or_else(|_| panic!("{name}: no PR number")),
+            file,
+        ));
+    }
+    files
+}
+
+/// The trajectory's schema: every committed file has `BENCHMARK.json`'s
+/// workloads and metric names, and its `sim_*`, `write_amp` and digests
+/// equal its predecessor's unless it declares `"model_change"`.
+#[test]
+fn trajectory_files_hold_the_manifest_names_and_the_simulated_numbers() {
+    let mut files = trajectory_files();
+    assert!(!files.is_empty(), "no BENCH_*.json at the repository root");
+    if let Err(errors) = trajectory::check(&manifest(), &mut files) {
+        panic!("{errors}");
+    }
+}
+
+/// Writes `BENCH_<MLCX_BENCH_PR>.json` from runs of the built
+/// `benchmark/target/release/mlcx-benchmark`: every workload of
+/// `BENCHMARK.json`, [`TRAJECTORY_RUNS`] times untraced and as many
+/// traced, at [`TRAJECTORY_SEED`]. With `MLCX_BENCH_PARENT=<pr>=<checkout>`
+/// the parent's built benchmark runs alternately with this one, and its
+/// file is written too.
+#[test]
+#[ignore = "runs the built repo benchmark for about half an hour and writes BENCH_<pr>.json"]
+fn trajectory() {
+    let manifest = manifest();
+    let pr = |text: &str| -> u32 {
+        text.parse()
+            .unwrap_or_else(|_| panic!("{text:?} is not a PR number"))
+    };
+    let mut sides = vec![(
+        pr(&std::env::var("MLCX_BENCH_PR")
+            .expect("set MLCX_BENCH_PR to the PR number of the file")),
+        repo_root().to_path_buf(),
+    )];
+    if let Ok(parent) = std::env::var("MLCX_BENCH_PARENT") {
+        let (number, checkout) = parent
+            .split_once('=')
+            .expect("MLCX_BENCH_PARENT is <pr>=<checkout>");
+        sides.push((pr(number), PathBuf::from(checkout)));
+    }
+    let seconds = manifest
+        .get("run_seconds")
+        .and_then(Json::as_number)
+        .unwrap();
+    let host = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let model = info
+                .lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))?
+                .1;
+            Some(model.trim().to_string())
+        });
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut sessions: Vec<(Session, PathBuf)> = sides
+        .iter()
+        .map(|(pr, checkout)| {
+            let binary = checkout.join("benchmark/target/release/mlcx-benchmark");
+            assert!(
+                binary.is_file(),
+                "{} is missing: build it with `cargo build --release --offline \
+                 --manifest-path benchmark/Cargo.toml` in that checkout",
+                binary.display()
+            );
+            let ledger = std::fs::read_to_string(checkout.join("tests/surface_ledger.rs"))
+                .ok()
+                .and_then(|source| trajectory::ledger(&source));
+            let header = vec![
+                ("seed".to_string(), Json::Number(f64::from(TRAJECTORY_SEED))),
+                ("runs".to_string(), Json::Number(TRAJECTORY_RUNS as f64)),
+                ("seconds".to_string(), Json::Number(seconds)),
+                (
+                    "traced_seconds".to_string(),
+                    Json::Number(f64::from(TRACED_SECONDS)),
+                ),
+                (
+                    "host".to_string(),
+                    Json::String(format!(
+                        "{}, {cores} cores",
+                        host.as_deref().unwrap_or("unknown CPU")
+                    )),
+                ),
+                (
+                    "session".to_string(),
+                    Json::String(
+                        sides
+                            .iter()
+                            .map(|(pr, _)| format!("BENCH_{pr}"))
+                            .collect::<Vec<_>>()
+                            .join(" / ")
+                            + ", runs alternating",
+                    ),
+                ),
+                ("ledger".to_string(), ledger.unwrap_or(Json::Null)),
+            ];
+            (Session::new(*pr, header), binary)
+        })
+        .collect();
+    let workloads = manifest.get("workloads").and_then(Json::as_array).unwrap();
+    for workload in workloads.iter().filter_map(|w| w.get("name")?.as_str()) {
+        for run in 0..TRAJECTORY_RUNS {
+            for (trace, seconds) in [(0, seconds as u32), (1, TRACED_SECONDS)] {
+                // Alternate which build goes first, so neither always runs
+                // second in a pair.
+                let mut order: Vec<usize> = (0..sessions.len()).collect();
+                if run % 2 == 1 {
+                    order.reverse();
+                }
+                for side in order {
+                    let (session, binary) = &mut sessions[side];
+                    let args = [
+                        "--workload".to_string(),
+                        workload.to_string(),
+                        "--seed".to_string(),
+                        TRAJECTORY_SEED.to_string(),
+                        "--seconds".to_string(),
+                        seconds.to_string(),
+                        "--trace".to_string(),
+                        trace.to_string(),
+                    ];
+                    // A traced run writes its spans under
+                    // `$CARGO_MANIFEST_DIR/out/`, which cargo has set to
+                    // this package: point it at the checkout's ignored
+                    // `benchmark/out/` instead.
+                    let package = binary.ancestors().nth(3).unwrap();
+                    let out = Command::new(&*binary)
+                        .args(&args)
+                        .env("CARGO_MANIFEST_DIR", package)
+                        .output()
+                        .unwrap();
+                    assert!(out.status.success(), "{} {args:?} failed", binary.display());
+                    let stdout = String::from_utf8(out.stdout).unwrap();
+                    session
+                        .add_run(workload, &stdout)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    eprintln!(
+                        "{}: {workload} run {run} trace {trace} done",
+                        session.file_name()
+                    );
+                }
+            }
+        }
+    }
+    for (session, _) in &sessions {
+        std::fs::write(repo_root().join(session.file_name()), session.render()).unwrap();
     }
 }

@@ -25,6 +25,42 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+/// Every count the tests below pin, by name: the one place each number is
+/// written. The trajectory files (`BENCH_<pr>.json`, `tests/records`'
+/// `trajectory`) copy this table as it stands, one `("name", count),` a
+/// line.
+const LEDGER: [(&str, usize); 16] = [
+    ("facade_reexports", 57),
+    ("engine_builder_setters", 5),
+    ("controller_config_builder_setters", 1),
+    ("scenario_builder_setters", 11),
+    ("storage_engine_pub_fns", 12),
+    ("batch_report_fields", 16),
+    ("op_report_fields", 2),
+    ("ftl_stats_fields", 5),
+    ("phase_report_fields", 11),
+    ("service_phase_report_fields", 21),
+    ("scenario_report_fields", 11),
+    ("controller_config_fields", 11),
+    ("mlcx_error_variants", 8),
+    ("expect_exceptions", 1),
+    ("unsafe_blocks", 4),
+    ("unsafe_fns", 1),
+];
+
+/// The count [`LEDGER`] pins for `name`.
+fn pinned(name: &str) -> usize {
+    let entry = LEDGER.iter().find(|(n, _)| *n == name);
+    entry
+        .unwrap_or_else(|| panic!("{name} is not in the ledger"))
+        .1
+}
+
+/// Asserts that `counted` is what [`LEDGER`] pins for `name`.
+fn holds(name: &str, counted: usize) {
+    assert_eq!(counted, pinned(name), "{name}");
+}
+
 const FACADE: &str = include_str!("../src/lib.rs");
 const ENGINE: &str = include_str!("../crates/core/src/engine.rs");
 const CONTROLLER: &str = include_str!("../crates/controller/src/controller.rs");
@@ -112,21 +148,30 @@ fn variants(source: &str, name: &str) -> usize {
 
 #[test]
 fn the_facade_reexports_what_the_ledger_says() {
-    assert_eq!(reexported_names(FACADE), 57);
+    holds("facade_reexports", reexported_names(FACADE));
 }
 
 #[test]
 fn the_builders_have_the_setters_the_ledger_says() {
-    assert_eq!(setters(ENGINE, "EngineBuilder"), 5);
-    assert_eq!(setters(CONTROLLER, "ControllerConfigBuilder"), 1);
-    assert_eq!(setters(SCENARIO, "ScenarioBuilder"), 11);
+    holds("engine_builder_setters", setters(ENGINE, "EngineBuilder"));
+    holds(
+        "controller_config_builder_setters",
+        setters(CONTROLLER, "ControllerConfigBuilder"),
+    );
+    holds(
+        "scenario_builder_setters",
+        setters(SCENARIO, "ScenarioBuilder"),
+    );
 }
 
 #[test]
 fn the_storage_engine_has_the_queries_the_ledger_says() {
     // One route per host query: the completions and `last_batch` are
     // the engine's only accounts, `sq()`/`cq()` its queue views.
-    assert_eq!(pub_fns(ENGINE, "StorageEngine").len(), 12);
+    holds(
+        "storage_engine_pub_fns",
+        pub_fns(ENGINE, "StorageEngine").len(),
+    );
 }
 
 #[test]
@@ -136,17 +181,23 @@ fn the_reports_hold_the_fields_the_ledger_says() {
     // in the completions), and a device operation reports its time and
     // energy — its kind is the call that returned it, its power their
     // ratio.
-    assert_eq!(pub_fields(ENGINE, "BatchReport"), 16);
-    assert_eq!(pub_fields(DEVICE, "OpReport"), 2);
+    holds("batch_report_fields", pub_fields(ENGINE, "BatchReport"));
+    holds("op_report_fields", pub_fields(DEVICE, "OpReport"));
     // The FTL keeps what only it knows: the scrub reclaims and their
     // page moves are the plans' ops and the completions' counters.
-    assert_eq!(pub_fields(FTL, "FtlStats"), 5);
+    holds("ftl_stats_fields", pub_fields(FTL, "FtlStats"));
     // A scenario report holds what was measured, not the spec it ran
     // (the caller built the `PhaseSpec`) nor a ratio of its own fields
     // (write amplification is `ftl.write_amplification()`).
-    assert_eq!(pub_fields(SCENARIO, "PhaseReport"), 11);
-    assert_eq!(pub_fields(SCENARIO, "ServicePhaseReport"), 21);
-    assert_eq!(pub_fields(SCENARIO, "ScenarioReport"), 11);
+    holds("phase_report_fields", pub_fields(SCENARIO, "PhaseReport"));
+    holds(
+        "service_phase_report_fields",
+        pub_fields(SCENARIO, "ServicePhaseReport"),
+    );
+    holds(
+        "scenario_report_fields",
+        pub_fields(SCENARIO, "ScenarioReport"),
+    );
 }
 
 #[test]
@@ -154,7 +205,10 @@ fn the_controller_config_has_the_fields_the_ledger_says() {
     // Every controller setting is a field here and nowhere else: the
     // config builder's one setter is `geometry`, the engine builder's
     // `controller_config` takes the whole struct.
-    assert_eq!(pub_fields(CONTROLLER, "ControllerConfig"), 11);
+    holds(
+        "controller_config_fields",
+        pub_fields(CONTROLLER, "ControllerConfig"),
+    );
 }
 
 #[test]
@@ -163,7 +217,7 @@ fn the_error_type_has_the_variants_the_ledger_says() {
     // `Ctrl(CtrlError::Nand(..) | CtrlError::Ecc(..))`: the engine
     // rejects a region past the device at registration, so no route
     // hands them over raw.
-    assert_eq!(variants(ERROR, "MlcxError"), 8);
+    holds("mlcx_error_variants", variants(ERROR, "MlcxError"));
 }
 
 /// Every `.rs` file under `dir`, recursively.
@@ -282,7 +336,7 @@ fn the_library_code_has_the_exceptions_the_ledger_says() {
     // The one panic site that stays (ROADMAP item 4(c) takes it to
     // zero): `NandDevice::with_config`'s geometry check. Removing it is
     // removing its entry.
-    let expected = BTreeMap::from([("crates/nand/src".to_string(), 1)]);
+    let expected = BTreeMap::from([("crates/nand/src".to_string(), pinned("expect_exceptions"))]);
     assert_eq!(clippy_exceptions(), expected);
 }
 
@@ -291,10 +345,10 @@ fn the_library_code_has_the_unsafe_the_ledger_says() {
     // All of it in `mlcx-gf2`'s `pclmulqdq` gate: the three intrinsic
     // blocks of its multiply-accumulate and the one call of the one
     // `#[target_feature]` function, which is the one `unsafe fn`.
-    let expected = BTreeMap::from([("crates/gf2/src".to_string(), 4)]);
+    let expected = BTreeMap::from([("crates/gf2/src".to_string(), pinned("unsafe_blocks"))]);
     let blocks = library_counts(|text| occurrences(text, &["unsafe{"]));
     assert_eq!(blocks, expected, "unsafe blocks");
-    let expected = BTreeMap::from([("crates/gf2/src".to_string(), 1)]);
+    let expected = BTreeMap::from([("crates/gf2/src".to_string(), pinned("unsafe_fns"))]);
     let fns = library_counts(|text| occurrences(text, &["unsafefn"]));
     assert_eq!(fns, expected, "unsafe fns");
 }
