@@ -166,7 +166,7 @@ impl AdaptiveBch {
     ///
     /// # Errors
     ///
-    /// Propagates [`BchCode::with_generator_kernel`] errors (none occur for
+    /// Propagates the code construction's errors (none occur for
     /// parameters validated at construction).
     pub fn code(&mut self) -> Result<Arc<BchCode>, BchError> {
         self.code_for(self.current_t)
@@ -210,7 +210,7 @@ impl AdaptiveBch {
     /// # Panics
     ///
     /// Panics if `t` is outside `1..=tmax`.
-    pub fn parity_bytes_for(&self, t: u32) -> usize {
+    pub(crate) fn parity_bytes_for(&self, t: u32) -> usize {
         self.rom.get(t).degree().unwrap_or(0).div_ceil(8)
     }
 

@@ -3,7 +3,7 @@
 //! The paper's adaptable decoder uses the inversion-free Berlekamp-Massey
 //! (iBM) machine of Micheloni et al., whose iteration count tracks the
 //! selected correction capability — that property feeds the latency model
-//! in [`crate::hardware`]. The software implementation below is the
+//! ([`EccHardware`](crate::EccHardware)). The software implementation below is the
 //! classical (division-form) Berlekamp-Massey recurrence, which produces
 //! the *same* error-locator polynomial up to a nonzero scalar; the Chien
 //! search only cares about the root set, which is scalar-invariant.

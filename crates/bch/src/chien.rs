@@ -38,7 +38,7 @@
 //! search tests the same three facts algebraically (`lambda_0 != 0`,
 //! `x^(2^m) = x mod lambda`, every `s < n`) and returns the same sorted
 //! steps, so its `None` is the sweep's `None`. The modeled latency
-//! ([`crate::hardware`]) is the hardware sweep's either way.
+//! ([`EccHardware`](crate::EccHardware)) is the hardware sweep's either way.
 
 use mlcx_gf2::kernels::{
     combine, frobenius_chain, frobenius_scratch_len, split, split_scratch_len,

@@ -136,7 +136,7 @@ impl BchCode {
     /// # Errors
     ///
     /// See [`BchCode::new`].
-    pub fn with_generator_kernel(
+    pub(crate) fn with_generator_kernel(
         field: Arc<GfField>,
         k_bits: usize,
         t: u32,

@@ -66,7 +66,7 @@ fn fold_state(words: usize) -> usize {
 
 /// Parallel LFSR engine for one fixed generator polynomial.
 #[derive(Debug, Clone)]
-pub struct LfsrEncoder {
+pub(crate) struct LfsrEncoder {
     r_bits: usize,
     /// Register width `W = ceil(r/64)` in words.
     words: usize,
@@ -96,7 +96,7 @@ impl LfsrEncoder {
     /// # Panics
     ///
     /// Panics if `g` is constant (degree < 1).
-    pub fn new(generator: &Gf2Poly) -> Self {
+    pub(crate) fn new(generator: &Gf2Poly) -> Self {
         let r_bits = generator
             .degree()
             .filter(|&d| d >= 1)
@@ -140,12 +140,13 @@ impl LfsrEncoder {
     }
 
     /// Number of parity bits `r` (the generator degree).
-    pub fn parity_bits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parity_bits(&self) -> usize {
         self.r_bits
     }
 
     /// Number of bytes needed to store the parity (`ceil(r/8)`).
-    pub fn parity_bytes(&self) -> usize {
+    pub(crate) fn parity_bytes(&self) -> usize {
         self.r_bits.div_ceil(8)
     }
 
@@ -155,7 +156,7 @@ impl LfsrEncoder {
     /// Returns the remainder as parity bytes, MSB-first (parity byte 0 bit 7
     /// is the coefficient of `x^(r-1)`); when `r` is not a multiple of 8 the
     /// low bits of the last byte are zero padding.
-    pub fn remainder(&self, message: &[u8]) -> Vec<u8> {
+    pub(crate) fn remainder(&self, message: &[u8]) -> Vec<u8> {
         self.with_remainder(message, |reg| self.parity_image(reg))
     }
 
@@ -166,7 +167,8 @@ impl LfsrEncoder {
     /// # Panics
     ///
     /// Panics if `parity` is shorter than [`Self::parity_bytes`].
-    pub fn codeword_is_valid(&self, message: &[u8], parity: &[u8]) -> bool {
+    #[cfg(test)]
+    fn codeword_is_valid(&self, message: &[u8], parity: &[u8]) -> bool {
         self.received_remainder(message, parity, |_| ()).is_none()
     }
 

@@ -24,7 +24,7 @@ use std::fmt;
 
 /// Breakdown of one decode in clock cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeCycles {
+pub(crate) struct DecodeCycles {
     /// Alignment pre-phase (parity not fitting the datapath width).
     pub alignment: u64,
     /// Syndrome computation.
@@ -37,7 +37,7 @@ pub struct DecodeCycles {
 
 impl DecodeCycles {
     /// Total decode cycles.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.alignment + self.syndrome + self.ibm + self.chien
     }
 }
@@ -47,7 +47,7 @@ impl DecodeCycles {
 /// # Example
 ///
 /// ```
-/// use mlcx_bch::hardware::EccHardware;
+/// use mlcx_bch::EccHardware;
 ///
 /// let hw = EccHardware::date2012();
 /// let k = 4096 * 8;
@@ -81,7 +81,7 @@ impl EccHardware {
     }
 
     /// Encode cycles for a `k`-bit message producing `r` parity bits.
-    pub fn encode_cycles(&self, k_bits: usize, r_bits: usize) -> u64 {
+    pub(crate) fn encode_cycles(&self, k_bits: usize, r_bits: usize) -> u64 {
         let p = self.datapath_bits as u64;
         (k_bits as u64).div_ceil(p) + (r_bits as u64).div_ceil(p)
     }
@@ -92,7 +92,7 @@ impl EccHardware {
     }
 
     /// Decode cycle breakdown for an `n`-bit codeword at capability `t`.
-    pub fn decode_cycles(&self, n_bits: usize, t: u32) -> DecodeCycles {
+    pub(crate) fn decode_cycles(&self, n_bits: usize, t: u32) -> DecodeCycles {
         let p = self.datapath_bits as u64;
         let n = n_bits as u64;
         // Parity alignment phase: one datapath word per misaligned bit.

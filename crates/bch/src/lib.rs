@@ -7,7 +7,7 @@
 //!
 //! The functional pipeline mirrors the paper's Fig. 2:
 //!
-//! 1. **Encoder** ([`encoder`]) — systematic encoding through a parallel
+//! 1. **Encoder** (`encoder`) — systematic encoding through a parallel
 //!    programmable LFSR whose taps come from a generator-polynomial ROM
 //!    ([`mlcx_gf2::minpoly::GeneratorTable`]).
 //! 2. **Syndrome block** ([`syndrome`]) — computes the `2t` syndromes; a
@@ -17,11 +17,11 @@
 //! 4. **Chien search** ([`chien`]) — root search over the *shortened*
 //!    position range, starting from the ROM-stored first element.
 //!
-//! Every pipeline stage exists twice ([`kernel`]): a bit-serial oracle
+//! Every pipeline stage exists twice: a bit-serial oracle
 //! and the word-parallel production path, differentially tested
 //! bit-identical. [`CodecKernel`] names the two.
 //!
-//! On top of the functional codec, [`hardware`] provides the latency and
+//! On top of the functional codec, [`EccHardware`] and [`EccPowerModel`] provide the latency and
 //! power model used to reproduce the paper's Fig. 8 (encode/decode latency
 //! vs. memory lifetime at 80 MHz) and the 7 mW -> 1 mW ECC power relaxation
 //! of Section 6.3.2.
@@ -53,16 +53,17 @@
 mod adaptive;
 mod bitreg;
 mod code;
+mod encoder;
 mod error;
+mod hardware;
+mod kernel;
 
 pub mod berlekamp;
 pub mod chien;
-pub mod encoder;
-pub mod hardware;
-pub mod kernel;
 pub mod syndrome;
 
 pub use adaptive::AdaptiveBch;
 pub use code::{BchCode, DecodeOutcome};
 pub use error::BchError;
+pub use hardware::{EccHardware, EccPowerModel};
 pub use kernel::CodecKernel;

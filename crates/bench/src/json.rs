@@ -25,7 +25,7 @@ pub enum Json {
 
 impl Json {
     /// The object entries, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Object(entries) => Some(entries),
             _ => None,
@@ -69,7 +69,7 @@ impl Json {
     /// JSON writer for the workspace: `BenchResult::to_json` — and
     /// through it the `bless` refresh of `tests/records/` — renders
     /// through here, so baseline files can never drift in dialect.
-    pub fn render_pretty(&self) -> String {
+    pub(crate) fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
         out
@@ -122,7 +122,7 @@ impl Json {
 }
 
 /// Serializes a string with JSON escaping.
-pub fn quote(s: &str) -> String {
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -79,7 +79,7 @@ impl BenchResult {
     }
 
     /// Serializes the record as a baseline file, through the shared
-    /// [`json::Json::render_pretty`] writer.
+    /// [`json::Json`] pretty writer.
     pub fn to_json(&self) -> String {
         use json::Json;
         let exact = self

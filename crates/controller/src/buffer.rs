@@ -25,7 +25,7 @@ pub enum LoadStrategy {
 impl LoadStrategy {
     /// The load latency visible on the write path, given the raw transfer
     /// time of a full page.
-    pub fn exposed_load_time_s(self, full_load_s: f64) -> f64 {
+    pub(crate) fn exposed_load_time_s(self, full_load_s: f64) -> f64 {
         match self {
             LoadStrategy::OneRound => full_load_s,
             LoadStrategy::TwoRound => 0.5 * full_load_s,

@@ -69,13 +69,12 @@ pub struct IssueSlot {
     pub end_s: f64,
 }
 
-/// Virtual-time busy tracker for a [`Topology`] (see the
-/// [module docs](self)).
+/// Virtual-time busy tracker for a [`Topology`].
 ///
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::channel::{ChannelScheduler, OpTiming};
+/// use mlcx_controller::{ChannelScheduler, OpTiming};
 /// use mlcx_nand::Topology;
 ///
 /// let mut sched = ChannelScheduler::new(Topology::new(2, 1));

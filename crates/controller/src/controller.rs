@@ -4,8 +4,7 @@ use std::fmt;
 use std::mem;
 use std::ops::Range;
 
-use mlcx_bch::hardware::{EccHardware, EccPowerModel};
-use mlcx_bch::{AdaptiveBch, CodecKernel, DecodeOutcome};
+use mlcx_bch::{AdaptiveBch, CodecKernel, DecodeOutcome, EccHardware, EccPowerModel};
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::device::CodeStore;
 use mlcx_nand::disturb::DisturbModel;

@@ -8,17 +8,6 @@
 //! Fig. 11.
 
 /// The NAND bus interface.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_controller::flash_if::FlashInterface;
-///
-/// let bus = FlashInterface::date2012();
-/// // A 4 KiB codeword takes on the order of 130 us on a 32 MB/s bus.
-/// let t = bus.data_transfer_time_s(4096 + 130);
-/// assert!(t > 100e-6 && t < 180e-6);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashInterface {
     /// Sustained data rate of the bus, bytes per second.
@@ -48,12 +37,12 @@ impl FlashInterface {
     }
 
     /// Time to move `bytes` of data over the bus, seconds.
-    pub fn data_transfer_time_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn data_transfer_time_s(&self, bytes: usize) -> f64 {
         bytes as f64 / self.bus_rate_bps
     }
 
     /// Full transfer including command/address phases, seconds.
-    pub fn transaction_time_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn transaction_time_s(&self, bytes: usize) -> f64 {
         self.command_overhead_s() + self.data_transfer_time_s(bytes)
     }
 }

@@ -78,7 +78,7 @@ pub struct FtlStats {
     /// programmed page) — a subset of the reclaimed blocks, attributing
     /// maintenance traffic to program-side corruption. The reclaims
     /// themselves are the [`FtlOp::Erase`]s of the plans
-    /// [`LogicalMap::plan_reclaim`] returns.
+    /// `LogicalMap::plan_reclaim` returns.
     pub interference_reclaims: u64,
 }
 
@@ -161,7 +161,7 @@ pub enum FtlOp {
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::ftl::{FtlOp, LogicalMap};
+/// use mlcx_controller::{FtlOp, LogicalMap};
 ///
 /// let mut map = LogicalMap::new(0..4, 8);
 /// assert_eq!(map.capacity_pages(), 3 * 8);
@@ -169,7 +169,7 @@ pub enum FtlOp {
 /// // A fresh map: one plain write, no GC.
 /// assert!(matches!(plan[..], [FtlOp::Write { lpn: 0, .. }]));
 /// assert_eq!(map.translate(0), Some((0, 0)));
-/// # Ok::<(), mlcx_controller::ftl::FtlError>(())
+/// # Ok::<(), mlcx_controller::FtlError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct LogicalMap {
@@ -269,7 +269,7 @@ impl LogicalMap {
     /// scrubber calls this when the victim block qualified on the
     /// interference-RBER threshold; the map itself cannot see why a
     /// reclaim was planned.
-    pub fn note_interference_reclaim(&mut self) {
+    pub(crate) fn note_interference_reclaim(&mut self) {
         self.stats.interference_reclaims += 1;
     }
 
@@ -282,11 +282,6 @@ impl LogicalMap {
     /// verification sweeps — free with the ordered map).
     pub fn mapped_lpns(&self) -> Vec<usize> {
         self.map.keys().copied().collect()
-    }
-
-    /// Currently writable physical slots (erased pages).
-    pub fn free_slots(&self) -> usize {
-        self.free_slots
     }
 
     fn rel(&self, block: usize) -> usize {
@@ -498,7 +493,7 @@ impl LogicalMap {
     /// garbage collection. (Under the planner's early-cleaning reserve
     /// invariant this cannot happen between host writes; it is
     /// reachable only on a map driven by raw reclaims.)
-    pub fn plan_reclaim(
+    pub(crate) fn plan_reclaim(
         &mut self,
         block: usize,
         wear: &mut dyn FnMut(usize) -> u64,
@@ -738,7 +733,7 @@ mod tests {
     fn logical_map_plans_compose_without_a_controller() {
         let mut map = LogicalMap::new(2..6, 4);
         assert_eq!(map.capacity_pages(), 12);
-        assert_eq!(map.free_slots(), 16);
+        assert_eq!(map.free_slots, 16);
         let mut wear = |_b: usize| 0u64;
 
         let plan = map.plan_write(7, &mut wear).unwrap();

@@ -8,34 +8,34 @@
 //!
 //! Components:
 //!
-//! * [`ocp`] — the socket interface and its burst-transfer timing;
-//! * [`buffer`] — the page buffer's one-round and two-round data load
+//! * [`OcpSocket`] — the socket interface and its burst-transfer timing;
+//! * [`LoadStrategy`] — the page buffer's one-round and two-round data load
 //!   strategies (Section 6.3.3's write-overhead mitigation);
-//! * [`flash_if`] — the flash bus interface (command/address/data phase
+//! * [`FlashInterface`] — the flash bus interface (command/address/data phase
 //!   timing at the ~32 MB/s of an asynchronous-NAND-era bus);
-//! * [`regs`] — the command/status register file: sticky status bits
+//! * [`RegisterFile`] — the command/status register file: sticky status bits
 //!   and the reconfiguration counter;
 //! * [`MemoryController`] — the core FSM: full write
 //!   (load -> encode -> program) and read (tR -> transfer -> decode)
 //!   datapaths with latency and energy reports;
-//! * [`reliability`] — the integrated reliability manager: consumes ECC
+//! * [`ReliabilityManager`] — the integrated reliability manager: consumes ECC
 //!   feedback, re-configures `t` (and, cross-layer, the program
 //!   algorithm) at runtime;
-//! * [`throughput`] — closed-form read/write throughput used by the
+//! * [`read_path`] / [`write_path`] — closed-form read/write throughput used by the
 //!   figure harness;
-//! * [`channel`] — the multi-channel/multi-die busy-time scheduler: the
+//! * [`ChannelScheduler`] — the multi-channel/multi-die busy-time scheduler: the
 //!   datapath feeds it each operation's bus/cell occupancy, and batches
 //!   read their modeled parallel makespan and channel utilization back;
-//! * [`ftl`] — a wear-leveling flash translation layer (extension):
+//! * `ftl` — a wear-leveling flash translation layer (extension):
 //!   the controller-free [`LogicalMap`] plans overwrite traffic into
 //!   physical operations the engine executes;
-//! * [`scrub`] — background scrub / read-reclaim: a policy engine that
+//! * [`ScrubPolicy`] — background scrub / read-reclaim: a policy engine that
 //!   scans per-block disturb state (reads since erase, data age) and
 //!   plans relocate+erase maintenance through the FTL machinery;
-//! * [`retry`] — stepped read-reference retry: on an uncorrectable
+//! * [`RetryPolicy`] — stepped read-reference retry: on an uncorrectable
 //!   read, re-sense at ladder offsets tracking the Vth shift, and
 //!   remember the winning offset per block so steady-state reads start
-//!   near the optimum (the voltage-domain mitigation next to `scrub`'s
+//!   near the optimum (the voltage-domain mitigation next to scrub's
 //!   data movement).
 //!
 //! # Example
@@ -59,28 +59,31 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+mod buffer;
+mod channel;
 mod controller;
 mod error;
+mod flash_if;
+mod ftl;
+mod ocp;
+mod regs;
+mod reliability;
+mod retry;
+mod scrub;
+mod throughput;
 
-pub mod buffer;
-pub mod channel;
-pub mod flash_if;
-pub mod ftl;
-pub mod ocp;
-pub mod regs;
-pub mod reliability;
-pub mod retry;
-pub mod scrub;
-pub mod throughput;
-
+pub use buffer::LoadStrategy;
 pub use channel::{ChannelScheduler, IssueSlot, OpTiming};
 pub use controller::{
     ControllerConfig, ControllerConfigBuilder, MemoryController, ReadReport, WriteReport,
 };
 pub use error::CtrlError;
+pub use flash_if::FlashInterface;
 pub use ftl::{FtlError, FtlOp, FtlStats, LogicalMap};
 pub use mlcx_bch::CodecKernel;
+pub use ocp::OcpSocket;
 pub use regs::{ConfigCommand, RegisterFile, StatusFlags};
 pub use reliability::{ReliabilityManager, ReliabilityPolicy};
 pub use retry::{ReadOffsetTable, RetryPolicy};
 pub use scrub::ScrubPolicy;
+pub use throughput::{read_path, write_path, ReadPath, WritePath};

@@ -7,17 +7,6 @@
 //! transfer latency to the datapath.
 
 /// Burst-capable socket interface (OCP/AXI-class).
-///
-/// # Example
-///
-/// ```
-/// use mlcx_controller::ocp::OcpSocket;
-///
-/// let ocp = OcpSocket::date2012();
-/// // Moving a 4 KiB page across the NoC takes single-digit microseconds.
-/// let t = ocp.transfer_time_s(4096);
-/// assert!(t > 1e-6 && t < 10e-6);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OcpSocket {
     /// Data width of the socket, bits.
@@ -40,7 +29,7 @@ impl OcpSocket {
     }
 
     /// Time to burst `bytes` across the socket, seconds.
-    pub fn transfer_time_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time_s(&self, bytes: usize) -> f64 {
         let beats = (bytes * 8).div_ceil(self.data_width_bits as usize);
         (beats as u64 + self.latency_cycles as u64) as f64 / self.clock_hz
     }

@@ -65,7 +65,7 @@ impl RegisterFile {
     }
 
     /// Mutable status access for the controller/manager.
-    pub fn status_mut(&mut self) -> &mut StatusFlags {
+    pub(crate) fn status_mut(&mut self) -> &mut StatusFlags {
         &mut self.status
     }
 

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::retry::RetryPolicy;
+/// use mlcx_controller::RetryPolicy;
 ///
 /// let p = RetryPolicy::date2012();
 /// assert!(p.is_enabled() && p.max_senses >= 2);
@@ -137,7 +137,7 @@ impl ReadOffsetTable {
 
     /// Drops the block's entry (called on erase: a fresh block's
     /// distributions are back at nominal).
-    pub fn forget(&mut self, block: usize) {
+    pub(crate) fn forget(&mut self, block: usize) {
         self.offsets.remove(&block);
     }
 

@@ -36,8 +36,7 @@ use mlcx_nand::NandDevice;
 use crate::ftl::{FtlOp, LogicalMap};
 
 /// When a block qualifies for read-reclaim, and how much reclaim work a
-/// single pass may emit — and the scanner that plans those passes (see
-/// the [module docs](self)).
+/// single pass may emit — and the scanner that plans those passes.
 ///
 /// The default ([`ScrubPolicy::disabled`]) never qualifies anything, so
 /// every stack layer carries the knob at zero behavioral cost until a
@@ -46,7 +45,7 @@ use crate::ftl::{FtlOp, LogicalMap};
 /// # Example
 ///
 /// ```
-/// use mlcx_controller::scrub::ScrubPolicy;
+/// use mlcx_controller::ScrubPolicy;
 /// use mlcx_controller::{ControllerConfig, LogicalMap, MemoryController};
 ///
 /// let mut ctrl = MemoryController::new(ControllerConfig::date2012(), 1)?;

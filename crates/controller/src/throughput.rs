@@ -7,7 +7,7 @@
 //! * write path = exposed buffer load + ECC encode + data-in transfer +
 //!   ISPP program time (Fig. 9's denominator).
 
-use mlcx_bch::hardware::EccHardware;
+use mlcx_bch::EccHardware;
 use mlcx_nand::NandTiming;
 
 use crate::buffer::LoadStrategy;

@@ -799,14 +799,22 @@ impl StorageEngine {
     /// downstream of it — is left untouched, keeping a clocked run
     /// bit-identical to an unclocked one.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on negative `hours` (time flows forward).
-    pub fn advance_hours(&mut self, hours: f64) {
+    /// [`MlcxError::InvalidConfig`] on negative or non-finite `hours`
+    /// (time flows forward, by a finite step); the clock and the memo
+    /// are then untouched.
+    pub fn advance_hours(&mut self, hours: f64) -> Result<(), MlcxError> {
+        if !(hours.is_finite() && hours >= 0.0) {
+            return Err(MlcxError::InvalidConfig {
+                reason: format!("the clock advances {hours} hours"),
+            });
+        }
         self.ctrl.device_mut().advance_time_hours(hours);
         if hours > 0.0 && self.ctrl.device().disturb_model().retention_enabled() {
             self.invalidate_operating_points();
         }
+        Ok(())
     }
 
     /// Drops every memoized operating point by bumping the disturb
@@ -1711,6 +1719,31 @@ mod tests {
     }
 
     #[test]
+    fn advance_hours_rejects_a_step_that_is_negative_or_not_finite() {
+        use mlcx_nand::disturb::DisturbModel;
+        let mut e = EngineBuilder::date2012()
+            .seed(77)
+            .controller_config(ControllerConfig {
+                disturb: DisturbModel::date2012(),
+                ..ControllerConfig::date2012()
+            })
+            .build()
+            .unwrap();
+        e.advance_hours(5.0).unwrap();
+        for hours in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(e.advance_hours(hours), Err(MlcxError::InvalidConfig { .. })),
+                "{hours}"
+            );
+            // Neither the clock nor the memo epoch moved.
+            assert_eq!(e.controller().device().now_hours(), 5.0, "{hours}");
+            assert_eq!(e.disturb_epoch, 1, "{hours}");
+        }
+        assert_eq!(e.advance_hours(0.0), Ok(()));
+        assert_eq!(e.controller().device().now_hours(), 5.0);
+    }
+
+    #[test]
     fn advance_hours_invalidates_points_only_under_an_enabled_disturb_model() {
         use mlcx_nand::disturb::DisturbModel;
         // Disabled model: the clock moves, the memo does not.
@@ -1721,7 +1754,7 @@ mod tests {
             .unwrap();
         e.cq().drain();
         assert_eq!(e.last_batch().op_cache_misses, 1);
-        e.advance_hours(10_000.0);
+        e.advance_hours(10_000.0).unwrap();
         assert!((e.controller().device().now_hours() - 10_000.0).abs() < 1e-9);
         e.sq().submit(&[Command::write(a, 0, 1, page(2))]).unwrap();
         e.cq().drain();
@@ -1745,7 +1778,7 @@ mod tests {
             .submit(&[Command::erase(a, 0), Command::write(a, 0, 0, page(1))])
             .unwrap();
         e.cq().drain();
-        e.advance_hours(10_000.0);
+        e.advance_hours(10_000.0).unwrap();
         e.sq().submit(&[Command::write(a, 0, 1, page(2))]).unwrap();
         e.cq().drain();
         assert_eq!(
@@ -1789,7 +1822,7 @@ mod tests {
             CommandOutput::Write(w) => w.t_used,
             other => panic!("expected write, got {other:?}"),
         };
-        e.advance_hours(10_000.0);
+        e.advance_hours(10_000.0).unwrap();
         e.sq().submit(&[Command::write(a, 0, 1, page(2))]).unwrap();
         let t_after = match e.cq().drain()[0].result.as_ref().unwrap() {
             CommandOutput::Write(w) => w.t_used,
@@ -1812,7 +1845,7 @@ mod tests {
 
     #[test]
     fn retry_policy_rides_the_builder_and_counts_in_the_batch() {
-        use mlcx_controller::retry::RetryPolicy;
+        use mlcx_controller::RetryPolicy;
         use mlcx_nand::disturb::DisturbModel;
         let e = engine();
         assert!(!e.controller().config().retry.is_enabled());
@@ -1847,7 +1880,7 @@ mod tests {
             ])
             .unwrap();
         assert!(e.cq().drain().iter().all(|c| c.result.is_ok()));
-        e.advance_hours(20_000.0);
+        e.advance_hours(20_000.0).unwrap();
 
         e.sq().submit(&[Command::read(svc, 0, 0)]).unwrap();
         let done = e.cq().drain();

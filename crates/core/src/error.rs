@@ -13,8 +13,8 @@
 use std::error::Error;
 use std::fmt;
 
-use mlcx_controller::ftl::FtlError;
 use mlcx_controller::CtrlError;
+use mlcx_controller::FtlError;
 
 use crate::services::ServiceError;
 

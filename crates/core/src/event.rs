@@ -2,12 +2,12 @@
 //!
 //! The engine orders execution with events on one *virtual clock* — the
 //! same absolute timeline the controller's
-//! [`ChannelScheduler`](mlcx_controller::channel::ChannelScheduler)
+//! [`ChannelScheduler`](mlcx_controller::ChannelScheduler)
 //! advances its per-die/per-channel busy clocks on. A submitted command
 //! is stamped with its *arrival* time; dispatch (in
 //! [`SchedPolicy`] order) runs it through the functional datapath and
 //! asks the scheduler for the command's merged issue window
-//! ([`ChannelScheduler::command_window`](mlcx_controller::channel::ChannelScheduler::command_window));
+//! ([`ChannelScheduler::command_window`](mlcx_controller::ChannelScheduler::command_window));
 //! the resulting completion event orders by `(end time, dispatch
 //! sequence)`, earliest first, so the engine's
 //! `BinaryHeap<CompletionEvent>` pops completions in *completion-time*

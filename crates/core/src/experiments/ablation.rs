@@ -6,7 +6,7 @@
 //! envelope, (b) the 32 MB/s flash bus behind the Fig. 11 read gain, and
 //! (c) the two-round load mitigation of Section 6.3.3.
 
-use mlcx_controller::buffer::LoadStrategy;
+use mlcx_controller::LoadStrategy;
 
 use crate::model::SubsystemModel;
 use crate::policy::Objective;
@@ -14,7 +14,7 @@ use crate::report::Table;
 
 /// One row of the Chien-parallelism ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChienRow {
+pub(super) struct ChienRow {
     /// Pool basis `h` (evaluations per clock at `t = tmax`).
     pub h: u32,
     /// Worst-case decode latency (t = 65), microseconds.
@@ -24,7 +24,7 @@ pub struct ChienRow {
 }
 
 /// Sweeps the Chien multiplier-pool basis.
-pub fn chien_parallelism(model: &SubsystemModel, h_values: &[u32]) -> Vec<ChienRow> {
+pub(super) fn chien_parallelism(model: &SubsystemModel, h_values: &[u32]) -> Vec<ChienRow> {
     h_values
         .iter()
         .map(|&h| {
@@ -45,7 +45,7 @@ pub fn chien_parallelism(model: &SubsystemModel, h_values: &[u32]) -> Vec<ChienR
 }
 
 /// Renders the Chien ablation.
-pub fn chien_table(rows: &[ChienRow]) -> Table {
+pub(super) fn chien_table(rows: &[ChienRow]) -> Table {
     let mut t = Table::new(vec!["h", "decode(t=65) [us]", "EOL read gain [%]"]);
     for r in rows {
         t.row(vec![
@@ -59,7 +59,7 @@ pub fn chien_table(rows: &[ChienRow]) -> Table {
 
 /// One row of the bus-rate ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BusRow {
+pub(super) struct BusRow {
     /// Flash bus rate, MB/s.
     pub bus_mbps: f64,
     /// Baseline end-of-life read throughput, MB/s.
@@ -70,7 +70,7 @@ pub struct BusRow {
 
 /// Sweeps the flash bus rate: faster buses make the decode latency a
 /// larger share of the read path, *amplifying* the cross-layer gain.
-pub fn bus_rate(model: &SubsystemModel, rates_mbps: &[f64]) -> Vec<BusRow> {
+pub(super) fn bus_rate(model: &SubsystemModel, rates_mbps: &[f64]) -> Vec<BusRow> {
     rates_mbps
         .iter()
         .map(|&rate| {
@@ -90,7 +90,7 @@ pub fn bus_rate(model: &SubsystemModel, rates_mbps: &[f64]) -> Vec<BusRow> {
 }
 
 /// Renders the bus ablation.
-pub fn bus_table(rows: &[BusRow]) -> Table {
+pub(super) fn bus_table(rows: &[BusRow]) -> Table {
     let mut t = Table::new(vec!["bus [MB/s]", "baseline read [MB/s]", "EOL gain [%]"]);
     for r in rows {
         t.row(vec![
@@ -104,7 +104,7 @@ pub fn bus_table(rows: &[BusRow]) -> Table {
 
 /// One row of the load-strategy ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadRow {
+pub(super) struct LoadRow {
     /// Whether two-round loading is enabled.
     pub two_round: bool,
     /// Fresh ISPP-DV write throughput, MB/s (what the mitigation buys).
@@ -116,7 +116,7 @@ pub struct LoadRow {
 }
 
 /// Compares the write loss under both buffer-load strategies.
-pub fn load_strategy(model: &SubsystemModel) -> Vec<LoadRow> {
+pub(super) fn load_strategy(model: &SubsystemModel) -> Vec<LoadRow> {
     [LoadStrategy::OneRound, LoadStrategy::TwoRound]
         .into_iter()
         .map(|strategy| {
@@ -142,7 +142,7 @@ pub fn load_strategy(model: &SubsystemModel) -> Vec<LoadRow> {
 }
 
 /// Renders the load-strategy ablation.
-pub fn load_table(rows: &[LoadRow]) -> Table {
+pub(super) fn load_table(rows: &[LoadRow]) -> Table {
     let mut t = Table::new(vec![
         "two-round",
         "DV write [MB/s]",

@@ -16,10 +16,12 @@
 //! | [`fig09`] | Fig. 9 | write-throughput loss over lifetime |
 //! | [`fig10`] | Fig. 10 | UBER: nominal vs. physical-layer modification |
 //! | [`fig11`] | Fig. 11 | read-throughput gain over lifetime |
-//! | [`power_budget`] | Section 6.3.2 | ECC vs. NAND power compensation |
-//! | [`ablation`] | (extension) | sensitivity of the headline numbers to h, p, bus rate and load strategy |
+//! | `power_budget` | Section 6.3.2 | ECC vs. NAND power compensation |
+//! | `ablation` | (extension) | sensitivity of the headline numbers to h, p, bus rate and load strategy |
 
-pub mod ablation;
+mod ablation;
+mod power_budget;
+
 pub mod fig04;
 pub mod fig05;
 pub mod fig06;
@@ -29,7 +31,6 @@ pub mod fig08;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;
-pub mod power_budget;
 
 use crate::model::SubsystemModel;
 use crate::report::Table;

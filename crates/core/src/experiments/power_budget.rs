@@ -13,7 +13,7 @@ use crate::report::Table;
 
 /// One lifetime point of the power ledger (milliwatts).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Row {
+pub(super) struct Row {
     /// Program/erase cycles.
     pub cycles: u64,
     /// Baseline NAND program power, mW.
@@ -28,23 +28,23 @@ pub struct Row {
 
 impl Row {
     /// NAND power increase of the cross-layer mode, mW.
-    pub fn nand_penalty_mw(&self) -> f64 {
+    pub(super) fn nand_penalty_mw(&self) -> f64 {
         self.nand_dv_mw - self.nand_sv_mw
     }
 
     /// ECC power saving of the cross-layer mode, mW.
-    pub fn ecc_saving_mw(&self) -> f64 {
+    pub(super) fn ecc_saving_mw(&self) -> f64 {
         self.ecc_sv_mw - self.ecc_dv_mw
     }
 
     /// Net budget change (positive = more power), mW.
-    pub fn net_mw(&self) -> f64 {
+    pub(super) fn net_mw(&self) -> f64 {
         self.nand_penalty_mw() - self.ecc_saving_mw()
     }
 }
 
 /// Generates the ledger over the lifetime grid.
-pub fn generate(model: &SubsystemModel) -> Vec<Row> {
+pub(super) fn generate(model: &SubsystemModel) -> Vec<Row> {
     AgingModel::lifetime_grid(1, 1_000_000, 1)
         .into_iter()
         .map(|cycles| {
@@ -64,7 +64,7 @@ pub fn generate(model: &SubsystemModel) -> Vec<Row> {
 }
 
 /// Renders the table.
-pub fn table(rows: &[Row]) -> Table {
+pub(super) fn table(rows: &[Row]) -> Table {
     let mut t = Table::new(vec![
         "P/E cycles",
         "NAND SV",

@@ -76,7 +76,7 @@ pub(crate) struct FaultInjector {
 
 impl FaultInjector {
     /// An injector executing `plan` from its seed.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
             rng: StdRng::seed_from_u64(plan.seed),
@@ -86,7 +86,7 @@ impl FaultInjector {
     /// Decides the fate of the next program: `Some(fraction)` orders an
     /// interruption after that fraction of the staircase, `None` lets
     /// the program complete. Draws nothing under a disabled plan.
-    pub fn next_program(&mut self) -> Option<f64> {
+    pub(crate) fn next_program(&mut self) -> Option<f64> {
         if !self.plan.is_enabled() {
             return None;
         }

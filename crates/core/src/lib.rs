@@ -11,12 +11,12 @@
 //!   QoS (weights, deadlines, bounded depth), per-batch latency/energy
 //!   and tail-latency accounting, and memoized cross-layer
 //!   configuration (see [`engine::WearBucketing`]).
-//! * [`event`] — the discrete-event vocabulary: [`SchedPolicy`] and
+//! * `event` — the discrete-event vocabulary: [`SchedPolicy`] and
 //!   [`QosSpec`].
-//! * [`fault`] — deterministic fault injection: [`FaultPlan`] schedules
+//! * `fault` — deterministic fault injection: [`FaultPlan`] schedules
 //!   partial-program (power-loss) interruptions over the engine's
 //!   program stream from its own seeded RNG.
-//! * [`counters`] — [`Counters`]: the scrub / retry / interference /
+//! * `counters` — [`Counters`]: the scrub / retry / interference /
 //!   fault event counters every report carries, declared once, derived
 //!   from a command's output in one place and summed by one `absorb`.
 //! * [`uber`] — eq. (1) of the paper: the uncorrectable bit error rate of
@@ -57,17 +57,17 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+mod counters;
 mod error;
+mod event;
+mod fault;
 mod model;
+mod services;
 
-pub mod counters;
 pub mod engine;
-pub mod event;
 pub mod experiments;
-pub mod fault;
 pub mod policy;
 pub mod report;
-pub mod services;
 pub mod sim;
 pub mod uber;
 

@@ -2,12 +2,11 @@
 
 use std::fmt;
 
-use mlcx_bch::hardware::{EccHardware, EccPowerModel};
-use mlcx_controller::buffer::LoadStrategy;
-use mlcx_controller::flash_if::FlashInterface;
-use mlcx_controller::ocp::OcpSocket;
-use mlcx_controller::throughput::{read_path, write_path, ReadPath, WritePath};
-use mlcx_controller::ControllerConfig;
+use mlcx_bch::{EccHardware, EccPowerModel};
+use mlcx_controller::{
+    read_path, write_path, ControllerConfig, FlashInterface, LoadStrategy, OcpSocket, ReadPath,
+    WritePath,
+};
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::ispp::{pattern_profile, program_profile, IsppConfig, ProgramProfile};
 use mlcx_nand::{AgingModel, MlcLevel, NandTiming, ProgramAlgorithm};
@@ -215,7 +214,7 @@ impl SubsystemModel {
 
     /// Average device power over a single-level pattern program (the
     /// L1/L2/L3 sweeps of Fig. 6).
-    pub fn pattern_power_w(
+    pub(crate) fn pattern_power_w(
         &self,
         algorithm: ProgramAlgorithm,
         level: MlcLevel,
@@ -269,7 +268,7 @@ impl SubsystemModel {
     /// so the selected capability keeps meeting the UBER target on
     /// disturbed data. `extra_rber = 0.0` is exactly
     /// [`SubsystemModel::configure`].
-    pub fn configure_with_extra_rber(
+    pub(crate) fn configure_with_extra_rber(
         &self,
         objective: Objective,
         cycles: u64,

@@ -54,7 +54,11 @@ pub fn controller_only_read_boost(model: &SubsystemModel, cycles: u64) -> Altern
 
 /// Enumerates the whole (algorithm x capability) plane at a wear level —
 /// the raw material for Pareto analysis.
-pub fn enumerate_plane(model: &SubsystemModel, cycles: u64, t_stride: u32) -> Vec<Alternative> {
+pub(crate) fn enumerate_plane(
+    model: &SubsystemModel,
+    cycles: u64,
+    t_stride: u32,
+) -> Vec<Alternative> {
     let mut out = Vec::new();
     for algorithm in ProgramAlgorithm::ALL {
         let mut t = model.tmin;
@@ -73,7 +77,7 @@ pub fn enumerate_plane(model: &SubsystemModel, cycles: u64, t_stride: u32) -> Ve
     out
 }
 
-/// Filters [`enumerate_plane`] down to the Pareto frontier over
+/// Filters the `(algorithm, t)` plane down to the Pareto frontier over
 /// (UBER, read throughput, write throughput) — lower UBER and higher
 /// throughputs dominate.
 pub fn pareto_frontier(model: &SubsystemModel, cycles: u64, t_stride: u32) -> Vec<Alternative> {

@@ -96,12 +96,12 @@ impl Table {
 }
 
 /// Formats a float in compact scientific notation (`1.50e-6`).
-pub fn sci(x: f64) -> String {
+pub(crate) fn sci(x: f64) -> String {
     format!("{x:.3e}")
 }
 
 /// Formats a float with 2 decimals.
-pub fn fixed2(x: f64) -> String {
+pub(crate) fn fixed2(x: f64) -> String {
     format!("{x:.2}")
 }
 

@@ -6,7 +6,7 @@
 //! the mechanism, not the behavior. This module closes that gap with
 //! three pieces:
 //!
-//! * [`trace`] — deterministic synthetic trace generators
+//! * `trace` — deterministic synthetic trace generators
 //!   ([`TraceGenerator`]) over five access-pattern families
 //!   ([`TraceKind`]): sequential logging, uniform random, zipf-like
 //!   hot/cold skew, read-mostly serving and bursty ingest. Seeded via
@@ -18,7 +18,7 @@
 //!   ([`StorageEngine::sq`](crate::engine::StorageEngine::sq) /
 //!   [`cq`](crate::engine::StorageEngine::cq)). Logical addresses
 //!   route through a per-service
-//!   [`LogicalMap`](mlcx_controller::ftl::LogicalMap) (the FTL planning
+//!   [`LogicalMap`](mlcx_controller::LogicalMap) (the FTL planning
 //!   core), so overwrites, garbage collection and write amplification
 //!   run on the real datapath — relocation writes re-encode at the
 //!   service's current cross-layer operating point.
@@ -42,7 +42,7 @@
 //!   ([`Topology`](mlcx_nand::Topology)); the retention-stress and
 //!   read-reclaim scenario pair that turns the device's
 //!   disturb/retention models plus the background scrubber
-//!   (`mlcx_controller::scrub`) into a measurable
+//!   ([`ScrubPolicy`](mlcx_controller::ScrubPolicy)) into a measurable
 //!   reliability-performance trade-off — run each with scrub off and on
 //!   to quantify the UBER recovered and the device time paid; and the
 //!   scrub-vs-retry preset that runs the same seeded retention-failure
@@ -71,12 +71,13 @@
 //! stream per die), the trace streams and the payload derivation are
 //! all functions of the scenario seed, so a report reproduces exactly.
 
+mod scenario;
+mod trace;
+
 pub mod presets;
-pub mod scenario;
-pub mod trace;
 
 pub use scenario::{
     LatencyStats, PhaseReport, PhaseSpec, Scenario, ScenarioBuilder, ScenarioReport,
-    ServicePhaseReport, ServiceSpec, WorkloadRunner,
+    ServicePhaseReport, WorkloadRunner,
 };
 pub use trace::{TraceGenerator, TraceKind, TraceOp};

@@ -353,7 +353,7 @@ pub fn scrub_vs_retry(seed: u64, mode: MitigationMode) -> Result<Scenario, MlcxE
 /// (`interference_rber_threshold`) is the mitigation: a partially
 /// programmed page alone presses its block far past the threshold, so
 /// the scrubber reclaims exactly the damaged blocks, attributed in
-/// [`FtlStats::interference_reclaims`](mlcx_controller::ftl::FtlStats::interference_reclaims).
+/// [`FtlStats::interference_reclaims`](mlcx_controller::FtlStats::interference_reclaims).
 ///
 /// Power loss without end-to-end write protection *is* data loss: the
 /// interrupted pages fail ECC (surfacing as `read_failures`), and a GC

@@ -3,9 +3,9 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use mlcx_controller::ftl::{FtlOp, FtlStats, LogicalMap};
-use mlcx_controller::scrub::ScrubPolicy;
 use mlcx_controller::CtrlError;
+use mlcx_controller::ScrubPolicy;
+use mlcx_controller::{FtlOp, FtlStats, LogicalMap};
 use mlcx_nand::NandError;
 
 use crate::counters::Counters;
@@ -21,7 +21,7 @@ use crate::sim::trace::{TraceGenerator, TraceKind, TraceOp};
 /// One service of a scenario: a named block region bound to a
 /// cross-layer objective, exercised by one trace pattern.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServiceSpec {
+pub(crate) struct ServiceSpec {
     /// Service name ("log", "archive", ...).
     pub name: String,
     /// The cross-layer objective the region is bound to.
@@ -870,7 +870,7 @@ impl WorkloadRunner {
             self.engine.controller_mut().age_die(die, cycles)?;
         }
         if spec.elapsed_hours > 0.0 {
-            self.engine.advance_hours(spec.elapsed_hours);
+            self.engine.advance_hours(spec.elapsed_hours)?;
         }
         Ok(report)
     }

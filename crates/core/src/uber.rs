@@ -19,7 +19,7 @@
 
 /// Natural log of the gamma function (Lanczos, g = 7, 9 terms;
 /// |relative error| < 1e-13 on the positive real axis).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain is x > 0");
     const COEFFS: [f64; 8] = [
         676.5203681218851,
@@ -46,7 +46,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Natural log of the binomial coefficient `C(n, k)`.
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_binomial(n: u64, k: u64) -> f64 {
     assert!(k <= n, "C(n, k) requires k <= n");
     ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
 }

@@ -123,7 +123,7 @@ impl GfField {
     /// Returns [`GfError::UnsupportedDegree`] for `m` outside `2..=16` and
     /// [`GfError::NotPrimitive`] if the polynomial fails to generate the
     /// whole multiplicative group.
-    pub fn with_primitive_poly(m: u32, poly: u32) -> Result<Self, GfError> {
+    pub(crate) fn with_primitive_poly(m: u32, poly: u32) -> Result<Self, GfError> {
         if !(2..=16).contains(&m) {
             return Err(GfError::UnsupportedDegree { m });
         }
@@ -222,7 +222,8 @@ impl GfField {
     }
 
     /// The primitive polynomial, encoded as an integer.
-    pub fn primitive_poly(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn primitive_poly(&self) -> u32 {
         self.prim_poly
     }
 

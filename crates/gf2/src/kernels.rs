@@ -4,8 +4,8 @@
 //!
 //! | kernel | role | technique |
 //! |--------|------|-----------|
-//! | [`mul_raw_reference`] | oracle | bit-serial schoolbook — the definition, and the reference the production path is differential-tested against |
-//! | [`mul_raw_clmul`] | production | column by column: one 64x64 carry-less multiply per word pair, accumulated where the machine keeps it |
+//! | `mul_raw_reference` ([`MulKernel::Reference`]) | oracle | bit-serial schoolbook — the definition, and the reference the production path is differential-tested against |
+//! | `mul_raw_clmul` ([`MulKernel::Clmul`]) | production | column by column: one 64x64 carry-less multiply per word pair, accumulated where the machine keeps it |
 //!
 //! Both compute the *same* product. [`MulKernel::best`] is the production
 //! one, and it is what [`crate::Gf2Poly::mul`] runs.
@@ -57,8 +57,9 @@
 //! All a kernel needs of the machine is a 64 x 64 -> 128 bit carry-less
 //! multiply XORed into an accumulator, so each entry point is one body,
 //! generic over that multiply-accumulate, and one call of it is a job:
-//! its arguments, shapes checked. Where [`clmul_available`] the job runs
-//! on `pclmulqdq` through the crate's one `#[target_feature]` function,
+//! its arguments, shapes checked. Where `pclmulqdq` is available (the
+//! `clmul` cargo feature on, an `x86_64` target, the CPU flag present)
+//! the job runs on it through the crate's one `#[target_feature]` function,
 //! into which the body, monomorphised, inlines down to the instructions;
 //! everywhere else on shift-and-XOR, one bit of a factor at a time — the
 //! same result, for tests and odd machines, not for speed.
@@ -79,7 +80,7 @@ fn product_len(a: &[Block], b: &[Block]) -> usize {
 /// For every set coefficient bit of `a`, XORs `b` shifted by that single
 /// bit position into the accumulator, one *bit* at a time. Quadratic in
 /// bits; exists purely as the differential-testing oracle.
-pub fn mul_raw_reference(a: &[Block], b: &[Block]) -> Vec<Block> {
+pub(crate) fn mul_raw_reference(a: &[Block], b: &[Block]) -> Vec<Block> {
     let mut acc = vec![0u64; product_len(a, b)];
     for (wi, &aw) in a.iter().enumerate() {
         for bit in 0..64 {
@@ -101,22 +102,11 @@ pub fn mul_raw_reference(a: &[Block], b: &[Block]) -> Vec<Block> {
     acc
 }
 
-/// `true` when the kernels run `pclmulqdq` on this build and CPU (the
-/// `clmul` cargo feature on, an `x86_64` target, the CPU flag present);
-/// where it is `false` they multiply by shift-and-XOR, to the same result.
-pub fn clmul_available() -> bool {
-    #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
-    if clmul::Pclmul::detect().is_some() {
-        return true;
-    }
-    false
-}
-
 /// The production multiply, column by column: output word `k` is the low
 /// word of `sum_(i+j=k) a[i] * b[j]`, one accumulator, plus the high word
-/// of column `k - 1`'s. `pclmulqdq` where [`clmul_available`],
+/// of column `k - 1`'s. `pclmulqdq` where the CPU has it,
 /// shift-and-XOR (the same result) everywhere else.
-pub fn mul_raw_clmul(a: &[Block], b: &[Block]) -> Vec<Block> {
+pub(crate) fn mul_raw_clmul(a: &[Block], b: &[Block]) -> Vec<Block> {
     dispatch(MulRaw(a, b))
 }
 
@@ -226,7 +216,7 @@ trait Kernel {
     fn run<M: MulAcc>(self, mul: M) -> Self::Out;
 }
 
-/// Runs `kernel` on `pclmulqdq` where [`clmul_available`], on [`ShiftXor`]
+/// Runs `kernel` on `pclmulqdq` where the CPU has it, on [`ShiftXor`]
 /// everywhere else.
 fn dispatch<K: Kernel>(kernel: K) -> K::Out {
     #[cfg(all(feature = "clmul", target_arch = "x86_64"))]
@@ -1143,10 +1133,10 @@ mod clmul {
 /// path [`MulKernel::best`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MulKernel {
-    /// Bit-serial oracle ([`mul_raw_reference`]).
+    /// Bit-serial oracle: one set bit of a factor at a time.
     Reference,
-    /// The production multiply ([`mul_raw_clmul`]): `pclmulqdq` where
-    /// [`clmul_available`], shift-and-XOR everywhere else.
+    /// The production multiply, column by column: `pclmulqdq` where the
+    /// CPU has it, shift-and-XOR everywhere else.
     Clmul,
 }
 
@@ -2114,8 +2104,5 @@ mod tests {
     #[test]
     fn best_is_the_production_kernel_on_every_cpu() {
         assert_eq!(MulKernel::best(), MulKernel::Clmul);
-        if !cfg!(all(feature = "clmul", target_arch = "x86_64")) {
-            assert!(!clmul_available());
-        }
     }
 }

@@ -60,5 +60,5 @@ pub mod kernels;
 pub mod minpoly;
 
 pub use field::{GfError, GfField};
-pub use kernels::{clmul_available, MulKernel};
+pub use kernels::MulKernel;
 pub use poly::Gf2Poly;

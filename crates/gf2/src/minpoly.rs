@@ -49,8 +49,9 @@ pub fn cyclotomic_coset(m: u32, s: u32) -> Vec<u32> {
 /// use mlcx_gf2::{GfField, Gf2Poly, minpoly::minimal_poly};
 ///
 /// let f = GfField::new(4)?;
-/// // The minimal polynomial of alpha itself is the primitive polynomial.
-/// assert_eq!(minimal_poly(&f, 1), Gf2Poly::from_int(f.primitive_poly() as u64));
+/// // The minimal polynomial of alpha itself is the primitive polynomial,
+/// // x^4 + x + 1.
+/// assert_eq!(minimal_poly(&f, 1), Gf2Poly::from_int(0x13));
 /// # Ok::<(), mlcx_gf2::GfError>(())
 /// ```
 pub fn minimal_poly(field: &GfField, s: u32) -> Gf2Poly {

@@ -202,91 +202,6 @@ impl Gf2Poly {
         a
     }
 
-    /// Formal derivative over GF(2): odd-degree terms drop one degree,
-    /// even-degree terms vanish.
-    pub fn derivative(&self) -> Gf2Poly {
-        let mut out = Gf2Poly::zero();
-        for e in self.exponents() {
-            if e % 2 == 1 {
-                out.set_coeff(e - 1, !out.coeff(e - 1));
-            }
-        }
-        out
-    }
-
-    /// `x^(2^e) mod modulus`, by repeated squaring with reduction.
-    fn x_pow_pow2_mod(e: u32, modulus: &Gf2Poly) -> Gf2Poly {
-        let mut acc = Gf2Poly::monomial(1).rem(modulus);
-        for _ in 0..e {
-            acc = acc.mul(&acc).rem(modulus);
-        }
-        acc
-    }
-
-    /// Irreducibility over GF(2), by Rabin's test: `f` of degree `n` is
-    /// irreducible iff `x^(2^n) ≡ x (mod f)` and, for every prime divisor
-    /// `p` of `n`, `gcd(x^(2^(n/p)) - x, f) = 1`.
-    ///
-    /// Used to validate the minimal polynomials feeding the BCH generator
-    /// ROM. Intended for the moderate degrees of ECC practice (≤ a few
-    /// hundred).
-    pub fn is_irreducible(&self) -> bool {
-        let Some(n) = self.degree() else {
-            return false; // zero polynomial
-        };
-        if n == 0 {
-            return false; // units are not irreducible
-        }
-        if n == 1 {
-            return true;
-        }
-        // x^(2^n) ≡ x (mod f)?
-        let xq = Self::x_pow_pow2_mod(n as u32, self);
-        if xq != Gf2Poly::monomial(1).rem(self) {
-            return false;
-        }
-        // gcd(x^(2^(n/p)) + x, f) must be 1 for every prime p | n.
-        let mut m = n;
-        let mut primes = Vec::new();
-        let mut d = 2;
-        while d * d <= m {
-            if m % d == 0 {
-                primes.push(d);
-                while m % d == 0 {
-                    m /= d;
-                }
-            }
-            d += 1;
-        }
-        if m > 1 {
-            primes.push(m);
-        }
-        for p in primes {
-            let mut g = Self::x_pow_pow2_mod((n / p) as u32, self);
-            // g := g + x  (subtraction == addition over GF(2))
-            let x = Gf2Poly::monomial(1);
-            g += &x;
-            if self.gcd(&g).degree() != Some(0) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// `true` when the polynomial has no repeated irreducible factors
-    /// (`gcd(f, f') = 1`). BCH generator polynomials are always
-    /// square-free because they are products of distinct minimal
-    /// polynomials.
-    pub fn is_square_free(&self) -> bool {
-        let d = self.derivative();
-        if d.is_zero() {
-            // Over GF(2), f' = 0 means f is a square of something
-            // (unless f is constant).
-            return self.degree() == Some(0);
-        }
-        self.gcd(&d).degree() == Some(0)
-    }
-
     /// Evaluates the polynomial at a point of GF(2^m) given by `field`.
     ///
     /// Used to check that every constructed generator polynomial vanishes on
@@ -379,6 +294,96 @@ impl fmt::Display for Gf2Poly {
             }
         }
         Ok(())
+    }
+}
+
+/// Test oracles: Rabin's irreducibility test and square-freeness check
+/// the minimal and generator polynomials the BCH ROM is built from.
+#[cfg(test)]
+impl Gf2Poly {
+    /// Formal derivative over GF(2): odd-degree terms drop one degree,
+    /// even-degree terms vanish.
+    fn derivative(&self) -> Gf2Poly {
+        let mut out = Gf2Poly::zero();
+        for e in self.exponents() {
+            if e % 2 == 1 {
+                out.set_coeff(e - 1, !out.coeff(e - 1));
+            }
+        }
+        out
+    }
+
+    /// `x^(2^e) mod modulus`, by repeated squaring with reduction.
+    fn x_pow_pow2_mod(e: u32, modulus: &Gf2Poly) -> Gf2Poly {
+        let mut acc = Gf2Poly::monomial(1).rem(modulus);
+        for _ in 0..e {
+            acc = acc.mul(&acc).rem(modulus);
+        }
+        acc
+    }
+
+    /// Irreducibility over GF(2), by Rabin's test: `f` of degree `n` is
+    /// irreducible iff `x^(2^n) ≡ x (mod f)` and, for every prime divisor
+    /// `p` of `n`, `gcd(x^(2^(n/p)) - x, f) = 1`.
+    ///
+    /// Used to validate the minimal polynomials feeding the BCH generator
+    /// ROM. Intended for the moderate degrees of ECC practice (≤ a few
+    /// hundred).
+    pub(crate) fn is_irreducible(&self) -> bool {
+        let Some(n) = self.degree() else {
+            return false; // zero polynomial
+        };
+        if n == 0 {
+            return false; // units are not irreducible
+        }
+        if n == 1 {
+            return true;
+        }
+        // x^(2^n) ≡ x (mod f)?
+        let xq = Self::x_pow_pow2_mod(n as u32, self);
+        if xq != Gf2Poly::monomial(1).rem(self) {
+            return false;
+        }
+        // gcd(x^(2^(n/p)) + x, f) must be 1 for every prime p | n.
+        let mut m = n;
+        let mut primes = Vec::new();
+        let mut d = 2;
+        while d * d <= m {
+            if m % d == 0 {
+                primes.push(d);
+                while m % d == 0 {
+                    m /= d;
+                }
+            }
+            d += 1;
+        }
+        if m > 1 {
+            primes.push(m);
+        }
+        for p in primes {
+            let mut g = Self::x_pow_pow2_mod((n / p) as u32, self);
+            // g := g + x  (subtraction == addition over GF(2))
+            let x = Gf2Poly::monomial(1);
+            g += &x;
+            if self.gcd(&g).degree() != Some(0) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `true` when the polynomial has no repeated irreducible factors
+    /// (`gcd(f, f') = 1`). BCH generator polynomials are always
+    /// square-free because they are products of distinct minimal
+    /// polynomials.
+    pub(crate) fn is_square_free(&self) -> bool {
+        let d = self.derivative();
+        if d.is_zero() {
+            // Over GF(2), f' = 0 means f is a square of something
+            // (unless f is constant).
+            return self.degree() == Some(0);
+        }
+        self.gcd(&d).degree() == Some(0)
     }
 }
 

@@ -88,7 +88,7 @@ impl DicksonPump {
     }
 
     /// Output impedance `N / (f * C)`, ohms.
-    pub fn output_impedance_ohm(&self) -> f64 {
+    pub(crate) fn output_impedance_ohm(&self) -> f64 {
         self.stages as f64 / (self.clock_hz * self.stage_capacitance_f)
     }
 
@@ -105,14 +105,14 @@ impl DicksonPump {
 
     /// Supply current when the pump is running and delivering
     /// `pump_current_a` at its output.
-    pub fn input_current_a(&self, pump_current_a: f64) -> f64 {
+    pub(crate) fn input_current_a(&self, pump_current_a: f64) -> f64 {
         let n = self.stages as f64;
         (n + 1.0) * pump_current_a
             + n * self.clock_hz * self.parasitic_ratio * self.stage_capacitance_f * self.supply_v
     }
 
     /// Supply power when running (`Vdd * I_in`), watts.
-    pub fn input_power_w(&self, pump_current_a: f64) -> f64 {
+    pub(crate) fn input_power_w(&self, pump_current_a: f64) -> f64 {
         self.supply_v * self.input_current_a(pump_current_a)
     }
 

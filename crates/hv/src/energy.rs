@@ -11,20 +11,8 @@ pub struct PhaseEnergy {
     pub energy_j: f64,
 }
 
-/// Full energy breakdown of one memory operation (program, read, erase).
-///
-/// # Example
-///
-/// ```
-/// use mlcx_hv::{OperationEnergy, PhaseEnergy};
-///
-/// let op = OperationEnergy::from_phases(vec![
-///     PhaseEnergy { label: "pulse", duration_s: 10e-6, energy_j: 1.5e-6 },
-///     PhaseEnergy { label: "verify", duration_s: 30e-6, energy_j: 5.4e-6 },
-/// ]);
-/// assert!((op.total_energy_j() - 6.9e-6).abs() < 1e-12);
-/// assert!(op.average_power_w() > 0.15);
-/// ```
+/// Full energy breakdown of one memory operation (program, read, erase),
+/// as [`Sequencer::execute`](crate::Sequencer::execute) returns it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OperationEnergy {
     phases: Vec<PhaseEnergy>,
@@ -32,7 +20,7 @@ pub struct OperationEnergy {
 
 impl OperationEnergy {
     /// Builds a report from per-phase records.
-    pub fn from_phases(phases: Vec<PhaseEnergy>) -> Self {
+    pub(crate) fn from_phases(phases: Vec<PhaseEnergy>) -> Self {
         OperationEnergy { phases }
     }
 
@@ -49,17 +37,6 @@ impl OperationEnergy {
     /// Total operation duration, seconds.
     pub fn duration_s(&self) -> f64 {
         self.phases.iter().map(|p| p.duration_s).sum()
-    }
-
-    /// Mean power over the whole operation, watts — the quantity the
-    /// paper's Fig. 6 plots.
-    pub fn average_power_w(&self) -> f64 {
-        let t = self.duration_s();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.total_energy_j() / t
-        }
     }
 }
 
@@ -92,28 +69,11 @@ mod tests {
         let op = sample();
         assert!((op.total_energy_j() - 8.7e-6).abs() < 1e-15);
         assert!((op.duration_s() - 50e-6).abs() < 1e-15);
-        let avg = op.average_power_w();
-        assert!((avg - 8.7e-6 / 50e-6).abs() < 1e-12);
     }
 
     #[test]
-    fn average_power_between_phase_powers() {
-        let op = sample();
-        let powers: Vec<f64> = op
-            .phases()
-            .iter()
-            .map(|p| p.energy_j / p.duration_s)
-            .collect();
-        let min = powers.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = powers.iter().cloned().fold(0.0, f64::max);
-        let avg = op.average_power_w();
-        assert!(avg >= min && avg <= max);
-    }
-
-    #[test]
-    fn empty_operation_is_zero_power() {
+    fn empty_operation_is_zero_energy() {
         let op = OperationEnergy::default();
-        assert_eq!(op.average_power_w(), 0.0);
         assert_eq!(op.total_energy_j(), 0.0);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`HvSubsystem`] — the program (12-stage, 14-19 V), inhibit (8-stage,
 //!   8 V) and verify (4-stage high-speed, 4.5 V) pumps of the paper's
 //!   45 nm low-power device, with phase-level power evaluation.
-//! * [`sequencer`] — the register-driven phase sequencer: ISPP-SV and
+//! * [`Sequencer`] — the register-driven phase sequencer: ISPP-SV and
 //!   ISPP-DV differ **only** in the enable-signal sequence, never in the
 //!   HV hardware, which is exactly the paper's implementation-cost claim.
 //!
@@ -37,14 +37,13 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod dickson;
+mod energy;
 mod regulator;
+mod sequencer;
 mod subsystem;
-
-pub mod energy;
-pub mod sequencer;
 
 pub use dickson::DicksonPump;
 pub use energy::{OperationEnergy, PhaseEnergy};
-pub use regulator::{HystereticRegulator, RegulatedPump};
+pub use regulator::RegulatedPump;
 pub use sequencer::{Phase, PhaseKind, Sequencer};
 pub use subsystem::HvSubsystem;

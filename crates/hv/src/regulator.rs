@@ -13,7 +13,7 @@ use crate::dickson::DicksonPump;
 
 /// The feedback comparator band of a pump regulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HystereticRegulator {
+pub(crate) struct HystereticRegulator {
     /// Regulation target at the pump output, volts.
     pub target_v: f64,
     /// Restart threshold is `target_v - hysteresis_v`.
@@ -25,7 +25,7 @@ pub struct HystereticRegulator {
 
 impl HystereticRegulator {
     /// A regulator for `target_v` with a band of 1 % of the target.
-    pub fn for_target(target_v: f64) -> Self {
+    pub(crate) fn for_target(target_v: f64) -> Self {
         HystereticRegulator {
             target_v,
             hysteresis_v: 0.01 * target_v,
@@ -108,11 +108,6 @@ impl RegulatedPump {
     /// The current regulation target.
     pub fn target_v(&self) -> f64 {
         self.regulator.target_v
-    }
-
-    /// Present output voltage.
-    pub fn output_v(&self) -> f64 {
-        self.output_v
     }
 
     /// Advances one integration step under `load_current_a`; returns the

@@ -73,7 +73,7 @@ pub struct PumpEnables {
 ///     Phase { kind: PhaseKind::Verify { level: 1 }, duration_s: 12e-6 },
 /// ]);
 /// assert_eq!(op.phases().len(), 2);
-/// assert!(op.average_power_w() > 0.1);
+/// assert!(op.total_energy_j() / op.duration_s() > 0.1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sequencer {

@@ -104,7 +104,7 @@ impl HvSubsystem {
 
     /// Supply power during a page read — electrically the same biasing as
     /// a verify.
-    pub fn read_power_w(&self) -> f64 {
+    pub(crate) fn read_power_w(&self) -> f64 {
         self.verify_power_w()
     }
 
@@ -113,7 +113,7 @@ impl HvSubsystem {
     /// The paper does not characterize erase; this uses the program pump
     /// at its ceiling with a block-level load, giving a plausible figure
     /// for device-level accounting.
-    pub fn erase_power_w(&self) -> f64 {
+    pub(crate) fn erase_power_w(&self) -> f64 {
         Self::regulated_power_w(&self.program_pump, 20.0, 2.0 * self.program_load_a)
             + self.array_pulse_w
     }

@@ -4,7 +4,7 @@ use crate::levels::MlcLevel;
 
 /// Programming state of a cell within one ISPP operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellPhase {
+pub(crate) enum CellPhase {
     /// Still receiving full-strength pulses.
     Programming,
     /// Passed the DV pre-verify: bit-line bias brakes further injection.
@@ -20,18 +20,6 @@ pub enum CellPhase {
 /// in steady state the threshold tracks the control-gate staircase at a
 /// per-cell offset, so each pulse either leaves VTH unchanged (slow cell,
 /// still below its asymptote) or advances it by up to one effective step.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_nand::cell::Cell;
-/// use mlcx_nand::MlcLevel;
-///
-/// let mut cell = Cell::new(-2.8, 13.3, MlcLevel::L2);
-/// // A 15 V pulse on a cell with 13.3 V offset pulls VTH toward 1.7 V.
-/// cell.apply_pulse(15.0, 0.0, 0.0);
-/// assert!((cell.vth() - 1.7).abs() < 1e-12);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     vth: f64,
@@ -43,7 +31,7 @@ pub struct Cell {
 impl Cell {
     /// A cell in the erased state at `vth`, with its per-cell ISPP offset
     /// and programming target.
-    pub fn new(vth: f64, offset_v: f64, target: MlcLevel) -> Self {
+    pub(crate) fn new(vth: f64, offset_v: f64, target: MlcLevel) -> Self {
         Cell {
             vth,
             offset_v,
@@ -62,23 +50,18 @@ impl Cell {
         self.vth
     }
 
-    /// The per-cell staircase offset (gate voltage minus asymptotic VTH).
-    pub fn offset_v(&self) -> f64 {
-        self.offset_v
-    }
-
     /// The programming target level.
-    pub fn target(&self) -> MlcLevel {
+    pub(crate) fn target(&self) -> MlcLevel {
         self.target
     }
 
     /// Current programming phase.
-    pub fn phase(&self) -> CellPhase {
+    pub(crate) fn phase(&self) -> CellPhase {
         self.phase
     }
 
     /// `true` once the cell is excluded from further pulses.
-    pub fn is_inhibited(&self) -> bool {
+    pub(crate) fn is_inhibited(&self) -> bool {
         self.phase == CellPhase::Inhibited
     }
 
@@ -91,7 +74,12 @@ impl Cell {
     /// compacts the final distribution. `injection_noise_v` is the
     /// sampled shot-noise for this pulse. Inhibited cells are unaffected.
     /// Returns the threshold shift produced by the pulse.
-    pub fn apply_pulse(&mut self, vcg: f64, fine_step_v: f64, injection_noise_v: f64) -> f64 {
+    pub(crate) fn apply_pulse(
+        &mut self,
+        vcg: f64,
+        fine_step_v: f64,
+        injection_noise_v: f64,
+    ) -> f64 {
         if self.phase == CellPhase::Inhibited {
             return 0.0;
         }
@@ -114,7 +102,7 @@ impl Cell {
 
     /// Verify against `level_v`: inhibits the cell when VTH has passed.
     /// Returns `true` if the cell passed.
-    pub fn verify(&mut self, level_v: f64) -> bool {
+    pub(crate) fn verify(&mut self, level_v: f64) -> bool {
         if self.phase == CellPhase::Inhibited {
             return true;
         }
@@ -128,7 +116,7 @@ impl Cell {
 
     /// DV pre-verify against `level_v`: switches a passing cell into the
     /// fine (braked) placement mode.
-    pub fn pre_verify(&mut self, level_v: f64) {
+    pub(crate) fn pre_verify(&mut self, level_v: f64) {
         if self.phase == CellPhase::Programming && self.vth >= level_v {
             self.phase = CellPhase::Fine;
         }
@@ -136,7 +124,7 @@ impl Cell {
 
     /// Adds a post-program disturbance (cell-to-cell interference, aging
     /// noise) to the stored threshold.
-    pub fn disturb(&mut self, delta_v: f64) {
+    pub(crate) fn disturb(&mut self, delta_v: f64) {
         self.vth += delta_v;
     }
 }

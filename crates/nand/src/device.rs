@@ -36,15 +36,11 @@ pub struct OpReport {
 ///
 /// Production devices hardwire one algorithm in a code ROM; the paper's
 /// proposal stores *both* ISPP variants in the ROM (runtime-selectable at
-/// negligible area cost) or, more radically, replaces the ROM with an
-/// SRAM the controller loads with "the most suitable algorithm for the
-/// memory transaction at hand".
+/// negligible area cost).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodeStore {
     /// Fixed set of algorithms burnt at fabrication time.
     Rom(Vec<ProgramAlgorithm>),
-    /// Loadable microcode SRAM (empty until the controller writes it).
-    Sram(Option<ProgramAlgorithm>),
 }
 
 impl CodeStore {
@@ -53,17 +49,10 @@ impl CodeStore {
         CodeStore::Rom(vec![ProgramAlgorithm::IsppSv, ProgramAlgorithm::IsppDv])
     }
 
-    /// A legacy single-algorithm ROM (the pre-paper status quo).
-    pub fn legacy_rom() -> Self {
-        CodeStore::Rom(vec![ProgramAlgorithm::IsppSv])
-    }
-
     /// Whether `algorithm` can be executed from this store.
-    pub fn supports(&self, algorithm: ProgramAlgorithm) -> bool {
-        match self {
-            CodeStore::Rom(algs) => algs.contains(&algorithm),
-            CodeStore::Sram(loaded) => *loaded == Some(algorithm),
-        }
+    pub(crate) fn supports(&self, algorithm: ProgramAlgorithm) -> bool {
+        let CodeStore::Rom(algs) = self;
+        algs.contains(&algorithm)
     }
 }
 
@@ -336,11 +325,6 @@ impl NandDevice {
         self.algorithm
     }
 
-    /// The code store.
-    pub fn code_store(&self) -> &CodeStore {
-        &self.code_store
-    }
-
     /// Enables (or replaces) the read-disturb / retention model. The
     /// default device runs with [`DisturbModel::disabled`], matching the
     /// paper's evaluation conditions.
@@ -591,21 +575,6 @@ impl NandDevice {
         Ok(())
     }
 
-    /// Loads microcode into a [`CodeStore::Sram`] store.
-    ///
-    /// # Errors
-    ///
-    /// [`NandError::AlgorithmUnavailable`] when the store is a ROM.
-    pub fn load_microcode(&mut self, algorithm: ProgramAlgorithm) -> Result<(), NandError> {
-        match &mut self.code_store {
-            CodeStore::Sram(slot) => {
-                *slot = Some(algorithm);
-                Ok(())
-            }
-            CodeStore::Rom(_) => Err(NandError::AlgorithmUnavailable { algorithm }),
-        }
-    }
-
     /// Erases a block.
     ///
     /// # Errors
@@ -652,8 +621,7 @@ impl NandDevice {
     ///
     /// Geometry errors for bad indices or buffer sizes;
     /// [`NandError::PageNotErased`] when overwriting;
-    /// [`NandError::PageOutOfOrder`] when a lower page is still blank;
-    /// [`NandError::CodeSramEmpty`] when an SRAM store has no microcode.
+    /// [`NandError::PageOutOfOrder`] when a lower page is still blank.
     pub fn program_page(
         &mut self,
         block: usize,
@@ -675,9 +643,6 @@ impl NandDevice {
                 expected: self.geometry.spare_bytes,
                 actual: spare.len(),
             });
-        }
-        if matches!(self.code_store, CodeStore::Sram(None)) {
-            return Err(NandError::CodeSramEmpty);
         }
         let expected = self.blocks[block].programmed;
         if page < expected {
@@ -1015,7 +980,7 @@ mod tests {
             IsppConfig::date2012(),
             AgingModel::date2012(),
             HvSubsystem::date2012(),
-            CodeStore::legacy_rom(),
+            CodeStore::Rom(vec![ProgramAlgorithm::IsppSv]),
             1,
         );
         assert_eq!(
@@ -1024,27 +989,6 @@ mod tests {
                 algorithm: ProgramAlgorithm::IsppDv
             })
         );
-    }
-
-    #[test]
-    fn sram_store_needs_loading() {
-        let mut dev = NandDevice::with_config(
-            DeviceGeometry::date2012(),
-            NandTiming::date2012(),
-            IsppConfig::date2012(),
-            AgingModel::date2012(),
-            HvSubsystem::date2012(),
-            CodeStore::Sram(None),
-            1,
-        );
-        dev.erase_block(0).unwrap();
-        assert_eq!(
-            dev.program_page(0, 0, &vec![0u8; 4096], &[]),
-            Err(NandError::CodeSramEmpty)
-        );
-        dev.load_microcode(ProgramAlgorithm::IsppDv).unwrap();
-        dev.select_algorithm(ProgramAlgorithm::IsppDv).unwrap();
-        dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
     }
 
     #[test]

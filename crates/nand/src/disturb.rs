@@ -107,7 +107,7 @@ impl DisturbModel {
     /// (`read_disturb_per_read * SCRUB_READ_THRESHOLD` = 2e-4) is then
     /// comparable to the mid-life endurance RBER itself, eating the ECC
     /// margin the schedule provisioned. Scrub policies
-    /// (`mlcx_controller::scrub::ScrubPolicy`) anchor their read
+    /// (`mlcx_controller::ScrubPolicy`) anchor their read
     /// threshold here; the `scrub_threshold_is_material` unit test pins
     /// the constant to the claim.
     pub const SCRUB_READ_THRESHOLD: u64 = 100_000;
@@ -156,7 +156,7 @@ impl DisturbModel {
     /// Whether any *program-side* mechanism (neighbour coupling,
     /// die-level program disturb, partial-program injection) can
     /// contribute RBER.
-    pub fn interference_enabled(&self) -> bool {
+    pub(crate) fn interference_enabled(&self) -> bool {
         let coupling = self.program_coupling_rber != 0.0;
         let die_disturb = self.program_disturb_per_program != 0.0;
         let partial = self.partial_program_rber != 0.0;
@@ -192,13 +192,13 @@ impl DisturbModel {
 
     /// RBER contribution of `events` adjacent-wordline program events
     /// accumulated by a programmed page.
-    pub fn neighbor_interference_rber(&self, events: u64) -> f64 {
+    pub(crate) fn neighbor_interference_rber(&self, events: u64) -> f64 {
         self.program_coupling_rber * events as f64
     }
 
     /// RBER contribution of `programs` page programs executed on other
     /// blocks of the same die since the page's block was erased.
-    pub fn program_disturb_rber(&self, programs: u64) -> f64 {
+    pub(crate) fn program_disturb_rber(&self, programs: u64) -> f64 {
         self.program_disturb_per_program * programs as f64
     }
 

@@ -71,8 +71,6 @@ pub enum NandError {
         /// The algorithm that was requested.
         algorithm: ProgramAlgorithm,
     },
-    /// The code SRAM is empty — no microcode has been loaded.
-    CodeSramEmpty,
 }
 
 impl fmt::Display for NandError {
@@ -118,7 +116,6 @@ impl fmt::Display for NandError {
                     "program algorithm {algorithm} not present in the code store"
                 )
             }
-            NandError::CodeSramEmpty => write!(f, "code SRAM is empty, load microcode first"),
         }
     }
 }

@@ -137,11 +137,6 @@ impl DeviceGeometry {
         }
     }
 
-    /// Cells per page (two bits per cell on an MLC device).
-    pub fn cells_per_page(&self) -> usize {
-        (self.page_bytes + self.spare_bytes) * 8 / 2
-    }
-
     /// Total pages in the subsystem.
     pub fn total_pages(&self) -> usize {
         self.blocks * self.pages_per_block
@@ -195,7 +190,6 @@ mod tests {
     #[test]
     fn derived_quantities() {
         let g = DeviceGeometry::date2012();
-        assert_eq!(g.cells_per_page(), (4096 + 224) * 4);
         assert_eq!(g.total_pages(), 64 * 128);
         assert_eq!(g.blocks_per_die(), 64);
         assert_eq!(g.die_of_block(63), 0);

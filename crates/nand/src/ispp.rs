@@ -10,7 +10,7 @@
 //! Two views are provided:
 //!
 //! * [`IsppEngine`] — the Monte-Carlo engine that actually programs a
-//!   vector of [`Cell`]s and emits the HV phase program;
+//!   vector of cells and emits the HV phase program;
 //! * [`program_profile`] — the closed-form expected timing profile used
 //!   by the figure generators (calibrated against the engine), including
 //!   the aging-driven pulse-count growth that makes the paper's Fig. 9
@@ -41,7 +41,7 @@ impl ProgramAlgorithm {
 
     /// The effective placement step of the algorithm: full `delta_ISPP`
     /// for SV, the braked fine step for DV.
-    pub fn placement_step_v(self, config: &IsppConfig) -> f64 {
+    pub(crate) fn placement_step_v(self, config: &IsppConfig) -> f64 {
         match self {
             ProgramAlgorithm::IsppSv => config.step_v,
             ProgramAlgorithm::IsppDv => config.step_v - config.fine_brake_v,
@@ -99,7 +99,7 @@ impl IsppConfig {
     }
 
     /// Pulses needed for the staircase to sweep its full range.
-    pub fn staircase_pulses(&self) -> u32 {
+    pub(crate) fn staircase_pulses(&self) -> u32 {
         ((self.end_v - self.start_v) / self.step_v).round() as u32 + 1
     }
 }
@@ -130,7 +130,6 @@ pub struct IsppRun {
 /// # Example
 ///
 /// ```
-/// use mlcx_nand::cell::Cell;
 /// use mlcx_nand::ispp::{IsppConfig, IsppEngine, ProgramAlgorithm};
 /// use mlcx_nand::levels::{MlcLevel, ThresholdSpec};
 /// use mlcx_nand::variability::VariabilityModel;
@@ -196,7 +195,7 @@ impl IsppEngine {
     /// Runs the selected algorithm over the page.
     ///
     /// `aging_sigma_v` is the extra threshold noise contributed by wear
-    /// (from [`crate::variability::VariabilityModel::aging_sigma_v`]); it
+    /// (from the variability model's aging term); it
     /// is applied, together with residual cell-to-cell interference, after
     /// placement — modelling charge detrapping between program and read.
     pub fn program<R: RngExt + ?Sized>(

@@ -121,7 +121,7 @@ impl ThresholdSpec {
     /// # Panics
     ///
     /// Panics for [`MlcLevel::L0`] (erased cells are never verified).
-    pub fn verify_for(&self, level: MlcLevel) -> f64 {
+    pub(crate) fn verify_for(&self, level: MlcLevel) -> f64 {
         assert!(level != MlcLevel::L0, "L0 has no verify level");
         self.verify_v[level.index() - 1]
     }
@@ -141,7 +141,7 @@ impl ThresholdSpec {
 
     /// Number of differing bits between the Gray codes of two levels —
     /// the bit cost of a misread between them.
-    pub fn bit_errors_between(a: MlcLevel, b: MlcLevel) -> u32 {
+    pub(crate) fn bit_errors_between(a: MlcLevel, b: MlcLevel) -> u32 {
         let (al, au) = a.gray_bits();
         let (bl, bu) = b.gray_bits();
         u32::from(al != bl) + u32::from(au != bu)

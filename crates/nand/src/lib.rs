@@ -11,20 +11,20 @@
 //! * [`levels`] — the four threshold-voltage levels L0-L3 with their read
 //!   (R1-R3), verify (VFY1-VFY3) and over-programming (OP) references
 //!   (paper Fig. 3), and the Gray data mapping.
-//! * [`cell`] / [`variability`] — per-cell ISPP response with the
+//! * `cell` / [`variability`] — per-cell ISPP response with the
 //!   variability effects the paper lists: geometry, doping, injection
 //!   granularity, cell-to-cell interference and aging.
 //! * [`ispp`] — the ISPP-SV and ISPP-DV program engines: pulse/verify
 //!   scheduling, program-inhibit, the DV bit-line brake, the closed-form
 //!   timing profile, and the HV phase program handed to `mlcx-hv`.
-//! * [`rber`] / [`aging`] — the analytic Gaussian-overlap RBER model and
+//! * `rber` / [`AgingModel`] — the analytic Gaussian-overlap RBER model and
 //!   the lifetime calibration that anchors RBER(cycles, algorithm) to the
 //!   paper's Fig. 5 / Fig. 7 working points.
 //! * [`array`](mod@array) — Monte-Carlo array simulation of a full page program
 //!   (validates the analytic model; reproduces Fig. 4's staircase).
 //! * [`device`] — a complete NAND device: blocks, pages, erase/program/
 //!   read with timing + energy accounting, per-block wear, and the
-//!   code-ROM / code-SRAM algorithm store of Section 6.4.
+//!   code-ROM algorithm store of Section 6.4.
 //!
 //! # Example
 //!
@@ -50,20 +50,20 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+mod aging;
+mod cell;
 mod error;
 mod geometry;
 mod math;
+mod rber;
+mod timing;
 
-pub mod aging;
 pub mod array;
-pub mod cell;
 pub mod compact;
 pub mod device;
 pub mod disturb;
 pub mod ispp;
 pub mod levels;
-pub mod rber;
-pub mod timing;
 pub mod variability;
 
 pub use aging::AgingModel;

@@ -11,20 +11,8 @@ use crate::levels::{MlcLevel, ThresholdSpec};
 use crate::math::q_function;
 
 /// The four threshold-voltage distributions of a programmed page.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_nand::rber::DistributionSet;
-/// use mlcx_nand::ThresholdSpec;
-///
-/// let spec = ThresholdSpec::date2012();
-/// let tight = DistributionSet::programmed(&spec, 0.25, 0.08, 0.12);
-/// let loose = DistributionSet::programmed(&spec, 0.25, 0.08, 0.22);
-/// assert!(tight.rber(&spec) < loose.rber(&spec));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistributionSet {
+pub(crate) struct DistributionSet {
     /// Means of L0..L3, volts.
     pub means: [f64; 4],
     /// Standard deviations of L0..L3, volts.
@@ -41,7 +29,7 @@ impl DistributionSet {
     /// a cell pass when it lands *above* VFY, biasing the surviving
     /// population upward by roughly `0.8 * sigma_injection`. The erased
     /// distribution comes from the spec.
-    pub fn programmed(
+    pub(crate) fn programmed(
         spec: &ThresholdSpec,
         placement_step_v: f64,
         ratchet_v: f64,
@@ -61,7 +49,7 @@ impl DistributionSet {
 
     /// Probability mass of distribution `level` falling into the read
     /// bin that senses as `bin` (bins delimited by R1..R3).
-    pub fn mass_in_bin(&self, spec: &ThresholdSpec, level: MlcLevel, bin: MlcLevel) -> f64 {
+    pub(crate) fn mass_in_bin(&self, spec: &ThresholdSpec, level: MlcLevel, bin: MlcLevel) -> f64 {
         let mu = self.means[level.index()];
         let sigma = self.sigmas[level.index()];
         // Upper-tail probabilities beyond each read boundary.
@@ -75,7 +63,7 @@ impl DistributionSet {
     }
 
     /// Raw bit error rate under uniformly distributed data.
-    pub fn rber(&self, spec: &ThresholdSpec) -> f64 {
+    pub(crate) fn rber(&self, spec: &ThresholdSpec) -> f64 {
         let mut expected_bit_errors = 0.0;
         for level in MlcLevel::ALL {
             for bin in MlcLevel::ALL {
@@ -102,7 +90,7 @@ impl DistributionSet {
 ///
 /// Panics if `target_rber` is outside the invertible range
 /// (approximately `1e-15 .. 1e-1` for the date-2012 spec).
-pub fn sigma_for_rber(
+pub(crate) fn sigma_for_rber(
     spec: &ThresholdSpec,
     placement_step_v: f64,
     ratchet_v: f64,

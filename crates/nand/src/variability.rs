@@ -12,7 +12,7 @@ use rand::RngExt;
 
 /// Samples a normal deviate via Box-Muller (no external distribution
 /// crate needed).
-pub fn sample_normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn sample_normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     let u1: f64 = rng.random();
     let u2: f64 = rng.random();
     let radius = (-2.0 * (1.0 - u1).max(1e-300).ln()).sqrt();
@@ -20,16 +20,6 @@ pub fn sample_normal<R: RngExt + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> 
 }
 
 /// Lumped variability parameters of the 45 nm cell.
-///
-/// # Example
-///
-/// ```
-/// use mlcx_nand::variability::VariabilityModel;
-///
-/// let var = VariabilityModel::date2012();
-/// // A finer placement step (ISPP-DV) gives a narrower base distribution.
-/// assert!(var.base_sigma_v(0.08) < var.base_sigma_v(0.25));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariabilityModel {
     /// Spread of the per-cell gate-to-threshold offset ("fast" vs "slow"
@@ -68,7 +58,7 @@ impl VariabilityModel {
     /// Injection (shot) noise sigma for a placement step of
     /// `placement_step_v` — scaled by the square root of the charge
     /// packet ratio.
-    pub fn injection_sigma_v(&self, placement_step_v: f64) -> f64 {
+    pub(crate) fn injection_sigma_v(&self, placement_step_v: f64) -> f64 {
         self.sigma_injection_v * (placement_step_v / self.reference_step_v).sqrt()
     }
 
@@ -76,7 +66,7 @@ impl VariabilityModel {
     /// placement step is `placement_step_v`: the quadrature sum of the
     /// uniform verify-overshoot (`step / sqrt(12)`), injection noise,
     /// cell-to-cell interference and geometric terms.
-    pub fn base_sigma_v(&self, placement_step_v: f64) -> f64 {
+    pub(crate) fn base_sigma_v(&self, placement_step_v: f64) -> f64 {
         let overshoot = placement_step_v / 12f64.sqrt();
         let injection = self.injection_sigma_v(placement_step_v);
         (overshoot * overshoot
@@ -89,7 +79,7 @@ impl VariabilityModel {
     /// Additional sigma aging must contribute (in quadrature) for the
     /// total width to reach `target_sigma_v`; zero when the fresh width
     /// already exceeds the target.
-    pub fn aging_sigma_v(&self, placement_step_v: f64, target_sigma_v: f64) -> f64 {
+    pub(crate) fn aging_sigma_v(&self, placement_step_v: f64, target_sigma_v: f64) -> f64 {
         let base = self.base_sigma_v(placement_step_v);
         (target_sigma_v * target_sigma_v - base * base)
             .max(0.0)

@@ -87,18 +87,16 @@ pub use mlcx_nand as nand;
 
 pub use mlcx_bch::{AdaptiveBch, BchCode, CodecKernel, DecodeOutcome};
 pub use mlcx_controller::ScrubPolicy;
-pub use mlcx_controller::{ChannelScheduler, IssueSlot, OpTiming};
 pub use mlcx_controller::{
-    ConfigCommand, ControllerConfig, ControllerConfigBuilder, CtrlError, MemoryController,
-    ReadReport, ReliabilityManager, ReliabilityPolicy, WriteReport,
+    ConfigCommand, ControllerConfig, CtrlError, MemoryController, ReadReport, ReliabilityManager,
+    ReliabilityPolicy, WriteReport,
 };
-pub use mlcx_controller::{FtlError, FtlOp, FtlStats, LogicalMap};
-pub use mlcx_controller::{ReadOffsetTable, RetryPolicy};
+pub use mlcx_controller::{LogicalMap, RetryPolicy};
 pub use mlcx_core::{
     BatchReport, CmdId, Command, CommandOutput, Completion, CompletionQueue, Counters,
-    EngineBuilder, FaultPlan, Metrics, MlcxError, Objective, OperatingPoint, QosSpec, Scenario,
-    ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, ServiceRegion, StorageEngine,
-    SubmissionQueue, SubsystemModel, TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
+    EngineBuilder, FaultPlan, MlcxError, Objective, OperatingPoint, QosSpec, Scenario,
+    ScenarioReport, SchedPolicy, ServiceError, ServiceHandle, StorageEngine, SubmissionQueue,
+    SubsystemModel, TraceGenerator, TraceKind, WearBucketing, WorkloadRunner,
 };
 pub use mlcx_gf2::MulKernel;
 pub use mlcx_nand::{AgingModel, DeviceGeometry, MlcLevel, NandDevice, ProgramAlgorithm, Topology};

@@ -51,7 +51,7 @@ fn serviced_device_with_disturb_survives_mixed_workload() {
         assert!(c.result.is_ok(), "{:?}", c.result);
     }
 
-    engine.advance_hours(24.0 * 30.0); // a month on the shelf
+    engine.advance_hours(24.0 * 30.0).unwrap(); // a month on the shelf
 
     // The media service's traffic, tallied from its completions.
     let (mut media_reads, mut media_corrected_bits) = (0u64, 0u64);

@@ -60,7 +60,7 @@ fn run_seeded(
     engine.sq().submit_owned(cmds).expect("write batch submits");
     let mut completions = engine.cq().drain();
 
-    engine.advance_hours(hours);
+    engine.advance_hours(hours).unwrap();
 
     let reads: Vec<Command> = ops
         .iter()
@@ -195,7 +195,7 @@ fn learned_offsets_cut_mean_senses_per_read_after_warm_up() {
     }
     engine.sq().submit_owned(cmds).expect("prefill submits");
     assert!(engine.cq().drain().iter().all(|c| c.result.is_ok()));
-    engine.advance_hours(20_000.0);
+    engine.advance_hours(20_000.0).unwrap();
 
     let pass = |engine: &mut StorageEngine| {
         let reads: Vec<Command> = (0..HOT)

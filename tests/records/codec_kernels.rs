@@ -101,7 +101,7 @@ fn run_batch(code: &BchCode, msg: &[u8], schedule: &[Vec<usize>]) -> (u64, u64) 
     (parity_sum, position_sum)
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let codes = codes();
     let msg: Vec<u8> = (0..MSG_BYTES).map(|i| (i * 97 + 13) as u8).collect();
     let n_bits = codes[0].codeword_bits();

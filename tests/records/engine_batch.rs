@@ -92,7 +92,7 @@ fn run_batched(engine: &mut StorageEngine, ingest: ServiceHandle, library: Servi
     assert!(engine.last_batch().energy_j > 0.0);
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let (mut engine, ingest, library) = engine_under_test();
     // The committed record is the third batch: the seeded device
     // stream advances with every batch, so the count is part of the pin.

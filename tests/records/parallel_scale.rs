@@ -90,7 +90,7 @@ fn run_workload(engine: &mut StorageEngine) -> Vec<BatchReport> {
     reports
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let mut by_channels = Vec::new();
     for channels in [1usize, 2, 4] {
         let mut e = engine(channels);

@@ -47,7 +47,7 @@ fn victim<'a>(report: &'a ScenarioReport, ph: &str) -> &'a ServicePhaseReport {
         .expect("victim service must exist")
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let arms = [
         ("none", MitigationMode::None),
         ("scrub", MitigationMode::ScrubOnly),

@@ -115,7 +115,7 @@ fn run_arm(policy: SchedPolicy) -> ([Vec<f64>; 3], usize) {
     (flows, completed)
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let (fifo, fifo_n) = run_arm(SchedPolicy::FifoArrival);
     let (wf, wf_n) = run_arm(SchedPolicy::WeightedFair);
 

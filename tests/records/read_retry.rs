@@ -101,7 +101,7 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
     engine.sq().submit_owned(cmds).expect("prefill submits");
     assert!(engine.cq().drain().iter().all(|c| c.result.is_ok()));
     // Park: the stored pages age against the retention model.
-    engine.advance_hours(PARK_HOURS);
+    engine.advance_hours(PARK_HOURS).unwrap();
 
     let mut out = ArmResult {
         read_latencies_s: Vec::with_capacity(BATCHES * READS_PER_BATCH),
@@ -149,7 +149,7 @@ fn run_workload(engine: &mut StorageEngine) -> ArmResult {
     out
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let mut e_off = engine(false);
     let off = run_workload(&mut e_off);
     let mut e_on = engine(true);

@@ -172,7 +172,7 @@ fn run_workload(engine: &mut StorageEngine, scrub: bool) -> ArmResult {
     out
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     let mut e_off = engine();
     let off = run_workload(&mut e_off, false);
     let mut e_on = engine();

@@ -59,7 +59,7 @@ fn run() -> ScenarioReport {
     report
 }
 
-pub fn record() -> BenchResult {
+pub(crate) fn record() -> BenchResult {
     // The scenario runs clean and reproduces exactly; Log2 absorbs the
     // derivation pressure.
     let log2_report = run();

@@ -7,7 +7,9 @@
 //! `pub fn` of `StorageEngine` (the host's queries), every `pub` field
 //! of the reports the stack hands back and every variant of `MlcxError`
 //! is one more thing a user can reach and a test matrix must cover, so adding one is a
-//! deliberate edit of a number here, not a side effect.
+//! deliberate edit of a number here, not a side effect. The facade
+//! re-exports every crate as a module, so the `pub fn`, `pub` type and
+//! `pub mod` counts of each crate are pinned too.
 //!
 //! Counted from the source text: rustfmt's layout (`pub use a::{B, C};`,
 //! one `pub fn` signature up to its `{`) is what the parsing relies on,
@@ -29,8 +31,8 @@ use std::path::Path;
 /// written. The trajectory files (`BENCH_<pr>.json`, `tests/records`'
 /// `trajectory`) copy this table as it stands, one `("name", count),` a
 /// line.
-const LEDGER: [(&str, usize); 16] = [
-    ("facade_reexports", 57),
+const LEDGER: [(&str, usize); 41] = [
+    ("facade_reexports", 47),
     ("engine_builder_setters", 5),
     ("controller_config_builder_setters", 1),
     ("scenario_builder_setters", 11),
@@ -46,6 +48,31 @@ const LEDGER: [(&str, usize); 16] = [
     ("expect_exceptions", 1),
     ("unsafe_blocks", 4),
     ("unsafe_fns", 1),
+    ("pub_fns:bch", 46),
+    ("pub_fns:bench", 19),
+    ("pub_fns:compat/proptest", 4),
+    ("pub_fns:compat/rand", 1),
+    ("pub_fns:controller", 77),
+    ("pub_fns:core", 134),
+    ("pub_fns:gf2", 55),
+    ("pub_fns:hv", 25),
+    ("pub_fns:nand", 82),
+    ("pub_types:bch", 9),
+    ("pub_types:bench", 3),
+    ("pub_types:compat/proptest", 8),
+    ("pub_types:compat/rand", 6),
+    ("pub_types:controller", 26),
+    ("pub_types:core", 45),
+    ("pub_types:gf2", 9),
+    ("pub_types:hv", 10),
+    ("pub_types:nand", 22),
+    ("pub_mods:bch", 3),
+    ("pub_mods:bench", 2),
+    ("pub_mods:compat/proptest", 4),
+    ("pub_mods:compat/rand", 1),
+    ("pub_mods:core", 22),
+    ("pub_mods:gf2", 2),
+    ("pub_mods:nand", 7),
 ];
 
 /// The count [`LEDGER`] pins for `name`.
@@ -285,10 +312,12 @@ fn the_lint_rules_are_switched_on_where_the_ledger_says() {
         assert!(clippy_toml.contains(key), "clippy.toml lost {key}");
     }
 
-    // The two workspace-wide lints; then, per member (the root package
-    // is the empty path): the opt-in to them, the crate's unsafe gate,
-    // and the scoped levels at its crate root.
+    // The three workspace-wide lints (a `pub` item the crate root cannot
+    // reach is narrowed, not excepted); then, per member (the root
+    // package is the empty path): the opt-in to them, the crate's unsafe
+    // gate, and the scoped levels at its crate root.
     let manifest = include_str!("../Cargo.toml");
+    assert!(manifest.contains("[workspace.lints.rust]\nunreachable_pub = \"deny\"\n"));
     for lint in [
         "undocumented_unsafe_blocks",
         "allow_attributes_without_reason",
@@ -328,6 +357,38 @@ fn the_lint_rules_are_switched_on_where_the_ledger_says() {
             datapath,
             "{member}: unwrap family"
         );
+    }
+}
+
+#[test]
+fn every_crate_has_the_public_items_the_ledger_says() {
+    // The facade re-exports each crate whole (`mlcx::nand`, ...), so
+    // every `pub` item below is public API: one more name a caller can
+    // reach. Rows are `<kind>:<crate>`; a crate without items of a kind
+    // has no row.
+    for (kind, needles) in [
+        ("pub_fns", &["pubfn"][..]),
+        (
+            "pub_types",
+            &["pubstruct", "pubenum", "pubtrait", "pubtype"][..],
+        ),
+        ("pub_mods", &["pubmod"][..]),
+    ] {
+        let counted: BTreeMap<String, usize> = library_counts(|text| occurrences(text, needles))
+            .into_iter()
+            .map(|(tree, n)| {
+                let name = tree.trim_end_matches("src").trim_end_matches('/');
+                let name = name.trim_start_matches("crates/");
+                let name = if name.is_empty() { "mlcx" } else { name };
+                (format!("{kind}:{name}"), n)
+            })
+            .collect();
+        let rows: BTreeMap<String, usize> = LEDGER
+            .iter()
+            .filter(|(name, _)| name.strip_prefix(kind).is_some_and(|r| r.starts_with(':')))
+            .map(|&(name, n)| (name.to_string(), n))
+            .collect();
+        assert_eq!(counted, rows, "{kind}");
     }
 }
 

@@ -59,7 +59,7 @@ fn advance_hours_surfaces_retention_rber_in_measured_reads() {
             .sum()
     };
     let fresh = sweep(&mut engine);
-    engine.advance_hours(30_000.0);
+    engine.advance_hours(30_000.0).unwrap();
     assert!((engine.controller().device().now_hours() - 30_000.0).abs() < 1e-9);
     let aged = sweep(&mut engine);
     assert!(

@@ -322,7 +322,7 @@ fn counters_are_conserved_from_completions_to_the_scenario_total() {
         .count();
     assert!(reported > 0);
     assert_eq!(reported, held);
-    engine.advance_hours(20_000.0);
+    engine.advance_hours(20_000.0).unwrap();
     let reads = |block| (0..8).map(|p| Command::read(svc, block, p)).collect();
     drain_conserves(&mut engine, reads(0), &mut total);
     let mut scrub: Vec<Command> = (4..8)
