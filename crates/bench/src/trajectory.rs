@@ -7,7 +7,10 @@
 //! [`Session`] turns the benchmark's own output into a file: the median,
 //! range and run-order values of every metric, the repetition count beside
 //! every `host_peak_rss_mb`, the completion digests, and the ledger of
-//! `tests/surface_ledger.rs`. [`check`] holds every committed file to the
+//! `tests/surface_ledger.rs`. Rendered against the session's parent (runs
+//! alternating with it), a workload also carries its paired ratios: each
+//! pair's child/parent ratio of every wall-clock metric, and whether its
+//! throughput runs are bimodal. [`check`] holds every committed file to the
 //! metric names of `BENCHMARK.json`, and holds the simulated numbers — every
 //! `sim_*`, `write_amp` and completion digest — equal from one file to the
 //! next unless the later one declares a `"model_change"` and its reason.
@@ -117,8 +120,13 @@ impl Session {
         Ok(())
     }
 
-    /// The trajectory file, rendered.
-    pub fn render(&self) -> String {
+    /// The trajectory file, rendered; with `parent` (a session whose runs
+    /// alternated with this one's, run `i` beside run `i`), each workload
+    /// both ran also carries its `"paired"` summary: every pair's
+    /// child/parent ratio of each host metric with their median and range,
+    /// whether the throughput runs are bimodal, and if so each arm's
+    /// upper-mode median.
+    pub fn render(&self, parent: Option<&Session>) -> String {
         let numbers =
             |values: &[f64]| Json::Array(values.iter().map(|&v| Json::Number(v)).collect());
         let workloads = self.workloads.iter().map(|(name, runs)| {
@@ -158,11 +166,18 @@ impl Session {
                 (metric.clone(), Json::Object(entry))
             });
             let digest = runs.digest.clone().map_or(Json::Null, Json::String);
-            let summary = vec![
+            let mut summary = vec![
                 ("completion_digest".to_string(), digest),
                 ("failed".to_string(), Json::Number(runs.failed)),
                 ("metrics".to_string(), Json::Object(metrics.collect())),
             ];
+            let beside = parent.and_then(|p| {
+                let (_, theirs) = p.workloads.iter().find(|(w, _)| w == name)?;
+                Some((p.file_name(), theirs))
+            });
+            if let Some((file, theirs)) = beside {
+                summary.push(("paired".to_string(), paired(&file, runs, theirs)));
+            }
             (name.clone(), Json::Object(summary))
         });
         let mut file = vec![("pr".to_string(), Json::Number(f64::from(self.pr)))];
@@ -186,6 +201,96 @@ pub fn ledger(source: &str) -> Option<Json> {
         Some((name.to_string(), Json::Number(count)))
     });
     Some(Json::Object(entries.collect()))
+}
+
+/// The throughput metric whose runs decide whether a workload is bimodal.
+const THROUGHPUT: &str = "host_kpages_per_s";
+
+/// One arm's throughput runs are bimodal when its slowest run is under
+/// this share of its median (host phases only ever slow a run down).
+const BIMODAL_MIN_SHARE: f64 = 0.8;
+
+/// An arm's upper mode: its runs within this share of its fastest.
+const UPPER_MODE_SHARE: f64 = 0.9;
+
+/// Whether a metric is wall-clock time or memory of the host, which the
+/// paired ratios compare (the simulated numbers are equal by [`check`]).
+fn host_metric(metric: &str) -> bool {
+    metric.starts_with("host_") || metric == "setup_s"
+}
+
+/// A non-empty sample under `key`, with its median, min and max.
+fn spread(key: &str, values: &[f64]) -> Json {
+    let numbers = values.iter().map(|&v| Json::Number(v)).collect();
+    let low = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let high = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    Json::Object(vec![
+        (key.to_string(), Json::Array(numbers)),
+        ("median".to_string(), Json::Number(median(values.to_vec()))),
+        ("min".to_string(), Json::Number(low)),
+        ("max".to_string(), Json::Number(high)),
+    ])
+}
+
+/// The workload's runs beside its parent's (`file`), pair `i` being run
+/// `i` of each: for every host metric, each pair's child/parent ratio
+/// with their median and range (above 1 is faster for a throughput,
+/// slower for a time or a size); `"bimodal"` when either arm's slowest
+/// throughput run is under [`BIMODAL_MIN_SHARE`] of its median, and then
+/// each arm's upper-mode median (the median of its runs within
+/// [`UPPER_MODE_SHARE`] of its fastest) and their ratio. No run is left
+/// out of the ratios.
+fn paired(file: &str, ours: &Runs, theirs: &Runs) -> Json {
+    let values = |runs: &Runs, metric: &str| -> Vec<Option<f64>> {
+        runs.metrics
+            .iter()
+            .find(|(name, ..)| name == metric)
+            .map(|(.., values)| values.clone())
+            .unwrap_or_default()
+    };
+    let mut metrics = Vec::new();
+    for (name, ..) in ours.metrics.iter().filter(|(n, ..)| host_metric(n)) {
+        let ratios: Vec<f64> = values(ours, name)
+            .into_iter()
+            .zip(values(theirs, name))
+            .filter_map(|(child, parent)| Some(child? / parent?))
+            .collect();
+        if !ratios.is_empty() {
+            metrics.push((name.clone(), spread("ratios", &ratios)));
+        }
+    }
+    let arm =
+        |runs: &Runs| -> Vec<f64> { values(runs, THROUGHPUT).into_iter().flatten().collect() };
+    let (child, parent) = (arm(ours), arm(theirs));
+    let bimodal = [&child, &parent].into_iter().any(|runs| {
+        let low = runs.iter().copied().fold(f64::INFINITY, f64::min);
+        !runs.is_empty() && low < BIMODAL_MIN_SHARE * median(runs.clone())
+    });
+    let mut entry = vec![
+        ("against".to_string(), Json::String(file.to_string())),
+        ("metrics".to_string(), Json::Object(metrics)),
+        ("bimodal".to_string(), Json::Bool(bimodal)),
+    ];
+    if bimodal && !child.is_empty() && !parent.is_empty() {
+        let upper = |runs: &[f64]| {
+            let fastest = runs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            median(
+                runs.iter()
+                    .copied()
+                    .filter(|&v| v >= UPPER_MODE_SHARE * fastest)
+                    .collect(),
+            )
+        };
+        let (ours, theirs) = (upper(&child), upper(&parent));
+        let upper_mode = vec![
+            ("metric".to_string(), Json::String(THROUGHPUT.to_string())),
+            ("child".to_string(), Json::Number(ours)),
+            ("parent".to_string(), Json::Number(theirs)),
+            ("ratio".to_string(), Json::Number(ours / theirs)),
+        ];
+        entry.push(("upper_mode".to_string(), Json::Object(upper_mode)));
+    }
+    Json::Object(entry)
 }
 
 /// Whether a metric is a simulated number, exact per seed.
@@ -347,7 +452,7 @@ mod tests {
             session.add_run("w", &run(sim, rss, reps, 7)).unwrap();
             session.add_run("w", &traced(400.0 + rss)).unwrap();
         }
-        (pr, parse(&session.render()).unwrap())
+        (pr, parse(&session.render(None)).unwrap())
     }
 
     #[test]
@@ -399,6 +504,87 @@ mod tests {
             error.contains("metrics are not BENCHMARK.json's"),
             "{error}"
         );
+    }
+
+    /// One untraced run of throughput `kpages` and setup time `setup_s`.
+    fn speed(kpages: f64, setup_s: f64) -> String {
+        format!(
+            "{{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {{\
+             \"setup_s\": {{\"value\": {setup_s}, \"unit\": \"s\"}}, \
+             \"host_kpages_per_s\": {{\"value\": {kpages}, \"unit\": \"kpages/s\"}}, \
+             \"sim_mb_per_s\": {{\"value\": 6.3, \"unit\": \"MB/s\"}}}}}}\n"
+        )
+    }
+
+    fn session(pr: u32, kpages: &[f64]) -> Session {
+        let mut session = Session::new(pr, Vec::new());
+        for &k in kpages {
+            session.add_run("w", &speed(k, 0.004)).unwrap();
+        }
+        session
+    }
+
+    #[test]
+    fn paired_ratios_keep_every_pair_and_mark_a_bimodal_arm() {
+        let parent = session(7, &[100.0, 110.0, 95.0, 105.0, 100.0]);
+        let child = session(8, &[200.0, 210.0, 190.0, 205.0, 120.0]);
+        let json = parse(&child.render(Some(&parent))).unwrap();
+        let paired = json
+            .get("workloads")
+            .unwrap()
+            .get("w")
+            .unwrap()
+            .get("paired");
+        let paired = paired.unwrap();
+        assert_eq!(
+            paired.get("against").unwrap().as_str(),
+            Some("BENCH_7.json")
+        );
+        let speed = paired
+            .get("metrics")
+            .unwrap()
+            .get("host_kpages_per_s")
+            .unwrap();
+        let ratios: Vec<f64> = [2.0, 210.0 / 110.0, 2.0, 205.0 / 105.0, 1.2].to_vec();
+        assert_eq!(
+            speed.get("ratios").unwrap().as_array().unwrap(),
+            ratios.iter().map(|&r| Json::Number(r)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            speed.get("median").unwrap().as_number(),
+            Some(205.0 / 105.0)
+        );
+        assert_eq!(speed.get("min").unwrap().as_number(), Some(1.2));
+        let setup = paired.get("metrics").unwrap().get("setup_s").unwrap();
+        assert_eq!(setup.get("median").unwrap().as_number(), Some(1.0));
+        assert!(paired.get("metrics").unwrap().get("sim_mb_per_s").is_none());
+        // 120 is under 0.8 of the child's median 200: the upper modes are
+        // the runs within 0.9 of each arm's fastest.
+        assert_eq!(paired.get("bimodal"), Some(&Json::Bool(true)));
+        let upper = paired.get("upper_mode").unwrap();
+        assert_eq!(upper.get("child").unwrap().as_number(), Some(205.0));
+        assert_eq!(upper.get("parent").unwrap().as_number(), Some(105.0));
+        assert_eq!(upper.get("ratio").unwrap().as_number(), Some(205.0 / 105.0));
+
+        let steady = session(8, &[200.0, 210.0, 190.0, 205.0, 180.0]);
+        let json = parse(&steady.render(Some(&parent))).unwrap();
+        let paired = json
+            .get("workloads")
+            .unwrap()
+            .get("w")
+            .unwrap()
+            .get("paired");
+        assert_eq!(paired.unwrap().get("bimodal"), Some(&Json::Bool(false)));
+        assert!(paired.unwrap().get("upper_mode").is_none());
+        // Without a parent there is nothing to pair.
+        let alone = parse(&steady.render(None)).unwrap();
+        assert!(alone
+            .get("workloads")
+            .unwrap()
+            .get("w")
+            .unwrap()
+            .get("paired")
+            .is_none());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The core controller FSM: full write and read datapaths.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::mem;
 use std::ops::Range;
 
-use mlcx_bch::{AdaptiveBch, CodecKernel, DecodeOutcome, EccHardware, EccPowerModel};
+use mlcx_bch::{AdaptiveBch, BchCode, CodecKernel, DecodeOutcome, EccHardware, EccPowerModel};
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::device::CodeStore;
 use mlcx_nand::disturb::DisturbModel;
@@ -18,6 +19,7 @@ use crate::flash_if::FlashInterface;
 use crate::ocp::OcpSocket;
 use crate::regs::{ConfigCommand, RegisterFile};
 use crate::retry::{ReadOffsetTable, RetryPolicy};
+use crate::throughput::{ReadPath, WritePath};
 
 /// Static configuration of the controller instance: every setting is a
 /// `pub` field, set by struct update over [`ControllerConfig::date2012`],
@@ -271,6 +273,20 @@ pub struct MemoryController {
     /// Per-block read-reference offsets learned from successful
     /// retries; entries are forgotten on erase.
     offsets: ReadOffsetTable,
+    /// The datapath's closed forms at each capability, indexed by `t`
+    /// and filled on first use: they depend on nothing else but the load
+    /// strategy, and a change of strategy empties the table.
+    constants: Vec<Option<PathConstants>>,
+}
+
+/// What a page read or write at one capability costs before the device
+/// answers: the same calls the datapath would otherwise make per page.
+#[derive(Debug, Clone, Copy)]
+struct PathConstants {
+    read: ReadPath,
+    /// With a zero program time; the device's report supplies it.
+    write: WritePath,
+    ecc_power_w: f64,
 }
 
 impl MemoryController {
@@ -315,6 +331,7 @@ impl MemoryController {
         device.set_disturb_model(config.disturb);
         let scheduler = ChannelScheduler::new(config.geometry.topology);
         let page_ecc = vec![0; config.geometry.total_pages()];
+        let constants = vec![None; config.ecc_tmax as usize + 1];
         Ok(MemoryController {
             config,
             codec,
@@ -324,6 +341,7 @@ impl MemoryController {
             page_ecc,
             scheduler,
             offsets: ReadOffsetTable::new(),
+            constants,
         })
     }
 
@@ -411,11 +429,15 @@ impl MemoryController {
             ConfigCommand::SetCorrection(t) => self.codec.set_correction(t)?,
             ConfigCommand::SetAlgorithm(a) => self.device.select_algorithm(a)?,
             ConfigCommand::SetTwoRoundLoad(enable) => {
-                self.load_strategy = if enable {
+                let strategy = if enable {
                     LoadStrategy::TwoRound
                 } else {
                     LoadStrategy::OneRound
                 };
+                if strategy != self.load_strategy {
+                    self.load_strategy = strategy;
+                    self.constants.fill(None);
+                }
             }
         }
         self.regs.apply(cmd);
@@ -510,16 +532,21 @@ impl MemoryController {
     /// Full write datapath: buffer load -> ECC encode -> data-in transfer
     /// -> ISPP program.
     ///
+    /// An owned `data` (`Vec<u8>`) becomes the stored page, and so does
+    /// the parity the encoder returns; a borrowed one is copied into the
+    /// device's page buffer.
+    ///
     /// # Errors
     ///
     /// [`CtrlError::BufferSize`] for wrong page sizes; device and codec
     /// errors propagate.
-    pub fn write_page(
+    pub fn write_page<'a>(
         &mut self,
         block: usize,
         page: usize,
-        data: &[u8],
+        data: impl Into<Cow<'a, [u8]>>,
     ) -> Result<WriteReport, CtrlError> {
+        let data = data.into();
         let expected = self.config.geometry.page_bytes;
         if data.len() != expected {
             return Err(CtrlError::BufferSize {
@@ -529,22 +556,14 @@ impl MemoryController {
         }
 
         let t = self.codec.correction();
-        let parity = self.codec.encode(data)?;
-        let r_bits = self.codec.code()?.parity_bits();
-
-        let path = crate::throughput::write_path(
-            &self.config.ocp,
-            self.load_strategy,
-            &self.config.flash_if,
-            &self.config.ecc_hw,
-            data.len() * 8,
-            r_bits,
-            0.0, // program time filled from the device report below
-        );
+        let code = self.codec.code_for(t)?;
+        let parity = code.encode(&data)?;
+        let constants = self.constants(t, &code);
+        let path = constants.write;
         // A pending partial-program arm (fault injection) is consumed by
         // this program; report it so batch layers can count injections.
         let injected_partial = self.device.partial_program_armed();
-        let dev_report = self.device.program_page(block, page, data, &parity)?;
+        let dev_report = self.device.program_page(block, page, data, parity)?;
         if let Some(i) = self.page_ecc_index(block, page) {
             self.page_ecc[i] = t;
         }
@@ -559,7 +578,7 @@ impl MemoryController {
             ),
         );
 
-        let ecc_energy = self.config.ecc_power.power_w(t) * path.encode_s;
+        let ecc_energy = constants.ecc_power_w * path.encode_s;
         Ok(WriteReport {
             latency_s: path.load_s + path.encode_s + path.transfer_s + dev_report.duration_s,
             energy_j: dev_report.energy_j + ecc_energy,
@@ -652,24 +671,14 @@ impl MemoryController {
         // The parity occupies the spare prefix.
         let (mut data, mut parity, dev_report) = self.device.read_page_at(block, page, offset)?;
 
-        // Decode at the page's write-time capability, restoring the host
-        // configuration afterwards.
-        let host_t = self.codec.correction();
-        self.codec.set_correction(t)?;
-        let code = self.codec.code()?;
+        // Decode at the page's write-time capability; the host's
+        // capability stays selected.
+        let code = self.codec.code_for(t)?;
         parity.truncate(code.parity_bytes());
-        let outcome = self.codec.decode(&mut data, &mut parity);
-        self.codec.set_correction(host_t)?;
-        let outcome = outcome?;
+        let outcome = code.decode(&mut data, &mut parity)?;
 
-        let path = crate::throughput::read_path(
-            self.device.timing(),
-            &self.config.flash_if,
-            &self.config.ecc_hw,
-            data.len() * 8,
-            code.parity_bits(),
-            t,
-        );
+        let constants = self.constants(t, &code);
+        let path = constants.read;
         // Channel model: the die senses (tR), then the codeword streams
         // out and decodes on the channel's ECC engine.
         let die = self.config.geometry.die_of_block(block);
@@ -678,7 +687,7 @@ impl MemoryController {
             OpTiming::read(path.sense_s, path.transfer_s + path.decode_s),
         );
 
-        let ecc_energy = self.config.ecc_power.power_w(t) * path.decode_s;
+        let ecc_energy = constants.ecc_power_w * path.decode_s;
         Ok(ReadReport {
             data,
             outcome,
@@ -693,6 +702,38 @@ impl MemoryController {
             retry_latency_s: 0.0,
             interference_rber,
         })
+    }
+
+    /// The datapath's closed forms at capability `t` (`code` is the
+    /// codec's code at `t`, so `t` is in range), computed on first use.
+    fn constants(&mut self, t: u32, code: &BchCode) -> PathConstants {
+        if let Some(constants) = self.constants[t as usize] {
+            return constants;
+        }
+        let k_bits = self.config.geometry.page_bytes * 8;
+        let r_bits = code.parity_bits();
+        let constants = PathConstants {
+            read: crate::throughput::read_path(
+                self.device.timing(),
+                &self.config.flash_if,
+                &self.config.ecc_hw,
+                k_bits,
+                r_bits,
+                t,
+            ),
+            write: crate::throughput::write_path(
+                &self.config.ocp,
+                self.load_strategy,
+                &self.config.flash_if,
+                &self.config.ecc_hw,
+                k_bits,
+                r_bits,
+                0.0,
+            ),
+            ecc_power_w: self.config.ecc_power.power_w(t),
+        };
+        self.constants[t as usize] = Some(constants);
+        constants
     }
 }
 
@@ -800,7 +841,7 @@ mod tests {
         ctrl.scheduler_mut().begin_batch();
         for actual in [4095, 4097] {
             assert_eq!(
-                ctrl.write_page(0, 0, &vec![0u8; actual]).unwrap_err(),
+                ctrl.write_page(0, 0, vec![0u8; actual]).unwrap_err(),
                 CtrlError::BufferSize {
                     expected: 4096,
                     actual
@@ -817,14 +858,14 @@ mod tests {
         assert_eq!(ctrl.scheduler().command_window(), None, "nothing issued");
         assert_eq!(ctrl.scheduler().batch_makespan_s(), 0.0);
         // The slot is still erased: a full page programs into it.
-        ctrl.write_page(0, 0, &vec![0u8; 4096]).unwrap();
+        ctrl.write_page(0, 0, vec![0u8; 4096]).unwrap();
     }
 
     #[test]
     fn write_latency_breakdown_consistent() {
         let mut ctrl = controller();
         ctrl.erase_block(0).unwrap();
-        let w = ctrl.write_page(0, 0, &vec![0u8; 4096]).unwrap();
+        let w = ctrl.write_page(0, 0, vec![0u8; 4096]).unwrap();
         let sum = w.load_s + w.encode_s + w.transfer_s + w.program_s;
         assert!((w.latency_s - sum).abs() / sum < 1e-9);
         // Program dominates the write path (paper 6.3.3).
@@ -1045,7 +1086,7 @@ mod tests {
         ctrl.age_block(0, 100_000).unwrap();
         let data: Vec<u8> = (0..4096).map(|i| (i * 13) as u8).collect();
         ctrl.write_page(0, 0, &data).unwrap();
-        ctrl.device_mut().advance_time_hours(20_000.0);
+        ctrl.device_mut().advance_time_hours(20_000.0).unwrap();
 
         let r = ctrl.read_page(0, 0).unwrap();
         assert!(r.outcome.is_success(), "the ladder must recover the read");

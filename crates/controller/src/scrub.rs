@@ -317,8 +317,8 @@ mod tests {
     #[test]
     fn aged_data_becomes_a_candidate_and_blank_blocks_never_do() {
         let mut ctrl = pressed_controller();
-        ctrl.write_page(2, 0, &vec![0u8; 4096]).unwrap();
-        ctrl.device_mut().advance_time_hours(500.0);
+        ctrl.write_page(2, 0, vec![0u8; 4096]).unwrap();
+        ctrl.device_mut().advance_time_hours(500.0).unwrap();
         let policy = ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: 400.0,
@@ -342,7 +342,7 @@ mod tests {
         // Interrupt the program: the page's partial-program RBER dwarfs
         // the interference threshold while the read/age clocks are cold.
         ctrl.device_mut().arm_partial_program(0.3);
-        ctrl.write_page(to.0, to.1, &vec![0u8; 4096]).unwrap();
+        ctrl.write_page(to.0, to.1, vec![0u8; 4096]).unwrap();
         let policy = ScrubPolicy {
             read_threshold: u64::MAX,
             retention_age_hours: f64::INFINITY,

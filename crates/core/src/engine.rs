@@ -64,7 +64,7 @@ use mlcx_nand::OpReport;
 
 use crate::counters::Counters;
 use crate::error::MlcxError;
-use crate::event::{CompletionEvent, QosSpec, SchedPolicy};
+use crate::event::{EventKey, QosSpec, SchedPolicy};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::model::{OperatingPoint, SubsystemModel};
 use crate::policy::Objective;
@@ -87,12 +87,6 @@ impl ServiceHandle {
     pub fn index(self) -> u32 {
         self.index
     }
-
-    /// A handle with raw fields, for unit tests that need a placeholder.
-    #[cfg(test)]
-    pub(crate) fn test_only(engine: u32, index: u32) -> Self {
-        ServiceHandle { engine, index }
-    }
 }
 
 impl fmt::Display for ServiceHandle {
@@ -109,13 +103,6 @@ impl CmdId {
     /// The raw sequence number (diagnostics only).
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// An id with a raw sequence number, for unit tests that need a
-    /// placeholder.
-    #[cfg(test)]
-    pub(crate) fn test_only(raw: u64) -> Self {
-        CmdId(raw)
     }
 }
 
@@ -637,7 +624,12 @@ pub struct StorageEngine {
     /// `(end time, dispatch seq)` order with its events.
     dispatch_seq: u64,
     /// Pending completion events, keyed `(end time, dispatch seq)`.
-    events: BinaryHeap<CompletionEvent>,
+    events: BinaryHeap<EventKey>,
+    /// The completions of `events`, each at its key's slot; `None` once
+    /// delivered.
+    parked: Vec<Option<Completion>>,
+    /// Slots of `parked` free for the next event.
+    free_slots: Vec<usize>,
     /// Executor of the builder's [`FaultPlan`] — rolls its own seeded
     /// stream once per *host* write (never for maintenance relocations,
     /// and never at all when the plan is disabled).
@@ -646,6 +638,9 @@ pub struct StorageEngine {
     /// submission being checked (kept so a submission — one per command
     /// for an open-loop host — does not allocate to count them).
     incoming: Vec<usize>,
+    /// Scratch of the dispatch path: the flow times of one dispatch,
+    /// sorted for its percentiles.
+    flows: Vec<f64>,
 }
 
 /// Source of per-instance engine ids (handle provenance checks).
@@ -669,8 +664,11 @@ impl StorageEngine {
             submit_seq: 0,
             dispatch_seq: 0,
             events: BinaryHeap::new(),
+            parked: Vec::new(),
+            free_slots: Vec::new(),
             fault: FaultInjector::new(FaultPlan::disabled()),
             incoming: Vec::new(),
+            flows: Vec::new(),
         }
     }
 
@@ -805,12 +803,13 @@ impl StorageEngine {
     /// (time flows forward, by a finite step); the clock and the memo
     /// are then untouched.
     pub fn advance_hours(&mut self, hours: f64) -> Result<(), MlcxError> {
-        if !(hours.is_finite() && hours >= 0.0) {
+        // The device refuses the same steps; the engine's contract names
+        // them as a configuration error.
+        if self.ctrl.device_mut().advance_time_hours(hours).is_err() {
             return Err(MlcxError::InvalidConfig {
                 reason: format!("the clock advances {hours} hours"),
             });
         }
-        self.ctrl.device_mut().advance_time_hours(hours);
         if hours > 0.0 && self.ctrl.device().disturb_model().retention_enabled() {
             self.invalidate_operating_points();
         }
@@ -1012,7 +1011,7 @@ impl StorageEngine {
         // resource (trim, configure, failed validation) completes here
         // — never earlier than anything dispatched before it.
         let mut frontier_s = batch_start_s;
-        let mut flows: Vec<f64> = Vec::new();
+        self.flows.clear();
         while let Some(idx) = self.next_dispatch() {
             // `next_dispatch` only returns backlogged services; an empty
             // queue here would be a scheduler bookkeeping bug. Stop
@@ -1044,14 +1043,24 @@ impl StorageEngine {
                 end_s,
             };
             let flow_s = completion.flow_s();
-            flows.push(flow_s);
+            self.flows.push(flow_s);
             if flow_s > self.services[idx].qos.deadline_s {
                 self.last_batch.deadline_misses += 1;
             }
-            self.events.push(CompletionEvent {
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.parked[slot] = Some(completion);
+                    slot
+                }
+                None => {
+                    self.parked.push(Some(completion));
+                    self.parked.len() - 1
+                }
+            };
+            self.events.push(EventKey {
                 end_s,
                 seq: self.dispatch_seq,
-                completion,
+                slot,
             });
             self.dispatch_seq += 1;
         }
@@ -1062,10 +1071,10 @@ impl StorageEngine {
         self.last_batch.parallel_latency_s = scheduler.batch_makespan_s();
         self.last_batch.channel_busy_s = scheduler.batch_channel_busy_s();
         self.last_batch.channels = scheduler.topology().channels;
-        flows.sort_by(|a, b| a.total_cmp(b));
-        self.last_batch.flow_p50_s = nearest_rank(&flows, 0.50);
-        self.last_batch.flow_p99_s = nearest_rank(&flows, 0.99);
-        self.last_batch.flow_p999_s = nearest_rank(&flows, 0.999);
+        self.flows.sort_by(|a, b| a.total_cmp(b));
+        self.last_batch.flow_p50_s = nearest_rank(&self.flows, 0.50);
+        self.last_batch.flow_p99_s = nearest_rank(&self.flows, 0.99);
+        self.last_batch.flow_p999_s = nearest_rank(&self.flows, 0.999);
     }
 
     /// Delivers the earliest pending completion event, dispatching
@@ -1078,7 +1087,10 @@ impl StorageEngine {
         }
         let event = self.events.pop()?;
         self.clock_s = self.clock_s.max(event.end_s);
-        Some(event.completion)
+        self.free_slots.push(event.slot);
+        let completion = self.parked[event.slot].take();
+        debug_assert!(completion.is_some(), "an event's slot holds its completion");
+        completion
     }
 
     /// Dispatches all queued work and delivers every pending event, in
@@ -1159,7 +1171,7 @@ impl StorageEngine {
                 if let Some(fraction) = self.fault.next_program() {
                     self.ctrl.device_mut().arm_partial_program(fraction);
                 }
-                let report = self.ctrl.write_page(block, page, &data)?;
+                let report = self.ctrl.write_page(block, page, data)?;
                 self.last_batch.absorb(report.latency_s, report.energy_j);
                 Ok(CommandOutput::Write(report))
             }
@@ -1599,8 +1611,9 @@ mod tests {
         e.cq().drain();
         let batch = *e.last_batch();
         assert_eq!(batch.channels, 1);
-        assert!(
-            (batch.parallel_latency_s - batch.device_latency_s).abs() < 1e-12,
+        assert_eq!(
+            batch.parallel_latency_s.to_bits(),
+            batch.device_latency_s.to_bits(),
             "1x1 topology cannot overlap: {} vs {}",
             batch.parallel_latency_s,
             batch.device_latency_s

@@ -9,16 +9,16 @@
 //! asks the scheduler for the command's merged issue window
 //! ([`ChannelScheduler::command_window`](mlcx_controller::ChannelScheduler::command_window));
 //! the resulting completion event orders by `(end time, dispatch
-//! sequence)`, earliest first, so the engine's
-//! `BinaryHeap<CompletionEvent>` pops completions in *completion-time*
-//! order — out of order with respect to dispatch whenever dies overlap.
+//! sequence)`, earliest first, so the engine's `BinaryHeap<EventKey>`
+//! pops completions in *completion-time* order — out of order with
+//! respect to dispatch whenever dies overlap. The heap holds only the
+//! keys; each [`Completion`](crate::engine::Completion) waits in an
+//! engine-owned slab at its key's slot until delivery.
 //!
 //! This module also owns the QoS vocabulary: [`QosSpec`] (per-service
 //! weight, deadline and bounded queue depth).
 
 use std::cmp::Ordering;
-
-use crate::engine::Completion;
 
 /// How the engine orders dispatch across services when draining its
 /// submission queues. Within one service, dispatch is always FIFO.
@@ -87,34 +87,36 @@ impl Default for QosSpec {
 }
 
 /// One completion, scheduled to surface at `end_s` on the virtual
-/// clock.
-#[derive(Debug)]
-pub(crate) struct CompletionEvent {
+/// clock: the key the engine's heap orders, with the slab slot where
+/// the completion itself waits. The slot takes no part in the order
+/// (dispatch sequences are unique).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventKey {
     /// Virtual time the command's last device operation drains (its
     /// dispatch frontier for zero-device commands).
     pub end_s: f64,
     /// Dispatch sequence — the deterministic tie-break for events
     /// sharing an end time.
     pub seq: u64,
-    /// The completion to deliver.
-    pub completion: Completion,
+    /// Where the completion to deliver waits.
+    pub slot: usize,
 }
 
-impl PartialEq for CompletionEvent {
+impl PartialEq for EventKey {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq && self.end_s.total_cmp(&other.end_s) == Ordering::Equal
     }
 }
 
-impl Eq for CompletionEvent {}
+impl Eq for EventKey {}
 
-impl PartialOrd for CompletionEvent {
+impl PartialOrd for EventKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for CompletionEvent {
+impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we pop the *earliest*
         // (end, seq).
@@ -128,37 +130,36 @@ impl Ord for CompletionEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CmdId, CommandOutput, Completion};
     use std::collections::BinaryHeap;
-
-    fn event(end_s: f64, seq: u64) -> CompletionEvent {
-        CompletionEvent {
-            end_s,
-            seq,
-            completion: Completion {
-                id: CmdId::test_only(seq),
-                service: crate::engine::ServiceHandle::test_only(0, 0),
-                result: Ok(CommandOutput::Trim { was_mapped: false }),
-                arrival_s: 0.0,
-                start_s: end_s,
-                end_s,
-            },
-        }
-    }
 
     #[test]
     fn events_pop_in_end_time_order_with_seq_tiebreak() {
         let mut q = BinaryHeap::new();
-        q.push(event(3.0, 0));
-        q.push(event(1.0, 2));
-        q.push(event(1.0, 1));
-        q.push(event(2.0, 3));
+        // Slots in the opposite order to the keys: they never decide.
+        for (slot, (end_s, seq)) in [(3.0, 0), (1.0, 2), (1.0, 1), (2.0, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(EventKey {
+                end_s,
+                seq,
+                slot: 9 - slot,
+            });
+        }
         assert_eq!(q.len(), 4);
-        let order: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.end_s, e.seq))
+        let order: Vec<(f64, u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.end_s, e.seq, e.slot))
             .collect();
-        assert_eq!(order, vec![(1.0, 1), (1.0, 2), (2.0, 3), (3.0, 0)]);
+        assert_eq!(
+            order,
+            vec![(1.0, 1, 7), (1.0, 2, 8), (2.0, 3, 6), (3.0, 0, 9)]
+        );
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn an_event_key_is_three_words() {
+        assert_eq!(std::mem::size_of::<EventKey>(), 24);
     }
 
     #[test]

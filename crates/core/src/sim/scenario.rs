@@ -1,6 +1,5 @@
 //! Multi-service scenarios, the workload runner and the report types.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mlcx_controller::CtrlError;
@@ -628,8 +627,10 @@ struct SimService {
     handle: ServiceHandle,
     map: LogicalMap,
     gen: TraceGenerator,
-    /// lpn -> version of the latest accepted write (payload derivation).
-    versions: BTreeMap<usize, u64>,
+    /// Version of the latest accepted write per lpn (payload
+    /// derivation), indexed by lpn over the trace space; 0 = never
+    /// written.
+    versions: Vec<u64>,
     ftl_at_phase_start: FtlStats,
     acc: Acc,
 }
@@ -678,19 +679,44 @@ pub struct WorkloadRunner {
     report: PhaseReport,
 }
 
-/// The deterministic page payload of `(service, lpn, version)`.
-fn payload(page_bytes: usize, svc: usize, lpn: usize, version: u64) -> Vec<u8> {
+/// The multiplier of the payload: byte `i` of a page is the top byte of
+/// `(tag + i)·K`.
+const PAYLOAD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The bytes of the payload of `(service, lpn, version)`, in order:
+/// `(tag + i)·K` taken as the running sum `tag·K + i·K`.
+fn payload_bytes(svc: usize, lpn: usize, version: u64) -> impl Iterator<Item = u8> {
     let tag = (svc as u64 + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(PAYLOAD_K)
         .wrapping_add((lpn as u64).wrapping_mul(0x2545_F491_4F6C_DD1D))
         .wrapping_add(version.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    (0..page_bytes)
-        .map(|i| {
-            (tag.wrapping_add(i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                >> 56) as u8
-        })
-        .collect()
+    let mut product = tag.wrapping_mul(PAYLOAD_K);
+    std::iter::repeat_with(move || {
+        let byte = (product >> 56) as u8;
+        product = product.wrapping_add(PAYLOAD_K);
+        byte
+    })
+}
+
+/// The deterministic page payload of `(service, lpn, version)`.
+fn payload(page_bytes: usize, svc: usize, lpn: usize, version: u64) -> Vec<u8> {
+    let mut page = vec![0; page_bytes];
+    for (byte, expected) in page.iter_mut().zip(payload_bytes(svc, lpn, version)) {
+        *byte = expected;
+    }
+    page
+}
+
+/// Whether `data` is the `page_bytes`-byte payload of `(service, lpn,
+/// version)`, checked in place.
+fn payload_matches(data: &[u8], page_bytes: usize, svc: usize, lpn: usize, version: u64) -> bool {
+    // One OR of the differences, no early exit: the loop has no branch.
+    data.len() == page_bytes
+        && data
+            .iter()
+            .zip(payload_bytes(svc, lpn, version))
+            .fold(0, |diff, (&byte, expected)| diff | (byte ^ expected))
+            == 0
 }
 
 impl WorkloadRunner {
@@ -745,7 +771,7 @@ impl WorkloadRunner {
                 handle,
                 map,
                 gen,
-                versions: BTreeMap::new(),
+                versions: vec![0; trace_space],
                 ftl_at_phase_start: FtlStats::default(),
                 acc: Acc::default(),
             });
@@ -915,7 +941,7 @@ impl WorkloadRunner {
             TraceOp::Read(lpn) => match self.services[svc].map.translate(lpn) {
                 Some((block, page)) => {
                     let service = &self.services[svc];
-                    let version = service.versions[&lpn];
+                    let version = service.versions[lpn];
                     let handle = service.handle;
                     self.services[svc].acc.reads += 1;
                     self.pending.push((
@@ -956,7 +982,7 @@ impl WorkloadRunner {
     /// Stages the host write of `lpn` to its allocated destination.
     fn stage_host_write(&mut self, svc: usize, lpn: usize, to: (usize, usize)) {
         let service = &mut self.services[svc];
-        let version = service.versions.entry(lpn).or_insert(0);
+        let version = &mut service.versions[lpn];
         *version += 1;
         let page_bytes = self.engine.controller().config().geometry.page_bytes;
         let data = payload(page_bytes, svc, lpn, *version);
@@ -1096,7 +1122,7 @@ impl WorkloadRunner {
                     acc.codeword_bits_read += codeword_bits(r.t_used);
                     if !r.outcome.is_success() {
                         acc.read_failures += 1;
-                    } else if r.data != payload(page_bytes, svc, lpn, version) {
+                    } else if !payload_matches(&r.data, page_bytes, svc, lpn, version) {
                         acc.integrity_violations += 1;
                     }
                 }
@@ -1234,6 +1260,61 @@ mod tests {
             ..config.geometry
         };
         EngineBuilder::date2012().controller_config(config)
+    }
+
+    /// The payload as the runner first defined it: one multiply per byte.
+    fn payload_by_multiply(page_bytes: usize, svc: usize, lpn: usize, version: u64) -> Vec<u8> {
+        let tag = (svc as u64 + 1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((lpn as u64).wrapping_mul(0x2545_F491_4F6C_DD1D))
+            .wrapping_add(version.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        (0..page_bytes)
+            .map(|i| {
+                (tag.wrapping_add(i as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_payload_sum_and_its_in_place_check_equal_the_multiply() {
+        let keys = [
+            (0, 0, 1),
+            (1, 7, 2),
+            (3, 4_095, u64::MAX),
+            (1_000, usize::MAX, 9),
+        ];
+        for page_bytes in [0, 1, 7, 8, 4_095, 4_096] {
+            for (svc, lpn, version) in keys {
+                let oracle = payload_by_multiply(page_bytes, svc, lpn, version);
+                assert_eq!(payload(page_bytes, svc, lpn, version), oracle);
+                assert!(payload_matches(&oracle, page_bytes, svc, lpn, version));
+                assert!(!payload_matches(&oracle, page_bytes + 1, svc, lpn, version));
+                if let Some(short) = oracle.len().checked_sub(1) {
+                    assert!(!payload_matches(
+                        &oracle[..short],
+                        page_bytes,
+                        svc,
+                        lpn,
+                        version
+                    ));
+                }
+                for at in [0, page_bytes.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|_| page_bytes > 0)
+                {
+                    for bit in [0, 7] {
+                        let mut flipped = oracle.clone();
+                        flipped[at] ^= 1 << bit;
+                        assert!(
+                            !payload_matches(&flipped, page_bytes, svc, lpn, version),
+                            "{page_bytes} bytes, bit {bit} of byte {at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

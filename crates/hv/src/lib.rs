@@ -45,5 +45,5 @@ mod subsystem;
 pub use dickson::DicksonPump;
 pub use energy::{OperationEnergy, PhaseEnergy};
 pub use regulator::RegulatedPump;
-pub use sequencer::{Phase, PhaseKind, Sequencer};
+pub use sequencer::{Phase, PhaseKind, PumpEnables, Sequencer};
 pub use subsystem::HvSubsystem;

@@ -8,6 +8,7 @@
 //! model injects statistically equivalent errors at page granularity so
 //! whole-workload simulations stay fast.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::mem;
 
@@ -59,7 +60,10 @@ impl CodeStore {
 struct StoredPage {
     data: Vec<u8>,
     spare: Vec<u8>,
-    algorithm: ProgramAlgorithm,
+    /// The endurance RBER of the algorithm and wear this page was
+    /// programmed at: [`AgingModel::rber`], fixed once the page is
+    /// programmed.
+    endurance_rber: f64,
     cycles_at_program: u64,
     programmed_at_hours: f64,
     /// Adjacent-wordline program events since this page was programmed
@@ -338,9 +342,17 @@ impl NandDevice {
     }
 
     /// Advances the device wall clock (retention time base).
-    pub fn advance_time_hours(&mut self, hours: f64) {
-        assert!(hours >= 0.0, "time flows forward");
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::ClockStep`] for a negative or non-finite `hours`;
+    /// the clock is then untouched.
+    pub fn advance_time_hours(&mut self, hours: f64) -> Result<(), NandError> {
+        if !(hours.is_finite() && hours >= 0.0) {
+            return Err(NandError::ClockStep);
+        }
         self.clock_hours += hours;
+        Ok(())
     }
 
     /// The device wall clock, hours since construction.
@@ -582,7 +594,11 @@ impl NandDevice {
     /// [`NandError::BlockOutOfRange`] for bad indices.
     pub fn erase_block(&mut self, block: usize) -> Result<OpReport, NandError> {
         self.check_block(block)?;
+        let pages = self.geometry.pages_per_block;
         let b = &mut self.blocks[block];
+        // An erased block is one about to be filled: room for all its
+        // slots (once), so even its first fill grows nothing.
+        b.pages.reserve_exact(pages - b.pages.len());
         b.programmed = 0;
         b.pe_cycles += 1;
         b.reads_since_erase = 0;
@@ -617,18 +633,24 @@ impl NandDevice {
     /// pads to `spare_bytes` (0xFF, the erased state) on read-back; an
     /// oversized spare is rejected.
     ///
+    /// An owned buffer (`Vec<u8>`) becomes the stored page as it is; a
+    /// borrowed one (`&[u8]`, `&Vec<u8>`, `&[u8; N]`) is copied into the
+    /// buffer the page's slot keeps across erases. Either way the page
+    /// reads back the same.
+    ///
     /// # Errors
     ///
     /// Geometry errors for bad indices or buffer sizes;
     /// [`NandError::PageNotErased`] when overwriting;
     /// [`NandError::PageOutOfOrder`] when a lower page is still blank.
-    pub fn program_page(
+    pub fn program_page<'a>(
         &mut self,
         block: usize,
         page: usize,
-        data: &[u8],
-        spare: &[u8],
+        data: impl Into<Cow<'a, [u8]>>,
+        spare: impl Into<Cow<'a, [u8]>>,
     ) -> Result<OpReport, NandError> {
+        let (data, spare) = (data.into(), spare.into());
         self.check_page(block, page)?;
         if data.len() != self.geometry.page_bytes {
             return Err(NandError::BufferSize {
@@ -692,7 +714,7 @@ impl NandDevice {
         let fresh = StoredPage {
             data: Vec::new(),
             spare: Vec::new(),
-            algorithm: self.algorithm,
+            endurance_rber: self.aging.rber(self.algorithm, cycles.max(1)),
             cycles_at_program: cycles,
             programmed_at_hours: self.clock_hours,
             interference_events: 0,
@@ -713,10 +735,8 @@ impl NandDevice {
             None => b.pages.push(fresh),
         }
         let slot = &mut b.pages[page];
-        slot.data.clear();
-        slot.data.extend_from_slice(data);
-        slot.spare.clear();
-        slot.spare.extend_from_slice(spare);
+        store(&mut slot.data, data);
+        store(&mut slot.spare, spare);
         b.programmed = page + 1;
         Ok(self.finish(cost))
     }
@@ -778,9 +798,7 @@ impl NandDevice {
         // Room for the pad appended after injection.
         let mut spare = Vec::with_capacity(geometry_spare);
         spare.extend_from_slice(&stored.spare);
-        let endurance = self
-            .aging
-            .rber(stored.algorithm, stored.cycles_at_program.max(1));
+        let endurance = stored.endurance_rber;
         let extra = self.disturb.rber_at_offset(
             prior_reads,
             self.clock_hours - stored.programmed_at_hours,
@@ -863,6 +881,18 @@ impl fmt::Debug for NandDevice {
     }
 }
 
+/// Puts `bytes` into a slot's buffer: an owned buffer replaces it, a
+/// borrowed one is copied into the capacity it keeps.
+fn store(buffer: &mut Vec<u8>, bytes: Cow<'_, [u8]>) {
+    match bytes {
+        Cow::Owned(owned) => *buffer = owned,
+        Cow::Borrowed(borrowed) => {
+            buffer.clear();
+            buffer.extend_from_slice(borrowed);
+        }
+    }
+}
+
 /// Samples Binomial(n, p) — exact Bernoulli walk for tiny expectations,
 /// Poisson/normal approximations beyond.
 fn sample_binomial<R: RngExt + ?Sized>(rng: &mut R, n: u64, p: f64) -> usize {
@@ -922,6 +952,29 @@ mod tests {
     }
 
     #[test]
+    fn the_clock_refuses_backward_and_non_finite_steps() {
+        let mut dev = device();
+        dev.advance_time_hours(2.0).unwrap();
+        for hours in [
+            -1.0,
+            -f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(dev.advance_time_hours(hours), Err(NandError::ClockStep));
+            assert_eq!(
+                dev.now_hours(),
+                2.0,
+                "a refused step of {hours} moved the clock"
+            );
+        }
+        dev.advance_time_hours(0.0).unwrap();
+        dev.advance_time_hours(-0.0).unwrap();
+        assert_eq!(dev.now_hours(), 2.0);
+    }
+
+    #[test]
     fn program_requires_erase() {
         let mut dev = device();
         dev.erase_block(1).unwrap();
@@ -954,7 +1007,7 @@ mod tests {
         ));
         dev.erase_block(0).unwrap();
         assert!(matches!(
-            dev.program_page(0, 9_999, &vec![0u8; 4096], &[]),
+            dev.program_page(0, 9_999, vec![0u8; 4096], &[]),
             Err(NandError::PageOutOfRange { .. })
         ));
         assert!(matches!(
@@ -962,7 +1015,7 @@ mod tests {
             Err(NandError::BufferSize { what: "data", .. })
         ));
         assert!(matches!(
-            dev.program_page(0, 0, &vec![0u8; 4096], &vec![0u8; 1000]),
+            dev.program_page(0, 0, vec![0u8; 4096], vec![0u8; 1000]),
             Err(NandError::BufferSize { what: "spare", .. })
         ));
     }
@@ -1045,7 +1098,7 @@ mod tests {
         let mut dev = device();
         let reports = [
             dev.erase_block(0).unwrap(),
-            dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap(),
+            dev.program_page(0, 0, vec![0u8; 4096], &[]).unwrap(),
             dev.read_page(0, 0).unwrap().2,
         ];
         let energy_j: f64 = reports.iter().map(|r| r.energy_j).sum();
@@ -1060,11 +1113,11 @@ mod tests {
         let mut dev = device();
         dev.erase_block(0).unwrap();
         let power_w = |r: OpReport| r.energy_j / r.duration_s;
-        let sv = power_w(dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap());
+        let sv = power_w(dev.program_page(0, 0, vec![0u8; 4096], &[]).unwrap());
         assert!((0.14..0.19).contains(&sv), "SV program power = {sv}");
         dev.select_algorithm(ProgramAlgorithm::IsppDv).unwrap();
         dev.erase_block(1).unwrap();
-        let dv = power_w(dev.program_page(1, 0, &vec![0u8; 4096], &[]).unwrap());
+        let dv = power_w(dev.program_page(1, 0, vec![0u8; 4096], &[]).unwrap());
         let delta_mw = (dv - sv) * 1e3;
         assert!(
             (2.0..15.0).contains(&delta_mw),
@@ -1110,7 +1163,7 @@ mod tests {
     fn blank_page_reads_do_not_age_the_block() {
         let mut dev = device();
         dev.erase_block(0).unwrap();
-        dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
+        dev.program_page(0, 0, vec![0u8; 4096], &[]).unwrap();
         // Failed reads of blank pages must not touch the accumulator.
         for _ in 0..5 {
             assert!(matches!(
@@ -1164,9 +1217,9 @@ mod tests {
         assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
         dev.age_block(0, 1_000_000).unwrap();
         dev.erase_block(0).unwrap();
-        dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
-        dev.advance_time_hours(100.0);
-        dev.program_page(0, 1, &vec![0u8; 4096], &[]).unwrap();
+        dev.program_page(0, 0, vec![0u8; 4096], &[]).unwrap();
+        dev.advance_time_hours(100.0).unwrap();
+        dev.program_page(0, 1, vec![0u8; 4096], &[]).unwrap();
         // Oldest page wins the age; rber = read term + worst retention.
         assert!((dev.block_data_age_hours(0).unwrap() - 100.0).abs() < 1e-9);
         dev.read_page(0, 0).unwrap();
@@ -1210,7 +1263,7 @@ mod tests {
             total
         };
         let fresh = count_errs(&mut dev);
-        dev.advance_time_hours(10_000.0);
+        dev.advance_time_hours(10_000.0).unwrap();
         assert!((dev.now_hours() - 10_000.0).abs() < 1e-9);
         let aged = count_errs(&mut dev);
         assert!(aged > fresh, "aged {aged} vs fresh {fresh}");
@@ -1230,9 +1283,9 @@ mod tests {
             });
             dev.age_block(0, 1_000_000).unwrap();
             dev.erase_block(0).unwrap();
-            dev.program_page(0, 0, &vec![0xA5u8; 4096], &[0x5Au8; 16])
+            dev.program_page(0, 0, vec![0xA5u8; 4096], &[0x5Au8; 16])
                 .unwrap();
-            dev.advance_time_hours(20_000.0);
+            dev.advance_time_hours(20_000.0).unwrap();
             dev
         };
         let (mut a, mut b) = (build(), build());
@@ -1339,13 +1392,13 @@ mod tests {
         let oob = dev.geometry().spare_bytes;
         dev.erase_block(0).unwrap();
         // Empty spare: reads back as a full OOB area of erased bytes.
-        dev.program_page(0, 0, &vec![0u8; 4096], &[]).unwrap();
+        dev.program_page(0, 0, vec![0u8; 4096], &[]).unwrap();
         let (_, s, _) = dev.read_page(0, 0).unwrap();
         assert_eq!(s.len(), oob);
         assert!(s.iter().all(|&b| b == 0xFF));
         // Exact-size spare: round-trips at full length, unpadded.
         let full = vec![0x33u8; oob];
-        dev.program_page(0, 1, &vec![0u8; 4096], &full).unwrap();
+        dev.program_page(0, 1, vec![0u8; 4096], &full).unwrap();
         let (_, s, _) = dev.read_page(0, 1).unwrap();
         assert_eq!(s.len(), oob);
         let diff: usize = s
@@ -1356,7 +1409,7 @@ mod tests {
         assert!(diff <= 2, "diff = {diff}");
         // Oversized spare is still rejected.
         assert!(matches!(
-            dev.program_page(0, 2, &vec![0u8; 4096], &vec![0u8; oob + 1]),
+            dev.program_page(0, 2, vec![0u8; 4096], vec![0u8; oob + 1]),
             Err(NandError::BufferSize { what: "spare", .. })
         ));
     }

@@ -71,6 +71,9 @@ pub enum NandError {
         /// The algorithm that was requested.
         algorithm: ProgramAlgorithm,
     },
+    /// The device clock was asked to move by a negative or non-finite
+    /// number of hours; it moves forward only, by a finite step.
+    ClockStep,
 }
 
 impl fmt::Display for NandError {
@@ -115,6 +118,9 @@ impl fmt::Display for NandError {
                     f,
                     "program algorithm {algorithm} not present in the code store"
                 )
+            }
+            NandError::ClockStep => {
+                write!(f, "the device clock moves forward only, by a finite step")
             }
         }
     }

@@ -67,6 +67,7 @@ pub mod levels;
 pub mod variability;
 
 pub use aging::AgingModel;
+pub use cell::Cell;
 pub use device::{NandDevice, OpReport};
 pub use error::NandError;
 pub use geometry::{DeviceGeometry, Topology};

@@ -449,7 +449,7 @@ proptest! {
                 }
                 _ => {
                     let hours = f64::from(byte) * 10.0;
-                    dev.advance_time_hours(hours);
+                    dev.advance_time_hours(hours).unwrap();
                     model.now_hours += hours;
                 }
             }
@@ -470,7 +470,7 @@ fn refilled_slots_show_nothing_of_their_previous_content() {
         dev.program_page(0, page, &[0x11; PAGE_BYTES], &[0x22; SPARE_BYTES])
             .unwrap();
     }
-    dev.advance_time_hours(5_000.0);
+    dev.advance_time_hours(5_000.0).unwrap();
     assert!(dev.block_data_age_hours(0).unwrap() > 0.0);
     assert!(dev.block_interference_rber(0).unwrap() > 0.0);
 
@@ -517,4 +517,65 @@ fn refilled_slots_show_nothing_of_their_previous_content() {
     let coupling = dev.disturb_model().program_coupling_rber;
     assert_eq!(dev.page_interference_rber(0, 0).unwrap(), coupling);
     assert_eq!(dev.block_interference_rber(0).unwrap(), coupling);
+}
+
+// ---- owned and borrowed programs ----
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An owned buffer becomes the stored page and a borrowed one is
+    /// copied into the buffer the slot keeps: at end-of-life wear, with
+    /// refills over kept buffers, two devices on one seed read back the
+    /// same data, spare and injected errors, and answer every program
+    /// alike.
+    #[test]
+    fn owned_and_borrowed_programs_read_back_the_same(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(
+            (0u8..5, 0usize..BLOCKS, 0usize..=64, any::<u8>()),
+            30..90,
+        ),
+    ) {
+        let geometry = DeviceGeometry {
+            page_bytes: 512,
+            spare_bytes: 64,
+            ..small_geometry()
+        };
+        let mut owned = device(geometry, seed);
+        let mut borrowed = device(geometry, seed);
+        for dev in [&mut owned, &mut borrowed] {
+            dev.set_disturb_model(DisturbModel::date2012());
+            for block in 0..BLOCKS {
+                dev.age_block(block, 1_000_000).unwrap();
+            }
+        }
+        let mut next = [0usize; BLOCKS];
+        for (kind, block, spare_len, byte) in ops {
+            match kind {
+                0 => {
+                    prop_assert_eq!(owned.erase_block(block), borrowed.erase_block(block));
+                    next[block] = 0;
+                }
+                1 | 2 => {
+                    let page = next[block];
+                    let data: Vec<u8> = (0..512).map(|i| byte ^ (i as u8)).collect();
+                    let spare = vec![byte.wrapping_add(1); spare_len];
+                    prop_assert_eq!(
+                        owned.program_page(block, page, data.clone(), spare.clone()),
+                        borrowed.program_page(block, page, &data, &spare[..])
+                    );
+                    next[block] = (page + 1).min(PAGES);
+                }
+                _ if next[block] > 0 => {
+                    let page = usize::from(byte) % next[block];
+                    prop_assert_eq!(
+                        owned.read_page(block, page),
+                        borrowed.read_page(block, page)
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
 }

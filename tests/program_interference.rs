@@ -182,7 +182,7 @@ fn short_spare_pads_and_oversized_spare_is_rejected() {
     let spare_bytes = dev.geometry().spare_bytes;
     dev.erase_block(0).unwrap();
 
-    dev.program_page(0, 0, &payload(0), &[0xAB, 0xCD]).unwrap();
+    dev.program_page(0, 0, payload(0), &[0xAB, 0xCD]).unwrap();
     let (_, spare, _) = dev.read_page(0, 0).unwrap();
     assert_eq!(spare.len(), spare_bytes, "spare must read back full-size");
     assert_eq!(&spare[..2], &[0xAB, 0xCD]);
@@ -192,12 +192,12 @@ fn short_spare_pads_and_oversized_spare_is_rejected() {
     );
 
     let exact = vec![0x5A; spare_bytes];
-    dev.program_page(0, 1, &payload(1), &exact).unwrap();
+    dev.program_page(0, 1, payload(1), &exact).unwrap();
     let (_, spare, _) = dev.read_page(0, 1).unwrap();
     assert_eq!(spare, exact, "an exact-length spare round-trips untouched");
 
     let oversized = vec![0x00; spare_bytes + 1];
-    match dev.program_page(0, 2, &payload(2), &oversized) {
+    match dev.program_page(0, 2, payload(2), &oversized) {
         Err(NandError::BufferSize {
             what: "spare",
             expected,
@@ -219,10 +219,10 @@ fn out_of_order_page_programs_are_rejected_both_ways() {
     let mut dev = NandDevice::date2012(2);
     dev.erase_block(0).unwrap();
 
-    dev.program_page(0, 0, &payload(0), &[]).unwrap();
-    dev.program_page(0, 1, &payload(1), &[]).unwrap();
+    dev.program_page(0, 0, payload(0), &[]).unwrap();
+    dev.program_page(0, 1, payload(1), &[]).unwrap();
     assert_eq!(
-        dev.program_page(0, 3, &payload(3), &[]),
+        dev.program_page(0, 3, payload(3), &[]),
         Err(NandError::PageOutOfOrder {
             block: 0,
             page: 3,
@@ -230,12 +230,12 @@ fn out_of_order_page_programs_are_rejected_both_ways() {
         }),
         "skipping a page must be rejected"
     );
-    dev.program_page(0, 2, &payload(2), &[]).unwrap();
-    dev.program_page(0, 3, &payload(3), &[]).unwrap();
+    dev.program_page(0, 2, payload(2), &[]).unwrap();
+    dev.program_page(0, 3, payload(3), &[]).unwrap();
 
     dev.erase_block(1).unwrap();
     assert_eq!(
-        dev.program_page(1, 2, &payload(2), &[]),
+        dev.program_page(1, 2, payload(2), &[]),
         Err(NandError::PageOutOfOrder {
             block: 1,
             page: 2,
@@ -243,7 +243,7 @@ fn out_of_order_page_programs_are_rejected_both_ways() {
         }),
         "starting mid-block must be rejected"
     );
-    dev.program_page(1, 0, &payload(0), &[]).unwrap();
+    dev.program_page(1, 0, payload(0), &[]).unwrap();
 }
 
 /// An enabled fault plan surfaces through the facade: every interrupted

@@ -134,8 +134,8 @@ proptest! {
         for dev in [&mut nominal, &mut offset] {
             dev.age_block(0, cycles).unwrap();
             dev.erase_block(0).unwrap();
-            dev.program_page(0, 0, &payload(9), &[]).unwrap();
-            dev.advance_time_hours(hours);
+            dev.program_page(0, 0, payload(9), &[]).unwrap();
+            dev.advance_time_hours(hours).unwrap();
         }
         let (d0, s0, _) = nominal.read_page(0, 0).unwrap();
         let (d1, s1, _) = offset.read_page_at(0, 0, 0).unwrap();

@@ -43,8 +43,7 @@ fn payload(page: usize) -> Vec<u8> {
 fn prime_library(ctrl: &mut MemoryController) {
     ctrl.erase_block(LIBRARY_BLOCK).unwrap();
     for page in 0..READS {
-        ctrl.write_page(LIBRARY_BLOCK, page, &payload(page))
-            .unwrap();
+        ctrl.write_page(LIBRARY_BLOCK, page, payload(page)).unwrap();
     }
 }
 

@@ -294,7 +294,11 @@ fn trajectory() {
             }
         }
     }
-    for (session, _) in &sessions {
-        std::fs::write(repo_root().join(session.file_name()), session.render()).unwrap();
+    // The first side is this checkout: its file carries the paired ratios
+    // against the parent's runs.
+    for (side, (session, _)) in sessions.iter().enumerate() {
+        let parent = sessions.get(1).filter(|_| side == 0).map(|(p, _)| p);
+        let text = session.render(parent);
+        std::fs::write(repo_root().join(session.file_name()), text).unwrap();
     }
 }

@@ -6,6 +6,9 @@
 //! * every completion has `arrival_s <= start_s <= end_s`;
 //! * a `QueueFull` rejection changes nothing observable: the completion
 //!   stream equals that of a run that never made the rejected submission.
+//!
+//! And, with one dispatch's events still in flight when the next dispatch
+//! runs, completions arrive in non-decreasing `end_s`, each exactly once.
 
 use std::collections::BTreeSet;
 
@@ -169,5 +172,73 @@ proptest! {
             prop_assert!(none.is_empty(), "{policy:?}");
             prop_assert_eq!(observable(&replayed), observable(&stream));
         }
+    }
+}
+
+#[test]
+fn interleaved_dispatches_deliver_in_end_time_order_each_once() {
+    for policy in [
+        SchedPolicy::ServiceMajor,
+        SchedPolicy::FifoArrival,
+        SchedPolicy::WeightedFair,
+        SchedPolicy::Deadline,
+    ] {
+        let (mut engine, handles) = engine(policy, 17);
+        let mut cursors = [0usize; 2];
+        let mut accepted = BTreeSet::<CmdId>::new();
+        let mut delivered = Vec::new();
+        let mut overlapped = 0;
+        let mut submit = |engine: &mut StorageEngine, delay_us: u32| {
+            for (s, &handle) in handles.iter().enumerate() {
+                let batch = commands(handle, 4 * s, &mut cursors[s], 3);
+                let at_s = engine.now_s() + f64::from(delay_us) * 1e-6;
+                accepted.extend(engine.sq().submit_at(batch, at_s).unwrap());
+            }
+        };
+        for round in 0..12u32 {
+            submit(&mut engine, 40 * round);
+            // The first take dispatches; the second submission then waits
+            // while that dispatch's events are in flight.
+            delivered.extend(engine.cq().try_complete());
+            submit(&mut engine, 0);
+            delivered.extend(engine.cq().try_complete());
+            if round % 3 != 2 {
+                // `drain` dispatches the waiting submission beside the
+                // events still in flight.
+                if engine.cq().depth() > 0 && engine.sq().depth() > 0 {
+                    overlapped += 1;
+                }
+                delivered.extend(engine.cq().drain());
+            } else {
+                // One at a time: the waiting submission dispatches once
+                // the events before it are delivered.
+                while let Some(c) = engine.cq().try_complete() {
+                    delivered.push(c);
+                }
+            }
+        }
+        delivered.extend(engine.cq().drain());
+        assert!(
+            overlapped > 0,
+            "{policy:?}: no dispatch ran beside events in flight"
+        );
+        for pair in delivered.windows(2) {
+            assert!(
+                pair[0].end_s <= pair[1].end_s,
+                "{policy:?}: {:?} at {} before {:?} at {}",
+                pair[0].id,
+                pair[0].end_s,
+                pair[1].id,
+                pair[1].end_s
+            );
+        }
+        let ids: Vec<CmdId> = delivered.iter().map(|c| c.id).collect();
+        let once: BTreeSet<CmdId> = ids.iter().copied().collect();
+        assert_eq!(
+            once.len(),
+            ids.len(),
+            "{policy:?}: a command completed twice"
+        );
+        assert_eq!(once, accepted, "{policy:?}: every accepted command");
     }
 }
