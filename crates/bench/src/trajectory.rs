@@ -6,7 +6,8 @@
 //!
 //! [`Session`] turns the benchmark's own output into a file: the median,
 //! range and run-order values of every metric, the repetition count beside
-//! every `host_peak_rss_mb`, the completion digests, and the ledger of
+//! every `host_peak_rss_mb`, the completion digests, the minor page faults
+//! and system seconds of every run, and the ledger of
 //! `tests/surface_ledger.rs`. Rendered against the session's parent (runs
 //! alternating with it), a workload also carries its paired ratios: each
 //! pair's child/parent ratio of every wall-clock metric, and whether its
@@ -14,6 +15,8 @@
 //! metric names of `BENCHMARK.json`, and holds the simulated numbers — every
 //! `sim_*`, `write_amp` and completion digest — equal from one file to the
 //! next unless the later one declares a `"model_change"` and its reason.
+
+use std::process::Command;
 
 use crate::json::Json;
 use crate::median;
@@ -27,6 +30,22 @@ struct Runs {
     rss_repetitions: Vec<f64>,
     digest: Option<String>,
     failed: f64,
+    /// Minor page faults and system seconds of each run that [`Session::run`]
+    /// ran, untraced runs first in the pair, in run order; `None` where the
+    /// counts could not be read.
+    usage: [Vec<Option<(f64, f64)>>; 2],
+}
+
+/// The waited-for children's minor faults and system seconds so far: the
+/// `cminflt` and `cstime` fields of `/proc/self/stat` (Linux; `None`
+/// elsewhere), the latter in `USER_HZ` ticks of 1/100 s.
+fn children_usage() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the parenthesised command name, from `state`
+    // (field 3): `cminflt` is field 11, `cstime` field 17.
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let field = |n: usize| fields.get(n - 3)?.parse::<f64>().ok();
+    Some((field(11)?, field(17)? / 100.0))
 }
 
 /// The runs of one benchmark build, summarised into one trajectory file.
@@ -53,6 +72,32 @@ impl Session {
         format!("BENCH_{}.json", self.pr)
     }
 
+    /// Runs `child`, one run of the benchmark on `workload` (a `traced`
+    /// one or not), and adds it (see `add_run`) with the minor page faults
+    /// and system seconds the kernel counted for it.
+    ///
+    /// # Errors
+    ///
+    /// A child that cannot start or fails, and what `add_run` refuses.
+    pub fn run(&mut self, workload: &str, traced: bool, child: &mut Command) -> Result<(), String> {
+        let before = children_usage();
+        let out = child.output().map_err(|e| format!("{workload}: {e}"))?;
+        let after = children_usage();
+        if !out.status.success() {
+            return Err(format!("{workload}: {child:?} failed"));
+        }
+        let stdout = String::from_utf8(out.stdout).map_err(|e| format!("{workload}: {e}"))?;
+        self.add_run(workload, &stdout)?;
+        let (_, runs) = self
+            .workloads
+            .iter_mut()
+            .find(|(w, _)| w == workload)
+            .expect("add_run added the workload");
+        runs.usage[usize::from(traced)]
+            .push(before.zip(after).map(|(b, a)| (a.0 - b.0, a.1 - b.1)));
+        Ok(())
+    }
+
     /// Adds one run of `workload` from the benchmark's standard output: its
     /// last line (the `{"correct", "attempted", "failed", "metrics"}`
     /// object) and its `# repetitions` and `# bench.completion_digest`
@@ -62,7 +107,7 @@ impl Session {
     ///
     /// Output without a result line, an incorrect run, or a digest that
     /// differs from an earlier run's.
-    pub fn add_run(&mut self, workload: &str, stdout: &str) -> Result<(), String> {
+    fn add_run(&mut self, workload: &str, stdout: &str) -> Result<(), String> {
         let result = stdout
             .lines()
             .rev()
@@ -171,6 +216,27 @@ impl Session {
                 ("failed".to_string(), Json::Number(runs.failed)),
                 ("metrics".to_string(), Json::Object(metrics.collect())),
             ];
+            let usage: Vec<(String, Json)> = ["untraced", "traced"]
+                .into_iter()
+                .zip(&runs.usage)
+                .filter(|(_, usage)| !usage.is_empty())
+                .map(|(mode, usage)| {
+                    let column = |pick: fn((f64, f64)) -> f64| {
+                        let values = usage
+                            .iter()
+                            .map(|u| u.map_or(Json::Null, |u| Json::Number(pick(u))));
+                        Json::Array(values.collect())
+                    };
+                    let counts = vec![
+                        ("minor_faults".to_string(), column(|u| u.0)),
+                        ("system_s".to_string(), column(|u| u.1)),
+                    ];
+                    (mode.to_string(), Json::Object(counts))
+                })
+                .collect();
+            if !usage.is_empty() {
+                summary.push(("children".to_string(), Json::Object(usage)));
+            }
             let beside = parent.and_then(|p| {
                 let (_, theirs) = p.workloads.iter().find(|(w, _)| w == name)?;
                 Some((p.file_name(), theirs))
@@ -585,6 +651,37 @@ mod tests {
             .unwrap()
             .get("paired")
             .is_none());
+    }
+
+    #[test]
+    fn a_run_of_a_child_carries_its_faults_and_system_seconds_by_mode() {
+        let mut session = Session::new(8, Vec::new());
+        for traced in [false, true, false] {
+            let mut child = Command::new("sh");
+            child
+                .args(["-c", "printf '%s\\n' \"$RESULT\""])
+                .env("RESULT", speed(200.0, 0.004).trim_end());
+            session.run("w", traced, &mut child).unwrap();
+        }
+        let json = parse(&session.render(None)).unwrap();
+        let children = json
+            .get("workloads")
+            .unwrap()
+            .get("w")
+            .unwrap()
+            .get("children");
+        let count = |mode: &str, key: &str| {
+            let values = children.unwrap().get(mode).unwrap().get(key).unwrap();
+            let values = values.as_array().unwrap();
+            assert!(values.iter().all(|v| v.as_number().unwrap() >= 0.0));
+            values.len()
+        };
+        assert_eq!(count("untraced", "minor_faults"), 2);
+        assert_eq!(count("untraced", "system_s"), 2);
+        assert_eq!(count("traced", "minor_faults"), 1);
+        let mut failing = Command::new("sh");
+        failing.args(["-c", "exit 3"]);
+        assert!(session.run("w", false, &mut failing).is_err());
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //!   `OutOfSpace` when every block held a mix of live and stale pages
 //!   and no fully-erased block was left to relocate into).
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Errors raised by the FTL layer.
@@ -178,8 +177,9 @@ pub struct LogicalMap {
     /// Blocks per die of the underlying topology (`usize::MAX` when the
     /// map ignores dies — the historical single-die behaviour).
     blocks_per_die: usize,
-    /// lpn -> (block, page), absolute block ids.
-    map: BTreeMap<usize, (usize, usize)>,
+    /// lpn -> (block, page), absolute block ids; lpns are dense in
+    /// `0..capacity_pages`.
+    map: Vec<Option<(usize, usize)>>,
     /// Physical page states, `[block - blocks.start][page]`.
     states: Vec<Vec<PageState>>,
     /// Currently open block and its next free page, if any.
@@ -229,14 +229,15 @@ impl LogicalMap {
         assert!(blocks_per_die > 0, "blocks_per_die must be positive");
         let first_die = blocks.start / blocks_per_die;
         let last_die = (blocks.end - 1) / blocks_per_die;
+        let capacity_pages = (count - 1) * pages_per_block;
         LogicalMap {
             states: vec![vec![PageState::Erased; pages_per_block]; count],
             free_slots: count * pages_per_block,
-            capacity_pages: (count - 1) * pages_per_block,
+            capacity_pages,
             blocks,
             pages_per_block,
             blocks_per_die,
-            map: BTreeMap::new(),
+            map: vec![None; capacity_pages],
             open: None,
             die_stamp: vec![0; last_die - first_die + 1],
             alloc_counter: 0,
@@ -275,13 +276,15 @@ impl LogicalMap {
 
     /// The physical location of a logical page, if it was ever written.
     pub fn translate(&self, lpn: usize) -> Option<(usize, usize)> {
-        self.map.get(&lpn).copied()
+        self.map.get(lpn).copied().flatten()
     }
 
     /// Every mapped logical page, sorted (deterministic iteration for
-    /// verification sweeps — free with the ordered map).
+    /// verification sweeps).
     pub fn mapped_lpns(&self) -> Vec<usize> {
-        self.map.keys().copied().collect()
+        (0..self.map.len())
+            .filter(|&lpn| self.map[lpn].is_some())
+            .collect()
     }
 
     fn rel(&self, block: usize) -> usize {
@@ -336,7 +339,7 @@ impl LogicalMap {
         }
         let to = self.take_slot(wear).ok_or(FtlError::OutOfSpace)?;
         self.claim(to.0, to.1, lpn);
-        if let Some((ob, op)) = self.map.insert(lpn, to) {
+        if let Some((ob, op)) = self.map[lpn].replace(to) {
             self.retire(ob, op);
         }
         self.stats.host_writes += 1;
@@ -446,7 +449,7 @@ impl LogicalMap {
         for (page, lpn) in live {
             let to = self.take_slot(wear).ok_or(FtlError::OutOfSpace)?;
             self.claim(to.0, to.1, lpn);
-            self.map.insert(lpn, to);
+            self.map[lpn] = Some(to);
             ops.push(FtlOp::Relocate {
                 lpn,
                 from: (victim, page),
@@ -536,6 +539,10 @@ impl LogicalMap {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     /// What a device remembers, without the device: the tag (standing in
@@ -597,6 +604,46 @@ mod tests {
             let blocks = self.map.blocks();
             let hi = blocks.clone().map(cycles).max().unwrap_or(0);
             hi - blocks.map(cycles).min().unwrap_or(0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The dense map against the ordered one it replaced, kept beside
+        /// it from the plans alone: after every `plan_write` (some past
+        /// the capacity) and `plan_reclaim`, the lpn -> slot map,
+        /// `translate` and `mapped_lpns` agree.
+        #[test]
+        fn the_dense_map_agrees_with_an_ordered_reference(
+            steps in proptest::collection::vec((0u32..8, 0usize..48), 1..300),
+            wear in proptest::collection::vec(0u64..4, 6),
+        ) {
+            let mut map = LogicalMap::new(0..6, 8);
+            let capacity = map.capacity_pages();
+            let mut reference = BTreeMap::new();
+            for (kind, x) in steps {
+                let wear = &mut |b: usize| wear[b];
+                // One reclaim in eight, the rest host writes.
+                let plan = if kind == 0 {
+                    map.plan_reclaim(x % 6, wear)
+                } else {
+                    map.plan_write(x, wear)
+                };
+                for op in plan.unwrap_or_default() {
+                    if let FtlOp::Write { lpn, to } | FtlOp::Relocate { lpn, to, .. } = op {
+                        reference.insert(lpn, to);
+                    }
+                }
+                let dense: BTreeMap<usize, (usize, usize)> = (0..capacity)
+                    .filter_map(|lpn| Some((lpn, map.map[lpn]?)))
+                    .collect();
+                prop_assert_eq!(&dense, &reference);
+                for lpn in 0..capacity + 8 {
+                    prop_assert_eq!(map.translate(lpn), reference.get(&lpn).copied());
+                }
+                prop_assert_eq!(map.mapped_lpns(), reference.keys().copied().collect::<Vec<_>>());
+            }
         }
     }
 

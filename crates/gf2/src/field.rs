@@ -29,6 +29,59 @@ const PRIMITIVE_POLYS: [u32; 15] = [
     0x1100B, // m=16: x^16 + x^12 + x^3 + x + 1
 ];
 
+/// The log and antilog tables of one field, `Q = 2^m` and `E = 2(2^m - 1)`
+/// entries: the contents of the Galois unit's ROM.
+struct Tables<const Q: usize, const E: usize> {
+    log: [u16; Q],
+    exp: [u16; E],
+}
+
+impl<const Q: usize, const E: usize> Tables<Q, E> {
+    /// Steps alpha through the multiplicative group of GF(2^m), reducing by
+    /// [`PRIMITIVE_POLYS`]' entry for `m`. Evaluated at compile time, where
+    /// the assertions are the polynomial's primitivity check.
+    const fn build(m: u32) -> Self {
+        assert!(Q == 1 << m && E == 2 * (Q - 1), "table sizes are not 2^m");
+        let poly = PRIMITIVE_POLYS[(m - 2) as usize];
+        assert!(poly >> m == 1, "a primitive polynomial is not of degree m");
+        let n = Q - 1;
+        let (mut log, mut exp) = ([0u16; Q], [0u16; E]);
+        let (mut x, mut i) = (1u32, 0);
+        while i < n {
+            assert!(x != 1 || i == 0, "a primitive polynomial is not primitive");
+            exp[i] = x as u16;
+            exp[i + n] = x as u16;
+            log[x as usize] = i as u16;
+            // Multiply by alpha (= x) and reduce.
+            x <<= 1;
+            if x & Q as u32 != 0 {
+                x ^= poly;
+            }
+            i += 1;
+        }
+        assert!(x == 1, "a primitive polynomial is not primitive");
+        Tables { log, exp }
+    }
+}
+
+/// Declares one `static` [`Tables`] per degree, and [`rom`] to look one up.
+macro_rules! field_roms {
+    ($($m:literal)*) => {
+        /// The log and antilog tables of GF(2^m), `2 <= m <= 16`.
+        fn rom(m: u32) -> (&'static [u16], &'static [u16]) {
+            match m {
+                $($m => {
+                    static ROM: Tables<{ 1 << $m }, { 2 * ((1 << $m) - 1) }> = Tables::build($m);
+                    (&ROM.log, &ROM.exp)
+                })*
+                _ => unreachable!("GfField::new checks the degree"),
+            }
+        }
+    };
+}
+
+field_roms!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+
 /// Errors raised when constructing or operating on a [`GfField`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -37,12 +90,6 @@ pub enum GfError {
     UnsupportedDegree {
         /// The degree that was requested.
         m: u32,
-    },
-    /// The supplied polynomial did not generate the full multiplicative
-    /// group (it is not primitive over GF(2)).
-    NotPrimitive {
-        /// The offending polynomial, encoded as an integer.
-        poly: u64,
     },
     /// Multiplicative inverse of zero was requested.
     ZeroInverse,
@@ -53,9 +100,6 @@ impl fmt::Display for GfError {
         match self {
             GfError::UnsupportedDegree { m } => {
                 write!(f, "unsupported extension degree m={m}, expected 2..=16")
-            }
-            GfError::NotPrimitive { poly } => {
-                write!(f, "polynomial {poly:#x} is not primitive over GF(2)")
             }
             GfError::ZeroInverse => write!(f, "multiplicative inverse of zero requested"),
         }
@@ -90,9 +134,9 @@ pub struct GfField {
     size: u32,
     prim_poly: u32,
     /// `log[a]` = discrete log of `a` base alpha; `log[0]` is unused.
-    log: Vec<u16>,
+    log: &'static [u16],
     /// `exp[i]` = alpha^i for `i in 0..2*(size-1)` (doubled to skip a mod).
-    exp: Vec<u16>,
+    exp: &'static [u16],
     /// `quad[b]`: a `y` with `y^2 + y = alpha^b + Tr(alpha^b) c` for one
     /// fixed `c` of trace 1; see [`GfField::solve_quadratic`].
     quad: [u16; 16],
@@ -110,59 +154,26 @@ impl GfField {
         if !(2..=16).contains(&m) {
             return Err(GfError::UnsupportedDegree { m });
         }
-        Self::with_primitive_poly(m, PRIMITIVE_POLYS[(m - 2) as usize])
+        let (log, exp) = rom(m);
+        Ok(Self::with_tables(m, log, exp))
     }
 
-    /// Constructs GF(2^m) from a caller-supplied primitive polynomial.
-    ///
-    /// The polynomial is encoded as an integer with bit `i` the coefficient
-    /// of `x^i`; it must have degree exactly `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GfError::UnsupportedDegree`] for `m` outside `2..=16` and
-    /// [`GfError::NotPrimitive`] if the polynomial fails to generate the
-    /// whole multiplicative group.
-    pub(crate) fn with_primitive_poly(m: u32, poly: u32) -> Result<Self, GfError> {
-        if !(2..=16).contains(&m) {
-            return Err(GfError::UnsupportedDegree { m });
-        }
-        if poly >> m != 1 {
-            return Err(GfError::NotPrimitive { poly: poly as u64 });
-        }
-        let size = 1u32 << m;
-        let n = size - 1;
-        let mut log = vec![0u16; size as usize];
-        let mut exp = vec![0u16; 2 * n as usize];
-        let mut x = 1u32;
-        for i in 0..n {
-            if x >= size || (x == 1 && i != 0) {
-                // Cycle closed early: the polynomial is not primitive.
-                return Err(GfError::NotPrimitive { poly: poly as u64 });
-            }
-            exp[i as usize] = x as u16;
-            exp[(i + n) as usize] = x as u16;
-            log[x as usize] = i as u16;
-            // Multiply by alpha (= x) and reduce.
-            x <<= 1;
-            if x & size != 0 {
-                x ^= poly;
-            }
-        }
-        if x != 1 {
-            return Err(GfError::NotPrimitive { poly: poly as u64 });
-        }
+    /// GF(2^m) over the standard primitive polynomial's `log` and `exp`
+    /// tables; what is left to compute is the quadratic solver's base and
+    /// the Barrett constants.
+    fn with_tables(m: u32, log: &'static [u16], exp: &'static [u16]) -> Self {
+        let prim_poly = PRIMITIVE_POLYS[(m - 2) as usize];
         let mut field = GfField {
             m,
-            size,
-            prim_poly: poly,
+            size: 1 << m,
+            prim_poly,
             log,
             exp,
             quad: [0; 16],
-            barrett: Barrett::new(m, poly),
+            barrett: Barrett::new(m, prim_poly),
         };
         field.quad = field.quadratic_base();
-        Ok(field)
+        field
     }
 
     /// Inverts `y -> y^2 + y` on the polynomial basis. The map is GF(2)-
@@ -461,15 +472,40 @@ mod tests {
         ));
     }
 
+    /// The table builder the ROM replaced, run at test time: alpha
+    /// stepped through the group, the cycle checked to close at `2^m - 1`.
+    fn runtime_tables(m: u32) -> (Vec<u16>, Vec<u16>) {
+        let (poly, size) = (PRIMITIVE_POLYS[(m - 2) as usize], 1u32 << m);
+        let n = size - 1;
+        let mut log = vec![0u16; size as usize];
+        let mut exp = vec![0u16; 2 * n as usize];
+        let mut x = 1u32;
+        for i in 0..n {
+            assert!(x < size && (x != 1 || i == 0), "m = {m}: not primitive");
+            exp[i as usize] = x as u16;
+            exp[(i + n) as usize] = x as u16;
+            log[x as usize] = i as u16;
+            x <<= 1;
+            if x & size != 0 {
+                x ^= poly;
+            }
+        }
+        assert_eq!(x, 1, "m = {m}: not primitive");
+        (log, exp)
+    }
+
     #[test]
-    fn rejects_non_primitive_polynomial() {
-        // x^4 + x^3 + x^2 + x + 1 divides x^5 - 1: order 5, not 15.
-        assert!(matches!(
-            GfField::with_primitive_poly(4, 0x1F),
-            Err(GfError::NotPrimitive { .. })
-        ));
-        // Wrong degree encoding.
-        assert!(GfField::with_primitive_poly(4, 0x3).is_err());
+    fn the_rom_holds_what_the_runtime_builder_computed() {
+        for m in 2..=16 {
+            let (log, exp) = runtime_tables(m);
+            let f = GfField::new(m).unwrap();
+            assert_eq!(f.log, &log[..], "m = {m}");
+            assert_eq!(f.exp, &exp[..], "m = {m}");
+            // The quadratic base is computed through the tables: a field
+            // over the runtime ones gets the same.
+            let oracle = GfField::with_tables(m, Vec::leak(log), Vec::leak(exp));
+            assert_eq!(f.quad, oracle.quad, "m = {m}");
+        }
     }
 
     #[test]
@@ -630,11 +666,7 @@ mod tests {
 
     #[test]
     fn error_display_nonempty() {
-        for e in [
-            GfError::UnsupportedDegree { m: 1 },
-            GfError::NotPrimitive { poly: 3 },
-            GfError::ZeroInverse,
-        ] {
+        for e in [GfError::UnsupportedDegree { m: 1 }, GfError::ZeroInverse] {
             assert!(!e.to_string().is_empty());
         }
     }

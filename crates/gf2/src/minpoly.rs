@@ -100,12 +100,31 @@ pub fn generator_poly(field: &GfField, t: u32) -> Gf2Poly {
     GeneratorTable::new(field, t).take(t)
 }
 
+/// Whether `s` leads its cyclotomic coset modulo `n = 2^m - 1`: no element
+/// of `{s, 2s, 4s, ..}` is smaller. `1 <= s < n`.
+fn leads_coset(n: u32, s: u32) -> bool {
+    let mut c = s;
+    loop {
+        c *= 2;
+        if c >= n {
+            c -= n;
+        }
+        if c == s {
+            return true;
+        }
+        if c < s {
+            return false;
+        }
+    }
+}
+
 /// Incrementally-built table of generator polynomials `g_1 .. g_tmax`.
 ///
 /// Models the polynomial ROM of the adaptable encoder: entry `t` is the
 /// generator (and thus the LFSR tap configuration) for correction
-/// capability `t`. Building incrementally shares the coset bookkeeping so
-/// the full `t = 1..=64+` table for GF(2^16) costs milliseconds.
+/// capability `t`. Building incrementally multiplies in one minimal
+/// polynomial per new cyclotomic coset, so the full `t = 1..=65` table for
+/// GF(2^16) costs microseconds.
 #[derive(Debug, Clone)]
 pub struct GeneratorTable {
     polys: Vec<Gf2Poly>,
@@ -115,20 +134,17 @@ impl GeneratorTable {
     /// Computes generator polynomials for all `t in 1..=tmax`.
     pub fn new(field: &GfField, tmax: u32) -> Self {
         let n = field.order();
-        let mut seen = vec![false; n as usize];
         let mut g = Gf2Poly::one();
         let mut polys = Vec::with_capacity(tmax as usize);
         for t in 1..=tmax {
             // New designed roots for this t: alpha^(2t-1) and alpha^(2t).
+            // A root's coset is new when the root leads it: its smaller
+            // members, if any, were designed roots of an earlier t. Past
+            // n - 1 a root repeats one below it (or is alpha^0, no root).
             for s in [2 * t - 1, 2 * t] {
-                let rep = s % n;
-                if rep == 0 || seen[rep as usize] {
-                    continue;
+                if s < n && leads_coset(n, s) {
+                    g = g.mul(&minimal_poly(field, s));
                 }
-                for c in cyclotomic_coset(field.degree(), rep) {
-                    seen[c as usize] = true;
-                }
-                g = g.mul(&minimal_poly(field, rep));
             }
             polys.push(g.clone());
         }
@@ -327,5 +343,42 @@ mod tests {
         let f = GfField::new(4).unwrap();
         let table = GeneratorTable::new(&f, 2);
         let _ = table.get(3);
+    }
+
+    /// The reference build: a flag per exponent, set for every member of
+    /// each coset multiplied in, skips a root whose flag is set.
+    fn seen_flags_table(field: &GfField, tmax: u32) -> Vec<Gf2Poly> {
+        let n = field.order();
+        let mut seen = vec![false; n as usize];
+        let mut g = Gf2Poly::one();
+        let mut polys = Vec::new();
+        for t in 1..=tmax {
+            for s in [2 * t - 1, 2 * t] {
+                let rep = s % n;
+                if rep == 0 || seen[rep as usize] {
+                    continue;
+                }
+                for c in cyclotomic_coset(field.degree(), rep) {
+                    seen[c as usize] = true;
+                }
+                g = g.mul(&minimal_poly(field, rep));
+            }
+            polys.push(g.clone());
+        }
+        polys
+    }
+
+    #[test]
+    fn coset_leaders_build_the_table_the_seen_flags_built() {
+        // The adaptive codec's ranges (t up to 65 at m = 16, as far as the
+        // code fits at m = 8 and 13), and small fields whose 2t wraps n.
+        for (m, tmax) in [(8, 127), (13, 65), (16, 65), (3, 6), (4, 9), (5, 20)] {
+            let f = GfField::new(m).unwrap();
+            let table = GeneratorTable::new(&f, tmax);
+            for (t, old) in (1..=tmax).zip(seen_flags_table(&f, tmax)) {
+                assert_eq!(table.get(t), &old, "m = {m}, t = {t}");
+                assert_eq!(generator_poly(&f, t), old, "m = {m}, t = {t}");
+            }
+        }
     }
 }

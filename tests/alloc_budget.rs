@@ -9,8 +9,10 @@
 //! 1.51 with its shuffled merge);
 //! and at end of life, on the `t` = 65 and `t` = 14 codes, nothing for a
 //! clean decode, five for a dirty one and four where the locator has its
-//! roots in closed form. Counts are exact for a given command
-//! sequence, so a change here is a deliberate edit, not noise.
+//! roots in closed form. Counts are exact for a given command sequence,
+//! so a change here is a deliberate edit, not noise. Building an engine
+//! is held by its bytes instead: under 64 KiB, with no field table among
+//! them.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! on another thread would count into them.
@@ -22,9 +24,11 @@ use mlcx::gf2::GfField;
 use mlcx::{BchCode, Command, DecodeOutcome, EngineBuilder, NandDevice, Objective};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator plus a counter. `realloc` and `alloc_zeroed` are
-/// the trait's defaults, which go through `alloc`: each counts once.
+/// The system allocator plus two counters, allocations and their bytes.
+/// `realloc` and `alloc_zeroed` are the trait's defaults, which go
+/// through `alloc`: each counts once.
 struct Counting;
 
 // SAFETY: a counting `#[global_allocator]` has no safe form (the trait
@@ -34,6 +38,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         System.alloc(layout)
     }
@@ -52,6 +57,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCS.load(Relaxed);
     let out = f();
     let after = ALLOCS.load(Relaxed);
+    drop(out);
+    after - before
+}
+
+/// Bytes `f` allocates (its result is dropped after the count).
+fn bytes<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = BYTES.load(Relaxed);
+    let out = f();
+    let after = BYTES.load(Relaxed);
     drop(out);
     after - before
 }
@@ -91,6 +105,16 @@ fn the_page_path_stays_inside_its_allocation_budget() {
             "a read allocates the payload and the spare it returns"
         );
     }
+
+    // --- building the engine: the field's tables are static and the 65
+    // generators are built from their coset leaders: 53 626 bytes,
+    // where the tables took 131 072 + 262 140 bytes and the generators'
+    // cosets another 65 535 (a `seen` flag per exponent) ---
+    let built = bytes(|| EngineBuilder::date2012().build().unwrap());
+    assert!(
+        built < 64 << 10,
+        "building an engine allocates {built} bytes"
+    );
 
     // --- through the engine: erase + 128 writes + 128 reads, the
     // benchmark's `fresh_mixed` segment ---

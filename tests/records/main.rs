@@ -1,5 +1,6 @@
 //! The eight deterministic regression records, each a `#[test]` that
-//! holds itself against its committed baseline.
+//! holds itself against its committed baseline, and the goldens: every
+//! preset arm's report and every figure, held as text (`goldens`).
 //!
 //! Every module's `record()` runs one seeded workload, asserts its
 //! functional and structural properties in-process and returns the
@@ -12,7 +13,7 @@
 //! ```text
 //! cargo test --test records                      # all eight vs their baselines
 //! cargo test --test records qos_tail -- --nocapture   # one record, with its table
-//! cargo test --test records -- --ignored bless   # refresh the baselines (EXPERIMENTS.md)
+//! cargo test --test records -- --ignored bless   # refresh the baselines and goldens (EXPERIMENTS.md)
 //! ```
 //!
 //! Beside them, the performance trajectory: `trajectory` writes a
@@ -39,6 +40,7 @@ use mlcx_bench::{baselines_dir, BenchResult};
 
 mod codec_kernels;
 mod engine_batch;
+mod goldens;
 mod parallel_scale;
 mod program_interference;
 mod qos_tail;
@@ -76,6 +78,10 @@ fn baseline_path(name: &str) -> PathBuf {
     baselines_dir().join(format!("{name}.json"))
 }
 
+fn golden_path(name: &str) -> PathBuf {
+    baselines_dir().join("goldens").join(format!("{name}.txt"))
+}
+
 /// Panics with the per-field diff table unless `record` holds against
 /// the committed baseline `name`.
 fn hold(name: &str, record: &BenchResult) {
@@ -90,27 +96,60 @@ fn hold(name: &str, record: &BenchResult) {
     }
 }
 
-/// The "never silently disarmed" property: a baseline no record checks,
-/// or a record added to the table without a committed baseline, fails.
-#[test]
-fn every_baseline_has_a_record_and_every_record_a_baseline() {
-    let mut committed: Vec<String> = std::fs::read_dir(baselines_dir())
-        .unwrap()
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
         .collect();
-    committed.sort();
-    let expected: Vec<String> = RECORDS.iter().map(|(n, _)| format!("{n}.json")).collect();
-    assert_eq!(committed, expected);
+    names.sort();
+    names
 }
 
-/// Rewrites every baseline from a fresh run of its record — how a
-/// deliberate model change is adopted. On a clean tree it is a
+/// The "never silently disarmed" property: a baseline no record checks,
+/// or a record added to the table without a committed baseline, fails;
+/// so does a golden nothing renders.
+#[test]
+fn every_baseline_has_a_record_and_every_record_a_baseline() {
+    let mut expected: Vec<String> = RECORDS.iter().map(|(n, _)| format!("{n}.json")).collect();
+    expected.push("goldens".to_string());
+    expected.sort();
+    assert_eq!(listing(&baselines_dir()), expected);
+}
+
+/// Every preset arm's report and every figure, held as text against
+/// `crates/bench/baselines/goldens/`: a failure names each golden and the
+/// first line of it that moved.
+#[test]
+fn goldens() {
+    let rendered = goldens::render();
+    let mut expected: Vec<String> = rendered.iter().map(|(n, _)| format!("{n}.txt")).collect();
+    expected.sort();
+    assert_eq!(listing(&baselines_dir().join("goldens")), expected);
+    let moved: Vec<String> = rendered
+        .iter()
+        .filter_map(|(name, text)| {
+            let path = golden_path(name);
+            let committed = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+            goldens::first_difference(name, &committed, text)
+        })
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// Rewrites every baseline and golden from a fresh run of its record —
+/// how a deliberate model change is adopted. On a clean tree it is a
 /// byte-level no-op.
 #[test]
 #[ignore = "rewrites crates/bench/baselines/; run it to adopt an intended change"]
 fn bless() {
     for (name, record) in RECORDS {
         std::fs::write(baseline_path(name), record().to_json()).unwrap();
+    }
+    std::fs::create_dir_all(baselines_dir().join("goldens")).unwrap();
+    for (name, text) in goldens::render() {
+        std::fs::write(golden_path(&name), text).unwrap();
     }
 }
 
@@ -276,15 +315,10 @@ fn trajectory() {
                     // this package: point it at the checkout's ignored
                     // `benchmark/out/` instead.
                     let package = binary.ancestors().nth(3).unwrap();
-                    let out = Command::new(&*binary)
-                        .args(&args)
-                        .env("CARGO_MANIFEST_DIR", package)
-                        .output()
-                        .unwrap();
-                    assert!(out.status.success(), "{} {args:?} failed", binary.display());
-                    let stdout = String::from_utf8(out.stdout).unwrap();
+                    let mut child = Command::new(&*binary);
+                    child.args(&args).env("CARGO_MANIFEST_DIR", package);
                     session
-                        .add_run(workload, &stdout)
+                        .run(workload, trace == 1, &mut child)
                         .unwrap_or_else(|e| panic!("{e}"));
                     eprintln!(
                         "{}: {workload} run {run} trace {trace} done",
