@@ -239,9 +239,71 @@ impl ChannelScheduler {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     const EPS: f64 = 1e-12;
+
+    /// Whether two busy intervals share more than rounding (`EPS`).
+    fn overlap(a: (f64, f64), b: (f64, f64)) -> bool {
+        a.0 < b.1 - EPS && b.0 < a.1 - EPS
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// No die and no bus is ever double-booked: random reads, writes
+        /// and erases over a 2x2 topology, with batch barriers and
+        /// command floors (past and future) mixed in. Each op's die
+        /// interval is its whole slot; its bus interval is the slot's
+        /// first `bus_s` for a write and its last `bus_s` for a read.
+        #[test]
+        fn no_die_or_channel_is_ever_double_booked(
+            steps in proptest::collection::vec((0u32..6, 0usize..4, 1e-6f64..2e-3, 1e-6f64..2e-4), 1..160),
+        ) {
+            let topology = Topology::new(2, 2);
+            let mut s = ChannelScheduler::new(topology);
+            let mut dies = vec![Vec::new(); topology.total_dies()];
+            let mut buses = vec![Vec::new(); topology.channels];
+            for (kind, die, cell_s, bus_s) in steps {
+                let timing = match kind {
+                    0 => {
+                        s.begin_batch();
+                        continue;
+                    }
+                    1 => {
+                        s.begin_command(cell_s * 10.0);
+                        continue;
+                    }
+                    2 => OpTiming::read(cell_s, bus_s),
+                    3 => OpTiming::write(bus_s, cell_s),
+                    4 => OpTiming::erase(cell_s),
+                    // A short sense: the shared bus, not the die, binds.
+                    _ => OpTiming::read(cell_s / 20.0, bus_s),
+                };
+                let slot = s.issue(die, timing);
+                dies[die].push((slot.start_s, slot.end_s));
+                let bus = if timing.bus_first {
+                    Some((slot.start_s, slot.start_s + timing.bus_s))
+                } else if timing.bus_s > 0.0 {
+                    Some((slot.end_s - timing.bus_s, slot.end_s))
+                } else {
+                    None
+                };
+                if let Some(bus) = bus {
+                    buses[topology.channel_of_die(die)].push(bus);
+                }
+            }
+            for (what, intervals) in dies.iter().chain(&buses).enumerate() {
+                for (i, &a) in intervals.iter().enumerate() {
+                    for &b in &intervals[i + 1..] {
+                        prop_assert!(!overlap(a, b), "resource {what}: {a:?} and {b:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_die_serializes_to_the_latency_sum() {

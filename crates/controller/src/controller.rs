@@ -8,7 +8,7 @@ use std::ops::Range;
 use mlcx_bch::{AdaptiveBch, BchCode, CodecKernel, DecodeOutcome, EccHardware, EccPowerModel};
 use mlcx_hv::HvSubsystem;
 use mlcx_nand::device::CodeStore;
-use mlcx_nand::disturb::DisturbModel;
+use mlcx_nand::disturb::{DisturbModel, RberTerms};
 use mlcx_nand::ispp::IsppConfig;
 use mlcx_nand::{AgingModel, DeviceGeometry, NandDevice, NandTiming, OpReport, ProgramAlgorithm};
 
@@ -229,11 +229,9 @@ pub struct ReadReport {
     /// Latency of the retry senses alone (already included in
     /// `latency_s`); 0.0 when the first sense decoded.
     pub retry_latency_s: f64,
-    /// Program-interference RBER the page carried into this read
-    /// (neighbor coupling + die program disturb + partial-program
-    /// corruption, per the device's [`DisturbModel`]). Exactly 0.0
-    /// under a model with the interference terms disabled.
-    pub interference_rber: f64,
+    /// The page's RBER terms as the *final* sense saw them; a term the
+    /// device's [`DisturbModel`] disables is exactly 0.0.
+    pub rber: RberTerms,
 }
 
 /// The memory controller of the paper's Fig. 1.
@@ -638,6 +636,7 @@ impl MemoryController {
                 report.data = next.data;
                 report.outcome = next.outcome;
                 report.reference_offset = off;
+                report.rber = next.rber;
                 if decoded {
                     self.offsets.learn(block, off);
                     break;
@@ -667,9 +666,9 @@ impl MemoryController {
             return Err(CtrlError::UnknownPageConfig { block, page });
         }
 
-        let interference_rber = self.device.page_interference_rber(block, page)?;
         // The parity occupies the spare prefix.
-        let (mut data, mut parity, dev_report) = self.device.read_page_at(block, page, offset)?;
+        let (mut data, mut parity, dev_report, rber) =
+            self.device.read_page_at(block, page, offset)?;
 
         // Decode at the page's write-time capability; the host's
         // capability stays selected.
@@ -700,7 +699,7 @@ impl MemoryController {
             senses: 1,
             reference_offset: offset,
             retry_latency_s: 0.0,
-            interference_rber,
+            rber,
         })
     }
 

@@ -539,7 +539,7 @@ impl LogicalMap {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use proptest::prelude::*;
 
@@ -613,7 +613,9 @@ mod tests {
         /// The dense map against the ordered one it replaced, kept beside
         /// it from the plans alone: after every `plan_write` (some past
         /// the capacity) and `plan_reclaim`, the lpn -> slot map,
-        /// `translate` and `mapped_lpns` agree.
+        /// `translate` and `mapped_lpns` agree, no physical page is
+        /// mapped by two lpns, and each block's valid (live) page count
+        /// is the number of lpns mapped into it.
         #[test]
         fn the_dense_map_agrees_with_an_ordered_reference(
             steps in proptest::collection::vec((0u32..8, 0usize..48), 1..300),
@@ -643,6 +645,14 @@ mod tests {
                     prop_assert_eq!(map.translate(lpn), reference.get(&lpn).copied());
                 }
                 prop_assert_eq!(map.mapped_lpns(), reference.keys().copied().collect::<Vec<_>>());
+                let slots: BTreeSet<(usize, usize)> = dense.values().copied().collect();
+                prop_assert_eq!(slots.len(), dense.len());
+                for block in map.blocks() {
+                    let states = &map.states[block - map.blocks.start];
+                    let valid = states.iter().filter(|s| matches!(s, PageState::Live(_))).count();
+                    let mapped = slots.iter().filter(|(b, _)| *b == block).count();
+                    prop_assert_eq!(valid, mapped);
+                }
             }
         }
     }

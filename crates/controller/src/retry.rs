@@ -180,7 +180,9 @@ mod tests {
         // optimum, inside the sense budget.
         let m = DisturbModel::date2012();
         let p = RetryPolicy::date2012();
-        let shift = m.vth_shift_steps(DisturbModel::SCRUB_READ_THRESHOLD, 8760.0, 1_000_000);
+        let reads = DisturbModel::SCRUB_READ_THRESHOLD;
+        let nominal = m.rber_at_offset(reads, 8760.0, 1_000_000, 0.0, 0);
+        let shift = nominal / m.rber_per_step;
         assert!(shift > 1.0, "worst case must actually shift: {shift}");
         let budget = (p.max_senses - 1) as usize;
         let (pos, best) = p
@@ -201,14 +203,7 @@ mod tests {
         assert!(pos + 1 < budget, "the converging rung must fit the budget");
         // And the recovered RBER at that rung is a small fraction of
         // nominal — the ladder genuinely recovers the read.
-        let nominal = m.additional_rber(DisturbModel::SCRUB_READ_THRESHOLD, 8760.0, 1_000_000);
-        let at_rung = m.rber_at_offset(
-            DisturbModel::SCRUB_READ_THRESHOLD,
-            8760.0,
-            1_000_000,
-            0.0,
-            *best,
-        );
+        let at_rung = m.rber_at_offset(reads, 8760.0, 1_000_000, 0.0, *best);
         assert!(at_rung < nominal / 5.0, "{at_rung:e} vs {nominal:e}");
     }
 

@@ -47,10 +47,9 @@ pub struct Counters {
     /// price of the voltage-domain mitigation (already included in the
     /// read latencies).
     pub retry_latency_s: f64,
-    /// Reads (host or GC) whose page carried a nonzero
-    /// program-interference RBER term — neighbor coupling, die-level
-    /// program disturb, or a partially programmed page — at sense time.
-    /// 0 under the default disabled interference model.
+    /// Reads (host or GC) whose page's program-interference RBER
+    /// ([`mlcx_nand::RberTerms::interference`]) was nonzero at sense
+    /// time. 0 under the default disabled interference model.
     pub interference_reads: u64,
     /// Programs the [`FaultPlan`](crate::FaultPlan) interrupted
     /// mid-staircase (0 with injection disabled).
@@ -63,7 +62,7 @@ impl Counters {
         match output {
             CommandOutput::Read(r) => {
                 self.retries_of(r);
-                if r.interference_rber > 0.0 {
+                if r.rber.interference() > 0.0 {
                     self.interference_reads += 1;
                 }
             }
@@ -135,7 +134,7 @@ mod tests {
     use crate::policy::Objective;
     use mlcx_bch::DecodeOutcome;
     use mlcx_controller::WriteReport;
-    use mlcx_nand::{OpReport, ProgramAlgorithm};
+    use mlcx_nand::{OpReport, ProgramAlgorithm, RberTerms};
 
     #[test]
     fn record_reads_each_output_kind_and_absorb_sums_every_field() {
@@ -158,7 +157,7 @@ mod tests {
             report: erase,
             scrub: true,
         });
-        let relocate = |senses: u32, outcome, interference_rber| CommandOutput::Relocate {
+        let relocate = |senses: u32, outcome, coupling| CommandOutput::Relocate {
             read: Box::new(ReadReport {
                 data: vec![0x5A; 8],
                 outcome,
@@ -171,7 +170,10 @@ mod tests {
                 senses,
                 reference_offset: 0,
                 retry_latency_s: 1e-4 * f64::from(senses - 1),
-                interference_rber,
+                rber: RberTerms {
+                    coupling,
+                    ..RberTerms::default()
+                },
             }),
             write: WriteReport {
                 latency_s: 3e-4,

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::aging::AgingModel;
-use crate::disturb::DisturbModel;
+use crate::disturb::{DisturbModel, RberTerms};
 use crate::error::NandError;
 use crate::geometry::DeviceGeometry;
 use crate::ispp::{program_profile, IsppConfig, ProgramAlgorithm};
@@ -398,79 +398,75 @@ impl NandDevice {
     }
 
     /// The additive RBER the active [`DisturbModel`] would charge a read
-    /// of the block's worst (oldest, at its program-time wear) page
-    /// sensed at read-reference `offset` steps from nominal, right now.
-    /// At offset 0 that is read-disturb from the accumulated reads since
-    /// erase plus the worst per-page retention term; otherwise the worst
-    /// per-page [`DisturbModel::rber_at_offset`] — a well-learned offset
-    /// reports the *effective* (recovered) disturb RBER a retrying
-    /// controller actually exposes upward. 0.0 for a blank block under
-    /// any model, and for any block under [`DisturbModel::disabled`] at
-    /// offset 0.
+    /// of the block's worst page sensed at read-reference `offset` steps
+    /// from nominal, right now: a fold of its pages' [`RberTerms`]. At
+    /// offset 0, the block's read disturb (all its pages share it) plus
+    /// the worst per-page retention + interference — an order of its
+    /// own, since adding read disturb inside the max can round one ulp
+    /// apart once all three terms are nonzero. Otherwise the worst per-page
+    /// [`DisturbModel::rber_at_offset`] — a well-learned offset reports
+    /// the *effective* (recovered) disturb RBER a retrying controller
+    /// exposes upward. 0.0 for a blank block under any model, and for
+    /// any block under [`DisturbModel::disabled`] at offset 0.
     ///
     /// # Errors
     ///
     /// [`NandError::BlockOutOfRange`] for bad indices.
     pub fn block_disturb_rber(&self, block: usize, offset: i32) -> Result<f64, NandError> {
         self.check_block(block)?;
-        let b = &self.blocks[block];
-        if b.programmed == 0 {
-            return Ok(0.0);
-        }
-        let pages = b.stored().iter();
-        let age = |p: &StoredPage| self.clock_hours - p.programmed_at_hours;
+        let pages = self.block_terms(block);
         if offset == 0 {
-            let retention = pages
-                .map(|p| {
-                    self.disturb.retention_rber(age(p), p.cycles_at_program)
-                        + self.page_interference(block, p)
-                })
-                .fold(0.0, f64::max);
-            return Ok(self.disturb.read_disturb_rber(b.reads_since_erase) + retention);
+            let (read_disturb, worst) = pages.fold((0.0, 0.0), |(_, worst): (f64, f64), t| {
+                (t.read_disturb, worst.max(t.retention + t.interference()))
+            });
+            return Ok(read_disturb + worst);
         }
         Ok(pages
-            .map(|p| {
-                self.disturb.rber_at_offset(
-                    b.reads_since_erase,
-                    age(p),
-                    p.cycles_at_program,
-                    self.page_interference(block, p),
-                    offset,
-                )
-            })
+            .map(|t| t.disturb_at(&self.disturb, offset))
             .fold(0.0, f64::max))
     }
 
-    /// The program-interference RBER a stored page has accrued: the
-    /// model's neighbor-coupling term per adjacent program, the die-wide
-    /// program-disturb term per program on *other* blocks of the die
-    /// since the page was written, and the partial-program term for an
-    /// interrupted ISPP staircase. Exactly 0.0 under any model whose
-    /// interference terms are disabled — the counters are maintained
-    /// unconditionally, but a zero coefficient erases them.
-    fn page_interference(&self, block: usize, p: &StoredPage) -> f64 {
+    /// The [`RberTerms`] of a stored page of `block` after `reads` block
+    /// reads since erase, now: the one place a page's RBER is derived.
+    /// Program disturb counts the die's programs on *other* blocks.
+    fn page_terms(&self, block: usize, p: &StoredPage, reads: u64) -> RberTerms {
         let die = self.geometry.die_of_block(block);
         let die_delta = self.die_programs[die] - p.die_programs_at_program;
         let own_delta = self.blocks[block].programs - p.block_programs_at_program;
         let other_programs = die_delta.saturating_sub(own_delta);
-        self.disturb
-            .interference_rber(p.interference_events, other_programs, p.partial_missing)
+        let m = &self.disturb;
+        RberTerms {
+            endurance: p.endurance_rber,
+            read_disturb: m.read_disturb_rber(reads),
+            retention: m.retention_rber(
+                self.clock_hours - p.programmed_at_hours,
+                p.cycles_at_program,
+            ),
+            ..m.program_terms(p.interference_events, other_programs, p.partial_missing)
+        }
+    }
+
+    /// The [`RberTerms`] of each programmed page of `block`, now.
+    fn block_terms(&self, block: usize) -> impl Iterator<Item = RberTerms> + '_ {
+        let b = &self.blocks[block];
+        b.stored()
+            .iter()
+            .map(move |p| self.page_terms(block, p, b.reads_since_erase))
     }
 
     /// The program-interference RBER of one page (0.0 for a blank page):
-    /// neighbor coupling + die-wide program disturb + partial-program
-    /// corruption, per the active [`DisturbModel`].
+    /// [`RberTerms::interference`] of its terms.
     ///
     /// # Errors
     ///
     /// Geometry errors for bad indices.
     pub fn page_interference_rber(&self, block: usize, page: usize) -> Result<f64, NandError> {
         self.check_page(block, page)?;
-        Ok(self.blocks[block]
-            .stored()
-            .get(page)
-            .map(|p| self.page_interference(block, p))
-            .unwrap_or(0.0))
+        let b = &self.blocks[block];
+        Ok(b.stored().get(page).map_or(0.0, |p| {
+            self.page_terms(block, p, b.reads_since_erase)
+                .interference()
+        }))
     }
 
     /// Whether a page holds the corrupt residue of an interrupted
@@ -497,10 +493,9 @@ impl NandDevice {
     /// [`NandError::BlockOutOfRange`] for bad indices.
     pub fn block_interference_rber(&self, block: usize) -> Result<f64, NandError> {
         self.check_block(block)?;
-        Ok(self.blocks[block]
-            .stored()
-            .iter()
-            .map(|p| self.page_interference(block, p))
+        Ok(self
+            .block_terms(block)
+            .map(|t| t.interference())
             .fold(0.0, f64::max))
     }
 
@@ -760,18 +755,20 @@ impl NandDevice {
         block: usize,
         page: usize,
     ) -> Result<(Vec<u8>, Vec<u8>, OpReport), NandError> {
-        self.read_page_at(block, page, 0)
+        let (data, spare, report, _) = self.read_page_at(block, page, 0)?;
+        Ok((data, spare, report))
     }
 
     /// Reads a page back sensing at read-reference `offset` steps from
-    /// nominal (signed; see [`DisturbModel::rber_at_offset`]).
+    /// nominal (signed; see [`DisturbModel::rber_at_offset`]), and hands
+    /// back the page's [`RberTerms`] as this sense saw them.
     ///
     /// The injected error rate is the endurance RBER plus the
-    /// offset-dependent disturb/retention term: an offset tracking the
-    /// page's Vth shift recovers most of the additive RBER, a zero
-    /// offset reproduces [`NandDevice::read_page`] bit-for-bit, and a
-    /// stale offset on an unshifted page *adds* misreads. Every sense —
-    /// retry senses included — bumps the block's read-disturb
+    /// offset-dependent disturb/retention/interference term: an offset
+    /// tracking the page's Vth shift recovers most of the additive RBER,
+    /// a zero offset reproduces [`NandDevice::read_page`] bit-for-bit,
+    /// and a stale offset on an unshifted page *adds* misreads. Every
+    /// sense — retry senses included — bumps the block's read-disturb
     /// accumulator: re-reading is never free at the cell level.
     ///
     /// # Errors
@@ -782,7 +779,7 @@ impl NandDevice {
         block: usize,
         page: usize,
         offset: i32,
-    ) -> Result<(Vec<u8>, Vec<u8>, OpReport), NandError> {
+    ) -> Result<(Vec<u8>, Vec<u8>, OpReport, RberTerms), NandError> {
         self.check_page(block, page)?;
         let geometry_spare = self.geometry.spare_bytes;
         let die = self.geometry.die_of_block(block);
@@ -794,19 +791,12 @@ impl NandDevice {
         let prior_reads = self.blocks[block].reads_since_erase;
         self.blocks[block].reads_since_erase = prior_reads + 1;
         let stored = &self.blocks[block].pages[page];
+        let terms = self.page_terms(block, stored, prior_reads);
         let mut data = stored.data.clone();
         // Room for the pad appended after injection.
         let mut spare = Vec::with_capacity(geometry_spare);
         spare.extend_from_slice(&stored.spare);
-        let endurance = stored.endurance_rber;
-        let extra = self.disturb.rber_at_offset(
-            prior_reads,
-            self.clock_hours - stored.programmed_at_hours,
-            stored.cycles_at_program,
-            self.page_interference(block, stored),
-            offset,
-        );
-        let rber = (endurance + extra).min(0.5);
+        let rber = terms.sensed_at(&self.disturb, offset);
         debug_assert!(spare.len() <= geometry_spare);
 
         // Errors come from the die's own stream: reads on one die never
@@ -830,7 +820,7 @@ impl NandDevice {
         spare.resize(geometry_spare, 0xFF);
 
         let report = self.finish(self.read_cost);
-        Ok((data, spare, report))
+        Ok((data, spare, report, terms))
     }
 
     /// Adds the command overhead: the operation's report is its account.
@@ -1291,7 +1281,7 @@ mod tests {
         let (mut a, mut b) = (build(), build());
         for _ in 0..6 {
             let (da, sa, _) = a.read_page(0, 0).unwrap();
-            let (db, sb, _) = b.read_page_at(0, 0, 0).unwrap();
+            let (db, sb, _, _) = b.read_page_at(0, 0, 0).unwrap();
             assert_eq!(da, db);
             assert_eq!(sa, sb);
         }
@@ -1301,7 +1291,7 @@ mod tests {
         let count = |dev: &mut NandDevice, offset: i32| -> usize {
             (0..16)
                 .map(|_| {
-                    let (d, _, _) = dev.read_page_at(0, 0, offset).unwrap();
+                    let (d, _, _, _) = dev.read_page_at(0, 0, offset).unwrap();
                     d.iter()
                         .zip(std::iter::repeat(&0xA5u8))
                         .map(|(x, y)| (x ^ y).count_ones() as usize)
@@ -1310,9 +1300,8 @@ mod tests {
                 .sum()
         };
         let (mut nominal, mut tuned) = (build(), build());
-        let shift = nominal
-            .disturb_model()
-            .vth_shift_steps(0, 20_000.0, 1_000_001);
+        let m = nominal.disturb_model();
+        let shift = m.rber_at_offset(0, 20_000.0, 1_000_001, 0.0, 0) / m.rber_per_step;
         let rung = shift.round() as i32;
         assert!(rung >= 1, "the stress must shift at least one step");
         let at_nominal = count(&mut nominal, 0);
@@ -1559,6 +1548,201 @@ mod tests {
         }
         assert_eq!(dev.block_interference_rber(0).unwrap(), 0.0);
         assert_eq!(dev.block_disturb_rber(0, 0).unwrap(), 0.0);
+    }
+
+    /// The formulas the page terms replaced, as they summed: the oracle
+    /// [`RberTerms`]' totals are held to, bit for bit.
+    mod before {
+        use super::*;
+
+        /// `DisturbModel::rber_at_offset` with its nominal sum.
+        fn rber_at_offset(
+            m: &DisturbModel,
+            reads: u64,
+            hours: f64,
+            cycles: u64,
+            interference: f64,
+            offset: i32,
+        ) -> f64 {
+            let nominal =
+                (m.read_disturb_rber(reads) + m.retention_rber(hours, cycles)) + interference;
+            if offset == 0 {
+                return nominal;
+            }
+            let shift = nominal / m.rber_per_step;
+            let off = offset as f64;
+            if shift == 0.0 {
+                return nominal + m.offset_misread_rber * off * off;
+            }
+            let residual = nominal * m.offset_residual_fraction;
+            let dist = (off - shift) / shift;
+            residual + (nominal - residual) * dist * dist
+        }
+
+        /// A stored page's program-interference term.
+        pub(super) fn interference(dev: &NandDevice, block: usize, p: &StoredPage) -> f64 {
+            let m = &dev.disturb;
+            let die_delta =
+                dev.die_programs[dev.geometry.die_of_block(block)] - p.die_programs_at_program;
+            let own_delta = dev.blocks[block].programs - p.block_programs_at_program;
+            let programs = die_delta.saturating_sub(own_delta);
+            m.program_coupling_rber * p.interference_events as f64
+                + m.program_disturb_per_program * programs as f64
+                + m.partial_program_rber * p.partial_missing
+        }
+
+        fn age(dev: &NandDevice, p: &StoredPage) -> f64 {
+            dev.clock_hours - p.programmed_at_hours
+        }
+
+        /// The RBER the next read of `(block, page)` at `offset` injects.
+        pub(super) fn read_rber(dev: &NandDevice, block: usize, page: usize, offset: i32) -> f64 {
+            let b = &dev.blocks[block];
+            let p = &b.pages[page];
+            let extra = rber_at_offset(
+                &dev.disturb,
+                b.reads_since_erase,
+                age(dev, p),
+                p.cycles_at_program,
+                interference(dev, block, p),
+                offset,
+            );
+            (p.endurance_rber + extra).min(0.5)
+        }
+
+        /// `NandDevice::block_disturb_rber`, both branches.
+        pub(super) fn block_disturb(dev: &NandDevice, block: usize, offset: i32) -> f64 {
+            let b = &dev.blocks[block];
+            if b.programmed == 0 {
+                return 0.0;
+            }
+            let m = &dev.disturb;
+            let pages = b.stored().iter();
+            if offset == 0 {
+                let retention = pages
+                    .map(|p| {
+                        m.retention_rber(age(dev, p), p.cycles_at_program)
+                            + interference(dev, block, p)
+                    })
+                    .fold(0.0, f64::max);
+                return m.read_disturb_rber(b.reads_since_erase) + retention;
+            }
+            pages
+                .map(|p| {
+                    let interference = interference(dev, block, p);
+                    let (reads, cycles) = (b.reads_since_erase, p.cycles_at_program);
+                    rber_at_offset(m, reads, age(dev, p), cycles, interference, offset)
+                })
+                .fold(0.0, f64::max)
+        }
+    }
+
+    /// Every block query agrees with [`before`] to the bit, at offsets
+    /// -3..=3.
+    fn assert_block_queries_match(dev: &NandDevice) {
+        for block in 0..4 {
+            for offset in -3..=3 {
+                let terms = dev.block_disturb_rber(block, offset).unwrap();
+                let oracle = before::block_disturb(dev, block, offset);
+                assert_eq!(
+                    terms.to_bits(),
+                    oracle.to_bits(),
+                    "block {block} at {offset}"
+                );
+            }
+            let pages = dev.blocks[block].stored();
+            let oracle = pages
+                .iter()
+                .map(|p| before::interference(dev, block, p))
+                .fold(0.0, f64::max);
+            let worst = dev.block_interference_rber(block).unwrap();
+            assert_eq!(worst.to_bits(), oracle.to_bits(), "block {block}");
+            for (page, p) in pages.iter().enumerate() {
+                let oracle = before::interference(dev, block, p).to_bits();
+                let terms = dev.page_interference_rber(block, page).unwrap();
+                assert_eq!(terms.to_bits(), oracle, "page ({block}, {page})");
+            }
+        }
+    }
+
+    /// Reads `(block, page)` at `offset`, asserting that its terms sum
+    /// to what [`before`] says the read injects.
+    fn read_matches(dev: &mut NandDevice, block: usize, page: usize, offset: i32) -> RberTerms {
+        let oracle = before::read_rber(dev, block, page, offset);
+        let interference = before::interference(dev, block, &dev.blocks[block].pages[page]);
+        let (_, _, _, terms) = dev.read_page_at(block, page, offset).unwrap();
+        let sensed = terms.sensed_at(&dev.disturb, offset);
+        assert_eq!(
+            sensed.to_bits(),
+            oracle.to_bits(),
+            "({block}, {page}) at {offset}"
+        );
+        assert_eq!(terms.interference().to_bits(), interference.to_bits());
+        terms
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Random coefficients for every mechanism; random erases after
+        /// random wear, programs (one in five interrupted), clock steps
+        /// and reads at offsets -3..=3 on four blocks of one die. Each
+        /// read's terms and every block query stay on [`before`]'s bits.
+        #[test]
+        fn page_terms_sum_to_the_formulas_they_replaced(
+            coefficients in (1e-9f64..1e-4, 1e-6f64..1e-3, 1e-9f64..1e-4, 1e-9f64..1e-5, 1e-3f64..0.2),
+            steps in proptest::collection::vec((0u32..8, 0usize..4, 0u32..7, 0.0f64..1.0), 1..120),
+        ) {
+            let (per_read, retention, coupling, die_disturb, partial) = coefficients;
+            let mut dev = device();
+            dev.set_disturb_model(DisturbModel {
+                read_disturb_per_read: per_read,
+                retention_scale: retention,
+                program_coupling_rber: coupling,
+                program_disturb_per_program: die_disturb,
+                partial_program_rber: partial,
+                ..DisturbModel::date2012()
+            });
+            let data = vec![0x3Cu8; dev.geometry().page_bytes];
+            for block in 0..4 {
+                dev.erase_block(block).unwrap();
+            }
+            // Page (0, 0), coupled by page 1, disturbed by block 1's
+            // program and aged, read twice: the second read carries read
+            // disturb, retention and interference at once.
+            dev.program_page(0, 0, &data, &[]).unwrap();
+            dev.program_page(0, 1, &data, &[]).unwrap();
+            dev.program_page(1, 0, &data, &[]).unwrap();
+            dev.advance_time_hours(100.0).unwrap();
+            read_matches(&mut dev, 0, 0, 0);
+            let t = read_matches(&mut dev, 0, 0, 0);
+            proptest::prop_assert!(t.read_disturb > 0.0 && t.retention > 0.0 && t.interference() > 0.0);
+            assert_block_queries_match(&dev);
+
+            for (kind, block, rung, x) in steps {
+                let offset = rung as i32 - 3;
+                let programmed = dev.blocks[block].programmed;
+                match kind {
+                    0 => {
+                        dev.age_block(block, (x * 1e6) as u64).unwrap();
+                        dev.erase_block(block).unwrap();
+                    }
+                    1 | 2 if programmed < 8 => {
+                        if x < 0.2 {
+                            dev.arm_partial_program(x * 5.0);
+                        }
+                        dev.program_page(block, programmed, &data, &[]).unwrap();
+                    }
+                    3 => dev.advance_time_hours(x * 5_000.0).unwrap(),
+                    _ if programmed > 0 => {
+                        let page = (x * programmed as f64) as usize;
+                        read_matches(&mut dev, block, page, offset);
+                    }
+                    _ => {}
+                }
+                assert_block_queries_match(&dev);
+            }
+        }
     }
 
     #[test]

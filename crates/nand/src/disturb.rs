@@ -30,13 +30,12 @@
 //! pushed across a reference; a read sensed at a *moved* reference that
 //! tracks the shift recovers most of them (arXiv:2209.01424). The model
 //! exposes this voltage-domain axis through
-//! [`DisturbModel::vth_shift_steps`] (the current shift, in reference
-//! steps) and [`DisturbModel::rber_at_offset`] (the additive RBER when
-//! sensing at a given stepped reference offset). An offset of zero is
-//! *exactly* [`DisturbModel::additional_rber`] — the pre-retry datapath
-//! is reproduced bit-for-bit — while an offset near the shift collapses
-//! the additive RBER to its unrecoverable residual (distribution
-//! widening that no reference placement can undo).
+//! [`DisturbModel::rber_at_offset`], the additive RBER when sensing at a
+//! stepped reference offset (the shift, in steps, is the offset-0 RBER
+//! over [`DisturbModel::rber_per_step`]). Offset zero is *exactly* the
+//! nominal sum — the pre-retry datapath, bit-for-bit — while an offset
+//! near the shift collapses the additive RBER to its unrecoverable
+//! residual (distribution widening no reference placement can undo).
 
 /// Additive RBER contributions from workload-dependent mechanisms.
 ///
@@ -63,11 +62,11 @@ pub struct DisturbModel {
     /// Additive RBER one reference step of Vth misalignment is worth.
     ///
     /// Converts the mechanisms' additive RBER into an equivalent Vth
-    /// shift expressed in read-reference steps (see
-    /// [`DisturbModel::vth_shift_steps`]): the larger this constant, the
-    /// fewer steps a given disturb/retention RBER corresponds to. Must
-    /// stay nonzero even in [`DisturbModel::disabled`] so the conversion
-    /// is always well-defined.
+    /// shift expressed in read-reference steps (the additive RBER over
+    /// this constant): the larger this constant, the fewer steps a given
+    /// disturb/retention RBER corresponds to. Must stay nonzero even in
+    /// [`DisturbModel::disabled`] so the conversion is always
+    /// well-defined.
     pub rber_per_step: f64,
     /// Fraction of the additive RBER that no reference offset recovers.
     ///
@@ -184,75 +183,36 @@ impl DisturbModel {
         self.retention_scale * wear * (1.0 + hours).log10()
     }
 
-    /// Total additive RBER for a page programmed `hours` ago on a block
-    /// with `cycles` wear that has seen `reads` reads since erase.
-    pub fn additional_rber(&self, reads: u64, hours: f64, cycles: u64) -> f64 {
-        self.read_disturb_rber(reads) + self.retention_rber(hours, cycles)
+    /// The program-side terms of `events` adjacent programs, `programs`
+    /// programs on other blocks of the die and a staircase left `missing`
+    /// (0..=1) undone; every other term 0.0.
+    pub(crate) fn program_terms(&self, events: u64, programs: u64, missing: f64) -> RberTerms {
+        RberTerms {
+            coupling: self.program_coupling_rber * events as f64,
+            program_disturb: self.program_disturb_per_program * programs as f64,
+            partial: self.partial_program_rber * missing,
+            ..RberTerms::default()
+        }
     }
 
-    /// RBER contribution of `events` adjacent-wordline program events
-    /// accumulated by a programmed page.
-    pub(crate) fn neighbor_interference_rber(&self, events: u64) -> f64 {
-        self.program_coupling_rber * events as f64
-    }
-
-    /// RBER contribution of `programs` page programs executed on other
-    /// blocks of the same die since the page's block was erased.
-    pub(crate) fn program_disturb_rber(&self, programs: u64) -> f64 {
-        self.program_disturb_per_program * programs as f64
-    }
-
-    /// RBER contribution of an interrupted program that completed only a
-    /// `1 - missing` fraction of its ISPP staircase (`missing` in 0..=1;
-    /// 0.0 for a fully-programmed page).
-    pub fn partial_rber(&self, missing: f64) -> f64 {
-        self.partial_program_rber * missing
-    }
-
-    /// Total program-side additive RBER of a page: neighbour coupling +
-    /// die-level program disturb + partial-program corruption. Exactly
-    /// 0.0 whenever all three mechanisms are disabled, whatever the
-    /// counters say — the disabled datapath stays bit-identical.
+    /// Total program-side additive RBER of a page: exactly 0.0 whenever
+    /// all three mechanisms are disabled, whatever the counters say — the
+    /// disabled datapath stays bit-identical.
     pub fn interference_rber(&self, events: u64, programs: u64, missing: f64) -> f64 {
-        self.neighbor_interference_rber(events)
-            + self.program_disturb_rber(programs)
-            + self.partial_rber(missing)
-    }
-
-    /// The current Vth shift of the page's distributions, in
-    /// read-reference steps (fractional; zero when nothing shifted).
-    ///
-    /// The additive RBER of [`DisturbModel::additional_rber`] is what a
-    /// *nominal-reference* read sees; dividing by
-    /// [`DisturbModel::rber_per_step`] recovers the equivalent
-    /// distribution shift a moved read reference could track.
-    pub fn vth_shift_steps(&self, reads: u64, hours: f64, cycles: u64) -> f64 {
-        self.additional_rber(reads, hours, cycles) / self.rber_per_step
+        self.program_terms(events, programs, missing).interference()
     }
 
     /// Additive RBER when the page is sensed at read-reference `offset`
-    /// (in steps, signed) instead of the nominal references.
-    ///
-    /// `interference` is the page-local program-side term (see
-    /// [`DisturbModel::interference_rber`]), folded into the nominal RBER
-    /// *and* the Vth shift: interference moves the distributions like
-    /// retention does, so a tracking read reference recovers it — except
-    /// a partial program, whose shift
-    /// (`partial_program_rber / rber_per_step`) is far beyond any
-    /// ladder's reach by construction.
-    ///
-    /// * `offset == 0` returns *exactly*
-    ///   [`DisturbModel::additional_rber`] plus `interference` — with
-    ///   `interference == 0.0` the pre-retry datapath, bit-for-bit
-    ///   (adding +0.0 is an IEEE identity).
-    /// * An offset matching [`DisturbModel::vth_shift_steps`] collapses
-    ///   the additive RBER to its unrecoverable residual
-    ///   (`offset_residual_fraction` of nominal — distribution widening
-    ///   the reference cannot undo); mismatch grows the RBER
-    ///   quadratically back toward (and past) the nominal value.
-    /// * On an unshifted page, a nonzero offset costs
-    ///   [`DisturbModel::offset_misread_rber`] per squared step — a
-    ///   stale learned offset is never free.
+    /// (in steps, signed), of read disturb + retention + `interference`
+    /// (the program-side term, see [`DisturbModel::interference_rber`]):
+    /// that nominal sum itself at offset 0 (the pre-retry datapath,
+    /// bit-for-bit); the unrecoverable residual (`offset_residual_fraction`
+    /// of nominal — widening no reference undoes) at the shift, nominal /
+    /// `rber_per_step` steps, growing quadratically with the mismatch;
+    /// and, on an unshifted page, [`DisturbModel::offset_misread_rber`]
+    /// per squared step — a stale learned offset is never free.
+    /// Interference shifts the distributions like retention, so a tracking
+    /// reference recovers it — except a partial program's, beyond any ladder.
     pub fn rber_at_offset(
         &self,
         reads: u64,
@@ -261,7 +221,14 @@ impl DisturbModel {
         interference: f64,
         offset: i32,
     ) -> f64 {
-        let nominal = self.additional_rber(reads, hours, cycles) + interference;
+        let nominal =
+            self.read_disturb_rber(reads) + self.retention_rber(hours, cycles) + interference;
+        self.offset_rber(nominal, offset)
+    }
+
+    /// [`DisturbModel::rber_at_offset`] of a page whose nominal (offset-0)
+    /// additive RBER is `nominal`.
+    pub(crate) fn offset_rber(&self, nominal: f64, offset: i32) -> f64 {
         if offset == 0 {
             return nominal;
         }
@@ -284,6 +251,47 @@ impl DisturbModel {
 impl Default for DisturbModel {
     fn default() -> Self {
         Self::date2012()
+    }
+}
+
+/// The raw bit-error rate of one stored page, term by term (the split
+/// of arXiv:1706.08642 and arXiv:1805.03291): what a read of the page
+/// injects, and what the layers above read instead of adding the terms
+/// up again. A term whose mechanism the [`DisturbModel`] disables is
+/// exactly 0.0, and so is every term of a blank page.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RberTerms {
+    /// P/E wear: [`crate::AgingModel::rber`] at the page's program time.
+    pub endurance: f64,
+    /// Read disturb of the block's earlier reads since its erase.
+    pub read_disturb: f64,
+    /// Retention loss since the page was programmed.
+    pub retention: f64,
+    /// Coupling from programs of the wordline-adjacent page.
+    pub coupling: f64,
+    /// Program disturb from programs on other blocks of the die.
+    pub program_disturb: f64,
+    /// Corruption left by an interrupted program.
+    pub partial: f64,
+}
+
+impl RberTerms {
+    /// The program-side part: [`DisturbModel::interference_rber`], to
+    /// the bit.
+    pub fn interference(&self) -> f64 {
+        self.coupling + self.program_disturb + self.partial
+    }
+
+    /// What a sense at `offset` adds to the endurance term:
+    /// [`DisturbModel::rber_at_offset`], to the bit.
+    pub(crate) fn disturb_at(&self, model: &DisturbModel, offset: i32) -> f64 {
+        let nominal = self.read_disturb + self.retention + self.interference();
+        model.offset_rber(nominal, offset)
+    }
+
+    /// The RBER a sense at `offset` injects, capped at 0.5.
+    pub(crate) fn sensed_at(&self, model: &DisturbModel, offset: i32) -> f64 {
+        (self.endurance + self.disturb_at(model, offset)).min(0.5)
     }
 }
 
@@ -342,13 +350,13 @@ mod tests {
     #[test]
     fn disabled_model_contributes_nothing() {
         let m = DisturbModel::disabled();
-        assert_eq!(m.additional_rber(1_000_000, 8760.0, 1_000_000), 0.0);
+        assert_eq!(m.rber_at_offset(1_000_000, 8760.0, 1_000_000, 0.0, 0), 0.0);
     }
 
     #[test]
     fn contributions_add() {
         let m = DisturbModel::date2012();
-        let total = m.additional_rber(500_000, 100.0, 1_000_000);
+        let total = m.rber_at_offset(500_000, 100.0, 1_000_000, 0.0, 0);
         let parts = m.read_disturb_rber(500_000) + m.retention_rber(100.0, 1_000_000);
         assert!((total - parts).abs() < 1e-18);
     }
@@ -365,7 +373,7 @@ mod tests {
             // same f64 the pre-retry datapath computed.
             assert!(
                 m.rber_at_offset(reads, hours, cycles, 0.0, 0)
-                    == m.additional_rber(reads, hours, cycles)
+                    == m.read_disturb_rber(reads) + m.retention_rber(hours, cycles)
             );
         }
     }
@@ -374,8 +382,8 @@ mod tests {
     fn optimum_offset_recovers_to_the_residual() {
         let m = DisturbModel::date2012();
         let (reads, hours, cycles) = (DisturbModel::SCRUB_READ_THRESHOLD, 8760.0, 1_000_000);
-        let nominal = m.additional_rber(reads, hours, cycles);
-        let shift = m.vth_shift_steps(reads, hours, cycles);
+        let nominal = m.rber_at_offset(reads, hours, cycles, 0.0, 0);
+        let shift = nominal / m.rber_per_step;
         assert!(shift > 1.0, "the worst case must shift past one step");
         // The integer rung nearest the shift must land close to the
         // residual floor, and far below nominal.
@@ -389,7 +397,8 @@ mod tests {
     fn offset_mismatch_grows_quadratically_and_symmetrically() {
         let m = DisturbModel::date2012();
         let (reads, hours, cycles) = (400_000, 8760.0, 1_000_000);
-        let shift = m.vth_shift_steps(reads, hours, cycles);
+        let nominal = m.rber_at_offset(reads, hours, cycles, 0.0, 0);
+        let shift = nominal / m.rber_per_step;
         let rung = shift.round() as i32;
         let near = m.rber_at_offset(reads, hours, cycles, 0.0, rung);
         let far = m.rber_at_offset(reads, hours, cycles, 0.0, rung + 3);
@@ -398,7 +407,6 @@ mod tests {
         let a = m.rber_at_offset(reads, hours, cycles, 0.0, 2);
         let off = 2.0;
         let mirror = 2.0 * shift - off;
-        let nominal = m.additional_rber(reads, hours, cycles);
         let residual = nominal * m.offset_residual_fraction;
         let expect = residual + (nominal - residual) * ((off - shift) / shift).powi(2);
         assert!((a - expect).abs() < 1e-18, "quadratic form holds");
@@ -410,11 +418,12 @@ mod tests {
         let m = DisturbModel::date2012();
         assert!(m.interference_enabled());
         let total = m.interference_rber(3, 1_000, 0.5);
-        let parts =
-            m.neighbor_interference_rber(3) + m.program_disturb_rber(1_000) + m.partial_rber(0.5);
-        assert!((total - parts).abs() < 1e-18);
+        let t = m.program_terms(3, 1_000, 0.5);
+        assert_eq!(t.coupling, 3.0 * m.program_coupling_rber);
+        assert_eq!(t.program_disturb, 1_000.0 * m.program_disturb_per_program);
+        assert!((total - (t.coupling + t.program_disturb + t.partial)).abs() < 1e-18);
         // A half-finished staircase reads back hopelessly corrupt.
-        assert!(m.partial_rber(0.5) > 1e-2);
+        assert!(t.partial > 1e-2);
 
         let off = DisturbModel::disabled();
         assert!(!off.interference_enabled());
@@ -439,7 +448,7 @@ mod tests {
         assert!(best < nominal / 5.0, "tracking offset must recover");
 
         let partial = DisturbModel::date2012();
-        let steps = partial.partial_rber(1.0) / partial.rber_per_step;
+        let steps = partial.program_terms(0, 0, 1.0).partial / partial.rber_per_step;
         assert!(steps > 100.0, "partial-program shift outruns the ladder");
     }
 

@@ -69,6 +69,7 @@ pub mod variability;
 pub use aging::AgingModel;
 pub use cell::Cell;
 pub use device::{NandDevice, OpReport};
+pub use disturb::RberTerms;
 pub use error::NandError;
 pub use geometry::{DeviceGeometry, Topology};
 pub use ispp::{IsppConfig, ProgramAlgorithm, ProgramProfile};

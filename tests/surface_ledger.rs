@@ -56,7 +56,7 @@ const LEDGER: [(&str, usize); 41] = [
     ("pub_fns:core", 134),
     ("pub_fns:gf2", 55),
     ("pub_fns:hv", 25),
-    ("pub_fns:nand", 82),
+    ("pub_fns:nand", 80),
     ("pub_types:bch", 9),
     ("pub_types:bench", 3),
     ("pub_types:compat/proptest", 8),
@@ -65,7 +65,7 @@ const LEDGER: [(&str, usize); 41] = [
     ("pub_types:core", 45),
     ("pub_types:gf2", 9),
     ("pub_types:hv", 10),
-    ("pub_types:nand", 22),
+    ("pub_types:nand", 23),
     ("pub_mods:bch", 3),
     ("pub_mods:bench", 2),
     ("pub_mods:compat/proptest", 4),
