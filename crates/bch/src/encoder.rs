@@ -6,7 +6,10 @@
 //! ROM. The datapath consumes the message `p` bits per clock, so encode
 //! latency is `k/p` cycles **independent of the selected `t`**. The
 //! software model has one pass at every `t` too: a carry-less fold, `W`
-//! multiplies per message word for a register of `W` words.
+//! multiplies per message word for a register of `W` words, at about the
+//! multiplier's rate of one a clock whatever `W` is — the one-word register
+//! of every fresh page included, whose steps the fold overlaps rather than
+//! waits on.
 //!
 //! That register is **left-aligned**: the running remainder `s(x)` lives in
 //! `W = ceil(r/64)` words, most significant first, holding `s(x) * x^pad`
@@ -27,7 +30,8 @@
 //! ```
 //!
 //! — `W` multiplies per message word ([`mlcx_gf2::kernels::fold_clmul`]:
-//! `pclmulqdq` where the CPU has it, shift-and-XOR elsewhere), 304 bytes
+//! `pclmulqdq` where the CPU has it, shift-and-XOR elsewhere, the state
+//! held as 128-bit pairs where the multiply takes its operands), 304 bytes
 //! of constants at `t = 3`, 1.2 KiB at `t = 14` and about 5 KiB at
 //! `t = 65`. Zeros ahead of a message are free in a right-aligned state,
 //! so the message's odd leading bytes and words seed it and the rest is
@@ -40,11 +44,12 @@
 //! register, which is why the fold works modulo `G` and not modulo `g`.
 //!
 //! `L` is not a knob: the product of a step, `W + 1` words, must land
-//! inside the state, so `L >= W + 1`; a step cannot start before the last
-//! has finished, so the longer the better; and the state lives in the
-//! stack frame, 18 words. `L = 18` up to `W = 17` (`t = 65` over
-//! GF(2^16), the paper's widest code); a wider register folds at
-//! `L = W + 1`, its state on the heap.
+//! inside the state, so `L >= W + 1`; only those `W + 1` words wait on the
+//! step before — the other `L - W - 1` are the next message words, whose
+//! products start at once — so the longer the better; and the state lives
+//! in registers, 18 words, the length the kernel unrolls a step over.
+//! `L = 18` up to `W = 17` (`t = 65` over GF(2^16), the paper's widest
+//! code); a wider register folds at `L = W + 1`, its state on the heap.
 //!
 //! [`crate::CodecKernel::Reference`] does not come through here: its
 //! bit-serial LFSR is `bitreg.rs`, which shares nothing with this module.
@@ -54,8 +59,10 @@ use mlcx_gf2::Gf2Poly;
 
 use crate::syndrome::with_words;
 
-/// State words `L` of the fold up to `W = 17` (module doc; 4 KiB at `W` = 5
-/// takes 1.3 us at `L` = 8, 1.0 at 18).
+/// State words `L` of the fold up to `W = 17` (module doc): the state
+/// [`fold_clmul`] keeps in registers, 9 pairs. 4 KiB at `W` = 5 folds in
+/// 0.92 us at `L` = 18, 1.45 at `L` = 8, whose pairs stay in memory; at
+/// `W` = 1, 0.22 and 0.55.
 const FOLD_STATE: usize = 18;
 
 /// The fold's state words for a `words`-word register: the step's product,

@@ -275,6 +275,9 @@ pub struct MemoryController {
     /// and filled on first use: they depend on nothing else but the load
     /// strategy, and a change of strategy empties the table.
     constants: Vec<Option<PathConstants>>,
+    /// The spare area of the last sense: every read senses into it, and
+    /// its capacity outlives the read.
+    spare: Vec<u8>,
 }
 
 /// What a page read or write at one capability costs before the device
@@ -330,6 +333,7 @@ impl MemoryController {
         let scheduler = ChannelScheduler::new(config.geometry.topology);
         let page_ecc = vec![0; config.geometry.total_pages()];
         let constants = vec![None; config.ecc_tmax as usize + 1];
+        let spare = Vec::with_capacity(config.geometry.spare_bytes);
         Ok(MemoryController {
             config,
             codec,
@@ -340,6 +344,7 @@ impl MemoryController {
             scheduler,
             offsets: ReadOffsetTable::new(),
             constants,
+            spare,
         })
     }
 
@@ -666,15 +671,17 @@ impl MemoryController {
             return Err(CtrlError::UnknownPageConfig { block, page });
         }
 
-        // The parity occupies the spare prefix.
-        let (mut data, mut parity, dev_report, rber) =
-            self.device.read_page_at(block, page, offset)?;
+        // The parity occupies the spare prefix, decoded where it was
+        // sensed.
+        let (mut data, dev_report, rber) =
+            self.device
+                .read_page_at(block, page, offset, &mut self.spare)?;
 
         // Decode at the page's write-time capability; the host's
         // capability stays selected.
         let code = self.codec.code_for(t)?;
-        parity.truncate(code.parity_bytes());
-        let outcome = code.decode(&mut data, &mut parity)?;
+        let parity = code.parity_bytes().min(self.spare.len());
+        let outcome = code.decode(&mut data, &mut self.spare[..parity])?;
 
         let constants = self.constants(t, &code);
         let path = constants.read;

@@ -18,13 +18,13 @@
 //! Beside the multiply, two entry points for a caller that reduces a long
 //! message modulo a fixed polynomial by multiplication instead of tables
 //! (`mlcx_bch`'s LFSR pass for registers wider than one word): fixed
-//! shapes, **most significant word first**, nothing allocated up to a
-//! state of 18 words:
+//! shapes, **most significant word first**, nothing allocated at a state
+//! of 18 words:
 //!
 //! | entry point | computes |
 //! |-------------|----------|
 //! | [`row_product_clmul`] | `sum_i a[i] * K_i`: `L` words against `L` constants of `W` words, into `W + 1` |
-//! | [`fold_clmul`] | per `L` message words, `state <- sum_i state[i] * K_i + (next L words)`: the row product landing in the state's low `W + 1` words |
+//! | [`fold_clmul`] | per `L` message words, `state <- sum_i state[i] * K_i + (next L words)`: the row product landing in the state's low `W + 1` words, the state held as big-endian 128-bit pairs — one load and a byte reversal per two message words, two products per pair by the multiply's selector, one multiply per word of each constant — and at `L = 18` (every register up to 17 words) in registers |
 //!
 //! And four for a caller whose polynomials have coefficients in GF(2^m)
 //! (`mlcx_bch`'s root search and Berlekamp-Massey). A polynomial is a
@@ -57,7 +57,12 @@
 //! All a kernel needs of the machine is a 64 x 64 -> 128 bit carry-less
 //! multiply XORed into an accumulator, so each entry point is one body,
 //! generic over that multiply-accumulate, and one call of it is a job:
-//! its arguments, shapes checked. Where `pclmulqdq` is available (the
+//! its arguments, shapes checked. The fold needs one thing more, the
+//! accumulator as a **pair** of words that never leaves it: two message
+//! words loaded into one, either word multiplied where it is by selector,
+//! the halves of a product moved between pairs — on `pclmulqdq` an `xmm`
+//! register (`movdqu` and `pshufb`, the multiply's `imm`, `palignr`), on
+//! shift-and-XOR a `u128`. Where `pclmulqdq` is available (the
 //! `clmul` cargo feature on, an `x86_64` target, the CPU flag present)
 //! the job runs on it through the crate's one `#[target_feature]` function,
 //! into which the body, monomorphised, inlines down to the instructions;
@@ -132,9 +137,10 @@ pub fn row_product_clmul(a: &[Block], consts: &[Block], out: &mut [Block]) {
     dispatch(RowProduct(a, consts, out));
 }
 
-/// Words of a [`fold_clmul`] step's product the stack holds; a wider one
-/// (`W + 1` above 18) goes on the heap.
-const PRODUCT_STACK_WORDS: usize = 18;
+/// The state length [`fold_clmul`] holds on the stack, with a step's
+/// columns, and unrolls a step over, its pairs in registers: every
+/// register up to 17 words folds at it. Any other length goes on the heap.
+const FOLD_STACK_WORDS: usize = 18;
 
 /// Folds `message` into the `L`-word `state`: per `L` message words,
 /// `state <- sum_i state[i] * K_i + (the next L words)`, the product a
@@ -145,7 +151,11 @@ const PRODUCT_STACK_WORDS: usize = 18;
 /// modulo `G` to everything read so far — `W` multiplies per message word
 /// and no table. `message` is a byte string taken as big-endian words, the
 /// whole of it in one call so that the `target_feature` boundary is
-/// crossed once.
+/// crossed once. Inside, the state is big-endian 128-bit pairs, the form
+/// the multiply takes its operands in: a message pair is one load and a
+/// byte reversal, each pair two products, and only the low `W + 1` words
+/// wait on the step before — the others are the next message words, whose
+/// products need not wait for anything.
 ///
 /// # Panics
 ///
@@ -171,6 +181,10 @@ pub fn fold_clmul(state: &mut [Block], consts: &[Block], message: &[[u8; 8]]) {
 /// machine keeps it (an `xmm` register for `pclmulqdq`; moving each
 /// product to general registers would double the work on the multiplier's
 /// port).
+///
+/// An accumulator is also a **pair**: two words of a multi-word value,
+/// big-endian (the more significant one high), which the multiply takes
+/// a word of by selector without moving it ([`Fold`]).
 trait MulAcc: Copy {
     type Acc: Copy;
     /// `w` as an accumulator's low word, the high word zero.
@@ -178,6 +192,18 @@ trait MulAcc: Copy {
     fn mul_acc(self, acc: Self::Acc, a: Block, b: Block) -> Self::Acc;
     /// The accumulator's (high, low) words.
     fn halves(self, acc: Self::Acc) -> (Block, Block);
+    /// The pair `(high, low)`.
+    fn pair(self, high: Block, low: Block) -> Self::Acc;
+    /// Two big-endian message words as a pair, the first high.
+    fn load_be(self, words: &[[u8; 8]; 2]) -> Self::Acc;
+    fn xor(self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
+    /// `acc + x * y` for `x` a word of `s` and `y` one of `k`, chosen as
+    /// `pclmulqdq` chooses them: bit 0 of `S` the high word of `s`, bit 4
+    /// `k[1]`.
+    fn mul_lanes<const S: i32>(self, acc: Self::Acc, s: Self::Acc, k: &[Block; 2]) -> Self::Acc;
+    /// The pair of `above`'s low word and `below`'s high word: a 128-bit
+    /// value straddling two pairs, its part in the one between them.
+    fn straddle(self, above: Self::Acc, below: Self::Acc) -> Self::Acc;
 
     fn zero(self) -> Self::Acc {
         self.word(0)
@@ -205,6 +231,28 @@ impl MulAcc for ShiftXor {
 
     fn halves(self, acc: u128) -> (Block, Block) {
         ((acc >> 64) as Block, acc as Block)
+    }
+
+    fn pair(self, high: Block, low: Block) -> u128 {
+        u128::from(high) << 64 | u128::from(low)
+    }
+
+    fn load_be(self, [high, low]: &[[u8; 8]; 2]) -> u128 {
+        self.pair(Block::from_be_bytes(*high), Block::from_be_bytes(*low))
+    }
+
+    fn xor(self, a: u128, b: u128) -> u128 {
+        a ^ b
+    }
+
+    fn mul_lanes<const S: i32>(self, acc: u128, s: u128, k: &[Block; 2]) -> u128 {
+        let (high, low) = self.halves(s);
+        let x = if S & 1 == 1 { high } else { low };
+        self.mul_acc(acc, x, k[usize::from(S & 0x10 != 0)])
+    }
+
+    fn straddle(self, above: u128, below: u128) -> u128 {
+        above << 64 | below >> 64
     }
 }
 
@@ -294,27 +342,104 @@ impl Kernel for Fold<'_> {
     fn run<M: MulAcc>(self, mul: M) {
         let Fold(state, consts, message) = self;
         let l = state.len();
-        let w = consts.len() / l;
-        let (mut stack, mut heap);
-        let product = if w < PRODUCT_STACK_WORDS {
-            stack = [0; PRODUCT_STACK_WORDS];
-            &mut stack[..=w]
+        // The columns of a step above its bottom one.
+        let above = (consts.len() / l).saturating_sub(1);
+        if l == FOLD_STACK_WORDS {
+            // Its length spelled out: a step unrolls over the pairs, and
+            // they stay in registers.
+            let mut pairs = [mul.zero(); FOLD_STACK_WORDS / 2];
+            let mut columns = [mul.zero(); FOLD_STACK_WORDS - 2];
+            fold_pairs(
+                mul,
+                state,
+                &mut pairs,
+                &mut columns[..above],
+                consts,
+                message,
+            );
         } else {
-            heap = vec![0; w + 1];
-            &mut heap[..]
-        };
-        // State words above the product take their message word alone.
-        let above = l - product.len();
-        for chunk in message.chunks_exact(l) {
-            RowProduct(state, consts, product).run(mul);
-            let (top, low) = state.split_at_mut(above);
-            for (s, c) in top.iter_mut().zip(chunk) {
-                *s = Block::from_be_bytes(*c);
+            let mut scratch = vec![mul.zero(); l.div_ceil(2) + above];
+            let (pairs, columns) = scratch.split_at_mut(l.div_ceil(2));
+            fold_pairs(mul, state, pairs, columns, consts, message);
+        }
+    }
+}
+
+/// [`Fold`] through the `L`-word `state` as `pairs`, aligned to its last
+/// word (an odd `L`'s first word is the low word of the first pair, the
+/// high word zero), and room for the `W - 1` columns of a step's product
+/// `above` its bottom one.
+#[inline(always)]
+fn fold_pairs<M: MulAcc>(
+    mul: M,
+    state: &mut [Block],
+    pairs: &mut [M::Acc],
+    above: &mut [M::Acc],
+    consts: &[Block],
+    message: &[[u8; 8]],
+) {
+    let l = state.len();
+    let (odd, w) = (l % 2, consts.len() / l);
+    let (head, words) = state.split_at_mut(odd);
+    if let Some(&s) = head.first() {
+        pairs[0] = mul.pair(0, s);
+    }
+    for (p, s) in pairs[odd..].iter_mut().zip(words.as_chunks::<2>().0) {
+        *p = mul.pair(s[0], s[1]);
+    }
+    for chunk in message.chunks_exact(l) {
+        // Column j from the bottom is sum_i state[i] * (word W - 1 - j of
+        // K_i): two products a pair, into two accumulators.
+        let column_of = |row: &[Block]| {
+            let (mut a, mut b) = (mul.zero(), mul.zero());
+            if let (1, Some(k)) = (odd, row.first_chunk()) {
+                a = mul.mul_lanes::<0x00>(a, pairs[0], k);
             }
-            for ((s, &p), c) in low.iter_mut().zip(&*product).zip(&chunk[above..]) {
-                *s = p ^ Block::from_be_bytes(*c);
+            for (&s, k) in pairs[odd..].iter().zip(row[odd..].as_chunks().0) {
+                a = mul.mul_lanes::<0x01>(a, s, k);
+                b = mul.mul_lanes::<0x10>(b, s, k);
+            }
+            mul.xor(a, b)
+        };
+        // The bottom column lines up with the bottom pair, and of a
+        // one-word register it is the whole product: it stays where it was
+        // computed, and the others go `above` it.
+        let mut rows = consts.chunks_exact(l).rev();
+        let bottom = rows.next().map_or_else(|| mul.zero(), column_of);
+        for (c, row) in above.iter_mut().zip(rows) {
+            *c = column_of(row);
+        }
+        let (head, words) = chunk.split_at(odd);
+        if let Some(m) = head.first() {
+            pairs[0] = mul.pair(0, Block::from_be_bytes(*m));
+        }
+        for (p, m) in pairs[odd..].iter_mut().zip(words.as_chunks().0) {
+            *p = mul.load_be(m);
+        }
+        // The product, W + 1 words, into the low pairs: from the bottom
+        // up, every other column lines up with a pair, and the one above
+        // it straddles two, its low word in this pair's high word and its
+        // high word in the low word of the pair below.
+        let column = |j: usize| match j {
+            0 => bottom,
+            _ => above.get(j - 1).copied().unwrap_or_else(|| mul.zero()),
+        };
+        let mut below = mul.zero();
+        for (q, p) in pairs.iter_mut().rev().enumerate() {
+            if 2 * q <= w {
+                let straddling = column(2 * q + 1);
+                let product = mul.xor(column(2 * q), mul.straddle(straddling, below));
+                *p = mul.xor(*p, product);
+                below = straddling;
             }
         }
+    }
+    if let Some(s) = head.first_mut() {
+        *s = mul.halves(pairs[0]).1;
+    }
+    for (s, &p) in words.as_chunks_mut::<2>().0.iter_mut().zip(&pairs[odd..]) {
+        let (high, low) = mul.halves(p);
+        *s = [high, low];
     }
 }
 
@@ -1056,12 +1181,13 @@ mod clmul {
     #![allow(unsafe_code, reason = "target_feature intrinsics have no safe form")]
 
     use std::arch::x86_64::{
-        __m128i, _mm_clmulepi64_si128, _mm_cvtsi64_si128, _mm_extract_epi64, _mm_xor_si128,
+        __m128i, _mm_alignr_epi8, _mm_clmulepi64_si128, _mm_cvtsi64_si128, _mm_extract_epi64,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8, _mm_shuffle_epi8, _mm_xor_si128,
     };
 
     use super::{Block, Kernel, MulAcc};
 
-    /// Proof that the CPU executes pclmulqdq and sse4.1: the one
+    /// Proof that the CPU executes pclmulqdq, ssse3 and sse4.1: the one
     /// constructor checks, which is what lets the [`MulAcc`] methods and
     /// [`Pclmul::run`] be safe to call.
     #[derive(Clone, Copy)]
@@ -1069,17 +1195,19 @@ mod clmul {
 
     impl Pclmul {
         pub(super) fn detect() -> Option<Self> {
-            // sse4.1 covers the pextrq lane extraction in `halves`; every
-            // CPU shipping pclmulqdq also ships sse4.1, but detect both.
+            // sse4.1 covers the pextrq lane extraction in `halves`, ssse3
+            // (which sse4.1 implies) the byte shuffles of the pair form;
+            // every CPU shipping pclmulqdq also ships both, but detect them.
             (std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse4.1"))
             .then_some(Pclmul(()))
         }
 
         /// Runs `kernel` on `pclmulqdq`.
         pub(super) fn run<K: Kernel>(self, kernel: K) -> K::Out {
-            // SAFETY: `self` exists, so `detect` saw pclmulqdq and sse4.1
-            // (sse2 is x86_64 baseline).
+            // SAFETY: `self` exists, so `detect` saw pclmulqdq, ssse3 and
+            // sse4.1 (sse2 is x86_64 baseline).
             unsafe { on_pclmul(self, kernel) }
         }
     }
@@ -1112,6 +1240,44 @@ mod clmul {
                 )
             }
         }
+
+        #[inline(always)]
+        fn pair(self, high: Block, low: Block) -> __m128i {
+            // SAFETY: sse2 is x86_64 baseline.
+            unsafe { _mm_set_epi64x(high as i64, low as i64) }
+        }
+
+        #[inline(always)]
+        fn load_be(self, words: &[[u8; 8]; 2]) -> __m128i {
+            // SAFETY: `words` is 16 readable bytes (movdqu has no alignment
+            // to meet), and `detect` saw ssse3 (pshufb).
+            unsafe {
+                let reverse = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+                _mm_shuffle_epi8(_mm_loadu_si128(words.as_ptr().cast()), reverse)
+            }
+        }
+
+        #[inline(always)]
+        fn xor(self, a: __m128i, b: __m128i) -> __m128i {
+            // SAFETY: sse2 is x86_64 baseline.
+            unsafe { _mm_xor_si128(a, b) }
+        }
+
+        #[inline(always)]
+        fn mul_lanes<const S: i32>(self, acc: __m128i, s: __m128i, k: &[Block; 2]) -> __m128i {
+            // SAFETY: `k` is 16 readable bytes (movdqu has no alignment to
+            // meet), and `detect` saw pclmulqdq.
+            unsafe {
+                let k = _mm_loadu_si128(k.as_ptr().cast());
+                _mm_xor_si128(acc, _mm_clmulepi64_si128::<S>(s, k))
+            }
+        }
+
+        #[inline(always)]
+        fn straddle(self, above: __m128i, below: __m128i) -> __m128i {
+            // SAFETY: `detect` saw ssse3 (palignr).
+            unsafe { _mm_alignr_epi8::<8>(above, below) }
+        }
     }
 
     /// The one function compiled with the features on: `kernel`'s body,
@@ -1120,10 +1286,15 @@ mod clmul {
     ///
     /// # Safety
     ///
-    /// The CPU must execute pclmulqdq, sse2 and sse4.1; a [`Pclmul`] is
-    /// the proof, and a `target_feature` function is unsafe to call from
+    /// The CPU must execute pclmulqdq, sse2, ssse3 and sse4.1; a [`Pclmul`]
+    /// is the proof, and a `target_feature` function is unsafe to call from
     /// code compiled without the features all the same.
-    #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
+    #[target_feature(
+        enable = "pclmulqdq",
+        enable = "sse2",
+        enable = "ssse3",
+        enable = "sse4.1"
+    )]
     unsafe fn on_pclmul<K: Kernel>(cpu: Pclmul, kernel: K) -> K::Out {
         kernel.run(cpu)
     }

@@ -755,13 +755,17 @@ impl NandDevice {
         block: usize,
         page: usize,
     ) -> Result<(Vec<u8>, Vec<u8>, OpReport), NandError> {
-        let (data, spare, report, _) = self.read_page_at(block, page, 0)?;
+        let mut spare = Vec::new();
+        let (data, report, _) = self.read_page_at(block, page, 0, &mut spare)?;
         Ok((data, spare, report))
     }
 
     /// Reads a page back sensing at read-reference `offset` steps from
     /// nominal (signed; see [`DisturbModel::rber_at_offset`]), and hands
-    /// back the page's [`RberTerms`] as this sense saw them.
+    /// back the page's [`RberTerms`] as this sense saw them. The spare
+    /// area is sensed into `spare`, whose capacity a caller reading page
+    /// after page keeps: it leaves as the full OOB area, what was in it
+    /// before gone; a rejected read leaves it as it was.
     ///
     /// The injected error rate is the endurance RBER plus the
     /// offset-dependent disturb/retention/interference term: an offset
@@ -779,7 +783,8 @@ impl NandDevice {
         block: usize,
         page: usize,
         offset: i32,
-    ) -> Result<(Vec<u8>, Vec<u8>, OpReport, RberTerms), NandError> {
+        spare: &mut Vec<u8>,
+    ) -> Result<(Vec<u8>, OpReport, RberTerms), NandError> {
         self.check_page(block, page)?;
         let geometry_spare = self.geometry.spare_bytes;
         let die = self.geometry.die_of_block(block);
@@ -794,7 +799,8 @@ impl NandDevice {
         let terms = self.page_terms(block, stored, prior_reads);
         let mut data = stored.data.clone();
         // Room for the pad appended after injection.
-        let mut spare = Vec::with_capacity(geometry_spare);
+        spare.clear();
+        spare.reserve(geometry_spare);
         spare.extend_from_slice(&stored.spare);
         let rber = terms.sensed_at(&self.disturb, offset);
         debug_assert!(spare.len() <= geometry_spare);
@@ -811,7 +817,7 @@ impl NandDevice {
             let (buf, idx) = if bit < data.len() * 8 {
                 (&mut data, bit)
             } else {
-                (&mut spare, bit - data.len() * 8)
+                (&mut *spare, bit - data.len() * 8)
             };
             buf[idx / 8] ^= 1 << (7 - idx % 8);
         }
@@ -820,7 +826,7 @@ impl NandDevice {
         spare.resize(geometry_spare, 0xFF);
 
         let report = self.finish(self.read_cost);
-        Ok((data, spare, report, terms))
+        Ok((data, report, terms))
     }
 
     /// Adds the command overhead: the operation's report is its account.
@@ -1279,9 +1285,11 @@ mod tests {
             dev
         };
         let (mut a, mut b) = (build(), build());
+        // One buffer across b's senses, as the controller keeps it.
+        let mut sb = Vec::new();
         for _ in 0..6 {
             let (da, sa, _) = a.read_page(0, 0).unwrap();
-            let (db, sb, _, _) = b.read_page_at(0, 0, 0).unwrap();
+            let (db, _, _) = b.read_page_at(0, 0, 0, &mut sb).unwrap();
             assert_eq!(da, db);
             assert_eq!(sa, sb);
         }
@@ -1291,7 +1299,7 @@ mod tests {
         let count = |dev: &mut NandDevice, offset: i32| -> usize {
             (0..16)
                 .map(|_| {
-                    let (d, _, _, _) = dev.read_page_at(0, 0, offset).unwrap();
+                    let (d, _, _) = dev.read_page_at(0, 0, offset, &mut Vec::new()).unwrap();
                     d.iter()
                         .zip(std::iter::repeat(&0xA5u8))
                         .map(|(x, y)| (x ^ y).count_ones() as usize)
@@ -1670,7 +1678,9 @@ mod tests {
     fn read_matches(dev: &mut NandDevice, block: usize, page: usize, offset: i32) -> RberTerms {
         let oracle = before::read_rber(dev, block, page, offset);
         let interference = before::interference(dev, block, &dev.blocks[block].pages[page]);
-        let (_, _, _, terms) = dev.read_page_at(block, page, offset).unwrap();
+        let (_, _, terms) = dev
+            .read_page_at(block, page, offset, &mut Vec::new())
+            .unwrap();
         let sensed = terms.sensed_at(&dev.disturb, offset);
         assert_eq!(
             sensed.to_bits(),

@@ -2,11 +2,12 @@
 //!
 //! The per-page fixed costs were paid down to: nothing for a program or
 //! an erase once a block's buffers exist (nothing at all for a program
-//! handed owned buffers), the two buffers a read hands to its caller,
-//! and the parity plus those two per write-and-read pair through the
-//! whole engine on the benchmark's `fresh_mixed` shape, with nothing
+//! handed owned buffers), the two buffers a bare device read hands to its
+//! caller, and the parity plus the read's payload per write-and-read pair
+//! through the whole engine on the benchmark's `fresh_mixed` shape (the
+//! controller senses the spare into a buffer it keeps), with nothing
 //! else but the batch's two vectors (`core.engine.allocs_per_cmd` there,
-//! 1.51 with its shuffled merge);
+//! 1.01 with its shuffled merge);
 //! and at end of life, on the `t` = 65 and `t` = 14 codes, nothing for a
 //! clean decode, five for a dirty one and four where the locator has its
 //! roots in closed form. Counts are exact for a given command sequence,
@@ -148,11 +149,12 @@ fn the_page_path_stays_inside_its_allocation_budget() {
     let (allocs, commands) = segment(&mut engine);
     assert_eq!(commands, 257);
     // One parity per write (it becomes the stored spare, as the write's
-    // payload becomes the stored page) and two buffers per read, plus the
-    // two vectors the batch hands back: its ids and its completions. The
-    // event heap, the completion slab and the flow samples keep their
-    // capacity from the warm-up.
-    let per_command = 3 * pages as u64;
+    // payload becomes the stored page) and one payload per read (its spare
+    // is sensed into the controller's buffer), plus the two vectors the
+    // batch hands back: its ids and its completions. The event heap, the
+    // completion slab and the flow samples keep their capacity from the
+    // warm-up.
+    let per_command = 2 * pages as u64;
     assert_eq!(
         allocs,
         per_command + 2,

@@ -138,7 +138,8 @@ proptest! {
             dev.advance_time_hours(hours).unwrap();
         }
         let (d0, s0, _) = nominal.read_page(0, 0).unwrap();
-        let (d1, s1, _, _) = offset.read_page_at(0, 0, 0).unwrap();
+        let mut s1 = vec![0xA5; 3];
+        let (d1, _, _) = offset.read_page_at(0, 0, 0, &mut s1).unwrap();
         prop_assert_eq!(d0, d1);
         prop_assert_eq!(s0, s1);
         prop_assert_eq!(

@@ -242,3 +242,82 @@ fn interleaved_dispatches_deliver_in_end_time_order_each_once() {
         assert_eq!(once, accepted, "{policy:?}: every accepted command");
     }
 }
+
+/// Services of weights 1 and 3, four blocks each, on a 1 x 1 engine.
+fn weighted_engine(seed: u64) -> (StorageEngine, [ServiceHandle; 2]) {
+    let mut config = ControllerConfig::date2012();
+    config.geometry = DeviceGeometry {
+        blocks: 8,
+        pages_per_block: 8,
+        topology: Topology::new(1, 1),
+        ..config.geometry
+    };
+    let mut engine = EngineBuilder::date2012()
+        .controller_config(config)
+        .sched_policy(SchedPolicy::WeightedFair)
+        .seed(seed)
+        .build()
+        .unwrap();
+    let qos = |weight| QosSpec {
+        weight,
+        ..QosSpec::default()
+    };
+    let a = engine
+        .register_service_with_qos("a", Objective::Baseline, 0..4, qos(1.0))
+        .unwrap();
+    let b = engine
+        .register_service_with_qos("b", Objective::MaxReadThroughput, 4..8, qos(3.0))
+        .unwrap();
+    (engine, [a, b])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `WeightedFair` dispatches the backlogged service of least device
+    /// time per weight, so while both services are backlogged their
+    /// device times per weight stay within one command of each other: at
+    /// every prefix of the dispatch order, `|T_a / w_a - T_b / w_b| <=
+    /// max_cmd_s / min(w)`, `T` a service's summed `end_s - start_s`. On
+    /// one die a command cannot start before the one dispatched ahead of
+    /// it, so start order is dispatch order.
+    #[test]
+    fn weighted_fair_keeps_the_weight_share_within_one_command(
+        seed in 0u64..1_000,
+        counts in (8usize..60, 8usize..60),
+    ) {
+        let (mut engine, handles) = weighted_engine(seed);
+        let weights = [1.0, 3.0];
+        let mut left = [counts.0, counts.1];
+        for (s, &handle) in handles.iter().enumerate() {
+            let batch = commands(handle, 4 * s, &mut 0, left[s]);
+            engine.sq().submit_owned(batch).unwrap();
+        }
+        let mut done = engine.cq().drain();
+        prop_assert_eq!(done.len(), counts.0 + counts.1);
+        done.sort_by(|x, y| x.start_s.total_cmp(&y.start_s));
+        for pair in done.windows(2) {
+            prop_assert!(pair[0].start_s < pair[1].start_s, "two starts: {:?} {:?}", pair[0], pair[1]);
+        }
+        let max_cmd_s = done.iter().map(|c| c.end_s - c.start_s).fold(0.0, f64::max);
+        let bound = max_cmd_s / 1.0f64.min(3.0);
+        let mut time = [0.0f64; 2];
+        for (k, c) in done.iter().enumerate() {
+            if left.contains(&0) {
+                break;
+            }
+            let s = c.service.index() as usize;
+            time[s] += c.end_s - c.start_s;
+            left[s] -= 1;
+            let gap = (time[0] / weights[0] - time[1] / weights[1]).abs();
+            prop_assert!(
+                gap <= bound,
+                "after {} dispatches: T = {:?}, gap {} over the bound {}",
+                k + 1,
+                time,
+                gap,
+                bound
+            );
+        }
+    }
+}

@@ -46,7 +46,7 @@ const LEDGER: [(&str, usize); 41] = [
     ("controller_config_fields", 11),
     ("mlcx_error_variants", 8),
     ("expect_exceptions", 1),
-    ("unsafe_blocks", 4),
+    ("unsafe_blocks", 9),
     ("unsafe_fns", 1),
     ("pub_fns:bch", 46),
     ("pub_fns:bench", 19),
